@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.experiments import QUICK, fig14, table6
-from repro.parallel import available_workers
+from repro.parallel import ForkBackend, InlineBackend, available_workers, make_backend
 
 from .conftest import record_bench
 
@@ -52,7 +52,7 @@ MICRO_SCALE = dataclasses.replace(
 
 def timed(workers: int, scale=SWEEP_SCALE):
     began = time.perf_counter()
-    report = fig14.run(scale, seed=0, workers=workers)
+    report = fig14.run(scale, seed=0, backend=make_backend(workers=workers))
     return time.perf_counter() - began, report
 
 
@@ -117,10 +117,10 @@ TABLE6_SCALE = dataclasses.replace(
 )
 def test_parallel_speedup_table6_grid():
     began = time.perf_counter()
-    serial = table6.run(TABLE6_SCALE, seed=0, workers=1)
+    serial = table6.run(TABLE6_SCALE, seed=0, backend=InlineBackend())
     serial_seconds = time.perf_counter() - began
     began = time.perf_counter()
-    fanned = table6.run(TABLE6_SCALE, seed=0, workers=4)
+    fanned = table6.run(TABLE6_SCALE, seed=0, backend=ForkBackend(4))
     fanned_seconds = time.perf_counter() - began
     assert serial.data == fanned.data
     speedup = serial_seconds / fanned_seconds
@@ -151,7 +151,7 @@ def test_shard_roundtrip_matches_fork(tmp_path):
     from repro.shard import merge_shards, plan, run_shard
 
     began = time.perf_counter()
-    fork = fig14.run(MICRO_SCALE, seed=0, workers=2)
+    fork = fig14.run(MICRO_SCALE, seed=0, backend=ForkBackend(2))
     fork_seconds = time.perf_counter() - began
 
     began = time.perf_counter()

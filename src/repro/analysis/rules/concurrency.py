@@ -139,13 +139,8 @@ class FanoutPickleSafetyRule(Rule):
         for node in ast.walk(function):
             if not (
                 isinstance(node, ast.Call)
-                and (
-                    (
-                        isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _FANOUT_ATTRS
-                    )
-                    or (isinstance(node.func, ast.Name) and node.func.id == "fanout")
-                )
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _FANOUT_ATTRS
             ):
                 continue
             arguments = list(node.args) + [kw.value for kw in node.keywords]

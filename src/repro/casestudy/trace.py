@@ -25,12 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..parallel.backends import (
+from ..parallel import (
     ExecutionBackend,
     ExecutionBackendError,
-    resolve_backend,
+    InlineBackend,
+    get_context,
 )
-from ..parallel.pool import get_context
 from ..store import active_store, fingerprint
 from .devicemodel import LatencyFit, fit_latency_model
 from .pipeline import CaseStudyScenario, EdgeDeviceLayout, PipelineConfig, SensorFusionBuilder
@@ -163,38 +163,37 @@ def extract_trace_windowed(
     config: TraceConfig,
     stream: Sequence[int],
     fit: LatencyFit | None = None,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
     num_windows: int | None = None,
 ) -> list[CaseStudyScenario]:
     """Window-parallel :func:`extract_trace`, bit-identical to serial.
 
     Splits the snapshot times into ``num_windows`` (default: one per
-    worker) contiguous windows and fans them over ``backend`` (default:
-    inline/fork sized by ``workers``).  Each worker rebuilds the
-    simulated world from ``default_rng(list(stream))`` — cheap next to
-    the snapshot walk — and scans only its own window; windows merge in
-    time order and truncate to ``config.max_cases``, reproducing the
-    serial early-stop exactly.
+    worker) contiguous windows and fans them over ``backend``.  Each
+    worker rebuilds the simulated world from
+    ``default_rng(list(stream))`` — cheap next to the snapshot walk —
+    and scans only its own window; windows merge in time order and
+    truncate to ``config.max_cases``, reproducing the serial early-stop
+    exactly.
 
     Only direct-execution backends are accepted: a store-conditional
     backend (shard/merge) would skip fan-out legs whose cells exist,
     desynchronizing the positional window merge.
     """
     fit = fit or fit_latency_model()
-    resolved = resolve_backend(backend, workers)
-    if resolved.name not in ("inline", "fork"):
+    backend = backend or InlineBackend()
+    if backend.name not in ("inline", "fork"):
         raise ExecutionBackendError(
-            f"trace windows need a direct-execution backend, got {resolved.name!r}; "
-            "shard runs parallelize extraction per shard via workers instead"
+            f"trace windows need a direct-execution backend, got {backend.name!r}; "
+            "pass the executor beneath it (backend.direct()) instead"
         )
     times = config.traffic.snapshot_times()
     if num_windows is None:
-        num_windows = max(1, min(len(times), resolved.workers))
+        num_windows = max(1, min(len(times), backend.workers))
     bounds = np.linspace(0, len(times), num_windows + 1).astype(int)
     windows = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     context = _WindowContext(config, tuple(int(s) for s in stream), fit)
-    chunks = resolved.fanout(_extract_window, windows, context)
+    chunks = backend.fanout(_extract_window, windows, context)
     scenarios = [scenario for chunk in chunks for scenario in chunk]
     if config.max_cases is not None:
         scenarios = scenarios[: config.max_cases]
@@ -216,15 +215,6 @@ def trace_key(config: TraceConfig, stream: Sequence[int]) -> dict:
     }
 
 
-def _extract(
-    config: TraceConfig, stream: Sequence[int], fit: LatencyFit | None, workers: int
-) -> list[CaseStudyScenario]:
-    """Serial or windowed extraction — same result either way."""
-    if workers != 1:
-        return extract_trace_windowed(config, stream, fit=fit, workers=workers)
-    return extract_trace(config, np.random.default_rng(list(stream)), fit=fit)
-
-
 # In-process memo: trace fingerprint -> scenario list.  Small LRU — a
 # session touches a handful of (scale, stream) combinations at most.
 _MEMO_MAX = 8
@@ -235,7 +225,7 @@ def extract_trace_cached(
     config: TraceConfig,
     stream: Sequence[int],
     fit: LatencyFit | None = None,
-    workers: int = 1,
+    backend: ExecutionBackend | None = None,
 ) -> tuple[list[CaseStudyScenario], str]:
     """Memoized :func:`extract_trace` keyed by ``(config, stream)``.
 
@@ -256,13 +246,16 @@ def extract_trace_cached(
     default-fit callers (and vice versa) — those calls bypass both
     cache layers instead.
 
-    ``workers > 1`` routes cold extractions through
-    :func:`extract_trace_windowed`.  The windowed walk is bit-identical
-    to the serial one, so worker count never enters the cache key — a
-    serial run and a parallel run publish interchangeable entries.
+    Cold extractions run :func:`extract_trace_windowed` on the direct
+    executor beneath ``backend`` (a shard's inner backend; inline for a
+    merge), so within-shard parallelism reaches the snapshot walk.  The
+    windowed walk is bit-identical to the serial one, so the backend
+    never enters the cache key — a serial run and a parallel run publish
+    interchangeable entries.
     """
+    direct = (backend or InlineBackend()).direct()
     if fit is not None:
-        return _extract(config, stream, fit, workers), "extracted"
+        return extract_trace_windowed(config, stream, fit=fit, backend=direct), "extracted"
     key = trace_key(config, stream)
     address = fingerprint(key)
     store = active_store()
@@ -282,7 +275,7 @@ def extract_trace_cached(
         scenarios = store.load("trace", key)
         source = "store"
     if scenarios is None:
-        scenarios = _extract(config, stream, None, workers)
+        scenarios = extract_trace_windowed(config, stream, backend=direct)
         if store is not None:
             store.save("trace", key, scenarios)
     _MEMO[address] = scenarios

@@ -40,6 +40,7 @@ import time
 
 import numpy as np
 
+from .parallel import make_backend
 from .telemetry import log
 
 __all__ = ["main", "build_parser"]
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
 
     # Help strings are generated from the experiments registry (ids and
-    # which run() signatures accept `workers`), so they cannot go stale
+    # which run() signatures accept `backend`), so they cannot go stale
     # the way a hand-maintained list did.
     from .experiments.registry import (
         EXPERIMENT_IDS,
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("id", help="|".join(EXPERIMENT_IDS))
     exp.add_argument("--scale", default=None, choices=["quick", "paper"])
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--workers", type=int, default=1,
+    exp.add_argument("--workers", type=int, default=None,
                      help="worker processes fanning out the experiment's "
                           f"train/eval grid ({', '.join(parallel_experiment_ids())}; "
                           f"serial by design: {', '.join(serial_experiment_ids())}); "
@@ -338,19 +339,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     run_dir = pathlib.Path(args.logdir) / f"{stamp}_{args.embedding}"
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    from .parallel import resolve_workers
-
-    workers = resolve_workers(args.workers)
+    backend = make_backend(workers=args.workers)
     log.info(f"training {args.embedding} for {args.episodes} episodes "
              f"({args.train_graphs} graphs of {args.num_tasks} tasks on "
              f"{args.num_devices} devices"
-             + (f"; batches of {args.batch_episodes} on {workers} workers"
+             + (f"; batches of {args.batch_episodes} on {backend.workers} workers"
                 if args.batch_episodes > 1 else "") + ")")
     trainer.train(problems, rng, callback=lambda s: log.info(
         f"episode {s.episode:4d}: reward {s.total_reward:+9.3f} "
         f"best {s.best_value:9.3f}"
     ) if s.episode % max(args.episodes // 10, 1) == 0 else None,
-        batch_size=args.batch_episodes, workers=workers)
+        batch_size=args.batch_episodes, backend=backend)
 
     save_agent(agent, run_dir / "agent.npz")
     history = [
@@ -374,7 +373,6 @@ def cmd_test(args: argparse.Namespace) -> int:
     from .baselines.giph_policy import GiPHSearchPolicy
     from .core.serialization import load_agent
     from .experiments.runner import HeftPolicy, evaluate_policies
-    from .parallel import resolve_workers
     from .sim import cp_min_lower_bound
 
     run_dir = pathlib.Path(args.run_folder)
@@ -394,7 +392,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         problems,
         rng,
         noise=args.noise,
-        workers=resolve_workers(args.workers),
+        backend=make_backend(workers=args.workers),
     )
 
     rows = []
@@ -455,8 +453,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}")
         return 2
-    from .parallel import resolve_workers
-
     source = spec
     if args.max_events is not None:
         import dataclasses
@@ -486,7 +482,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     result = runner.run(
         _scenario_policies(args.policies or ["random", "task-eft"]),
-        workers=resolve_workers(args.workers),
+        backend=make_backend(workers=args.workers),
     )
     for report in result.reports.values():
         print()
@@ -721,8 +717,9 @@ def _run_sharded_locally(args: argparse.Namespace, scale) -> int:
     out = pathlib.Path(args.out) if args.out else _shard_dir(args.id, args.seed, scale)
     manifests = plan(args.id, args.shards, args.seed, scale, out)
     log.info(f"planned {len(manifests)} shard(s) under {out}")
+    inner = make_backend(workers=args.workers)
     for path in manifests:
-        run_shard(path, workers=args.workers)
+        run_shard(path, backend=inner)
         log.info(f"ran {path.name}")
     report = merge_shards([out])
     print(report.text)
@@ -738,9 +735,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments.registry import (
         UnknownExperimentError,
         get_module,
-        supports_workers,
+        supports_backend,
     )
-    from .parallel import ForkBackend, InlineBackend, resolve_workers
 
     try:
         module = get_module(args.id)
@@ -748,7 +744,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"error: {error.message}")
         return 2
     scale = {"quick": QUICK, "paper": PAPER}.get(args.scale) if args.scale else active_scale()
-    serial_by_design = not supports_workers(args.id)
+    serial_by_design = not supports_backend(args.id)
     if args.backend is not None and serial_by_design:
         print(f"error: experiment {args.id!r} runs serially by design; "
               "--backend does not apply")
@@ -759,21 +755,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         except (RuntimeError, ValueError) as error:
             print(f"error: {error}")
             return 2
+    # Experiments with an embarrassingly parallel grid accept `backend`;
+    # table1 (constants) and table7 (wall-clock timing) are serial by
+    # design.
     kwargs = {}
-    # Experiments with an embarrassingly parallel grid accept `workers`
-    # and `backend`; table1 (constants) and table7 (wall-clock timing)
-    # are serial by design.
     if not serial_by_design:
-        kwargs["workers"] = resolve_workers(args.workers)
-        if args.backend == "inline":
-            kwargs["backend"] = InlineBackend()
-        elif args.backend == "fork":
-            # An explicit fork request with --workers left at its serial
-            # default means "use the machine": ForkBackend(None) = all
-            # CPUs.  ForkBackend(1) would silently run inline.
-            kwargs["backend"] = ForkBackend(
-                None if args.workers == 1 else resolve_workers(args.workers)
-            )
+        kwargs["backend"] = make_backend(args.backend, args.workers)
     elif args.workers not in (None, 1):
         print(f"note: experiment {args.id!r} runs serially by design; --workers ignored")
     from .telemetry import capture_run, span
@@ -875,7 +862,7 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     run_shard(
         args.manifest,
-        workers=args.workers,
+        backend=make_backend(workers=args.workers),
         missing=args.missing,
         wait_timeout_s=args.wait_timeout,
     )

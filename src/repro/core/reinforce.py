@@ -238,32 +238,27 @@ class ReinforceTrainer:
         callback: Callable[[EpisodeStats], None] | None = None,
         *,
         batch_size: int = 1,
-        workers: int = 1,
         backend=None,
     ) -> list[EpisodeStats]:
         """Run ``episodes`` episodes, sampling a problem per episode.
 
         ``batch_size`` (K) switches to batched collection: K episodes
-        are rolled out against a snapshot of the current weights — on
-        ``workers`` processes when > 1 — and their gradients averaged
-        into one clipped optimizer step.  K=1 is exactly today's serial
-        semantics (one episode, one step, all randomness from ``rng``),
-        so existing callers are unchanged; with K>1 the per-episode
-        randomness derives from ``(round seed, slot)`` streams, making
-        the result bit-identical for any worker count.
+        are rolled out against a snapshot of the current weights — over
+        ``backend``'s persistent pool (``None`` = inline) — and their
+        gradients averaged into one clipped optimizer step.  K=1 is
+        exactly today's serial semantics (one episode, one step, all
+        randomness from ``rng``), so existing callers are unchanged;
+        with K>1 the per-episode randomness derives from ``(round seed,
+        slot)`` streams, making the result bit-identical for any worker
+        count.
 
-        ``backend`` overrides the executor (``workers`` then only sizes
-        the default); update rounds are inherently sequential, so only
-        the inline/fork backends apply — a shard backend's ``pool``
-        raises cleanly.
+        Update rounds are inherently sequential, so only the inline/fork
+        backends apply — a shard backend's ``pool`` raises cleanly.
         """
-        from ..parallel.backends import resolve_backend
-
         if not problems:
             raise ValueError("training needs at least one problem")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        backend = resolve_backend(backend, workers)
         total = episodes or self.config.episodes
         if batch_size == 1:
             # Serial semantics: parallel episode collection needs K > 1
@@ -276,7 +271,11 @@ class ReinforceTrainer:
                 if callback is not None:
                     callback(ep)
             return stats
-        return self._train_batched(list(problems), rng, total, callback, batch_size, backend)
+        from ..parallel.backends import InlineBackend
+
+        return self._train_batched(
+            list(problems), rng, total, callback, batch_size, backend or InlineBackend()
+        )
 
     def _train_batched(
         self,

@@ -25,7 +25,6 @@ from .registry import (
     get_module,
     parallel_experiment_ids,
     serial_experiment_ids,
-    supports_workers,
 )
 
 # Lazily resolved re-exports: harness symbol -> defining submodule.
@@ -55,7 +54,6 @@ __all__ = [
     "get_module",
     "parallel_experiment_ids",
     "serial_experiment_ids",
-    "supports_workers",
     *_LAZY_SYMBOLS,
     *EXPERIMENT_IDS,
 ]

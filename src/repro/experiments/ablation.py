@@ -10,7 +10,7 @@ Two implementation decisions the paper motivates but does not sweep:
   GNN with each aggregation and compares.
 
 Seed-stream layout: stage 0 — dataset, stage 1 — one stream per ablated
-configuration's training cell (fanned over ``workers``), stage 2 —
+configuration's training cell (fanned over ``backend``), stage 2 —
 evaluation (fanned per case).
 """
 
@@ -26,8 +26,7 @@ from ..core.env import PlacementEnv
 from ..core.gnn import TwoWayMessagePassing
 from ..core.reinforce import ReinforceConfig, ReinforceTrainer
 from ..core.search import SearchTrace
-from ..parallel.backends import ExecutionBackend, resolve_backend
-from ..parallel.pool import get_context as pool_context
+from ..parallel import ExecutionBackend, InlineBackend, get_context
 from ..sim.objectives import MakespanObjective
 from .base import ExperimentReport
 from .config import Scale
@@ -137,7 +136,7 @@ class _AblationContext:
 
 def _train_configuration(config_index: int):
     """Train one ablated configuration from its own derived stream."""
-    ctx: _AblationContext = pool_context()
+    ctx: _AblationContext = get_context()
     name, masks, aggregation = CONFIGURATIONS[config_index]
     rng = np.random.default_rng([ctx.seed, 1, config_index])
     agent = _train(ctx.dataset, ctx.scale, rng, masks=masks, aggregation=aggregation)
@@ -149,10 +148,9 @@ def _train_configuration(config_index: int):
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
-    backend = resolve_backend(backend, workers)
+    backend = backend or InlineBackend()
     dataset = multi_network_dataset(scale, np.random.default_rng([seed, 0]))
 
     context = _AblationContext(seed=seed, scale=scale, dataset=dataset)

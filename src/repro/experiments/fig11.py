@@ -10,9 +10,9 @@ beat both random and (makespan-optimizing) HEFT on total energy.
 
 Seed-stream layout: the two panels are independent sub-experiments —
 the relocation sweep uses stages 0 (trace), 1 (training) and 2 (one
-stream per scenario cell, fanned over ``workers``); the energy
+stream per scenario cell, fanned over ``backend``); the energy
 comparison uses stages 3 (trace), 4 (training) and 5 (one stream per
-test case, fanned over ``workers``).
+test case, fanned over ``backend``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from ..casestudy.measurements import TABLE2_RELOCATION
 from ..core.agent import GiPHAgent
 from ..core.placement import PlacementProblem, random_placement
 from ..core.search import run_search
-from ..parallel.backends import ExecutionBackend, resolve_backend
-from ..parallel.pool import get_context as pool_context
+from ..parallel import ExecutionBackend, InlineBackend, get_context
 from ..sim.metrics import energy_cost
 from ..sim.objectives import EnergyObjective, MakespanObjective, Objective
 from ..sim.relocation import RelocationCostModel
@@ -109,7 +108,7 @@ def _relocation_cell(scenario_index: int) -> dict[float, float]:
     frequency's search from ``[seed, 2, i, f]`` — the cell's result is a
     pure function of (seed, scenario index), so cells fan out freely.
     """
-    ctx: _RelocationContext = pool_context()
+    ctx: _RelocationContext = get_context()
     scenario = ctx.scenarios[scenario_index]
     problem = scenario.problem
     model = RelocationCostModel(
@@ -136,16 +135,9 @@ def _relocation_cell(scenario_index: int) -> dict[float, float]:
     return out
 
 
-def _relocation_sweep(
-    scale: Scale, seed: int, backend: ExecutionBackend, workers: int = 1
-):
-    """Left panel: incurred relocation cost vs pipeline frequency.
-
-    ``workers`` parallelizes a cold trace extraction; it is passed as an
-    integer (not ``backend``) because windowed extraction only accepts
-    direct-execution backends — a shard backend still extracts locally.
-    """
-    train, test, scenarios, source = case_study_problems(scale, (seed, 0), workers=workers)
+def _relocation_sweep(scale: Scale, seed: int, backend: ExecutionBackend):
+    """Left panel: incurred relocation cost vs pipeline frequency."""
+    train, test, scenarios, source = case_study_problems(scale, (seed, 0), backend=backend)
     # Training is inline glue (its stream is not a fan-out cell), so the
     # backend memoizes it: a merge pass loads what the shard runs built.
     agent = backend.compute(
@@ -177,7 +169,7 @@ class _EnergyContext:
 
 def _energy_cell(case_index: int) -> tuple[float, float, float]:
     """(giph, heft, random) total energy of one test case."""
-    ctx: _EnergyContext = pool_context()
+    ctx: _EnergyContext = get_context()
     problem = ctx.problems[case_index]
     objective = EnergyObjective()
     rng = np.random.default_rng([ctx.seed, 5, case_index])
@@ -192,11 +184,9 @@ def _energy_cell(case_index: int) -> tuple[float, float, float]:
     )
 
 
-def _energy_comparison(
-    scale: Scale, seed: int, backend: ExecutionBackend, workers: int = 1
-):
+def _energy_comparison(scale: Scale, seed: int, backend: ExecutionBackend):
     """Right panel: total energy of GiPH vs HEFT vs random placements."""
-    train, test, _, source = case_study_problems(scale, (seed, 3), workers=workers)
+    train, test, _, source = case_study_problems(scale, (seed, 3), backend=backend)
     agent = backend.compute(
         "stage",
         stage_key("fig11", "energy-train", seed, scale),
@@ -219,12 +209,11 @@ def _energy_comparison(
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
-    backend = resolve_backend(backend, workers)
-    reloc_rows, incurred, reloc_source = _relocation_sweep(scale, seed, backend, workers=workers)
-    energy, energy_source = _energy_comparison(scale, seed, backend, workers=workers)
+    backend = backend or InlineBackend()
+    reloc_rows, incurred, reloc_source = _relocation_sweep(scale, seed, backend)
+    energy, energy_source = _energy_comparison(scale, seed, backend)
 
     text = "\n".join(
         [

@@ -10,7 +10,7 @@ message passing) and GiPH-task-eft (no gpNet) are the unstable ones.
 Every (setting, variant) cell trains from its own seed-derived stream
 ``default_rng([seed, setting_idx, variant_idx, 0])`` — so curves are
 not spuriously correlated across cells, ``--seed`` moves the whole
-figure, and the cell grid can fan out across ``workers`` processes with
+figure, and the cell grid can fan out over ``backend`` with
 bit-identical results for any worker count.  Evaluation streams are
 shared per setting so variants stay comparable.
 """
@@ -28,8 +28,7 @@ from ..core.agent import GiPHAgent
 from ..core.features import FeatureConfig
 from ..core.placement import PlacementProblem
 from ..core.reinforce import ReinforceConfig, ReinforceTrainer
-from ..parallel.backends import ExecutionBackend, resolve_backend
-from ..parallel.pool import get_context as pool_context
+from ..parallel import ExecutionBackend, InlineBackend, get_context
 from ..sim.objectives import MakespanObjective
 from .base import ExperimentReport
 from .config import Scale
@@ -107,7 +106,7 @@ def _cell_curve(cell: tuple[int, int]) -> list[float]:
     figure's point.
     """
     setting_idx, variant_idx = cell
-    ctx: _Fig14Context = pool_context()
+    ctx: _Fig14Context = get_context()
     train_rng = np.random.default_rng([ctx.seed, setting_idx, variant_idx, 0])
     return convergence_curve(
         ctx.variants[variant_idx],
@@ -121,7 +120,6 @@ def _cell_curve(cell: tuple[int, int]) -> list[float]:
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
     rng = np.random.default_rng(seed)
@@ -139,7 +137,7 @@ def run(
         datasets=[dataset for _, dataset in settings],
         variants=variants,
     )
-    flat_curves = resolve_backend(backend, workers).fanout(_cell_curve, cells, context)
+    flat_curves = (backend or InlineBackend()).fanout(_cell_curve, cells, context)
 
     sections = []
     data: dict[str, dict[str, list[float]]] = {}

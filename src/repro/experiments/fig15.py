@@ -9,7 +9,7 @@ Per-variant training streams ``default_rng([seed, variant, 0])`` (same
 fix as fig14: a shared ``default_rng(seed + 1)`` would correlate every
 curve) with a shared eval stream ``(seed, 1)`` keeping variants measured
 on identical held-out sweeps — which is also what lets the variant cells
-fan out over ``workers`` with bit-identical curves at any worker count.
+fan out over ``backend`` with bit-identical curves at any worker count.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.features import FeatureConfig
-from ..parallel.backends import ExecutionBackend, resolve_backend
-from ..parallel.pool import get_context as pool_context
+from ..parallel import ExecutionBackend, InlineBackend, get_context
 from .base import ExperimentReport
 from .config import Scale
 from .datasets import Dataset, multi_network_dataset
@@ -43,7 +42,7 @@ class _Fig15Context:
 
 
 def _variant_curve(variant_index: int) -> list[float]:
-    ctx: _Fig15Context = pool_context()
+    ctx: _Fig15Context = get_context()
     return convergence_curve(
         VARIANTS[variant_index],
         ctx.dataset,
@@ -57,7 +56,6 @@ def _variant_curve(variant_index: int) -> list[float]:
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
     rng = np.random.default_rng(seed)
@@ -72,7 +70,7 @@ def run(
     curves = dict(
         zip(
             VARIANTS,
-            resolve_backend(backend, workers).fanout(
+            (backend or InlineBackend()).fanout(
                 _variant_curve, range(len(VARIANTS)), context
             ),
         )

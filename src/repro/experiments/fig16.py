@@ -7,7 +7,7 @@ objective generality.  Reported, like the paper, as total cost of the
 final placements versus task-graph depth.
 
 Seed-stream layout: stage 0 — dataset, stage 1 — training, stage 2 —
-evaluation (fanned per case over ``workers``).
+evaluation (fanned per case over ``backend``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from ..baselines.random_policies import RandomPlacementPolicy
 from ..sim.objectives import TotalCostObjective
-from ..parallel.backends import ExecutionBackend
+from ..parallel import ExecutionBackend
 from .base import ExperimentReport
 from .config import Scale
 from .datasets import multi_network_dataset
@@ -31,7 +31,6 @@ __all__ = ["run"]
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
     dataset = multi_network_dataset(scale, np.random.default_rng([seed, 0]))
@@ -40,7 +39,6 @@ def run(
     trained = train_policy_grid(
         [dataset.train],
         [TrainSpec("giph", "giph", (seed, 1, 0), scale.episodes, objective=objective)],
-        workers=workers,
         backend=backend,
     )
     policies = {
@@ -54,7 +52,6 @@ def run(
         np.random.default_rng([seed, 2]),
         normalize_slr=False,
         objective=objective,
-        workers=workers,
         backend=backend,
     )
 

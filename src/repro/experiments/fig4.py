@@ -10,7 +10,7 @@ Seed-stream layout (``default_rng([seed, stage, ...])``):
 
 * stage 0 — dataset generation, one stream per dataset;
 * stage 1 — training, one stream per (dataset, policy) cell, fanned out
-  over ``workers`` processes;
+  over ``backend``;
 * stage 2 — evaluation, one stream per dataset **shared by both noise
   panels**: the noise-0 and noise-0.2 panels of a dataset evaluate the
   same case seeds (same test order, same initial placements, same
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.random_policies import RandomPlacementPolicy, RandomTaskEftPolicy
-from ..parallel.backends import ExecutionBackend
+from ..parallel import ExecutionBackend
 from .base import ExperimentReport
 from .config import Scale
 from .datasets import Dataset, multi_network_dataset, single_network_dataset
@@ -81,13 +81,12 @@ def _train_specs(
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
     """Reproduce Fig. 4's four panels at the given scale.
 
     The per-dataset training cells and per-case evaluation sweeps fan
-    out through ``backend`` (default: inline/fork sized by ``workers``);
+    out through ``backend``;
     reports are bit-identical for any worker count and any backend
     (wall-clock ``search_seconds`` excepted).
     """
@@ -102,7 +101,7 @@ def run(
     ):
         dataset = dataset_builder(scale, np.random.default_rng([seed, _DATA, dataset_index]))
         specs, problem_sets = _train_specs(seed, dataset_index, dataset, scale)
-        trained = train_policy_grid(problem_sets, specs, workers=workers, backend=backend)
+        trained = train_policy_grid(problem_sets, specs, backend=backend)
         policies = {
             "giph": trained["giph"],
             "giph-task-eft": trained["giph-task-eft"],
@@ -117,7 +116,6 @@ def run(
                 dataset.test,
                 np.random.default_rng(eval_stream(seed, dataset_index)),
                 noise=noise,
-                workers=workers,
                 backend=backend,
             )
             sections.append(banner(f"Fig. 4 panel: {panel}"))

@@ -4,7 +4,7 @@ Deeper graphs have longer critical paths, so SLR rises for every method;
 GiPH should track HEFT closely and beat the other search policies.
 
 Seed-stream layout: stage 0 — dataset, stage 1 — one stream per
-training cell (fanned over ``workers``), stage 2 — evaluation (fanned
+training cell (fanned over ``backend``), stage 2 — evaluation (fanned
 per case).
 """
 
@@ -15,7 +15,7 @@ from collections import defaultdict
 import numpy as np
 
 from ..baselines.random_policies import RandomPlacementPolicy, RandomTaskEftPolicy
-from ..parallel.backends import ExecutionBackend
+from ..parallel import ExecutionBackend
 from .base import ExperimentReport
 from .config import Scale
 from .datasets import multi_network_dataset
@@ -28,7 +28,6 @@ __all__ = ["run"]
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
     dataset = multi_network_dataset(scale, np.random.default_rng([seed, 0]))
@@ -39,7 +38,6 @@ def run(
             TrainSpec("giph", "giph", (seed, 1, 0), scale.episodes),
             TrainSpec("giph-task-eft", "task-eft", (seed, 1, 1), scale.episodes),
         ],
-        workers=workers,
         backend=backend,
     )
     policies = {
@@ -50,7 +48,7 @@ def run(
         "heft": HeftPolicy(),
     }
     result = evaluate_policies(
-        policies, dataset.test, np.random.default_rng([seed, 2]), workers=workers, backend=backend
+        policies, dataset.test, np.random.default_rng([seed, 2]), backend=backend
     )
 
     # Group final SLR by graph depth.

@@ -23,7 +23,7 @@ from ..baselines.random_policies import RandomPlacementPolicy
 from ..baselines.rnn_placer import RnnPlacerPolicy
 from ..core.placement import PlacementProblem
 from ..devices.dynamics import ChurnConfig
-from ..parallel.backends import ExecutionBackend, resolve_backend
+from ..parallel import ExecutionBackend, InlineBackend
 from ..scenarios import ClusterSpec, ScenarioRunner, ScenarioSpec, WorkloadSpec, materialize
 from .base import ExperimentReport
 from .config import Scale
@@ -68,10 +68,9 @@ def _train_all(train_problems, rng: np.random.Generator, scale: Scale):
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
-    backend = resolve_backend(backend, workers)
+    backend = backend or InlineBackend()
     materialized = materialize(adaptivity_spec(scale, seed))
 
     # Learned policies trained once, on the initial network only.

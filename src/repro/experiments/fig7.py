@@ -7,7 +7,7 @@ showing it revisits "critical" groups instead of sweeping all nodes
 uniformly as Placeto does.
 
 Seed-stream layout: stage 0 — ENAS dataset, stage 1 — one stream per
-training cell (fanned over ``workers``), stage 2 — evaluation (fanned
+training cell (fanned over ``backend``), stage 2 — evaluation (fanned
 per case).
 """
 
@@ -22,7 +22,7 @@ from ..core.placement import PlacementProblem
 from ..devices.generator import DeviceNetworkParams, generate_device_network
 from ..graphs.enas import generate_enas_dataset
 from ..graphs.grouping import group_operators
-from ..parallel.backends import ExecutionBackend
+from ..parallel import ExecutionBackend
 from .base import ExperimentReport
 from .config import Scale
 from .datasets import Dataset
@@ -55,7 +55,6 @@ def build_dl_dataset(scale: Scale, rng: np.random.Generator) -> Dataset:
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
     dataset = build_dl_dataset(scale, np.random.default_rng([seed, 0]))
@@ -67,7 +66,6 @@ def run(
             TrainSpec("giph-task-eft", "task-eft", (seed, 1, 1), scale.dl_episodes),
             TrainSpec("placeto", "placeto", (seed, 1, 2), scale.dl_episodes),
         ],
-        workers=workers,
         backend=backend,
     )
     policies = {
@@ -78,7 +76,7 @@ def run(
         "random": RandomPlacementPolicy(),
     }
     result = evaluate_policies(
-        policies, dataset.test, np.random.default_rng([seed, 2]), workers=workers, backend=backend
+        policies, dataset.test, np.random.default_rng([seed, 2]), backend=backend
     )
 
     # (b) relocation-count histogram over GiPH's evaluation searches

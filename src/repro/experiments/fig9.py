@@ -6,7 +6,7 @@ distribution of final SLRs, where GiPH should sit at or below HEFT's
 mean.
 
 Seed-stream layout: stage 0 — trace extraction, stage 1 — one stream
-per training cell (fanned over ``workers``), stage 2 — evaluation
+per training cell (fanned over ``backend``), stage 2 — evaluation
 (fanned per case).  The trace is memoized through
 :func:`repro.casestudy.trace.extract_trace_cached` keyed by (scale,
 stream) — fig11 shares stage 0's stream, so one extraction serves both
@@ -23,7 +23,7 @@ import numpy as np
 from ..baselines.random_policies import RandomPlacementPolicy, RandomTaskEftPolicy
 from ..casestudy.trace import TraceConfig, extract_trace_cached
 from ..casestudy.traffic import TrafficConfig
-from ..parallel.backends import ExecutionBackend
+from ..parallel import ExecutionBackend
 from .base import ExperimentReport
 from .config import Scale
 from .reporting import banner, format_series, format_table
@@ -44,13 +44,16 @@ def trace_cache_counter(sources: Sequence[str]) -> dict:
     return {"hits": hits, "misses": len(sources) - hits, "sources": list(sources)}
 
 
-def case_study_problems(scale: Scale, stream: Sequence[int], workers: int = 1):
+def case_study_problems(
+    scale: Scale, stream: Sequence[int], backend: ExecutionBackend | None = None
+):
     """(train, test, scenarios, cache source) from the traffic trace.
 
     ``stream`` is the extraction's full seed-derivation key (fed to
     ``default_rng(list(stream))``), which doubles as its memo identity.
-    ``workers`` fans a cold extraction over snapshot windows (identical
-    scenarios either way, so the cache key is unaffected).
+    A cold extraction fans snapshot windows over the direct executor
+    beneath ``backend`` (identical scenarios on any backend, so the
+    cache key is unaffected).
     """
     config = TraceConfig(
         traffic=TrafficConfig(
@@ -60,7 +63,7 @@ def case_study_problems(scale: Scale, stream: Sequence[int], workers: int = 1):
         ),
         max_cases=scale.case_train + scale.case_test,
     )
-    scenarios, source = extract_trace_cached(config, stream, workers=workers)
+    scenarios, source = extract_trace_cached(config, stream, backend=backend)
     if len(scenarios) < 2:
         raise RuntimeError(
             f"trace produced only {len(scenarios)} placement cases; "
@@ -75,10 +78,9 @@ def case_study_problems(scale: Scale, stream: Sequence[int], workers: int = 1):
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
-    train, test, _, trace_source = case_study_problems(scale, (seed, 0), workers=workers)
+    train, test, _, trace_source = case_study_problems(scale, (seed, 0), backend=backend)
 
     trained = train_policy_grid(
         [train],
@@ -86,7 +88,6 @@ def run(
             TrainSpec("giph", "giph", (seed, 1, 0), scale.case_episodes),
             TrainSpec("giph-task-eft", "task-eft", (seed, 1, 1), scale.case_episodes),
         ],
-        workers=workers,
         backend=backend,
     )
     policies = {
@@ -97,7 +98,7 @@ def run(
         "heft": HeftPolicy(),
     }
     result = evaluate_policies(
-        policies, test, np.random.default_rng([seed, 2]), workers=workers, backend=backend
+        policies, test, np.random.default_rng([seed, 2]), backend=backend
     )
 
     dist_rows = []

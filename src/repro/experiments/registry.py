@@ -2,9 +2,9 @@
 
 The single source of truth the CLI dispatches and generates help from:
 experiment ids, module resolution with a clean error for unknown ids,
-and which experiments fan out over ``--workers``.  Help strings derive
+and which experiments fan out over a ``backend``.  Help strings derive
 from this module, so they cannot drift from the modules that actually
-exist / actually accept ``workers`` (``tests/test_cli.py`` locks the id
+exist / actually accept ``backend`` (``tests/test_cli.py`` locks the id
 list to the package contents and the static parallel/serial split to
 ``run`` signature introspection).
 
@@ -25,7 +25,6 @@ __all__ = [
     "SERIAL_EXPERIMENT_IDS",
     "UnknownExperimentError",
     "get_module",
-    "supports_workers",
     "supports_backend",
     "parallel_experiment_ids",
     "serial_experiment_ids",
@@ -80,30 +79,22 @@ def get_module(experiment_id: str) -> ModuleType:
     return importlib.import_module(f"repro.experiments.{experiment_id}")
 
 
-def supports_workers(experiment_id: str) -> bool:
-    """Whether the experiment's ``run`` actually accepts ``workers``.
-
-    Introspects the module's ``run`` signature (importing just that
-    module), so dispatch follows the code even if the static split ever
-    disagreed — and the drift-guard test would fail loudly first.
-    """
-    return "workers" in inspect.signature(get_module(experiment_id).run).parameters
-
-
 def supports_backend(experiment_id: str) -> bool:
     """Whether the experiment's ``run`` accepts an execution ``backend``.
 
-    Every experiment with a fan-out grid does (the same set that accepts
-    ``workers``); table1/table7 are serial by design and accept neither.
-    The shard orchestrator dispatches on this, so an experiment that
-    cannot shard fails with a clean registry-level error instead of a
-    ``TypeError`` out of its ``run``.
+    Every experiment with a fan-out grid does; table1/table7 are serial
+    by design and do not.  Introspects the module's ``run`` signature
+    (importing just that module), so dispatch follows the code even if
+    the static split ever disagreed — and the drift-guard test would
+    fail loudly first.  The CLI and the shard orchestrator dispatch on
+    this, so an experiment that cannot fan out fails with a clean
+    registry-level error instead of a ``TypeError`` out of its ``run``.
     """
     return "backend" in inspect.signature(get_module(experiment_id).run).parameters
 
 
 def parallel_experiment_ids() -> tuple[str, ...]:
-    """Ids whose ``run`` fans out over ``workers``, in registry order."""
+    """Ids whose ``run`` fans out over a ``backend``, in registry order."""
     return tuple(i for i in EXPERIMENT_IDS if i not in SERIAL_EXPERIMENT_IDS)
 
 

@@ -24,8 +24,7 @@ from ..core.gnn import GnnStats, gnn_stats
 from ..core.placement import PlacementProblem, random_placement
 from ..core.reinforce import ReinforceConfig, ReinforceTrainer
 from ..core.search import SearchTrace
-from ..parallel.backends import ExecutionBackend, resolve_backend
-from ..parallel.pool import get_context as pool_context
+from ..parallel import ExecutionBackend, InlineBackend, get_context
 from ..runtime.evaluator import EvaluatorStats, PlacementEvaluator
 from ..sim.metrics import cp_min_lower_bound
 from ..sim.objectives import MakespanObjective, Objective
@@ -166,7 +165,7 @@ class _TrainGridContext:
 
 def _train_grid_cell(index: int) -> SearchPolicy:
     """Train one :class:`TrainSpec` cell from its own derived stream."""
-    ctx: _TrainGridContext = pool_context()
+    ctx: _TrainGridContext = get_context()
     spec: TrainSpec = ctx.specs[index]
     problems = ctx.problem_sets[spec.problems_key]
     rng = np.random.default_rng(list(spec.stream))
@@ -187,11 +186,9 @@ def _train_grid_cell(index: int) -> SearchPolicy:
 def train_policy_grid(
     problem_sets: Sequence[Sequence[PlacementProblem]],
     specs: Sequence[TrainSpec],
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> dict[str, SearchPolicy]:
-    """Train every :class:`TrainSpec` cell, fanned out over ``backend``
-    (default: inline/fork sized by ``workers``).
+    """Train every :class:`TrainSpec` cell, fanned out over ``backend``.
 
     Returns ``{spec.name: trained policy}`` in spec order.  Each cell
     draws exclusively from its own ``spec.stream``, so the mapping is
@@ -204,7 +201,7 @@ def train_policy_grid(
     context = _TrainGridContext(
         problem_sets=tuple(list(p) for p in problem_sets), specs=tuple(specs)
     )
-    backend = resolve_backend(backend, workers)
+    backend = backend or InlineBackend()
     with span("train.grid"):
         policies = backend.fanout(_train_grid_cell, range(len(specs)), context)
     return dict(zip(names, policies))
@@ -269,7 +266,7 @@ def _evaluate_case(case_index: int) -> dict[str, tuple]:
     from the case's derived streams), so cases may run on any worker in
     any order without changing the sweep's result.
     """
-    ctx: _EvalContext = pool_context()
+    ctx: _EvalContext = get_context()
     problem = ctx.problems[case_index]
     case_rng = np.random.default_rng(ctx.case_seeds[case_index])
     initial = random_placement(problem, case_rng)
@@ -320,7 +317,6 @@ def evaluate_policies(
     episode_multiplier: int = 2,
     normalize_slr: bool = True,
     objective: Objective | None = None,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> EvalResult:
     """Run every policy on every test case from a shared initial placement.
@@ -329,13 +325,12 @@ def evaluate_policies(
     the CP_MIN lower bound; otherwise raw objective values are reported
     (cost/energy experiments pass their own ``objective``).
 
-    The test cases fan out through ``backend`` (default: inline/fork
-    sized by ``workers``).  Case seeds are drawn from ``rng`` up front
-    in case order (the same draws the serial loop makes), every per-case
-    search reseeds from those, and results are merged in case order — so
-    curves, finals, and traces are bit-identical for any worker count
-    and any backend.  Only ``search_seconds`` is wall-clock and
-    therefore run-dependent.
+    The test cases fan out through ``backend``.  Case seeds are drawn
+    from ``rng`` up front in case order (the same draws the serial loop
+    makes), every per-case search reseeds from those, and results are
+    merged in case order — so curves, finals, and traces are
+    bit-identical for any worker count and any backend.  Only
+    ``search_seconds`` is wall-clock and therefore run-dependent.
     """
     if objective is not None and not getattr(objective, "deterministic", False):
         # Rejected at any worker count: cases run against pickled copies
@@ -364,7 +359,7 @@ def evaluate_policies(
         objective=objective,
     )
     with span("eval.sweep"):
-        case_results = resolve_backend(backend, workers).fanout(
+        case_results = (backend or InlineBackend()).fanout(
             _evaluate_case, range(len(problems)), context
         )
 

@@ -7,14 +7,14 @@ variant, and it trades roughly evenly with HEFT.
 
 Seed-stream layout: stage 0 — dataset, stage 1 — one stream per GNN
 variant's training cell (the repo's widest single-dataset training grid,
-fanned over ``workers``), stage 2 — evaluation (fanned per case).
+fanned over ``backend``), stage 2 — evaluation (fanned per case).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.backends import ExecutionBackend
+from ..parallel import ExecutionBackend
 from .base import ExperimentReport
 from .config import Scale
 from .datasets import multi_network_dataset
@@ -52,7 +52,6 @@ def pairwise_matrix(finals: dict[str, list[float]]) -> dict[tuple[str, str], tup
 def run(
     scale: Scale,
     seed: int = 0,
-    workers: int = 1,
     backend: ExecutionBackend | None = None,
 ) -> ExperimentReport:
     dataset = multi_network_dataset(scale, np.random.default_rng([seed, 0]))
@@ -69,11 +68,11 @@ def run(
         )
     )
     policies = dict(
-        train_policy_grid([dataset.train], specs, workers=workers, backend=backend)
+        train_policy_grid([dataset.train], specs, backend=backend)
     )
     policies["heft"] = HeftPolicy()
     result = evaluate_policies(
-        policies, test, np.random.default_rng([seed, 2]), workers=workers, backend=backend
+        policies, test, np.random.default_rng([seed, 2]), backend=backend
     )
     matrix = pairwise_matrix(result.finals)
 

@@ -8,7 +8,7 @@ k-step variants cap it; GiPH-NE-Pol (no GNN) is cheapest.
 
 Streams derive per stage — problems from ``[seed, 0, slot]``, each
 (variant, problem) measurement from ``[seed, 1, variant, slot]`` — but
-this module intentionally takes no ``workers``: it *is* a wall-clock
+this module intentionally takes no ``backend``: it *is* a wall-clock
 measurement, and timing samples taken on processes contending for the
 same cores would measure the scheduler, not the policies.
 """

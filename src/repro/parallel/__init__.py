@@ -1,14 +1,15 @@
-"""Seed-deterministic parallel execution (see :mod:`repro.parallel.pool`).
+"""Seed-deterministic parallel execution: the fan-out seam.
 
-The subsystem behind every ``--workers N`` / ``--backend`` flag: a
-fork-based :class:`WorkerPool` whose results are bit-identical for any
-worker count, the pluggable :class:`ExecutionBackend` family built on
-its contract (inline / fork / store-mediated shard + merge), and the
-batched-episode machinery REINFORCE training fans out with.  GiPH's
-pitch is cheap repeated re-placement as clusters change; this package
-is what lets training sweeps, experiment grids, and scenario replays
-use every core — or several machines — while staying exactly
-reproducible.
+Library code says where work runs with one argument, ``backend:
+ExecutionBackend | None`` (``None`` = inline); tasks read their
+broadcast state with :func:`get_context` and draw from :func:`task_rng`.
+The CLI's ``--workers N`` / ``--backend NAME`` flags are spellings of
+that argument, turned into a backend once by :func:`make_backend`.
+Behind the seam: the backend family (inline / fork / thread /
+store-mediated shard + merge), the package-private fork
+:class:`WorkerPool` whose results are bit-identical for any worker
+count, and the batched-episode machinery REINFORCE training fans out
+with.
 """
 
 from .backends import (
@@ -20,13 +21,12 @@ from .backends import (
     MissingCellError,
     ShardBackend,
     ThreadBackend,
-    resolve_backend,
+    make_backend,
 )
 from .episodes import BatchContext, EpisodePayload, EpisodeRollout, rollout_episode
 from .pool import (
     WorkerPool,
     available_workers,
-    fanout,
     get_context,
     resolve_workers,
     task_rng,
@@ -35,7 +35,6 @@ from .pool import (
 __all__ = [
     "WorkerPool",
     "available_workers",
-    "fanout",
     "get_context",
     "resolve_workers",
     "task_rng",
@@ -47,7 +46,7 @@ __all__ = [
     "MissingCellError",
     "ShardBackend",
     "ThreadBackend",
-    "resolve_backend",
+    "make_backend",
     "BatchContext",
     "EpisodePayload",
     "EpisodeRollout",

@@ -1,14 +1,15 @@
-"""Pluggable execution backends over the :class:`WorkerPool` contract.
+"""Pluggable execution backends: the one surface of the fan-out seam.
 
-PRs 1–4 hard-wired the backend choice (inline vs. fork) into every call
-site through a ``workers`` integer.  This module extracts the implicit
-contract — ordered results, one broadcast context, per-task seed
-streams — into an :class:`ExecutionBackend` interface so call sites say
-*what* fans out and backends decide *where* it runs:
+Call sites say *what* fans out — ``backend.fanout(fn, payloads,
+context)`` with ordered results, one broadcast context and per-task
+seed streams — and an :class:`ExecutionBackend` decides *where* it
+runs:
 
-* :class:`InlineBackend` — the ``workers=1`` path: tasks run in the
-  calling process against a pickled private copy of the context.
-* :class:`ForkBackend` — the PR-3 fork pool, sized to the task list.
+* :class:`InlineBackend` — tasks run in the calling process against a
+  pickled private copy of the context.
+* :class:`ForkBackend` — a fork :class:`WorkerPool` sized to the task
+  list.
+* :class:`ThreadBackend` — a thread pool for I/O-bound fan-outs.
 * :class:`ShardBackend` — one shard of a run split across processes or
   machines: it computes the cells a manifest assigns to it, publishes
   every result to a content-addressed :class:`~repro.store.RunStore`,
@@ -17,6 +18,10 @@ streams — into an :class:`ExecutionBackend` interface so call sites say
 * :class:`MergeBackend` — the assembly pass: never computes a cell,
   only loads them back in task order, so re-running an experiment under
   it rebuilds the report from published shard results bit-identically.
+
+Library entry points take ``backend: ExecutionBackend | None`` (``None``
+= :class:`InlineBackend`); the CLI's ``--backend NAME`` / ``--workers N``
+flags become a backend exactly once, in :func:`make_backend`.
 
 Every backend preserves the determinism contract of
 :mod:`repro.parallel.pool`: a task's result is a pure function of its
@@ -38,7 +43,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ..store import RunStore, active_store
 from ..telemetry import log, span
-from .pool import WorkerPool, fanout, resolve_workers
+from .pool import WorkerPool, broadcast, resolve_workers
 
 __all__ = [
     "ExecutionBackend",
@@ -49,7 +54,7 @@ __all__ = [
     "MissingCellError",
     "ShardBackend",
     "ThreadBackend",
-    "resolve_backend",
+    "make_backend",
 ]
 
 _T = TypeVar("_T")
@@ -92,6 +97,12 @@ class ExecutionBackend:
             "round-based training fans out via inline/fork only"
         )
 
+    def direct(self) -> ExecutionBackend:
+        """The backend that runs every payload it is handed: this one,
+        or the executor beneath a store-mediated backend (which skips
+        payloads whose cells exist, breaking positional merges)."""
+        return self
+
     def compute(self, kind: str, key: Mapping[str, Any], producer: Callable[[], _T]) -> _T:
         """Memoize an expensive non-fanned stage under ``(kind, key)``.
 
@@ -121,14 +132,17 @@ class _PoolBackend(ExecutionBackend):
     def fanout(
         self, fn: Callable[[Any], _T], payloads: Iterable[Any], context: Any = None
     ) -> list[_T]:
-        return fanout(fn, payloads, self.workers, context)
+        # Never more processes than tasks.
+        items = list(payloads)
+        with WorkerPool(min(self.workers, max(len(items), 1)), context=context) as pool:
+            return pool.map(fn, items)
 
     def pool(self, context: Any = None) -> WorkerPool:
         return WorkerPool(self.workers, context=context)
 
 
 class InlineBackend(_PoolBackend):
-    """Single-process execution (the ``workers=1`` path, verbatim)."""
+    """Single-process execution."""
 
     name = "inline"
 
@@ -137,7 +151,7 @@ class InlineBackend(_PoolBackend):
 
 
 class ForkBackend(_PoolBackend):
-    """Fork-based multiprocess execution (the PR-3 ``WorkerPool``)."""
+    """Fork-based multiprocess execution (``None``/``0`` = all CPUs)."""
 
     name = "fork"
 
@@ -172,14 +186,10 @@ class ThreadBackend(ExecutionBackend):
     ) -> list[_T]:
         from concurrent.futures import ThreadPoolExecutor
 
-        from . import pool as _pool
-
         items = list(payloads)
         if not items:
             return []
-        saved = _pool._CONTEXT  # reentrant, like the inline pool path
-        _pool._CONTEXT = context
-        try:
+        with broadcast(context):
             count = min(self.workers, len(items))
             if count == 1:
                 return [fn(item) for item in items]
@@ -187,8 +197,6 @@ class ThreadBackend(ExecutionBackend):
                 max_workers=count, thread_name_prefix="repro-thread-backend"
             ) as executor:
                 return list(executor.map(fn, items))
-        finally:
-            _pool._CONTEXT = saved
 
 
 class _StoreBackend(ExecutionBackend):
@@ -224,6 +232,9 @@ class _StoreBackend(ExecutionBackend):
 
     def _compute_store(self) -> RunStore:
         return self.store
+
+    def direct(self) -> ExecutionBackend:
+        return InlineBackend()
 
 
 class ShardBackend(_StoreBackend):
@@ -277,6 +288,9 @@ class ShardBackend(_StoreBackend):
         self.poll_interval_s = poll_interval_s
         self.progress = progress
         self.progress_interval_s = progress_interval_s
+
+    def direct(self) -> ExecutionBackend:
+        return self.inner
 
     def _owns(self, index: int) -> bool:
         return index % self.num_shards == self.shard_index
@@ -473,18 +487,21 @@ class MergeBackend(_StoreBackend):
         return [self.store.load("cell", key) for key in keys]
 
 
-def resolve_backend(
-    backend: ExecutionBackend | None, workers: int | None = 1
-) -> ExecutionBackend:
-    """Backwards-compatible backend selection for ``workers=`` call sites.
+def make_backend(name: str | None = None, workers: int | None = None) -> ExecutionBackend:
+    """The one mapping from ``--backend NAME`` / ``--workers N`` to a backend.
 
-    ``None`` preserves the historical behavior of the integer flag:
-    inline at one worker, fork otherwise (``0``/``None`` = all CPUs).
-    An explicit backend always wins, making ``workers`` advisory.
+    ``workers`` follows the flag (``None`` = not given, ``0`` = all
+    CPUs).  With no ``name`` the count decides: inline at one worker or
+    none given, fork otherwise.  A named fork/thread without a count
+    uses every CPU.
     """
-    if backend is not None:
-        if not isinstance(backend, ExecutionBackend):
-            raise TypeError(f"backend must be an ExecutionBackend, got {type(backend)!r}")
-        return backend
-    count = resolve_workers(workers)
-    return ForkBackend(count) if count > 1 else InlineBackend()
+    if name is None:
+        count = 1 if workers is None else resolve_workers(workers)
+        return ForkBackend(count) if count > 1 else InlineBackend()
+    if name == "inline":
+        return InlineBackend()
+    if name == "fork":
+        return ForkBackend(workers)
+    if name == "thread":
+        return ThreadBackend(workers)
+    raise ValueError(f"unknown backend {name!r} (inline | fork | thread)")

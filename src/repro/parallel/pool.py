@@ -32,10 +32,11 @@ worker would run.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import pickle
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,13 +48,13 @@ __all__ = [
     "task_rng",
     "available_workers",
     "resolve_workers",
-    "fanout",
+    "broadcast",
 ]
 
 _T = TypeVar("_T")
 
 # Per-process broadcast slot: set once per worker by the pool
-# initializer, or swapped around each inline map() call.
+# initializer, or swapped around in-process execution by broadcast().
 _CONTEXT: Any = None
 
 
@@ -65,6 +66,19 @@ def get_context() -> Any:
 def _install_context(payload: bytes) -> None:
     global _CONTEXT
     _CONTEXT = pickle.loads(payload)
+
+
+@contextlib.contextmanager
+def broadcast(context: Any) -> Iterator[None]:
+    """Make ``context`` what :func:`get_context` returns inside the block
+    (in-process execution); restored on exit, so a task may open a pool."""
+    global _CONTEXT
+    saved = _CONTEXT
+    _CONTEXT = context
+    try:
+        yield
+    finally:
+        _CONTEXT = saved
 
 
 def task_rng(*key: int) -> np.random.Generator:
@@ -146,13 +160,8 @@ class WorkerPool:
         """Run ``fn`` over ``payloads``; results in payload order."""
         items = list(payloads)
         if self._pool is None:
-            global _CONTEXT
-            saved = _CONTEXT  # reentrant: a task may itself open a pool
-            _CONTEXT = self._inline_context
-            try:
+            with broadcast(self._inline_context):
                 return [fn(p) for p in items]
-            finally:
-                _CONTEXT = saved
         shipped = self._pool.map(_invoke, [(fn, p) for p in items], chunksize=1)
         results = []
         for entry in shipped:
@@ -183,23 +192,3 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 1:
         raise ValueError("workers must be >= 1 (or 0/None for all CPUs)")
     return workers
-
-
-def fanout(
-    fn: Callable[[Any], _T],
-    payloads: Iterable[Any],
-    workers: int | None = 1,
-    context: Any = None,
-) -> list[_T]:
-    """One-shot ordered fan-out: ``WorkerPool`` sized to the task list.
-
-    Convenience wrapper for the common experiment-grid shape — build a
-    context, map a module-level ``fn`` over payloads, tear the pool down.
-    Never spawns more processes than there are tasks, and inherits the
-    pool's determinism contract: results are in payload order and
-    bit-identical for any worker count.
-    """
-    items = list(payloads)
-    count = min(resolve_workers(workers), max(len(items), 1))
-    with WorkerPool(count, context=context) as pool:
-        return pool.map(fn, items)

@@ -37,13 +37,7 @@ from typing import Mapping, Sequence
 
 from ..baselines.base import SearchPolicy
 from ..core.placement import PlacementProblem
-from ..parallel.backends import (
-    ExecutionBackend,
-    ForkBackend,
-    InlineBackend,
-    resolve_backend,
-)
-from ..parallel.pool import get_context as pool_context
+from ..parallel import ExecutionBackend, ForkBackend, InlineBackend, get_context
 from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
 from ..sim.objectives import Objective
 from ..sim.relocation import RelocationCostModel
@@ -163,17 +157,15 @@ class ScenarioRunner:
             event, problems, objective, pool, self.spec.seed, self.episode_multiplier
         )
 
-    def _oracle_slr(
-        self, workers: int = 1, backend: ExecutionBackend | None = None
-    ) -> list[float]:
+    def _oracle_slr(self, backend: ExecutionBackend | None = None) -> list[float]:
         """Per-event fresh-search oracle SLR series.
 
         The oracle ignores placement carry-over: per (event, graph) it
         takes the better of HEFT and a random-task-EFT search started
         from a fresh random placement with the same step budget.  The
-        events fan out through ``backend`` (default: inline/fork sized
-        by ``workers``); per-(event, graph) streams make the series
-        bit-identical at any worker count and under any backend.  The
+        events fan out through ``backend``; per-(event, graph) streams
+        make the series bit-identical at any worker count and under any
+        backend.  The
         inline path runs the events directly (no context pickling), one
         evaluator pool shared across events — caches never change
         values, so both paths agree bit-for-bit.
@@ -188,7 +180,7 @@ class ScenarioRunner:
             for event, problems, _ in self._replay_state()
             if event is not None
         ]
-        backend = resolve_backend(backend, workers)
+        backend = backend or InlineBackend()
         if not isinstance(backend, InlineBackend):
             context = _OracleContext(self, states)
             return backend.fanout(_oracle_event, range(len(states)), context)
@@ -204,15 +196,14 @@ class ScenarioRunner:
     def run(
         self,
         policies: Mapping[str, SearchPolicy],
-        workers: int = 1,
         backend: ExecutionBackend | None = None,
     ) -> ScenarioResult:
         """Replay the scenario for every policy; see the class docstring.
 
         The fresh-search oracle's events fan out through ``backend``
-        (default: inline/fork sized by ``workers``; each (event, graph)
-        pair owns a derived stream), then the policies fan out the same
-        way.  Each policy's replay already derives all randomness from
+        (each (event, graph) pair owns a derived stream), then the
+        policies fan out the same way.  Each policy's replay already
+        derives all randomness from
         ``(spec.seed, policy name, event index)`` and keeps a private
         :class:`EvaluatorPool`, so per-policy reports are bit-identical
         to a serial run for any worker count and any backend (only the
@@ -225,7 +216,7 @@ class ScenarioRunner:
         """
         if not policies:
             raise ValueError("need at least one policy")
-        backend = resolve_backend(backend, workers)
+        backend = backend or InlineBackend()
         if self.oracle:
             if self._oracle_cache is None:
                 # Deterministic in the runner's configuration, so repeated
@@ -235,8 +226,7 @@ class ScenarioRunner:
         else:
             oracle_slr = [0.0] * self.materialized.num_events
         # Direct (no-pickling) replay when fanning out cannot help:
-        # inline always, and a fork pool with a single policy (the
-        # historical `workers > 1 and len(policies) > 1` gate) — ad-hoc
+        # inline always, and a fork pool with a single policy — ad-hoc
         # non-picklable policies keep working there.  Store-mediated
         # backends always fan out: the merge pass needs the cell.
         direct = isinstance(backend, InlineBackend) or (
@@ -311,7 +301,7 @@ class _OracleContext:
 
 
 def _oracle_event(index: int) -> float:
-    ctx: _OracleContext = pool_context()
+    ctx: _OracleContext = get_context()
     event, problems = ctx.states[index]
     objective, pool = ctx.scoring()
     return ctx.runner._oracle_event_slr(event, problems, objective, pool)
@@ -327,7 +317,7 @@ class _ReplayContext:
 
 
 def _replay_policy(name: str) -> AdaptationReport:
-    ctx: _ReplayContext = pool_context()
+    ctx: _ReplayContext = get_context()
     return ctx.runner._run_policy(name, ctx.policies[name], ctx.oracle_slr)
 
 
@@ -340,20 +330,19 @@ class _GridContext:
 
 
 def _grid_oracle(runner_index: int) -> list[float]:
-    ctx: _GridContext = pool_context()
+    ctx: _GridContext = get_context()
     return ctx.runners[runner_index]._oracle_slr()
 
 
 def _grid_replay(payload: tuple[int, str, list[float]]) -> AdaptationReport:
     runner_index, name, oracle_slr = payload
-    ctx: _GridContext = pool_context()
+    ctx: _GridContext = get_context()
     return ctx.runners[runner_index]._run_policy(name, ctx.policies[name], oracle_slr)
 
 
 def replay_scenarios(
     specs: Sequence[ScenarioSpec | MaterializedScenario],
     policies: Mapping[str, SearchPolicy],
-    workers: int = 1,
     episode_multiplier: int = 2,
     reuse_evaluators: bool = True,
     oracle: bool = True,
@@ -365,14 +354,14 @@ def replay_scenarios(
     derives all randomness from ``(spec.seed, policy name, event index)``
     and owns a private :class:`EvaluatorPool` per worker.  Oracles are
     computed first (one task per scenario), then every grid cell fans
-    out through ``backend`` (default: inline/fork sized by ``workers``).
+    out through ``backend``.
     Results are keyed by scenario name and bit-identical to running each
     scenario's :meth:`ScenarioRunner.run` serially (modulo wall-clock
     fields).
     """
     if not policies:
         raise ValueError("need at least one policy")
-    backend = resolve_backend(backend, workers)
+    backend = backend or InlineBackend()
     runners = [
         ScenarioRunner(
             spec,

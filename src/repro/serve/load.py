@@ -34,13 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..parallel.backends import (
-    ExecutionBackend,
-    ForkBackend,
-    InlineBackend,
-    ThreadBackend,
-)
-from ..parallel.pool import get_context as pool_context
+from ..parallel import get_context, make_backend
 from ..telemetry import log
 from .client import ServeClient
 
@@ -78,7 +72,7 @@ class LoadContext:
 
 def _run_tenant(index: int) -> dict[str, Any]:
     """One tenant: open a session, request every event, measure each."""
-    ctx: LoadContext = pool_context()
+    ctx: LoadContext = get_context()
     scenario = ctx.scenarios[index % len(ctx.scenarios)]
     seed = ctx.seed + index
     latencies_ms: list[float] = []
@@ -112,16 +106,6 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
         return 0.0
     rank = min(len(sorted_values) - 1, max(0, int(round(q * (len(sorted_values) - 1)))))
     return float(sorted_values[rank])
-
-
-def _resolve_backend(name: str, clients: int) -> ExecutionBackend:
-    if name == "thread":
-        return ThreadBackend(clients)
-    if name == "fork":
-        return ForkBackend(clients)
-    if name == "inline":
-        return InlineBackend()
-    raise ValueError(f"unknown load backend {name!r} (thread | fork | inline)")
 
 
 def _cold_single_event_seconds(config: LoadConfig) -> float:
@@ -167,7 +151,7 @@ def run_load(config: LoadConfig) -> dict[str, Any]:
         raise ValueError("clients must be >= 1")
     if not config.scenarios:
         raise ValueError("need at least one scenario preset")
-    backend = _resolve_backend(config.backend, config.clients)
+    backend = make_backend(config.backend, config.clients)
     context = LoadContext(
         socket_path=config.socket_path,
         policy=config.policy,

@@ -6,7 +6,7 @@ The lifecycle behind ``repro shard``:
    computation.  Each names the same run fingerprint and store.
 2. :func:`run_shard` executes one manifest: the experiment runs under a
    :class:`~repro.parallel.ShardBackend` that computes the shard's
-   assigned cells (through an inline or fork inner backend) and
+   assigned cells (through the inner backend it is given) and
    publishes every result to the run store.  Shards may run in any
    order, concurrently, or on different machines — the store directory
    is the only coupling.
@@ -30,14 +30,7 @@ from typing import Sequence
 from ..experiments.base import ExperimentReport
 from ..experiments.config import Scale
 from ..experiments.registry import get_module, supports_backend
-from ..parallel.backends import (
-    ExecutionBackend,
-    ForkBackend,
-    InlineBackend,
-    MergeBackend,
-    ShardBackend,
-)
-from ..parallel.pool import resolve_workers
+from ..parallel import ExecutionBackend, MergeBackend, ShardBackend
 from ..store import RunStore, code_fingerprint, fingerprint, set_active_store
 from ..telemetry import ProgressWriter, capture_run, span, write_run_log
 from .manifest import (
@@ -121,30 +114,29 @@ def _execute(
 
 def run_shard(
     manifest_path: str | pathlib.Path,
-    workers: int = 1,
+    backend: ExecutionBackend | None = None,
     missing: str = "compute",
     wait_timeout_s: float = 3600.0,
 ) -> ExperimentReport:
     """Execute one shard manifest; returns the shard's local report.
 
-    ``workers`` sizes the inner backend: the shard's cells fan out over
-    processes *within* the shard, composing with the cross-shard split.
+    ``backend`` is the inner backend (``None`` = inline): the shard's
+    cells — and a cold trace extraction's windows — fan out over it
+    *within* the shard, composing with the cross-shard split.
     ``missing`` is the unowned-cell policy (see
     :class:`~repro.parallel.ShardBackend`): ``"compute"`` self-heals,
     ``"wait"`` polls the store for peer shards running concurrently.
     """
     manifest, path, store = _open(manifest_path)
-    count = resolve_workers(workers)
-    inner = ForkBackend(count) if count > 1 else InlineBackend()
     tag = f"shard{manifest.shard_index}of{manifest.num_shards}"
     telemetry_dir = store.root / "telemetry"
     heartbeat = ProgressWriter(telemetry_dir / f"progress-{tag}.jsonl")
-    backend = ShardBackend(
+    shard = ShardBackend(
         store,
         manifest.run,
         manifest.num_shards,
         manifest.shard_index,
-        inner=inner,
+        inner=backend,
         missing=missing,
         wait_timeout_s=wait_timeout_s,
         progress=heartbeat.write,
@@ -159,7 +151,7 @@ def run_shard(
     heartbeat.write(phase="start", experiment=manifest.experiment)
     with capture_run(meta) as capture:
         with span(f"experiment.{manifest.experiment}"):
-            report = _execute(manifest, store, backend)
+            report = _execute(manifest, store, shard)
     heartbeat.write(phase="done", experiment=manifest.experiment)
     if capture.delta is not None:
         write_run_log(telemetry_dir / f"{tag}.jsonl", capture)

@@ -26,7 +26,13 @@ from repro.casestudy.trace import (
     extract_trace_windowed,
     trace_key,
 )
-from repro.parallel.backends import ExecutionBackend, ExecutionBackendError
+from repro.parallel import (
+    ExecutionBackend,
+    ExecutionBackendError,
+    ForkBackend,
+    InlineBackend,
+    make_backend,
+)
 
 STREAM = (2024, 6)
 
@@ -67,13 +73,15 @@ class TestWindowedEqualsSerial:
     @pytest.mark.parametrize("num_windows", [1, 2, 3])
     def test_shard_counts(self, fit, serial, num_windows):
         windowed = extract_trace_windowed(
-            small_config(), STREAM, fit=fit, workers=1, num_windows=num_windows
+            small_config(), STREAM, fit=fit, backend=InlineBackend(), num_windows=num_windows
         )
         assert_same_scenarios(windowed, serial)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_worker_counts(self, fit, serial, workers):
-        windowed = extract_trace_windowed(small_config(), STREAM, fit=fit, workers=workers)
+        windowed = extract_trace_windowed(
+            small_config(), STREAM, fit=fit, backend=make_backend(workers=workers)
+        )
         assert_same_scenarios(windowed, serial)
 
     @pytest.mark.parametrize("num_windows", [2, 3])
@@ -81,14 +89,14 @@ class TestWindowedEqualsSerial:
         config = small_config(max_cases=5)
         expected = extract_trace(config, np.random.default_rng(list(STREAM)), fit=fit)
         windowed = extract_trace_windowed(
-            config, STREAM, fit=fit, workers=1, num_windows=num_windows
+            config, STREAM, fit=fit, backend=InlineBackend(), num_windows=num_windows
         )
         assert len(windowed) == len(expected) == 5
         assert_same_scenarios(windowed, expected)
 
     def test_more_windows_than_snapshots(self, fit, serial):
         windowed = extract_trace_windowed(
-            small_config(), STREAM, fit=fit, workers=1, num_windows=50
+            small_config(), STREAM, fit=fit, backend=InlineBackend(), num_windows=50
         )
         assert_same_scenarios(windowed, serial)
 
@@ -120,9 +128,9 @@ class TestCachedWorkerSoundness:
         """A parallel cold extraction serves later serial callers (and
         vice versa): worker count never enters the cache key."""
         trace_mod._MEMO.clear()
-        parallel, source = extract_trace_cached(small_config(), STREAM, workers=4)
+        parallel, source = extract_trace_cached(small_config(), STREAM, backend=ForkBackend(4))
         assert source == "extracted"
         assert_same_scenarios(parallel, serial)
-        again, source = extract_trace_cached(small_config(), STREAM, workers=1)
+        again, source = extract_trace_cached(small_config(), STREAM, backend=InlineBackend())
         assert source == "memory"
         assert again is parallel

@@ -15,7 +15,8 @@ from repro.parallel import (
     MergeBackend,
     MissingCellError,
     ShardBackend,
-    resolve_backend,
+    ThreadBackend,
+    make_backend,
     task_rng,
 )
 from repro.parallel.episodes import EpisodePayload, RoundSnapshot, write_snapshot
@@ -35,19 +36,24 @@ def _scaled(x: int) -> int:
 RUN = "test-run-fingerprint"
 
 
-class TestResolveBackend:
+class TestMakeBackend:
     def test_defaults_match_the_workers_flag(self):
-        assert isinstance(resolve_backend(None, 1), InlineBackend)
-        fork = resolve_backend(None, 3)
+        assert isinstance(make_backend(), InlineBackend)
+        assert isinstance(make_backend(None, 1), InlineBackend)
+        fork = make_backend(None, 3)
         assert isinstance(fork, ForkBackend) and fork.workers == 3
 
-    def test_explicit_backend_wins(self):
-        inline = InlineBackend()
-        assert resolve_backend(inline, 8) is inline
+    def test_explicit_name_wins(self):
+        assert isinstance(make_backend("inline", 8), InlineBackend)
+        fork = make_backend("fork", 1)
+        assert isinstance(fork, ForkBackend) and fork.workers == 1
+        assert make_backend("fork").workers == make_backend(None, 0).workers
+        thread = make_backend("thread", 2)
+        assert isinstance(thread, ThreadBackend) and thread.workers == 2
 
-    def test_rejects_non_backends(self):
-        with pytest.raises(TypeError, match="ExecutionBackend"):
-            resolve_backend("fork", 1)
+    def test_rejects_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend("shard", 1)
 
 
 class TestDirectBackends:

@@ -21,6 +21,7 @@ from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.experiments import QUICK, fig4, fig14, table6
 from repro.experiments.runner import HeftPolicy, evaluate_policies
 from repro.graphs import TaskGraphParams, generate_task_graph
+from repro.parallel import ForkBackend, InlineBackend, make_backend
 from repro.devices.dynamics import ChurnConfig
 from repro.scenarios import (
     ClusterSpec,
@@ -51,7 +52,10 @@ def train_weights(problems, batch_size, workers, episodes=6):
     agent = GiPHAgent(np.random.default_rng(7))
     trainer = ReinforceTrainer(agent, MakespanObjective(), ReinforceConfig(episodes=episodes))
     stats = trainer.train(
-        problems, np.random.default_rng(42), batch_size=batch_size, workers=workers
+        problems,
+        np.random.default_rng(42),
+        batch_size=batch_size,
+        backend=make_backend(workers=workers),
     )
     return agent.state_dict(), stats
 
@@ -106,7 +110,10 @@ def train_noisy_weights(problems, workers, batch_size=3, episodes=6):
         ReinforceConfig(episodes=episodes),
     )
     stats = trainer.train(
-        problems, np.random.default_rng(42), batch_size=batch_size, workers=workers
+        problems,
+        np.random.default_rng(42),
+        batch_size=batch_size,
+        backend=make_backend(workers=workers),
     )
     return agent.state_dict(), stats
 
@@ -138,8 +145,12 @@ class TestEvaluatePolicies:
             "task-eft": RandomTaskEftPolicy(),
             "random": RandomPlacementPolicy(),
         }
-        serial = evaluate_policies(policies, problems, np.random.default_rng(5), workers=1)
-        fanned = evaluate_policies(policies, problems, np.random.default_rng(5), workers=4)
+        serial = evaluate_policies(
+            policies, problems, np.random.default_rng(5), backend=InlineBackend()
+        )
+        fanned = evaluate_policies(
+            policies, problems, np.random.default_rng(5), backend=ForkBackend(4)
+        )
         for name in policies:
             assert np.array_equal(serial.curves[name], fanned.curves[name]), name
             assert serial.finals[name] == fanned.finals[name], name
@@ -151,10 +162,10 @@ class TestEvaluatePolicies:
     def test_noise_path_worker_count_independent(self, problems):
         policies = {"task-eft": RandomTaskEftPolicy()}
         serial = evaluate_policies(
-            policies, problems, np.random.default_rng(9), noise=0.2, workers=1
+            policies, problems, np.random.default_rng(9), noise=0.2, backend=InlineBackend()
         )
         fanned = evaluate_policies(
-            policies, problems, np.random.default_rng(9), noise=0.2, workers=3
+            policies, problems, np.random.default_rng(9), noise=0.2, backend=ForkBackend(3)
         )
         assert serial.finals["task-eft"] == fanned.finals["task-eft"]
 
@@ -169,7 +180,7 @@ class TestEvaluatePolicies:
                 problems,
                 np.random.default_rng(1),
                 objective=shared,
-                workers=workers,
+                backend=make_backend(workers=workers),
             )
 
 
@@ -229,8 +240,8 @@ class TestScenarioReplay:
 
     def test_worker_count_independence(self):
         spec = tiny_spec("tiny-churn", seed=1)
-        serial = ScenarioRunner(spec).run(self.POLICIES(), workers=1)
-        fanned = ScenarioRunner(spec).run(self.POLICIES(), workers=4)
+        serial = ScenarioRunner(spec).run(self.POLICIES(), backend=InlineBackend())
+        fanned = ScenarioRunner(spec).run(self.POLICIES(), backend=ForkBackend(4))
         assert serial.oracle_slr == fanned.oracle_slr
         for name in serial.reports:
             assert deterministic_steps(serial.reports[name]) == deterministic_steps(
@@ -242,8 +253,8 @@ class TestScenarioReplay:
 
     def test_grid_replay_matches_serial(self):
         specs = [tiny_spec("tiny-a", seed=1), tiny_spec("tiny-b", seed=2)]
-        serial = replay_scenarios(specs, self.POLICIES(), workers=1)
-        fanned = replay_scenarios(specs, self.POLICIES(), workers=3)
+        serial = replay_scenarios(specs, self.POLICIES(), backend=InlineBackend())
+        fanned = replay_scenarios(specs, self.POLICIES(), backend=ForkBackend(3))
         assert serial.keys() == fanned.keys()
         for scenario, result in serial.items():
             assert result.oracle_slr == fanned[scenario].oracle_slr
@@ -271,12 +282,12 @@ def micro_fig14_scale():
 
 @pytest.fixture(scope="module")
 def fig14_serial(micro_fig14_scale):
-    return fig14.run(micro_fig14_scale, seed=3, workers=1)
+    return fig14.run(micro_fig14_scale, seed=3, backend=InlineBackend())
 
 
 class TestFig14Seeding:
     def test_worker_count_independence(self, micro_fig14_scale, fig14_serial):
-        fanned = fig14.run(micro_fig14_scale, seed=3, workers=2)
+        fanned = fig14.run(micro_fig14_scale, seed=3, backend=ForkBackend(2))
         assert fig14_serial.data == fanned.data
 
     def test_seed_changes_the_figure(self, micro_fig14_scale, fig14_serial):
@@ -316,7 +327,7 @@ class TestFig4Parallel:
 
     @pytest.fixture(scope="class")
     def serial(self, micro_experiment_scale):
-        return fig4.run(micro_experiment_scale, seed=3, workers=1)
+        return fig4.run(micro_experiment_scale, seed=3, backend=InlineBackend())
 
     @staticmethod
     def deterministic_data(report):
@@ -325,7 +336,7 @@ class TestFig4Parallel:
         return report.stable_data()
 
     def test_worker_count_independence(self, micro_experiment_scale, serial):
-        fanned = fig4.run(micro_experiment_scale, seed=3, workers=4)
+        fanned = fig4.run(micro_experiment_scale, seed=3, backend=ForkBackend(4))
         assert self.deterministic_data(serial) == self.deterministic_data(fanned)
 
     def test_noise_panels_are_comparable(self, serial):
@@ -342,7 +353,7 @@ class TestFig4Parallel:
         assert single_stream != multi_stream
 
     def test_seed_moves_the_figure(self, micro_experiment_scale, serial):
-        other = fig4.run(micro_experiment_scale, seed=4, workers=1)
+        other = fig4.run(micro_experiment_scale, seed=4, backend=InlineBackend())
         assert self.deterministic_data(serial) != self.deterministic_data(other)
 
 
@@ -351,8 +362,8 @@ class TestTable6Parallel:
     single-dataset grid — fans out with bit-identical reports."""
 
     def test_worker_count_independence(self, micro_experiment_scale):
-        serial = table6.run(micro_experiment_scale, seed=3, workers=1)
-        fanned = table6.run(micro_experiment_scale, seed=3, workers=4)
+        serial = table6.run(micro_experiment_scale, seed=3, backend=InlineBackend())
+        fanned = table6.run(micro_experiment_scale, seed=3, backend=ForkBackend(4))
         assert serial.data == fanned.data
 
 
@@ -362,16 +373,16 @@ class TestInRunOracle:
 
     def test_oracle_worker_count_independence(self):
         spec = tiny_spec("oracle-fanout", seed=9)
-        serial = ScenarioRunner(spec)._oracle_slr(workers=1)
-        fanned = ScenarioRunner(spec)._oracle_slr(workers=4)
+        serial = ScenarioRunner(spec)._oracle_slr(backend=InlineBackend())
+        fanned = ScenarioRunner(spec)._oracle_slr(backend=ForkBackend(4))
         assert serial == fanned
 
     def test_oracle_independent_of_replayed_policies(self):
         # run() computes the oracle with the caller's worker count; the
         # resulting series must match a pure serial oracle pass.
         spec = tiny_spec("oracle-in-run", seed=9)
-        baseline = ScenarioRunner(spec)._oracle_slr(workers=1)
+        baseline = ScenarioRunner(spec)._oracle_slr(backend=InlineBackend())
         result = ScenarioRunner(spec).run(
-            {"task-eft": RandomTaskEftPolicy()}, workers=3
+            {"task-eft": RandomTaskEftPolicy()}, backend=ForkBackend(3)
         )
         assert list(result.oracle_slr) == baseline

@@ -1,0 +1,48 @@
+"""Seam guard: ``backend=`` is the only spelling of where work runs.
+
+Outside ``repro.parallel`` nothing imports the pool module and nothing
+takes a ``workers`` parameter; every fanned experiment takes ``backend``.
+"""
+
+import importlib
+import inspect
+import pathlib
+
+import repro
+from repro.analysis import load_tree
+from repro.experiments.registry import get_module, parallel_experiment_ids
+
+TREE = load_tree(pathlib.Path(repro.__file__).parent)
+
+
+def test_only_the_parallel_package_imports_the_pool_module():
+    importers = {m.name for m in TREE.importers_of("repro.parallel.pool")}
+    assert importers, "import graph lost the pool module"
+    assert all(name.startswith("repro.parallel") for name in importers), importers
+
+
+def test_no_workers_parameter_outside_the_parallel_package():
+    offenders = []
+    for info in TREE:
+        if info.name.startswith("repro.parallel"):
+            continue
+        module = importlib.import_module(info.name)
+        owners = [module] + [
+            cls
+            for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == info.name
+        ]
+        for owner in owners:
+            for name, member in vars(owner).items():
+                fn = inspect.unwrap(getattr(member, "__func__", member))
+                if not inspect.isfunction(fn) or fn.__module__ != info.name:
+                    continue
+                if "workers" in inspect.signature(fn).parameters:
+                    offenders.append(f"{info.name}:{owner.__name__}.{name}")
+    assert offenders == []
+
+
+def test_every_parallel_experiment_run_accepts_backend():
+    for experiment_id in parallel_experiment_ids():
+        parameters = inspect.signature(get_module(experiment_id).run).parameters
+        assert "backend" in parameters, experiment_id

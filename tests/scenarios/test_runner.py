@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines import AdaptivePolicy, RandomPlacementPolicy, RandomTaskEftPolicy
 from repro.devices import ChurnConfig
+from repro.parallel import ForkBackend
 from repro.scenarios import (
     DEFAULT_REGISTRY,
     ClusterSpec,
@@ -101,10 +102,10 @@ class TestReplaySemantics:
         calls = 0
         original = runner._oracle_slr
 
-        def counting(workers=1, backend=None):
+        def counting(backend=None):
             nonlocal calls
             calls += 1
-            return original(workers=workers, backend=backend)
+            return original(backend=backend)
 
         runner._oracle_slr = counting
         runner.run({"task-eft": RandomTaskEftPolicy()})
@@ -205,7 +206,7 @@ class TestAdaptHook:
                     problem, objective, initial_placement, episode_length, rng, evaluator
                 )
 
-        result = ScenarioRunner(small_spec).run({"local": Local()}, workers=4)
+        result = ScenarioRunner(small_spec).run({"local": Local()}, backend=ForkBackend(4))
         assert "local" in result.reports
         assert seen  # adapt() mutations landed on the caller's object
 

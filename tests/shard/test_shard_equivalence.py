@@ -15,12 +15,16 @@ by shard count, which is exactly why any shard count merges identically.
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from repro.casestudy import trace as trace_mod
 from repro.experiments import QUICK
+from repro.experiments.fig9 import case_study_problems
 from repro.experiments.registry import get_module, parallel_experiment_ids
 from repro.parallel import ForkBackend, MissingCellError
 from repro.shard import StaleManifestError, merge_shards, plan, run_shard
@@ -107,6 +111,41 @@ def test_concurrent_wait_shards_partition_the_work(tmp_path):
         _, err = proc.communicate(timeout=240)
         assert proc.returncode == 0, err.decode()
     assert merge_shards([out]).to_json() == expected
+
+
+class _RecordingFork(ForkBackend):
+    """Fork execution that remembers what fanned out through it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.calls = []
+
+    def fanout(self, fn, payloads, context=None):
+        items = list(payloads)
+        self.calls.append((fn.__name__, items, context))
+        return super().fanout(fn, items, context)
+
+
+def test_within_shard_backend_reaches_trace_extraction(tmp_path):
+    """`repro shard run --workers N` windows the cold trace extraction
+    over the shard's inner backend, bit-identically to the serial walk."""
+    scale = active_scale()
+    trace_mod._MEMO.clear()
+    inner = _RecordingFork(2)
+    (manifest,) = plan("fig9", 1, 0, scale, tmp_path / "plan")
+    run_shard(manifest, backend=inner)
+    (windows, context), *rest = [
+        (items, context) for name, items, context in inner.calls if name == "_extract_window"
+    ]
+    assert len(windows) == 2 and not rest
+    *_, scenarios, source = case_study_problems(scale, context.stream)
+    assert source == "memory"  # what the shard extracted, not a re-walk
+    serial = trace_mod.extract_trace(
+        context.config, np.random.default_rng(list(context.stream)), fit=context.fit
+    )
+    assert len(scenarios) == len(serial) > 0
+    for got, want in zip(scenarios, serial):
+        assert pickle.dumps(got) == pickle.dumps(want)
 
 
 class TestGuards:

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.experiments import QUICK, fig4
+from repro.parallel import ForkBackend, InlineBackend
 from repro.shard import plan, run_shard
 from repro.telemetry import collector, read_records, reset, set_enabled
 from repro.telemetry.spans import _env_enabled
@@ -55,11 +56,11 @@ class TestReportBytes:
     def reports(self):
         set_enabled(True)
         reset()
-        with_telemetry = fig4.run(MICRO, seed=SEED, workers=1)
+        with_telemetry = fig4.run(MICRO, seed=SEED, backend=InlineBackend())
         counts = span_calls()
         set_enabled(False)
         reset()
-        without = fig4.run(MICRO, seed=SEED, workers=1)
+        without = fig4.run(MICRO, seed=SEED, backend=InlineBackend())
         set_enabled(True)
         return with_telemetry, without, counts
 
@@ -78,7 +79,7 @@ class TestReportBytes:
         assert counts  # the enabled run did record spans
         set_enabled(False)
         reset()
-        fig4.run(MICRO, seed=SEED, workers=1)
+        fig4.run(MICRO, seed=SEED, backend=InlineBackend())
         assert span_calls() == {}
 
 
@@ -86,10 +87,10 @@ class TestWorkerMergeEquality:
     def test_span_calls_equal_workers_1_and_4(self):
         set_enabled(True)
         reset()
-        fig4.run(MICRO, seed=SEED, workers=1)
+        fig4.run(MICRO, seed=SEED, backend=InlineBackend())
         serial = span_calls()
         reset()
-        fig4.run(MICRO, seed=SEED, workers=4)
+        fig4.run(MICRO, seed=SEED, backend=ForkBackend(4))
         fanned = span_calls()
         assert serial == fanned
         assert any(p.endswith("train.cell") for p in serial)
@@ -108,7 +109,7 @@ class TestShardMergeEquality:
         manifests = plan("fig4", num_shards, SEED, MICRO, out)
         for manifest in manifests:
             reset()
-            run_shard(manifest, workers=1)
+            run_shard(manifest, backend=InlineBackend())
         logs = sorted((out / "store" / "telemetry").glob("shard*.jsonl"))
         assert len(logs) == num_shards
         totals: dict[str, int] = {}
@@ -133,7 +134,7 @@ class TestShardMergeEquality:
         out = tmp_path / "plan"
         (manifest,) = plan("fig4", 1, SEED, MICRO, out)
         reset()
-        run_shard(manifest, workers=1)
+        run_shard(manifest, backend=InlineBackend())
         progress = read_records(
             sorted((out / "store" / "telemetry").glob("progress-*.jsonl"))
         )

@@ -131,19 +131,17 @@ class TestExperimentRegistry:
     def test_static_split_matches_run_signatures(self):
         # SERIAL_EXPERIMENT_IDS is declared statically (so help
         # generation stays import-free); this introspects every module's
-        # actual `run` signature so the declaration cannot drift.  The
-        # workers and backend capabilities must agree: an experiment
-        # that fans out must be shardable, and vice versa.
+        # actual `run` signature so the declaration cannot drift
+        # (tests/parallel/test_seam.py pins that `backend` is the only
+        # fan-out parameter there is).
         from repro.experiments.registry import (
             EXPERIMENT_IDS,
             SERIAL_EXPERIMENT_IDS,
             supports_backend,
-            supports_workers,
         )
 
         for experiment_id in EXPERIMENT_IDS:
             expected = experiment_id not in SERIAL_EXPERIMENT_IDS
-            assert supports_workers(experiment_id) is expected, experiment_id
             assert supports_backend(experiment_id) is expected, experiment_id
 
     def test_help_does_not_import_experiment_modules(self):
