@@ -81,7 +81,9 @@ class PlacementEnv:
     ) -> None:
         self.problem = problem
         self.objective = objective
-        self.episode_length = episode_length or default_episode_length(problem)
+        self.episode_length = (
+            default_episode_length(problem) if episode_length is None else episode_length
+        )
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
         if evaluator is None:

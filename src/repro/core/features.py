@@ -21,12 +21,13 @@ magnitude) so policies transfer across problem scales.
 
 Only the start-time potential and pivot-adjacent edge features depend on
 the placement; everything else is static per instance.  The builder
-precomputes the static parts once and offers :meth:`GpNetBuilder.update`
-— an incremental rebuild after a single relocation that recomputes only
-the gpNet edges incident to the moved task (the node-feature potential
-column is global, since one move reshuffles the whole schedule, but it
-is evaluated vectorized).  ``update`` output is exactly equal to a
-fresh :meth:`GpNetBuilder.build` of the same placement.
+precomputes the static parts once and writes gpNet edges one task-graph
+edge's block at a time through a single writer:
+:meth:`GpNetBuilder.build` writes every block,
+:meth:`GpNetBuilder.update` — the incremental rebuild after a single
+relocation — only the blocks incident to the moved task (the
+node-feature potential column is global, since one move reshuffles the
+whole schedule, but it is evaluated vectorized).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ..sim.executor import SimResult, simulate
-from .gpnet import GpNet, build_gpnet
+from .gpnet import GpNet
 from .placement import PlacementProblem
 
 __all__ = [
@@ -147,8 +148,8 @@ class GpNetStructure:
     topo order, per-task edge groupings, and the per-direction frontier
     plans — is a pure function of the problem *layout*: gpNet edge
     endpoints move with the pivots, but each edge block's endpoint
-    *tasks* are fixed (``GpNetBuilder._check_layout`` guards this), so
-    one structure serves every placement of the problem.  Computed once
+    *tasks* are fixed, so one structure serves every placement of the
+    problem.  Computed once
     per builder (or lazily per net via :func:`structure_of`) instead of
     being re-derived on every forward.
     """
@@ -222,7 +223,8 @@ def structure_of(gpnet: GpNet) -> GpNetStructure:
 
 @dataclass(frozen=True)
 class _RawBuild:
-    """Pre-normalization arrays of the last build, for incremental reuse."""
+    """Pre-normalization edge arrays of one build: what the edge writer
+    fills and what the next incremental update starts from."""
 
     placement: tuple[int, ...]
     pivot_node: tuple[int, ...]
@@ -267,7 +269,6 @@ class GpNetBuilder:
         self._options = tuple(
             np.arange(offsets[i], offsets[i] + len(feas[i])) for i in range(graph.num_tasks)
         )
-        self._feas_arrays = tuple(np.array(f, dtype=np.int64) for f in feas)
         self._feas_index = tuple({d: k for k, d in enumerate(f)} for f in feas)
         self._num_nodes = len(task_of)
 
@@ -291,7 +292,6 @@ class GpNetBuilder:
             pos += size
         self._edge_blocks = blocks
         self._num_gpnet_edges = pos
-        self._layout_checked = False
         # Incident task-graph edges per task, straight from the adjacency
         # lists (blocks are keyed by edge tuple, so order is irrelevant).
         self._incident_edges = tuple(
@@ -308,18 +308,15 @@ class GpNetBuilder:
         # potential: pair p covers every option node of the edge's child
         # task.  Static — only placements/timelines vary per build.
         pot_parent: list[int] = []
-        pot_child: list[int] = []
         pot_data: list[float] = []
         pot_nodes: list[np.ndarray] = []
         pot_rep: list[np.ndarray] = []
         for pair_index, (p, i) in enumerate(graph.edges):
             pot_parent.append(p)
-            pot_child.append(i)
             pot_data.append(float(graph.edges[(p, i)]))
             pot_nodes.append(self._options[i])
             pot_rep.append(np.full(len(self._options[i]), pair_index, dtype=np.int64))
         self._pot_parent = np.array(pot_parent, dtype=np.int64)
-        self._pot_child = np.array(pot_child, dtype=np.int64)
         self._pot_data = np.array(pot_data, dtype=np.float64)
         self._pot_nodes = (
             np.concatenate(pot_nodes) if pot_nodes else np.zeros(0, dtype=np.int64)
@@ -364,25 +361,6 @@ class GpNetBuilder:
             feats[:, 3] = 0.0
         return feats
 
-    def _edge_feature_fn(self, placement: Sequence[int]):
-        cm = self.problem.cost_model
-        graph = self.problem.graph
-        delay = self.problem.network.delay
-        inv_bw = self._inv_bw
-
-        def f_e(edge: tuple[int, int], src_dev: int, dst_dev: int) -> np.ndarray:
-            data = graph.edges[edge]
-            return np.array(
-                [
-                    data,
-                    inv_bw[src_dev, dst_dev],
-                    delay[src_dev, dst_dev],
-                    cm.comm_time(edge, src_dev, dst_dev),
-                ]
-            )
-
-        return f_e
-
     @staticmethod
     def _normalize(features: np.ndarray) -> np.ndarray:
         if features.size == 0:
@@ -391,6 +369,40 @@ class GpNetBuilder:
         scale = np.where(scale > 1e-12, scale, 1.0)
         return features / scale
 
+    def _write_blocks(self, task_edges, raw: _RawBuild) -> None:
+        """Fill ``raw``'s gpNet-edge block of every task-graph edge in ``task_edges``.
+
+        The only gpNet edge writer: per task-graph edge (i, j) one
+        whole-block array fill (pivot_i -> options_j, then
+        options_i \\ pivot_i -> pivot_j) — the emission order of
+        Algorithm "gpNet" (:func:`repro.core.gpnet.build_gpnet`, which a
+        property test compares against), with c_{ij,kl} in the cost
+        model's ``delay + data * inv_bw`` grouping and its exact 0.0 for
+        co-located pairs.
+        """
+        graph = self.problem.graph
+        delay = self.problem.network.delay
+        for (i, j) in task_edges:
+            pos, size = self._edge_blocks[(i, j)]
+            pi, pj = raw.pivot_node[i], raw.pivot_node[j]
+            opts_i, opts_j = self._options[i], self._options[j]
+            others_i = opts_i[opts_i != pi]
+            src = np.concatenate([np.full(len(opts_j), pi, dtype=np.int64), others_i])
+            dst = np.concatenate(
+                [opts_j, np.full(len(others_i), pj, dtype=np.int64)]
+            )
+            src_dev, dst_dev = self._device_of[src], self._device_of[dst]
+            data = graph.edges[(i, j)]
+            inv = self._inv_bw[src_dev, dst_dev]
+            dly = delay[src_dev, dst_dev]
+            block = raw.edge_features[pos : pos + size]
+            block[:, 0] = data
+            block[:, 1] = inv
+            block[:, 2] = dly
+            block[:, 3] = np.where(src_dev == dst_dev, 0.0, dly + data * inv)
+            raw.edge_src[pos : pos + size] = src
+            raw.edge_dst[pos : pos + size] = dst
+
     # -- public API ---------------------------------------------------------------
 
     def build(
@@ -398,61 +410,17 @@ class GpNetBuilder:
     ) -> GpNet:
         """Build the gpNet of ``placement`` (timeline computed if absent)."""
         placement = self.problem.validate_placement(placement)
-        if timeline is None:
-            timeline = self.timeline(placement)
-        node_features = self._node_features(placement, timeline)
-        net = build_gpnet(self.problem, placement, node_features, self._edge_feature_fn(placement))
-        pivot_node = tuple(
-            self._offsets[i] + self._feas_index[i][d] for i, d in enumerate(placement)
-        )
-        self._check_layout(net, pivot_node)
-        self._last = _RawBuild(
+        raw = _RawBuild(
             placement=placement,
-            pivot_node=pivot_node,
-            edge_src=net.edge_src,
-            edge_dst=net.edge_dst,
-            edge_features=net.edge_features,
+            pivot_node=tuple(
+                self._offsets[i] + self._feas_index[i][d] for i, d in enumerate(placement)
+            ),
+            edge_src=np.empty(self._num_gpnet_edges, dtype=np.int64),
+            edge_dst=np.empty(self._num_gpnet_edges, dtype=np.int64),
+            edge_features=np.empty((self._num_gpnet_edges, EDGE_FEATURE_DIM)),
         )
-        return self._finalize(net)
-
-    def _check_layout(self, net: GpNet, pivot_node: tuple[int, ...]) -> None:
-        """Guard against layout drift between build_gpnet and __init__.
-
-        update() writes into edge blocks laid out by __init__ under the
-        assumption that build_gpnet groups nodes by task and, per
-        task-graph edge, emits one contiguous pivot_i→options_j then
-        options_i∖{pivot_i}→pivot_j block in graph.edges order.  The
-        emission order is fixed code, so the full structural comparison
-        (including per-block edge endpoints) runs once per builder —
-        every incremental chain starts from a full build, so any drift
-        fails loudly instead of silently corrupting gpNets.
-        """
-        if self._layout_checked:
-            return
-        expected_src: list[int] = []
-        expected_dst: list[int] = []
-        for (i, j) in self.problem.graph.edges:
-            pi, pj = pivot_node[i], pivot_node[j]
-            expected_src.extend([pi] * len(self._options[j]))
-            expected_dst.extend(int(u2) for u2 in self._options[j])
-            for u1 in self._options[i]:
-                if int(u1) != pi:
-                    expected_src.append(int(u1))
-                    expected_dst.append(pj)
-        if (
-            net.num_nodes != self._num_nodes
-            or net.num_edges != self._num_gpnet_edges
-            or not np.array_equal(net.task_of, self._task_of)
-            or not np.array_equal(net.device_of, self._device_of)
-            or not np.array_equal(net.edge_src, np.array(expected_src, dtype=np.int64))
-            or not np.array_equal(net.edge_dst, np.array(expected_dst, dtype=np.int64))
-        ):
-            raise RuntimeError(
-                "gpNet layout produced by build_gpnet no longer matches "
-                "GpNetBuilder's precomputed structure; incremental updates "
-                "would be incorrect"
-            )
-        self._layout_checked = True
+        self._write_blocks(self.problem.graph.edges, raw)
+        return self._finalize(raw, timeline)
 
     def update(
         self,
@@ -463,8 +431,8 @@ class GpNetBuilder:
     ) -> GpNet:
         """Rebuild the gpNet after relocating ``moved_task`` only.
 
-        Exactly equal to ``build(placement, timeline)`` but recomputes
-        only the gpNet edges whose task-graph edge touches the moved
+        Exactly equal to ``build(placement, timeline)`` but rewrites
+        only the edge blocks whose task-graph edge touches the moved
         task, reusing everything else from the previous build.  Falls
         back to a full build when the previous raw state is unavailable
         (e.g. the builder last built a different placement).
@@ -478,98 +446,50 @@ class GpNetBuilder:
             return prev_gpnet
         if diff != [moved_task]:
             return self.build(placement, timeline)
-        if timeline is None:
-            timeline = self.timeline(placement)
 
-        graph = self.problem.graph
         pivot_node = list(last.pivot_node)
         pivot_node[moved_task] = (
             self._offsets[moved_task] + self._feas_index[moved_task][placement[moved_task]]
         )
-        is_pivot = np.zeros(self._num_nodes, dtype=bool)
-        is_pivot[pivot_node] = True
-
-        edge_src = last.edge_src.copy()
-        edge_dst = last.edge_dst.copy()
-        edge_features = last.edge_features.copy()
-        delay = self.problem.network.delay
-        for (i, j) in self._incident_edges[moved_task]:
-            # Whole-block array fill (pivot_i -> options_j, then
-            # options_i \ pivot_i -> pivot_j), elementwise-identical to
-            # the per-edge f_e() loop it replaced: same `delay + data *
-            # inv_bw` grouping, same exact 0.0 for co-located pairs.
-            pos, size = self._edge_blocks[(i, j)]
-            pi, pj = pivot_node[i], pivot_node[j]
-            opts_i, opts_j = self._options[i], self._options[j]
-            others_i = opts_i[opts_i != pi]
-            src = np.concatenate([np.full(len(opts_j), pi, dtype=np.int64), others_i])
-            dst = np.concatenate(
-                [opts_j, np.full(len(others_i), pj, dtype=np.int64)]
-            )
-            src_dev = np.concatenate(
-                [
-                    np.full(len(opts_j), placement[i], dtype=np.int64),
-                    self._device_of[others_i],
-                ]
-            )
-            dst_dev = np.concatenate(
-                [
-                    self._device_of[opts_j],
-                    np.full(len(others_i), placement[j], dtype=np.int64),
-                ]
-            )
-            data = graph.edges[(i, j)]
-            inv = self._inv_bw[src_dev, dst_dev]
-            dly = delay[src_dev, dst_dev]
-            block = np.empty((size, EDGE_FEATURE_DIM))
-            block[:, 0] = data
-            block[:, 1] = inv
-            block[:, 2] = dly
-            block[:, 3] = np.where(src_dev == dst_dev, 0.0, dly + data * inv)
-            edge_src[pos : pos + size] = src
-            edge_dst[pos : pos + size] = dst
-            edge_features[pos : pos + size] = block
-
-        net = GpNet(
-            task_of=self._task_of,
-            device_of=self._device_of,
-            is_pivot=is_pivot,
-            options=self._options,
-            edge_src=edge_src,
-            edge_dst=edge_dst,
-            node_features=self._node_features(placement, timeline),
-            edge_features=edge_features,
-            placement=placement,
-        )
-        self._last = _RawBuild(
+        raw = _RawBuild(
             placement=placement,
             pivot_node=tuple(pivot_node),
-            edge_src=edge_src,
-            edge_dst=edge_dst,
-            edge_features=edge_features,
+            edge_src=last.edge_src.copy(),
+            edge_dst=last.edge_dst.copy(),
+            edge_features=last.edge_features.copy(),
         )
-        return self._finalize(net)
+        self._write_blocks(self._incident_edges[moved_task], raw)
+        return self._finalize(raw, timeline)
 
-    def _finalize(self, net: GpNet) -> GpNet:
-        """Apply per-instance normalization.
+    def _finalize(self, raw: _RawBuild, timeline: SimResult | None) -> GpNet:
+        """Keep ``raw`` for the next update and assemble its (normalized) gpNet.
 
         The returned GpNet shares structure arrays (and, with
         ``normalize=False``, feature arrays) with the builder's raw
         state — GpNets are treated as immutable throughout the codebase;
         mutating one in place would corrupt subsequent incremental
         updates."""
+        self._last = raw
+        if timeline is None:
+            timeline = self.timeline(raw.placement)
+        is_pivot = np.zeros(self._num_nodes, dtype=bool)
+        is_pivot[list(raw.pivot_node)] = True
+        node_features = self._node_features(raw.placement, timeline)
+        edge_features = raw.edge_features
         if self.config.normalize:
-            net = GpNet(
-                task_of=net.task_of,
-                device_of=net.device_of,
-                is_pivot=net.is_pivot,
-                options=net.options,
-                edge_src=net.edge_src,
-                edge_dst=net.edge_dst,
-                node_features=self._normalize(net.node_features),
-                edge_features=self._normalize(net.edge_features),
-                placement=net.placement,
-            )
+            node_features = self._normalize(node_features)
+            edge_features = self._normalize(edge_features)
+        net = GpNet(
+            task_of=self._task_of,
+            device_of=self._device_of,
+            is_pivot=is_pivot,
+            options=self._options,
+            edge_src=raw.edge_src,
+            edge_dst=raw.edge_dst,
+            node_features=node_features,
+            edge_features=edge_features,
+            placement=raw.placement,
+        )
         if self._structure is None:
             self._structure = GpNetStructure.from_gpnet(net)
         object.__setattr__(net, "_structure", self._structure)

@@ -29,8 +29,10 @@ Hot path
 The recurrent sweeps run **vectorized**: one batched gather → message →
 segment-aggregate → scatter round per topo *level* (frontier batching)
 instead of a Python loop over tasks, driven by the placement-independent
-:class:`~repro.core.features.GpNetStructure` cached on each gpNet.  The
-original per-task loop survives as ``forward_reference`` and is pinned
+:class:`~repro.core.features.GpNetStructure` cached on each gpNet.  One
+sweep body (:func:`_sweep`) serves GiPH and GiPH-NE, which differ only
+in the message expression they pass in.  The original per-task loop
+survives as ``forward_reference`` (:func:`_sweep_reference`) and is pinned
 bit-identical to the vectorized sweep by property tests
 (``tests/core/test_gnn_vectorized.py``); both paths route their affine
 maps through the batch-invariant :func:`repro.nn.functional.linear`
@@ -53,7 +55,6 @@ from ..nn import MLP, Linear, Module, Tensor, concat, stack
 from ..nn import functional as F
 from ..telemetry import metrics, span
 from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, DirectionPlan, structure_of
-from .features import _group_edges_by_task  # noqa: F401  (re-export for callers)
 from .gpnet import GpNet
 
 __all__ = [
@@ -178,12 +179,68 @@ class GpNetEmbedding(Module):
         raise NotImplementedError
 
 
-def _aggregate(values, segment_ids, num_segments, how: str, counts=None):
+def _aggregate(values, segment_ids, num_segments, how: str):
     if how == "mean":
-        return F.segment_mean(values, segment_ids, num_segments, counts=counts)
+        return F.segment_mean(values, segment_ids, num_segments)
     if how == "sum":
         return F.segment_sum(values, segment_ids, num_segments)
     raise ValueError(f"unknown aggregation {how!r}")
+
+
+def _sweep(layer, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool, message) -> Tensor:
+    """One direction of the recurrent sweep, one batched round per topo level.
+
+    ``layer`` supplies ``h1``/``h2``/``embed_dim``/``aggregation``;
+    ``message(sender_emb, idx)`` maps the sender embeddings of gpNet
+    edges ``idx`` to their messages — the only step on which GiPH and
+    GiPH-NE differ.
+    """
+    if reverse:
+        # Messages flow child -> parent: senders are dst endpoints,
+        # aggregation lands on the src endpoints.
+        edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
+    else:
+        edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
+    emb = Tensor(np.zeros((gpnet.num_nodes, layer.embed_dim)))
+    for level in plan.levels:
+        if len(level.edge_idx) == 0:
+            agg = Tensor(np.zeros((len(level.nodes), layer.h1.out_features)))
+        else:
+            idx = level.edge_idx
+            msg = message(emb.gather(edge_from[idx]), idx)
+            segments = plan.node_local[edge_to[idx]]
+            agg = _aggregate(msg, segments, len(level.nodes), layer.aggregation)
+        group_out = F.linear(agg, layer.h2.weight, layer.h2.bias).relu() + x[level.nodes]
+        emb = F.scatter_rows(emb, level.nodes, group_out, assume_unique=True)
+    return emb
+
+
+def _sweep_reference(
+    layer, gpnet: GpNet, x: Tensor, task_order, groups, reverse: bool, message
+) -> Tensor:
+    """The retained per-task loop :func:`_sweep` is pinned against (same arguments)."""
+    n = gpnet.num_nodes
+    if reverse:
+        edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
+    else:
+        edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
+    node_emb: list[Tensor | None] = [None] * n
+    for task in task_order:
+        opts = gpnet.options[task]
+        local = {int(u): k for k, u in enumerate(opts)}
+        idx = groups[task]
+        x_group = x[opts]
+        if len(idx) == 0:
+            agg = Tensor(np.zeros((len(opts), layer.h1.out_features)))
+        else:
+            sender_emb = stack([node_emb[int(s)] for s in edge_from[idx]], axis=0)
+            msg = message(sender_emb, idx)
+            local_ids = np.array([local[int(u)] for u in edge_to[idx]])
+            agg = _aggregate(msg, local_ids, len(opts), layer.aggregation)
+        group_out = F.linear(agg, layer.h2.weight, layer.h2.bias).relu() + x_group
+        for k, u in enumerate(opts):
+            node_emb[int(u)] = group_out[k]
+    return stack([node_emb[u] for u in range(n)], axis=0)
 
 
 class _DirectionalPass(Module):
@@ -216,69 +273,53 @@ class _DirectionalPass(Module):
 
     def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
         """``x``: pre-embedded node features (N, embed_dim)."""
-        if reverse:
-            # Messages flow child -> parent: senders are dst endpoints,
-            # aggregation lands on the src endpoints.
-            edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
-        else:
-            edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
         w_emb = self.h1.weight[: self.embed_dim]
         w_edge = self.h1.weight[self.embed_dim :]
         # The edge half of every message depends only on static edge
         # features: one batched affine map for the whole pass, gathered
-        # per level below.
+        # per level.
         edge_msg = (
             F.linear(Tensor(gpnet.edge_features), w_edge, self.h1.bias)
             if gpnet.num_edges
             else None
         )
-        emb = Tensor(np.zeros((gpnet.num_nodes, self.embed_dim)))
-        for level in plan.levels:
-            if len(level.edge_idx) == 0:
-                agg = Tensor(np.zeros((len(level.nodes), self.h1.out_features)))
-            else:
-                idx = level.edge_idx
-                msg = (
-                    F.linear(emb.gather(edge_from[idx]), w_emb) + edge_msg.gather(idx)
-                ).relu()
-                segments = plan.node_local[edge_to[idx]]
-                agg = _aggregate(msg, segments, len(level.nodes), self.aggregation)
-            group_out = F.linear(agg, self.h2.weight, self.h2.bias).relu() + x[level.nodes]
-            emb = F.scatter_rows(emb, level.nodes, group_out, assume_unique=True)
-        return emb
+
+        def message(sender_emb: Tensor, idx: np.ndarray) -> Tensor:
+            return (F.linear(sender_emb, w_emb) + edge_msg.gather(idx)).relu()
+
+        return _sweep(self, gpnet, x, plan, reverse, message)
 
     def forward_reference(
         self, gpnet: GpNet, x: Tensor, task_order, groups, reverse: bool
     ) -> Tensor:
         """Per-task loop implementation (bit-identical to ``forward``)."""
-        n = gpnet.num_nodes
-        if reverse:
-            edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
-        else:
-            edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
         w_emb = self.h1.weight[: self.embed_dim]
         w_edge = self.h1.weight[self.embed_dim :]
-        node_emb: list[Tensor | None] = [None] * n
-        for task in task_order:
-            opts = gpnet.options[task]
-            local = {int(u): k for k, u in enumerate(opts)}
-            idx = groups[task]
-            x_group = x[opts]
-            if len(idx) == 0:
-                agg = Tensor(np.zeros((len(opts), self.h1.out_features)))
-            else:
-                senders = edge_from[idx]
-                sender_emb = stack([node_emb[int(s)] for s in senders], axis=0)
-                msg = (
-                    F.linear(sender_emb, w_emb)
-                    + F.linear(Tensor(gpnet.edge_features[idx]), w_edge, self.h1.bias)
-                ).relu()
-                local_ids = np.array([local[int(u)] for u in edge_to[idx]])
-                agg = _aggregate(msg, local_ids, len(opts), self.aggregation)
-            group_out = F.linear(agg, self.h2.weight, self.h2.bias).relu() + x_group
-            for k, u in enumerate(opts):
-                node_emb[int(u)] = group_out[k]
-        return stack([node_emb[u] for u in range(n)], axis=0)
+
+        def message(sender_emb: Tensor, idx: np.ndarray) -> Tensor:
+            return (
+                F.linear(sender_emb, w_emb)
+                + F.linear(Tensor(gpnet.edge_features[idx]), w_edge, self.h1.bias)
+            ).relu()
+
+        return _sweep_reference(self, gpnet, x, task_order, groups, reverse, message)
+
+
+def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
+    """Both directional sweeps over pre-embedded ``x``, summaries concatenated."""
+    structure = structure_of(gpnet)
+    if _REFERENCE_MODE:
+        order = structure.task_order
+        e_fwd = forward_pass.forward_reference(
+            gpnet, x, order, structure.edge_groups_forward, reverse=False
+        )
+        e_bwd = backward_pass.forward_reference(
+            gpnet, x, tuple(reversed(order)), structure.edge_groups_backward, reverse=True
+        )
+    else:
+        e_fwd = forward_pass(gpnet, x, structure.forward_plan, reverse=False)
+        e_bwd = backward_pass(gpnet, x, structure.backward_plan, reverse=True)
+    return concat([e_fwd, e_bwd], axis=1)
 
 
 class TwoWayMessagePassing(GpNetEmbedding):
@@ -304,49 +345,7 @@ class TwoWayMessagePassing(GpNetEmbedding):
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         x = self.pre(Tensor(gpnet.node_features))
-        structure = structure_of(gpnet)
-        if _REFERENCE_MODE:
-            order = structure.task_order
-            e_fwd = self.forward_pass.forward_reference(
-                gpnet, x, order, structure.edge_groups_forward, reverse=False
-            )
-            e_bwd = self.backward_pass.forward_reference(
-                gpnet, x, tuple(reversed(order)), structure.edge_groups_backward, reverse=True
-            )
-        else:
-            e_fwd = self.forward_pass(gpnet, x, structure.forward_plan, reverse=False)
-            e_bwd = self.backward_pass(gpnet, x, structure.backward_plan, reverse=True)
-        return concat([e_fwd, e_bwd], axis=1)
-
-    @staticmethod
-    def _task_topo_order(gpnet: GpNet) -> list[int]:
-        """Topological order of tasks induced by the gpNet's edges.
-
-        Standalone Kahn derivation, kept for callers holding a bare
-        gpNet; the embedding paths use the cached
-        :class:`~repro.core.features.GpNetStructure` instead.
-        """
-        num_tasks = len(gpnet.options)
-        src_tasks = gpnet.task_of[gpnet.edge_src]
-        dst_tasks = gpnet.task_of[gpnet.edge_dst]
-        children: dict[int, set[int]] = {t: set() for t in range(num_tasks)}
-        indeg = np.zeros(num_tasks, dtype=int)
-        for s, d in {(int(a), int(b)) for a, b in zip(src_tasks, dst_tasks)}:
-            if d not in children[s]:
-                children[s].add(d)
-                indeg[d] += 1
-        frontier = [t for t in range(num_tasks) if indeg[t] == 0]
-        order: list[int] = []
-        while frontier:
-            t = frontier.pop()
-            order.append(t)
-            for c in children[t]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    frontier.append(c)
-        if len(order) != num_tasks:
-            raise RuntimeError("gpNet induced a cyclic task order")
-        return order
+        return _two_way(self.forward_pass, self.backward_pass, gpnet, x)
 
 
 class _SharedStepPass(Module):
@@ -436,48 +435,16 @@ class _NoEdgeDirectionalPass(Module):
         self.embed_dim = embed_dim
         self.aggregation = aggregation
 
+    def _message(self, sender_emb: Tensor, idx: np.ndarray) -> Tensor:
+        return F.linear(sender_emb, self.h1.weight, self.h1.bias).relu()
+
     def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
-        if reverse:
-            edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
-        else:
-            edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
-        emb = Tensor(np.zeros((gpnet.num_nodes, self.embed_dim)))
-        for level in plan.levels:
-            if len(level.edge_idx) == 0:
-                agg = Tensor(np.zeros((len(level.nodes), self.h1.out_features)))
-            else:
-                idx = level.edge_idx
-                msg = F.linear(emb.gather(edge_from[idx]), self.h1.weight, self.h1.bias).relu()
-                segments = plan.node_local[edge_to[idx]]
-                agg = _aggregate(msg, segments, len(level.nodes), self.aggregation)
-            group_out = F.linear(agg, self.h2.weight, self.h2.bias).relu() + x[level.nodes]
-            emb = F.scatter_rows(emb, level.nodes, group_out, assume_unique=True)
-        return emb
+        return _sweep(self, gpnet, x, plan, reverse, self._message)
 
     def forward_reference(
         self, gpnet: GpNet, x: Tensor, task_order, groups, reverse: bool
     ) -> Tensor:
-        n = gpnet.num_nodes
-        if reverse:
-            edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
-        else:
-            edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
-        node_emb: list[Tensor | None] = [None] * n
-        for task in task_order:
-            opts = gpnet.options[task]
-            local = {int(u): k for k, u in enumerate(opts)}
-            idx = groups[task]
-            if len(idx) == 0:
-                agg = Tensor(np.zeros((len(opts), self.h1.out_features)))
-            else:
-                sender_emb = stack([node_emb[int(s)] for s in edge_from[idx]], axis=0)
-                msg = F.linear(sender_emb, self.h1.weight, self.h1.bias).relu()
-                local_ids = np.array([local[int(u)] for u in edge_to[idx]])
-                agg = _aggregate(msg, local_ids, len(opts), self.aggregation)
-            group_out = F.linear(agg, self.h2.weight, self.h2.bias).relu() + x[opts]
-            for k, u in enumerate(opts):
-                node_emb[int(u)] = group_out[k]
-        return stack([node_emb[u] for u in range(n)], axis=0)
+        return _sweep_reference(self, gpnet, x, task_order, groups, reverse, self._message)
 
 
 class TwoWayNoEdge(GpNetEmbedding):
@@ -502,19 +469,7 @@ class TwoWayNoEdge(GpNetEmbedding):
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         x = self.proj(Tensor(augment_with_out_edge_means(gpnet)))
-        structure = structure_of(gpnet)
-        if _REFERENCE_MODE:
-            order = structure.task_order
-            e_fwd = self.forward_pass.forward_reference(
-                gpnet, x, order, structure.edge_groups_forward, reverse=False
-            )
-            e_bwd = self.backward_pass.forward_reference(
-                gpnet, x, tuple(reversed(order)), structure.edge_groups_backward, reverse=True
-            )
-        else:
-            e_fwd = self.forward_pass(gpnet, x, structure.forward_plan, reverse=False)
-            e_bwd = self.backward_pass(gpnet, x, structure.backward_plan, reverse=True)
-        return concat([e_fwd, e_bwd], axis=1)
+        return _two_way(self.forward_pass, self.backward_pass, gpnet, x)
 
 
 class GraphSageNoEdge(GpNetEmbedding):

@@ -259,7 +259,9 @@ class ReinforceTrainer:
             raise ValueError("training needs at least one problem")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        total = episodes or self.config.episodes
+        total = self.config.episodes if episodes is None else episodes
+        if total < 1:
+            raise ValueError("episodes must be >= 1")
         if batch_size == 1:
             # Serial semantics: parallel episode collection needs K > 1
             # (a single-episode update has nothing to fan out).

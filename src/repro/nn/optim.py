@@ -6,6 +6,7 @@ The paper trains every policy with Adam at a fixed learning rate of 0.01
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -77,18 +78,17 @@ class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias correction.
 
     Optimizer state lives in two flat float64 buffers spanning every
-    parameter (``_m``/``_v`` are reshaped views into them).  The default
-    ``fused`` step concatenates the gradients once and runs each
-    elementwise pass — moment decay, bias correction, the update — over
-    all parameters at a time instead of once per tensor, so a model with
-    dozens of small GNN weight matrices pays ufunc dispatch a handful of
-    times per step rather than hundreds.  Elementwise math is
-    per-element independent and the fused path evaluates the exact
-    per-tensor expressions in the exact order, so trajectories are
-    bit-identical between the two paths; any step where some parameter
-    has no gradient falls back to the per-tensor loop, which skips that
-    parameter's moment updates entirely (both paths must agree on this:
-    a skipped tensor keeps stale moments AND skips decay).
+    parameter (``_m``/``_v`` are reshaped views into them).  A step
+    concatenates the gradients once and runs each elementwise pass —
+    moment decay, bias correction, the update — over all parameters at
+    a time instead of once per tensor, so a model with dozens of small
+    GNN weight matrices pays ufunc dispatch a handful of times per step
+    rather than hundreds.  Elementwise math is per-element independent
+    and the passes evaluate the exact per-tensor expressions in the
+    exact order, so trajectories are bit-identical to a per-tensor
+    loop.  A parameter without a gradient splits the buffer into the
+    runs of consecutive parameters that have one and is itself skipped
+    entirely: it keeps stale moments AND skips decay.
     """
 
     def __init__(
@@ -97,12 +97,10 @@ class Adam(Optimizer):
         lr: float = 0.01,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        fused: bool = True,
     ) -> None:
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.fused = fused
         self._t = 0
         total = sum(p.data.size for p in self.params)
         self._flat_m = np.zeros(total)
@@ -113,7 +111,7 @@ class Adam(Optimizer):
             self._slices.append(slice(offset, offset + p.data.size))
             offset += p.data.size
         # Per-tensor views aliasing the flat buffers (contiguous slices
-        # reshape without copying), so both step paths share one state.
+        # reshape without copying).
         self._m = [
             self._flat_m[sl].reshape(p.data.shape)
             for p, sl in zip(self.params, self._slices)
@@ -125,39 +123,31 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._t += 1
-        if self.fused and all(p.grad is not None for p in self.params):
-            self._step_fused()
-            return
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        for has_grad, group in groupby(
+            zip(self.params, self._slices), key=lambda pair: pair[0].grad is not None
+        ):
+            if not has_grad:
                 continue
+            run = list(group)
+            start = run[0][1].start
+            m = self._flat_m[start : run[-1][1].stop]
+            v = self._flat_v[start : run[-1][1].stop]
+            grad = np.concatenate([p.grad.ravel() for p, _ in run])
             m *= b1
-            m += (1 - b1) * p.grad
+            m += (1 - b1) * grad
             v *= b2
-            v += (1 - b2) * p.grad**2
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def _step_fused(self) -> None:
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1**self._t
-        bc2 = 1.0 - b2**self._t
-        m, v = self._flat_m, self._flat_v
-        grad = np.concatenate([p.grad.ravel() for p in self.params])
-        m *= b1
-        m += (1 - b1) * grad
-        v *= b2
-        # ``g**2`` lowers to np.square for ndarrays, so squaring the
-        # (private) concatenated copy in place matches it bit for bit.
-        np.square(grad, out=grad)
-        v += (1 - b2) * grad
-        # Same association as the per-tensor expression:
-        # (lr * (m / bc1)) / (sqrt(v / bc2) + eps).
-        update = self.lr * (m / bc1)
-        denom = np.sqrt(v / bc2)
-        denom += self.eps
-        update /= denom
-        for p, sl in zip(self.params, self._slices):
-            p.data -= update[sl].reshape(p.data.shape)
+            # ``g**2`` lowers to np.square for ndarrays, so squaring the
+            # (private) concatenated copy in place matches it bit for bit.
+            np.square(grad, out=grad)
+            v += (1 - b2) * grad
+            # Same association as the per-tensor expression:
+            # (lr * (m / bc1)) / (sqrt(v / bc2) + eps).
+            update = self.lr * (m / bc1)
+            denom = np.sqrt(v / bc2)
+            denom += self.eps
+            update /= denom
+            for p, sl in run:
+                p.data -= update[sl.start - start : sl.stop - start].reshape(p.data.shape)

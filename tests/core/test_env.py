@@ -20,6 +20,11 @@ class TestSpaces:
     def test_default_episode_length(self, diamond_problem):
         assert default_episode_length(diamond_problem) == 8
 
+    def test_zero_episode_length_rejected(self, diamond_problem):
+        # An explicit 0 is an error, not a request for the 2·|V| default.
+        with pytest.raises(ValueError, match="episode_length"):
+            make_env(diamond_problem, episode_length=0)
+
 
 class TestReset:
     def test_reset_with_placement(self, diamond_problem):

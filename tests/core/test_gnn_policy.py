@@ -32,6 +32,26 @@ class TestEmbeddings:
         emb = make_embedding("giph", np.random.default_rng(0))
         assert emb.out_dim == 10
 
+    def test_state_dict_keys_are_stable(self):
+        # Checkpoints are keyed by these names (and rng draws follow
+        # this order): a refactor of the sweeps must not rename one.
+        passes = [
+            f"{direction}.{layer}.{part}"
+            for direction in ("forward_pass", "backward_pass")
+            for layer in ("h1", "h2")
+            for part in ("weight", "bias")
+        ]
+        giph = make_embedding("giph", np.random.default_rng(0))
+        assert list(giph.state_dict()) == [
+            "pre.net.modules.0.weight",
+            "pre.net.modules.0.bias",
+            "pre.net.modules.2.weight",
+            "pre.net.modules.2.bias",
+            *passes,
+        ]
+        giph_ne = make_embedding("giph-ne", np.random.default_rng(0))
+        assert list(giph_ne.state_dict()) == ["proj.weight", "proj.bias", *passes]
+
     def test_ne_pol_has_no_parameters(self):
         emb = make_embedding("giph-ne-pol", np.random.default_rng(0))
         assert emb.num_parameters() == 0

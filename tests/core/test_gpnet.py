@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FeatureConfig, GpNetBuilder, PlacementProblem, random_placement
-from repro.devices import DeviceNetworkParams, generate_device_network
-from repro.graphs import TaskGraphParams, generate_task_graph
+from repro.core.gpnet import build_gpnet
+from repro.devices import Device, DeviceNetwork, DeviceNetworkParams, generate_device_network
+from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
 
 
 def build(problem, placement, **cfg):
@@ -166,3 +167,80 @@ def test_gpnet_size_formulas_hold_generally(seed, num_tasks, num_devices):
     assert net.is_pivot.sum() == num_tasks
     for s, d in zip(net.edge_src, net.edge_dst):
         assert net.is_pivot[s] or net.is_pivot[d]
+
+
+def random_layout_problem(seed, num_tasks, num_devices, edge_prob):
+    """A random DAG on a random network; hardware type 1 lives on device 0
+    only, so every task requiring it has exactly one feasible device."""
+    rng = np.random.default_rng(seed)
+    edges = {
+        (i, j): float(rng.uniform(1.0, 50.0))
+        for i in range(num_tasks)
+        for j in range(i + 1, num_tasks)
+        if rng.random() < edge_prob
+    }
+    graph = TaskGraph(
+        compute=tuple(rng.uniform(1.0, 10.0, num_tasks)),
+        edges=edges,
+        requirements=tuple(int(r) for r in rng.integers(0, 2, num_tasks)),
+    )
+    devices = [
+        Device(uid=k, speed=float(rng.uniform(0.5, 4.0)), supports=frozenset({0, 1} if k == 0 else {0}))
+        for k in range(num_devices)
+    ]
+    bw = rng.uniform(1.0, 20.0, (num_devices, num_devices))
+    np.fill_diagonal(bw, np.inf)
+    dl = rng.uniform(0.0, 2.0, (num_devices, num_devices))
+    np.fill_diagonal(dl, 0.0)
+    return PlacementProblem(graph, DeviceNetwork(devices, bw, dl))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    num_tasks=st.integers(min_value=1, max_value=9),
+    num_devices=st.integers(min_value=1, max_value=5),
+    edge_prob=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@example(seed=0, num_tasks=1, num_devices=1, edge_prob=1.0)  # single task, single device
+@example(seed=1, num_tasks=5, num_devices=3, edge_prob=0.0)  # edgeless
+@example(seed=2, num_tasks=6, num_devices=4, edge_prob=0.3)  # tasks 0-2 pinned to device 0
+def test_builder_build_equals_algorithm_reference(seed, num_tasks, num_devices, edge_prob):
+    """Property: ``GpNetBuilder.build`` (whole-block array writer) equals
+    ``build_gpnet`` (Algorithm "gpNet", App. B.1, one Python call per
+    edge) array for array — single task, single device, pinned tasks
+    and edgeless graphs included."""
+    problem = random_layout_problem(seed, num_tasks, num_devices, edge_prob)
+    placement = random_placement(problem, np.random.default_rng(seed + 1))
+    net = GpNetBuilder(problem, FeatureConfig(normalize=False)).build(placement)
+
+    g, nw, cm = problem.graph, problem.network, problem.cost_model
+
+    def f_e(edge, src_dev, dst_dev):
+        bw = nw.bandwidth[src_dev, dst_dev]
+        return np.array(
+            [
+                g.edges[edge],
+                0.0 if np.isinf(bw) else 1.0 / bw,
+                nw.delay[src_dev, dst_dev],
+                cm.comm_time(edge, src_dev, dst_dev),
+            ]
+        )
+
+    ref = build_gpnet(problem, placement, net.node_features, f_e)
+    assert net.placement == ref.placement
+    for name in (
+        "task_of",
+        "device_of",
+        "is_pivot",
+        "edge_src",
+        "edge_dst",
+        "node_features",
+        "edge_features",
+    ):
+        got, want = getattr(net, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert (got == want).all(), name
+    assert len(net.options) == len(ref.options)
+    assert all((x == y).all() for x, y in zip(net.options, ref.options))
+

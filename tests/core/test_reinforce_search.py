@@ -76,6 +76,15 @@ class TestTraining:
         with pytest.raises(ValueError):
             trainer.train([], rng)
 
+    def test_train_zero_episodes_rejected(self, chain_problem):
+        # An explicit 0 is an error, not a request for config.episodes.
+        rng = np.random.default_rng(0)
+        agent = GiPHAgent(rng, embedding="giph-ne-pol")
+        trainer = ReinforceTrainer(agent, MakespanObjective())
+        with pytest.raises(ValueError, match="episodes"):
+            trainer.train([chain_problem], rng, episodes=0)
+        assert trainer.history == []
+
     def test_learning_improves_policy_on_tiny_instance(self, chain_problem):
         """End-to-end sanity: on the 2-task/2-device instance the trained
         policy should find the co-location optimum more reliably than at
