@@ -21,11 +21,11 @@ magnitude) so policies transfer across problem scales.
 
 Only the start-time potential and pivot-adjacent edge features depend on
 the placement; everything else is static per instance.  The builder
-precomputes the static parts once and writes gpNet edges one task-graph
-edge's block at a time through a single writer:
-:meth:`GpNetBuilder.build` writes every block,
-:meth:`GpNetBuilder.update` — the incremental rebuild after a single
-relocation — only the blocks incident to the moved task (the
+precomputes the static parts once and writes gpNet edges — one block
+per task-graph edge — through a single writer, one array pass over the
+slots of the blocks it is given: :meth:`GpNetBuilder.build` writes
+every block, :meth:`GpNetBuilder.update` — the incremental rebuild after
+a single relocation — only the blocks incident to the moved task (the
 node-feature potential column is global, since one move reshuffles the
 whole schedule, but it is evaluated vectorized).
 """
@@ -91,7 +91,13 @@ def _task_topo_levels(
     """
     children: list[list[int]] = [[] for _ in range(num_tasks)]
     indeg = np.zeros(num_tasks, dtype=np.int64)
-    for s, d in sorted({(int(a), int(b)) for a, b in zip(src_tasks, dst_tasks)}):
+    # Distinct task-graph edges, ascending (src, dst): a gpNet has one
+    # edge per (pivot, option) pair, ~20x as many as the DAG it induces.
+    # (Sort + adjacent dedupe rather than ``np.unique``, whose first call
+    # alone adds ~1.5 MB to the process's peak RSS.)
+    keys = np.sort(src_tasks * num_tasks + dst_tasks, kind="stable")
+    pairs = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
+    for s, d in zip((pairs // num_tasks).tolist(), (pairs % num_tasks).tolist()):
         children[s].append(d)
         indeg[d] += 1
     level = np.zeros(num_tasks, dtype=np.int64)
@@ -227,7 +233,7 @@ class _RawBuild:
     fills and what the next incremental update starts from."""
 
     placement: tuple[int, ...]
-    pivot_node: tuple[int, ...]
+    pivot_node: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_features: np.ndarray
@@ -283,20 +289,32 @@ class GpNetBuilder:
 
         # Contiguous gpNet-edge block per task-graph edge (i, j):
         # |D_j| edges pivot_i -> options_j, then |D_i| - 1 edges
-        # (options_i \ pivot_i) -> pivot_j.  Sizes are placement-independent.
-        blocks: dict[tuple[int, int], tuple[int, int]] = {}
-        pos = 0
-        for (i, j) in graph.edges:
-            size = len(feas[j]) + len(feas[i]) - 1
-            blocks[(i, j)] = (pos, size)
-            pos += size
-        self._edge_blocks = blocks
-        self._num_gpnet_edges = pos
-        # Incident task-graph edges per task, straight from the adjacency
-        # lists (blocks are keyed by edge tuple, so order is irrelevant).
-        self._incident_edges = tuple(
-            tuple((p, i) for p in graph.parents[i]) + tuple((i, c) for c in graph.children[i])
-            for i in range(graph.num_tasks)
+        # (options_i \ pivot_i) -> pivot_j.  Sizes are placement-independent,
+        # so everything the writer needs per gpNet-edge slot follows from
+        # these per-block columns (block b = b-th task-graph edge) and the
+        # slot's position k in its block — nothing is stored per slot.
+        num_blocks = graph.num_edges
+        self._block_i, self._block_j = (
+            np.array(list(graph.edges), dtype=np.int64).reshape(num_blocks, 2).T.copy()
+        )
+        self._block_data = np.array(list(graph.edges.values()), dtype=np.float64)
+        num_options = np.array([len(f) for f in feas], dtype=np.int64)
+        offsets_arr = np.array(offsets, dtype=np.int64)
+        self._block_split = num_options[self._block_j]  # k < split: pivot_i -> options_j[k]
+        self._block_size = self._block_split + num_options[self._block_i] - 1
+        self._block_start = np.cumsum(self._block_size) - self._block_size
+        # Static node of slot k: options_j[k] in the first half; in the
+        # second, options_i[k - split], which the writer shifts past pivot_i.
+        self._block_dst0 = offsets_arr[self._block_j]
+        self._block_src0 = offsets_arr[self._block_i] - self._block_split
+        self._num_gpnet_edges = int(self._block_size.sum())
+        # Blocks incident to each task, as either endpoint.
+        block_of = np.tile(np.arange(num_blocks), 2)
+        self._incident_blocks = tuple(
+            block_of[g]
+            for g in _group_edges_by_task(
+                np.concatenate([self._block_i, self._block_j]), graph.num_tasks
+            )
         )
         self._last: _RawBuild | None = None
         # One GpNetStructure serves every placement of the problem (the
@@ -304,25 +322,12 @@ class GpNetBuilder:
         # the first finalized build, shared by reference thereafter.
         self._structure: GpNetStructure | None = None
 
-        # Flattened (parent edge, option node) pairs for the start-time
-        # potential: pair p covers every option node of the edge's child
-        # task.  Static — only placements/timelines vary per build.
-        pot_parent: list[int] = []
-        pot_data: list[float] = []
-        pot_nodes: list[np.ndarray] = []
-        pot_rep: list[np.ndarray] = []
-        for pair_index, (p, i) in enumerate(graph.edges):
-            pot_parent.append(p)
-            pot_data.append(float(graph.edges[(p, i)]))
-            pot_nodes.append(self._options[i])
-            pot_rep.append(np.full(len(self._options[i]), pair_index, dtype=np.int64))
-        self._pot_parent = np.array(pot_parent, dtype=np.int64)
-        self._pot_data = np.array(pot_data, dtype=np.float64)
-        self._pot_nodes = (
-            np.concatenate(pot_nodes) if pot_nodes else np.zeros(0, dtype=np.int64)
-        )
-        self._pot_rep = (
-            np.concatenate(pot_rep) if pot_rep else np.zeros(0, dtype=np.int64)
+        # Flattened (block, option node of its child task) pairs for the
+        # start-time potential.  Static — only placements/timelines vary
+        # per build.
+        self._pot_rep = np.repeat(np.arange(num_blocks), self._block_split)
+        self._pot_nodes = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [self._options[j] for j in self._block_j]
         )
 
     # -- feature maps -------------------------------------------------------------
@@ -330,8 +335,8 @@ class GpNetBuilder:
     def _start_potentials(self, placement: Sequence[int], timeline: SimResult) -> np.ndarray:
         """Column 4 of f_n for every node, in one sweep over all nodes.
 
-        One ``np.maximum.at`` over the precomputed (parent edge, option
-        node) pairs replaces the per-task/per-parent Python loop.  Max
+        One ``np.maximum.at`` over the precomputed (block, option node)
+        pairs replaces the per-task/per-parent Python loop.  Max
         is exact on floats and the candidate expression keeps the
         original grouping ``finish + (delay + data * inv_bw)``, so the
         sweep is bit-identical to the loop it replaced.
@@ -341,11 +346,11 @@ class GpNetBuilder:
         out = np.zeros(self._num_nodes)
         if len(self._pot_nodes):
             placement_arr = np.asarray(placement, dtype=np.int64)
-            ps = placement_arr[self._pot_parent][self._pot_rep]
+            ps = placement_arr[self._block_i][self._pot_rep]
             d = self._device_of[self._pot_nodes]
             delay = self.problem.network.delay
-            cand = finish[self._pot_parent][self._pot_rep] + (
-                delay[ps, d] + self._pot_data[self._pot_rep] * self._inv_bw[ps, d]
+            cand = finish[self._block_i][self._pot_rep] + (
+                delay[ps, d] + self._block_data[self._pot_rep] * self._inv_bw[ps, d]
             )
             np.maximum.at(out, self._pot_nodes, cand)
         return out - start[self._task_of]
@@ -369,39 +374,35 @@ class GpNetBuilder:
         scale = np.where(scale > 1e-12, scale, 1.0)
         return features / scale
 
-    def _write_blocks(self, task_edges, raw: _RawBuild) -> None:
-        """Fill ``raw``'s gpNet-edge block of every task-graph edge in ``task_edges``.
+    def _write_blocks(self, blocks: np.ndarray, raw: _RawBuild) -> None:
+        """Fill ``raw``'s gpNet-edge slots of the task-graph edges ``blocks``.
 
-        The only gpNet edge writer: per task-graph edge (i, j) one
-        whole-block array fill (pivot_i -> options_j, then
-        options_i \\ pivot_i -> pivot_j) — the emission order of
+        The only gpNet edge writer: one array pass over the slots of
+        all the named blocks — per block (i, j) pivot_i -> options_j,
+        then options_i \\ pivot_i -> pivot_j, the emission order of
         Algorithm "gpNet" (:func:`repro.core.gpnet.build_gpnet`, which a
         property test compares against), with c_{ij,kl} in the cost
         model's ``delay + data * inv_bw`` grouping and its exact 0.0 for
         co-located pairs.
         """
-        graph = self.problem.graph
-        delay = self.problem.network.delay
-        for (i, j) in task_edges:
-            pos, size = self._edge_blocks[(i, j)]
-            pi, pj = raw.pivot_node[i], raw.pivot_node[j]
-            opts_i, opts_j = self._options[i], self._options[j]
-            others_i = opts_i[opts_i != pi]
-            src = np.concatenate([np.full(len(opts_j), pi, dtype=np.int64), others_i])
-            dst = np.concatenate(
-                [opts_j, np.full(len(others_i), pj, dtype=np.int64)]
-            )
-            src_dev, dst_dev = self._device_of[src], self._device_of[dst]
-            data = graph.edges[(i, j)]
-            inv = self._inv_bw[src_dev, dst_dev]
-            dly = delay[src_dev, dst_dev]
-            block = raw.edge_features[pos : pos + size]
-            block[:, 0] = data
-            block[:, 1] = inv
-            block[:, 2] = dly
-            block[:, 3] = np.where(src_dev == dst_dev, 0.0, dly + data * inv)
-            raw.edge_src[pos : pos + size] = src
-            raw.edge_dst[pos : pos + size] = dst
+        sizes = self._block_size[blocks]
+        b = np.repeat(blocks, sizes)  # block of each written slot
+        k = np.arange(len(b)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        first = k < self._block_split[b]
+        node = np.where(first, self._block_dst0[b], self._block_src0[b]) + k
+        pi, pj = raw.pivot_node[self._block_i[b]], raw.pivot_node[self._block_j[b]]
+        src = np.where(first, pi, node + (node >= pi))
+        dst = np.where(first, node, pj)
+        src_dev, dst_dev = self._device_of[src], self._device_of[dst]
+        data = self._block_data[b]
+        inv = self._inv_bw[src_dev, dst_dev]
+        dly = self.problem.network.delay[src_dev, dst_dev]
+        slots = self._block_start[b] + k
+        raw.edge_features[slots] = np.column_stack(
+            [data, inv, dly, np.where(src_dev == dst_dev, 0.0, dly + data * inv)]
+        )
+        raw.edge_src[slots] = src
+        raw.edge_dst[slots] = dst
 
     # -- public API ---------------------------------------------------------------
 
@@ -412,14 +413,15 @@ class GpNetBuilder:
         placement = self.problem.validate_placement(placement)
         raw = _RawBuild(
             placement=placement,
-            pivot_node=tuple(
-                self._offsets[i] + self._feas_index[i][d] for i, d in enumerate(placement)
+            pivot_node=np.array(
+                [self._offsets[i] + self._feas_index[i][d] for i, d in enumerate(placement)],
+                dtype=np.int64,
             ),
             edge_src=np.empty(self._num_gpnet_edges, dtype=np.int64),
             edge_dst=np.empty(self._num_gpnet_edges, dtype=np.int64),
             edge_features=np.empty((self._num_gpnet_edges, EDGE_FEATURE_DIM)),
         )
-        self._write_blocks(self.problem.graph.edges, raw)
+        self._write_blocks(np.arange(len(self._block_size)), raw)
         return self._finalize(raw, timeline)
 
     def update(
@@ -447,18 +449,18 @@ class GpNetBuilder:
         if diff != [moved_task]:
             return self.build(placement, timeline)
 
-        pivot_node = list(last.pivot_node)
+        pivot_node = last.pivot_node.copy()
         pivot_node[moved_task] = (
             self._offsets[moved_task] + self._feas_index[moved_task][placement[moved_task]]
         )
         raw = _RawBuild(
             placement=placement,
-            pivot_node=tuple(pivot_node),
+            pivot_node=pivot_node,
             edge_src=last.edge_src.copy(),
             edge_dst=last.edge_dst.copy(),
             edge_features=last.edge_features.copy(),
         )
-        self._write_blocks(self._incident_edges[moved_task], raw)
+        self._write_blocks(self._incident_blocks[moved_task], raw)
         return self._finalize(raw, timeline)
 
     def _finalize(self, raw: _RawBuild, timeline: SimResult | None) -> GpNet:
@@ -473,7 +475,7 @@ class GpNetBuilder:
         if timeline is None:
             timeline = self.timeline(raw.placement)
         is_pivot = np.zeros(self._num_nodes, dtype=bool)
-        is_pivot[list(raw.pivot_node)] = True
+        is_pivot[raw.pivot_node] = True
         node_features = self._node_features(raw.placement, timeline)
         edge_features = raw.edge_features
         if self.config.normalize:

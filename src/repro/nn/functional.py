@@ -6,6 +6,8 @@ softmax) that DGL provided in the paper's artifact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor, as_tensor
@@ -120,9 +122,20 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if segment_ids.ndim != 1 or len(segment_ids) != values.shape[0]:
         raise ValueError("segment_ids must be 1-D and match values' first axis")
-    out_shape = (num_segments,) + values.shape[1:]
-    out_data = np.zeros(out_shape, dtype=np.float64)
-    np.add.at(out_data, segment_ids, values.data)
+    if len(segment_ids) and not 0 <= segment_ids.min() <= segment_ids.max() < num_segments:
+        raise ValueError(
+            f"segment_sum: segment ids span [{segment_ids.min()}, {segment_ids.max()}], "
+            f"outside [0, {num_segments})"
+        )
+    # One flat bincount over (segment, column) cells: each cell still
+    # accumulates its rows in ascending order from 0.0, so the floats
+    # equal ``np.add.at`` on zeros bit for bit, without ufunc.at's
+    # generic 2-D path.
+    width = math.prod(values.shape[1:])
+    cells = (segment_ids[:, None] * width + np.arange(width)).ravel()
+    out_data = np.bincount(
+        cells, weights=values.data.ravel(), minlength=num_segments * width
+    ).reshape((num_segments,) + values.shape[1:])
 
     def backward(grad: np.ndarray) -> None:
         if values.requires_grad:
@@ -131,26 +144,16 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     return Tensor._make(out_data, (values,), backward, "segment_sum")
 
 
-def segment_mean(
-    values: Tensor,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    counts: np.ndarray | None = None,
-) -> Tensor:
+def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Mean-aggregate rows of ``values`` per segment (empty segments -> 0).
 
     The paper's experiments aggregate messages by mean (§5, experiment
-    details), while Eq. 1 writes a sum; both are exposed.  ``counts``
-    optionally supplies the precomputed (empty-clamped-to-1) segment
-    sizes — callers with static segment layouts (the GNN level plans)
-    pass it to skip the per-call ``bincount``; it must equal
-    ``maximum(bincount(segment_ids, minlength=num_segments), 1)``.
+    details), while Eq. 1 writes a sum; both are exposed.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if counts is None:
-        counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
-        counts = np.maximum(counts, 1.0)  # avoid div-by-zero for empty segments
-    summed = segment_sum(values, segment_ids, num_segments)
+    summed = segment_sum(values, segment_ids, num_segments)  # validates the ids
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
+    counts = np.maximum(counts, 1.0)  # avoid div-by-zero for empty segments
     return summed / Tensor(counts.reshape((-1,) + (1,) * (summed.ndim - 1)))
 
 

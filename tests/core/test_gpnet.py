@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FeatureConfig, GpNetBuilder, PlacementProblem, random_placement
+from repro.core.features import GpNetStructure, _task_topo_levels
 from repro.core.gpnet import build_gpnet
 from repro.devices import Device, DeviceNetwork, DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
@@ -244,3 +245,122 @@ def test_builder_build_equals_algorithm_reference(seed, num_tasks, num_devices, 
     assert len(net.options) == len(ref.options)
     assert all((x == y).all() for x, y in zip(net.options, ref.options))
 
+
+def assert_nets_equal(got, want):
+    assert got.placement == want.placement
+    for name in (
+        "task_of",
+        "device_of",
+        "is_pivot",
+        "edge_src",
+        "edge_dst",
+        "node_features",
+        "edge_features",
+    ):
+        assert (getattr(got, name) == getattr(want, name)).all(), name
+    assert all((x == y).all() for x, y in zip(got.options, want.options))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    num_tasks=st.integers(min_value=2, max_value=9),
+    num_devices=st.integers(min_value=2, max_value=5),
+    potential=st.booleans(),
+)
+def test_update_chain_over_every_task_equals_full_build(seed, num_tasks, num_devices, potential):
+    """Property: relocating every task once — in random order, one of them
+    without any incident edge — and then one task twice in a row, each
+    ``update`` equals a fresh ``build`` of the same placement."""
+    base = random_layout_problem(seed, num_tasks, num_devices, edge_prob=0.5)
+    isolated = seed % num_tasks
+    graph = TaskGraph(
+        compute=base.graph.compute,
+        edges={e: b for e, b in base.graph.edges.items() if isolated not in e},
+        requirements=base.graph.requirements,
+    )
+    problem = PlacementProblem(graph, base.network)
+    config = FeatureConfig(use_start_time_potential=potential)
+    incremental, reference = GpNetBuilder(problem, config), GpNetBuilder(problem, config)
+    rng = np.random.default_rng(seed + 1)
+    placement = list(random_placement(problem, rng))
+    current = incremental.build(placement)
+
+    def move(task):
+        # Next feasible device round-robin: a real relocation unless pinned.
+        feas = problem.feasible_sets[task]
+        placement[task] = feas[(feas.index(placement[task]) + 1) % len(feas)]
+        net = incremental.update(current, tuple(placement), task)
+        assert_nets_equal(net, reference.build(tuple(placement)))
+        return net
+
+    for task in rng.permutation(num_tasks):
+        current = move(int(task))
+    repeated = max(range(num_tasks), key=lambda t: len(problem.feasible_sets[t]))
+    current = move(repeated)
+    current = move(repeated)
+
+
+# -- task-DAG levels: the per-gpNet-edge derivation, kept as the oracle ------------------
+
+
+def levels_from_every_gpnet_edge(src_tasks, dst_tasks, num_tasks):
+    """Longest-path levels with the task edges recovered by a Python set
+    comprehension over *every* gpNet edge — how ``_task_topo_levels``
+    found them before it switched to ``np.unique`` on packed pairs."""
+    children = [[] for _ in range(num_tasks)]
+    indeg = [0] * num_tasks
+    for s, d in sorted({(int(a), int(b)) for a, b in zip(src_tasks, dst_tasks)}):
+        children[s].append(d)
+        indeg[d] += 1
+    level = [0] * num_tasks
+    frontier = [t for t in range(num_tasks) if indeg[t] == 0]
+    while frontier:
+        t = frontier.pop()
+        for c in children[t]:
+            level[c] = max(level[c], level[t] + 1)
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                frontier.append(c)
+    return np.array(level, dtype=np.int64)
+
+
+def check_structure_against_oracle(problem, placement):
+    net = GpNetBuilder(problem).build(placement)
+    num_tasks = problem.graph.num_tasks
+    src_tasks, dst_tasks = net.task_of[net.edge_src], net.task_of[net.edge_dst]
+    structure = GpNetStructure.from_gpnet(net)
+    for plan, (senders, receivers) in (
+        (structure.forward_plan, (src_tasks, dst_tasks)),
+        (structure.backward_plan, (dst_tasks, src_tasks)),
+    ):
+        want = levels_from_every_gpnet_edge(senders, receivers, num_tasks)
+        got = _task_topo_levels(senders, receivers, num_tasks)
+        assert got.dtype == want.dtype and (got == want).all()
+        assert [lv.tasks for lv in plan.levels] == [
+            tuple(np.flatnonzero(want == lv)) for lv in range(want.max() + 1)
+        ]
+    forward = levels_from_every_gpnet_edge(src_tasks, dst_tasks, num_tasks)
+    assert structure.task_order == tuple(np.lexsort((np.arange(num_tasks), forward)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    num_tasks=st.integers(min_value=2, max_value=20),
+    num_devices=st.integers(min_value=2, max_value=6),
+)
+def test_task_levels_equal_per_gpnet_edge_oracle(seed, num_tasks, num_devices):
+    rng = np.random.default_rng(seed)
+    g = generate_task_graph(TaskGraphParams(num_tasks=num_tasks, constraint_prob=0.4), rng)
+    nw = generate_device_network(DeviceNetworkParams(num_devices=num_devices), rng)
+    problem = PlacementProblem(g, nw)
+    check_structure_against_oracle(problem, random_placement(problem, rng))
+
+
+@pytest.mark.parametrize(
+    "num_tasks, edge_prob", [(1, 1.0), (5, 0.0)], ids=["single-task", "edgeless"]
+)
+def test_task_levels_degenerate_graphs(num_tasks, edge_prob):
+    problem = random_layout_problem(3, num_tasks, 3, edge_prob)
+    check_structure_against_oracle(problem, random_placement(problem, np.random.default_rng(0)))

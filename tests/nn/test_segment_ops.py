@@ -17,6 +17,8 @@ rests on it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -133,6 +135,49 @@ class TestSegmentSum:
         with pytest.raises(ValueError):
             F.segment_sum(Tensor(np.zeros((3, 2))), np.array([0, 1]), 2)
 
+    @pytest.mark.parametrize("op", [F.segment_sum, F.segment_mean])
+    def test_negative_id_rejected_not_wrapped(self, op):
+        """-1 used to land in the last segment (``np.add.at`` indexing)."""
+        with pytest.raises(ValueError, match=r"segment_sum.*\[-1, 1\].*\[0, 3\)"):
+            op(Tensor(np.ones((3, 2))), np.array([0, -1, 1]), 3)
+
+    @pytest.mark.parametrize("op", [F.segment_sum, F.segment_mean])
+    def test_id_beyond_num_segments_rejected(self, op):
+        """Used to surface as a raw NumPy IndexError."""
+        with pytest.raises(ValueError, match=r"segment_sum.*\[0, 3\].*\[0, 3\)"):
+            op(Tensor(np.ones((3, 2))), np.array([0, 3, 1]), 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        rows=st.integers(0, 12),
+        trailing=st.sampled_from([(), (1,), (3,), (9,), (2, 3), (0,)]),
+        num_segments=st.integers(1, 6),
+        with_grad=st.booleans(),
+    )
+    def test_forward_bit_identical_to_add_at_oracle(
+        self, seed, rows, trailing, num_segments, with_grad
+    ):
+        """The flat-bincount kernel equals ``np.add.at`` on zeros bit for
+        bit: unsorted and duplicate ids, empty segments, zero rows, 1-D to
+        3-D values, signed values with exact zeros of both signs."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, num_segments, size=rows)
+        vals = rng.normal(size=(rows,) + trailing) * 10.0 ** rng.integers(-8, 8)
+        vals[rng.random(vals.shape) < 0.2] = 0.0
+        vals[rng.random(vals.shape) < 0.2] = -0.0
+        oracle = np.zeros((num_segments,) + trailing)
+        np.add.at(oracle, ids, vals)
+        out = F.segment_sum(Tensor(vals), ids, num_segments).data
+        assert out.dtype == oracle.dtype and out.shape == oracle.shape
+        assert np.array_equal(out, oracle)
+        assert np.array_equal(np.signbit(out), np.signbit(oracle))
+        if with_grad and 0 < vals.size <= 24:  # unit scale: finite differences
+            check_grad(
+                lambda t: (F.segment_sum(t, ids, num_segments) ** 2).sum(),
+                rng.normal(size=vals.shape),
+            )
+
 
 class TestSegmentMean:
     def test_empty_segment_is_zero(self):
@@ -146,15 +191,6 @@ class TestSegmentMean:
             lambda t: (F.segment_mean(t, SEGMENTS, 4) ** 2).sum(),
             rng.normal(size=(7, 3)),
         )
-
-    def test_precomputed_counts_bitwise(self):
-        """The counts fast path must not change a single bit."""
-        rng = np.random.default_rng(7)
-        vals = rng.normal(size=(7, 3))
-        counts = np.maximum(np.bincount(SEGMENTS, minlength=4), 1).astype(np.float64)
-        a = F.segment_mean(Tensor(vals), SEGMENTS, 4)
-        b = F.segment_mean(Tensor(vals), SEGMENTS, 4, counts=counts)
-        assert np.array_equal(a.data, b.data)
 
 
 class TestSegmentMax:
