@@ -1,7 +1,7 @@
 """Baseline placement algorithms evaluated against GiPH (paper §5)."""
 
 from .base import AdaptivePolicy, SearchPolicy, trace_from_values
-from .eft import eft_device, eft_estimates
+from .eft import eft_device, eft_estimates, eft_relocation_search
 from .giph_policy import GiPHSearchPolicy
 from .heft import HeftSchedule, heft_placement, upward_ranks
 from .placeto import PlacetoAgent, PlacetoTrainer, placeto_node_features
@@ -15,6 +15,7 @@ __all__ = [
     "trace_from_values",
     "eft_device",
     "eft_estimates",
+    "eft_relocation_search",
     "GiPHSearchPolicy",
     "HeftSchedule",
     "heft_placement",

@@ -9,14 +9,15 @@ re-simulating every candidate.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from ..core.placement import PlacementProblem
+from ..core.search import SearchTrace
+from ..runtime.evaluator import PlacementEvaluator
 from ..sim.executor import SimResult, simulate
+from .base import trace_from_values
 
-__all__ = ["eft_estimates", "eft_device"]
+__all__ = ["eft_estimates", "eft_device", "eft_relocation_search"]
 
 
 def eft_estimates(
@@ -31,22 +32,42 @@ def eft_estimates(
     data-ready from the parents' current finish times and device-ready
     from the device's last finish in the current timeline (its own
     current device is credited with the task's own slot).
+
+    A scalar kernel over rows of Python floats: the arithmetic is
+    ``CostModel.comm_time``'s, operation for operation (the reference
+    loop lives in ``tests/baselines/test_eft_kernel.py``), but each
+    parent's finish, device, bytes and outgoing link rows are read out
+    of NumPy once per call rather than once per candidate device.
     """
-    graph, cm = problem.graph, problem.cost_model
-    placement = list(placement)
+    graph, network, cm = problem.graph, problem.network, problem.cost_model
     if timeline is None:
-        timeline = simulate(graph, problem.network, placement, cm)
+        timeline = simulate(graph, network, list(placement), cm)
+    own = placement[task]
+    parents = [
+        (
+            float(timeline.finish[p]),
+            placement[p],
+            graph.edges[(p, task)],
+            network.delay[placement[p]].tolist(),
+            network.inv_bandwidth[placement[p]].tolist(),
+        )
+        for p in graph.parents[task]
+    ]
+    compute = cm.W[task].tolist()
+    last_finish = timeline.device_last_finish.tolist()
 
     estimates: dict[int, float] = {}
-    for d in problem.feasible_sets[task]:
+    for d in cm.feasible_sets[task]:
         ready = 0.0
-        for p in graph.parents[task]:
-            ready = max(ready, timeline.finish[p] + cm.comm_time((p, task), placement[p], d))
-        device_ready = float(timeline.device_last_finish[d])
-        if d == placement[task]:
+        for parent_finish, src, data, delay_to, inv_bw_to in parents:
+            arrival = parent_finish + (0.0 if src == d else delay_to[d] + data * inv_bw_to[d])
+            if arrival > ready:
+                ready = arrival
+        device_ready = last_finish[d]
+        if d == own:
             # The task itself is the device's load; don't double count it.
             device_ready = min(device_ready, float(timeline.start[task]))
-        estimates[d] = max(ready, device_ready) + cm.compute_time(task, d)
+        estimates[d] = max(ready, device_ready) + compute[d]
     return estimates
 
 
@@ -58,4 +79,35 @@ def eft_device(
 ) -> int:
     """The feasible device with the minimum estimated finish time."""
     estimates = eft_estimates(problem, placement, task, timeline)
-    return min(estimates, key=lambda d: (estimates[d], d))
+    # Feasible sets ascend, so the first minimum is the lowest-index tie.
+    return min(estimates, key=estimates.__getitem__)
+
+
+def eft_relocation_search(
+    problem: PlacementProblem,
+    evaluator: PlacementEvaluator,
+    initial_placement: Sequence[int],
+    episode_length: int,
+    pick_task: Callable[[Sequence[int], SimResult], int],
+) -> SearchTrace:
+    """The task-EFT search episode: per step, ``pick_task(placement,
+    timeline)`` names a task and EFT relocates it.
+
+    The timeline handed to ``pick_task`` and to EFT is the current
+    placement's noise-free schedule, which the evaluator already holds
+    from scoring it.
+    """
+    placement = list(problem.validate_placement(initial_placement))
+    placements = [tuple(placement)]
+    values = [evaluator.evaluate(placements[0])]
+    relocations = [0] * problem.graph.num_tasks
+    for _ in range(episode_length):
+        timeline = evaluator.timeline(placements[-1])
+        task = pick_task(placement, timeline)
+        device = eft_device(problem, placement, task, timeline)
+        if device != placement[task]:
+            relocations[task] += 1
+        placement[task] = device
+        placements.append(tuple(placement))
+        values.append(evaluator.evaluate(placements[-1]))
+    return trace_from_values(placements, values, problem.graph.num_tasks, relocations)

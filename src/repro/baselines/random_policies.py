@@ -11,7 +11,7 @@ from ..core.search import SearchTrace
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
 from .base import AdaptivePolicy, make_evaluator, trace_from_values
-from .eft import eft_device
+from .eft import eft_relocation_search
 
 __all__ = ["RandomPlacementPolicy", "RandomTaskEftPolicy"]
 
@@ -59,23 +59,11 @@ class RandomTaskEftPolicy(AdaptivePolicy):
         rng: np.random.Generator,
         evaluator: PlacementEvaluator | None = None,
     ) -> SearchTrace:
-        evaluator = make_evaluator(problem, objective, evaluator)
-        placement = list(problem.validate_placement(initial_placement))
-        placements = [tuple(placement)]
-        values = [evaluator.evaluate(placement)]
-        relocations = np.zeros(problem.graph.num_tasks, dtype=int)
-        for _ in range(episode_length):
-            task = int(rng.integers(0, problem.graph.num_tasks))
-            # EFT reads the current placement's noise-free timeline, which
-            # the evaluator already has cached from scoring it.
-            device = eft_device(
-                problem, placement, task, timeline=evaluator.timeline(placement)
-            )
-            if device != placement[task]:
-                relocations[task] += 1
-            placement[task] = device
-            placements.append(tuple(placement))
-            values.append(evaluator.evaluate(placement))
-        return trace_from_values(
-            placements, values, problem.graph.num_tasks, relocations.tolist()
+        num_tasks = problem.graph.num_tasks
+        return eft_relocation_search(
+            problem,
+            make_evaluator(problem, objective, evaluator),
+            initial_placement,
+            episode_length,
+            lambda placement, timeline: int(rng.integers(0, num_tasks)),
         )

@@ -23,8 +23,8 @@ from ..nn import Adam, Parameter, Tensor, no_grad
 from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
 from ..sim.executor import SimResult, simulate
 from ..sim.objectives import Objective
-from .base import AdaptivePolicy, make_evaluator, trace_from_values
-from .eft import eft_device
+from .base import AdaptivePolicy, make_evaluator
+from .eft import eft_device, eft_relocation_search
 
 __all__ = ["build_task_view", "TaskEftAgent", "TaskEftTrainer"]
 
@@ -59,10 +59,7 @@ def build_task_view(
     scale = np.abs(node_features).mean(axis=0)
     node_features = node_features / np.where(scale > 1e-12, scale, 1.0)
 
-    with np.errstate(divide="ignore"):
-        inv_bw = np.where(
-            np.isinf(problem.network.bandwidth), 0.0, 1.0 / problem.network.bandwidth
-        )
+    inv_bw = problem.network.inv_bandwidth
     src, dst, efeat = [], [], []
     for (u, v), data in graph.edges.items():
         du, dv = placement[u], placement[v]
@@ -135,26 +132,21 @@ class TaskEftAgent(AdaptivePolicy):
         # Rebinding TO the caller's stream is the fix, not the bug.
         # repro: lint-ok[rng-stored-advancing]
         self.rng = rng
-        evaluator = make_evaluator(problem, objective, evaluator)
-        placement = list(problem.validate_placement(initial_placement))
-        placements = [tuple(placement)]
-        values = [evaluator.evaluate(placement)]
-        relocations = np.zeros(problem.graph.num_tasks, dtype=int)
         last_task: int | None = None
-        for _ in range(episode_length):
+
+        def pick_task(placement: Sequence[int], timeline: SimResult) -> int:
             # One cached timeline serves both the task view and EFT.
-            timeline = evaluator.timeline(placement)
+            nonlocal last_task
             with no_grad():
-                task, _ = self.select_task(problem, placement, last_task, timeline=timeline)
-            device = eft_device(problem, placement, task, timeline=timeline)
-            if device != placement[task]:
-                relocations[task] += 1
-            placement[task] = device
-            last_task = task
-            placements.append(tuple(placement))
-            values.append(evaluator.evaluate(placement))
-        return trace_from_values(
-            placements, values, problem.graph.num_tasks, relocations.tolist()
+                last_task, _ = self.select_task(problem, placement, last_task, timeline=timeline)
+            return last_task
+
+        return eft_relocation_search(
+            problem,
+            make_evaluator(problem, objective, evaluator),
+            initial_placement,
+            episode_length,
+            pick_task,
         )
 
 

@@ -252,10 +252,7 @@ class GpNetBuilder:
     def __init__(self, problem: PlacementProblem, config: FeatureConfig | None = None) -> None:
         self.problem = problem
         self.config = config or FeatureConfig()
-        with np.errstate(divide="ignore"):
-            self._inv_bw = np.where(
-                np.isinf(problem.network.bandwidth), 0.0, 1.0 / problem.network.bandwidth
-            )
+        self._inv_bw = problem.network.inv_bandwidth
         graph = problem.graph
         cm = problem.cost_model
         feas = problem.feasible_sets

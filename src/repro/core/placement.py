@@ -58,8 +58,8 @@ class PlacementProblem:
             raise ValueError(
                 f"placement length {len(placement)} != {self.graph.num_tasks} tasks"
             )
-        for i, d in enumerate(placement):
-            if d not in self.feasible_sets[i]:
+        for i, (d, feasible) in enumerate(zip(placement, self.cost_model.feasible_sets)):
+            if d not in feasible:
                 raise ValueError(f"task {i} placed on infeasible device index {d}")
         return placement
 

@@ -94,6 +94,12 @@ class DeviceNetwork:
         self.name = name
         self._uid_to_index: dict[int, int] = {d.uid: i for i, d in enumerate(self.devices)}
         self.speeds = np.array([d.speed for d in self.devices])
+        # 1/BW with exact zeros on the (infinite-bandwidth) diagonal: the
+        # one table every cost expression (B_ij / BW_kl) reads.
+        with np.errstate(divide="ignore"):
+            self.inv_bandwidth = np.where(np.isinf(bandwidth), 0.0, 1.0 / bandwidth)
+        # The network is immutable, so D_i depends on the requirement alone.
+        self._feasible: dict[int, tuple[int, ...]] = {}
 
     # -- lookups ---------------------------------------------------------------
 
@@ -109,9 +115,12 @@ class DeviceNetwork:
 
     def feasible_devices(self, requirement: int) -> tuple[int, ...]:
         """Dense indices of devices that support ``requirement`` (the set D_i)."""
-        return tuple(
-            k for k, d in enumerate(self.devices) if d.supports_requirement(requirement)
-        )
+        feasible = self._feasible.get(requirement)
+        if feasible is None:
+            feasible = self._feasible[requirement] = tuple(
+                k for k, d in enumerate(self.devices) if d.supports_requirement(requirement)
+            )
+        return feasible
 
     def feasible_sets(self, requirements: Iterable[int]) -> list[tuple[int, ...]]:
         """Feasible device sets for every task requirement, with validation."""

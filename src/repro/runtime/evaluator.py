@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -102,6 +102,14 @@ class PlacementEvaluator:
         to min(cache_size, 512): a SimResult is orders of magnitude
         heavier than a float, and timelines are only re-read within a
         search episode's working set).
+
+    Cache-key invariant: the only keys ever stored in either cache are
+    int tuples returned by :meth:`PlacementProblem.validate_placement`.
+    So ``tuple(placement)`` finding an entry *is* the feasibility proof
+    (equal tuples hash and compare alike whether their elements are
+    ``int`` or ``np.int64``), and the lookup runs first; a placement
+    that misses is validated exactly as an uncached one always was,
+    before anything is counted, simulated or stored.
     """
 
     def __init__(
@@ -143,8 +151,7 @@ class PlacementEvaluator:
         is the timeline gpNet features are measured against — so it is
         always cached.
         """
-        key = self.problem.validate_placement(placement)
-        cached = self._timelines.get(key)
+        key, cached = self._lookup(self._timelines, placement)
         if cached is not None:
             self._timelines.move_to_end(key)
             self.stats.timeline_hits += 1
@@ -159,12 +166,11 @@ class PlacementEvaluator:
 
     def evaluate(self, placement: Sequence[int]) -> float:
         """Score one placement; cached when the objective allows it."""
-        key = self.problem.validate_placement(placement)
+        key, cached = self._lookup(self._values, placement)
         self.stats.evaluations += 1
         if not self.deterministic:
             self.stats.exact_path += 1
             return self.objective.evaluate(self.problem.cost_model, key)
-        cached = self._values.get(key)
         if cached is not None:
             self._values.move_to_end(key)
             self.stats.cache_hits += 1
@@ -182,8 +188,8 @@ class PlacementEvaluator:
         compute/communication costs are realized in one vectorized NumPy
         pass before the per-placement event replay.
         """
+        keys = [self._lookup(self._values, p)[0] for p in placements]
         self.stats.batch_calls += 1
-        keys = [self.problem.validate_placement(p) for p in placements]
         if not keys:
             return np.zeros(0, dtype=np.float64)
         self.stats.evaluations += len(keys)
@@ -239,6 +245,22 @@ class PlacementEvaluator:
         return values
 
     # -- internals --------------------------------------------------------------------
+
+    def _lookup(
+        self, cache: OrderedDict, placement: Sequence[int]
+    ) -> tuple[tuple[int, ...], Any]:
+        """``(key, cached entry or None)``; a miss validates ``placement``.
+
+        Rests on the cache-key invariant in the class docstring.  The
+        second ``get`` serves a placement whose validated form differs
+        from its raw tuple (``"1"`` for ``1``).
+        """
+        key = tuple(placement)
+        cached = cache.get(key)
+        if cached is None:
+            key = self.problem.validate_placement(key)
+            cached = cache.get(key)
+        return key, cached
 
     def _compute(self, key: tuple[int, ...]) -> float:
         if self._is_makespan:

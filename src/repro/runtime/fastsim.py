@@ -64,11 +64,7 @@ class FastSimulator:
         )
         self._W = cm.W
         self._delay = problem.network.delay
-        # Same 1/BW form as CostModel: exact zeros on infinite-bandwidth links.
-        with np.errstate(divide="ignore"):
-            self._inv_bw = np.where(
-                np.isinf(problem.network.bandwidth), 0.0, 1.0 / problem.network.bandwidth
-            )
+        self._inv_bw = problem.network.inv_bandwidth
         self._task_range = np.arange(n)
 
     # -- cost realization -----------------------------------------------------------

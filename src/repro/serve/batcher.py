@@ -27,11 +27,14 @@ __all__ = ["RequestBatcher"]
 
 
 class _Pending:
-    __slots__ = ("evaluator", "placement", "value", "error", "done")
+    __slots__ = ("evaluator", "placement", "request", "value", "error", "done")
 
-    def __init__(self, evaluator: PlacementEvaluator, placement: Sequence[int]) -> None:
+    def __init__(
+        self, evaluator: PlacementEvaluator, placement: Sequence[int], request: object
+    ) -> None:
         self.evaluator = evaluator
         self.placement = placement
+        self.request = request  # shared by the placements of one submit_many call
         self.value: float | None = None
         self.error: BaseException | None = None
         self.done = threading.Event()
@@ -100,7 +103,8 @@ class RequestBatcher:
         """Score several placements, enqueued together (one wait, not N)."""
         if self._thread is None:
             raise RuntimeError("RequestBatcher is not started")
-        pendings = [_Pending(evaluator, p) for p in placements]
+        request = object()
+        pendings = [_Pending(evaluator, p, request) for p in placements]
         with self._cond:
             if self._stopping:
                 raise RuntimeError("RequestBatcher is stopping")
@@ -142,16 +146,34 @@ class RequestBatcher:
                 return
             self.batches += 1
             metrics().histogram("serve.batch_size").observe(len(batch))
-            try:
-                with span("serve.batch"):
-                    values = coalesce_evaluate(
-                        [(p.evaluator, p.placement) for p in batch]
-                    )
-            except BaseException as error:  # noqa: BLE001 - shipped to waiters
-                for pending in batch:
-                    pending.error = error
+            with span("serve.batch"):
+                error = self._score(batch)
+                if error is not None:
+                    self._isolate_failure(batch, error)
+
+    def _isolate_failure(self, batch: list[_Pending], error: BaseException) -> None:
+        """A batch that failed as a whole is re-scored one submitter at a
+        time, so the error lands only on the request that raised."""
+        by_request: dict[object, list[_Pending]] = {}
+        for pending in batch:
+            by_request.setdefault(pending.request, []).append(pending)
+        for share in by_request.values():
+            # A lone submitter's failure is already known.
+            share_error = error if len(by_request) == 1 else self._score(share)
+            if share_error is not None:
+                for pending in share:
+                    pending.error = share_error
                     pending.done.set()
-                continue
-            for pending, value in zip(batch, values):
-                pending.value = value
-                pending.done.set()
+
+    @staticmethod
+    def _score(pendings: list[_Pending]) -> BaseException | None:
+        """Score ``pendings`` together and release their waiters; on
+        failure release nobody and return the error."""
+        try:
+            values = coalesce_evaluate([(p.evaluator, p.placement) for p in pendings])
+        except BaseException as error:  # noqa: BLE001 - shipped to waiters
+            return error
+        for pending, value in zip(pendings, values):
+            pending.value = value
+            pending.done.set()
+        return None

@@ -12,7 +12,7 @@ by supplying ``compute_matrix`` directly.
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class CostModel:
             if (compute_matrix < 0).any():
                 raise ValueError("compute times must be non-negative")
         self.W = compute_matrix
-        # 1/BW with exact zeros on the (infinite-bandwidth) diagonal.
-        with np.errstate(divide="ignore"):
-            self._inv_bw = np.where(np.isinf(network.bandwidth), 0.0, 1.0 / network.bandwidth)
         self.feasible_sets = network.feasible_sets(graph.requirements)
 
     # -- expectations -----------------------------------------------------------
@@ -70,11 +67,14 @@ class CostModel:
         if src_dev == dst_dev:
             return 0.0
         data = self.graph.edges[edge]
-        return float(self.network.delay[src_dev, dst_dev] + data * self._inv_bw[src_dev, dst_dev])
+        network = self.network
+        return float(
+            network.delay[src_dev, dst_dev] + data * network.inv_bandwidth[src_dev, dst_dev]
+        )
 
     def comm_time_matrix(self, edge: tuple[int, int]) -> np.ndarray:
         """(m, m) matrix of c_{ij,kl} over all device pairs for one edge."""
-        return self.network.delay + self.graph.edges[edge] * self._inv_bw
+        return self.network.delay + self.graph.edges[edge] * self.network.inv_bandwidth
 
     def mean_compute_time(self, task: int) -> float:
         """Average w_{i,k} over the task's feasible devices (HEFT-style)."""
@@ -82,7 +82,26 @@ class CostModel:
 
     def min_compute_time(self, task: int) -> float:
         """min_{d_j in D_i} w_{i,j} — the CP_MIN node weight (§5 metrics)."""
-        return float(self.W[task, list(self.feasible_sets[task])].min())
+        row = self.W[task].tolist()
+        return min(row[d] for d in self.feasible_sets[task])
+
+    @cached_property
+    def cp_min_lower_bound(self) -> float:
+        """Σ of minimum compute costs along the min-cost critical path.
+
+        The SLR denominator (see :mod:`repro.sim.metrics`); a constant of
+        the (graph, network) pair, so computed once per cost model.
+        """
+        graph = self.graph
+        # Longest path (node-weighted) via topological dynamic programming.
+        path_cost = [0.0] * graph.num_tasks
+        for v in graph.topo_order:
+            incoming = max((path_cost[u] for u in graph.parents[v]), default=0.0)
+            path_cost[v] = incoming + self.min_compute_time(v)
+        bound = max(path_cost)
+        # All-zero-compute graphs (possible after grouping edge cases):
+        # fall back to 1 so SLR stays finite and comparable.
+        return bound if bound > 0.0 else 1.0
 
     def mean_comm_time(self, edge: tuple[int, int]) -> float:
         """Average c_{ij,kl} over distinct device pairs (HEFT rank costs)."""

@@ -22,19 +22,7 @@ __all__ = ["cp_min_lower_bound", "slr", "total_cost", "energy_cost"]
 
 def cp_min_lower_bound(cost_model: CostModel) -> float:
     """Sum of minimum compute costs along the min-cost critical path."""
-    graph = cost_model.graph
-    best = [cost_model.min_compute_time(i) for i in range(graph.num_tasks)]
-    # Longest path (node-weighted) via topological dynamic programming.
-    path_cost = [0.0] * graph.num_tasks
-    for v in graph.topo_order:
-        incoming = max((path_cost[u] for u in graph.parents[v]), default=0.0)
-        path_cost[v] = incoming + best[v]
-    bound = max(path_cost)
-    if bound <= 0.0:
-        # All-zero-compute graphs (possible after grouping edge cases):
-        # fall back to 1 so SLR stays finite and comparable.
-        return 1.0
-    return float(bound)
+    return cost_model.cp_min_lower_bound
 
 
 def slr(makespan: float, lower_bound: float) -> float:

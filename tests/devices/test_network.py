@@ -52,6 +52,44 @@ class TestDeviceNetwork:
         assert net.feasible_devices(2) == (2,)
         assert net.feasible_devices(9) == ()
 
+    def test_feasible_devices_repeat_and_are_not_stale_on_derived_networks(self):
+        """D_i is remembered per requirement on the (immutable) network;
+        every transform builds a new network, which must start clean."""
+
+        def scan(network, requirement):
+            return tuple(
+                k for k, d in enumerate(network.devices) if d.supports_requirement(requirement)
+            )
+
+        net = small_net()
+        first = {r: net.feasible_devices(r) for r in (0, 1, 2, 9)}
+        derived = [
+            net.without_device(2),
+            net.without_device(0),
+            net.with_bandwidth_scaled(0.5),
+            net.with_bandwidth_scaled(2.0, uid=1),
+            net.with_device_speed(1, 50.0),
+            net.with_device(Device(uid=7, speed=3.0, supports=frozenset({2})), 50.0, 2.0),
+        ]
+        for network in [net, *derived]:
+            for requirement in (0, 1, 2, 9):
+                expected = scan(network, requirement)
+                assert network.feasible_devices(requirement) == expected
+                assert network.feasible_devices(requirement) == expected  # repeated call
+        assert net.without_device(2).feasible_devices(2) == ()
+        assert derived[-1].feasible_devices(2) == (2, 3)
+        assert {r: net.feasible_devices(r) for r in first} == first
+
+    def test_inv_bandwidth_table(self):
+        net = small_net()
+        assert (np.diag(net.inv_bandwidth) == 0.0).all()
+        off = ~np.eye(3, dtype=bool)
+        assert (net.inv_bandwidth[off] == 1.0 / net.bandwidth[off]).all()
+        scaled = net.with_bandwidth_scaled(0.5, uid=1)
+        assert (scaled.inv_bandwidth[off] == 1.0 / scaled.bandwidth[off]).all()
+        assert (np.diag(scaled.inv_bandwidth) == 0.0).all()
+        assert (net.inv_bandwidth[off] == 1.0 / 100.0).all()  # the original is untouched
+
     def test_feasible_sets_validates(self):
         net = small_net()
         assert net.feasible_sets([0, 1]) == [(0, 1, 2), (0, 2)]

@@ -166,6 +166,98 @@ def test_evaluator_lru_eviction_and_validation():
     assert len(evaluator.evaluate_many([])) == 0
 
 
+def _cache_state(evaluator):
+    return (
+        evaluator.stats.as_dict(),
+        list(evaluator._values.items()),
+        list(evaluator._timelines),
+    )
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        MakespanObjective(),
+        TotalCostObjective(),
+        MakespanObjective(noise=0.3, rng=np.random.default_rng(42)),  # never cached
+    ],
+    ids=["makespan", "total-cost", "noisy-makespan"],
+)
+def test_uncached_bad_placement_raises_and_leaves_no_trace(objective):
+    """The cache lookup runs before validation, so a miss must still be
+    validated exactly as before: same ValueError, nothing counted,
+    nothing stored — on every entry point, warm caches or cold."""
+    problem = make_problem(19)
+    n = problem.graph.num_tasks
+    good = random_placement(problem, np.random.default_rng(4))
+    infeasible = [problem.network.num_devices + 3] * n
+    wrong_length = list(good) + [good[0]]
+    evaluator = PlacementEvaluator(problem, objective)
+    for warm in (False, True):
+        if warm:
+            evaluator.evaluate(good)
+            evaluator.timeline(good)
+        before = _cache_state(evaluator)
+        for call in (
+            evaluator.evaluate,
+            evaluator.timeline,
+            lambda p: evaluator.evaluate_many([good, p, good]),
+        ):
+            with pytest.raises(ValueError, match="infeasible device index"):
+                call(infeasible)
+            with pytest.raises(ValueError, match=f"placement length {n + 1} != {n} tasks"):
+                call(wrong_length)
+            # evaluate_many rejects the whole batch before counting anything
+            assert _cache_state(evaluator) == before
+
+
+def test_numpy_integer_placement_hits_the_int_tuple_entry():
+    problem = make_problem(17)
+    placement = random_placement(problem, np.random.default_rng(3))
+    evaluator = PlacementEvaluator(problem, MakespanObjective())
+    value = evaluator.evaluate(placement)
+    timeline = evaluator.timeline(placement)
+    as_numpy = [np.int64(d) for d in placement]
+    assert evaluator.evaluate(as_numpy) == value
+    assert evaluator.evaluate(np.array(placement)) == value
+    assert evaluator.timeline(as_numpy) is timeline
+    assert evaluator.evaluate_many([as_numpy])[0] == value
+    assert evaluator.stats.cache_misses == 1 and evaluator.stats.cache_hits == 3
+    assert evaluator.stats.timeline_misses == 1 and evaluator.stats.timeline_hits == 2
+    # Only the validated int tuple is ever a key.
+    assert list(evaluator._values) == [placement]
+    assert all(type(d) is int for key in evaluator._values for d in key)
+
+
+def test_task_eft_search_counters_are_pinned():
+    """Where a seeded task-EFT search's lookups are served from — recorded
+    before the lookup moved ahead of validation, so the hit path changed
+    what a hit costs, not what counts as one."""
+    from repro.baselines import RandomTaskEftPolicy
+
+    expected = {
+        3: dict(evaluations=61, cache_hits=54, cache_misses=7, fast_path=7,
+                timeline_hits=60, timeline_misses=7),
+        29: dict(evaluations=69, cache_hits=57, cache_misses=12, fast_path=12,
+                 timeline_hits=68, timeline_misses=12),
+    }
+    for seed, counters in expected.items():
+        problem = make_problem(seed)
+        objective = MakespanObjective()
+        evaluator = PlacementEvaluator(problem, objective)
+        RandomTaskEftPolicy().search(
+            problem,
+            objective,
+            random_placement(problem, np.random.default_rng(0)),
+            4 * problem.graph.num_tasks,
+            np.random.default_rng(1),
+            evaluator=evaluator,
+        )
+        stats = evaluator.stats.as_dict()
+        assert {name: stats[name] for name in counters} == counters
+        assert stats["exact_path"] == 0 and stats["batch_calls"] == 0
+
+
 def test_evaluator_does_not_fast_path_makespan_subclasses():
     """A deterministic MakespanObjective subclass with an overridden
     evaluate() must score through its own evaluate, not the plain-makespan

@@ -94,6 +94,40 @@ class TestBatcher:
                 PlacementEvaluator(problem, objective).evaluate(good)
             )
 
+    def test_bad_placement_fails_only_its_submitter(self, problem, objective):
+        """Two submitters coalesce into one batch against one evaluator;
+        the infeasible placement's error must not reach its neighbour."""
+        evaluator = PlacementEvaluator(problem, objective)
+        good = placements_for(problem, 3)
+        bad = [[99] * len(problem.feasible_sets)]
+        expected = [float(PlacementEvaluator(problem, objective).evaluate(p)) for p in good]
+        outcomes = {}
+        # The second enqueue wakes the drain thread out of its linger, so
+        # the window only has to outlast the gap between the two submits.
+        with RequestBatcher(max_wait_ms=2000.0) as batcher:
+            barrier = threading.Barrier(2)
+
+            def submit(name, placements):
+                barrier.wait()
+                try:
+                    outcomes[name] = batcher.submit_many(evaluator, placements)
+                except ValueError as error:
+                    outcomes[name] = error
+
+            threads = [
+                threading.Thread(target=submit, args=("good", good)),
+                threading.Thread(target=submit, args=("bad", bad)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert batcher.batches == 1  # the two requests did share a batch
+        assert outcomes["good"] == expected
+        assert isinstance(outcomes["bad"], ValueError)
+        assert "task 0 placed on infeasible device index 99" in str(outcomes["bad"])
+
     def test_stop_finishes_queued_work(self, problem, objective):
         evaluator = PlacementEvaluator(problem, objective)
         batcher = RequestBatcher(max_wait_ms=50.0)

@@ -95,6 +95,56 @@ class TestRequestSemantics:
             values = client.evaluate("stable-cluster", [p0, p1, p0], seed=0)
         assert values == [expected[0], expected[1], expected[0]]
 
+    def test_bad_placement_fails_only_its_connection(self, socket_path):
+        """Two connections' evaluate requests coalesce into one batch; the
+        infeasible one answers ok:false, the other gets its values."""
+        from repro.serve.server import PlacementServer, ServeConfig
+
+        spec = DEFAULT_REGISTRY.get("stable-cluster", seed=0)
+        mat = materialize(spec)
+        problem = PlacementProblem(mat.initial_graphs[0], mat.initial_network)
+        good = [[s[0] for s in problem.feasible_sets], [s[-1] for s in problem.feasible_sets]]
+        bad = [[99] * problem.graph.num_tasks]
+        reference = PlacementEvaluator(problem, spec.make_objective())
+        expected = [float(reference.evaluate(p)) for p in good]
+
+        # The second request wakes the batcher out of its linger, so the
+        # window only has to outlast the gap between the two requests.
+        server = PlacementServer(ServeConfig(socket_path=socket_path, batch_wait_ms=2000.0))
+        server.start()
+        try:
+            outcomes = {}
+            barrier = threading.Barrier(2)
+
+            def evaluate(name, placements):
+                with ServeClient(socket_path) as client:
+                    client.ping()
+                    barrier.wait()
+                    try:
+                        outcomes[name] = client.evaluate("stable-cluster", placements, seed=0)
+                    except ServeRequestError as error:
+                        outcomes[name] = error
+
+            with ServeClient(socket_path) as client:  # materialise before the race
+                client.evaluate("stable-cluster", good[:1], seed=0)
+            batches_before = server.batcher.batches
+            threads = [
+                threading.Thread(target=evaluate, args=("good", good)),
+                threading.Thread(target=evaluate, args=("bad", bad)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert server.batcher.batches == batches_before + 1  # one shared batch
+        finally:
+            server.stop()
+        assert outcomes["good"] == expected
+        assert isinstance(outcomes["bad"], ServeRequestError)
+        assert outcomes["bad"].response["ok"] is False
+        assert "infeasible device index 99" in outcomes["bad"].response["error"]
+
     def test_unknown_op_rejected(self, server, socket_path):
         with ServeClient(socket_path) as client:
             with pytest.raises(ServeRequestError):

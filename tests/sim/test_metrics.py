@@ -101,6 +101,42 @@ class TestSLR:
         # path through task1 dominates: (1+100+1)/4 (all on dev2)
         assert cp_min_lower_bound(cm) == pytest.approx(102.0 / 4.0)
 
+    def test_cp_min_repeats_and_follows_derived_networks(self):
+        """The bound is computed once per cost model; a cost model built
+        on a derived network must not see its ancestor's value."""
+
+        def reference(cm):
+            graph = cm.graph
+            best = [
+                float(cm.W[i, list(cm.feasible_sets[i])].min()) for i in range(graph.num_tasks)
+            ]
+            path_cost = [0.0] * graph.num_tasks
+            for v in graph.topo_order:
+                incoming = max((path_cost[u] for u in graph.parents[v]), default=0.0)
+                path_cost[v] = incoming + best[v]
+            return max(path_cost) if max(path_cost) > 0.0 else 1.0
+
+        g = TaskGraph((1.0, 100.0, 7.0, 1.0), {(0, 1): 5.0, (0, 2): 5.0, (1, 3): 5.0, (2, 3): 5.0})
+        net = net3()
+        networks = [
+            net,
+            net.without_device(2),
+            net.with_bandwidth_scaled(0.25),
+            net.with_device_speed(2, 0.5),
+        ]
+        bounds = []
+        for network in networks:
+            cm = CostModel(g, network)
+            first = cp_min_lower_bound(cm)
+            assert first == reference(cm)
+            assert cp_min_lower_bound(cm) == first  # repeated call
+            assert isinstance(first, float)
+            bounds.append(first)
+        # dev2 (speed 4) gone or slowed: the bound moves with the network...
+        assert bounds[1] == 102.0 / 2.0 and bounds[3] == 102.0 / 2.0
+        # ...and link changes leave it alone (communication is excluded).
+        assert bounds[2] == bounds[0] == 102.0 / 4.0
+
     def test_slr_definition(self):
         assert slr(10.0, 2.0) == 5.0
         with pytest.raises(ValueError):
