@@ -4,147 +4,31 @@ Each benchmark regenerates one of the paper's tables/figures via its
 experiment module, persists the rendered text under ``results/``, and
 asserts the qualitative shape the paper reports.  The scale preset is
 selected by ``REPRO_SCALE`` (default: quick).
-
-On top of the printed timings, every benchmark records a machine-
-readable entry — wall-clock seconds plus aggregated evaluator/GNN
-counters where the report carries them — and the session writes the
-collection to ``results/BENCH_pr9.json`` (uploaded as a CI artifact), so
-the perf trajectory is tracked across commits instead of living only in
-logs.  ``repro bench report`` folds the per-PR files into one
-trajectory table and gates regressions.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
-import time
 
 import numpy as np
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-BENCH_JSON = RESULTS_DIR / "BENCH_pr9.json"
-
-# name -> {"seconds": float, ...extras}; flushed at session end.
-_BENCH_RECORDS: dict[str, dict] = {}
-
-
-def record_bench(name: str, seconds: float, **extra) -> None:
-    """Add one benchmark's machine-readable record to the session file.
-
-    The scale is stamped per record (not once per file): the file merges
-    records across pytest sessions, which may run at different
-    ``REPRO_SCALE`` settings, and a file-level stamp would relabel stale
-    entries with whatever scale ran last.
-    """
-    _BENCH_RECORDS[name] = {
-        "seconds": round(float(seconds), 4),
-        "scale": os.environ.get("REPRO_SCALE", "quick"),
-        **extra,
-    }
-
-
-def _aggregate_evaluator_stats(data) -> dict[str, float] | None:
-    """Sum every ``"evaluator"`` stats block found in a report's data."""
-    totals: dict[str, float] = {}
-
-    def visit(node) -> None:
-        if isinstance(node, dict):
-            for key, value in node.items():
-                if key == "evaluator" and isinstance(value, dict):
-                    for stats in value.values():
-                        if isinstance(stats, dict):
-                            for counter, amount in stats.items():
-                                if counter != "hit_rate":
-                                    totals[counter] = totals.get(counter, 0) + amount
-                else:
-                    visit(value)
-
-    visit(data)
-    if not totals:
-        return None
-    looked_up = totals.get("cache_hits", 0) + totals.get("cache_misses", 0)
-    totals["hit_rate"] = round(totals.get("cache_hits", 0) / looked_up, 4) if looked_up else 0.0
-    return totals
-
-
-def _aggregate_gnn_stats(data) -> dict[str, float] | None:
-    """Sum every ``"gnn"`` stats block found in a report's data.
-
-    Forward/backward counts are deterministic; the summed
-    ``gnn_seconds`` is wall-clock (it is a VOLATILE_DATA_KEY in report
-    JSON, but benchmark records are timing artifacts, so it belongs
-    here).
-    """
-    totals: dict[str, float] = {}
-
-    def visit(node) -> None:
-        if isinstance(node, dict):
-            for key, value in node.items():
-                if key == "gnn" and isinstance(value, dict):
-                    for stats in value.values():
-                        if isinstance(stats, dict):
-                            for counter, amount in stats.items():
-                                totals[counter] = totals.get(counter, 0) + amount
-                else:
-                    visit(value)
-
-    visit(data)
-    if not totals:
-        return None
-    if "gnn_seconds" in totals:
-        totals["gnn_seconds"] = round(totals["gnn_seconds"], 4)
-    return totals
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    if not _BENCH_RECORDS:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    # CI runs the benchmark files as separate pytest sessions; merge into
-    # any records an earlier session of the same job already wrote.
-    benchmarks: dict[str, dict] = {}
-    if BENCH_JSON.exists():
-        try:
-            benchmarks = json.loads(BENCH_JSON.read_text()).get("benchmarks", {})
-        except (json.JSONDecodeError, AttributeError):
-            benchmarks = {}
-    benchmarks.update(_BENCH_RECORDS)
-    payload = {
-        "schema": 1,
-        "benchmarks": dict(sorted(benchmarks.items())),
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.fixture
-def run_experiment(benchmark):
-    """Run an experiment module once under pytest-benchmark timing and
-    persist its report."""
+def run_experiment():
+    """Run an experiment module once, persist its report and print it."""
 
     def _run(module, seed: int = 0):
         from repro.experiments import active_scale
 
         scale = active_scale()
-        began = time.perf_counter()
-        report = benchmark.pedantic(
-            lambda: module.run(scale, seed=seed), rounds=1, iterations=1
-        )
-        elapsed = time.perf_counter() - began
+        report = module.run(scale, seed=seed)
         RESULTS_DIR.mkdir(exist_ok=True)
         path = RESULTS_DIR / f"{report.experiment_id}_{scale.name}.txt"
         path.write_text(report.text + "\n")
         print(report.text)
-        extra = {}
-        stats = _aggregate_evaluator_stats(report.data)
-        if stats is not None:
-            extra["evaluator"] = stats
-        gnn = _aggregate_gnn_stats(report.data)
-        if gnn is not None:
-            extra["gnn"] = gnn
-        record_bench(report.experiment_id, elapsed, **extra)
         return report
 
     return _run

@@ -3,16 +3,13 @@
 The `lint` CI job fronts every other job (``needs: lint`` fail-fast), so
 the analyzer's whole-tree cost bounds how quickly a broken push is
 reported.  Times ``run_lint()`` over the real installed tree — parse,
-all 8 rules, suppressions, baseline — and gates the wall clock; the
-record lands in ``results/BENCH_pr9.json`` so rule-portfolio growth
-shows up in the perf trajectory instead of silently eating CI budget.
+all 8 rules, suppressions, baseline — and gates the wall clock, so
+rule-portfolio growth fails a test instead of silently eating CI budget.
 """
 
 import time
 
 from repro.analysis import run_lint
-
-from .conftest import record_bench
 
 # One full parse + analysis of ~120 modules lands well under a second
 # locally; the gate is generous for shared CI runners.
@@ -31,13 +28,6 @@ def test_full_tree_lint_under_budget():
         f"\nrepro lint full tree: {elapsed:.3f} s "
         f"({result.modules} modules, {len(result.rules)} rules, "
         f"{per_module_ms:.2f} ms/module)"
-    )
-    record_bench(
-        "lint_full_tree",
-        elapsed,
-        modules=result.modules,
-        rules=len(result.rules),
-        ms_per_module=round(per_module_ms, 3),
     )
     assert result.clean, [f.location for f in result.findings]
     assert elapsed < MAX_SECONDS

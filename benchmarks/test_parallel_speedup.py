@@ -9,7 +9,7 @@ out over 4 workers and assert >=2x scaling (on machines with at least
 4 CPUs; the determinism half runs everywhere and also guards the
 fan-out's correctness).  The shard-backend row times the full
 plan -> run -> run -> merge lifecycle against the fork run it must
-reproduce byte-for-byte, recording the orchestration overhead.
+reproduce byte-for-byte and prints the orchestration overhead.
 """
 
 import dataclasses
@@ -19,8 +19,6 @@ import pytest
 
 from repro.experiments import QUICK, fig14, table6
 from repro.parallel import ForkBackend, InlineBackend, available_workers, make_backend
-
-from .conftest import record_bench
 
 # Smaller than the quick preset so the timed serial pass stays in
 # seconds, but the same 21-cell grid shape as the real figure.
@@ -85,13 +83,6 @@ def test_parallel_speedup_fig14_sweep():
         f"fig14-sized sweep (21 cells): serial {serial_seconds:.2f}s, "
         f"4 workers {fanned_seconds:.2f}s -> {speedup:.2f}x"
     )
-    record_bench(
-        "parallel_speedup_fig14",
-        fanned_seconds,
-        serial_seconds=round(serial_seconds, 4),
-        speedup=round(speedup, 2),
-        workers=4,
-    )
     assert speedup >= 2.0, f"expected >=2x at 4 workers, got {speedup:.2f}x"
 
 
@@ -128,13 +119,6 @@ def test_parallel_speedup_table6_grid():
         f"table6 grid (6 training cells): serial {serial_seconds:.2f}s, "
         f"4 workers {fanned_seconds:.2f}s -> {speedup:.2f}x"
     )
-    record_bench(
-        "parallel_speedup_table6",
-        fanned_seconds,
-        serial_seconds=round(serial_seconds, 4),
-        speedup=round(speedup, 2),
-        workers=4,
-    )
     assert speedup >= 2.0, f"expected >=2x at 4 workers, got {speedup:.2f}x"
 
 
@@ -143,7 +127,7 @@ def test_shard_roundtrip_matches_fork(tmp_path):
 
     Sequential local shards cannot beat the fork run (shard 0 computes
     every cell it needs; shard 1 and the merge are store loads) — this
-    row tracks the *overhead* of store-mediated execution plus the
+    test prints the *overhead* of store-mediated execution plus the
     byte-identity the sharding contract promises.  True speedup comes
     from concurrent shards on separate machines/terminals, which CI's
     sharded-equivalence job and tests/shard exercise.
@@ -165,11 +149,4 @@ def test_shard_roundtrip_matches_fork(tmp_path):
     print(
         f"fig14 micro sweep: fork(2) {fork_seconds:.2f}s, "
         f"plan+2 runs+merge {shard_seconds:.2f}s ({overhead:.2f}x)"
-    )
-    record_bench(
-        "parallel_shard_roundtrip_fig14",
-        shard_seconds,
-        fork_seconds=round(fork_seconds, 4),
-        overhead=round(overhead, 2),
-        shards=2,
     )

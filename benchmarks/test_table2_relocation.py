@@ -18,17 +18,12 @@ def _net():
     return DeviceNetwork(devices, bw, np.zeros((2, 2)))
 
 
-def test_table2_relocation(benchmark):
+def test_table2_relocation():
     model = RelocationCostModel(
         TABLE2_RELOCATION, device_types={0: "A", 1: "C"}
     )
 
-    def compute_costs():
-        return {
-            kind: model.cost_ms(kind, _net(), 0, 1) for kind in TASK_KINDS
-        }
-
-    costs = benchmark.pedantic(compute_costs, rounds=1, iterations=1)
+    costs = {kind: model.cost_ms(kind, _net(), 0, 1) for kind in TASK_KINDS}
     print("relocation cost A->C (ms):", {k: round(v, 2) for k, v in costs.items()})
     # Camera relocation dominates (Table 2: 72 MB static data, ~4 s startup).
     assert costs["camera"] > costs["lidar"]

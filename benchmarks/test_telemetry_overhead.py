@@ -4,14 +4,12 @@ The instrumentation contract that lets hot paths (gnn forward, the
 evaluator batch loop) stay instrumented unconditionally: with telemetry
 off, ``span()`` is one attribute check returning a shared no-op object.
 Times a tight loop of disabled spans and gates the per-call cost, and
-records enabled-mode cost alongside for the trajectory file.
+prints enabled-mode cost alongside.
 """
 
 import time
 
 from repro.telemetry import reset, set_enabled, span
-
-from .conftest import record_bench
 
 CALLS = 200_000
 # Generous CI gate (shared runners jitter); locally this lands well
@@ -48,12 +46,5 @@ def test_disabled_span_overhead():
     print(
         f"\nspan() per call: disabled {disabled_us:.3f} us, "
         f"enabled {enabled_us:.3f} us ({CALLS} calls)"
-    )
-    record_bench(
-        "telemetry_overhead",
-        disabled_s,
-        calls=CALLS,
-        disabled_us_per_call=disabled_us,
-        enabled_us_per_call=enabled_us,
     )
     assert disabled_us < MAX_DISABLED_US

@@ -18,8 +18,6 @@ Subcommands (Artifact Appendix A.5-A.6):
                     or machines (file-based transport, see repro.shard);
 * ``trace``       — render the telemetry span tree of a run's JSONL
                     event log(s) (see repro.telemetry);
-* ``bench``       — fold the per-PR benchmark JSON files into one
-                    trajectory table and gate perf regressions;
 * ``lint``        — AST invariant analysis over the source tree: RNG
                     discipline, telemetry purity, canonical JSON,
                     fan-out pickle safety (see repro.analysis).
@@ -169,32 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default=None, metavar="PATH",
                        help="output path for --export (default: next to the target)")
 
-    bench = sub.add_parser(
-        "bench", help="inspect the recorded per-PR benchmark trajectory"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    breport = bench_sub.add_parser(
-        "report",
-        help="fold results/BENCH_pr*.json into one trajectory table "
-             "(optionally gating regressions)",
-    )
-    breport.add_argument("--results-dir", default="results",
-                         help="directory holding BENCH_pr*.json files")
-    breport.add_argument("--check", action="store_true",
-                         help="exit non-zero if the newest file regresses any "
-                              "tracked row vs the baseline beyond --tolerance, "
-                              "or the episode hot-path speedup is below "
-                              "--min-episode-speedup")
-    breport.add_argument("--baseline", default=None, metavar="PR",
-                         help="PR number to compare the newest file against "
-                              "(default: the second-newest file)")
-    breport.add_argument("--tolerance", type=float, default=0.20,
-                         help="allowed fractional wall-clock growth per row "
-                              "before --check fails (default: 0.20)")
-    breport.add_argument("--min-episode-speedup", type=float, default=3.0,
-                         help="minimum recorded episode_hot_path speedup for "
-                              "--check (default: 3.0)")
-
     scen = sub.add_parser(
         "scenario", help="replay a dynamic-cluster scenario (see repro.scenarios)"
     )
@@ -271,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--compare-cold", action="store_true",
                       help="also time a cold one-event `repro scenario run` "
                            "subprocess and report the warm-p50 speedup")
-    load.add_argument("--bench-json", default=None, metavar="PATH",
-                      help="merge the summary into this BENCH json "
-                           "(e.g. results/BENCH_pr9.json)")
     load.add_argument("--json", default=None, metavar="PATH",
                       help="also write the full summary JSON to PATH")
 
@@ -543,7 +512,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.client_backend,
         compare_cold=args.compare_cold,
-        bench_path=args.bench_json,
     )
     summary = run_load(config)
     print(format_load_summary(summary))
@@ -552,113 +520,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
         log.info(f"wrote load summary JSON to {path}")
-    return 0
-
-
-def _load_bench_files(results_dir: pathlib.Path) -> list[tuple[int, dict]]:
-    """(pr number, benchmarks dict) for every BENCH_pr*.json, ascending."""
-    import re
-
-    out = []
-    for path in sorted(results_dir.glob("BENCH_pr*.json")):
-        match = re.fullmatch(r"BENCH_pr(\d+)\.json", path.name)
-        if not match:
-            continue
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            print(f"warning: skipping unreadable {path}")
-            continue
-        out.append((int(match.group(1)), payload.get("benchmarks", {})))
-    out.sort(key=lambda item: item[0])
-    return out
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench report``: the perf trajectory across PR files.
-
-    One row per benchmark, one column per ``BENCH_pr<N>.json`` (seconds;
-    rows are comparable only where scale matches — mismatched cells are
-    flagged).  With ``--check``, the newest file is gated against the
-    baseline: any tracked row more than ``--tolerance`` slower fails,
-    and the ``episode_hot_path`` record must exist with a speedup of at
-    least ``--min-episode-speedup``.
-    """
-    from .experiments.reporting import format_table
-
-    results_dir = pathlib.Path(args.results_dir)
-    files = _load_bench_files(results_dir)
-    if not files:
-        print(f"error: no BENCH_pr*.json files under {results_dir}")
-        return 2
-
-    names = sorted({name for _, benches in files for name in benches})
-    newest_pr, newest = files[-1]
-    newest_scales = {n: r.get("scale") for n, r in newest.items()}
-    rows = []
-    for name in names:
-        row: list[object] = [name]
-        for _, benches in files:
-            record = benches.get(name)
-            if record is None:
-                row.append("-")
-            elif record.get("scale") != newest_scales.get(name, record.get("scale")):
-                # seconds across scales are not comparable; show but flag
-                row.append(f"{record['seconds']:.3f}*")
-            else:
-                row.append(float(record["seconds"]))
-        rows.append(row)
-    headers = ["benchmark"] + [f"pr{pr} (s)" for pr, _ in files]
-    print(format_table(headers, rows, title="benchmark trajectory (wall-clock seconds)"))
-    if any("*" in str(cell) for row in rows for cell in row):
-        print("(* = recorded at a different scale than the newest file; not comparable)")
-
-    episode = newest.get("episode_hot_path")
-    if episode is not None and "speedup" in episode:
-        print(f"\nepisode hot path (pr{newest_pr}): {episode['seconds']:.3f}s vectorized "
-              f"vs {episode.get('loop_seconds', float('nan')):.3f}s loop reference "
-              f"— {episode['speedup']:.2f}x")
-
-    if not args.check:
-        return 0
-
-    failures: list[str] = []
-    if args.baseline is not None:
-        candidates = [f for f in files if f[0] == int(args.baseline)]
-        if not candidates:
-            print(f"error: no BENCH_pr{args.baseline}.json under {results_dir}")
-            return 2
-        base_pr, base = candidates[0]
-    elif len(files) >= 2:
-        base_pr, base = files[-2]
-    else:
-        base_pr, base = None, {}
-
-    for name in names:
-        old, new = base.get(name), newest.get(name)
-        if old is None or new is None or old.get("scale") != new.get("scale"):
-            continue
-        allowed = old["seconds"] * (1.0 + args.tolerance)
-        if new["seconds"] > allowed:
-            failures.append(
-                f"{name}: {new['seconds']:.3f}s (pr{newest_pr}) vs "
-                f"{old['seconds']:.3f}s (pr{base_pr}) exceeds the "
-                f"{args.tolerance:.0%} regression budget"
-            )
-    if episode is None:
-        failures.append("episode_hot_path record missing from the newest file")
-    elif episode.get("speedup", 0.0) < args.min_episode_speedup:
-        failures.append(
-            f"episode_hot_path speedup {episode.get('speedup', 0.0):.2f}x is below "
-            f"the required {args.min_episode_speedup:.1f}x"
-        )
-    if failures:
-        print("\nbench check FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    baseline_note = f" vs pr{base_pr}" if base_pr is not None else " (no baseline file)"
-    print(f"\nbench check passed{baseline_note}")
     return 0
 
 
@@ -939,7 +800,6 @@ def main(argv: list[str] | None = None) -> int:
         "load": cmd_load,
         "shard": cmd_shard,
         "trace": cmd_trace,
-        "bench": cmd_bench,
         "lint": cmd_lint,
     }
     return handlers[args.command](args)

@@ -26,7 +26,6 @@ from .gnn import (
     augment_with_out_edge_means,
     gnn_stats,
     make_embedding,
-    reference_path,
 )
 from .gpnet import GpNet, build_gpnet
 from .placement import (
@@ -68,7 +67,6 @@ __all__ = [
     "GpNetEmbedding",
     "GnnStats",
     "gnn_stats",
-    "reference_path",
     "TwoWayMessagePassing",
     "KStepMessagePassing",
     "TwoWayNoEdge",

@@ -71,8 +71,7 @@ def _group_edges_by_task(edge_tasks: np.ndarray, num_tasks: int) -> list[np.ndar
     """gpNet edge indices grouped by the task id in ``edge_tasks``.
 
     Stable sort, so each group lists its edges in ascending gpNet-edge
-    order — the aggregation order both GNN paths (vectorized and loop
-    reference) share.
+    order — the aggregation order of the GNN sweep.
     """
     order = np.argsort(edge_tasks, kind="stable")
     sorted_tasks = edge_tasks[order]
@@ -150,46 +149,37 @@ class DirectionPlan:
 class GpNetStructure:
     """Placement-independent structural caches of one problem's gpNets.
 
-    Everything the GNN hot path needs beyond the feature arrays — task
-    topo order, per-task edge groupings, and the per-direction frontier
-    plans — is a pure function of the problem *layout*: gpNet edge
-    endpoints move with the pivots, but each edge block's endpoint
-    *tasks* are fixed, so one structure serves every placement of the
-    problem.  Computed once
-    per builder (or lazily per net via :func:`structure_of`) instead of
-    being re-derived on every forward.
+    Everything the GNN hot path needs beyond the feature arrays — the
+    per-direction frontier plans — is a pure function of the problem
+    *layout*: gpNet edge endpoints move with the pivots, but each edge
+    block's endpoint *tasks* are fixed, so one structure serves every
+    placement of the problem.  Computed once per builder (or lazily per
+    net via :func:`structure_of`) instead of being re-derived on every
+    forward.
     """
 
-    task_order: tuple[int, ...]
     forward_plan: DirectionPlan
     backward_plan: DirectionPlan
-    # Per receiving-task gpNet edge indices (forward: grouped by the
-    # edge's dst task; backward: by its src task) — the cached result of
-    # ``_group_edges_by_task`` the loop reference consumes.
-    edge_groups_forward: tuple[np.ndarray, ...]
-    edge_groups_backward: tuple[np.ndarray, ...]
 
     @classmethod
     def from_gpnet(cls, net: GpNet) -> "GpNetStructure":
         num_tasks = len(net.options)
         src_tasks = net.task_of[net.edge_src]
         dst_tasks = net.task_of[net.edge_dst]
-        groups_fwd = tuple(_group_edges_by_task(dst_tasks, num_tasks))
-        groups_bwd = tuple(_group_edges_by_task(src_tasks, num_tasks))
+        # Per receiving-task gpNet edge indices (forward: grouped by the
+        # edge's dst task; backward: by its src task).
+        groups_fwd = _group_edges_by_task(dst_tasks, num_tasks)
+        groups_bwd = _group_edges_by_task(src_tasks, num_tasks)
         levels_fwd = _task_topo_levels(src_tasks, dst_tasks, num_tasks)
         levels_bwd = _task_topo_levels(dst_tasks, src_tasks, num_tasks)
-        order = np.lexsort((np.arange(num_tasks), levels_fwd))
         return cls(
-            task_order=tuple(int(t) for t in order),
             forward_plan=cls._plan(net, levels_fwd, groups_fwd),
             backward_plan=cls._plan(net, levels_bwd, groups_bwd),
-            edge_groups_forward=groups_fwd,
-            edge_groups_backward=groups_bwd,
         )
 
     @staticmethod
     def _plan(
-        net: GpNet, level_of: np.ndarray, groups: tuple[np.ndarray, ...]
+        net: GpNet, level_of: np.ndarray, groups: list[np.ndarray]
     ) -> DirectionPlan:
         node_local = np.zeros(net.num_nodes, dtype=np.int64)
         levels: list[_LevelPlan] = []

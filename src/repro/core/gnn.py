@@ -31,27 +31,24 @@ segment-aggregate → scatter round per topo *level* (frontier batching)
 instead of a Python loop over tasks, driven by the placement-independent
 :class:`~repro.core.features.GpNetStructure` cached on each gpNet.  One
 sweep body (:func:`_sweep`) serves GiPH and GiPH-NE, which differ only
-in the message expression they pass in.  The original per-task loop
-survives as ``forward_reference`` (:func:`_sweep_reference`) and is pinned
-bit-identical to the vectorized sweep by property tests
-(``tests/core/test_gnn_vectorized.py``); both paths route their affine
-maps through the batch-invariant :func:`repro.nn.functional.linear`
-kernel, which is what makes exact float equality possible at all
-(``np.matmul`` picks different BLAS kernels for different row counts).
-Use :func:`reference_path` to force the loop path (tests, benchmark
-baselines) and :func:`gnn_stats` for forward/backward counters and
-cumulative forward seconds.
+in the message expression they pass in.  The per-task loop it replaced
+is a test oracle (``tests/core/gnn_reference.py``), pinned bit-identical
+to the sweep by ``tests/core/test_gnn_vectorized.py``; both route their
+affine maps through the batch-invariant
+:func:`repro.nn.functional.linear` kernel, which is what makes exact
+float equality possible at all (``np.matmul`` picks different BLAS
+kernels for different row counts).  :func:`gnn_stats` gives
+forward/backward counters and cumulative forward seconds.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import MLP, Linear, Module, Tensor, concat, stack
+from ..nn import MLP, Linear, Module, Tensor, concat
 from ..nn import functional as F
 from ..telemetry import metrics, span
 from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, DirectionPlan, structure_of
@@ -61,7 +58,6 @@ __all__ = [
     "GpNetEmbedding",
     "GnnStats",
     "gnn_stats",
-    "reference_path",
     "TwoWayMessagePassing",
     "KStepMessagePassing",
     "TwoWayNoEdge",
@@ -126,27 +122,6 @@ _SECONDS = metrics().counter("gnn.seconds")
 def gnn_stats() -> GnnStats:
     """Snapshot of the process-global GNN counters."""
     return GnnStats(int(_FORWARDS.value), int(_BACKWARDS.value), _SECONDS.value)
-
-
-_REFERENCE_MODE = False
-
-
-@contextmanager
-def reference_path():
-    """Route embedding forwards through the retained per-task loop.
-
-    Used by the bit-identity property suite and as the episode
-    benchmark's baseline.  Both paths share the same parameters and the
-    same float semantics, so swapping the mode never changes what a
-    model computes — only how fast.
-    """
-    global _REFERENCE_MODE
-    previous = _REFERENCE_MODE
-    _REFERENCE_MODE = True
-    try:
-        yield
-    finally:
-        _REFERENCE_MODE = previous
 
 
 class GpNetEmbedding(Module):
@@ -215,53 +190,23 @@ def _sweep(layer, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool, m
     return emb
 
 
-def _sweep_reference(
-    layer, gpnet: GpNet, x: Tensor, task_order, groups, reverse: bool, message
-) -> Tensor:
-    """The retained per-task loop :func:`_sweep` is pinned against (same arguments)."""
-    n = gpnet.num_nodes
-    if reverse:
-        edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
-    else:
-        edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
-    node_emb: list[Tensor | None] = [None] * n
-    for task in task_order:
-        opts = gpnet.options[task]
-        local = {int(u): k for k, u in enumerate(opts)}
-        idx = groups[task]
-        x_group = x[opts]
-        if len(idx) == 0:
-            agg = Tensor(np.zeros((len(opts), layer.h1.out_features)))
-        else:
-            sender_emb = stack([node_emb[int(s)] for s in edge_from[idx]], axis=0)
-            msg = message(sender_emb, idx)
-            local_ids = np.array([local[int(u)] for u in edge_to[idx]])
-            agg = _aggregate(msg, local_ids, len(opts), layer.aggregation)
-        group_out = F.linear(agg, layer.h2.weight, layer.h2.bias).relu() + x_group
-        for k, u in enumerate(opts):
-            node_emb[int(u)] = group_out[k]
-    return stack([node_emb[u] for u in range(n)], axis=0)
-
-
 class _DirectionalPass(Module):
     """One direction of Eq. 1: recurrent wavefront message passing.
 
     ``forward`` runs the sweep as one batched gather/aggregate round per
     topo level from the precomputed
-    :class:`~repro.core.features.DirectionPlan`; ``forward_reference``
-    is the retained per-task loop the property tests pin it against.
-    Both apply h1/h2 through :func:`repro.nn.functional.linear`, whose
-    batch-invariant kernel guarantees the two paths produce identical
-    floats for any level/task partition of the same rows.
+    :class:`~repro.core.features.DirectionPlan`.  h1/h2 go through
+    :func:`repro.nn.functional.linear`, whose batch-invariant kernel
+    produces the same floats for any level/task partition of the same
+    rows — what lets the per-task loop oracle in ``tests/`` demand
+    exact equality.
 
-    Both paths split h1 over its concatenated input:
+    h1 is split over its concatenated input:
     ``h1([e_v ∥ x^e]) = e_v @ W_emb + (x^e @ W_edge + b)`` with
-    ``W_emb = h1.weight[:embed_dim]`` and ``W_edge`` the rest — the
-    identical elementwise grouping on both paths, so equality survives.
-    The edge half depends only on static edge features, so the
-    vectorized sweep computes it once per pass for *all* edges and
-    gathers per level (batch invariance again makes gather-after equal
-    to compute-on-slice).
+    ``W_emb = h1.weight[:embed_dim]`` and ``W_edge`` the rest.  The edge
+    half depends only on static edge features, so it is computed once
+    per pass for *all* edges and gathered per level (batch invariance
+    again makes gather-after equal to compute-on-slice).
     """
 
     def __init__(self, embed_dim: int, edge_dim: int, rng: np.random.Generator, aggregation: str) -> None:
@@ -289,36 +234,12 @@ class _DirectionalPass(Module):
 
         return _sweep(self, gpnet, x, plan, reverse, message)
 
-    def forward_reference(
-        self, gpnet: GpNet, x: Tensor, task_order, groups, reverse: bool
-    ) -> Tensor:
-        """Per-task loop implementation (bit-identical to ``forward``)."""
-        w_emb = self.h1.weight[: self.embed_dim]
-        w_edge = self.h1.weight[self.embed_dim :]
-
-        def message(sender_emb: Tensor, idx: np.ndarray) -> Tensor:
-            return (
-                F.linear(sender_emb, w_emb)
-                + F.linear(Tensor(gpnet.edge_features[idx]), w_edge, self.h1.bias)
-            ).relu()
-
-        return _sweep_reference(self, gpnet, x, task_order, groups, reverse, message)
-
 
 def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
     """Both directional sweeps over pre-embedded ``x``, summaries concatenated."""
     structure = structure_of(gpnet)
-    if _REFERENCE_MODE:
-        order = structure.task_order
-        e_fwd = forward_pass.forward_reference(
-            gpnet, x, order, structure.edge_groups_forward, reverse=False
-        )
-        e_bwd = backward_pass.forward_reference(
-            gpnet, x, tuple(reversed(order)), structure.edge_groups_backward, reverse=True
-        )
-    else:
-        e_fwd = forward_pass(gpnet, x, structure.forward_plan, reverse=False)
-        e_bwd = backward_pass(gpnet, x, structure.backward_plan, reverse=True)
+    e_fwd = forward_pass(gpnet, x, structure.forward_plan, reverse=False)
+    e_bwd = backward_pass(gpnet, x, structure.backward_plan, reverse=True)
     return concat([e_fwd, e_bwd], axis=1)
 
 
@@ -378,7 +299,7 @@ class KStepMessagePassing(GpNetEmbedding):
 
     Caps the sequential depth of the GNN — the paper's Table 7 / Fig. 17
     remedy for large graphs (GiPH-3, GiPH-5).  Already fully batched
-    over edges per step, so it has no separate loop reference.
+    over edges per step, so it has no per-task loop oracle.
     """
 
     def __init__(
@@ -425,8 +346,8 @@ def augment_with_out_edge_means(gpnet: GpNet) -> np.ndarray:
 class _NoEdgeDirectionalPass(Module):
     """Wavefront pass without edge features (GiPH-NE).
 
-    Same two-path structure as :class:`_DirectionalPass`; messages are
-    the sender embeddings alone.
+    Same sweep as :class:`_DirectionalPass`; messages are the sender
+    embeddings alone.
     """
 
     def __init__(self, embed_dim: int, rng: np.random.Generator, aggregation: str) -> None:
@@ -440,11 +361,6 @@ class _NoEdgeDirectionalPass(Module):
 
     def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
         return _sweep(self, gpnet, x, plan, reverse, self._message)
-
-    def forward_reference(
-        self, gpnet: GpNet, x: Tensor, task_order, groups, reverse: bool
-    ) -> Tensor:
-        return _sweep_reference(self, gpnet, x, task_order, groups, reverse, self._message)
 
 
 class TwoWayNoEdge(GpNetEmbedding):
@@ -478,7 +394,7 @@ class GraphSageNoEdge(GpNetEmbedding):
     h^{l+1}_u = ReLU(W_l [h^l_u ∥ mean_{v∈parents(u)} h^l_v]); forward
     direction only — the divergence observed in Fig. 14 traces back to
     this missing backward view.  Each layer already aggregates over all
-    edges in one segment op, so it has no separate loop reference.
+    edges in one segment op, so it has no per-task loop oracle.
     """
 
     def __init__(

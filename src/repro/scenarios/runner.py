@@ -38,9 +38,8 @@ from typing import Mapping, Sequence
 from ..baselines.base import SearchPolicy
 from ..core.placement import PlacementProblem
 from ..parallel import ExecutionBackend, ForkBackend, InlineBackend, get_context
-from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
+from ..runtime.evaluator import EvaluatorPool
 from ..sim.objectives import Objective
-from ..sim.relocation import RelocationCostModel
 from .events import MaterializedScenario, ScenarioEvent, materialize
 from .report import AdaptationReport
 from .spec import ScenarioSpec
@@ -102,37 +101,6 @@ class ScenarioRunner:
         self.reuse_evaluators = reuse_evaluators
         self.oracle = oracle
         self._oracle_cache: list[float] | None = None
-
-    # -- building blocks (delegating to repro.serve.session) ---------------------
-
-    def _relocation_model(self, network: DeviceNetwork) -> RelocationCostModel:
-        return _session_mod().relocation_model(self.spec, network)
-
-    def _denominator(self, problem: PlacementProblem, objective: Objective) -> float:
-        return _session_mod().slr_denominator(problem, objective)
-
-    def _repair(
-        self, prev_uids: Sequence[int] | None, problem: PlacementProblem
-    ) -> tuple[int, ...]:
-        return _session_mod().repair_placement(prev_uids, problem)
-
-    def _migration(
-        self,
-        prev_uids: Sequence[int] | None,
-        new_uids: Sequence[int],
-        network: DeviceNetwork,
-        model: RelocationCostModel,
-    ) -> tuple[int, float]:
-        return _session_mod().migration_cost(
-            prev_uids, new_uids, network, model, self.spec.relocation.startup_ms
-        )
-
-    def _evaluator(
-        self, pool: EvaluatorPool | None, problem: PlacementProblem, objective: Objective
-    ) -> PlacementEvaluator:
-        if pool is not None:
-            return pool.get(problem)
-        return PlacementEvaluator(problem, objective)
 
     def _replay_state(self):
         """Advance cluster/workload state event by event.

@@ -15,17 +15,13 @@ is reproducible and every tenant's placements are bit-identical to the
 corresponding batch replay.
 
 The summary reports p50/p99/mean request latency and sustained
-requests/sec, and (with ``bench_path``) merges a record into
-``results/BENCH_pr9.json`` in the same shape as the pytest benchmark
-harness, so ``repro bench report`` tracks serving latency across PRs.
-With ``compare_cold`` the same single-event placement is also run as a
-cold ``repro scenario run`` subprocess — the batch-stack cost a warm
-request avoids — and the p50 speedup against it is recorded.
+requests/sec.  With ``compare_cold`` the same single-event placement is
+also run as a cold ``repro scenario run`` subprocess — the batch-stack
+cost a warm request avoids — and the p50 speedup against it is reported.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import subprocess
@@ -54,8 +50,6 @@ class LoadConfig:
     backend: str = "thread"  # thread | fork | inline
     oracle: bool = False
     compare_cold: bool = False
-    bench_path: str | None = None
-    bench_name: str = "serve_request_latency"
 
 
 @dataclass(frozen=True)
@@ -193,38 +187,7 @@ def run_load(config: LoadConfig) -> dict[str, Any]:
         summary["cold_single_event_seconds"] = round(cold_s, 4)
         p50_s = summary["latency_ms"]["p50"] / 1000.0
         summary["warm_speedup_vs_cold"] = round(cold_s / p50_s, 1) if p50_s > 0 else 0.0
-    if config.bench_path:
-        _record_bench(pathlib.Path(config.bench_path), config.bench_name, summary)
     return summary
-
-
-def _record_bench(path: pathlib.Path, name: str, summary: dict[str, Any]) -> None:
-    """Merge the load summary into a BENCH json (conftest-compatible)."""
-    benchmarks: dict[str, Any] = {}
-    if path.exists():
-        try:
-            benchmarks = json.loads(path.read_text()).get("benchmarks", {})
-        except (json.JSONDecodeError, AttributeError):
-            benchmarks = {}
-    record = {
-        # The headline seconds is the p50 request latency: the user-facing
-        # number every later serving PR should move.
-        "seconds": round(summary["latency_ms"]["p50"] / 1000.0, 6),
-        "scale": os.environ.get("REPRO_SCALE", "quick"),
-        "p50_ms": summary["latency_ms"]["p50"],
-        "p99_ms": summary["latency_ms"]["p99"],
-        "requests_per_second": summary["requests_per_second"],
-        "requests": summary["requests"],
-        "clients": summary["clients"],
-    }
-    if "cold_single_event_seconds" in summary:
-        record["cold_single_event_seconds"] = summary["cold_single_event_seconds"]
-        record["warm_speedup_vs_cold"] = summary["warm_speedup_vs_cold"]
-    benchmarks[name] = record
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": 1, "benchmarks": dict(sorted(benchmarks.items()))}
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    log.info(f"repro load: recorded {name!r} into {path}")
 
 
 def format_load_summary(summary: dict[str, Any]) -> str:

@@ -31,6 +31,7 @@ import json
 from typing import Any
 
 __all__ = [
+    "MAX_FRAME_BYTES",
     "OPS",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+# Longest request line the daemon buffers before it answers with an
+# error and hangs up (the largest benchmarked request is kilobytes).
+MAX_FRAME_BYTES = 16 * 2**20
 
 OPS = ("ping", "open", "event", "report", "close", "evaluate", "stats", "shutdown")
 

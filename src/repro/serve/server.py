@@ -50,6 +50,7 @@ from ..scenarios.registry import DEFAULT_REGISTRY, ScenarioRegistry
 from ..telemetry import log, metrics, span
 from .batcher import RequestBatcher
 from .protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_message,
@@ -147,9 +148,19 @@ class _LineReader:
         self._buffer = bytearray()
 
     def readline(self) -> bytes | None:
-        """One complete line, ``b""`` on EOF, ``None`` on timeout."""
+        """One complete line, ``b""`` on EOF, ``None`` on timeout.
+
+        Raises :class:`ProtocolError` once a line is longer than
+        ``MAX_FRAME_BYTES``, newline seen or not, so a client that never
+        sends one cannot grow the buffer without limit.
+        """
         while True:
             newline = self._buffer.find(b"\n")
+            line_bytes = newline if newline >= 0 else len(self._buffer)
+            if line_bytes > MAX_FRAME_BYTES:
+                raise ProtocolError(
+                    f"request line exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES} bytes)"
+                )
             if newline >= 0:
                 line = bytes(self._buffer[: newline + 1])
                 del self._buffer[: newline + 1]
@@ -332,7 +343,17 @@ class PlacementServer:
         draining = False
         try:
             while True:
-                line = reader.readline()
+                try:
+                    line = reader.readline()
+                except ProtocolError as error:
+                    # Past an oversized line the stream cannot be re-framed:
+                    # answer once, then hang up (``finally`` closes).
+                    log.info(f"repro serve: closing a connection: {error}")
+                    try:
+                        conn.sendall(encode_message(error_response("?", str(error))))
+                    except OSError:
+                        pass
+                    return
                 if line is None:  # timeout
                     if not self._stop.is_set():
                         continue

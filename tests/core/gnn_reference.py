@@ -1,0 +1,95 @@
+"""Test oracle: the per-task loop the vectorized two-way GNN sweep replaced.
+
+``repro.core.gnn._sweep`` runs Eq. 1 as one batched round per topo
+level; this module keeps the implementation it replaced — one Python
+iteration per task, one ``Tensor`` per node, the edge half of every
+message computed on the slice that needs it — so the tests can demand
+the same floats from both.  Nothing here reads the shipped
+:class:`~repro.core.features.GpNetStructure`: the task order comes from
+the set-comprehension level oracle in ``test_gpnet.py`` and the per-task
+edge groups are recomputed from the net's endpoints.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+from test_gpnet import levels_from_every_gpnet_edge
+
+from repro.core import gnn
+from repro.core.gnn import _aggregate, _NoEdgeDirectionalPass
+from repro.nn import Tensor, concat, stack
+from repro.nn import functional as F
+
+__all__ = ["two_way_reference", "reference_path"]
+
+
+def _sweep_reference(layer, gpnet, x, task_order, groups, reverse, message):
+    """One direction of Eq. 1, one task at a time (same arguments as ``_sweep``)."""
+    n = gpnet.num_nodes
+    if reverse:
+        edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
+    else:
+        edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
+    node_emb = [None] * n
+    for task in task_order:
+        opts = gpnet.options[task]
+        local = {int(u): k for k, u in enumerate(opts)}
+        idx = groups[task]
+        x_group = x[opts]
+        if len(idx) == 0:
+            agg = Tensor(np.zeros((len(opts), layer.h1.out_features)))
+        else:
+            sender_emb = stack([node_emb[int(s)] for s in edge_from[idx]], axis=0)
+            msg = message(sender_emb, idx)
+            local_ids = np.array([local[int(u)] for u in edge_to[idx]])
+            agg = _aggregate(msg, local_ids, len(opts), layer.aggregation)
+        group_out = F.linear(agg, layer.h2.weight, layer.h2.bias).relu() + x_group
+        for k, u in enumerate(opts):
+            node_emb[int(u)] = group_out[k]
+    return stack([node_emb[u] for u in range(n)], axis=0)
+
+
+def _message_of(layer, gpnet):
+    """The layer's message expression, with nothing hoisted out of the loop."""
+    if isinstance(layer, _NoEdgeDirectionalPass):
+        return layer._message
+    w_emb = layer.h1.weight[: layer.embed_dim]
+    w_edge = layer.h1.weight[layer.embed_dim :]
+
+    def message(sender_emb, idx):
+        return (
+            F.linear(sender_emb, w_emb)
+            + F.linear(Tensor(gpnet.edge_features[idx]), w_edge, layer.h1.bias)
+        ).relu()
+
+    return message
+
+
+def two_way_reference(forward_pass, backward_pass, gpnet, x):
+    """Drop-in for ``repro.core.gnn._two_way``: both sweeps as per-task loops."""
+    num_tasks = len(gpnet.options)
+    src_tasks = gpnet.task_of[gpnet.edge_src]
+    dst_tasks = gpnet.task_of[gpnet.edge_dst]
+    levels = levels_from_every_gpnet_edge(src_tasks, dst_tasks, num_tasks)
+    order = [int(t) for t in np.lexsort((np.arange(num_tasks), levels))]
+    # Edges into each receiving task, ascending gpNet-edge order.
+    groups_fwd = [np.flatnonzero(dst_tasks == t) for t in range(num_tasks)]
+    groups_bwd = [np.flatnonzero(src_tasks == t) for t in range(num_tasks)]
+    e_fwd = _sweep_reference(
+        forward_pass, gpnet, x, order, groups_fwd, False, _message_of(forward_pass, gpnet)
+    )
+    e_bwd = _sweep_reference(
+        backward_pass, gpnet, x, order[::-1], groups_bwd, True, _message_of(backward_pass, gpnet)
+    )
+    return concat([e_fwd, e_bwd], axis=1)
+
+
+@contextmanager
+def reference_path():
+    """Route GiPH / GiPH-NE embedding forwards through the per-task loop."""
+    shipped = gnn._two_way
+    gnn._two_way = two_way_reference
+    try:
+        yield
+    finally:
+        gnn._two_way = shipped

@@ -5,9 +5,10 @@ passing, split-h1 edge hoisting, fused REINFORCE accumulation) is that
 it changes *nothing* about the floats an experiment produces — only how
 fast they appear.  These tests pin that contract:
 
-* embeddings from the vectorized sweep equal the retained per-task loop
-  reference byte for byte (``np.array_equal``, no tolerance) across
-  random problems, placements, and embedding kinds;
+* embeddings from the vectorized sweep equal the per-task loop oracle
+  (``gnn_reference.py``) byte for byte (``np.array_equal``, no
+  tolerance) across random problems, placements, both aggregations and
+  the two embedding kinds that sweep (GiPH, GiPH-NE);
 * parameter gradients agree to tight tolerance (backward accumulation
   order differs between the paths, so bitwise equality is not expected
   there);
@@ -19,11 +20,13 @@ fast they appear.  These tests pin that contract:
 
 import numpy as np
 import pytest
+from gnn_reference import reference_path, two_way_reference
+from test_gpnet import random_layout_problem
 
-from repro.core import PlacementProblem, random_placement
+from repro.core import PlacementProblem, gnn, random_placement
 from repro.core.agent import GiPHAgent
 from repro.core.features import GpNetBuilder, GpNetStructure, structure_of
-from repro.core.gnn import gnn_stats, make_embedding, reference_path
+from repro.core.gnn import gnn_stats, make_embedding
 from repro.core.reinforce import (
     ReinforceConfig,
     average_reward_baseline,
@@ -36,7 +39,9 @@ from repro.graphs import TaskGraphParams, generate_task_graph
 from repro.nn import Tensor
 from repro.sim.objectives import MakespanObjective
 
-KINDS = ("giph", "giph-ne", "graphsage-ne")
+# The kinds whose forward is the two-way sweep the loop oracle replaces
+# (GiPH-k and GraphSAGE-NE never had a per-task loop).
+KINDS = ("giph", "giph-ne")
 
 
 def make_problem(seed: int, num_tasks: int = 8, num_devices: int = 4) -> PlacementProblem:
@@ -70,6 +75,43 @@ class TestBitIdentical:
                 f"kind={kind} trial={trial} pseed={pseed}: max diff "
                 f"{np.max(np.abs(out_vec.data - out_ref.data))}"
             )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sum_aggregation_bitwise(self, kind):
+        """``aggregation="sum"`` is what ``experiments/ablation.py`` trains with."""
+        problem = make_problem(50, num_tasks=9, num_devices=4)
+        builder = GpNetBuilder(problem)
+        emb = make_embedding(kind, np.random.default_rng(5), aggregation="sum")
+        for pseed in range(3):
+            net = builder.build(random_placement(problem, np.random.default_rng(pseed)))
+            out_vec = emb(net)
+            with reference_path():
+                out_ref = emb(net)
+            assert np.array_equal(out_vec.data, out_ref.data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "num_tasks, edge_prob", [(1, 1.0), (5, 0.0)], ids=["single-task", "edgeless"]
+    )
+    def test_degenerate_graphs_bitwise(self, kind, num_tasks, edge_prob):
+        problem = random_layout_problem(3, num_tasks, 3, edge_prob)
+        net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
+        assert net.num_edges == 0
+        emb = make_embedding(kind, np.random.default_rng(6))
+        embed_dim = emb.forward_pass.embed_dim
+        x = Tensor(np.random.default_rng(7).normal(size=(net.num_nodes, embed_dim)))
+        shipped = gnn._two_way(emb.forward_pass, emb.backward_pass, net, x)
+        oracle = two_way_reference(emb.forward_pass, emb.backward_pass, net, x)
+        assert shipped.shape == (net.num_nodes, emb.out_dim)
+        assert np.array_equal(shipped.data, oracle.data)
+
+    def test_reference_path_restores_on_error(self):
+        shipped = gnn._two_way
+        with pytest.raises(RuntimeError, match="boom"):
+            with reference_path():
+                assert gnn._two_way is two_way_reference
+                raise RuntimeError("boom")
+        assert gnn._two_way is shipped
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_gradients_agree(self, kind):

@@ -192,6 +192,44 @@ class TestRequestSemantics:
         finally:
             sock.close()
 
+    def test_oversized_frame_gets_one_error_then_eof(self, server, socket_path, monkeypatch):
+        """A line past ``MAX_FRAME_BYTES`` costs its own connection only."""
+        import socket as socket_mod
+
+        limit = 64
+        monkeypatch.setattr("repro.serve.server.MAX_FRAME_BYTES", limit)
+
+        def exchange(payload: bytes, until_eof: bool) -> bytes:
+            sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+            sock.settimeout(10)  # an unbounded reader waits for the newline forever
+            try:
+                sock.connect(socket_path)
+                sock.sendall(payload)
+                data = b""
+                while until_eof or not data.endswith(b"\n"):
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+                return data
+            finally:
+                sock.close()
+
+        # No newline, one byte over: one error naming the limit, then EOF.
+        answer = exchange(b"x" * (limit + 1), until_eof=True)
+        assert answer.count(b"\n") == 1
+        response = json.loads(answer)
+        assert response["ok"] is False
+        assert "MAX_FRAME_BYTES" in response["error"] and str(limit) in response["error"]
+
+        # The daemon and its other connections are unaffected.
+        with ServeClient(socket_path) as client:
+            assert client.ping()["ok"] is True
+
+        # A frame of exactly the limit is a request like any other.
+        padded = b'{"op":"ping"}'.ljust(limit) + b"\n"
+        assert json.loads(exchange(padded, until_eof=False))["ok"] is True
+
     def test_stats_counts_requests(self, server, socket_path):
         with ServeClient(socket_path) as client:
             client.ping()
