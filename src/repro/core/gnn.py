@@ -27,16 +27,22 @@ pre-embedding is a two-layer FNN with hidden size equal to the input.
 Hot path
 --------
 The recurrent sweeps run **vectorized**: one batched gather → message →
-segment-aggregate → scatter round per topo *level* (frontier batching)
+segment-aggregate → row-write round per topo *level* (frontier batching)
 instead of a Python loop over tasks, driven by the placement-independent
 :class:`~repro.core.features.GpNetStructure` cached on each gpNet.  One
 sweep body (:func:`_sweep`) serves GiPH and GiPH-NE, which differ only
-in the message expression they pass in.  The per-task loop it replaced
-is a test oracle (``tests/core/gnn_reference.py``), pinned bit-identical
-to the sweep by ``tests/core/test_gnn_vectorized.py``; both route their
-affine maps through the batch-invariant
-:func:`repro.nn.functional.linear` kernel, which is what makes exact
-float equality possible at all (``np.matmul`` picks different BLAS
+in the message weight and additive term they hand it.  A whole direction
+is **one tape node**: the forward runs its levels in plain NumPy on one
+embedding buffer, and a hand-written backward unwinds them last level
+first with the float operations — and the accumulation order — of the
+per-level tape it replaced (one closure per direction, not twelve per
+level).  Both things it replaced are oracles in
+``tests/core/gnn_reference.py``, pinned bit-identical by
+``tests/core/test_gnn_vectorized.py``: the per-task loop pins the
+forward, the composed per-level tape (``sweep_composed``) every
+gradient.  All route their affine maps through the batch-invariant
+kernel behind :func:`repro.nn.functional.linear`, which is what makes
+exact float equality possible at all (``np.matmul`` picks different BLAS
 kernels for different row counts).  :func:`gnn_stats` gives
 forward/backward counters and cumulative forward seconds.
 """
@@ -50,6 +56,7 @@ import numpy as np
 
 from ..nn import MLP, Linear, Module, Tensor, concat
 from ..nn import functional as F
+from ..nn.tensor import is_grad_enabled
 from ..telemetry import metrics, span
 from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, DirectionPlan, structure_of
 from .gpnet import GpNet
@@ -154,6 +161,13 @@ class GpNetEmbedding(Module):
         raise NotImplementedError
 
 
+def _checked_aggregation(how: str) -> str:
+    """``how`` if it names a supported aggregation; raises where it is written."""
+    if how not in ("mean", "sum"):
+        raise ValueError(f"unknown aggregation {how!r}; expected one of ('mean', 'sum')")
+    return how
+
+
 def _aggregate(values, segment_ids, num_segments, how: str):
     if how == "mean":
         return F.segment_mean(values, segment_ids, num_segments)
@@ -162,13 +176,20 @@ def _aggregate(values, segment_ids, num_segments, how: str):
     raise ValueError(f"unknown aggregation {how!r}")
 
 
-def _sweep(layer, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool, message) -> Tensor:
-    """One direction of the recurrent sweep, one batched round per topo level.
+def _sweep(
+    layer, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool,
+    w_msg: Tensor, term: Tensor, per_edge: bool,
+) -> Tensor:
+    """One direction of the recurrent sweep as a single tape node.
 
-    ``layer`` supplies ``h1``/``h2``/``embed_dim``/``aggregation``;
-    ``message(sender_emb, idx)`` maps the sender embeddings of gpNet
-    edges ``idx`` to their messages — the only step on which GiPH and
-    GiPH-NE differ.
+    ``layer`` supplies ``h2``/``embed_dim``/``aggregation``.  The message
+    of gpNet edge ``e`` with sender ``v`` is ``relu(emb[v] @ w_msg + t)``
+    with ``t = term[e]`` (``per_edge``, GiPH) or ``t = term`` (broadcast,
+    GiPH-NE) — the only step on which the two differ.  The forward runs
+    every level in plain NumPy on one embedding buffer; the backward
+    below replays, last level first, the float operations the composed
+    per-level tape would run, in the same order (oracle:
+    ``tests/core/gnn_reference.py::sweep_composed``).
     """
     if reverse:
         # Messages flow child -> parent: senders are dst endpoints,
@@ -176,27 +197,82 @@ def _sweep(layer, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool, m
         edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
     else:
         edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
-    emb = Tensor(np.zeros((gpnet.num_nodes, layer.embed_dim)))
+    h2w, h2b = layer.h2.weight, layer.h2.bias
+    parents = (x, w_msg, term, h2w, h2b)
+    xd, wd, td, h2wd, h2bd = (p.data for p in parents)
+    track = is_grad_enabled() and any(p.requires_grad for p in parents)
+    mean = layer.aggregation == "mean"
+    emb = np.zeros((gpnet.num_nodes, layer.embed_dim))
+    saved = []  # per level, what the backward reads
     for level in plan.levels:
-        if len(level.edge_idx) == 0:
-            agg = Tensor(np.zeros((len(level.nodes), layer.h1.out_features)))
+        nodes, idx = level.nodes, level.edge_idx
+        if len(idx) == 0:
+            agg, edges = np.zeros((len(nodes), wd.shape[1])), None
         else:
-            idx = level.edge_idx
-            msg = message(emb.gather(edge_from[idx]), idx)
+            senders = edge_from[idx]
+            s = emb.take(senders, axis=0)
+            pre = F._linear_kernel(s, wd) + (td.take(idx, axis=0) if per_edge else td)
             segments = plan.node_local[edge_to[idx]]
-            agg = _aggregate(msg, segments, len(level.nodes), layer.aggregation)
-        group_out = F.linear(agg, layer.h2.weight, layer.h2.bias).relu() + x[level.nodes]
-        emb = F.scatter_rows(emb, level.nodes, group_out, assume_unique=True)
-    return emb
+            agg = F._segment_sum_kernel(np.maximum(pre, 0.0), segments, len(nodes))
+            counts = None
+            if mean:
+                counts = F._segment_counts(segments, len(nodes))[:, None]
+                agg = agg / counts
+            edges = (idx, senders, s, pre, segments, counts)
+        h = F._linear_kernel(agg, h2wd) + h2bd
+        emb[nodes] = np.maximum(h, 0.0) + xd[nodes]
+        if track:
+            saved.append((nodes, agg, h, edges))
+
+    def backward(grad: np.ndarray) -> None:
+        # G is the gradient of the embedding buffer as of the level being
+        # unwound: zeroing a level's rows is the row write's masked copy.
+        G = grad.copy()
+        for nodes, agg, h, edges in reversed(saved):
+            g_out = G[nodes]
+            G[nodes] = 0.0
+            if x.requires_grad:
+                if x.grad is None:
+                    x.grad = np.zeros_like(xd)
+                x.grad[nodes] += g_out  # rows are unique within a pass
+            g_h = g_out * (h > 0)
+            # Straight into ``.grad``, one level at a time: a per-pass
+            # subtotal would re-associate the sum over an episode's forwards.
+            if h2w.requires_grad:
+                h2w._accumulate(agg.T @ g_h)
+            if h2b.requires_grad:
+                h2b._accumulate(g_h.sum(axis=0))
+            if edges is None:
+                continue
+            idx, senders, s, pre, segments, counts = edges
+            g_agg = g_h @ h2wd.T
+            if counts is not None:
+                g_agg = g_agg / counts
+            g_pre = g_agg.take(segments, axis=0) * (pre > 0)
+            if term.requires_grad:
+                if per_edge:  # each gpNet edge sits in exactly one level
+                    if term.grad is None:
+                        term.grad = np.zeros_like(td)
+                    term.grad[idx] += g_pre
+                else:
+                    term._accumulate(g_pre.sum(axis=0))
+            if w_msg.requires_grad:
+                w_msg._accumulate(s.T @ g_pre)
+            # Senders repeat and G is non-zero there, so a bincount
+            # subtotal would change the association: stays ``np.add.at``.
+            np.add.at(G, senders, g_pre @ wd.T)
+
+    return Tensor._make(emb, parents, backward, "sweep")
 
 
 class _DirectionalPass(Module):
     """One direction of Eq. 1: recurrent wavefront message passing.
 
-    ``forward`` runs the sweep as one batched gather/aggregate round per
-    topo level from the precomputed
-    :class:`~repro.core.features.DirectionPlan`.  h1/h2 go through
-    :func:`repro.nn.functional.linear`, whose batch-invariant kernel
+    ``forward`` hands :func:`_sweep` — one tape node for the whole
+    direction — the precomputed
+    :class:`~repro.core.features.DirectionPlan` and the two pieces of
+    the message that are this variant's own.  h1/h2 go through the
+    batch-invariant kernel of :func:`repro.nn.functional.linear`, which
     produces the same floats for any level/task partition of the same
     rows — what lets the per-task loop oracle in ``tests/`` demand
     exact equality.
@@ -205,8 +281,9 @@ class _DirectionalPass(Module):
     ``h1([e_v ∥ x^e]) = e_v @ W_emb + (x^e @ W_edge + b)`` with
     ``W_emb = h1.weight[:embed_dim]`` and ``W_edge`` the rest.  The edge
     half depends only on static edge features, so it is computed once
-    per pass for *all* edges and gathered per level (batch invariance
-    again makes gather-after equal to compute-on-slice).
+    per pass for *all* edges, as an ordinary tape tensor, and the sweep
+    gathers its rows per level (batch invariance again makes
+    gather-after equal to compute-on-slice).
     """
 
     def __init__(self, embed_dim: int, edge_dim: int, rng: np.random.Generator, aggregation: str) -> None:
@@ -214,7 +291,7 @@ class _DirectionalPass(Module):
         self.h1 = Linear(msg_dim, msg_dim, rng)
         self.h2 = Linear(msg_dim, embed_dim, rng)
         self.embed_dim = embed_dim
-        self.aggregation = aggregation
+        self.aggregation = _checked_aggregation(aggregation)
 
     def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
         """``x``: pre-embedded node features (N, embed_dim)."""
@@ -226,13 +303,9 @@ class _DirectionalPass(Module):
         edge_msg = (
             F.linear(Tensor(gpnet.edge_features), w_edge, self.h1.bias)
             if gpnet.num_edges
-            else None
+            else Tensor(np.empty((0, self.h1.out_features)))
         )
-
-        def message(sender_emb: Tensor, idx: np.ndarray) -> Tensor:
-            return (F.linear(sender_emb, w_emb) + edge_msg.gather(idx)).relu()
-
-        return _sweep(self, gpnet, x, plan, reverse, message)
+        return _sweep(self, gpnet, x, plan, reverse, w_emb, edge_msg, per_edge=True)
 
 
 def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
@@ -276,7 +349,7 @@ class _SharedStepPass(Module):
         msg_dim = embed_dim + edge_dim
         self.h1 = Linear(msg_dim, msg_dim, rng)
         self.h2 = Linear(msg_dim, embed_dim, rng)
-        self.aggregation = aggregation
+        self.aggregation = _checked_aggregation(aggregation)
 
     def forward(self, gpnet: GpNet, e0: Tensor, steps: int, reverse: bool) -> Tensor:
         n = gpnet.num_nodes
@@ -346,21 +419,22 @@ def augment_with_out_edge_means(gpnet: GpNet) -> np.ndarray:
 class _NoEdgeDirectionalPass(Module):
     """Wavefront pass without edge features (GiPH-NE).
 
-    Same sweep as :class:`_DirectionalPass`; messages are the sender
-    embeddings alone.
+    Same sweep as :class:`_DirectionalPass`; messages are
+    ``relu(h1(e_v))`` of the sender embeddings alone, so the message
+    weight is all of ``h1.weight`` and the additive term is ``h1.bias``,
+    broadcast over edges.
     """
 
     def __init__(self, embed_dim: int, rng: np.random.Generator, aggregation: str) -> None:
         self.h1 = Linear(embed_dim, embed_dim, rng)
         self.h2 = Linear(embed_dim, embed_dim, rng)
         self.embed_dim = embed_dim
-        self.aggregation = aggregation
-
-    def _message(self, sender_emb: Tensor, idx: np.ndarray) -> Tensor:
-        return F.linear(sender_emb, self.h1.weight, self.h1.bias).relu()
+        self.aggregation = _checked_aggregation(aggregation)
 
     def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
-        return _sweep(self, gpnet, x, plan, reverse, self._message)
+        return _sweep(
+            self, gpnet, x, plan, reverse, self.h1.weight, self.h1.bias, per_edge=False
+        )
 
 
 class TwoWayNoEdge(GpNetEmbedding):
@@ -411,7 +485,7 @@ class GraphSageNoEdge(GpNetEmbedding):
         self.pre = Linear(node_dim, hidden_dim, rng)
         self.sage_layers = [Linear(2 * hidden_dim, hidden_dim, rng) for _ in range(layers)]
         self.head = Linear(hidden_dim, out_dim, rng)
-        self.aggregation = aggregation
+        self.aggregation = _checked_aggregation(aggregation)
         self.out_dim = out_dim
 
     def _embed(self, gpnet: GpNet) -> Tensor:

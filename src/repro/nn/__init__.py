@@ -7,9 +7,9 @@ Public surface:
 * Layers: :class:`Linear`, :class:`MLP`, :class:`Sequential`,
   :class:`LSTMCell`, :class:`LSTM`, :class:`BiLSTM`, :class:`AdditiveAttention`.
 * Optimizers: :class:`SGD`, :class:`Adam`.
-* ``functional`` ops incl. graph segment aggregation (sum/mean/max),
-  gather/scatter (``gather_rows``, ``scatter_rows``, ``index_add``), the
-  batch-invariant ``linear`` kernel, and masked softmax.
+* ``functional`` ops incl. graph segment aggregation (sum/mean), the
+  ``scatter_rows`` row write, the batch-invariant ``linear`` kernel, and
+  masked softmax.
 """
 
 from . import functional, init

@@ -22,10 +22,7 @@ __all__ = [
     "linear",
     "segment_sum",
     "segment_mean",
-    "segment_max",
-    "gather_rows",
     "scatter_rows",
-    "index_add",
 ]
 
 
@@ -73,6 +70,12 @@ def masked_log_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     return log_softmax(scores + neg, axis=-1)
 
 
+def _linear_kernel(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The batch-invariant ``x @ weight`` on arrays, shared by :func:`linear`
+    and the fused GNN sweep (:func:`repro.core.gnn._sweep`)."""
+    return np.einsum("...k,kj->...j", x, weight)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight (+ bias)`` with a batch-invariant kernel.
 
@@ -94,7 +97,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     xd, wd = x.data, weight.data
     if wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ValueError(f"linear shape mismatch: x {xd.shape} vs weight {wd.shape}")
-    out_data = np.einsum("...k,kj->...j", xd, wd)
+    out_data = _linear_kernel(xd, wd)
     bias_t = as_tensor(bias) if bias is not None else None
     parents: tuple[Tensor, ...] = (x, weight)
     if bias_t is not None:
@@ -112,16 +115,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor._make(out_data, parents, backward, "linear")
 
 
-def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``values`` into ``num_segments`` buckets.
-
-    The scatter-add primitive behind GNN message aggregation: row ``i`` of
-    ``values`` is added to output row ``segment_ids[i]``.
-    """
-    values = as_tensor(values)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.ndim != 1 or len(segment_ids) != values.shape[0]:
-        raise ValueError("segment_ids must be 1-D and match values' first axis")
+def _segment_sum_kernel(
+    values: np.ndarray, segment_ids: np.ndarray, num_segments: int
+) -> np.ndarray:
+    """Array-level :func:`segment_sum` (``int64`` ids), shared with the fused
+    GNN sweep, so the id-range check guards both."""
     if len(segment_ids) and not 0 <= segment_ids.min() <= segment_ids.max() < num_segments:
         raise ValueError(
             f"segment_sum: segment ids span [{segment_ids.min()}, {segment_ids.max()}], "
@@ -133,15 +131,34 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     # generic 2-D path.
     width = math.prod(values.shape[1:])
     cells = (segment_ids[:, None] * width + np.arange(width)).ravel()
-    out_data = np.bincount(
-        cells, weights=values.data.ravel(), minlength=num_segments * width
+    return np.bincount(
+        cells, weights=values.ravel(), minlength=num_segments * width
     ).reshape((num_segments,) + values.shape[1:])
+
+
+def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Sum rows of ``values`` into ``num_segments`` buckets.
+
+    The scatter-add primitive behind GNN message aggregation: row ``i`` of
+    ``values`` is added to output row ``segment_ids[i]``.
+    """
+    values = as_tensor(values)
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    if segment_ids.ndim != 1 or len(segment_ids) != values.shape[0]:
+        raise ValueError("segment_ids must be 1-D and match values' first axis")
+    out_data = _segment_sum_kernel(values.data, segment_ids, num_segments)
 
     def backward(grad: np.ndarray) -> None:
         if values.requires_grad:
             values._accumulate(grad[segment_ids])
 
     return Tensor._make(out_data, (values,), backward, "segment_sum")
+
+
+def _segment_counts(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Rows per segment as floats — the mean's divisor, shared with the GNN sweep."""
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
+    return np.maximum(counts, 1.0)  # avoid div-by-zero for empty segments
 
 
 def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -152,43 +169,8 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     summed = segment_sum(values, segment_ids, num_segments)  # validates the ids
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
-    counts = np.maximum(counts, 1.0)  # avoid div-by-zero for empty segments
+    counts = _segment_counts(segment_ids, num_segments)
     return summed / Tensor(counts.reshape((-1,) + (1,) * (summed.ndim - 1)))
-
-
-def segment_max(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Max-aggregate rows of ``values`` per segment (empty segments -> 0).
-
-    Ties split the incoming gradient evenly among the maximizers — the
-    same subgradient convention as :meth:`repro.nn.Tensor.max`.
-    """
-    values = as_tensor(values)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.ndim != 1 or len(segment_ids) != values.shape[0]:
-        raise ValueError("segment_ids must be 1-D and match values' first axis")
-    out_shape = (num_segments,) + values.shape[1:]
-    out_data = np.full(out_shape, -np.inf, dtype=np.float64)
-    np.maximum.at(out_data, segment_ids, values.data)
-    empty = np.bincount(segment_ids, minlength=num_segments) == 0
-    if empty.any():
-        out_data[empty] = 0.0
-
-    def backward(grad: np.ndarray) -> None:
-        if not values.requires_grad:
-            return
-        winners = (values.data == out_data[segment_ids]).astype(np.float64)
-        counts = np.zeros(out_shape, dtype=np.float64)
-        np.add.at(counts, segment_ids, winners)
-        np.maximum(counts, 1.0, out=counts)
-        values._accumulate(winners * (grad / counts)[segment_ids])
-
-    return Tensor._make(out_data, (values,), backward, "segment_max")
-
-
-def gather_rows(values: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows ``indices`` from ``values`` (differentiable gather)."""
-    return as_tensor(values)[np.asarray(indices, dtype=np.int64)]
 
 
 def scatter_rows(
@@ -197,9 +179,9 @@ def scatter_rows(
     """Out-of-place row scatter: ``out = base; out[indices] = rows``.
 
     ``indices`` must be unique — with duplicates the forward would be
-    write-order dependent and the gradient ill-defined.  The vectorized
-    GNN finalizes one frontier level of node embeddings per call with
-    this, instead of mutating a running Python list of row tensors.
+    write-order dependent and the gradient ill-defined.  The composed
+    gradient oracle of the GNN sweep (``tests/core/gnn_reference.py``)
+    finalizes one frontier level of node embeddings per call with this.
     ``assume_unique`` skips the uniqueness check for callers whose
     indices come from a static, already-validated plan.
     """
@@ -222,26 +204,3 @@ def scatter_rows(
             base._accumulate(masked)
 
     return Tensor._make(out_data, (base, rows), backward, "scatter_rows")
-
-
-def index_add(base: Tensor, indices: np.ndarray, values: Tensor) -> Tensor:
-    """Out-of-place scatter-add: ``out = base; out[indices] += values``.
-
-    Duplicate indices accumulate (``np.add.at`` semantics) — the
-    ``index_add_``-style scatter of the segment-op family.
-    """
-    base = as_tensor(base)
-    values = as_tensor(values)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1 or len(indices) != values.shape[0]:
-        raise ValueError("indices must be 1-D and match values' first axis")
-    out_data = base.data.copy()
-    np.add.at(out_data, indices, values.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if base.requires_grad:
-            base._accumulate(grad)
-        if values.requires_grad:
-            values._accumulate(grad[indices])
-
-    return Tensor._make(out_data, (base, values), backward, "index_add")

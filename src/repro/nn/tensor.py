@@ -345,7 +345,7 @@ class Tensor:
         shared source row (``np.add.at`` in the backward).  This is the
         gather half of the segment-op family in
         :mod:`repro.nn.functional`; it lives on the tensor because the
-        GNN hot path gathers from intermediate results, not leaves.
+        composed GNN sweep gathers from intermediate results, not leaves.
         """
         return self[np.asarray(indices, dtype=np.int64)]
 

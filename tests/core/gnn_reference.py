@@ -1,13 +1,21 @@
-"""Test oracle: the per-task loop the vectorized two-way GNN sweep replaced.
+"""Test oracles: the two implementations the shipped GNN sweep replaced.
 
-``repro.core.gnn._sweep`` runs Eq. 1 as one batched round per topo
-level; this module keeps the implementation it replaced — one Python
-iteration per task, one ``Tensor`` per node, the edge half of every
-message computed on the slice that needs it — so the tests can demand
-the same floats from both.  Nothing here reads the shipped
-:class:`~repro.core.features.GpNetStructure`: the task order comes from
-the set-comprehension level oracle in ``test_gpnet.py`` and the per-task
-edge groups are recomputed from the net's endpoints.
+``repro.core.gnn._sweep`` runs one direction of Eq. 1 as a single tape
+node with a hand-written backward.  This module keeps what it replaced,
+so the tests can demand the same floats:
+
+* the **per-task loop** (:func:`two_way_reference`) — one Python
+  iteration per task, one ``Tensor`` per node, the edge half of every
+  message computed on the slice that needs it — pins the *forward*.
+  Nothing in it reads the shipped
+  :class:`~repro.core.features.GpNetStructure`: the task order comes
+  from the set-comprehension level oracle in ``test_gpnet.py`` and the
+  per-task edge groups are recomputed from the net's endpoints.
+* the **composed per-level sweep** (:func:`sweep_composed`) — the same
+  levels as the shipped sweep, each written as ordinary tape ops
+  (gather → linear → relu → segment aggregate → linear → relu → row
+  scatter) — pins the *gradients*, bit for bit: the shipped backward
+  must run the float operations this tape runs, in the same order.
 """
 
 from contextlib import contextmanager
@@ -20,7 +28,7 @@ from repro.core.gnn import _aggregate, _NoEdgeDirectionalPass
 from repro.nn import Tensor, concat, stack
 from repro.nn import functional as F
 
-__all__ = ["two_way_reference", "reference_path"]
+__all__ = ["two_way_reference", "reference_path", "sweep_composed", "composed_path"]
 
 
 def _sweep_reference(layer, gpnet, x, task_order, groups, reverse, message):
@@ -52,7 +60,11 @@ def _sweep_reference(layer, gpnet, x, task_order, groups, reverse, message):
 def _message_of(layer, gpnet):
     """The layer's message expression, with nothing hoisted out of the loop."""
     if isinstance(layer, _NoEdgeDirectionalPass):
-        return layer._message
+
+        def message(sender_emb, idx):
+            return F.linear(sender_emb, layer.h1.weight, layer.h1.bias).relu()
+
+        return message
     w_emb = layer.h1.weight[: layer.embed_dim]
     w_edge = layer.h1.weight[layer.embed_dim :]
 
@@ -93,3 +105,38 @@ def reference_path():
         yield
     finally:
         gnn._two_way = shipped
+
+
+def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term, per_edge):
+    """Drop-in for ``repro.core.gnn._sweep``: every level as ordinary tape ops."""
+    if reverse:
+        edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
+    else:
+        edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
+    emb = Tensor(np.zeros((gpnet.num_nodes, layer.embed_dim)))
+    for level in plan.levels:
+        if len(level.edge_idx) == 0:
+            agg = Tensor(np.zeros((len(level.nodes), layer.h1.out_features)))
+        else:
+            idx = level.edge_idx
+            s = emb.gather(edge_from[idx])
+            if per_edge:
+                msg = (F.linear(s, w_msg) + term.gather(idx)).relu()
+            else:
+                msg = F.linear(s, w_msg, term).relu()
+            segments = plan.node_local[edge_to[idx]]
+            agg = _aggregate(msg, segments, len(level.nodes), layer.aggregation)
+        group_out = F.linear(agg, layer.h2.weight, layer.h2.bias).relu() + x[level.nodes]
+        emb = F.scatter_rows(emb, level.nodes, group_out, assume_unique=True)
+    return emb
+
+
+@contextmanager
+def composed_path():
+    """Route every directional sweep through the composed per-level tape."""
+    shipped = gnn._sweep
+    gnn._sweep = sweep_composed
+    try:
+        yield
+    finally:
+        gnn._sweep = shipped

@@ -107,11 +107,16 @@ class TestEmbeddings:
         emb = make_embedding("giph", np.random.default_rng(5), aggregation="sum")
         assert emb(net).shape == (net.num_nodes, 10)
 
-    def test_bad_aggregation(self, diamond_problem):
-        net = gpnet_of(diamond_problem)
-        emb = make_embedding("giph", np.random.default_rng(5), aggregation="max")
-        with pytest.raises(ValueError):
-            emb(net)
+    def test_bad_aggregation(self):
+        """A bad ``aggregation`` fails where it is written — at
+        construction — not on the first forward that happens to have an
+        edge (an edgeless gpNet used to run to completion with the typo)."""
+        for kind in ("giph", "giph-ne", "giph-3", "graphsage-ne"):
+            for bad in ("max", ""):
+                with pytest.raises(ValueError, match=rf"{bad!r}.*\('mean', 'sum'\)"):
+                    make_embedding(kind, np.random.default_rng(5), aggregation=bad)
+            for good in ("mean", "sum"):
+                make_embedding(kind, np.random.default_rng(5), aggregation=good)  # constructs
 
 
 class TestScorePolicy:

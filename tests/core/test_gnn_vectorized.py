@@ -9,18 +9,29 @@ fast they appear.  These tests pin that contract:
   (``gnn_reference.py``) byte for byte (``np.array_equal``, no
   tolerance) across random problems, placements, both aggregations and
   the two embedding kinds that sweep (GiPH, GiPH-NE);
-* parameter gradients agree to tight tolerance (backward accumulation
-  order differs between the paths, so bitwise equality is not expected
-  there);
+* parameter gradients agree with the loop to tight tolerance (backward
+  accumulation order differs between those two paths, so bitwise
+  equality is not expected there);
+* the shipped sweep — one tape node per direction with a hand-written
+  backward — gives **bit-identical** outputs, gradients and trained
+  weights to the composed per-level tape it replaced
+  (``gnn_reference.sweep_composed``): the backward runs the same float
+  operations in the same order, and saves nothing when no backward can
+  happen;
 * the per-problem structural caches are computed once and shared;
 * the fused ``episode_loss`` delivers the same gradient as the
   per-step Python sum it replaced;
 * an end-to-end search trace is identical in both modes.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
-from gnn_reference import reference_path, two_way_reference
+from gnn_reference import composed_path, reference_path, sweep_composed, two_way_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_gpnet import random_layout_problem
 
 from repro.core import PlacementProblem, gnn, random_placement
@@ -29,6 +40,7 @@ from repro.core.features import GpNetBuilder, GpNetStructure, structure_of
 from repro.core.gnn import gnn_stats, make_embedding
 from repro.core.reinforce import (
     ReinforceConfig,
+    ReinforceTrainer,
     average_reward_baseline,
     discounted_returns,
     episode_loss,
@@ -36,7 +48,7 @@ from repro.core.reinforce import (
 from repro.core.search import run_search
 from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraphParams, generate_task_graph
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.sim.objectives import MakespanObjective
 
 # The kinds whose forward is the two-way sweep the loop oracle replaces
@@ -146,6 +158,217 @@ class TestBitIdentical:
         with no_grad():
             without = emb(net).data
         assert np.array_equal(with_grad, without)
+
+
+def assert_same_floats(a, b, what=""):
+    """``None``-ness, values and the sign of every zero."""
+    assert (a is None) == (b is None), what
+    if a is not None:
+        assert np.array_equal(a, b), what
+        assert np.array_equal(np.signbit(a), np.signbit(b)), what
+
+
+def two_nets(problem, seed):
+    """A built net and a second one of the same problem reached by ``update``."""
+    builder = GpNetBuilder(problem)
+    rng = np.random.default_rng(seed)
+    placement = list(random_placement(problem, rng))
+    first = builder.build(placement)
+    task = int(rng.integers(len(placement)))
+    feasible = sorted(problem.feasible_sets[task])
+    placement[task] = feasible[(feasible.index(placement[task]) + 1) % len(feasible)]
+    return first, builder.update(first, placement, task)
+
+
+def sweep_graph_floats(emb, nets, seed, freeze=(), x_grad=True):
+    """Output, every parameter ``.grad`` and the leaf ``x.grad`` of one graph.
+
+    Per net the graph holds the embedding called twice (``emb(net) *
+    emb(net)`` — parameters shared between forwards) plus the two sweeps
+    over a leaf ``x``; everything is summed against a random upstream
+    gradient, so no gradient row is a constant.
+    """
+    rng = np.random.default_rng(seed)
+    emb.zero_grad()
+    for name, param in emb.named_parameters():
+        param.requires_grad = name not in freeze
+    try:
+        embed_dim = emb.forward_pass.embed_dim
+        xs, total = [], None
+        for net in nets:
+            x = Tensor(rng.normal(size=(net.num_nodes, embed_dim)), requires_grad=x_grad)
+            out = emb(net) * emb(net) + gnn._two_way(emb.forward_pass, emb.backward_pass, net, x)
+            out = (out * Tensor(rng.normal(size=out.shape))).sum()
+            total = out if total is None else total + out
+            xs.append(x)
+        if total.requires_grad:
+            total.backward()
+        return total.data, grads_of(emb), [x.grad for x in xs]
+    finally:
+        for _, param in emb.named_parameters():
+            param.requires_grad = True
+
+
+def assert_shipped_equals_composed(emb, nets, seed, **kwargs):
+    out, grads, x_grads = sweep_graph_floats(emb, nets, seed, **kwargs)
+    with composed_path():
+        ref_out, ref_grads, ref_x_grads = sweep_graph_floats(emb, nets, seed, **kwargs)
+    assert_same_floats(out, ref_out, "output")
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert_same_floats(grads[name], ref_grads[name], name)
+    for got, want in zip(x_grads, ref_x_grads):
+        assert_same_floats(got, want, "x.grad")
+    return grads, x_grads
+
+
+@functools.cache
+def train_five_episodes(kind: str, composed: bool):
+    """Weights, history, backward count and grad-mode embedding calls of one run."""
+    problems = [make_problem(21, 6, 4), make_problem(22, 9, 3), make_problem(23, 4, 5)]
+    agent = GiPHAgent(np.random.default_rng(7), embedding=kind)
+    grad_calls = []
+    embed = agent.embedding._embed
+
+    def counting_embed(net):
+        out = embed(net)
+        grad_calls.append(out.requires_grad)
+        return out
+
+    agent.embedding._embed = counting_embed
+    trainer = ReinforceTrainer(agent, MakespanObjective(), ReinforceConfig(episodes=5))
+    before = gnn_stats()
+    if composed:
+        with composed_path():
+            trainer.train(problems, np.random.default_rng(9), episodes=5)
+    else:
+        trainer.train(problems, np.random.default_rng(9), episodes=5)
+    backwards = gnn_stats().delta(before).backwards
+    return agent.state_dict(), trainer.history, backwards, sum(grad_calls)
+
+
+class TestFusedSweepGradients:
+    """The hand-written backward against the composed per-level tape."""
+
+    @pytest.mark.parametrize("aggregation", ["mean", "sum"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_outputs_and_gradients_bitwise(self, kind, aggregation):
+        problem = make_problem(31, num_tasks=9, num_devices=4)
+        emb = make_embedding(kind, np.random.default_rng(2), aggregation=aggregation)
+        grads, x_grads = assert_shipped_equals_composed(emb, two_nets(problem, 3), seed=4)
+        assert all(g is not None and np.any(g) for g in grads.values())
+        assert all(np.any(g) for g in x_grads)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        num_tasks=st.integers(1, 12),
+        num_devices=st.integers(1, 5),
+        edge_prob=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+        kind=st.sampled_from(KINDS),
+        aggregation=st.sampled_from(["mean", "sum"]),
+    )
+    @example(seed=0, num_tasks=1, num_devices=1, edge_prob=1.0, kind="giph", aggregation="mean")
+    @example(seed=1, num_tasks=5, num_devices=3, edge_prob=0.0, kind="giph-ne", aggregation="sum")
+    def test_gradients_bitwise_on_generated_problems(
+        self, seed, num_tasks, num_devices, edge_prob, kind, aggregation
+    ):
+        problem = random_layout_problem(seed, num_tasks, num_devices, edge_prob)
+        emb = make_embedding(kind, np.random.default_rng(seed), aggregation=aggregation)
+        assert_shipped_equals_composed(emb, two_nets(problem, seed + 1), seed=seed + 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_partial_requires_grad(self, kind):
+        """Frozen parameters under a grad leaf ``x``, a constant ``x``
+        under live parameters, and one live parameter alone: the same
+        gradients as the composed tape, ``None`` where it leaves ``None``."""
+        problem = make_problem(32, num_tasks=7, num_devices=4)
+        emb = make_embedding(kind, np.random.default_rng(3))
+        nets = two_nets(problem, 5)
+        names = [name for name, _ in emb.named_parameters()]
+
+        grads, x_grads = assert_shipped_equals_composed(emb, nets, 6, freeze=names)
+        assert all(g is None for g in grads.values())
+        assert all(g is not None for g in x_grads)
+
+        grads, x_grads = assert_shipped_equals_composed(emb, nets, 6, x_grad=False)
+        assert all(g is not None for g in grads.values())
+        assert all(g is None for g in x_grads)
+
+        for live in ("forward_pass.h1.weight", "backward_pass.h2.bias"):
+            frozen = [name for name in names if name != live]
+            grads, x_grads = assert_shipped_equals_composed(
+                emb, nets, 6, freeze=frozen, x_grad=False
+            )
+            assert [name for name, g in grads.items() if g is not None] == [live]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nothing_saved_when_no_backward_can_happen(self, kind):
+        problem = make_problem(33, num_tasks=6, num_devices=3)
+        net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
+        emb = make_embedding(kind, np.random.default_rng(4))
+        plan = structure_of(net).forward_plan
+        data = np.random.default_rng(1).normal(size=(net.num_nodes, emb.forward_pass.embed_dim))
+
+        tracked = emb.forward_pass(net, Tensor(data), plan, reverse=False)
+        assert tracked._op == "sweep" and tracked._backward is not None
+        assert len(tracked._parents) == 5  # one node for the whole direction
+
+        with no_grad():
+            inference = emb.forward_pass(net, Tensor(data, requires_grad=True), plan, reverse=False)
+        for _, param in emb.named_parameters():
+            param.requires_grad = False
+        constant = emb.forward_pass(net, Tensor(data), plan, reverse=False)
+        for out in (inference, constant):
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+            assert np.array_equal(out.data, tracked.data)
+
+    @pytest.mark.parametrize("bad_row", ["past-the-level", "negative"])
+    def test_corrupt_plan_raises_instead_of_writing_a_wrong_row(self, bad_row):
+        """The sweep calls the array-level segment kernel directly; its
+        id-range check must still stand between a bad plan and the floats."""
+        problem = make_problem(34, num_tasks=6, num_devices=3)
+        net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
+        structure = structure_of(net)
+        plan = structure.forward_plan
+        level = plan.levels[1]
+        receiver = net.edge_dst[level.edge_idx[0]]
+        node_local = plan.node_local.copy()
+        node_local[receiver] = len(level.nodes) if bad_row == "past-the-level" else -1
+        corrupt = dataclasses.replace(plan, node_local=node_local)
+        object.__setattr__(
+            net, "_structure", dataclasses.replace(structure, forward_plan=corrupt)
+        )
+        emb = make_embedding("giph", np.random.default_rng(5))
+        with pytest.raises(ValueError, match=r"segment_sum: segment ids span"):
+            emb(net)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_weights_and_history_bitwise(self, kind):
+        weights, history, _, _ = train_five_episodes(kind, composed=False)
+        ref_weights, ref_history, _, _ = train_five_episodes(kind, composed=True)
+        assert weights.keys() == ref_weights.keys()
+        for name in weights:
+            assert_same_floats(weights[name], ref_weights[name], name)
+        assert len(history) == 5 and history == ref_history
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_backward_counter_counts_grad_mode_embeddings(self, kind):
+        """One ``gnn_stats().backwards`` tick per grad-mode embedding call,
+        however many tape nodes the sweep is."""
+        _, _, backwards, grad_calls = train_five_episodes(kind, composed=False)
+        _, _, ref_backwards, ref_grad_calls = train_five_episodes(kind, composed=True)
+        assert backwards == grad_calls > 0
+        assert (ref_backwards, ref_grad_calls) == (backwards, grad_calls)
+
+    def test_composed_path_restores_on_error(self):
+        shipped = gnn._sweep
+        with pytest.raises(RuntimeError, match="boom"):
+            with composed_path():
+                assert gnn._sweep is sweep_composed
+                raise RuntimeError("boom")
+        assert gnn._sweep is shipped
 
 
 class TestStructureCache:
