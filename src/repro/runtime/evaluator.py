@@ -184,9 +184,11 @@ class PlacementEvaluator:
     def evaluate_many(self, placements: Sequence[Sequence[int]]) -> np.ndarray:
         """Score a batch; identical to ``[evaluate(p) for p in placements]``.
 
-        On the deterministic makespan path the uncached placements'
-        compute/communication costs are realized in one vectorized NumPy
-        pass before the per-placement event replay.
+        On the deterministic makespan path the distinct uncached
+        placements go to :meth:`FastSimulator.makespans` as one array
+        (one vectorized cost realization, then one replay each for the
+        makespan alone: no timeline is built or cached).  Every placement
+        is looked up, and a miss validated, before anything is counted.
         """
         keys = [self._lookup(self._values, p)[0] for p in placements]
         self.stats.batch_calls += 1
@@ -221,19 +223,15 @@ class PlacementEvaluator:
             self.stats.cache_hits += sum(len(ix) - 1 for ix in misses.values())
             if self._is_makespan:
                 with span("evaluator.sim"):
-                    batch = np.array(todo, dtype=np.int64)
-                    compute, comm = self._sim.batch_costs(batch)
                     self.stats.fast_path += len(todo)
-                    for j, key in enumerate(todo):
-                        result = self._sim.run(
-                            key, compute=compute[j], comm=comm[j], validate=False
-                        )
-                        # Only the scalar goes in the cache: batch callers
-                        # score one-shot candidates, and retaining a
-                        # SimResult per batch miss would churn the (heavier)
-                        # timeline LRU that timeline() consumers rely on.
-                        self._store(self._values, key, result.makespan)
-                        values[misses[key]] = result.makespan
+                    # Scalars only: batch callers score one-shot candidates,
+                    # and a SimResult per batch miss would churn the (heavier)
+                    # timeline LRU that timeline() consumers rely on.
+                    makespans = self._sim.makespans(np.array(todo, dtype=np.int64))
+                    for key, value in zip(todo, makespans):
+                        self._store(self._values, key, value)
+                        for i in misses[key]:
+                            values[i] = value
             else:
                 cm = self.problem.cost_model
                 self.stats.exact_path += len(todo)

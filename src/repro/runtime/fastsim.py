@@ -5,17 +5,27 @@ per-event Python closures and per-call :class:`~repro.sim.latency.CostModel`
 lookups.  On the deterministic path (noise == 0) every duration is known
 up front, so this module precomputes all compute/communication times as
 NumPy gathers — batched across whole placement sets — and replays the
-*identical* event sequence with an inlined loop over plain tuples.
+schedule with one inlined loop over plain lists (``_replay``, shared by
+the timeline entry ``run`` and the makespan-only batch entry ``makespans``).
 
-The event ordering (a priority queue keyed on (time, schedule-sequence))
-is reproduced exactly, so the resulting :class:`SimResult` — and in
-particular the makespan — is bit-identical to the exact executor.  This
-invariant is property-tested in ``tests/runtime/test_evaluator.py``.
+The executor's queue is keyed on (time, schedule-sequence) and carries
+one arrival event per *edge*; an arrival that is not its task's last
+only decrements a counter.  The walk folds those away: a finishing task
+computes each send's landing time and keeps, per child, the latest
+(time, sequence) seen; the child's last parent to finish pushes **one**
+ready event under that key — the key of the arrival that enqueues the
+child in the executor.  Every event that *does* something keeps its
+exact key, so the pop order among them is unchanged and the
+:class:`SimResult` equals the executor's field for field, ties included.
+The sequence counter still advances once per edge, pushed or folded: two
+ready events may carry the numbers of two sends that never reached the
+heap, and their order decides which task a shared device runs first.
+Property-tested (ordinary and tie-heavy cost models) in
+``tests/runtime/test_evaluator.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -26,19 +36,15 @@ from ..sim.executor import SimResult
 
 __all__ = ["FastSimulator"]
 
-# Event kinds, mirroring the executor's callbacks.  At equal timestamps the
-# heap falls back to the schedule sequence number, never the kind, exactly
-# like repro.sim.engine.Simulation.
-_ENQUEUE, _DONE, _ARRIVAL = 0, 1, 2
-
 
 class FastSimulator:
     """Noise-free simulator for one problem instance with batched costs.
 
     Precomputes the static structure (edge list, parent counts, entry
-    tasks) once, then serves :meth:`run` per placement and
-    :meth:`batch_costs` for vectorized cost realization over many
-    placements at once.
+    tasks) once, then serves :meth:`run` (one placement's timeline),
+    :meth:`makespans` (a batch's makespans, nothing else) and
+    :meth:`batch_costs` (vectorized cost realization over many
+    placements at once).
     """
 
     def __init__(self, problem: PlacementProblem) -> None:
@@ -49,11 +55,11 @@ class FastSimulator:
 
         self._num_tasks = n
         self._num_devices = problem.network.num_devices
-        self._entries = tuple(graph.entries)
+        self._entry_events = tuple((0.0, k, task) for k, task in enumerate(graph.entries))
         self._num_parents = tuple(len(graph.parents[i]) for i in range(n))
         # Edge arrays in graph.edges iteration order; children as
-        # (child, edge_index) pairs in graph.children order (identical —
-        # both derive from the edge-dict insertion order).
+        # (child, edge_index) pairs in graph.children order — the order
+        # the executor sends (and sequences) a finished task's outputs in.
         edge_index = {edge: k for k, edge in enumerate(graph.edges)}
         self._edges = tuple(graph.edges)
         self._edge_src = np.array([u for (u, _) in self._edges], dtype=np.int64)
@@ -90,100 +96,108 @@ class FastSimulator:
 
     # -- simulation -------------------------------------------------------------------
 
-    def run(
-        self,
-        placement: Sequence[int],
-        compute: np.ndarray | None = None,
-        comm: np.ndarray | None = None,
-        validate: bool = True,
-    ) -> SimResult:
-        """Simulate ``placement`` exactly; returns the executor's timeline.
-
-        ``compute`` / ``comm`` may carry one row of :meth:`batch_costs`
-        to reuse a batched realization; otherwise they are computed here.
-        """
+    def run(self, placement: Sequence[int], validate: bool = True) -> SimResult:
+        """Simulate ``placement`` exactly; returns the executor's timeline."""
         if validate:
             placement = self.problem.validate_placement(placement)
         else:
             placement = tuple(int(d) for d in placement)
-        if compute is None or comm is None:
-            compute_b, comm_b = self.batch_costs(np.array(placement, dtype=np.int64))
-            compute, comm = compute_b[0], comm_b[0]
-        durations = compute.tolist()
-        delays = comm.tolist()
-
-        n, m = self._num_tasks, self._num_devices
-        start = [0.0] * n
-        finish = [-1.0] * n
-        started = [False] * n
-        pending = list(self._num_parents)
-        queues: list[deque[int]] = [deque() for _ in range(m)]
-        busy = [False] * m
-        device_last_finish = [0.0] * m
+        compute, comm = self.batch_costs(np.array(placement, dtype=np.int64))
         arrival: dict[tuple[int, int], float] = {}
-        children = self._children
-        edges = self._edges
-
-        heap: list[tuple[float, int, int, int]] = []
-        seq = 0
-        for entry in self._entries:
-            heappush(heap, (0.0, seq, _ENQUEUE, entry))
-            seq += 1
-
-        while heap:
-            now, _, kind, payload = heappop(heap)
-            if kind == _DONE:
-                # payload is the finished task; free its device, fan out
-                # sends to children, then dispatch the next queued task.
-                task = payload
-                device = placement[task]
-                finish[task] = now
-                device_last_finish[device] = now
-                busy[device] = False
-                for child, edge_idx in children[task]:
-                    heappush(heap, (now + delays[edge_idx], seq, _ARRIVAL, edge_idx))
-                    seq += 1
-                queue = queues[device]
-                if queue:
-                    nxt = queue.popleft()
-                    busy[device] = True
-                    start[nxt] = now
-                    started[nxt] = True
-                    heappush(heap, (now + durations[nxt], seq, _DONE, nxt))
-                    seq += 1
-                continue
-            if kind == _ARRIVAL:
-                edge = edges[payload]
-                arrival[edge] = now
-                task = edge[1]
-                pending[task] -= 1
-                if pending[task] != 0:
-                    continue
-                # fall through: the child becomes runnable — enqueue it.
-            else:
-                task = payload
-            device = placement[task]
-            if busy[device]:
-                queues[device].append(task)
-            else:
-                busy[device] = True
-                start[task] = now
-                started[task] = True
-                heappush(heap, (now + durations[task], seq, _DONE, task))
-                seq += 1
-
-        if not all(started):
-            missing = [i for i in range(n) if not started[i]]
-            raise RuntimeError(f"simulation deadlock: tasks {missing} never ran")
-
-        start_arr = np.array(start)
-        finish_arr = np.array(finish)
-        makespan = float(finish_arr.max() - start_arr.min())
+        start, finish, device_last_finish = self._replay(
+            placement, compute[0].tolist(), comm[0].tolist(), arrival
+        )
         return SimResult(
-            makespan=makespan,
-            start=start_arr,
-            finish=finish_arr,
+            makespan=max(finish) - min(start),
+            start=np.array(start),
+            finish=np.array(finish),
             arrival=arrival,
             device_last_finish=np.array(device_last_finish),
             placement=placement,
         )
+
+    def makespans(self, placements: np.ndarray) -> list[float]:
+        """Makespans of a (B, n) batch of *validated* placements.
+
+        ``[run(p).makespan for p in placements]`` without the timelines:
+        one :meth:`batch_costs`, one ``tolist`` per array for the whole
+        batch, no NumPy object per placement.
+        """
+        placements = np.atleast_2d(np.asarray(placements, dtype=np.int64))
+        compute, comm = self.batch_costs(placements)
+        out = []
+        for row, durations, delays in zip(placements.tolist(), compute.tolist(), comm.tolist()):
+            start, finish, _ = self._replay(row, durations, delays, None)
+            out.append(max(finish) - min(start))
+        return out
+
+    def _replay(
+        self,
+        placement: Sequence[int],
+        durations: list[float],
+        delays: list[float],
+        arrival: dict[tuple[int, int], float] | None,
+    ) -> tuple[list[float], list[float], list[float]]:
+        """The event walk: ``(start, finish, device_last_finish)`` lists, given
+        per-task ``durations`` and per-edge ``delays`` under ``placement``;
+        ``arrival[(u, v)]`` is recorded only when a dict is handed in."""
+        n = self._num_tasks
+        start = [0.0] * n
+        finish = [-1.0] * n
+        device_last_finish = [0.0] * self._num_devices
+        busy = [False] * self._num_devices
+        queues: dict[int, list[int]] = {}  # device -> waiting tasks, on first contention
+        pending = list(self._num_parents)
+        # Per task, the latest input so far as the (time, sequence) key
+        # its arrival event carries in the exact simulator.  No time is
+        # below 0.0, so a task's first input always replaces the initial key.
+        ready_time = [0.0] * n
+        ready_seq = [0] * n
+        children = self._children
+
+        # Heap entries are (time, sequence, payload): payload >= 0 is a
+        # task whose last input arrived, payload < 0 is ~task finishing;
+        # sequence numbers are unique, so payloads are never compared.
+        # Entry tasks are ready at 0.0 under numbers 0..k-1 (sorted: a heap).
+        heap: list[tuple[float, int, int]] = list(self._entry_events)
+        seq = len(heap)
+
+        while heap:
+            now, _, task = heappop(heap)
+            if task >= 0:
+                device = placement[task]
+                if busy[device]:
+                    queues.setdefault(device, []).append(task)
+                    continue
+                busy[device] = True
+            else:
+                task = ~task
+                device = placement[task]
+                finish[task] = now
+                device_last_finish[device] = now
+                for child, edge_idx in children[task]:
+                    t = now + delays[edge_idx]
+                    if arrival is not None:
+                        arrival[self._edges[edge_idx]] = t
+                    # `>=`: of two inputs landing together, the one sent
+                    # later (higher sequence number) is processed last.
+                    if t >= ready_time[child]:
+                        ready_time[child] = t
+                        ready_seq[child] = seq
+                    seq += 1  # once per edge, pushed or folded (module docstring)
+                    pending[child] -= 1
+                    if pending[child] == 0:
+                        heappush(heap, (ready_time[child], ready_seq[child], child))
+                queue = queues.get(device)
+                if not queue:
+                    busy[device] = False
+                    continue
+                task = queue.pop(0)  # first in, first out; the device stays busy
+            start[task] = now
+            heappush(heap, (now + durations[task], seq, ~task))
+            seq += 1
+
+        if min(finish) < 0.0:
+            missing = [i for i in range(n) if finish[i] < 0.0]
+            raise RuntimeError(f"simulation deadlock: tasks {missing} never ran")
+        return start, finish, device_last_finish

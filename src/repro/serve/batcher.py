@@ -27,15 +27,20 @@ __all__ = ["RequestBatcher"]
 
 
 class _Pending:
-    __slots__ = ("evaluator", "placement", "request", "value", "error", "done")
+    """One ``submit_many`` call: its placements, their values, one waiter.
 
-    def __init__(
-        self, evaluator: PlacementEvaluator, placement: Sequence[int], request: object
-    ) -> None:
+    The queue holds ``(pending, index)`` pairs, so one call may be scored
+    across several batches.  Only the drain thread writes ``values`` /
+    ``remaining`` / ``error``; the submitter reads them once ``done`` is set.
+    """
+
+    __slots__ = ("evaluator", "placements", "values", "remaining", "error", "done")
+
+    def __init__(self, evaluator: PlacementEvaluator, placements: Sequence[Sequence[int]]) -> None:
         self.evaluator = evaluator
-        self.placement = placement
-        self.request = request  # shared by the placements of one submit_many call
-        self.value: float | None = None
+        self.placements = placements
+        self.values = [0.0] * len(placements)
+        self.remaining = len(placements)  # ``done`` is set when this reaches zero
         self.error: BaseException | None = None
         self.done = threading.Event()
 
@@ -43,12 +48,15 @@ class _Pending:
 class RequestBatcher:
     """Coalesce concurrent scoring requests through ``evaluate_many``.
 
+    A drain thread that dies (an exception outside the per-batch guard)
+    fails every blocked and later submitter by name instead of hanging them.
+
     Parameters
     ----------
     max_wait_ms: how long the drain thread lingers after the first
         request of a batch to let concurrent requests pile in.  ``0``
         drains immediately (whatever is queued still coalesces).
-    max_batch: upper bound on requests drained per batch.
+    max_batch: upper bound on placements drained per batch.
     """
 
     def __init__(self, max_wait_ms: float = 2.0, max_batch: int = 256) -> None:
@@ -57,8 +65,9 @@ class RequestBatcher:
         self.max_wait_ms = max(0.0, float(max_wait_ms))
         self.max_batch = max_batch
         self._cond = threading.Condition()
-        self._queue: list[_Pending] = []
+        self._queue: list[tuple[_Pending, int]] = []
         self._stopping = False
+        self._died: str | None = None  # the message every submitter gets once dead
         self._thread: threading.Thread | None = None
         self.requests = 0
         self.batches = 0
@@ -68,6 +77,7 @@ class RequestBatcher:
     def start(self) -> "RequestBatcher":
         if self._thread is None:
             self._stopping = False
+            self._died = None
             self._thread = threading.Thread(
                 target=self._drain_loop, name="repro-serve-batcher", daemon=True
             )
@@ -100,29 +110,30 @@ class RequestBatcher:
     def submit_many(
         self, evaluator: PlacementEvaluator, placements: Sequence[Sequence[int]]
     ) -> list[float]:
-        """Score several placements, enqueued together (one wait, not N)."""
+        """Score several placements, enqueued together: one waiter and
+        one wait for the call, however many batches its placements span."""
         if self._thread is None:
             raise RuntimeError("RequestBatcher is not started")
-        request = object()
-        pendings = [_Pending(evaluator, p, request) for p in placements]
+        if len(placements) == 0:
+            return []  # nothing would ever release an empty request
+        pending = _Pending(evaluator, placements)
+        items = [(pending, i) for i in range(len(placements))]
         with self._cond:
+            if self._died is not None:
+                raise RuntimeError(self._died)
             if self._stopping:
                 raise RuntimeError("RequestBatcher is stopping")
-            self._queue.extend(pendings)
-            self.requests += len(pendings)
+            self._queue.extend(items)
+            self.requests += len(items)
             self._cond.notify_all()
-        out = []
-        for pending in pendings:
-            pending.done.wait()
-            if pending.error is not None:
-                raise pending.error
-            assert pending.value is not None
-            out.append(pending.value)
-        return out
+        pending.done.wait()  # set by its last score, its failure, or a dying drain thread
+        if pending.error is not None:
+            raise pending.error
+        return pending.values
 
     # -- drain side --------------------------------------------------------------
 
-    def _take_batch(self) -> list[_Pending] | None:
+    def _take_batch(self) -> list[tuple[_Pending, int]] | None:
         """Next batch (ordered by arrival), or ``None`` to shut down."""
         with self._cond:
             while not self._queue and not self._stopping:
@@ -140,40 +151,55 @@ class RequestBatcher:
             return batch
 
     def _drain_loop(self) -> None:
-        while True:
-            batch = self._take_batch()
-            if batch is None:
-                return
-            self.batches += 1
-            metrics().histogram("serve.batch_size").observe(len(batch))
-            with span("serve.batch"):
-                error = self._score(batch)
-                if error is not None:
-                    self._isolate_failure(batch, error)
+        batch: list[tuple[_Pending, int]] | None = None
+        try:
+            while True:
+                batch = self._take_batch()
+                if batch is None:
+                    return
+                self.batches += 1
+                metrics().histogram("serve.batch_size").observe(len(batch))
+                with span("serve.batch"):
+                    error = self._score(batch)
+                    if error is not None:
+                        self._isolate_failure(batch, error)
+        except BaseException as error:
+            # Unwinding: refuse new work and fail, by name, the batch in
+            # flight and everything still queued.
+            with self._cond:
+                self._died = f"RequestBatcher drain thread died: {error!r}"
+                stranded = (batch or []) + self._queue
+                self._queue = []
+            for pending, _ in stranded:
+                if not pending.done.is_set():
+                    pending.error = RuntimeError(self._died)
+                    pending.done.set()
+            raise  # the thread's traceback goes to threading.excepthook
 
-    def _isolate_failure(self, batch: list[_Pending], error: BaseException) -> None:
+    def _isolate_failure(self, batch: list[tuple[_Pending, int]], error: BaseException) -> None:
         """A batch that failed as a whole is re-scored one submitter at a
         time, so the error lands only on the request that raised."""
-        by_request: dict[object, list[_Pending]] = {}
-        for pending in batch:
-            by_request.setdefault(pending.request, []).append(pending)
-        for share in by_request.values():
+        shares: dict[_Pending, list[tuple[_Pending, int]]] = {}
+        for item in batch:
+            shares.setdefault(item[0], []).append(item)
+        for pending, share in shares.items():
             # A lone submitter's failure is already known.
-            share_error = error if len(by_request) == 1 else self._score(share)
+            share_error = error if len(shares) == 1 else self._score(share)
             if share_error is not None:
-                for pending in share:
-                    pending.error = share_error
-                    pending.done.set()
+                pending.error = share_error
+                pending.done.set()
 
     @staticmethod
-    def _score(pendings: list[_Pending]) -> BaseException | None:
-        """Score ``pendings`` together and release their waiters; on
-        failure release nobody and return the error."""
+    def _score(batch: list[tuple[_Pending, int]]) -> BaseException | None:
+        """Score ``batch`` together, releasing each waiter whose last
+        placement this was; on failure release nobody and return the error."""
         try:
-            values = coalesce_evaluate([(p.evaluator, p.placement) for p in pendings])
+            values = coalesce_evaluate([(p.evaluator, p.placements[i]) for p, i in batch])
         except BaseException as error:  # noqa: BLE001 - shipped to waiters
             return error
-        for pending, value in zip(pendings, values):
-            pending.value = value
-            pending.done.set()
+        for (pending, i), value in zip(batch, values):
+            pending.values[i] = value
+            pending.remaining -= 1
+            if pending.remaining == 0:
+                pending.done.set()
         return None

@@ -8,14 +8,14 @@ incremental ``GpNetBuilder.update`` equals a full ``build``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.env import PlacementEnv
 from repro.core.features import FeatureConfig, GpNetBuilder
 from repro.core.placement import PlacementProblem, random_placement
-from repro.devices import DeviceNetworkParams, generate_device_network
-from repro.graphs import TaskGraphParams, generate_task_graph
+from repro.devices import Device, DeviceNetwork, DeviceNetworkParams, generate_device_network
+from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
 from repro.runtime import EvaluatorPool, FastSimulator, PlacementEvaluator
 from repro.sim.executor import simulate
 from repro.sim.latency import CostModel
@@ -79,6 +79,153 @@ def test_fast_simulator_rejects_infeasible_placement():
     bad = [problem.network.num_devices + 3] * problem.graph.num_tasks
     with pytest.raises(ValueError):
         sim.run(bad)
+
+
+# The bitwise contract of the shared walk.  FastSimulator folds each
+# task's per-edge arrival events into one ready event; every timeline
+# field must still *equal* the exact simulator's, ties included.
+
+
+def layout_problem(seed, num_tasks, num_devices, edge_prob, tie_heavy=False):
+    """A random DAG on a random network (hardware type 1 lives on device
+    0 only).  ``tie_heavy`` forces compute times into {0, 1, 2}, delays
+    into {0, 1} and drops the bandwidth term, so zero-length tasks,
+    co-located zero-delay children and simultaneous finishes all occur
+    and the (time, sequence) tie-break decides the schedule."""
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (i, j)
+        for i in range(num_tasks)
+        for j in range(i + 1, num_tasks)
+        if rng.random() < edge_prob
+    ]
+    # Shuffled insertion order: an edge's index in ``graph.edges`` (the
+    # column its delay sits in) says nothing about its endpoints.
+    rng.shuffle(pairs)
+    graph = TaskGraph(
+        compute=tuple(rng.uniform(1.0, 10.0, num_tasks)),
+        edges={(int(i), int(j)): float(rng.uniform(1.0, 50.0)) for i, j in pairs},
+        requirements=tuple(int(r) for r in rng.integers(0, 2, num_tasks)),
+    )
+    devices = [
+        Device(uid=k, speed=float(rng.uniform(0.5, 4.0)), supports=frozenset({0, 1} if k == 0 else {0}))
+        for k in range(num_devices)
+    ]
+    shape = (num_devices, num_devices)
+    if tie_heavy:
+        bandwidth = np.full(shape, np.inf)
+        delay = rng.integers(0, 2, shape).astype(np.float64)
+    else:
+        bandwidth = rng.uniform(1.0, 20.0, shape)
+        delay = rng.uniform(0.0, 2.0, shape)
+    np.fill_diagonal(bandwidth, np.inf)
+    np.fill_diagonal(delay, 0.0)
+    network = DeviceNetwork(devices, bandwidth, delay)
+    if not tie_heavy:
+        return PlacementProblem(graph, network)
+    compute_matrix = rng.integers(0, 3, (num_tasks, num_devices)).astype(np.float64)
+    return PlacementProblem(graph, network, CostModel(graph, network, compute_matrix))
+
+
+def assert_walk_equals_executor(problem, seed, count=4):
+    rng = np.random.default_rng(seed)
+    sim = FastSimulator(problem)
+    placements = [random_placement(problem, rng) for _ in range(count)]
+    for placement in placements:
+        exact = simulate(problem.graph, problem.network, placement, problem.cost_model)
+        fast = sim.run(placement)
+        assert fast.makespan == exact.makespan
+        assert (fast.start == exact.start).all()
+        assert (fast.finish == exact.finish).all()
+        assert fast.arrival == exact.arrival
+        assert (fast.device_last_finish == exact.device_last_finish).all()
+        assert fast.placement == exact.placement
+    assert sim.makespans(np.array(placements)) == [sim.run(p).makespan for p in placements]
+
+
+layouts = given(
+    seed=st.integers(0, 2**31),
+    num_tasks=st.integers(1, 14),
+    num_devices=st.integers(1, 5),
+    edge_prob=st.sampled_from([0.0, 0.15, 0.4, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@layouts
+@example(seed=0, num_tasks=1, num_devices=1, edge_prob=1.0)  # single task, single device
+@example(seed=1, num_tasks=6, num_devices=3, edge_prob=0.0)  # edgeless: every task an entry
+@example(seed=2, num_tasks=14, num_devices=1, edge_prob=1.0)  # one device queues everything
+def test_walk_equals_executor_on_generated_problems(seed, num_tasks, num_devices, edge_prob):
+    problem = layout_problem(seed, num_tasks, num_devices, edge_prob)
+    assert_walk_equals_executor(problem, seed + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@layouts
+@example(seed=3, num_tasks=9, num_devices=2, edge_prob=1.0)
+def test_walk_equals_executor_when_ties_decide(seed, num_tasks, num_devices, edge_prob):
+    """Fails if, of two inputs landing together, the walk keeps the
+    earlier-sent one as the task's ready key."""
+    problem = layout_problem(seed, num_tasks, num_devices, edge_prob, tie_heavy=True)
+    assert_walk_equals_executor(problem, seed + 1)
+
+
+def test_walk_sequences_every_edge_even_a_folded_one():
+    """Entries 0, 1, 2 finish together at t=1 on three devices.  Task 4's
+    latest input is 0's send (landing t=2), task 3's is 1's send (also
+    t=2, sequenced after it); both are *released* by co-located task 2's
+    zero-delay sends, which land first.  So both ready events fire at
+    t=2 with the keys of two sends that never became heap events on
+    their own, and 4 runs before 3.  A walk that numbers only the events
+    it pushes gives both the same number and runs 3 first."""
+    graph = TaskGraph(
+        compute=(1.0,) * 5,
+        edges={(0, 4): 1.0, (1, 3): 1.0, (2, 3): 1.0, (2, 4): 1.0},
+        requirements=(0,) * 5,
+    )
+    devices = [Device(uid=k, speed=1.0, supports=frozenset({0})) for k in range(3)]
+    bandwidth = np.full((3, 3), np.inf)
+    delay = np.ones((3, 3)) - np.eye(3)
+    network = DeviceNetwork(devices, bandwidth, delay)
+    problem = PlacementProblem(graph, network)
+    placement = (0, 1, 2, 2, 2)
+    exact = simulate(graph, network, placement, problem.cost_model)
+    assert exact.start.tolist() == [0.0, 0.0, 0.0, 3.0, 2.0]
+    sim = FastSimulator(problem)
+    fast = sim.run(placement)
+    assert fast.start.tolist() == exact.start.tolist()
+    assert fast.finish.tolist() == exact.finish.tolist()
+    assert fast.arrival == exact.arrival
+    assert sim.makespans([placement]) == [exact.makespan]
+
+
+def test_walk_names_the_tasks_that_never_ran():
+    problem = make_problem(3)
+    rng = np.random.default_rng(0)
+    placement = random_placement(problem, rng)
+    sim = FastSimulator(problem)
+    last = problem.graph.num_tasks - 1  # the generator's single exit task
+    # One input more than the graph will ever deliver.
+    sim._num_parents = sim._num_parents[:last] + (sim._num_parents[last] + 1,)
+    for call in (sim.run, lambda p: sim.makespans([p])):
+        with pytest.raises(RuntimeError, match=rf"simulation deadlock: tasks \[{last}\] never ran"):
+            call(placement)
+
+
+def test_makespans_input_forms():
+    problem = make_problem(3)
+    rng = np.random.default_rng(0)
+    sim = FastSimulator(problem)
+    placements = [random_placement(problem, rng) for _ in range(3)]
+    expected = [sim.run(p).makespan for p in placements]
+    assert all(type(d) is int for p in placements for d in p)
+    assert sim.makespans(placements) == expected
+    assert sim.makespans([[np.int64(d) for d in p] for p in placements]) == expected
+    assert sim.makespans(np.array(placements[1])) == [expected[1]]  # one 1-D placement
+    got = sim.makespans(np.array(placements))
+    assert all(type(value) is float for value in got)
+    assert sim.makespans(np.empty((0, problem.graph.num_tasks), dtype=np.int64)) == []
 
 
 # -- evaluator scoring ------------------------------------------------------------------
@@ -164,6 +311,38 @@ def test_evaluator_lru_eviction_and_validation():
     with pytest.raises(ValueError):
         PlacementEvaluator(problem, MakespanObjective(), cache_size=0)
     assert len(evaluator.evaluate_many([])) == 0
+
+
+def test_evaluate_many_accounting_is_pinned():
+    """One warm-cache batch mixing hits, fresh misses and within-batch
+    repeats, against an LRU small enough to evict mid-batch.  The counters
+    and the LRU order were recorded at the commit before ``evaluate_many``
+    moved from ``FastSimulator.run`` per miss to one ``makespans`` call:
+    the batch entry changed what a miss costs, not what is counted,
+    cached or evicted."""
+    problem = make_problem(7)
+    rng = np.random.default_rng(5)
+    pool = list(dict.fromkeys(random_placement(problem, rng) for _ in range(14)))
+    evaluator = PlacementEvaluator(problem, MakespanObjective(), cache_size=8)
+    for placement in pool[:3]:
+        evaluator.evaluate(placement)
+    evaluator.evaluate_many(pool[3:6])
+    evaluator.timeline(pool[6])
+    timelines_before = list(evaluator._timelines)
+
+    # cached: 0 4 2 5 — fresh: 7 8 9 10 — repeated within the batch: 7 8 8
+    batch = [pool[i] for i in (0, 7, 4, 8, 7, 2, 9, 8, 8, 5, 10)]
+    got = evaluator.evaluate_many(batch)
+
+    twin = PlacementEvaluator(problem, MakespanObjective())
+    assert got.tolist() == [twin.evaluate(p) for p in batch]
+    assert evaluator.stats.as_dict() == dict(
+        evaluations=17, cache_hits=7, cache_misses=10, hit_rate=7 / 17,
+        fast_path=10, exact_path=0, batch_calls=2,
+        timeline_hits=0, timeline_misses=4,
+    )
+    assert list(evaluator._timelines) == timelines_before  # batches cache scalars only
+    assert [pool.index(key) for key in evaluator._values] == [0, 4, 2, 5, 7, 8, 9, 10]
 
 
 def _cache_state(evaluator):

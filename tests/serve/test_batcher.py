@@ -1,6 +1,7 @@
 """RequestBatcher: coalescing, value fidelity, and error propagation."""
 
 import threading
+import time
 
 import pytest
 
@@ -154,3 +155,119 @@ class TestBatcher:
             batcher.submit_many(evaluator, ps)
             batcher.submit_many(evaluator, ps)  # second pass: warm cache
         assert evaluator.stats.cache_hits >= len(ps)
+
+
+def run_bounded(fn, limit_s=5.0):
+    """Run ``fn`` in a helper thread; a call that hangs fails the test
+    instead of wedging the suite.  Returns its value or its exception."""
+    box = {}
+
+    def target():
+        try:
+            box["outcome"] = fn()
+        except BaseException as error:  # noqa: BLE001 - handed to the test
+            box["outcome"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=limit_s)
+    assert not thread.is_alive(), f"still blocked after {limit_s} s"
+    return box["outcome"]
+
+
+class TestRequestShapes:
+    """One waiter per ``submit_many`` call, released by a countdown over
+    its placements: the shapes that countdown has to get right."""
+
+    def test_empty_request_returns_without_enqueueing(self, problem, objective):
+        evaluator = PlacementEvaluator(problem, objective)
+        with RequestBatcher(max_wait_ms=1.0) as batcher:
+            assert run_bounded(lambda: batcher.submit_many(evaluator, [])) == []
+            assert batcher.requests == 0 and batcher.batches == 0
+        assert evaluator.stats.batch_calls == 0
+
+    def test_request_larger_than_max_batch(self, problem, objective):
+        evaluator = PlacementEvaluator(problem, objective)
+        reference = PlacementEvaluator(problem, objective)
+        ps = placements_for(problem, 8)
+        with RequestBatcher(max_wait_ms=1.0, max_batch=3) as batcher:
+            values = run_bounded(lambda: batcher.submit_many(evaluator, ps))
+            assert values == [float(reference.evaluate(p)) for p in ps]
+            assert batcher.batches == 3  # 3 + 3 + 2: max_batch counts placements
+            assert batcher.requests == 8
+
+    def test_error_in_the_second_piece_of_a_straddling_request(self, problem, objective):
+        """Six placements against ``max_batch=4``: the first four score
+        cleanly, the infeasible sixth shares the next batch with another
+        submitter.  The straddler raises; the neighbour is re-scored."""
+        evaluator = PlacementEvaluator(problem, objective)
+        reference = PlacementEvaluator(problem, objective)
+        good = placements_for(problem, 7)
+        straddler = good[:5] + [[99] * len(problem.feasible_sets)]
+        neighbour = good[5:]
+        outcomes = {}
+        # The neighbour's enqueue wakes the drain thread out of its
+        # linger over the straddler's two left-over placements.
+        with RequestBatcher(max_wait_ms=2000.0, max_batch=4) as batcher:
+            first = threading.Thread(
+                target=lambda: outcomes.update(
+                    straddler=run_bounded(lambda: batcher.submit_many(evaluator, straddler))
+                )
+            )
+            first.start()
+            deadline = time.monotonic() + 5.0
+            while batcher.batches < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            outcomes["neighbour"] = run_bounded(lambda: batcher.submit_many(evaluator, neighbour))
+            first.join(timeout=10)
+            assert not first.is_alive()
+            assert batcher.batches == 2 and batcher.requests == 8
+        assert outcomes["neighbour"] == [float(reference.evaluate(p)) for p in neighbour]
+        assert isinstance(outcomes["straddler"], ValueError)
+        assert "task 0 placed on infeasible device index 99" in str(outcomes["straddler"])
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+class TestDeadDrainThread:
+    def test_in_flight_queued_and_later_submitters_fail_by_name(
+        self, problem, objective, monkeypatch
+    ):
+        """An exception outside the per-batch guard kills the drain
+        thread; nobody may be left waiting on it."""
+        entered, release = threading.Event(), threading.Event()
+
+        def boom(self, batch, error):
+            entered.set()
+            release.wait(timeout=5.0)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(RequestBatcher, "_isolate_failure", boom)
+        evaluator = PlacementEvaluator(problem, objective)
+        bad = [[99] * len(problem.feasible_sets)]
+        good = placements_for(problem, 2)
+        message = "RequestBatcher drain thread died: RuntimeError('boom')"
+        outcomes = {}
+
+        def submit(name, placements):
+            outcomes[name] = run_bounded(lambda: batcher.submit_many(evaluator, placements))
+
+        batcher = RequestBatcher(max_wait_ms=0.0).start()
+        threads = [
+            threading.Thread(target=submit, args=("in flight", bad)),
+            threading.Thread(target=submit, args=("queued", good)),
+        ]
+        threads[0].start()
+        assert entered.wait(timeout=5.0)  # the failed batch is being isolated ...
+        threads[1].start()
+        deadline = time.monotonic() + 5.0
+        while batcher.requests < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)  # ... and a second request queues up behind it
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        outcomes["later"] = run_bounded(lambda: batcher.submit_many(evaluator, good))
+        for name in ("in flight", "queued", "later"):
+            assert isinstance(outcomes[name], RuntimeError), name
+            assert str(outcomes[name]) == message, name
+        assert run_bounded(batcher.stop) is None
+        assert evaluator.stats.evaluations == 0  # nothing was scored behind the failure

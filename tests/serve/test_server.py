@@ -145,6 +145,41 @@ class TestRequestSemantics:
         assert outcomes["bad"].response["ok"] is False
         assert "infeasible device index 99" in outcomes["bad"].response["error"]
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_batcher_answers_ok_false_and_the_daemon_keeps_serving(
+        self, server, socket_path, monkeypatch
+    ):
+        """The batcher's drain thread dies under an evaluate request: that
+        connection gets one named ok:false (not silence), and requests
+        that do not need the batcher are still answered."""
+        from repro.serve.batcher import RequestBatcher
+
+        def boom(self, batch, error):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(RequestBatcher, "_isolate_failure", boom)
+        outcome = {}
+
+        def evaluate():
+            with ServeClient(socket_path, timeout_s=5.0) as client:
+                try:
+                    outcome["values"] = client.evaluate("stable-cluster", [[99] * 10], seed=0)
+                except (ServeRequestError, OSError) as error:
+                    outcome["error"] = error
+
+        thread = threading.Thread(target=evaluate, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        error = outcome["error"]
+        assert isinstance(error, ServeRequestError)
+        assert error.response["ok"] is False
+        assert "RequestBatcher drain thread died: RuntimeError('boom')" in error.response["error"]
+        with ServeClient(socket_path, timeout_s=5.0) as client:
+            assert client.ping()["protocol"] == 1
+            with pytest.raises(ServeRequestError, match="drain thread died"):
+                client.evaluate("stable-cluster", [[0] * 10], seed=0)
+
     def test_unknown_op_rejected(self, server, socket_path):
         with ServeClient(socket_path) as client:
             with pytest.raises(ServeRequestError):
