@@ -4,10 +4,10 @@ from .base import AdaptivePolicy, SearchPolicy, trace_from_values
 from .eft import eft_device, eft_estimates, eft_relocation_search
 from .giph_policy import GiPHSearchPolicy
 from .heft import HeftSchedule, heft_placement, upward_ranks
-from .placeto import PlacetoAgent, PlacetoTrainer, placeto_node_features
+from .placeto import PlacetoAgent, PlacetoLayout, PlacetoTrainer, placeto_node_features
 from .random_policies import RandomPlacementPolicy, RandomTaskEftPolicy
 from .rnn_placer import RnnPlacer, RnnPlacerPolicy, RnnPlacerResult, operator_embeddings
-from .task_eft import TaskEftAgent, TaskEftTrainer, build_task_view
+from .task_eft import TaskEftAgent, TaskEftTrainer, TaskViewBuilder, build_task_view
 
 __all__ = [
     "SearchPolicy",
@@ -21,6 +21,7 @@ __all__ = [
     "heft_placement",
     "upward_ranks",
     "PlacetoAgent",
+    "PlacetoLayout",
     "PlacetoTrainer",
     "placeto_node_features",
     "RandomPlacementPolicy",
@@ -31,5 +32,6 @@ __all__ = [
     "operator_embeddings",
     "TaskEftAgent",
     "TaskEftTrainer",
+    "TaskViewBuilder",
     "build_task_view",
 ]

@@ -16,7 +16,7 @@ from ..core.search import SearchTrace
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
 
-__all__ = ["SearchPolicy", "AdaptivePolicy", "make_evaluator", "trace_from_values"]
+__all__ = ["SearchPolicy", "AdaptivePolicy", "make_evaluator", "bound_handle", "trace_from_values"]
 
 
 class SearchPolicy(Protocol):
@@ -74,6 +74,16 @@ def make_evaluator(
     if evaluator.problem is not problem or evaluator.objective is not objective:
         raise ValueError("evaluator must be bound to the search's problem and objective")
     return evaluator
+
+
+def bound_handle(problem: PlacementProblem, handle, make):
+    """A per-problem cache handle (``views=`` / ``layout=``): ``handle`` when
+    it was built for ``problem``, a throwaway ``make(problem)`` when omitted."""
+    if handle is None:
+        return make(problem)
+    if handle.problem is not problem:
+        raise ValueError(f"{type(handle).__name__} is bound to another problem than this call's")
+    return handle
 
 
 def trace_from_values(

@@ -15,6 +15,13 @@ Architecture follows Table 4/5's Placeto row: 5 raw node features,
 8 message-passing steps, node summary of dimension 5·2·4 = 40 (per-node
 forward/backward embeddings, parent-aggregated, child-aggregated and
 graph-pooled views), policy MLP 40 -> 32 -> num_devices.
+
+Per problem (:class:`PlacetoLayout`, made once by ``search`` /
+``run_episode`` and passed as ``layout=``): edge arrays, the two static
+feature columns, segment sizes.  Per step: three feature columns, the
+normalisation, one embedding.  Each direction's k steps are one tape
+node (:func:`_propagate`); it multiplies with ``@`` because ``Linear``
+does — the row-invariant einsum kernel of ``core.gnn`` gives other floats.
 """
 
 from __future__ import annotations
@@ -23,48 +30,112 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core.placement import PlacementProblem
+from ..core.placement import PlacementProblem, random_placement
 from ..core.reinforce import average_reward_baseline, discounted_returns
 from ..core.search import SearchTrace
 from ..nn import MLP, Adam, Linear, Module, Parameter, Tensor, concat, no_grad
 from ..nn import functional as F
 from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
 from ..sim.objectives import Objective
-from .base import AdaptivePolicy, make_evaluator, trace_from_values
+from .base import AdaptivePolicy, bound_handle, make_evaluator, trace_from_values
 
-__all__ = ["PlacetoAgent", "PlacetoTrainer", "placeto_node_features"]
+__all__ = ["PlacetoAgent", "PlacetoLayout", "PlacetoTrainer", "placeto_node_features"]
+
+
+class PlacetoLayout:
+    """What Placeto reads of one problem that no placement changes: edge
+    endpoints, the two static feature columns, the segment sizes of its
+    two mean aggregations, the device-index scale."""
+
+    def __init__(self, problem: PlacementProblem) -> None:
+        self.problem = problem
+        graph, cm = problem.graph, problem.cost_model
+        n = graph.num_tasks
+        self.src, self.dst, _ = graph.edge_arrays()
+        self.in_counts = F._segment_counts(self.dst, n)[:, None]
+        self.out_counts = F._segment_counts(self.src, n)[:, None]
+        # ``graph.data_out(i)`` for every task in one pass over the edges:
+        # per task the same additions in the same (dict) order.
+        data_out = [0] * n
+        for (u, _), data in graph.edges.items():
+            data_out[u] += data
+        self._static = np.array([[cm.mean_compute_time(i), data_out[i]] for i in range(n)])
+        self._device_scale = max(problem.network.num_devices - 1, 1)
+
+    def features(self, placement: Sequence[int], current_node: int, placed: np.ndarray) -> np.ndarray:
+        """Placeto's 5 per-operator features (paper §B.7).
+
+        (1) average compute time, (2) average output data bytes, (3) current
+        placement (normalized device index), (4) is-current indicator,
+        (5) already-placed-this-episode indicator.  Note the absence of any
+        device-network capability feature — Placeto's crucial limitation.
+        """
+        feats = np.empty((len(self._static), 5))
+        feats[:, :2] = self._static
+        feats[:, 2] = np.asarray(placement) / self._device_scale
+        # A compare, not ``feats[current_node] = 1``: -1 flags no row.
+        feats[:, 3] = np.arange(len(feats)) == current_node
+        feats[:, 4] = np.asarray(placed, dtype=bool)
+        scale = np.abs(feats).mean(axis=0)
+        return feats / np.where(scale > 1e-12, scale, 1.0)
 
 
 def placeto_node_features(
-    problem: PlacementProblem,
-    placement: Sequence[int],
-    current_node: int,
-    placed: np.ndarray,
+    problem: PlacementProblem, placement: Sequence[int], current_node: int, placed: np.ndarray
 ) -> np.ndarray:
-    """Placeto's 5 per-operator features (paper §B.7).
+    """One-shot :meth:`PlacetoLayout.features`."""
+    return PlacetoLayout(problem).features(placement, current_node, placed)
 
-    (1) average compute time, (2) average output data bytes, (3) current
-    placement (normalized device index), (4) is-current indicator,
-    (5) already-placed-this-episode indicator.  Note the absence of any
-    device-network capability feature — Placeto's crucial limitation.
+
+def _propagate(
+    e0: Tensor, senders: np.ndarray, receivers: np.ndarray, counts: np.ndarray,
+    msg_layer: Linear, agg_layer: Linear, steps: int,
+) -> Tensor:
+    """``steps`` rounds of ``e <- relu(agg(mean relu(msg(e[senders])))) + e0``
+    as one tape node (``counts``: messages per receiver, floored at 1).
+
+    The forward runs the composed ``Tensor`` loop's float operations in
+    plain NumPy; the backward replays, last step first, what that tape
+    would run, in its order (oracle: ``propagate_composed`` in
+    ``tests/baselines/reference.py``).  Every parent is a parameter or
+    computed from one, so none is tested for ``requires_grad``.
     """
-    graph = problem.graph
-    cm = problem.cost_model
-    m = problem.network.num_devices
-    rows = []
-    for i in range(graph.num_tasks):
-        rows.append(
-            [
-                cm.mean_compute_time(i),
-                graph.data_out(i),
-                placement[i] / max(m - 1, 1),
-                1.0 if i == current_node else 0.0,
-                1.0 if placed[i] else 0.0,
-            ]
-        )
-    feats = np.array(rows)
-    scale = np.abs(feats).mean(axis=0)
-    return feats / np.where(scale > 1e-12, scale, 1.0)
+    wm, bm, wa, ba = msg_layer.weight, msg_layer.bias, agg_layer.weight, agg_layer.bias
+    parents = (e0, wm, bm, wa, ba)
+    e0d, wmd, bmd, wad, bad = (p.data for p in parents)
+    if len(senders) == 0:
+        # Edgeless: no step reads the one before it (every ``agg`` is
+        # zeros), so all compute the same floats and only the last is on
+        # the composed tape — one step, accumulated once.
+        steps = 1
+    e, saved = e0d, []
+    for _ in range(steps):
+        s = e[senders]
+        pre = s @ wmd + bmd
+        agg = F._segment_sum_kernel(np.maximum(pre, 0.0), receivers, len(e0d)) / counts
+        h = agg @ wad + bad
+        e = np.maximum(h, 0.0) + e0d
+        saved.append((s, pre, agg, h))
+
+    def backward(grad: np.ndarray) -> None:
+        G = grad  # gradient of the step output being unwound
+        for step in reversed(range(steps)):
+            s, pre, agg, h = saved[step]
+            e0._accumulate(G)
+            g_h = G * (h > 0)
+            ba._accumulate(g_h.sum(axis=0))
+            wa._accumulate(agg.T @ g_h)
+            if len(senders) == 0:
+                return  # the composed tape never runs ``msg_layer`` here
+            g_pre = ((g_h @ wad.T) / counts)[receivers] * (pre > 0)
+            bm._accumulate(g_pre.sum(axis=0))
+            wm._accumulate(s.T @ g_pre)
+            # Step 0 gathered from e0 itself (after its ``_accumulate``
+            # above); later steps from an output nothing else reads.
+            G = np.zeros_like(e0d) if step else e0.grad
+            np.add.at(G, senders, g_pre @ wmd.T)
+
+    return Tensor._make(e, parents, backward, "propagate")
 
 
 class _PlacetoEmbedding(Module):
@@ -80,29 +151,15 @@ class _PlacetoEmbedding(Module):
         self.embed_dim = embed_dim
         self.out_dim = embed_dim * 2 * 4
 
-    def _propagate(self, e0, src, dst, msg_layer, agg_layer, n):
-        e = e0
-        for _ in range(self.steps):
-            if len(src) == 0:
-                agg = Tensor(np.zeros((n, self.embed_dim)))
-            else:
-                msg = msg_layer(e[src]).relu()
-                agg = F.segment_mean(msg, dst, n)
-            e = agg_layer(agg).relu() + e0
-        return e
-
-    def forward(self, problem: PlacementProblem, features: np.ndarray) -> Tensor:
+    def forward(self, layout: PlacetoLayout, features: np.ndarray) -> Tensor:
         """Node summaries of dim embed·2·4: per-node forward/backward
         embeddings plus parent-aggregated and child-aggregated views
         (zeros where a node has no parents/children), mirroring Placeto's
         grouped summaries."""
-        graph = problem.graph
-        n = graph.num_tasks
-        src = np.array([u for (u, _) in graph.edges], dtype=np.int64)
-        dst = np.array([v for (_, v) in graph.edges], dtype=np.int64)
+        n, src, dst = len(features), layout.src, layout.dst
         e0 = self.pre(Tensor(features))
-        e_fwd = self._propagate(e0, src, dst, self.fwd_msg, self.fwd_agg, n)
-        e_bwd = self._propagate(e0, dst, src, self.bwd_msg, self.bwd_agg, n)
+        e_fwd = _propagate(e0, src, dst, layout.in_counts, self.fwd_msg, self.fwd_agg, self.steps)
+        e_bwd = _propagate(e0, dst, src, layout.out_counts, self.bwd_msg, self.bwd_agg, self.steps)
         node = concat([e_fwd, e_bwd], axis=1)
         if len(src) == 0:
             parents = Tensor(np.zeros((n, 2 * self.embed_dim)))
@@ -141,21 +198,24 @@ class PlacetoAgent(AdaptivePolicy):
         placement: Sequence[int],
         node: int,
         placed: np.ndarray,
+        layout: PlacetoLayout | None = None,
     ) -> Tensor:
         """Masked device distribution for ``node``.
 
         Networks *smaller* than the head are handled by masking the
         surplus outputs (devices can leave the cluster mid-deployment,
         Fig. 6); larger networks cannot be represented at all — the
-        fixed-size head is Placeto's structural limitation.
+        fixed-size head is Placeto's structural limitation.  ``layout``
+        is the caller's :class:`PlacetoLayout` for ``problem``; passing
+        one never changes the result.
         """
         if problem.network.num_devices > self.num_devices:
             raise ValueError(
                 f"Placeto head built for {self.num_devices} devices; "
                 f"network has {problem.network.num_devices} — retraining required"
             )
-        feats = placeto_node_features(problem, placement, node, placed)
-        embeddings = self.embedding(problem, feats)
+        layout = bound_handle(problem, layout, PlacetoLayout)
+        embeddings = self.embedding(layout, layout.features(placement, node, placed))
         logits = self.head(embeddings[node])
         mask = np.zeros(self.num_devices, dtype=bool)
         mask[list(problem.feasible_sets[node])] = True
@@ -168,8 +228,9 @@ class PlacetoAgent(AdaptivePolicy):
         node: int,
         placed: np.ndarray,
         greedy: bool = False,
+        layout: PlacetoLayout | None = None,
     ) -> tuple[int, Tensor]:
-        log_probs = self.device_log_probs(problem, placement, node, placed)
+        log_probs = self.device_log_probs(problem, placement, node, placed, layout)
         probs = np.exp(log_probs.data)
         probs /= probs.sum()
         if greedy:
@@ -198,6 +259,7 @@ class PlacetoAgent(AdaptivePolicy):
         # repro: lint-ok[rng-stored-advancing]  (rebinds to the per-case stream)
         self.rng = rng
         evaluator = make_evaluator(problem, objective, evaluator)
+        layout = PlacetoLayout(problem)
         placement = list(problem.validate_placement(initial_placement))
         placements = [tuple(placement)]
         values = [evaluator.evaluate(placement)]
@@ -212,7 +274,7 @@ class PlacetoAgent(AdaptivePolicy):
                 placed = np.zeros(n, dtype=bool)
             node = traversal[position]
             with no_grad():
-                device, _ = self.choose_device(problem, placement, node, placed)
+                device, _ = self.choose_device(problem, placement, node, placed, layout=layout)
             if device != placement[node]:
                 relocations[node] += 1
             placement[node] = device
@@ -242,16 +304,17 @@ class PlacetoTrainer:
         self._evaluators = EvaluatorPool(objective)
 
     def run_episode(self, problem: PlacementProblem, rng: np.random.Generator) -> float:
-        from ..core.placement import random_placement
-
         evaluator = self._evaluators.get(problem)
+        layout = PlacetoLayout(problem)
         placement = list(random_placement(problem, rng))
         value = evaluator.evaluate(placement)
         placed = np.zeros(problem.graph.num_tasks, dtype=bool)
         log_probs: list[Tensor] = []
         rewards: list[float] = []
         for node in problem.graph.topo_order:
-            device, log_prob = self.agent.choose_device(problem, placement, node, placed)
+            device, log_prob = self.agent.choose_device(
+                problem, placement, node, placed, layout=layout
+            )
             placement[node] = device
             placed[node] = True
             new_value = evaluator.evaluate(placement)

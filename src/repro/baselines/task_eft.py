@@ -5,6 +5,11 @@ where to place it are done separately".  The agent embeds the *task
 graph* (one node per task, annotated with its current placement) rather
 than the joint task×device gpNet, scores tasks, and delegates the device
 choice to EFT.
+
+Per problem (:class:`TaskViewBuilder`, made once by ``search`` /
+``run_episode`` and passed as ``views=``): edge arrays, the C_i column,
+the view's ``GpNetStructure``.  Per step: the placement-dependent columns
+and both normalisations — every row moves with a relocation.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.env import default_episode_length
+from ..core.features import GpNetBuilder, GpNetStructure
 from ..core.gnn import TwoWayMessagePassing
 from ..core.gpnet import GpNet
-from ..core.placement import PlacementProblem
+from ..core.placement import PlacementProblem, random_placement
 from ..core.policy import ScorePolicy
 from ..core.reinforce import average_reward_baseline, discounted_returns
 from ..core.search import SearchTrace
@@ -23,67 +30,71 @@ from ..nn import Adam, Parameter, Tensor, no_grad
 from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
 from ..sim.executor import SimResult, simulate
 from ..sim.objectives import Objective
-from .base import AdaptivePolicy, make_evaluator
+from .base import AdaptivePolicy, bound_handle, make_evaluator
 from .eft import eft_device, eft_relocation_search
 
-__all__ = ["build_task_view", "TaskEftAgent", "TaskEftTrainer"]
+__all__ = ["TaskViewBuilder", "build_task_view", "TaskEftAgent", "TaskEftTrainer"]
 
 
-def build_task_view(
-    problem: PlacementProblem, placement: Sequence[int], timeline: SimResult | None = None
-) -> GpNet:
-    """The task graph as a degenerate gpNet: one (pivot) node per task.
+class TaskViewBuilder:
+    """One problem's task views: the task graph as a degenerate gpNet, one
+    (pivot) node per task — the task-level sibling of ``GpNetBuilder``.
 
     Node features: [C_i, SP_{M(i)}, w_{i,M(i)}, scheduled start time];
     edge features: [B_ij, 1/BW, DL, c_ij] under the current placement.
     Reusing the GpNet container lets the GiPH GNN run unchanged on the
     task-level graph.
     """
-    graph, cm = problem.graph, problem.cost_model
-    placement = problem.validate_placement(placement)
-    if timeline is None:
-        timeline = simulate(graph, problem.network, placement, cm)
-    speeds = problem.network.speeds
 
-    node_features = np.array(
-        [
-            [
-                graph.compute[i],
-                speeds[placement[i]],
-                cm.compute_time(i, placement[i]),
-                timeline.start[i],
-            ]
-            for i in range(graph.num_tasks)
-        ]
-    )
-    scale = np.abs(node_features).mean(axis=0)
-    node_features = node_features / np.where(scale > 1e-12, scale, 1.0)
+    def __init__(self, problem: PlacementProblem) -> None:
+        self.problem = problem
+        graph = problem.graph
+        self._src, self._dst, self._data = graph.edge_arrays()
+        self._tasks = np.arange(graph.num_tasks, dtype=np.int64)
+        self._compute = np.array(graph.compute)
+        self._is_pivot = np.ones(graph.num_tasks, dtype=bool)
+        self._options = tuple(np.array([i]) for i in range(graph.num_tasks))
+        # Endpoints never move: the first view's sweep plans serve every view.
+        self._structure: GpNetStructure | None = None
 
-    inv_bw = problem.network.inv_bandwidth
-    src, dst, efeat = [], [], []
-    for (u, v), data in graph.edges.items():
-        du, dv = placement[u], placement[v]
-        src.append(u)
-        dst.append(v)
-        efeat.append(
-            [data, inv_bw[du, dv], problem.network.delay[du, dv], cm.comm_time((u, v), du, dv)]
+    def build(self, placement: Sequence[int], timeline: SimResult | None = None) -> GpNet:
+        """The view of ``placement`` (timeline simulated if absent)."""
+        problem, network = self.problem, self.problem.network
+        placement = problem.validate_placement(placement)
+        if timeline is None:
+            timeline = simulate(problem.graph, network, placement, problem.cost_model)
+        device_of = np.array(placement, dtype=np.int64)
+        node_features = np.column_stack(
+            [self._compute, network.speeds[device_of],
+             problem.cost_model.W[self._tasks, device_of], timeline.start]
         )
-    edge_features = np.array(efeat) if efeat else np.zeros((0, 4))
-    if len(edge_features):
-        escale = np.abs(edge_features).mean(axis=0)
-        edge_features = edge_features / np.where(escale > 1e-12, escale, 1.0)
+        du, dv = device_of[self._src], device_of[self._dst]
+        inv_bw, delay = network.inv_bandwidth[du, dv], network.delay[du, dv]
+        # c_ij in CostModel.comm_time's grouping, exactly 0.0 when co-located.
+        comm = np.where(du == dv, 0.0, delay + self._data * inv_bw)
+        edge_features = np.column_stack([self._data, inv_bw, delay, comm])
+        net = GpNet(
+            task_of=self._tasks,
+            device_of=device_of,
+            is_pivot=self._is_pivot,
+            options=self._options,
+            edge_src=self._src,
+            edge_dst=self._dst,
+            node_features=GpNetBuilder._normalize(node_features),
+            edge_features=GpNetBuilder._normalize(edge_features),  # (0, 4) stays as is
+            placement=placement,
+        )
+        if self._structure is None:
+            self._structure = GpNetStructure.from_gpnet(net)
+        object.__setattr__(net, "_structure", self._structure)
+        return net
 
-    return GpNet(
-        task_of=np.arange(graph.num_tasks, dtype=np.int64),
-        device_of=np.array(placement, dtype=np.int64),
-        is_pivot=np.ones(graph.num_tasks, dtype=bool),
-        options=tuple(np.array([i]) for i in range(graph.num_tasks)),
-        edge_src=np.array(src, dtype=np.int64),
-        edge_dst=np.array(dst, dtype=np.int64),
-        node_features=node_features,
-        edge_features=edge_features,
-        placement=placement,
-    )
+
+def build_task_view(
+    problem: PlacementProblem, placement: Sequence[int], timeline: SimResult | None = None
+) -> GpNet:
+    """One-shot :meth:`TaskViewBuilder.build`."""
+    return TaskViewBuilder(problem).build(placement, timeline)
 
 
 class TaskEftAgent(AdaptivePolicy):
@@ -107,9 +118,14 @@ class TaskEftAgent(AdaptivePolicy):
         last_task: int | None,
         greedy: bool = False,
         timeline: SimResult | None = None,
+        views: TaskViewBuilder | None = None,
     ) -> tuple[int, Tensor]:
-        """Sample a task to relocate; returns (task, log-prob tensor)."""
-        view = build_task_view(problem, placement, timeline=timeline)
+        """Sample a task to relocate; returns (task, log-prob tensor).
+
+        ``views`` is the caller's :class:`TaskViewBuilder` for
+        ``problem``; passing one never changes the result.
+        """
+        view = bound_handle(problem, views, TaskViewBuilder).build(placement, timeline)
         embeddings = self.embedding(view)
         mask = np.ones(problem.graph.num_tasks, dtype=bool)
         if last_task is not None and problem.graph.num_tasks > 1:
@@ -133,12 +149,15 @@ class TaskEftAgent(AdaptivePolicy):
         # repro: lint-ok[rng-stored-advancing]
         self.rng = rng
         last_task: int | None = None
+        views = TaskViewBuilder(problem)
 
         def pick_task(placement: Sequence[int], timeline: SimResult) -> int:
             # One cached timeline serves both the task view and EFT.
             nonlocal last_task
             with no_grad():
-                last_task, _ = self.select_task(problem, placement, last_task, timeline=timeline)
+                last_task, _ = self.select_task(
+                    problem, placement, last_task, timeline=timeline, views=views
+                )
             return last_task
 
         return eft_relocation_search(
@@ -175,10 +194,11 @@ class TaskEftTrainer:
         episode_length: int | None = None,
     ) -> float:
         """One on-policy episode + gradient step; returns total reward."""
-        from ..core.placement import random_placement
-
+        steps = default_episode_length(problem) if episode_length is None else episode_length
+        if steps < 1:
+            raise ValueError("episode_length must be >= 1")
         evaluator = self._evaluators.get(problem)
-        steps = episode_length or 2 * problem.graph.num_tasks
+        views = TaskViewBuilder(problem)
         placement = list(random_placement(problem, rng))
         value = evaluator.evaluate(placement)
         log_probs: list[Tensor] = []
@@ -187,7 +207,7 @@ class TaskEftTrainer:
         for _ in range(steps):
             timeline = evaluator.timeline(placement)
             task, log_prob = self.agent.select_task(
-                problem, placement, last_task, timeline=timeline
+                problem, placement, last_task, timeline=timeline, views=views
             )
             placement[task] = eft_device(problem, placement, task, timeline=timeline)
             last_task = task

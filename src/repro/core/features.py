@@ -281,10 +281,7 @@ class GpNetBuilder:
         # these per-block columns (block b = b-th task-graph edge) and the
         # slot's position k in its block — nothing is stored per slot.
         num_blocks = graph.num_edges
-        self._block_i, self._block_j = (
-            np.array(list(graph.edges), dtype=np.int64).reshape(num_blocks, 2).T.copy()
-        )
-        self._block_data = np.array(list(graph.edges.values()), dtype=np.float64)
+        self._block_i, self._block_j, self._block_data = graph.edge_arrays()
         num_options = np.array([len(f) for f in feas], dtype=np.int64)
         offsets_arr = np.array(offsets, dtype=np.int64)
         self._block_split = num_options[self._block_j]  # k < split: pivot_i -> options_j[k]

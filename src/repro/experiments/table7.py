@@ -19,13 +19,14 @@ import time
 
 import numpy as np
 
-from ..baselines.placeto import PlacetoAgent, PlacetoTrainer
+from ..baselines.placeto import PlacetoAgent, PlacetoLayout, PlacetoTrainer
 from ..core.agent import GiPHAgent
 from ..core.env import PlacementEnv
 from ..core.placement import PlacementProblem, random_placement
 from ..core.reinforce import ReinforceConfig, ReinforceTrainer
 from ..devices.generator import DeviceNetworkParams, generate_device_network
 from ..graphs.generator import TaskGraphParams, generate_task_graph
+from ..nn import no_grad
 from ..sim.objectives import MakespanObjective
 from .base import ExperimentReport
 from .config import Scale
@@ -51,13 +52,12 @@ def _time_variant(variant: str, problem: PlacementProblem, repeats: int, rng) ->
         agent = PlacetoAgent(rng, num_devices=problem.network.num_devices)
         placed = np.zeros(problem.graph.num_tasks, dtype=bool)
         placement = list(random_placement(problem, rng))
+        layout = PlacetoLayout(problem)  # per search, as PlacetoAgent.search makes it
         t0 = time.perf_counter()
         for _ in range(repeats):
             for node in problem.graph.topo_order:
-                from repro.nn import no_grad
-
                 with no_grad():
-                    agent.choose_device(problem, placement, node, placed)
+                    agent.choose_device(problem, placement, node, placed, layout=layout)
         infer = (time.perf_counter() - t0) / (repeats * problem.graph.num_tasks)
         trainer = PlacetoTrainer(agent, objective)
         t0 = time.perf_counter()

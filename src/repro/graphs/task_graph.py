@@ -131,6 +131,12 @@ class TaskGraph:
                 level[v] = max(level[v], level[u] + 1)
         return level
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, data)`` arrays of the edges, in ``edges`` iteration order."""
+        ends = np.array(list(self.edges), dtype=np.int64).reshape(self.num_edges, 2)
+        data = np.array(list(self.edges.values()), dtype=np.float64)
+        return ends[:, 0].copy(), ends[:, 1].copy(), data
+
     def data_out(self, i: int) -> float:
         """Total bytes task ``i`` sends to its children."""
         return sum(b for (u, _), b in self.edges.items() if u == i)

@@ -62,9 +62,7 @@ class FastSimulator:
         # the executor sends (and sequences) a finished task's outputs in.
         edge_index = {edge: k for k, edge in enumerate(graph.edges)}
         self._edges = tuple(graph.edges)
-        self._edge_src = np.array([u for (u, _) in self._edges], dtype=np.int64)
-        self._edge_dst = np.array([v for (_, v) in self._edges], dtype=np.int64)
-        self._edge_data = np.array([graph.edges[e] for e in self._edges], dtype=np.float64)
+        self._edge_src, self._edge_dst, self._edge_data = graph.edge_arrays()
         self._children = tuple(
             tuple((j, edge_index[(i, j)]) for j in graph.children[i]) for i in range(n)
         )

@@ -1,0 +1,153 @@
+"""Test oracles: what the learned baselines' per-problem layouts replaced.
+
+``TaskViewBuilder.build``, ``PlacetoLayout.features`` and
+``repro.baselines.placeto._propagate`` are array / one-tape-node
+rewrites of three pieces of per-step Python.  This module keeps the
+pieces they replaced, verbatim, so the tests can demand the same floats:
+
+* :func:`task_view_loop` — the task view built with two Python row
+  loops, a fresh ``GpNet`` (no shared structure) per call
+  (:func:`loop_views` swaps it in for ``TaskViewBuilder``);
+* :func:`placeto_features_loop` — Placeto's five features, one row at a
+  time, through ``CostModel.mean_compute_time`` and
+  ``TaskGraph.data_out``;
+* :func:`propagate_composed` — the k-step message pass as ordinary
+  ``Tensor`` ops.  It pins the shipped single node's forward *and* every
+  gradient bit for bit: the hand-written backward must run the float
+  operations this tape runs, in the same order.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+
+from repro.baselines import placeto, task_eft
+from repro.core.gpnet import GpNet
+from repro.nn import Tensor
+from repro.nn import functional as F
+from repro.sim.executor import simulate
+
+__all__ = [
+    "task_view_loop",
+    "loop_views",
+    "placeto_features_loop",
+    "propagate_composed",
+    "composed_path",
+]
+
+
+def task_view_loop(problem, placement, timeline=None):
+    """Drop-in for ``build_task_view``: one Python iteration per row."""
+    graph, cm = problem.graph, problem.cost_model
+    placement = problem.validate_placement(placement)
+    if timeline is None:
+        timeline = simulate(graph, problem.network, placement, cm)
+    speeds = problem.network.speeds
+
+    node_features = np.array(
+        [
+            [
+                graph.compute[i],
+                speeds[placement[i]],
+                cm.compute_time(i, placement[i]),
+                timeline.start[i],
+            ]
+            for i in range(graph.num_tasks)
+        ]
+    )
+    scale = np.abs(node_features).mean(axis=0)
+    node_features = node_features / np.where(scale > 1e-12, scale, 1.0)
+
+    inv_bw = problem.network.inv_bandwidth
+    src, dst, efeat = [], [], []
+    for (u, v), data in graph.edges.items():
+        du, dv = placement[u], placement[v]
+        src.append(u)
+        dst.append(v)
+        efeat.append(
+            [data, inv_bw[du, dv], problem.network.delay[du, dv], cm.comm_time((u, v), du, dv)]
+        )
+    edge_features = np.array(efeat) if efeat else np.zeros((0, 4))
+    if len(edge_features):
+        escale = np.abs(edge_features).mean(axis=0)
+        edge_features = edge_features / np.where(escale > 1e-12, escale, 1.0)
+
+    return GpNet(
+        task_of=np.arange(graph.num_tasks, dtype=np.int64),
+        device_of=np.array(placement, dtype=np.int64),
+        is_pivot=np.ones(graph.num_tasks, dtype=bool),
+        options=tuple(np.array([i]) for i in range(graph.num_tasks)),
+        edge_src=np.array(src, dtype=np.int64),
+        edge_dst=np.array(dst, dtype=np.int64),
+        node_features=node_features,
+        edge_features=edge_features,
+        placement=placement,
+    )
+
+
+class _LoopViews:
+    """``TaskViewBuilder``'s interface over :func:`task_view_loop`."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def build(self, placement, timeline=None):
+        return task_view_loop(self.problem, placement, timeline)
+
+
+@contextmanager
+def loop_views():
+    """Route every task view of ``repro.baselines.task_eft`` through the loop."""
+    shipped = task_eft.TaskViewBuilder
+    task_eft.TaskViewBuilder = _LoopViews
+    try:
+        yield
+    finally:
+        task_eft.TaskViewBuilder = shipped
+
+
+def placeto_features_loop(problem, placement, current_node, placed):
+    """Drop-in for ``placeto_node_features``: one Python iteration per row."""
+    graph = problem.graph
+    cm = problem.cost_model
+    m = problem.network.num_devices
+    rows = []
+    for i in range(graph.num_tasks):
+        rows.append(
+            [
+                cm.mean_compute_time(i),
+                graph.data_out(i),
+                placement[i] / max(m - 1, 1),
+                1.0 if i == current_node else 0.0,
+                1.0 if placed[i] else 0.0,
+            ]
+        )
+    feats = np.array(rows)
+    scale = np.abs(feats).mean(axis=0)
+    return feats / np.where(scale > 1e-12, scale, 1.0)
+
+
+def propagate_composed(e0, senders, receivers, counts, msg_layer, agg_layer, steps):
+    """Drop-in for ``repro.baselines.placeto._propagate``: every step as
+    ordinary tape ops (``counts`` unused — ``segment_mean`` derives its own)."""
+    n = len(e0)
+    e = e0
+    for _ in range(steps):
+        if len(senders) == 0:
+            agg = Tensor(np.zeros((n, agg_layer.in_features)))
+        else:
+            msg = msg_layer(e[senders]).relu()
+            agg = F.segment_mean(msg, receivers, n)
+        e = agg_layer(agg).relu() + e0
+    return e
+
+
+@contextmanager
+def composed_path():
+    """Route Placeto's message passing through the composed tape."""
+    shipped = placeto._propagate
+    placeto._propagate = propagate_composed
+    try:
+        yield
+    finally:
+        placeto._propagate = shipped

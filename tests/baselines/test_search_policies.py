@@ -6,18 +6,20 @@ import pytest
 from repro.baselines import (
     GiPHSearchPolicy,
     PlacetoAgent,
+    PlacetoLayout,
     PlacetoTrainer,
     RandomPlacementPolicy,
     RandomTaskEftPolicy,
     RnnPlacer,
     TaskEftAgent,
     TaskEftTrainer,
+    TaskViewBuilder,
     build_task_view,
     operator_embeddings,
     placeto_node_features,
     trace_from_values,
 )
-from repro.core import GiPHAgent
+from repro.core import GiPHAgent, PlacementProblem
 from repro.sim import MakespanObjective
 
 OBJ = MakespanObjective()
@@ -169,3 +171,105 @@ class TestGiPHSearchPolicyAdapter:
         trace = policy.search(diamond_problem, OBJ, [0, 0, 0, 2], 4, rng(19))
         assert trace.num_steps == 4
         assert policy.name == "giph"
+
+
+class TestTaskEftEpisodeLength:
+    """An explicit ``episode_length`` below 1 is an error, not a request
+    for the 2·|V| default (as ``PlacementEnv`` treats it)."""
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_below_one_rejected_before_anything_runs(self, diamond_problem, bad):
+        agent = TaskEftAgent(rng(20))
+        trainer = TaskEftTrainer(agent, OBJ)
+        stream = rng(21)
+        before = [p.data.copy() for p in agent.parameters()]
+        with pytest.raises(ValueError, match="episode_length must be >= 1"):
+            trainer.run_episode(diamond_problem, stream, episode_length=bad)
+        assert stream.bit_generator.state == rng(21).bit_generator.state
+        assert all((b == p.data).all() for b, p in zip(before, agent.parameters()))
+        assert diamond_problem not in trainer._evaluators  # no evaluator fetched
+
+    def test_none_runs_the_default(self, diamond_problem, monkeypatch):
+        agent = TaskEftAgent(rng(22))
+        steps = []
+        select = agent.select_task
+        monkeypatch.setattr(
+            agent, "select_task", lambda *a, **kw: steps.append(1) or select(*a, **kw)
+        )
+        TaskEftTrainer(agent, OBJ).run_episode(diamond_problem, rng(23), episode_length=None)
+        assert len(steps) == 2 * diamond_problem.graph.num_tasks
+
+
+def smaller_problem(problem):
+    """``problem`` after device uid 1 left the cluster (the Fig. 6 case)."""
+    return PlacementProblem(problem.graph, problem.network.without_device(1))
+
+
+class TestCacheHandles:
+    """``views=`` / ``layout=`` carry per-problem state into a call: they
+    are optional, checked against the call's problem, never change a
+    returned value, and nothing of them stays on the policy."""
+
+    def test_select_task_same_with_and_without_views(self, diamond_problem):
+        with_handle, without = TaskEftAgent(rng(30)), TaskEftAgent(rng(30))
+        views = TaskViewBuilder(diamond_problem)
+        for last in (None, 1, 2):
+            task_a, lp_a = with_handle.select_task(diamond_problem, [0, 1, 0, 2], last, views=views)
+            task_b, lp_b = without.select_task(diamond_problem, [0, 1, 0, 2], last)
+            assert task_a == task_b and lp_a.data == lp_b.data
+        assert with_handle.rng.bit_generator.state == without.rng.bit_generator.state
+
+    def test_placeto_same_with_and_without_layout(self, diamond_problem):
+        with_handle, without = PlacetoAgent(rng(31), 3), PlacetoAgent(rng(31), 3)
+        layout = PlacetoLayout(diamond_problem)
+        placed = np.array([True, False, True, False])
+        args = (diamond_problem, [0, 1, 0, 2], 1, placed)
+        lp_a = with_handle.device_log_probs(*args, layout=layout)
+        assert (lp_a.data == without.device_log_probs(*args).data).all()
+        for _ in range(5):
+            dev_a, lp_a = with_handle.choose_device(*args, layout=layout)
+            dev_b, lp_b = without.choose_device(*args)
+            assert dev_a == dev_b and lp_a.data == lp_b.data
+        assert with_handle.rng.bit_generator.state == without.rng.bit_generator.state
+
+    def test_handle_bound_to_another_problem_rejected(self, diamond_problem):
+        other = smaller_problem(diamond_problem)
+        task_agent, placeto = TaskEftAgent(rng(32)), PlacetoAgent(rng(33), 3)
+        placed = np.zeros(4, dtype=bool)
+        states = [a.rng.bit_generator.state for a in (task_agent, placeto)]
+        with pytest.raises(ValueError, match="TaskViewBuilder is bound to another problem"):
+            task_agent.select_task(other, [0, 0, 0, 1], None, views=TaskViewBuilder(diamond_problem))
+        for call in (placeto.device_log_probs, placeto.choose_device):
+            with pytest.raises(ValueError, match="PlacetoLayout is bound to another problem"):
+                call(other, [0, 0, 0, 1], 0, placed, layout=PlacetoLayout(diamond_problem))
+        # Raised before anything was computed or drawn.
+        assert states == [a.rng.bit_generator.state for a in (task_agent, placeto)]
+
+    def test_search_after_a_device_left_uses_the_new_problem(self, diamond_problem):
+        # Nothing of the first search's problem (its max(m - 1, 1), its
+        # feasible sets, its edge arrays) may leak into the second.
+        other = smaller_problem(diamond_problem)
+        assert other.network.num_devices == 2
+        for make in (lambda: PlacetoAgent(rng(34), 3), lambda: TaskEftAgent(rng(34))):
+            used, fresh = make(), make()
+            used.search(diamond_problem, OBJ, [0, 0, 0, 2], 8, rng(35))
+            trace = used.search(other, OBJ, [0, 0, 0, 1], 8, rng(36))
+            assert trace == fresh.search(other, OBJ, [0, 0, 0, 1], 8, rng(36))
+            other.validate_placement(trace.best_placement)
+
+    def test_policies_keep_no_per_problem_state(self, diamond_problem):
+        # Policies are pickled into every fan-out payload: what one
+        # searched or trained on last must not ride along.
+        agents = {
+            "placeto": (lambda: PlacetoAgent(rng(37), 3), PlacetoTrainer),
+            "task-eft": (lambda: TaskEftAgent(rng(37)), TaskEftTrainer),
+        }
+        for make, trainer_type in agents.values():
+            used, never_used = make(), make()
+            used.search(diamond_problem, OBJ, [0, 0, 0, 2], 6, rng(38))
+            trainer_type(used, OBJ).run_episode(diamond_problem, rng(39))
+            assert vars(used).keys() == vars(never_used).keys()
+            assert not any(
+                isinstance(v, (PlacementProblem, TaskViewBuilder, PlacetoLayout))
+                for v in vars(used).values()
+            )

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import PlacementEnv, PlacementProblem, default_episode_length
+from repro.core import PlacementEnv, PlacementProblem, default_episode_length, random_placement
+from repro.devices import Device, DeviceNetwork
+from repro.graphs import TaskGraph
 from repro.sim import MakespanObjective, TotalCostObjective
 
 
@@ -24,6 +26,43 @@ class TestSpaces:
         # An explicit 0 is an error, not a request for the 2·|V| default.
         with pytest.raises(ValueError, match="episode_length"):
             make_env(diamond_problem, episode_length=0)
+
+
+class TestRandomPlacementStream:
+    """``random_placement`` draws a task's device with one bounded-integer
+    draw — the draw ``Generator.choice`` makes on a list.  Every seeded
+    report in the repo starts from these placements, so a NumPy whose
+    ``choice`` consumes the stream differently must fail here, not move
+    them silently."""
+
+    @staticmethod
+    def problem_with_set_sizes(sizes, rng):
+        """Task ``i`` needs hardware type ``i + 1``, which a random
+        ``sizes[i]`` of the 12 devices support."""
+        supports = [{0} for _ in range(12)]
+        for i, size in enumerate(sizes):
+            for k in rng.choice(12, size=size, replace=False):
+                supports[int(k)].add(i + 1)
+        devices = [Device(uid=k, speed=1.0, supports=frozenset(s)) for k, s in enumerate(supports)]
+        bw = np.full((12, 12), 10.0)
+        np.fill_diagonal(bw, np.inf)
+        graph = TaskGraph((1.0,) * len(sizes), {}, tuple(range(1, len(sizes) + 1)))
+        return PlacementProblem(graph, DeviceNetwork(devices, bw, np.zeros((12, 12))))
+
+    def test_same_values_and_stream_as_choice(self):
+        shapes = np.random.default_rng(0)
+        for seed in range(50):
+            # Always a singleton and a full set: choice draws for both.
+            sizes = [1, 12, *shapes.integers(1, 13, size=int(shapes.integers(1, 9)))]
+            problem = self.problem_with_set_sizes(sizes, shapes)
+            assert [len(f) for f in problem.feasible_sets] == [int(s) for s in sizes]
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                placement = random_placement(problem, rng)
+                expected = tuple(int(ref.choice(list(f))) for f in problem.feasible_sets)
+                assert placement == expected
+                assert all(type(d) is int for d in placement)
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestReset:
