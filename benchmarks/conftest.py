@@ -15,10 +15,19 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
+# The experiments that train a learned baseline, and the ablation with its
+# maskless agent: their canonical reports are pinned byte for byte in
+# tests/golden/digests.json.
+GOLDEN_REPORTS = ("fig4", "fig5", "fig6", "fig7", "fig9", "fig14", "table6", "ablation")
+
 
 @pytest.fixture
-def run_experiment():
-    """Run an experiment module once, persist its report and print it."""
+def run_experiment(golden):
+    """Run an experiment module once, persist its report and print it.
+
+    A quick-scale seed-0 report of :data:`GOLDEN_REPORTS` is held to its
+    digest (the root ``conftest.py`` has the rules).
+    """
 
     def _run(module, seed: int = 0):
         from repro.experiments import active_scale
@@ -29,6 +38,8 @@ def run_experiment():
         path = RESULTS_DIR / f"{report.experiment_id}_{scale.name}.txt"
         path.write_text(report.text + "\n")
         print(report.text)
+        if scale.name == "quick" and seed == 0 and report.experiment_id in GOLDEN_REPORTS:
+            golden.check("reports", report.experiment_id, report.to_json().encode())
         return report
 
     return _run

@@ -1,18 +1,17 @@
 """Baseline placement algorithms evaluated against GiPH (paper §5)."""
 
-from .base import AdaptivePolicy, SearchPolicy, trace_from_values
+from .base import AdaptivePolicy, SearchPolicy
 from .eft import eft_device, eft_estimates, eft_relocation_search
 from .giph_policy import GiPHSearchPolicy
 from .heft import HeftSchedule, heft_placement, upward_ranks
-from .placeto import PlacetoAgent, PlacetoLayout, PlacetoTrainer, placeto_node_features
+from .placeto import PlacetoAgent, PlacetoLayout, placeto_node_features
 from .random_policies import RandomPlacementPolicy, RandomTaskEftPolicy
 from .rnn_placer import RnnPlacer, RnnPlacerPolicy, RnnPlacerResult, operator_embeddings
-from .task_eft import TaskEftAgent, TaskEftTrainer, TaskViewBuilder, build_task_view
+from .task_eft import TaskEftAgent, TaskViewBuilder, build_task_view
 
 __all__ = [
     "SearchPolicy",
     "AdaptivePolicy",
-    "trace_from_values",
     "eft_device",
     "eft_estimates",
     "eft_relocation_search",
@@ -22,7 +21,6 @@ __all__ = [
     "upward_ranks",
     "PlacetoAgent",
     "PlacetoLayout",
-    "PlacetoTrainer",
     "placeto_node_features",
     "RandomPlacementPolicy",
     "RandomTaskEftPolicy",
@@ -31,7 +29,6 @@ __all__ = [
     "RnnPlacerResult",
     "operator_embeddings",
     "TaskEftAgent",
-    "TaskEftTrainer",
     "TaskViewBuilder",
     "build_task_view",
 ]

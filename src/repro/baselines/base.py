@@ -16,7 +16,7 @@ from ..core.search import SearchTrace
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
 
-__all__ = ["SearchPolicy", "AdaptivePolicy", "make_evaluator", "bound_handle", "trace_from_values"]
+__all__ = ["SearchPolicy", "AdaptivePolicy", "make_evaluator", "bound_handle", "rollout_of"]
 
 
 class SearchPolicy(Protocol):
@@ -86,27 +86,10 @@ def bound_handle(problem: PlacementProblem, handle, make):
     return handle
 
 
-def trace_from_values(
-    placements: Sequence[tuple[int, ...]],
-    values: Sequence[float],
-    num_tasks: int,
-    relocation_counts: Sequence[int] | None = None,
-) -> SearchTrace:
-    """Assemble a :class:`SearchTrace` from a placement/value series."""
-    if len(placements) != len(values) or not values:
-        raise ValueError("placements and values must be equal-length and non-empty")
-    best_over_time: list[float] = []
-    best_value = float("inf")
-    best_placement = placements[0]
-    for placement, value in zip(placements, values):
-        if value < best_value:
-            best_value = value
-            best_placement = placement
-        best_over_time.append(best_value)
-    return SearchTrace(
-        best_placement=tuple(best_placement),
-        best_value=best_value,
-        best_over_time=tuple(best_over_time),
-        values=tuple(values),
-        relocation_counts=tuple(relocation_counts or [0] * num_tasks),
-    )
+def rollout_of(trace: SearchTrace, log_probs: list) -> tuple[list, list[float], float, float, float]:
+    """A search episode read as one REINFORCE rollout ``(log_probs,
+    rewards, initial_value, final_value, best_value)``: step t's reward
+    is the objective improvement ρ(s_t) − ρ(s_{t+1})."""
+    values = trace.values
+    rewards = [before - after for before, after in zip(values, values[1:])]
+    return log_probs, rewards, values[0], values[-1], trace.best_value

@@ -15,7 +15,6 @@ from ..core.placement import PlacementProblem
 from ..core.search import SearchTrace
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.executor import SimResult, simulate
-from .base import trace_from_values
 
 __all__ = ["eft_estimates", "eft_device", "eft_relocation_search"]
 
@@ -110,4 +109,4 @@ def eft_relocation_search(
         placement[task] = device
         placements.append(tuple(placement))
         values.append(evaluator.evaluate(placements[-1]))
-    return trace_from_values(placements, values, problem.graph.num_tasks, relocations)
+    return SearchTrace.from_values(placements, values, relocations)

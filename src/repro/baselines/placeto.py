@@ -16,30 +16,35 @@ Architecture follows Table 4/5's Placeto row: 5 raw node features,
 forward/backward embeddings, parent-aggregated, child-aggregated and
 graph-pooled views), policy MLP 40 -> 32 -> num_devices.
 
-Per problem (:class:`PlacetoLayout`, made once by ``search`` /
-``run_episode`` and passed as ``layout=``): edge arrays, the two static
-feature columns, segment sizes.  Per step: three feature columns, the
-normalisation, one embedding.  Each direction's k steps are one tape
-node (:func:`_propagate`); it multiplies with ``@`` because ``Linear``
-does — the row-invariant einsum kernel of ``core.gnn`` gives other floats.
+Per problem (:class:`PlacetoLayout`, made once by ``search``, cached per
+problem by ``ReinforceTrainer`` through ``handle``, and passed as
+``layout=``): edge arrays, the two static feature columns, segment
+sizes.  Per step: three feature columns, the normalisation, one
+embedding.  Each direction's k steps are one tape node
+(:func:`_propagate`); it multiplies with ``@`` because ``Linear`` does —
+the row-invariant einsum kernel of ``core.gnn`` gives other floats.
+
+Training is :class:`repro.core.reinforce.ReinforceTrainer` with this
+agent: ``rollout`` is the search traversal (:meth:`PlacetoAgent._traverse`)
+run for |V| steps with grad on, recording each choice's log-probability.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..core.placement import PlacementProblem, random_placement
-from ..core.reinforce import average_reward_baseline, discounted_returns
 from ..core.search import SearchTrace
-from ..nn import MLP, Adam, Linear, Module, Parameter, Tensor, concat, no_grad
+from ..nn import MLP, Linear, Module, Parameter, Tensor, concat, no_grad
 from ..nn import functional as F
-from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
+from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
-from .base import AdaptivePolicy, bound_handle, make_evaluator, trace_from_values
+from .base import AdaptivePolicy, bound_handle, make_evaluator, rollout_of
 
-__all__ = ["PlacetoAgent", "PlacetoLayout", "PlacetoTrainer", "placeto_node_features"]
+__all__ = ["PlacetoAgent", "PlacetoLayout", "placeto_node_features"]
 
 
 class PlacetoLayout:
@@ -239,7 +244,49 @@ class PlacetoAgent(AdaptivePolicy):
             device = int(self.rng.choice(self.num_devices, p=probs))
         return device, log_probs[device]
 
-    # -- evaluation -------------------------------------------------------------
+    # -- evaluation ------------------------------------------------------------
+
+    def _traverse(
+        self,
+        evaluator: PlacementEvaluator,
+        layout: PlacetoLayout,
+        initial_placement: Sequence[int],
+        episode_length: int,
+        log_probs: list[Tensor] | None = None,
+    ) -> SearchTrace:
+        """Visit nodes in topological order, one device choice per step,
+        starting a fresh traversal every |V| steps; with ``log_probs`` the
+        choices run with grad on and their log-probabilities are appended
+        to it (training)."""
+        problem = evaluator.problem
+        grad_mode = no_grad if log_probs is None else contextlib.nullcontext
+        placement = list(problem.validate_placement(initial_placement))
+        placements = [tuple(placement)]
+        values = [evaluator.evaluate(placement)]
+        n = problem.graph.num_tasks
+        relocations = [0] * n
+        traversal = list(problem.graph.topo_order)
+        placed = np.zeros(n, dtype=bool)
+        position = 0
+        for _ in range(episode_length):
+            if position == len(traversal):  # new episode
+                position = 0
+                placed = np.zeros(n, dtype=bool)
+            node = traversal[position]
+            with grad_mode():
+                device, log_prob = self.choose_device(
+                    problem, placement, node, placed, layout=layout
+                )
+            if log_probs is not None:
+                log_probs.append(log_prob)
+            if device != placement[node]:
+                relocations[node] += 1
+            placement[node] = device
+            placed[node] = True
+            position += 1
+            placements.append(tuple(placement))
+            values.append(evaluator.evaluate(placement))
+        return SearchTrace.from_values(placements, values, relocations)
 
     def search(
         self,
@@ -258,90 +305,34 @@ class PlacetoAgent(AdaptivePolicy):
         # state depends on previously searched cases.
         # repro: lint-ok[rng-stored-advancing]  (rebinds to the per-case stream)
         self.rng = rng
-        evaluator = make_evaluator(problem, objective, evaluator)
-        layout = PlacetoLayout(problem)
-        placement = list(problem.validate_placement(initial_placement))
-        placements = [tuple(placement)]
-        values = [evaluator.evaluate(placement)]
-        relocations = np.zeros(problem.graph.num_tasks, dtype=int)
-        n = problem.graph.num_tasks
-        traversal = list(problem.graph.topo_order)
-        placed = np.zeros(n, dtype=bool)
-        position = 0
-        for _ in range(episode_length):
-            if position == len(traversal):  # new episode
-                position = 0
-                placed = np.zeros(n, dtype=bool)
-            node = traversal[position]
-            with no_grad():
-                device, _ = self.choose_device(problem, placement, node, placed, layout=layout)
-            if device != placement[node]:
-                relocations[node] += 1
-            placement[node] = device
-            placed[node] = True
-            position += 1
-            placements.append(tuple(placement))
-            values.append(evaluator.evaluate(placement))
-        return trace_from_values(placements, values, n, relocations.tolist())
+        return self._traverse(
+            make_evaluator(problem, objective, evaluator),
+            PlacetoLayout(problem),
+            initial_placement,
+            episode_length,
+        )
 
+    # -- training (the agent side of ReinforceTrainer) ---------------------------
 
-class PlacetoTrainer:
-    """REINFORCE over Placeto's traversal episodes."""
+    def handle(self, problem: PlacementProblem, feature_config=None) -> PlacetoLayout:
+        """What this agent precomputes per problem (``feature_config``
+        shapes gpNets only; Placeto has its own five features)."""
+        return PlacetoLayout(problem)
 
-    def __init__(
+    def rollout(
         self,
-        agent: PlacetoAgent,
-        objective: Objective,
-        learning_rate: float = 0.01,
-        gamma: float = 0.97,
-        grad_clip: float = 10.0,
-    ) -> None:
-        self.agent = agent
-        self.objective = objective
-        self.gamma = gamma
-        self.grad_clip = grad_clip
-        self.optimizer = Adam(list(agent.parameters()), lr=learning_rate)
-        self._evaluators = EvaluatorPool(objective)
-
-    def run_episode(self, problem: PlacementProblem, rng: np.random.Generator) -> float:
-        evaluator = self._evaluators.get(problem)
-        layout = PlacetoLayout(problem)
-        placement = list(random_placement(problem, rng))
-        value = evaluator.evaluate(placement)
-        placed = np.zeros(problem.graph.num_tasks, dtype=bool)
-        log_probs: list[Tensor] = []
-        rewards: list[float] = []
-        for node in problem.graph.topo_order:
-            device, log_prob = self.agent.choose_device(
-                problem, placement, node, placed, layout=layout
-            )
-            placement[node] = device
-            placed[node] = True
-            new_value = evaluator.evaluate(placement)
-            rewards.append(value - new_value)
-            log_probs.append(log_prob)
-            value = new_value
-
-        returns = discounted_returns(rewards, self.gamma)
-        baseline = average_reward_baseline(rewards)
-        discount = self.gamma ** np.arange(len(rewards))
-        advantages = discount * (returns - baseline)
-        loss = sum(lp * float(-adv) for lp, adv in zip(log_probs, advantages))
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.clip_grad_norm(self.grad_clip)
-        self.optimizer.step()
-        return float(sum(rewards))
-
-    def train(
-        self,
-        problems: Sequence[PlacementProblem],
+        evaluator: PlacementEvaluator,
+        handle: PlacetoLayout,
         rng: np.random.Generator,
-        episodes: int,
-    ) -> list[float]:
-        if not problems:
-            raise ValueError("training needs at least one problem")
-        return [
-            self.run_episode(problems[int(rng.integers(0, len(problems)))], rng)
-            for _ in range(episodes)
-        ]
+        episode_length: int | None = None,
+    ) -> tuple[list[Tensor], list[float], float, float, float]:
+        """The search traversal with grad on, from a random placement
+        drawn from ``rng`` (``None`` = one traversal, |V| steps); devices
+        are sampled from the agent's own stream."""
+        problem = evaluator.problem
+        steps = problem.graph.num_tasks if episode_length is None else episode_length
+        log_probs: list[Tensor] = []
+        trace = self._traverse(
+            evaluator, handle, random_placement(problem, rng), steps, log_probs
+        )
+        return rollout_of(trace, log_probs)

@@ -10,7 +10,7 @@ from ..core.placement import PlacementProblem, random_placement
 from ..core.search import SearchTrace
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
-from .base import AdaptivePolicy, make_evaluator, trace_from_values
+from .base import AdaptivePolicy, make_evaluator
 from .eft import eft_relocation_search
 
 __all__ = ["RandomPlacementPolicy", "RandomTaskEftPolicy"]
@@ -40,7 +40,7 @@ class RandomPlacementPolicy(AdaptivePolicy):
         placements = [problem.validate_placement(initial_placement)]
         placements += [random_placement(problem, rng) for _ in range(episode_length)]
         values = evaluator.evaluate_many(placements)
-        return trace_from_values(placements, values.tolist(), problem.graph.num_tasks)
+        return SearchTrace.from_values(placements, values.tolist())
 
 
 class RandomTaskEftPolicy(AdaptivePolicy):

@@ -25,7 +25,7 @@ from ..nn import Adam, AdditiveAttention, BiLSTM, Linear, LSTMCell, Tensor, conc
 from ..nn import functional as F
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
-from .base import AdaptivePolicy, make_evaluator, trace_from_values
+from .base import AdaptivePolicy, make_evaluator
 
 __all__ = ["RnnPlacer", "RnnPlacerResult", "RnnPlacerPolicy", "operator_embeddings"]
 
@@ -221,4 +221,4 @@ class RnnPlacerPolicy(AdaptivePolicy):
         initial = problem.validate_placement(initial_placement)
         placements = [initial] + [fit.best_placement] * episode_length
         values = [evaluator.evaluate(initial)] + [fit.best_value] * episode_length
-        return trace_from_values(placements, values, problem.graph.num_tasks)
+        return SearchTrace.from_values(placements, values)

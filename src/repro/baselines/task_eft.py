@@ -6,14 +6,20 @@ graph* (one node per task, annotated with its current placement) rather
 than the joint task×device gpNet, scores tasks, and delegates the device
 choice to EFT.
 
-Per problem (:class:`TaskViewBuilder`, made once by ``search`` /
-``run_episode`` and passed as ``views=``): edge arrays, the C_i column,
-the view's ``GpNetStructure``.  Per step: the placement-dependent columns
-and both normalisations — every row moves with a relocation.
+Per problem (:class:`TaskViewBuilder`, made once by ``search``, cached
+per problem by ``ReinforceTrainer`` through ``handle``, and passed as
+``views=``): edge arrays, the C_i column, the view's ``GpNetStructure``.
+Per step: the placement-dependent columns and both normalisations — every
+row moves with a relocation.
+
+Training is :class:`repro.core.reinforce.ReinforceTrainer` with this
+agent: ``rollout`` is the search episode (:meth:`TaskEftAgent._relocate`)
+run with grad on, recording each pick's log-probability.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,16 +30,15 @@ from ..core.gnn import TwoWayMessagePassing
 from ..core.gpnet import GpNet
 from ..core.placement import PlacementProblem, random_placement
 from ..core.policy import ScorePolicy
-from ..core.reinforce import average_reward_baseline, discounted_returns
 from ..core.search import SearchTrace
-from ..nn import Adam, Parameter, Tensor, no_grad
-from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
+from ..nn import Parameter, Tensor, no_grad
+from ..runtime.evaluator import PlacementEvaluator
 from ..sim.executor import SimResult, simulate
 from ..sim.objectives import Objective
-from .base import AdaptivePolicy, bound_handle, make_evaluator
-from .eft import eft_device, eft_relocation_search
+from .base import AdaptivePolicy, bound_handle, make_evaluator, rollout_of
+from .eft import eft_relocation_search
 
-__all__ = ["TaskViewBuilder", "build_task_view", "TaskEftAgent", "TaskEftTrainer"]
+__all__ = ["TaskViewBuilder", "build_task_view", "TaskEftAgent"]
 
 
 class TaskViewBuilder:
@@ -132,6 +137,35 @@ class TaskEftAgent(AdaptivePolicy):
             mask[last_task] = False
         return self.policy.sample(embeddings, mask, self.rng, greedy=greedy)
 
+    def _relocate(
+        self,
+        evaluator: PlacementEvaluator,
+        views: TaskViewBuilder,
+        initial_placement: Sequence[int],
+        episode_length: int,
+        log_probs: list[Tensor] | None = None,
+    ) -> SearchTrace:
+        """The task-EFT episode; with ``log_probs`` the picks run with grad
+        on and their log-probabilities are appended to it (training)."""
+        problem = evaluator.problem
+        grad_mode = no_grad if log_probs is None else contextlib.nullcontext
+        last_task: int | None = None
+
+        def pick_task(placement: Sequence[int], timeline: SimResult) -> int:
+            # One cached timeline serves both the task view and EFT.
+            nonlocal last_task
+            with grad_mode():
+                last_task, log_prob = self.select_task(
+                    problem, placement, last_task, timeline=timeline, views=views
+                )
+            if log_probs is not None:
+                log_probs.append(log_prob)
+            return last_task
+
+        return eft_relocation_search(
+            problem, evaluator, initial_placement, episode_length, pick_task
+        )
+
     def search(
         self,
         problem: PlacementProblem,
@@ -148,94 +182,34 @@ class TaskEftAgent(AdaptivePolicy):
         # Rebinding TO the caller's stream is the fix, not the bug.
         # repro: lint-ok[rng-stored-advancing]
         self.rng = rng
-        last_task: int | None = None
-        views = TaskViewBuilder(problem)
-
-        def pick_task(placement: Sequence[int], timeline: SimResult) -> int:
-            # One cached timeline serves both the task view and EFT.
-            nonlocal last_task
-            with no_grad():
-                last_task, _ = self.select_task(
-                    problem, placement, last_task, timeline=timeline, views=views
-                )
-            return last_task
-
-        return eft_relocation_search(
-            problem,
+        return self._relocate(
             make_evaluator(problem, objective, evaluator),
+            TaskViewBuilder(problem),
             initial_placement,
             episode_length,
-            pick_task,
         )
 
+    # -- training (the agent side of ReinforceTrainer) ---------------------------
 
-class TaskEftTrainer:
-    """REINFORCE over the task-selection policy (device choice fixed to EFT)."""
+    def handle(self, problem: PlacementProblem, feature_config=None) -> TaskViewBuilder:
+        """What this agent precomputes per problem (``feature_config``
+        shapes gpNets only; the task view has one layout)."""
+        return TaskViewBuilder(problem)
 
-    def __init__(
+    def rollout(
         self,
-        agent: TaskEftAgent,
-        objective: Objective,
-        learning_rate: float = 0.01,
-        gamma: float = 0.97,
-        grad_clip: float = 10.0,
-    ) -> None:
-        self.agent = agent
-        self.objective = objective
-        self.gamma = gamma
-        self.grad_clip = grad_clip
-        self.optimizer = Adam(list(agent.parameters()), lr=learning_rate)
-        self._evaluators = EvaluatorPool(objective)
-
-    def run_episode(
-        self,
-        problem: PlacementProblem,
+        evaluator: PlacementEvaluator,
+        handle: TaskViewBuilder,
         rng: np.random.Generator,
         episode_length: int | None = None,
-    ) -> float:
-        """One on-policy episode + gradient step; returns total reward."""
+    ) -> tuple[list[Tensor], list[float], float, float, float]:
+        """The search episode with grad on, from a random placement drawn
+        from ``rng`` (``None`` = 2|V| steps); tasks are sampled from the
+        agent's own stream."""
+        problem = evaluator.problem
         steps = default_episode_length(problem) if episode_length is None else episode_length
-        if steps < 1:
-            raise ValueError("episode_length must be >= 1")
-        evaluator = self._evaluators.get(problem)
-        views = TaskViewBuilder(problem)
-        placement = list(random_placement(problem, rng))
-        value = evaluator.evaluate(placement)
         log_probs: list[Tensor] = []
-        rewards: list[float] = []
-        last_task: int | None = None
-        for _ in range(steps):
-            timeline = evaluator.timeline(placement)
-            task, log_prob = self.agent.select_task(
-                problem, placement, last_task, timeline=timeline, views=views
-            )
-            placement[task] = eft_device(problem, placement, task, timeline=timeline)
-            last_task = task
-            new_value = evaluator.evaluate(placement)
-            rewards.append(value - new_value)
-            log_probs.append(log_prob)
-            value = new_value
-
-        returns = discounted_returns(rewards, self.gamma)
-        baseline = average_reward_baseline(rewards)
-        discount = self.gamma ** np.arange(len(rewards))
-        advantages = discount * (returns - baseline)
-        loss = sum(lp * float(-adv) for lp, adv in zip(log_probs, advantages))
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.clip_grad_norm(self.grad_clip)
-        self.optimizer.step()
-        return float(sum(rewards))
-
-    def train(
-        self,
-        problems: Sequence[PlacementProblem],
-        rng: np.random.Generator,
-        episodes: int,
-    ) -> list[float]:
-        if not problems:
-            raise ValueError("training needs at least one problem")
-        return [
-            self.run_episode(problems[int(rng.integers(0, len(problems)))], rng)
-            for _ in range(episodes)
-        ]
+        trace = self._relocate(
+            evaluator, handle, random_placement(problem, rng), steps, log_probs
+        )
+        return rollout_of(trace, log_probs)

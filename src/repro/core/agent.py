@@ -7,8 +7,11 @@ from typing import Iterator
 import numpy as np
 
 from ..nn import Parameter, Tensor, no_grad
+from ..runtime.evaluator import PlacementEvaluator
 from .env import EnvState, PlacementEnv
+from .features import FeatureConfig, GpNetBuilder
 from .gnn import GpNetEmbedding, make_embedding
+from .placement import PlacementProblem
 from .policy import ScorePolicy
 
 __all__ = ["GiPHAgent"]
@@ -40,10 +43,6 @@ class GiPHAgent:
         yield from self.embedding.parameters()
         yield from self.policy.parameters()
 
-    def zero_grad(self) -> None:
-        self.embedding.zero_grad()
-        self.policy.zero_grad()
-
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {f"embedding.{k}": v for k, v in self.embedding.state_dict().items()}
         state.update({f"policy.{k}": v for k, v in self.policy.state_dict().items()})
@@ -56,6 +55,46 @@ class GiPHAgent:
         self.policy.load_state_dict(
             {k[len("policy.") :]: v for k, v in state.items() if k.startswith("policy.")}
         )
+
+    # -- training (the agent side of ReinforceTrainer) ---------------------------
+
+    def handle(
+        self, problem: PlacementProblem, feature_config: FeatureConfig | None = None
+    ) -> GpNetBuilder:
+        """What this agent precomputes per problem: the gpNet builder."""
+        return GpNetBuilder(problem, feature_config)
+
+    def rollout(
+        self,
+        evaluator: PlacementEvaluator,
+        handle: GpNetBuilder,
+        rng: np.random.Generator,
+        episode_length: int | None = None,
+    ) -> tuple[list[Tensor], list[float], float, float, float]:
+        """One on-policy episode from a random placement drawn from
+        ``rng`` (``None`` = 2|V| steps): ``(log_probs, rewards,
+        initial_value, final_value, best_value)``."""
+        env = PlacementEnv(
+            evaluator.problem,
+            evaluator.objective,
+            episode_length=episode_length,
+            feature_config=handle.config,
+            evaluator=evaluator,
+            builder=handle,
+        )
+        state = env.reset(rng=rng)
+        initial_value = state.objective_value
+        best_value = initial_value
+        log_probs: list[Tensor] = []
+        rewards: list[float] = []
+        done = False
+        while not done:
+            action, log_prob = self.act(env, state)
+            state, reward, done = env.step(action)
+            log_probs.append(log_prob)
+            rewards.append(reward)
+            best_value = min(best_value, state.objective_value)
+        return log_probs, rewards, initial_value, state.objective_value, best_value
 
     # -- acting ---------------------------------------------------------------
 

@@ -1,37 +1,91 @@
-"""REINFORCE training of the GiPH policy (paper §4.1, Appendix B.7).
+"""REINFORCE training of every learned placer (paper §4.1, Appendix B.7).
 
-Per episode, a problem (G, N) is sampled from the training set and the
-agent searches from a random placement.  The policy gradient uses
-discounted returns with the paper's variance-reduction baseline: "the
-average reward before step t in an episode".
+GiPH and its two learned comparators (GiPH-task-EFT, Placeto) are trained
+by the same policy gradient — that is what makes Figs. 4–7 / Table 6 a
+fair comparison — so there is one trainer.  Per episode, a problem (G, N)
+is sampled from the training set and the agent searches from a random
+placement.  The policy gradient uses discounted returns with the paper's
+variance-reduction baseline: "the average reward before step t in an
+episode".
 
     θ ← θ + α Σ_t γ^t ∇ log π(a_t|s_t) (Σ_{t'≥t} γ^{t'-t} r_{t'} − b_t)
+
+:class:`ReinforceTrainer` owns problem sampling, the per-problem caches,
+the loss, the optimizer step and the telemetry, and asks its agent for
+two things only (:class:`~repro.core.agent.GiPHAgent`,
+:class:`~repro.baselines.task_eft.TaskEftAgent` and
+:class:`~repro.baselines.placeto.PlacetoAgent` provide them):
+
+* ``agent.handle(problem, feature_config)`` — what the agent precomputes
+  per problem (``GpNetBuilder`` / ``TaskViewBuilder`` / ``PlacetoLayout``),
+  cached beside the problem's evaluator and evicted with it;
+* ``agent.rollout(evaluator, handle, rng, episode_length)`` — one
+  on-policy episode from a random placement drawn from ``rng``:
+  ``(log_probs, rewards, initial_value, final_value, best_value)``.
+  ``episode_length=None`` is the agent's own default (2|V| relocations;
+  one |V|-step traversal for Placeto).
+
+Batched training (``train(..., batch_size=K)``) aggregates K episodes
+collected against a snapshot of the weights into one update:
+
+1. the trainer samples K (problem, seed-slot) pairs from its main rng,
+2. each slot rolls out one episode with the stream
+   ``task_rng(round_root, slot)`` and returns its policy gradient,
+3. the trainer averages the K gradients **in slot order** and applies a
+   single clipped optimizer step.
+
+Every slot's randomness derives only from ``(round_root, slot)`` and the
+aggregation order is fixed, so the weights are bit-identical for any
+worker count (``tests/parallel/test_determinism.py``).  A worker's
+broadcast context is a *replica of the trainer* — pickled without
+optimizer moments, history or caches — and a slot runs the same
+:meth:`ReinforceTrainer._episode` the serial path runs, so the two modes
+cannot drift.  Worker-local caches accelerate repeat placements but never
+change deterministic values, so they are free to diverge between workers.
+
+Non-deterministic objectives take part through the noise-resampling
+mode: an objective exposing ``reseeded(rng)`` (e.g. a noisy
+:class:`~repro.sim.objectives.MakespanObjective`) gets a per-episode copy
+seeded from ``task_rng(round_root, slot, 1)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import os
+import pickle
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..nn import Adam, Tensor, stack
+from ..parallel import ExecutionBackend, InlineBackend, get_context, task_rng
 from ..runtime.evaluator import EvaluatorPool, EvaluatorStats, PlacementEvaluator
-from ..telemetry import metrics, span
 from ..sim.objectives import Objective
-from .agent import GiPHAgent
-from .env import PlacementEnv
-from .features import FeatureConfig, GpNetBuilder
+from ..telemetry import metrics, span
+from .features import FeatureConfig
 from .placement import PlacementProblem
 
 __all__ = [
     "ReinforceConfig",
     "EpisodeStats",
     "ReinforceTrainer",
+    "RoundSnapshot",
+    "EpisodePayload",
     "discounted_returns",
-    "collect_episode",
+    "average_reward_baseline",
     "episode_loss",
+    "write_snapshot",
+    "rollout_episode",
 ]
+
+# Appended to (root, slot) for a batched episode's noise stream, keeping
+# it independent of the rollout stream that drives action sampling and
+# the initial placement.
+_NOISE_SUBSTREAM = 1
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
@@ -65,42 +119,21 @@ class ReinforceConfig:
     learning_rate: float = 0.01
     gamma: float = 0.97
     episodes: int = 200
-    episode_length: int | None = None  # None -> 2|V| per problem
+    episode_length: int | None = None  # None -> the agent's default (2|V|; |V| for Placeto)
     grad_clip: float = 10.0
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
     def __post_init__(self) -> None:
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.episode_length is not None and self.episode_length < 1:
+            raise ValueError("episode_length must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
-
-
-def collect_episode(
-    agent: GiPHAgent, env: PlacementEnv, rng: np.random.Generator
-) -> tuple[list[Tensor], list[float], float, float, float]:
-    """Roll out one on-policy episode.
-
-    Returns ``(log_probs, rewards, initial_value, final_value,
-    best_value)``.  Shared by the serial trainer and the batched worker
-    path (:mod:`repro.parallel.episodes`) so their rollout semantics
-    cannot drift apart.
-    """
-    state = env.reset(rng=rng)
-    initial_value = state.objective_value
-    best_value = initial_value
-    log_probs: list[Tensor] = []
-    rewards: list[float] = []
-    done = False
-    while not done:
-        action, log_prob = agent.act(env, state)
-        state, reward, done = env.step(action)
-        log_probs.append(log_prob)
-        rewards.append(reward)
-        best_value = min(best_value, state.objective_value)
-    return log_probs, rewards, initial_value, state.objective_value, best_value
 
 
 def episode_loss(
@@ -146,12 +179,57 @@ class EpisodeStats:
     grad_norm: float
 
 
+@dataclass(frozen=True)
+class RoundSnapshot:
+    """One batched round's weights, broadcast by file reference.
+
+    The trainer writes the round's weights to disk once and every slot
+    payload carries only this reference; a worker's trainer replica reads
+    the file once per round (it remembers the ``version`` it holds), so
+    per-round weight transfer is O(workers), not O(batch size).
+    """
+
+    path: str
+    version: int  # round counter; invalidates the worker-side cache
+
+
+def write_snapshot(weights: object, directory: str, version: int) -> RoundSnapshot:
+    """Atomically persist a round snapshot; safe against readers mid-write.
+
+    A single well-known filename is reused across rounds: all of round
+    N's tasks complete before the trainer writes round N+1, so the
+    replace can never race a reader of the current round.
+    """
+    path = os.path.join(directory, "snapshot.pkl")
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "wb") as handle:
+        pickle.dump(weights, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(tmp, path)
+    return RoundSnapshot(path=path, version=version)
+
+
+@dataclass(frozen=True)
+class EpisodePayload:
+    """One slot of a batched update round."""
+
+    problem_index: int
+    root: int  # round-level seed drawn from the trainer's main rng
+    slot: int  # position within the round; rng = task_rng(root, slot)
+    snapshot: RoundSnapshot  # weight snapshot the episode runs against
+
+
+def rollout_episode(payload: EpisodePayload) -> tuple[list, EpisodeStats]:
+    """The batched round's task: one slot on this worker's trainer replica."""
+    replica, problems = get_context()
+    return replica._slot(problems[payload.problem_index], payload)
+
+
 class ReinforceTrainer:
     """Trains an agent across a distribution of placement problems."""
 
     def __init__(
         self,
-        agent: GiPHAgent,
+        agent,
         objective: Objective,
         config: ReinforceConfig | None = None,
         max_cached_problems: int = 128,
@@ -159,24 +237,39 @@ class ReinforceTrainer:
         self.agent = agent
         self.objective = objective
         self.config = config or ReinforceConfig()
+        self.max_cached_problems = max_cached_problems
         self.optimizer = Adam(list(agent.parameters()), lr=self.config.learning_rate)
         self.history: list[EpisodeStats] = []
-        # One evaluator and one gpNet builder per problem instance,
-        # shared across the episode batch: the training set repeats
-        # problems, so cached placement values/timelines and the
-        # builder's static per-instance precompute pay off across
-        # episodes instead of being rebuilt each one.  The two caches
-        # cover the same problems, so the evaluator pool's LRU drives
-        # both: its eviction hook drops the paired builder, keeping a
-        # long problem sweep from pinning a builder whose evaluator is
+        # One evaluator and one agent handle (gpNet builder, task views,
+        # Placeto layout) per problem instance, shared across episodes:
+        # the training set repeats problems, so cached placement
+        # values/timelines and the handle's static per-instance precompute
+        # pay off across episodes instead of being rebuilt each one.  The
+        # two caches cover the same problems, so the evaluator pool's LRU
+        # drives both: its eviction hook drops the paired handle, keeping
+        # a long problem sweep from pinning a handle whose evaluator is
         # gone (or vice versa).
         self._evaluators = EvaluatorPool(
-            objective, max_problems=max_cached_problems, on_evict=self._drop_builder
+            objective, max_problems=max_cached_problems, on_evict=self._drop_handle
         )
-        self._builders: dict[int, GpNetBuilder] = {}
+        self._handles: dict[int, object] = {}
+        self._snapshot: int | None = None  # replica side: version of the round loaded
 
-    def _drop_builder(self, problem_id: int, evaluator: PlacementEvaluator) -> None:
-        self._builders.pop(problem_id, None)
+    def __getstate__(self) -> dict:
+        """What a batched worker's replica needs: no optimizer moments,
+        history or caches (rebuilt empty by ``__setstate__``)."""
+        return {
+            "agent": self.agent,
+            "objective": self.objective,
+            "config": self.config,
+            "max_cached_problems": self.max_cached_problems,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+    def _drop_handle(self, problem_id: int, evaluator: PlacementEvaluator) -> None:
+        self._handles.pop(problem_id, None)
 
     def evaluator_for(self, problem: PlacementProblem) -> PlacementEvaluator:
         """The shared scoring path for ``problem`` (created on first use)."""
@@ -186,40 +279,40 @@ class ReinforceTrainer:
         """Aggregate cache/eval counters across all training problems."""
         return self._evaluators.stats()
 
-    def _builder_for(self, problem: PlacementProblem) -> GpNetBuilder:
+    def _handle_for(self, problem: PlacementProblem):
         # Touch (or create) the evaluator first so the pair's recency in
-        # the pool's LRU moves in lockstep with builder use.
+        # the pool's LRU moves in lockstep with handle use.
         self._evaluators.get(problem)
-        builder = self._builders.get(id(problem))
-        if builder is None:
-            builder = GpNetBuilder(problem, self.config.feature_config)
-            self._builders[id(problem)] = builder
-        return builder
+        handle = self._handles.get(id(problem))
+        if handle is None:
+            handle = self.agent.handle(problem, self.config.feature_config)
+            self._handles[id(problem)] = handle
+        return handle
 
-    def run_episode(self, problem: PlacementProblem, rng: np.random.Generator) -> EpisodeStats:
-        """Collect one on-policy episode and apply a gradient update."""
+    def _episode(
+        self,
+        problem: PlacementProblem,
+        rng: np.random.Generator,
+        evaluator: PlacementEvaluator,
+        step: bool,
+    ) -> EpisodeStats:
+        """Roll out one on-policy episode and back-propagate its loss;
+        ``step`` clips and applies the gradient, otherwise it is left
+        whole on the parameters (a batched slot: the round clips the mean)."""
         cfg = self.config
-        env = PlacementEnv(
-            problem,
-            self.objective,
-            episode_length=cfg.episode_length,
-            feature_config=cfg.feature_config,
-            evaluator=self.evaluator_for(problem),
-            builder=self._builder_for(problem),
-        )
         with span("reinforce.episode"):
-            log_probs, rewards, initial_value, final_value, best_value = collect_episode(
-                self.agent, env, rng
+            log_probs, rewards, initial_value, final_value, best_value = self.agent.rollout(
+                evaluator, self._handle_for(problem), rng, cfg.episode_length
             )
             loss = episode_loss(log_probs, rewards, cfg)
         with span("reinforce.grad"):
             self.optimizer.zero_grad()
             loss.backward()
-            grad_norm = self.optimizer.clip_grad_norm(cfg.grad_clip)
-            self.optimizer.step()
-
+            grad_norm = self.optimizer.clip_grad_norm(cfg.grad_clip if step else math.inf)
+            if step:
+                self.optimizer.step()
         metrics().counter("reinforce.episodes").inc()
-        stats = EpisodeStats(
+        return EpisodeStats(
             episode=len(self.history),
             initial_value=initial_value,
             final_value=final_value,
@@ -227,8 +320,44 @@ class ReinforceTrainer:
             total_reward=float(sum(rewards)),
             grad_norm=grad_norm,
         )
+
+    def run_episode(self, problem: PlacementProblem, rng: np.random.Generator) -> EpisodeStats:
+        """Collect one on-policy episode and apply a gradient update."""
+        stats = self._episode(problem, rng, self._evaluators.get(problem), step=True)
         self.history.append(stats)
         return stats
+
+    def _load_snapshot(self, snapshot: RoundSnapshot) -> None:
+        """Set the replica's weights to the round's: read and copied once
+        per (replica, round) — nothing else ever writes a replica's weights."""
+        if self._snapshot != snapshot.version:
+            with open(snapshot.path, "rb") as handle:
+                for param, weights in zip(self.optimizer.params, pickle.load(handle)):
+                    np.copyto(param.data, weights)
+            self._snapshot = snapshot.version
+
+    def _slot(self, problem: PlacementProblem, payload: EpisodePayload) -> tuple[list, EpisodeStats]:
+        """Replica side of a batched round: one episode against the
+        round's snapshot; returns its per-parameter gradient (``None``
+        where a parameter got none) and statistics."""
+        self._load_snapshot(payload.snapshot)
+        rng = task_rng(payload.root, payload.slot)
+        self.agent.rng = rng
+        if getattr(self.objective, "deterministic", False):
+            evaluator = self._evaluators.get(problem)
+        else:
+            # Noise-resampling mode: the episode scores against an objective
+            # copy whose noise stream derives from the slot's identity, so
+            # realizations are independent across episodes yet bit-identical
+            # for any worker count.  Sampled values must never enter a shared
+            # cache, so the evaluator is private to the episode (its noise-free
+            # timeline cache still serves gpNet features within the episode).
+            evaluator = PlacementEvaluator(
+                problem,
+                self.objective.reseeded(task_rng(payload.root, payload.slot, _NOISE_SUBSTREAM)),
+            )
+        stats = self._episode(problem, rng, evaluator, step=False)
+        return [p.grad for p in self.optimizer.params], stats
 
     def train(
         self,
@@ -238,7 +367,7 @@ class ReinforceTrainer:
         callback: Callable[[EpisodeStats], None] | None = None,
         *,
         batch_size: int = 1,
-        backend=None,
+        backend: ExecutionBackend | None = None,
     ) -> list[EpisodeStats]:
         """Run ``episodes`` episodes, sampling a problem per episode.
 
@@ -246,11 +375,10 @@ class ReinforceTrainer:
         are rolled out against a snapshot of the current weights — over
         ``backend``'s persistent pool (``None`` = inline) — and their
         gradients averaged into one clipped optimizer step.  K=1 is
-        exactly today's serial semantics (one episode, one step, all
-        randomness from ``rng``), so existing callers are unchanged;
-        with K>1 the per-episode randomness derives from ``(round seed,
-        slot)`` streams, making the result bit-identical for any worker
-        count.
+        exactly the serial semantics (one episode, one step, all
+        randomness from ``rng``); with K>1 the per-episode randomness
+        derives from ``(round seed, slot)`` streams, making the result
+        bit-identical for any worker count.
 
         Update rounds are inherently sequential, so only the inline/fork
         backends apply — a shard backend's ``pool`` raises cleanly.
@@ -273,8 +401,6 @@ class ReinforceTrainer:
                 if callback is not None:
                     callback(ep)
             return stats
-        from ..parallel.backends import InlineBackend
-
         return self._train_batched(
             list(problems), rng, total, callback, batch_size, backend or InlineBackend()
         )
@@ -286,17 +412,8 @@ class ReinforceTrainer:
         total: int,
         callback: Callable[[EpisodeStats], None] | None,
         batch_size: int,
-        backend,
+        backend: ExecutionBackend,
     ) -> list[EpisodeStats]:
-        import tempfile
-
-        from ..parallel.episodes import (
-            BatchContext,
-            EpisodePayload,
-            rollout_episode,
-            write_snapshot,
-        )
-
         if not getattr(self.objective, "deterministic", False) and not hasattr(
             self.objective, "reseeded"
         ):
@@ -310,12 +427,13 @@ class ReinforceTrainer:
                 "supporting reseeded(rng) for per-episode noise resampling; "
                 f"{type(self.objective).__name__} is neither"
             )
-        cfg = self.config
-        params = list(self.agent.parameters())
+        params = self.optimizer.params
         stats: list[EpisodeStats] = []
-        context = BatchContext(problems, self.objective, cfg, self.agent)
+        # The replica every worker (and the inline path) unpickles is a
+        # private copy, so loading snapshots and rebinding its agent's rng
+        # never touches this trainer's live agent.
         with tempfile.TemporaryDirectory(prefix="repro-rounds-") as rounds_dir, \
-                backend.pool(context) as pool:
+                backend.pool((self, problems)) as pool:
             remaining = total
             round_index = 0
             while remaining > 0:
@@ -325,7 +443,7 @@ class ReinforceTrainer:
                 # The round's weights are broadcast by file reference:
                 # written once here, unpickled once per (worker, round) —
                 # not pickled into each of the K slot payloads.
-                snapshot = write_snapshot(self.agent.state_dict(), rounds_dir, round_index)
+                snapshot = write_snapshot([p.data for p in params], rounds_dir, round_index)
                 round_index += 1
                 rollouts = pool.map(
                     rollout_episode,
@@ -339,23 +457,16 @@ class ReinforceTrainer:
                 with span("reinforce.grad"):
                     for i, param in enumerate(params):
                         acc = None
-                        for rollout in rollouts:
-                            grad = rollout.grads[i]
+                        for grads, _ in rollouts:
+                            grad = grads[i]
                             if grad is None:
                                 continue
                             acc = grad.copy() if acc is None else acc + grad
                         param.grad = acc / k if acc is not None else None
-                    self.optimizer.clip_grad_norm(cfg.grad_clip)
+                    self.optimizer.clip_grad_norm(self.config.grad_clip)
                     self.optimizer.step()
-                for rollout in rollouts:
-                    ep = EpisodeStats(
-                        episode=len(self.history),
-                        initial_value=rollout.initial_value,
-                        final_value=rollout.final_value,
-                        best_value=rollout.best_value,
-                        total_reward=rollout.total_reward,
-                        grad_norm=rollout.grad_norm,
-                    )
+                for _, slot_stats in rollouts:
+                    ep = dataclasses.replace(slot_stats, episode=len(self.history))
                     self.history.append(ep)
                     stats.append(ep)
                     if callback is not None:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
 from .agent import GiPHAgent
@@ -41,6 +39,33 @@ class SearchTrace:
     @property
     def num_steps(self) -> int:
         return len(self.values) - 1
+
+    @classmethod
+    def from_values(
+        cls,
+        placements: Sequence[tuple[int, ...]],
+        values: Sequence[float],
+        relocation_counts: Sequence[int] | None = None,
+    ) -> "SearchTrace":
+        """The trace of a placement/value series (index 0 = initial
+        placement; ``relocation_counts`` defaults to all zero)."""
+        if len(placements) != len(values) or not values:
+            raise ValueError("placements and values must be equal-length and non-empty")
+        best_over_time: list[float] = []
+        best_value = float("inf")
+        best_placement = placements[0]
+        for placement, value in zip(placements, values):
+            if value < best_value:
+                best_value = value
+                best_placement = placement
+            best_over_time.append(best_value)
+        return cls(
+            best_placement=tuple(best_placement),
+            best_value=best_value,
+            best_over_time=tuple(best_over_time),
+            values=tuple(values),
+            relocation_counts=tuple(relocation_counts or [0] * len(placements[0])),
+        )
 
 
 def run_search(
@@ -71,32 +96,23 @@ def run_search(
         evaluator=evaluator,
     )
     state = env.reset(initial_placement=initial_placement)
+    placements = [state.placement]
     values = [state.objective_value]
-    best_value = state.objective_value
-    best_placement = state.placement
-    best_over_time = [best_value]
-    relocations = np.zeros(problem.graph.num_tasks, dtype=int)
+    best_over_time = [state.objective_value]  # running, for ``stopping`` only
+    relocations = [0] * problem.graph.num_tasks
 
     done = False
     while not done:
         action = agent.act_inference(env, state, greedy=greedy)
         task, _ = state.gpnet.action_of(action)
-        prev_placement = state.placement
         state, _, done = env.step(action)
-        if state.placement != prev_placement:
+        if state.placement != placements[-1]:
             relocations[task] += 1
+        placements.append(state.placement)
         values.append(state.objective_value)
-        if state.objective_value < best_value:
-            best_value = state.objective_value
-            best_placement = state.placement
-        best_over_time.append(best_value)
-        if stopping is not None and stopping.should_stop(values, best_over_time):
-            break
+        if stopping is not None:
+            best_over_time.append(min(best_over_time[-1], state.objective_value))
+            if stopping.should_stop(values, best_over_time):
+                break
 
-    return SearchTrace(
-        best_placement=best_placement,
-        best_value=best_value,
-        best_over_time=tuple(best_over_time),
-        values=tuple(values),
-        relocation_counts=tuple(int(c) for c in relocations),
-    )
+    return SearchTrace.from_values(placements, values, relocations)

@@ -38,10 +38,8 @@ _LAZY_SYMBOLS = {
     "TrainSpec": "runner",
     "average_curves": "runner",
     "evaluate_policies": "runner",
-    "train_giph": "runner",
-    "train_placeto": "runner",
+    "train_agent": "runner",
     "train_policy_grid": "runner",
-    "train_task_eft": "runner",
 }
 
 __all__ = [

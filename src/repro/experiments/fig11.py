@@ -36,7 +36,7 @@ from .base import ExperimentReport
 from .config import Scale
 from .fig9 import case_study_problems, trace_cache_counter
 from .reporting import banner, format_table
-from .runner import stage_key, train_giph
+from .runner import stage_key, train_agent
 
 __all__ = ["run", "RelocationAwareMakespan"]
 
@@ -143,7 +143,7 @@ def _relocation_sweep(scale: Scale, seed: int, backend: ExecutionBackend):
     agent = backend.compute(
         "stage",
         stage_key("fig11", "relocation-train", seed, scale),
-        lambda: train_giph(train, np.random.default_rng([seed, 1]), scale.case_episodes),
+        lambda: train_agent("giph", train, np.random.default_rng([seed, 1]), scale.case_episodes),
     )
 
     eval_scenarios = scenarios[: max(len(test), 1)]
@@ -190,8 +190,8 @@ def _energy_comparison(scale: Scale, seed: int, backend: ExecutionBackend):
     agent = backend.compute(
         "stage",
         stage_key("fig11", "energy-train", seed, scale),
-        lambda: train_giph(
-            train, np.random.default_rng([seed, 4]), scale.case_episodes,
+        lambda: train_agent(
+            "giph", train, np.random.default_rng([seed, 4]), scale.case_episodes,
             objective=EnergyObjective(),
         ),
     )

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..baselines.giph_policy import GiPHSearchPolicy
-from ..baselines.task_eft import TaskEftAgent, TaskEftTrainer
+from ..baselines.task_eft import TaskEftAgent
 from ..core.agent import GiPHAgent
 from ..core.features import FeatureConfig
 from ..core.placement import PlacementProblem
@@ -65,20 +65,15 @@ def convergence_curve(
         return result.mean_final("p")
 
     if variant == "giph-task-eft":
-        agent = TaskEftAgent(rng)
-        trainer = TaskEftTrainer(agent, objective)
-        for _ in range(scale.convergence_episodes // scale.convergence_eval_every):
-            trainer.train(dataset.train, rng, episodes=scale.convergence_eval_every)
-            curve.append(evaluate(agent))
-        return curve
-
-    agent = GiPHAgent(rng, embedding=variant)
+        agent = policy = TaskEftAgent(rng)
+    else:
+        agent = GiPHAgent(rng, embedding=variant)
+        policy = GiPHSearchPolicy(agent, feature_config=feature_config)
     config = ReinforceConfig(
         episodes=scale.convergence_episodes,
         feature_config=feature_config or FeatureConfig(),
     )
     trainer = ReinforceTrainer(agent, objective, config)
-    policy = GiPHSearchPolicy(agent, feature_config=feature_config)
     for _ in range(scale.convergence_episodes // scale.convergence_eval_every):
         trainer.train(dataset.train, rng, episodes=scale.convergence_eval_every)
         curve.append(evaluate(policy))

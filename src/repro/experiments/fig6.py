@@ -28,7 +28,7 @@ from ..scenarios import ClusterSpec, ScenarioRunner, ScenarioSpec, WorkloadSpec,
 from .base import ExperimentReport
 from .config import Scale
 from .reporting import banner, format_series
-from .runner import HeftPolicy, stage_key, train_giph, train_placeto, train_task_eft
+from .runner import HeftPolicy, stage_key, train_agent
 
 __all__ = ["run", "adaptivity_spec"]
 
@@ -59,10 +59,11 @@ def _train_all(train_problems, rng: np.random.Generator, scale: Scale):
     One unit on purpose: the trainings consume a single threaded rng, so
     they memoize (and replay at shard merge) only as a bundle.
     """
-    giph_policy = GiPHSearchPolicy(train_giph(train_problems, rng, scale.episodes))
-    task_eft = train_task_eft(train_problems, rng, scale.episodes)
-    placeto = train_placeto(train_problems, rng, scale.episodes)
-    return giph_policy, task_eft, placeto
+    giph, task_eft, placeto = (
+        train_agent(kind, train_problems, rng, scale.episodes)
+        for kind in ("giph", "task-eft", "placeto")
+    )
+    return GiPHSearchPolicy(giph), task_eft, placeto
 
 
 def run(

@@ -14,11 +14,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..baselines.base import AdaptivePolicy, SearchPolicy, make_evaluator, trace_from_values
+from ..baselines.base import AdaptivePolicy, SearchPolicy, make_evaluator
 from ..baselines.giph_policy import GiPHSearchPolicy
 from ..baselines.heft import heft_placement
-from ..baselines.placeto import PlacetoAgent, PlacetoTrainer
-from ..baselines.task_eft import TaskEftAgent, TaskEftTrainer
+from ..baselines.placeto import PlacetoAgent
+from ..baselines.task_eft import TaskEftAgent
 from ..core.agent import GiPHAgent
 from ..core.gnn import GnnStats, gnn_stats
 from ..core.placement import PlacementProblem, random_placement
@@ -35,9 +35,7 @@ __all__ = [
     "EvalResult",
     "TrainSpec",
     "stage_key",
-    "train_giph",
-    "train_placeto",
-    "train_task_eft",
+    "train_agent",
     "train_policy_grid",
     "evaluate_policies",
     "average_curves",
@@ -79,58 +77,40 @@ class HeftPolicy(AdaptivePolicy):
         evaluator = make_evaluator(problem, objective, evaluator)
         placement = heft_placement(problem).placement
         value = evaluator.evaluate(placement)
-        return trace_from_values(
-            [placement] * (episode_length + 1),
-            [value] * (episode_length + 1),
-            problem.graph.num_tasks,
+        return SearchTrace.from_values(
+            [placement] * (episode_length + 1), [value] * (episode_length + 1)
         )
 
 
-def train_giph(
+def train_agent(
+    kind: str,
     problems: Sequence[PlacementProblem],
     rng: np.random.Generator,
     episodes: int,
     objective: Objective | None = None,
     embedding: str = "giph",
-    feature_config=None,
-) -> GiPHAgent:
-    """Train a GiPH agent (any GNN variant) on ``problems``."""
-    agent = GiPHAgent(rng, embedding=embedding)
-    config = ReinforceConfig(episodes=episodes)
-    if feature_config is not None:
-        config = ReinforceConfig(episodes=episodes, feature_config=feature_config)
-    trainer = ReinforceTrainer(agent, objective or MakespanObjective(), config)
+) -> GiPHAgent | TaskEftAgent | PlacetoAgent:
+    """A fresh agent of ``kind`` — ``"giph"`` (any GNN variant, via
+    ``embedding``), ``"task-eft"`` or ``"placeto"`` — initialised from
+    ``rng`` and trained on ``problems`` by the one REINFORCE trainer."""
+    if kind == "giph":
+        agent = GiPHAgent(rng, embedding=embedding)
+    elif kind == "task-eft":
+        agent = TaskEftAgent(rng)
+    elif kind == "placeto":
+        counts = {p.network.num_devices for p in problems}
+        if len(counts) != 1:
+            raise ValueError(
+                f"Placeto requires a fixed device count, got {sorted(counts)} — "
+                "this is precisely the limitation GiPH lifts"
+            )
+        agent = PlacetoAgent(rng, num_devices=counts.pop())
+    else:
+        raise ValueError(f"unknown agent kind {kind!r}")
+    trainer = ReinforceTrainer(
+        agent, objective or MakespanObjective(), ReinforceConfig(episodes=episodes)
+    )
     trainer.train(problems, rng, episodes=episodes)
-    return agent
-
-
-def train_placeto(
-    problems: Sequence[PlacementProblem],
-    rng: np.random.Generator,
-    episodes: int,
-    objective: Objective | None = None,
-) -> PlacetoAgent:
-    """Train a Placeto agent; requires all problems share a device count."""
-    counts = {p.network.num_devices for p in problems}
-    if len(counts) != 1:
-        raise ValueError(
-            f"Placeto requires a fixed device count, got {sorted(counts)} — "
-            "this is precisely the limitation GiPH lifts"
-        )
-    agent = PlacetoAgent(rng, num_devices=counts.pop())
-    PlacetoTrainer(agent, objective or MakespanObjective()).train(problems, rng, episodes)
-    return agent
-
-
-def train_task_eft(
-    problems: Sequence[PlacementProblem],
-    rng: np.random.Generator,
-    episodes: int,
-    objective: Objective | None = None,
-) -> TaskEftAgent:
-    """Train the GiPH-task-EFT ablation agent."""
-    agent = TaskEftAgent(rng)
-    TaskEftTrainer(agent, objective or MakespanObjective()).train(problems, rng, episodes)
     return agent
 
 
@@ -170,17 +150,12 @@ def _train_grid_cell(index: int) -> SearchPolicy:
     problems = ctx.problem_sets[spec.problems_key]
     rng = np.random.default_rng(list(spec.stream))
     with span("train.cell"):
-        if spec.kind == "giph":
-            agent = train_giph(
-                problems, rng, spec.episodes,
-                objective=spec.objective, embedding=spec.embedding,
-            )
-            return GiPHSearchPolicy(agent, name=spec.name)
-        if spec.kind == "task-eft":
-            return train_task_eft(problems, rng, spec.episodes, objective=spec.objective)
-        if spec.kind == "placeto":
-            return train_placeto(problems, rng, spec.episodes, objective=spec.objective)
-        raise ValueError(f"unknown TrainSpec kind {spec.kind!r}")
+        agent = train_agent(
+            spec.kind, problems, rng, spec.episodes,
+            objective=spec.objective, embedding=spec.embedding,
+        )
+    # The baseline agents are search policies themselves.
+    return GiPHSearchPolicy(agent, name=spec.name) if spec.kind == "giph" else agent
 
 
 def train_policy_grid(

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from ..baselines.placeto import PlacetoAgent, PlacetoLayout, PlacetoTrainer
+from ..baselines.placeto import PlacetoAgent, PlacetoLayout
 from ..core.agent import GiPHAgent
 from ..core.env import PlacementEnv
 from ..core.placement import PlacementProblem, random_placement
@@ -53,29 +53,23 @@ def _time_variant(variant: str, problem: PlacementProblem, repeats: int, rng) ->
         placed = np.zeros(problem.graph.num_tasks, dtype=bool)
         placement = list(random_placement(problem, rng))
         layout = PlacetoLayout(problem)  # per search, as PlacetoAgent.search makes it
+        steps = problem.graph.num_tasks
         t0 = time.perf_counter()
         for _ in range(repeats):
             for node in problem.graph.topo_order:
                 with no_grad():
                     agent.choose_device(problem, placement, node, placed, layout=layout)
-        infer = (time.perf_counter() - t0) / (repeats * problem.graph.num_tasks)
-        trainer = PlacetoTrainer(agent, objective)
+    else:
+        agent = GiPHAgent(rng, embedding=variant)
+        env = PlacementEnv(problem, objective)
+        state = env.reset(rng=rng)
+        steps = 2 * problem.graph.num_tasks
         t0 = time.perf_counter()
         for _ in range(repeats):
-            trainer.run_episode(problem, rng)
-        train = (time.perf_counter() - t0) / (repeats * problem.graph.num_tasks)
-        return infer, train
-
-    agent = GiPHAgent(rng, embedding=variant)
-    env = PlacementEnv(problem, objective)
-    state = env.reset(rng=rng)
-    steps = 2 * problem.graph.num_tasks
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        s = env.reset(rng=rng)
-        for _ in range(steps):
-            action = agent.act_inference(env, s)
-            s, _, _ = env.step(action)
+            s = env.reset(rng=rng)
+            for _ in range(steps):
+                action = agent.act_inference(env, s)
+                s, _, _ = env.step(action)
     infer = (time.perf_counter() - t0) / (repeats * steps)
 
     trainer = ReinforceTrainer(agent, objective, ReinforceConfig())

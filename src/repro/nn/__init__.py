@@ -6,16 +6,18 @@ Public surface:
 * :class:`~repro.nn.module.Module` / :class:`~repro.nn.module.Parameter`.
 * Layers: :class:`Linear`, :class:`MLP`, :class:`Sequential`,
   :class:`LSTMCell`, :class:`LSTM`, :class:`BiLSTM`, :class:`AdditiveAttention`.
-* Optimizers: :class:`SGD`, :class:`Adam`.
+* Optimizer: :class:`Adam`.
 * ``functional`` ops incl. graph segment aggregation (sum/mean), the
-  ``scatter_rows`` row write, the batch-invariant ``linear`` kernel, and
-  masked softmax.
+  batch-invariant ``linear`` kernel, and masked softmax.
+
+Only what ``src/`` calls lives here; ops that serve the test oracles alone
+(``scatter_rows``) sit beside them in ``tests/core/gnn_reference.py``.
 """
 
 from . import functional, init
 from .layers import MLP, Activation, Linear, Sequential
 from .module import Module, Parameter
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam, Optimizer
 from .rnn import LSTM, AdditiveAttention, BiLSTM, LSTMCell
 from .tensor import Tensor, as_tensor, concat, no_grad, stack
 
@@ -36,7 +38,6 @@ __all__ = [
     "BiLSTM",
     "AdditiveAttention",
     "Optimizer",
-    "SGD",
     "Adam",
     "functional",
     "init",

@@ -13,29 +13,13 @@ import numpy as np
 from .tensor import Tensor, as_tensor
 
 __all__ = [
-    "relu",
-    "tanh",
-    "sigmoid",
     "softmax",
     "log_softmax",
     "masked_log_softmax",
     "linear",
     "segment_sum",
     "segment_mean",
-    "scatter_rows",
 ]
-
-
-def relu(x: Tensor) -> Tensor:
-    return as_tensor(x).relu()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return as_tensor(x).tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return as_tensor(x).sigmoid()
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -171,36 +155,3 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     summed = segment_sum(values, segment_ids, num_segments)  # validates the ids
     counts = _segment_counts(segment_ids, num_segments)
     return summed / Tensor(counts.reshape((-1,) + (1,) * (summed.ndim - 1)))
-
-
-def scatter_rows(
-    base: Tensor, indices: np.ndarray, rows: Tensor, assume_unique: bool = False
-) -> Tensor:
-    """Out-of-place row scatter: ``out = base; out[indices] = rows``.
-
-    ``indices`` must be unique — with duplicates the forward would be
-    write-order dependent and the gradient ill-defined.  The composed
-    gradient oracle of the GNN sweep (``tests/core/gnn_reference.py``)
-    finalizes one frontier level of node embeddings per call with this.
-    ``assume_unique`` skips the uniqueness check for callers whose
-    indices come from a static, already-validated plan.
-    """
-    base = as_tensor(base)
-    rows = as_tensor(rows)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1 or len(indices) != rows.shape[0]:
-        raise ValueError("indices must be 1-D and match rows' first axis")
-    if not assume_unique and len(np.unique(indices)) != len(indices):
-        raise ValueError("scatter_rows indices must be unique")
-    out_data = base.data.copy()
-    out_data[indices] = rows.data
-
-    def backward(grad: np.ndarray) -> None:
-        if rows.requires_grad:
-            rows._accumulate(grad[indices])
-        if base.requires_grad:
-            masked = grad.copy()
-            masked[indices] = 0.0
-            base._accumulate(masked)
-
-    return Tensor._make(out_data, (base, rows), backward, "scatter_rows")

@@ -1,7 +1,7 @@
 """Gradient-based optimizers.
 
 The paper trains every policy with Adam at a fixed learning rate of 0.01
-(§5, experiment details); SGD is provided for tests and ablations.
+(§5, experiment details).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -52,26 +52,6 @@ class Optimizer:
                 if p.grad is not None:
                     p.grad *= scale
         return norm
-
-
-class SGD(Optimizer):
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
 
 
 class Adam(Optimizer):

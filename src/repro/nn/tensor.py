@@ -103,15 +103,6 @@ class Tensor:
         grad_tag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, precision=4)}{grad_tag})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- graph plumbing -----------------------------------------------------
 
     @staticmethod
@@ -337,17 +328,6 @@ class Tensor:
                 np.add.at(self.grad, idx, grad)
 
         return Tensor._make(out_data, (self,), backward, "getitem")
-
-    def gather(self, indices) -> "Tensor":
-        """Select rows by an integer index array (differentiable gather).
-
-        Duplicate indices are fine: their gradients accumulate into the
-        shared source row (``np.add.at`` in the backward).  This is the
-        gather half of the segment-op family in
-        :mod:`repro.nn.functional`; it lives on the tensor because the
-        composed GNN sweep gathers from intermediate results, not leaves.
-        """
-        return self[np.asarray(indices, dtype=np.int64)]
 
     # -- linear algebra ---------------------------------------------------------
 

@@ -8,8 +8,10 @@ that argument, turned into a backend once by :func:`make_backend`.
 Behind the seam: the backend family (inline / fork / thread /
 store-mediated shard + merge), the package-private fork
 :class:`WorkerPool` whose results are bit-identical for any worker
-count, and the batched-episode machinery REINFORCE training fans out
-with.
+count.  The package sits below the model code: it imports nothing from
+``repro.core``, ``repro.runtime``, ``repro.baselines`` or
+``repro.experiments`` (``tests/parallel/test_seam.py``) — batched REINFORCE
+keeps its round payloads beside the trainer, in ``repro.core.reinforce``.
 """
 
 from .backends import (
@@ -23,7 +25,6 @@ from .backends import (
     ThreadBackend,
     make_backend,
 )
-from .episodes import BatchContext, EpisodePayload, EpisodeRollout, rollout_episode
 from .pool import (
     WorkerPool,
     available_workers,
@@ -47,8 +48,4 @@ __all__ = [
     "ShardBackend",
     "ThreadBackend",
     "make_backend",
-    "BatchContext",
-    "EpisodePayload",
-    "EpisodeRollout",
-    "rollout_episode",
 ]

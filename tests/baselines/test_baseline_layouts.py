@@ -26,9 +26,7 @@ from reference import (
 from repro.baselines import (
     PlacetoAgent,
     PlacetoLayout,
-    PlacetoTrainer,
     TaskEftAgent,
-    TaskEftTrainer,
     TaskViewBuilder,
     build_task_view,
     placeto_node_features,
@@ -36,6 +34,7 @@ from repro.baselines import (
 from repro.baselines import placeto
 from repro.core.features import GpNetStructure, structure_of
 from repro.core.placement import PlacementProblem, random_placement
+from repro.core.reinforce import ReinforceTrainer
 from repro.devices import Device, DeviceNetwork
 from repro.graphs import TaskGraph
 from repro.nn import Linear, Tensor, no_grad
@@ -287,28 +286,28 @@ def assert_training_is_a_fixed_point(make_trainer, problem, reference_path, epis
         trainer = make_trainer()
         rng = np.random.default_rng(11)
         with path():
-            rewards = [trainer.run_episode(problem, rng)]
+            stats = [trainer.run_episode(problem, rng)]
             grads = _grads(trainer.agent)
-            rewards += [trainer.run_episode(problem, rng) for _ in range(episodes - 1)]
+            stats += [trainer.run_episode(problem, rng) for _ in range(episodes - 1)]
         outcomes.append(
-            (trainer.agent, grads, rewards, _weights(trainer.agent), rng.bit_generator.state)
+            (trainer.agent, grads, stats, _weights(trainer.agent), rng.bit_generator.state)
         )
     shipped, expected = outcomes
     assert shipped[1] == expected[1], "gradients after one episode"
-    assert shipped[2:] == expected[2:], "rewards / weights / rng after training"
+    assert shipped[2:] == expected[2:], "episode stats / weights / rng after training"
     return shipped[0]
 
 
 def placeto_trainer(problem):
     def make():
         agent = PlacetoAgent(np.random.default_rng(3), problem.network.num_devices)
-        return PlacetoTrainer(agent, OBJ)
+        return ReinforceTrainer(agent, OBJ)
 
     return make
 
 
 def task_eft_trainer():
-    return TaskEftTrainer(TaskEftAgent(np.random.default_rng(7)), OBJ)
+    return ReinforceTrainer(TaskEftAgent(np.random.default_rng(7)), OBJ)
 
 
 @settings(max_examples=12, deadline=None)

@@ -7,19 +7,17 @@ from repro.baselines import (
     GiPHSearchPolicy,
     PlacetoAgent,
     PlacetoLayout,
-    PlacetoTrainer,
     RandomPlacementPolicy,
     RandomTaskEftPolicy,
     RnnPlacer,
     TaskEftAgent,
-    TaskEftTrainer,
     TaskViewBuilder,
     build_task_view,
     operator_embeddings,
     placeto_node_features,
-    trace_from_values,
 )
-from repro.core import GiPHAgent, PlacementProblem
+from repro.core import GiPHAgent, PlacementProblem, ReinforceConfig, ReinforceTrainer, SearchTrace
+from repro.experiments import HeftPolicy
 from repro.sim import MakespanObjective
 
 OBJ = MakespanObjective()
@@ -31,14 +29,35 @@ def rng(seed=0):
 
 class TestTraceFromValues:
     def test_best_over_time(self):
-        t = trace_from_values([(0,), (1,), (0,)], [5.0, 3.0, 4.0], 1)
+        t = SearchTrace.from_values([(0,), (1,), (0,)], [5.0, 3.0, 4.0])
         assert t.best_value == 3.0
         assert t.best_over_time == (5.0, 3.0, 3.0)
         assert t.best_placement == (1,)
+        assert t.relocation_counts == (0,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            trace_from_values([], [], 1)
+            SearchTrace.from_values([], [])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GiPHSearchPolicy(GiPHAgent(rng(40))),  # core.search.run_search
+            lambda: TaskEftAgent(rng(40)),
+            lambda: PlacetoAgent(rng(40), num_devices=3),
+            RandomPlacementPolicy,
+            RandomTaskEftPolicy,
+            HeftPolicy,
+        ],
+        ids=["run_search", "task-eft", "placeto", "random", "random-task-eft", "heft"],
+    )
+    def test_every_search_builds_the_same_kind_of_trace(self, diamond_problem, make):
+        trace = make().search(diamond_problem, OBJ, [0, 0, 0, 2], 8, rng(41))
+        assert trace.num_steps == 8 and len(trace.relocation_counts) == 4
+        assert trace.best_over_time == tuple(np.minimum.accumulate(trace.values))
+        best = OBJ.evaluate(diamond_problem.cost_model, trace.best_placement)
+        assert trace.best_value == min(trace.values) == best
+        assert 0 <= sum(trace.relocation_counts) <= 8
 
 
 class TestRandomPolicies:
@@ -82,11 +101,11 @@ class TestTaskEft:
         # Several episodes so at least one starts from a non-EFT-stable
         # placement (a stable start gives all-zero rewards and no update).
         agent = TaskEftAgent(rng(6))
-        trainer = TaskEftTrainer(agent, OBJ)
+        trainer = ReinforceTrainer(agent, OBJ)
         before = [p.data.copy() for p in agent.parameters()]
-        rewards = trainer.train([diamond_problem], rng(0), episodes=5)
+        stats = trainer.train([diamond_problem], rng(0), episodes=5)
         after = list(agent.parameters())
-        assert any(r != 0.0 for r in rewards)
+        assert any(ep.total_reward != 0.0 for ep in stats)
         assert any(not np.allclose(b, a.data) for b, a in zip(before, after))
 
 
@@ -133,9 +152,9 @@ class TestPlaceto:
 
     def test_trainer_runs(self, diamond_problem):
         agent = PlacetoAgent(rng(13), num_devices=3)
-        trainer = PlacetoTrainer(agent, OBJ)
-        rewards = trainer.train([diamond_problem], rng(14), episodes=2)
-        assert len(rewards) == 2
+        trainer = ReinforceTrainer(agent, OBJ)
+        stats = trainer.train([diamond_problem], rng(14), episodes=2)
+        assert len(stats) == 2
 
 
 class TestRnnPlacer:
@@ -178,16 +197,10 @@ class TestTaskEftEpisodeLength:
     for the 2·|V| default (as ``PlacementEnv`` treats it)."""
 
     @pytest.mark.parametrize("bad", [0, -1])
-    def test_below_one_rejected_before_anything_runs(self, diamond_problem, bad):
-        agent = TaskEftAgent(rng(20))
-        trainer = TaskEftTrainer(agent, OBJ)
-        stream = rng(21)
-        before = [p.data.copy() for p in agent.parameters()]
+    def test_below_one_rejected_before_anything_runs(self, bad):
+        # Where it is written: no trainer, stream or evaluator exists yet.
         with pytest.raises(ValueError, match="episode_length must be >= 1"):
-            trainer.run_episode(diamond_problem, stream, episode_length=bad)
-        assert stream.bit_generator.state == rng(21).bit_generator.state
-        assert all((b == p.data).all() for b, p in zip(before, agent.parameters()))
-        assert diamond_problem not in trainer._evaluators  # no evaluator fetched
+            ReinforceConfig(episode_length=bad)
 
     def test_none_runs_the_default(self, diamond_problem, monkeypatch):
         agent = TaskEftAgent(rng(22))
@@ -196,7 +209,7 @@ class TestTaskEftEpisodeLength:
         monkeypatch.setattr(
             agent, "select_task", lambda *a, **kw: steps.append(1) or select(*a, **kw)
         )
-        TaskEftTrainer(agent, OBJ).run_episode(diamond_problem, rng(23), episode_length=None)
+        ReinforceTrainer(agent, OBJ).run_episode(diamond_problem, rng(23))
         assert len(steps) == 2 * diamond_problem.graph.num_tasks
 
 
@@ -260,14 +273,10 @@ class TestCacheHandles:
     def test_policies_keep_no_per_problem_state(self, diamond_problem):
         # Policies are pickled into every fan-out payload: what one
         # searched or trained on last must not ride along.
-        agents = {
-            "placeto": (lambda: PlacetoAgent(rng(37), 3), PlacetoTrainer),
-            "task-eft": (lambda: TaskEftAgent(rng(37)), TaskEftTrainer),
-        }
-        for make, trainer_type in agents.values():
+        for make in (lambda: PlacetoAgent(rng(37), 3), lambda: TaskEftAgent(rng(37))):
             used, never_used = make(), make()
             used.search(diamond_problem, OBJ, [0, 0, 0, 2], 6, rng(38))
-            trainer_type(used, OBJ).run_episode(diamond_problem, rng(39))
+            ReinforceTrainer(used, OBJ).run_episode(diamond_problem, rng(39))
             assert vars(used).keys() == vars(never_used).keys()
             assert not any(
                 isinstance(v, (PlacementProblem, TaskViewBuilder, PlacetoLayout))

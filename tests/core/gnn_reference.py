@@ -25,10 +25,44 @@ from test_gpnet import levels_from_every_gpnet_edge
 
 from repro.core import gnn
 from repro.core.gnn import _aggregate, _NoEdgeDirectionalPass
-from repro.nn import Tensor, concat, stack
+from repro.nn import Tensor, as_tensor, concat, stack
 from repro.nn import functional as F
 
-__all__ = ["two_way_reference", "reference_path", "sweep_composed", "composed_path"]
+__all__ = ["scatter_rows", "two_way_reference", "reference_path", "sweep_composed", "composed_path"]
+
+
+def scatter_rows(
+    base: Tensor, indices: np.ndarray, rows: Tensor, assume_unique: bool = False
+) -> Tensor:
+    """Out-of-place row scatter: ``out = base; out[indices] = rows``.
+
+    ``indices`` must be unique — with duplicates the forward would be
+    write-order dependent and the gradient ill-defined.  The composed
+    sweep below finalizes one frontier level of node embeddings per call
+    with this; nothing in ``src/`` writes rows on the tape any more, so
+    the op lives here (``tests/nn/test_segment_ops.py`` grad-checks it).
+    ``assume_unique`` skips the uniqueness check for callers whose
+    indices come from a static, already-validated plan.
+    """
+    base = as_tensor(base)
+    rows = as_tensor(rows)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim != 1 or len(indices) != rows.shape[0]:
+        raise ValueError("indices must be 1-D and match rows' first axis")
+    if not assume_unique and len(np.unique(indices)) != len(indices):
+        raise ValueError("scatter_rows indices must be unique")
+    out_data = base.data.copy()
+    out_data[indices] = rows.data
+
+    def backward(grad: np.ndarray) -> None:
+        if rows.requires_grad:
+            rows._accumulate(grad[indices])
+        if base.requires_grad:
+            masked = grad.copy()
+            masked[indices] = 0.0
+            base._accumulate(masked)
+
+    return Tensor._make(out_data, (base, rows), backward, "scatter_rows")
 
 
 def _sweep_reference(layer, gpnet, x, task_order, groups, reverse, message):
@@ -119,15 +153,15 @@ def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term, per_edge):
             agg = Tensor(np.zeros((len(level.nodes), layer.h1.out_features)))
         else:
             idx = level.edge_idx
-            s = emb.gather(edge_from[idx])
+            s = emb[edge_from[idx]]
             if per_edge:
-                msg = (F.linear(s, w_msg) + term.gather(idx)).relu()
+                msg = (F.linear(s, w_msg) + term[idx]).relu()
             else:
                 msg = F.linear(s, w_msg, term).relu()
             segments = plan.node_local[edge_to[idx]]
             agg = _aggregate(msg, segments, len(level.nodes), layer.aggregation)
         group_out = F.linear(agg, layer.h2.weight, layer.h2.bias).relu() + x[level.nodes]
-        emb = F.scatter_rows(emb, level.nodes, group_out, assume_unique=True)
+        emb = scatter_rows(emb, level.nodes, group_out, assume_unique=True)
     return emb
 
 

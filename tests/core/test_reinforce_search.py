@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import PlacetoAgent, TaskEftAgent
 from repro.core import (
     GiPHAgent,
     PlacementProblem,
@@ -14,6 +15,7 @@ from repro.core import (
     random_placement,
     run_search,
 )
+from repro.parallel import ForkBackend
 from repro.sim import MakespanObjective
 
 
@@ -47,6 +49,68 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ReinforceConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"episode_length": 0}, "episode_length must be >= 1"),
+            ({"episode_length": -2}, "episode_length must be >= 1"),
+            ({"learning_rate": 0.0}, "learning_rate must be positive"),
+            ({"learning_rate": -1.0}, "learning_rate must be positive"),
+        ],
+    )
+    def test_rejected_where_it_is_written(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ReinforceConfig(**kwargs)
+
+
+AGENT_KINDS = {
+    "giph": lambda rng: GiPHAgent(rng, embedding="giph-ne-pol"),
+    "task-eft": TaskEftAgent,
+    "placeto": lambda rng: PlacetoAgent(rng, num_devices=3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AGENT_KINDS))
+class TestOneTrainerForEveryAgent:
+    def test_episode_counts_below_one_are_rejected(self, diamond_problem, kind):
+        rng = np.random.default_rng(0)
+        trainer = ReinforceTrainer(AGENT_KINDS[kind](rng), MakespanObjective())
+        state = rng.bit_generator.state
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="episodes must be >= 1"):
+                trainer.train([diamond_problem], rng, episodes=bad)
+        with pytest.raises(ValueError, match="at least one problem"):
+            trainer.train([], rng, episodes=1)
+        assert trainer.history == [] and rng.bit_generator.state == state
+
+    def test_episode_stats_and_default_length(self, diamond_problem, kind):
+        rng = np.random.default_rng(1)
+        agent = AGENT_KINDS[kind](rng)
+        trainer = ReinforceTrainer(agent, MakespanObjective())
+        before = [p.data.copy() for p in agent.parameters()]
+        stats = trainer.train([diamond_problem], rng, episodes=4)
+        assert [ep.episode for ep in stats] == [0, 1, 2, 3] and stats == trainer.history
+        assert all(ep.best_value <= min(ep.initial_value, ep.final_value) for ep in stats)
+        assert all(np.isfinite(ep.grad_norm) for ep in stats)
+        assert any((b != p.data).any() for b, p in zip(before, agent.parameters()))
+        # One evaluation per step plus the initial placement: 2|V| relocations,
+        # or one |V|-step traversal for Placeto.
+        steps = 4 if kind == "placeto" else 8
+        assert trainer.evaluator_stats().evaluations == 4 * (steps + 1)
+        # The agent's per-problem handle is cached beside the evaluator.
+        assert set(trainer._handles) == {id(diamond_problem)}
+
+    def test_batched_rounds_are_worker_count_independent(self, diamond_problem, kind):
+        def weights(workers):
+            rng = np.random.default_rng(2)
+            agent = AGENT_KINDS[kind](rng)
+            stats = ReinforceTrainer(agent, MakespanObjective()).train(
+                [diamond_problem], rng, episodes=3, batch_size=2, backend=ForkBackend(workers)
+            )
+            return [p.data.tobytes() for p in agent.parameters()], stats
+
+        assert weights(1) == weights(2)
 
 
 class TestTraining:

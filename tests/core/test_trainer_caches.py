@@ -1,7 +1,8 @@
-"""Trainer per-problem caches: evaluator and gpNet builder evict in lockstep.
+"""Trainer per-problem caches: evaluator and agent handle evict in lockstep.
 
 The trainer keeps two sibling caches keyed by problem instance — the
-EvaluatorPool's evaluators and its own GpNetBuilders.  They used to age
+EvaluatorPool's evaluators and its agent's per-problem handles (gpNet
+builders for GiPH, task views for task-EFT, layouts for Placeto).  They used to age
 out on independent access patterns, so a long problem sweep could pin a
 cache-laden builder after its evaluator was gone (or vice versa).  Now
 the pool's LRU drives both through its eviction hook.
@@ -38,7 +39,7 @@ def make_trainer(max_cached_problems):
 
 def paired_ids(trainer):
     evaluator_ids = set(trainer._evaluators._by_problem)
-    builder_ids = set(trainer._builders)
+    builder_ids = set(trainer._handles)
     return evaluator_ids, builder_ids
 
 
@@ -47,7 +48,7 @@ class TestLockstepEviction:
         trainer = make_trainer(max_cached_problems=2)
         for problem in make_problems(5):
             trainer.evaluator_for(problem)
-            trainer._builder_for(problem)
+            trainer._handle_for(problem)
             evaluator_ids, builder_ids = paired_ids(trainer)
             assert evaluator_ids == builder_ids
             assert len(evaluator_ids) <= 2
@@ -55,12 +56,12 @@ class TestLockstepEviction:
     def test_builder_access_refreshes_the_pair(self):
         trainer = make_trainer(max_cached_problems=2)
         first, second, third = make_problems(3)
-        trainer._builder_for(first)
-        trainer._builder_for(second)
+        trainer._handle_for(first)
+        trainer._handle_for(second)
         # Touching only the builder must refresh the evaluator's LRU slot
         # too, otherwise the pair would split on the next eviction.
-        trainer._builder_for(first)
-        trainer._builder_for(third)  # evicts `second`, not `first`
+        trainer._handle_for(first)
+        trainer._handle_for(third)  # evicts `second`, not `first`
         assert first in trainer._evaluators
         assert second not in trainer._evaluators
         evaluator_ids, builder_ids = paired_ids(trainer)
@@ -69,10 +70,10 @@ class TestLockstepEviction:
     def test_evaluator_only_access_drops_stale_builder(self):
         trainer = make_trainer(max_cached_problems=2)
         first, second, third = make_problems(3)
-        trainer._builder_for(first)
-        trainer._builder_for(second)
+        trainer._handle_for(first)
+        trainer._handle_for(second)
         trainer.evaluator_for(third)  # evicts `first`'s evaluator...
-        assert id(first) not in trainer._builders  # ...and its builder
+        assert id(first) not in trainer._handles  # ...and its builder
         evaluator_ids, builder_ids = paired_ids(trainer)
         assert builder_ids <= evaluator_ids
 

@@ -12,7 +12,7 @@ from repro.experiments import (
     evaluate_policies,
     multi_network_dataset,
     single_network_dataset,
-    train_giph,
+    train_agent,
 )
 from repro.experiments.reporting import banner, format_series, format_table
 from repro.baselines import RandomPlacementPolicy
@@ -121,8 +121,19 @@ class TestRunner:
 
     def test_train_giph_smoke(self, micro_scale):
         ds = single_network_dataset(micro_scale, rng(10))
-        agent = train_giph(ds.train, rng(11), episodes=2, embedding="giph-ne-pol")
+        agent = train_agent("giph", ds.train, rng(11), episodes=2, embedding="giph-ne-pol")
         assert agent.policy is not None
+
+    def test_train_agent_kinds(self, micro_scale):
+        ds = single_network_dataset(micro_scale, rng(10))
+        assert train_agent("task-eft", ds.train, rng(11), episodes=1).name == "giph-task-eft"
+        assert train_agent("placeto", ds.train, rng(11), episodes=1).name == "placeto"
+        with pytest.raises(ValueError, match="unknown agent kind"):
+            train_agent("rnn", ds.train, rng(11), episodes=1)
+        mixed = [*ds.train, *multi_network_dataset(micro_scale, rng(12), vary_sizes=True).train]
+        if len({p.network.num_devices for p in mixed}) > 1:
+            with pytest.raises(ValueError, match="fixed device count"):
+                train_agent("placeto", mixed, rng(11), episodes=1)
 
 
 class TestReporting:

@@ -65,7 +65,7 @@ class TestLSTM:
             ).sum()
             loss.backward()
             opt.step()
-            losses.append(loss.item())
+            losses.append(float(loss.data))
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
 
@@ -105,4 +105,4 @@ class TestAttention:
             loss = ((ctx - Tensor(np.array([1.0, 0.0]))) ** 2).sum()
             loss.backward()
             opt.step()
-        assert loss.item() < 0.05
+        assert float(loss.data) < 0.05

@@ -2,6 +2,7 @@
 and the round-snapshot broadcast regression."""
 
 import dataclasses
+import pathlib
 import pickle
 
 import numpy as np
@@ -19,8 +20,12 @@ from repro.parallel import (
     make_backend,
     task_rng,
 )
-from repro.parallel.episodes import EpisodePayload, RoundSnapshot, write_snapshot
+from repro.core import GiPHAgent, PlacementProblem, ReinforceTrainer
+from repro.core.reinforce import EpisodePayload, RoundSnapshot, write_snapshot
 from repro.parallel.pool import get_context
+from repro.devices import DeviceNetworkParams, generate_device_network
+from repro.graphs import TaskGraphParams, generate_task_graph
+from repro.sim import MakespanObjective
 from repro.store import RunStore
 
 
@@ -34,6 +39,12 @@ def _scaled(x: int) -> int:
 
 
 RUN = "test-run-fingerprint"
+
+
+def _one_problem():
+    rng = np.random.default_rng(5)
+    graph = generate_task_graph(TaskGraphParams(num_tasks=5), rng)
+    return [PlacementProblem(graph, generate_device_network(DeviceNetworkParams(num_devices=3), rng))]
 
 
 class TestMakeBackend:
@@ -207,14 +218,22 @@ class TestRoundSnapshotBroadcast:
             assert np.array_equal(pickle.load(handle)["w"], np.arange(3.0) * 2)
 
     def test_context_caches_by_version(self, tmp_path):
-        from repro.parallel.episodes import BatchContext
-
-        ctx = BatchContext([], None, None, None)
-        snapshot = write_snapshot({"w": np.arange(2.0)}, str(tmp_path), version=0)
-        loaded = ctx.load_snapshot(snapshot)
-        assert ctx.load_snapshot(RoundSnapshot(snapshot.path, 0)) is loaded
-        replaced = write_snapshot({"w": np.arange(2.0) + 1}, str(tmp_path), version=1)
-        assert np.array_equal(ctx.load_snapshot(replaced)["w"], np.arange(2.0) + 1)
+        # The broadcast context is a trainer replica: what a worker unpickles.
+        trainer = ReinforceTrainer(GiPHAgent(np.random.default_rng(0)), MakespanObjective())
+        trainer.train(_one_problem(), np.random.default_rng(1), episodes=1)
+        replica = pickle.loads(pickle.dumps(trainer))
+        assert replica.history == [] and replica.optimizer._t == 0  # no history, no moments
+        assert not replica._handles and replica.config == trainer.config
+        weights = [p.data + 1.0 for p in replica.optimizer.params]
+        snapshot = write_snapshot(weights, str(tmp_path), version=0)
+        replica._load_snapshot(snapshot)
+        assert all((p.data == w).all() for p, w in zip(replica.optimizer.params, weights))
+        # Same version: held already, the file is not read again.
+        pathlib.Path(snapshot.path).unlink()
+        replica._load_snapshot(RoundSnapshot(snapshot.path, 0))
+        replaced = write_snapshot([w + 1.0 for w in weights], str(tmp_path), version=1)
+        replica._load_snapshot(replaced)
+        assert all((p.data == w + 1.0).all() for p, w in zip(replica.optimizer.params, weights))
 
 
 def test_every_backend_is_an_execution_backend(tmp_path):

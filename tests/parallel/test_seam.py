@@ -2,8 +2,12 @@
 
 Outside ``repro.parallel`` nothing imports the pool module and nothing
 takes a ``workers`` parameter; every fanned experiment takes ``backend``.
+The package sits below the model code: it imports nothing from it, at
+module or at function level, and the trainer that fans out through it
+needs no deferred import to dodge a cycle.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -46,3 +50,33 @@ def test_every_parallel_experiment_run_accepts_backend():
     for experiment_id in parallel_experiment_ids():
         parameters = inspect.signature(get_module(experiment_id).run).parameters
         assert "backend" in parameters, experiment_id
+
+
+MODEL_PACKAGES = ("repro.core", "repro.runtime", "repro.baselines", "repro.experiments")
+
+
+def test_the_parallel_package_imports_no_model_code():
+    # The resolved graph is built with ``ast.walk``, so it holds
+    # function-level imports as well as module-level ones.
+    offenders = {
+        f"{info.name} -> {target}"
+        for info in TREE
+        if info.name.startswith("repro.parallel")
+        for target in info.imports
+        if target.startswith(MODEL_PACKAGES)
+    }
+    assert offenders == set()
+
+
+def test_the_trainer_defers_no_package_import():
+    trainer = TREE.by_name["repro.core.reinforce"]
+    assert "repro.parallel" in trainer.imports, "import graph lost the trainer's fan-out"
+    deferred = [
+        f"line {node.lineno}"
+        for scope in ast.walk(trainer.tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(scope)
+        if (isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("repro")))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("repro") for a in node.names))
+    ]
+    assert deferred == []
