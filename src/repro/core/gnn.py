@@ -27,24 +27,30 @@ pre-embedding is a two-layer FNN with hidden size equal to the input.
 Hot path
 --------
 The recurrent sweeps run **vectorized**: one batched gather → message →
-segment-aggregate → row-write round per topo *level* (frontier batching)
+segment-aggregate → write round per topo *level* (frontier batching)
 instead of a Python loop over tasks, driven by the placement-independent
 :class:`~repro.core.features.GpNetStructure` cached on each gpNet.  One
 sweep body (:func:`_sweep`) serves GiPH and GiPH-NE, which differ only
 in the message weight and additive term they hand it.  A whole direction
-is **one tape node**: the forward runs its levels in plain NumPy on one
-embedding buffer, and a hand-written backward unwinds them last level
-first with the float operations — and the accumulation order — of the
-per-level tape it replaced (one closure per direction, not twelve per
-level).  Both things it replaced are oracles in
+is **one tape node** whose forward runs its levels in plain NumPy,
+**feature-major**: the embedding buffer is ``(embed_dim, N)``, messages
+``(msg_dim, edges)``, so every kernel — ``take``, the einsum behind
+:func:`repro.nn.functional.linear`, relu, the ``bincount`` segment sum —
+loops along hundreds of edges, not across 5-9 features, with each
+element's float operations and their order unchanged.  What leaves is a
+C-contiguous row-major ``(N, embed_dim)`` array, and the hand-written
+backward — the levels unwound last first with the operations, and the
+accumulation order, of the per-level tape it replaced — hands its BLAS
+products fresh row-major operands: BLAS floats depend on operand layout.
+Both things the sweep replaced are oracles in
 ``tests/core/gnn_reference.py``, pinned bit-identical by
 ``tests/core/test_gnn_vectorized.py``: the per-task loop pins the
 forward, the composed per-level tape (``sweep_composed``) every
-gradient.  All route their affine maps through the batch-invariant
-kernel behind :func:`repro.nn.functional.linear`, which is what makes
-exact float equality possible at all (``np.matmul`` picks different BLAS
-kernels for different row counts).  :func:`gnn_stats` gives
-forward/backward counters and cumulative forward seconds.
+gradient.  The einsum kernel makes a row's result a function of that row
+alone, which is what makes exact float equality possible at all
+(``np.matmul`` picks different BLAS kernels for different row counts).
+:func:`gnn_stats` gives forward/backward counters and cumulative forward
+seconds.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ import numpy as np
 
 from ..nn import MLP, Linear, Module, Tensor, concat
 from ..nn import functional as F
-from ..nn.tensor import is_grad_enabled
 from ..telemetry import metrics, span
 from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, DirectionPlan, structure_of
 from .gpnet import GpNet
@@ -169,11 +174,8 @@ def _checked_aggregation(how: str) -> str:
 
 
 def _aggregate(values, segment_ids, num_segments, how: str):
-    if how == "mean":
-        return F.segment_mean(values, segment_ids, num_segments)
-    if how == "sum":
-        return F.segment_sum(values, segment_ids, num_segments)
-    raise ValueError(f"unknown aggregation {how!r}")
+    op = F.segment_mean if _checked_aggregation(how) == "mean" else F.segment_sum
+    return op(values, segment_ids, num_segments)
 
 
 def _sweep(
@@ -186,47 +188,47 @@ def _sweep(
     of gpNet edge ``e`` with sender ``v`` is ``relu(emb[v] @ w_msg + t)``
     with ``t = term[e]`` (``per_edge``, GiPH) or ``t = term`` (broadcast,
     GiPH-NE) — the only step on which the two differ.  The forward runs
-    every level in plain NumPy on one embedding buffer; the backward
-    below replays, last level first, the float operations the composed
-    per-level tape would run, in the same order (oracle:
+    every level in plain NumPy on one feature-major buffer (module
+    docstring) and returns it row-major; the backward below replays, last
+    level first and on row-major operands, the float operations of the
+    composed per-level tape, in its order (oracle:
     ``tests/core/gnn_reference.py::sweep_composed``).
     """
-    if reverse:
-        # Messages flow child -> parent: senders are dst endpoints,
-        # aggregation lands on the src endpoints.
-        edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
-    else:
-        edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
+    # Reverse: messages flow child -> parent, so senders are the dst
+    # endpoints and aggregation lands on the src endpoints.
+    ends = (gpnet.edge_src, gpnet.edge_dst)
+    edge_from, edge_to = ends[::-1] if reverse else ends
     h2w, h2b = layer.h2.weight, layer.h2.bias
     parents = (x, w_msg, term, h2w, h2b)
     xd, wd, td, h2wd, h2bd = (p.data for p in parents)
-    track = is_grad_enabled() and any(p.requires_grad for p in parents)
-    mean = layer.aggregation == "mean"
-    emb = np.zeros((gpnet.num_nodes, layer.embed_dim))
+    xT = np.ascontiguousarray(xd.T)
+    tT = td.T if per_edge else td[:, None]  # C-contiguous from ``F.linear(x_fm=)``
+    embT = np.zeros((layer.embed_dim, gpnet.num_nodes))
     saved = []  # per level, what the backward reads
     for level in plan.levels:
         nodes, idx = level.nodes, level.edge_idx
         if len(idx) == 0:
-            agg, edges = np.zeros((len(nodes), wd.shape[1])), None
+            agg, edges = np.zeros((wd.shape[1], len(nodes))), None
         else:
             senders = edge_from[idx]
-            s = emb.take(senders, axis=0)
-            pre = F._linear_kernel(s, wd) + (td.take(idx, axis=0) if per_edge else td)
+            s = embT.take(senders, axis=1)
+            pre = F._linear_kernel_fm(s, wd) + (tT.take(idx, axis=1) if per_edge else tT)
             segments = plan.node_local[edge_to[idx]]
-            agg = F._segment_sum_kernel(np.maximum(pre, 0.0), segments, len(nodes))
+            agg = F._segment_sum_kernel(np.maximum(pre, 0.0), segments, len(nodes), axis=1)
             counts = None
-            if mean:
-                counts = F._segment_counts(segments, len(nodes))[:, None]
+            if layer.aggregation == "mean":
+                counts = F._segment_counts(segments, len(nodes))
                 agg = agg / counts
-            edges = (idx, senders, s, pre, segments, counts)
-        h = F._linear_kernel(agg, h2wd) + h2bd
-        emb[nodes] = np.maximum(h, 0.0) + xd[nodes]
-        if track:
-            saved.append((nodes, agg, h, edges))
+            edges = (idx, senders, pre, segments, counts)
+        h = F._linear_kernel_fm(agg, h2wd) + h2bd[:, None]
+        embT[:, nodes] = np.maximum(h, 0.0) + xT.take(nodes, axis=1)
+        saved.append((nodes, agg, h, edges))
+    emb = embT.T.copy()  # row-major: concat and the policy's BLAS read it
 
     def backward(grad: np.ndarray) -> None:
         # G is the gradient of the embedding buffer as of the level being
         # unwound: zeroing a level's rows is the row write's masked copy.
+        # What the forward saved is converted to row-major once per level.
         G = grad.copy()
         for nodes, agg, h, edges in reversed(saved):
             g_out = G[nodes]
@@ -235,29 +237,29 @@ def _sweep(
                 if x.grad is None:
                     x.grad = np.zeros_like(xd)
                 x.grad[nodes] += g_out  # rows are unique within a pass
-            g_h = g_out * (h > 0)
+            g_h = g_out * np.ascontiguousarray((h > 0).T)
             # Straight into ``.grad``, one level at a time: a per-pass
             # subtotal would re-associate the sum over an episode's forwards.
             if h2w.requires_grad:
-                h2w._accumulate(agg.T @ g_h)
+                h2w._accumulate(np.ascontiguousarray(agg.T).T @ g_h)
             if h2b.requires_grad:
                 h2b._accumulate(g_h.sum(axis=0))
             if edges is None:
                 continue
-            idx, senders, s, pre, segments, counts = edges
+            idx, senders, pre, segments, counts = edges
             g_agg = g_h @ h2wd.T
             if counts is not None:
-                g_agg = g_agg / counts
-            g_pre = g_agg.take(segments, axis=0) * (pre > 0)
+                g_agg = g_agg / counts[:, None]
+            g_pre = g_agg.take(segments, axis=0) * np.ascontiguousarray((pre > 0).T)
             if term.requires_grad:
                 if per_edge:  # each gpNet edge sits in exactly one level
                     if term.grad is None:
-                        term.grad = np.zeros_like(td)
+                        term.grad = np.zeros(td.shape)
                     term.grad[idx] += g_pre
                 else:
                     term._accumulate(g_pre.sum(axis=0))
-            if w_msg.requires_grad:
-                w_msg._accumulate(s.T @ g_pre)
+            if w_msg.requires_grad:  # senders' rows were final when gathered
+                w_msg._accumulate(emb.take(senders, axis=0).T @ g_pre)
             # Senders repeat and G is non-zero there, so a bincount
             # subtotal would change the association: stays ``np.add.at``.
             np.add.at(G, senders, g_pre @ wd.T)
@@ -282,8 +284,8 @@ class _DirectionalPass(Module):
     ``W_emb = h1.weight[:embed_dim]`` and ``W_edge`` the rest.  The edge
     half depends only on static edge features, so it is computed once
     per pass for *all* edges, as an ordinary tape tensor, and the sweep
-    gathers its rows per level (batch invariance again makes
-    gather-after equal to compute-on-slice).
+    gathers it per level (batch invariance again makes gather-after
+    equal to compute-on-slice).
     """
 
     def __init__(self, embed_dim: int, edge_dim: int, rng: np.random.Generator, aggregation: str) -> None:
@@ -298,13 +300,10 @@ class _DirectionalPass(Module):
         w_emb = self.h1.weight[: self.embed_dim]
         w_edge = self.h1.weight[self.embed_dim :]
         # The edge half of every message depends only on static edge
-        # features: one batched affine map for the whole pass, gathered
-        # per level.
-        edge_msg = (
-            F.linear(Tensor(gpnet.edge_features), w_edge, self.h1.bias)
-            if gpnet.num_edges
-            else Tensor(np.empty((0, self.h1.out_features)))
-        )
+        # features: one affine map for the whole pass (feature-major, off
+        # the net's one transposed copy), gathered per level.
+        features = Tensor(gpnet.edge_features)
+        edge_msg = F.linear(features, w_edge, self.h1.bias, x_fm=gpnet.edge_features_fm)
         return _sweep(self, gpnet, x, plan, reverse, w_emb, edge_msg, per_edge=True)
 
 

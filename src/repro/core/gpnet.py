@@ -12,6 +12,7 @@ Sizes (paper §4.2.1):  |V_H| = Σ_i |D_i|,   |E_H| = Σ_i |D_i|·|E_i| − |E|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +55,11 @@ class GpNet:
     @property
     def num_edges(self) -> int:
         return len(self.edge_src)
+
+    @cached_property
+    def edge_features_fm(self) -> np.ndarray:
+        """C-contiguous ``edge_features.T``, copied once for both GNN directions."""
+        return np.ascontiguousarray(self.edge_features.T)
 
     def node_index(self, task: int, device: int) -> int:
         """Index of the node labeled (task, device); KeyError if infeasible."""

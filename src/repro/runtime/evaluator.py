@@ -151,7 +151,10 @@ class PlacementEvaluator:
         is the timeline gpNet features are measured against — so it is
         always cached.
         """
-        key, cached = self._lookup(self._timelines, placement)
+        return self._timeline(*self._lookup(self._timelines, placement))
+
+    def _timeline(self, key: tuple[int, ...], cached: SimResult | None) -> SimResult:
+        """:meth:`timeline` of an already validated ``key`` and its cache entry."""
         if cached is not None:
             self._timelines.move_to_end(key)
             self.stats.timeline_hits += 1
@@ -264,7 +267,7 @@ class PlacementEvaluator:
         if self._is_makespan:
             # Shares the timeline cache with gpNet feature construction.
             self.stats.fast_path += 1
-            return self.timeline(key).makespan
+            return self._timeline(key, self._timelines.get(key)).makespan
         self.stats.exact_path += 1
         return self.objective.evaluate(self.problem.cost_model, key)
 

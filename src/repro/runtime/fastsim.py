@@ -26,6 +26,8 @@ Property-tested (ordinary and tie-heavy cost models) in
 
 from __future__ import annotations
 
+from collections import UserDict
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -35,6 +37,22 @@ from ..core.placement import PlacementProblem
 from ..sim.executor import SimResult
 
 __all__ = ["FastSimulator"]
+
+
+class _Arrivals(UserDict):
+    """``SimResult.arrival`` of a fast-path timeline, derived on first read:
+    nothing in ``src/`` reads it, so a cached timeline pins no tuple-keyed
+    dict of boxed floats.  ``arrival[(u, v)] = finish[u] + delay(u, v)`` is
+    the walk's own float operation."""
+
+    def __init__(self, simulator: "FastSimulator", placement, finish: np.ndarray) -> None:
+        self._source = (simulator, placement, finish)  # no ``data`` yet: it is lazy
+
+    @cached_property
+    def data(self) -> dict[tuple[int, int], float]:
+        simulator, placement, finish = self._source
+        _, comm = simulator.batch_costs(np.array(placement, dtype=np.int64))
+        return dict(zip(simulator._edges, (finish[simulator._edge_src] + comm[0]).tolist()))
 
 
 class FastSimulator:
@@ -101,15 +119,15 @@ class FastSimulator:
         else:
             placement = tuple(int(d) for d in placement)
         compute, comm = self.batch_costs(np.array(placement, dtype=np.int64))
-        arrival: dict[tuple[int, int], float] = {}
         start, finish, device_last_finish = self._replay(
-            placement, compute[0].tolist(), comm[0].tolist(), arrival
+            placement, compute[0].tolist(), comm[0].tolist()
         )
+        finish_times = np.array(finish)
         return SimResult(
             makespan=max(finish) - min(start),
             start=np.array(start),
-            finish=np.array(finish),
-            arrival=arrival,
+            finish=finish_times,
+            arrival=_Arrivals(self, placement, finish_times),
             device_last_finish=np.array(device_last_finish),
             placement=placement,
         )
@@ -125,7 +143,7 @@ class FastSimulator:
         compute, comm = self.batch_costs(placements)
         out = []
         for row, durations, delays in zip(placements.tolist(), compute.tolist(), comm.tolist()):
-            start, finish, _ = self._replay(row, durations, delays, None)
+            start, finish, _ = self._replay(row, durations, delays)
             out.append(max(finish) - min(start))
         return out
 
@@ -134,11 +152,9 @@ class FastSimulator:
         placement: Sequence[int],
         durations: list[float],
         delays: list[float],
-        arrival: dict[tuple[int, int], float] | None,
     ) -> tuple[list[float], list[float], list[float]]:
         """The event walk: ``(start, finish, device_last_finish)`` lists, given
-        per-task ``durations`` and per-edge ``delays`` under ``placement``;
-        ``arrival[(u, v)]`` is recorded only when a dict is handed in."""
+        per-task ``durations`` and per-edge ``delays`` under ``placement``."""
         n = self._num_tasks
         start = [0.0] * n
         finish = [-1.0] * n
@@ -174,9 +190,7 @@ class FastSimulator:
                 finish[task] = now
                 device_last_finish[device] = now
                 for child, edge_idx in children[task]:
-                    t = now + delays[edge_idx]
-                    if arrival is not None:
-                        arrival[self._edges[edge_idx]] = t
+                    t = now + delays[edge_idx]  # the edge's arrival (cf. _Arrivals)
                     # `>=`: of two inputs landing together, the one sent
                     # later (higher sequence number) is processed last.
                     if t >= ready_time[child]:

@@ -15,7 +15,7 @@ outputs have arrived there; entry tasks are runnable at time 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class SimResult:
     makespan: float
     start: np.ndarray
     finish: np.ndarray
-    arrival: dict[tuple[int, int], float]
+    arrival: Mapping[tuple[int, int], float]
     device_last_finish: np.ndarray
     placement: tuple[int, ...]
 

@@ -277,6 +277,57 @@ class TestFusedSweepGradients:
         emb = make_embedding(kind, np.random.default_rng(seed), aggregation=aggregation)
         assert_shipped_equals_composed(emb, two_nets(problem, seed + 1), seed=seed + 2)
 
+    @pytest.mark.parametrize("aggregation", ["mean", "sum"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_search_large_shape_bitwise(self, kind, aggregation):
+        """48 tasks x 12 devices, the ``search_large`` shape: with levels of
+        a thousand edges a BLAS product handed a feature-major operand
+        takes another kernel and misses the composed tape's floats —
+        at 12 x 5 it can match by luck."""
+        problem = make_problem(4812, num_tasks=48, num_devices=12)
+        nets = two_nets(problem, 8)
+        assert min(net.num_edges for net in nets) >= 5000
+        emb = make_embedding(kind, np.random.default_rng(8), aggregation=aggregation)
+        grads, x_grads = assert_shipped_equals_composed(emb, nets, seed=9)
+        assert all(g is not None and np.any(g) for g in grads.values())
+        assert all(np.any(g) for g in x_grads)
+        with no_grad():
+            inference = emb(nets[0]).data
+        with reference_path():
+            assert np.array_equal(inference, emb(nets[0]).data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "num_tasks, num_devices, edge_prob",
+        [(1, 3, 1.0), (5, 3, 0.0), (6, 1, 0.6), (1, 1, 1.0)],
+        ids=["single-task", "edgeless", "one-device", "one-node"],
+    )
+    def test_degenerate_shapes_and_output_layout(self, kind, num_tasks, num_devices, edge_prob):
+        """Zero-width levels, zero edges and one-row buffers through the
+        feature-major layout; and whatever the shape, grad mode or
+        direction, the sweep hands back a C-contiguous row-major
+        ``(N, embed_dim)`` array — ``concat`` and the policy's BLAS
+        ``nn.Linear`` read it, and BLAS floats depend on operand layout."""
+        problem = random_layout_problem(5, num_tasks, num_devices, edge_prob)
+        nets = two_nets(problem, 6)
+        emb = make_embedding(kind, np.random.default_rng(7))
+        assert_shipped_equals_composed(emb, nets, seed=8)
+        ordinary = make_problem(35, num_tasks=9, num_devices=4)
+        for net in (*nets, *two_nets(ordinary, 1)):
+            with no_grad():
+                outputs = [emb(net)]
+            outputs.append(emb(net))
+            structure = structure_of(net)
+            x = Tensor(np.ones((net.num_nodes, emb.forward_pass.embed_dim)), requires_grad=True)
+            outputs.append(emb.forward_pass(net, x, structure.forward_plan, reverse=False))
+            outputs.append(emb.backward_pass(net, x, structure.backward_plan, reverse=True))
+            assert [out.requires_grad for out in outputs] == [False, True, True, True]
+            for out in outputs:
+                assert out.data.flags.c_contiguous and out.data.flags.owndata
+                assert out.data.strides == (out.shape[1] * 8, 8)
+            with reference_path():
+                assert np.array_equal(outputs[0].data, emb(net).data)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_partial_requires_grad(self, kind):
         """Frozen parameters under a grad leaf ``x``, a constant ``x``

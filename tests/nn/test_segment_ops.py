@@ -119,6 +119,45 @@ class TestLinear:
             assert np.array_equal(full[i], row)
             assert np.array_equal(F._linear_kernel(x[i], w) + b, row)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        rows=st.sampled_from([0, 1, 7, 33, 2001, 2500]),
+        k=st.sampled_from([4, 5, 9, 10, 16]),
+        m=st.sampled_from([4, 5, 9, 10, 16]),
+        contiguous=st.booleans(),
+    )
+    def test_feature_major_kernel_equals_row_major_bitwise(self, seed, rows, k, m, contiguous):
+        """``_linear_kernel_fm`` — the GNN sweep's kernel — produces the
+        floats of the row-major einsum and of the per-row loop, for any
+        partition of the rows and for a strided operand."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, k)) * 10.0 ** rng.integers(-6, 6)
+        x[rng.random(x.shape) < 0.15] = 0.0
+        x[rng.random(x.shape) < 0.15] = -0.0
+        w = rng.normal(size=(k, m))
+        xT = np.ascontiguousarray(x.T)
+        if not contiguous:
+            xT = np.repeat(xT, 2, axis=1)[:, ::2]
+            assert rows < 2 or not xT.flags.c_contiguous
+        out = F._linear_kernel_fm(xT, w)
+        assert out.shape == (m, rows) and out.dtype == np.float64
+        row_major = np.einsum("...k,kj->...j", x, w)
+        assert np.array_equal(out.T, row_major)
+        assert np.array_equal(np.signbit(out.T), np.signbit(row_major))
+        assert np.array_equal(out.T, F._linear_kernel(x, w))
+        for i in range(rows):
+            assert np.array_equal(out[:, i], F._linear_kernel(x[i], w))
+        # Rows (columns here) do not see each other: any sub-batch, taken
+        # as a strided view or as a fresh array, gives the same columns.
+        lo, hi = sorted(int(v) for v in rng.integers(0, rows + 1, size=2))
+        assert np.array_equal(F._linear_kernel_fm(xT[:, lo:hi], w), out[:, lo:hi])
+        assert np.array_equal(
+            F._linear_kernel_fm(np.ascontiguousarray(xT[:, lo:hi]), w), out[:, lo:hi]
+        )
+        picks = rng.permutation(rows)[: rows // 2]
+        assert np.array_equal(F._linear_kernel_fm(xT.take(picks, axis=1), w), out[:, picks])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             F.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 2))))
@@ -166,6 +205,39 @@ class TestSegmentSum:
         the id-range check is pinned where the sweep calls it."""
         with pytest.raises(ValueError, match=rf"segment_sum.*{span}.*\[0, 3\)"):
             F._segment_sum_kernel(np.ones((3, 2)), np.array(ids, dtype=np.int64), 3)
+
+    @pytest.mark.parametrize(
+        "ids, span", [([0, -1, 1], r"\[-1, 1\]"), ([0, 3, 1], r"\[0, 3\]"), ([-4, 5, 1], r"\[-4, 5\]")]
+    )
+    def test_feature_major_kernel_rejects_out_of_range_ids(self, ids, span):
+        """No pre-scan: the (feature, segment) cells themselves give an
+        out-of-range id away — a negative one in feature 0, one past the
+        end in the last feature — and the error still names the span."""
+        with pytest.raises(ValueError, match=rf"segment_sum.*{span}.*\[0, 3\)"):
+            F._segment_sum_kernel(np.ones((2, 3)), np.array(ids, dtype=np.int64), 3, axis=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        rows=st.sampled_from([0, 1, 2, 5, 12, 300]),
+        width=st.sampled_from([1, 5, 9]),
+        num_segments=st.integers(1, 6),
+    )
+    def test_feature_major_kernel_bit_identical_to_row_major(self, seed, rows, width, num_segments):
+        """The sweep's segment sum over (feature, segment) cells equals
+        the row-major kernel (itself pinned to ``np.add.at`` below),
+        signed zeros included, and returns a C-contiguous array."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, num_segments, size=rows)
+        vals = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 8)
+        vals[rng.random(vals.shape) < 0.2] = 0.0
+        vals[rng.random(vals.shape) < 0.2] = -0.0
+        expected = F._segment_sum_kernel(vals, ids, num_segments)
+        out = F._segment_sum_kernel(np.ascontiguousarray(vals.T), ids, num_segments, axis=1)
+        assert out.shape == (width, num_segments) and out.flags.c_contiguous
+        assert np.array_equal(out.T, expected)
+        assert np.array_equal(np.signbit(out.T), np.signbit(expected))
+        assert np.array_equal(F._segment_sum_kernel(vals.T, ids, num_segments, axis=1), out)
 
     @settings(max_examples=150, deadline=None)
     @given(

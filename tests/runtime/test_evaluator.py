@@ -213,6 +213,21 @@ def test_walk_names_the_tasks_that_never_ran():
             call(placement)
 
 
+def test_arrivals_are_derived_on_first_read_only():
+    """A cached timeline pins no per-edge dict until somebody reads one."""
+    problem = make_problem(3)
+    placement = random_placement(problem, np.random.default_rng(0))
+    fast = FastSimulator(problem).run(placement)
+    assert "data" not in vars(fast.arrival)
+    exact = simulate(problem.graph, problem.network, placement, problem.cost_model)
+    assert len(fast.arrival) == len(problem.graph.edges)
+    assert "data" in vars(fast.arrival)
+    assert dict(fast.arrival) == exact.arrival and list(fast.arrival) == list(problem.graph.edges)
+    assert all(type(t) is float for t in fast.arrival.values())
+    with pytest.raises(KeyError):
+        fast.arrival[(0, 0)]
+
+
 def test_makespans_input_forms():
     problem = make_problem(3)
     rng = np.random.default_rng(0)
@@ -388,6 +403,35 @@ def test_uncached_bad_placement_raises_and_leaves_no_trace(objective):
                 call(wrong_length)
             # evaluate_many rejects the whole batch before counting anything
             assert _cache_state(evaluator) == before
+
+
+def test_a_miss_validates_its_placement_once(monkeypatch):
+    """``evaluate`` → ``_compute`` → timeline used to validate the key twice."""
+    problem = make_problem(17)
+    rng = np.random.default_rng(3)
+    calls = []
+    validate = PlacementProblem.validate_placement
+    monkeypatch.setattr(
+        PlacementProblem,
+        "validate_placement",
+        lambda self, p: calls.append(tuple(p)) or validate(self, p),
+    )
+    evaluator = PlacementEvaluator(problem, MakespanObjective())
+    a, b, c = (random_placement(problem, rng) for _ in range(3))
+    evaluator.evaluate(a)  # value miss + timeline miss
+    assert calls == [a]
+    evaluator.evaluate(a)
+    evaluator.timeline(a)  # hits: the lookup is the proof
+    assert calls == [a]
+    evaluator.timeline(b)  # timeline miss only
+    evaluator.evaluate(b)  # value miss, timeline hit
+    assert calls == [a, b, b]
+    evaluator.evaluate_many([c, c, a])  # one validation per raw miss, as before
+    assert calls == [a, b, b, c, c]
+    stats = evaluator.stats  # report bytes: the counters did not move
+    assert (stats.evaluations, stats.cache_hits, stats.cache_misses) == (6, 3, 3)
+    assert (stats.fast_path, stats.exact_path, stats.batch_calls) == (3, 0, 1)
+    assert (stats.timeline_hits, stats.timeline_misses) == (2, 2)
 
 
 def test_numpy_integer_placement_hits_the_int_tuple_entry():
