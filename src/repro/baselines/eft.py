@@ -15,6 +15,7 @@ from ..core.placement import PlacementProblem
 from ..core.search import SearchTrace
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.executor import SimResult, simulate
+from ..telemetry import metrics
 
 __all__ = ["eft_estimates", "eft_device", "eft_relocation_search"]
 
@@ -66,7 +67,7 @@ def eft_estimates(
         if d == own:
             # The task itself is the device's load; don't double count it.
             device_ready = min(device_ready, float(timeline.start[task]))
-        estimates[d] = max(ready, device_ready) + compute[d]
+        estimates[d] = (device_ready if device_ready > ready else ready) + compute[d]
     return estimates
 
 
@@ -83,30 +84,41 @@ def eft_device(
 
 
 def eft_relocation_search(
-    problem: PlacementProblem,
     evaluator: PlacementEvaluator,
     initial_placement: Sequence[int],
     episode_length: int,
     pick_task: Callable[[Sequence[int], SimResult], int],
 ) -> SearchTrace:
-    """The task-EFT search episode: per step, ``pick_task(placement,
-    timeline)`` names a task and EFT relocates it.
+    """The task-EFT search episode on ``evaluator.problem``: per step,
+    ``pick_task(placement, timeline)`` names a task and EFT relocates it.
 
     The timeline handed to ``pick_task`` and to EFT is the current
     placement's noise-free schedule, which the evaluator already holds
-    from scoring it.
+    from scoring it.  A task's EFT device is a function of that timeline
+    alone, so it is decided once and remembered on it
+    (``SimResult.eft_devices``): most steps leave the placement, hence
+    the timeline, where it was, and a later search from the same
+    placement meets the same cached timeline.
     """
+    problem = evaluator.problem
     placement = list(problem.validate_placement(initial_placement))
     placements = [tuple(placement)]
     values = [evaluator.evaluate(placements[0])]
     relocations = [0] * problem.graph.num_tasks
+    memo_hits = 0
     for _ in range(episode_length):
         timeline = evaluator.timeline(placements[-1])
         task = pick_task(placement, timeline)
-        device = eft_device(problem, placement, task, timeline)
+        device = timeline.eft_devices.get(task)
+        if device is None:
+            device = timeline.eft_devices[task] = eft_device(problem, placement, task, timeline)
+        else:
+            memo_hits += 1
         if device != placement[task]:
             relocations[task] += 1
         placement[task] = device
         placements.append(tuple(placement))
         values.append(evaluator.evaluate(placements[-1]))
+    metrics().counter("eft.decisions").inc(episode_length)
+    metrics().counter("eft.memo_hits").inc(memo_hits)
     return SearchTrace.from_values(placements, values, relocations)

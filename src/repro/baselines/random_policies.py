@@ -59,11 +59,17 @@ class RandomTaskEftPolicy(AdaptivePolicy):
         rng: np.random.Generator,
         evaluator: PlacementEvaluator | None = None,
     ) -> SearchTrace:
-        num_tasks = problem.graph.num_tasks
+        def draw():
+            # One call draws the stream (and leaves the generator in the
+            # state) of ``episode_length`` scalar ``integers(0, n)`` draws.
+            # A generator body: it runs at the first pick, after the search
+            # has validated ``initial_placement``.
+            yield from rng.integers(0, problem.graph.num_tasks, size=episode_length).tolist()
+
+        tasks = draw()
         return eft_relocation_search(
-            problem,
             make_evaluator(problem, objective, evaluator),
             initial_placement,
             episode_length,
-            lambda placement, timeline: int(rng.integers(0, num_tasks)),
+            lambda placement, timeline: next(tasks),
         )

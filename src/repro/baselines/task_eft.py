@@ -162,9 +162,7 @@ class TaskEftAgent(AdaptivePolicy):
                 log_probs.append(log_prob)
             return last_task
 
-        return eft_relocation_search(
-            problem, evaluator, initial_placement, episode_length, pick_task
-        )
+        return eft_relocation_search(evaluator, initial_placement, episode_length, pick_task)
 
     def search(
         self,

@@ -14,7 +14,7 @@ outputs have arrived there; entry tasks are runnable at time 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +38,10 @@ class SimResult:
     arrival: ``arrival[(u, v)]`` is the transmission-done time td_uv.
     device_last_finish: per-device time its queue drained.
     placement: the placement that was simulated (dense device indices).
+    eft_devices: task -> EFT device decided from this timeline, remembered
+        by ``baselines.eft.eft_relocation_search``.  Derived, not part of
+        the result: ignored by ``==``, ``repr`` and pickling, and gone
+        with the timeline (an evaluator's LRU entry).
     """
 
     makespan: float
@@ -46,6 +50,11 @@ class SimResult:
     arrival: Mapping[tuple[int, int], float]
     device_last_finish: np.ndarray
     placement: tuple[int, ...]
+    eft_devices: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        """Pickling and copying ship the timeline without its memo."""
+        return {**self.__dict__, "eft_devices": {}}
 
     def execution_order(self, device: int) -> list[int]:
         """Tasks run on ``device``, in start-time order."""

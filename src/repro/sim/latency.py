@@ -95,9 +95,11 @@ class CostModel:
         graph = self.graph
         # Longest path (node-weighted) via topological dynamic programming.
         path_cost = [0.0] * graph.num_tasks
+        rows = self.W.tolist()
         for v in graph.topo_order:
             incoming = max((path_cost[u] for u in graph.parents[v]), default=0.0)
-            path_cost[v] = incoming + self.min_compute_time(v)
+            row = rows[v]  # min_compute_time(v), from one W.tolist()
+            path_cost[v] = incoming + min(row[d] for d in self.feasible_sets[v])
         bound = max(path_cost)
         # All-zero-compute graphs (possible after grouping edge cases):
         # fall back to 1 so SLR stays finite and comparable.

@@ -8,18 +8,29 @@ same dict, ``==`` on the floats: it performs the same IEEE operations
 in the same order.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import RandomTaskEftPolicy, eft_device, eft_estimates
+from repro.baselines import (
+    RandomTaskEftPolicy,
+    TaskEftAgent,
+    TaskViewBuilder,
+    eft_device,
+    eft_estimates,
+)
 from repro.core.placement import PlacementProblem, random_placement
+from repro.core.search import SearchTrace
 from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraphParams, generate_task_graph
+from repro.nn import no_grad
 from repro.runtime import PlacementEvaluator
 from repro.sim.executor import simulate
 from repro.sim.objectives import MakespanObjective
+from repro.telemetry import metrics
 
 
 def reference_eft_estimates(problem, placement, task, timeline=None):
@@ -125,6 +136,32 @@ def test_numpy_integer_placements_are_accepted():
         assert_same_estimates(problem, placement, task)
 
 
+def reference_relocation_search(evaluator, initial, steps, pick_task):
+    """The relocation loop with no memory of past decisions: the
+    evaluator traffic of ``eft_relocation_search`` (score the initial
+    placement, then one ``timeline`` and one ``evaluate`` per step) and
+    a reference EFT decision at every step."""
+    problem = evaluator.problem
+    placement = list(problem.validate_placement(initial))
+    placements = [tuple(placement)]
+    values = [evaluator.evaluate(placement)]
+    relocations = [0] * problem.graph.num_tasks
+    for _ in range(steps):
+        timeline = evaluator.timeline(placement)
+        task = pick_task(placement, timeline)
+        device = reference_eft_device(problem, placement, task, timeline)
+        relocations[task] += device != placement[task]
+        placement[task] = device
+        placements.append(tuple(placement))
+        values.append(evaluator.evaluate(placement))
+    return SearchTrace.from_values(placements, values, relocations)
+
+
+def scalar_draws(rng, num_tasks):
+    """The scalar oracle of ``RandomTaskEftPolicy``'s one-call draw."""
+    return lambda placement, timeline: int(rng.integers(0, num_tasks))
+
+
 @pytest.mark.parametrize("seed", [0, 5, 7])
 def test_search_trace_equals_reference_relocation_loop(seed):
     """The shared relocation loop, replayed step by step with the
@@ -136,18 +173,126 @@ def test_search_trace_equals_reference_relocation_loop(seed):
     trace = RandomTaskEftPolicy().search(
         problem, objective, initial, steps, np.random.default_rng(seed + 1)
     )
+    reference = reference_relocation_search(
+        PlacementEvaluator(problem, objective),
+        initial,
+        steps,
+        scalar_draws(np.random.default_rng(seed + 1), problem.graph.num_tasks),
+    )
+    assert trace == reference
+    assert trace.best_value == min(reference.values)
 
-    rng = np.random.default_rng(seed + 1)
+
+# Decisions remembered on the evaluator's cached timelines.  A session
+# re-searches an unchanged problem on every arrival event, from the
+# placement the previous search ended on: the second and third search
+# meet timelines that already carry decisions.
+
+
+def assert_warm_searches_equal_reference(problem, seed, search, reference_pick):
+    """Three searches in a row on ONE evaluator, each from the previous
+    best placement, against the memo-free loop on an evaluator of its
+    own: traces and evaluator statistics must agree search by search."""
+    objective = MakespanObjective()
+    steps = 2 * problem.graph.num_tasks
+    warm, cold = PlacementEvaluator(problem, objective), PlacementEvaluator(problem, objective)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    initial = random_placement(problem, np.random.default_rng(seed + 1))
+    for _ in range(3):
+        trace = search(problem, objective, initial, steps, rng, evaluator=warm)
+        reference = reference_relocation_search(
+            cold, initial, steps, reference_pick(problem, reference_rng)
+        )
+        assert trace == reference
+        assert warm.stats.as_dict() == cold.stats.as_dict()
+        assert rng.random() == reference_rng.random()
+        initial = trace.best_placement
+    assert sum(len(t.eft_devices) for t in warm._timelines.values()) > 0
+    assert not any(t.eft_devices for t in cold._timelines.values())
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 12])
+def test_warm_random_task_eft_searches_equal_the_memo_free_loop(seed):
+    problem = make_problem(seed + 40)
+    assert_warm_searches_equal_reference(
+        problem,
+        seed,
+        RandomTaskEftPolicy().search,
+        lambda problem, rng: scalar_draws(rng, problem.graph.num_tasks),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7])
+def test_warm_task_eft_agent_searches_equal_the_memo_free_loop(seed):
+    problem = make_problem(seed + 40)
+    agent = TaskEftAgent(np.random.default_rng(seed + 2))
+    twin = TaskEftAgent(np.random.default_rng(seed + 2))  # same weights
+
+    def reference_pick(problem, rng):
+        twin.rng = rng
+        views = TaskViewBuilder(problem)
+        last_task = None
+
+        def pick(placement, timeline):
+            nonlocal last_task
+            with no_grad():
+                last_task, _ = twin.select_task(
+                    problem, placement, last_task, timeline=timeline, views=views
+                )
+            return last_task
+
+        return pick
+
+    assert_warm_searches_equal_reference(problem, seed, agent.search, reference_pick)
+
+
+def test_remembered_decisions_live_and_die_with_the_cached_timeline():
+    """The memo's home is the timeline-LRU entry: bounded by it, gone
+    with it, and dropped by ``clear_cache``."""
+    problem = make_problem(47)
+    num_tasks = problem.graph.num_tasks
+    objective = MakespanObjective()
+    evaluator = PlacementEvaluator(problem, objective, timeline_cache_size=4)
+    policy, rng = RandomTaskEftPolicy(), np.random.default_rng(3)
+    seen = {}
+    for _ in range(200):
+        initial = random_placement(problem, rng)
+        policy.search(problem, objective, initial, 2 * num_tasks, rng, evaluator=evaluator)
+        timelines = evaluator._timelines
+        assert len(timelines) <= 4
+        remembered = sum(len(t.eft_devices) for t in timelines.values())
+        assert 0 < remembered <= len(timelines) * num_tasks
+        seen.update((id(t), weakref.ref(t)) for t in timelines.values())
+    # Nothing but the LRU holds a timeline (or its decisions) alive.
+    alive = [ref() for ref in seen.values() if ref() is not None]
+    assert len(seen) > 4 and {id(t) for t in alive} == {id(t) for t in timelines.values()}
+    del alive
+    kept = [weakref.ref(t) for t in timelines.values()]
+    evaluator.clear_cache()
+    assert all(ref() is None for ref in kept)
+    fresh = evaluator.timeline(initial)
+    assert fresh.eft_devices == {}
+
+
+def test_search_reports_its_decisions_and_memo_hits():
+    """``eft.decisions`` / ``eft.memo_hits``: one increment per search,
+    from which a run log gives the repeat share.  Replaying a search on
+    the same evaluator repeats every decision."""
+    problem = make_problem(45)
+    objective = MakespanObjective()
     evaluator = PlacementEvaluator(problem, objective)
-    placement = list(initial)
-    values = [evaluator.evaluate(placement)]
-    relocations = [0] * problem.graph.num_tasks
-    for _ in range(steps):
-        task = int(rng.integers(0, problem.graph.num_tasks))
-        device = reference_eft_device(problem, placement, task, evaluator.timeline(placement))
-        relocations[task] += device != placement[task]
-        placement[task] = device
-        values.append(evaluator.evaluate(placement))
-    assert trace.values == tuple(values)
-    assert trace.relocation_counts == tuple(relocations)
-    assert trace.best_value == min(values)
+    initial = random_placement(problem, np.random.default_rng(0))
+    steps = 2 * problem.graph.num_tasks
+
+    def search_delta():
+        before = metrics().snapshot()
+        RandomTaskEftPolicy().search(
+            problem, objective, initial, steps, np.random.default_rng(1), evaluator=evaluator
+        )
+        return metrics().snapshot().delta(before).counters
+
+    first = search_delta()
+    remembered = sum(len(t.eft_devices) for t in evaluator._timelines.values())
+    assert first["eft.decisions"] == steps
+    assert first.get("eft.memo_hits", 0) == steps - remembered
+    assert search_delta() == {"eft.decisions": steps, "eft.memo_hits": steps}

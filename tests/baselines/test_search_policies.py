@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     GiPHSearchPolicy,
@@ -76,6 +78,33 @@ class TestRandomPolicies:
     def test_random_task_eft_counts_relocations(self, diamond_problem):
         trace = RandomTaskEftPolicy().search(diamond_problem, OBJ, [0, 0, 0, 2], 8, rng(2))
         assert sum(trace.relocation_counts) <= 8
+
+    # RandomTaskEftPolicy draws an episode's tasks in one call; every
+    # recorded stream rests on that call being the scalar draws.  The
+    # examples sit on the widths at which NumPy changes its bounded-
+    # integer kernel (8, 16 and 32-bit ranges).
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 100_000), k=st.integers(0, 64))
+    @example(seed=0, n=1, k=17)
+    @example(seed=1, n=255, k=17)
+    @example(seed=2, n=256, k=17)
+    @example(seed=3, n=257, k=17)
+    @example(seed=4, n=65_536, k=17)
+    @example(seed=5, n=70_000, k=17)
+    def test_one_sized_draw_is_the_scalar_draws(self, seed, n, k):
+        batched, scalar = rng(seed), rng(seed)
+        assert batched.integers(0, n, size=k).tolist() == [
+            int(scalar.integers(0, n)) for _ in range(k)
+        ]
+        assert batched.random() == scalar.random()
+
+    def test_infeasible_start_raises_before_the_generator_advances(self, diamond_problem):
+        caller = rng(7)
+        with pytest.raises(ValueError):
+            RandomTaskEftPolicy().search(diamond_problem, OBJ, [0, 0, 0, 99], 8, caller)
+        with pytest.raises(ValueError):
+            RandomTaskEftPolicy().search(diamond_problem, OBJ, [0, 0, 0], 8, caller)
+        assert caller.random() == rng(7).random()
 
 
 class TestTaskEft:

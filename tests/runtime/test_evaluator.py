@@ -6,6 +6,10 @@ fast path is *bit-identical* to the seed scoring path (per-call
 incremental ``GpNetBuilder.update`` equals a full ``build``.
 """
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +21,7 @@ from repro.core.placement import PlacementProblem, random_placement
 from repro.devices import Device, DeviceNetwork, DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
 from repro.runtime import EvaluatorPool, FastSimulator, PlacementEvaluator
-from repro.sim.executor import simulate
+from repro.sim.executor import SimResult, simulate
 from repro.sim.latency import CostModel
 from repro.sim.objectives import EnergyObjective, MakespanObjective, TotalCostObjective
 
@@ -40,6 +44,18 @@ def make_problem(seed: int) -> PlacementProblem:
 # -- fast simulator ---------------------------------------------------------------------
 
 
+def assert_same_timeline(got, expected):
+    """``==`` on every compared field of two ``SimResult``s (the
+    generated ``__eq__`` cannot: it would truth-test whole arrays)."""
+    compared = [f.name for f in dataclasses.fields(SimResult) if f.compare]
+    assert compared == [
+        "makespan", "start", "finish", "arrival", "device_last_finish", "placement"
+    ]
+    for name in compared:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_fast_simulator_matches_executor_exactly(seed):
@@ -50,12 +66,24 @@ def test_fast_simulator_matches_executor_exactly(seed):
         placement = random_placement(problem, rng)
         exact = simulate(problem.graph, problem.network, placement, problem.cost_model)
         fast = sim.run(placement)
-        assert fast.makespan == exact.makespan
-        assert (fast.start == exact.start).all()
-        assert (fast.finish == exact.finish).all()
-        assert fast.arrival == exact.arrival
-        assert (fast.device_last_finish == exact.device_last_finish).all()
-        assert fast.placement == exact.placement
+        assert_same_timeline(fast, exact)
+
+
+def test_remembered_eft_decisions_are_not_part_of_the_timeline():
+    """``SimResult.eft_devices`` is a memo riding on the timeline: field
+    comparison, ``repr``, pickling and copying all leave it out."""
+    problem = make_problem(3)
+    placement = random_placement(problem, np.random.default_rng(0))
+    exact = simulate(problem.graph, problem.network, placement, problem.cost_model)
+    fast = FastSimulator(problem).run(placement)
+    assert fast.eft_devices == exact.eft_devices == {}
+    fast.eft_devices[0] = placement[0]
+    assert_same_timeline(fast, exact)
+    assert "eft_devices" not in repr(fast)
+    for clone in (pickle.loads(pickle.dumps(fast)), copy.copy(fast)):
+        assert clone.eft_devices == {}
+        assert_same_timeline(clone, fast)
+    assert fast.eft_devices == {0: placement[0]}
 
 
 def test_fast_simulator_batch_costs_match_cost_model():
@@ -134,12 +162,7 @@ def assert_walk_equals_executor(problem, seed, count=4):
     for placement in placements:
         exact = simulate(problem.graph, problem.network, placement, problem.cost_model)
         fast = sim.run(placement)
-        assert fast.makespan == exact.makespan
-        assert (fast.start == exact.start).all()
-        assert (fast.finish == exact.finish).all()
-        assert fast.arrival == exact.arrival
-        assert (fast.device_last_finish == exact.device_last_finish).all()
-        assert fast.placement == exact.placement
+        assert_same_timeline(fast, exact)
     assert sim.makespans(np.array(placements)) == [sim.run(p).makespan for p in placements]
 
 

@@ -69,6 +69,31 @@ class TestEquivalence:
         assert canonical(got) == canonical(references["edge-churn"])
 
 
+# Evaluator traffic per event (scored placements, value-cache hits) of a
+# seed-3 task-eft replay, recorded at the commit before decisions were
+# remembered on cached timelines: the memo removes EFT arithmetic, never
+# an ``evaluate`` / ``timeline`` call, so these may not move.
+RECORDED_TRAFFIC = {
+    "edge-churn": (
+        [84, 84, 84, 84, 84, 84, 84, 84, 84, 84],
+        [54, 73, 74, 76, 75, 69, 77, 79, 76, 79],
+    ),
+    "flash-crowd": (
+        [34, 51, 68, 85, 85, 102, 119, 136, 153, 153, 153, 153, 170, 170],
+        [19, 45, 63, 79, 74, 92, 111, 130, 144, 135, 139, 141, 167, 154],
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(RECORDED_TRAFFIC))
+def test_replay_evaluator_traffic_equals_the_recorded_series(preset):
+    evaluations, hits = RECORDED_TRAFFIC[preset]
+    spec = DEFAULT_REGISTRY.get(preset, seed=3)
+    steps = PlacementSession(spec, "task-eft", RandomTaskEftPolicy(), oracle=False).run().steps
+    assert [step.evaluations for step in steps] == evaluations
+    assert [step.cache_hit_rate for step in steps] == [h / e for h, e in zip(hits, evaluations)]
+
+
 class TestStepSemantics:
     def test_event_accounting(self):
         spec = DEFAULT_REGISTRY.get("stable-cluster", seed=0)
