@@ -16,7 +16,6 @@ from .features import (
     structure_of,
 )
 from .gnn import (
-    GnnStats,
     GpNetEmbedding,
     GraphSageNoEdge,
     KStepMessagePassing,
@@ -24,7 +23,6 @@ from .gnn import (
     TwoWayMessagePassing,
     TwoWayNoEdge,
     augment_with_out_edge_means,
-    gnn_stats,
     make_embedding,
 )
 from .gpnet import GpNet, build_gpnet
@@ -65,8 +63,6 @@ __all__ = [
     "GpNet",
     "build_gpnet",
     "GpNetEmbedding",
-    "GnnStats",
-    "gnn_stats",
     "TwoWayMessagePassing",
     "KStepMessagePassing",
     "TwoWayNoEdge",

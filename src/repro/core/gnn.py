@@ -49,14 +49,13 @@ forward, the composed per-level tape (``sweep_composed``) every
 gradient.  The einsum kernel makes a row's result a function of that row
 alone, which is what makes exact float equality possible at all
 (``np.matmul`` picks different BLAS kernels for different row counts).
-:func:`gnn_stats` gives forward/backward counters and cumulative forward
-seconds.
+The registry counters ``gnn.forwards``/``gnn.backwards``/``gnn.seconds``
+count forward and backward passes and cumulative forward seconds.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +67,6 @@ from .gpnet import GpNet
 
 __all__ = [
     "GpNetEmbedding",
-    "GnnStats",
-    "gnn_stats",
     "TwoWayMessagePassing",
     "KStepMessagePassing",
     "TwoWayNoEdge",
@@ -80,67 +77,23 @@ __all__ = [
 ]
 
 
-@dataclass
-class GnnStats:
-    """GNN hot-path counters.
-
-    ``forwards``/``backwards`` count whole-embedding passes (one per
-    ``GpNetEmbedding`` call / backprop through it) and are deterministic
-    for a given workload; ``seconds`` is the cumulative wall-clock of
-    the forward passes and therefore run-dependent (reports strip it
-    from their canonical form — see
-    :data:`repro.experiments.base.VOLATILE_DATA_KEYS`).
-    """
-
-    forwards: int = 0
-    backwards: int = 0
-    seconds: float = 0.0
-
-    def merge(self, other: "GnnStats") -> "GnnStats":
-        """Accumulate ``other`` into self (for sweep-level aggregation)."""
-        self.forwards += other.forwards
-        self.backwards += other.backwards
-        self.seconds += other.seconds
-        return self
-
-    def delta(self, since: "GnnStats") -> "GnnStats":
-        """Counters accumulated since the ``since`` snapshot."""
-        return GnnStats(
-            forwards=self.forwards - since.forwards,
-            backwards=self.backwards - since.backwards,
-            seconds=self.seconds - since.seconds,
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "forwards": self.forwards,
-            "backwards": self.backwards,
-            "gnn_seconds": self.seconds,
-        }
-
-
-# Process-global accumulators: embeddings are called deep inside search
-# policies that know nothing about experiment plumbing, so observability
-# rides on process state and callers diff snapshots around the work they
-# attribute (see repro.experiments.runner._evaluate_case).  The storage
-# *is* the telemetry registry — `gnn_stats()` is a compatibility view
-# over the `gnn.*` counters, which also ship home automatically from
-# fork workers with every task delta.
+# Process-global registry counters: embeddings are called deep inside
+# search policies that know nothing about experiment plumbing, so
+# callers read these before and after the work they attribute (see
+# repro.experiments.runner._evaluate_case).  ``forwards``/``backwards``
+# count whole-embedding passes and are deterministic for a workload;
+# ``seconds`` is forward wall-clock.  Fork workers ship them home with
+# every task delta.
 _FORWARDS = metrics().counter("gnn.forwards")
 _BACKWARDS = metrics().counter("gnn.backwards")
 _SECONDS = metrics().counter("gnn.seconds")
-
-
-def gnn_stats() -> GnnStats:
-    """Snapshot of the process-global GNN counters."""
-    return GnnStats(int(_FORWARDS.value), int(_BACKWARDS.value), _SECONDS.value)
 
 
 class GpNetEmbedding(Module):
     """Interface: embed a gpNet into per-node vectors (num_nodes, out_dim).
 
     Subclasses implement :meth:`_embed`; the shared :meth:`forward`
-    wraps it with the :func:`gnn_stats` counters (forward count + wall
+    wraps it with the ``gnn.*`` registry counters (forward count + wall
     seconds, and a pass-through graph node that counts backprops without
     touching the gradient values).
     """

@@ -14,7 +14,7 @@ __all__ = ["ExperimentReport", "VOLATILE_DATA_KEYS"]
 # these keys is what makes the canonical JSON of two equivalent runs
 # (serial vs fanned, fork vs shard-merged) byte-identical.
 # ("gnn_seconds" is the wall-clock member of the otherwise-deterministic
-# GNN counter blocks — see repro.core.gnn.GnnStats.as_dict.)
+# GNN counter blocks — see repro.experiments.runner.EvalResult.gnn.)
 VOLATILE_DATA_KEYS = frozenset(
     {"search_seconds", "replace_seconds", "trace_cache", "gnn_seconds"}
 )

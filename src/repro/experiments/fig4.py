@@ -28,7 +28,7 @@ from ..parallel import ExecutionBackend
 from .base import ExperimentReport
 from .config import Scale
 from .datasets import Dataset, multi_network_dataset, single_network_dataset
-from .reporting import banner, format_evaluator_stats, format_gnn_stats, format_series
+from .reporting import banner, format_evaluator_stats, format_gnn_counts, format_series
 from .runner import TrainSpec, evaluate_policies, train_policy_grid
 
 __all__ = ["run", "eval_stream"]
@@ -131,7 +131,7 @@ def run(
             # wall-clock timing lives in `data` (the benchmark prints it)
             # so same-seed result artifacts stay diffable.
             sections.append(format_evaluator_stats(result.evaluator_stats))
-            sections.append(format_gnn_stats(result.gnn_stats))
+            sections.append(format_gnn_counts(result.gnn))
             data[panel] = {
                 "noise": noise,
                 # Provenance: the derived case-seed stream this panel
@@ -146,7 +146,7 @@ def run(
                 # forwards/backwards are deterministic; the embedded
                 # "gnn_seconds" is volatile and stripped from the
                 # report's canonical form (see VOLATILE_DATA_KEYS).
-                "gnn": {k: s.as_dict() for k, s in result.gnn_stats.items()},
+                "gnn": dict(result.gnn),
                 "search_seconds": dict(result.search_seconds),
             }
 

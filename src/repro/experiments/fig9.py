@@ -138,7 +138,7 @@ def run(
             "finals": {k: list(v) for k, v in result.finals.items()},
             "num_train": len(train),
             "num_test": len(test),
-            "gnn": {k: s.as_dict() for k, s in result.gnn_stats.items()},
+            "gnn": dict(result.gnn),
             "trace_cache": trace_cache_counter([trace_source]),
         },
     )

@@ -15,7 +15,7 @@ __all__ = [
     "format_table",
     "format_series",
     "format_evaluator_stats",
-    "format_gnn_stats",
+    "format_gnn_counts",
     "ascii_chart",
     "banner",
 ]
@@ -111,20 +111,21 @@ def format_evaluator_stats(
     return format_table(headers, rows, title=title)
 
 
-def format_gnn_stats(
-    stats: Mapping[str, object],
+def format_gnn_counts(
+    stats: Mapping[str, Mapping[str, float]],
     title: str = "GNN hot-path statistics (embedding passes)",
 ) -> str:
     """Table of per-policy GNN forward/backward counters.
 
-    ``stats`` maps policy name to a :class:`repro.core.gnn.GnnStats`.
-    Counters only — the cumulative ``seconds`` member is wall-clock and
+    ``stats`` maps policy name to a
+    :attr:`repro.experiments.runner.EvalResult.gnn` entry.
+    Counters only — the ``gnn_seconds`` member is wall-clock and
     deliberately excluded so persisted reports stay byte-identical
     across same-seed runs (it still reaches benchmarks through report
     ``data``, where volatile-key stripping handles it).
     """
     headers = ["policy", "gnn forwards", "gnn backwards"]
-    rows = [[name, int(s.forwards), int(s.backwards)] for name, s in stats.items()]
+    rows = [[name, s["forwards"], s["backwards"]] for name, s in stats.items()]
     return format_table(headers, rows, title=title)
 
 

@@ -20,7 +20,6 @@ from ..baselines.heft import heft_placement
 from ..baselines.placeto import PlacetoAgent
 from ..baselines.task_eft import TaskEftAgent
 from ..core.agent import GiPHAgent
-from ..core.gnn import GnnStats, gnn_stats
 from ..core.placement import PlacementProblem, random_placement
 from ..core.reinforce import ReinforceConfig, ReinforceTrainer
 from ..core.search import SearchTrace
@@ -192,9 +191,10 @@ class EvalResult:
     ``evaluator_stats[name]`` / ``search_seconds[name]`` — scoring-path
     counters and wall time aggregated over the sweep's cases (see
     :func:`repro.experiments.reporting.format_evaluator_stats`).
-    ``gnn_stats[name]`` — GNN forward/backward counters (deterministic)
-    plus cumulative forward seconds (wall-clock, volatile) attributed to
-    each policy's searches.
+    ``gnn[name]`` — ``{"forwards", "backwards", "gnn_seconds"}``:
+    the registry's ``gnn.*`` counts charged to each policy's searches,
+    GNN passes (deterministic ints) and forward seconds (wall-clock,
+    volatile).
     """
 
     curves: dict[str, np.ndarray]
@@ -202,7 +202,7 @@ class EvalResult:
     traces: dict[str, list[SearchTrace]]
     evaluator_stats: dict[str, EvaluatorStats] = field(default_factory=dict)
     search_seconds: dict[str, float] = field(default_factory=dict)
-    gnn_stats: dict[str, GnnStats] = field(default_factory=dict)
+    gnn: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def mean_final(self, name: str) -> float:
         return float(np.mean(self.finals[name]))
@@ -247,6 +247,9 @@ def _evaluate_case(case_index: int) -> dict[str, tuple]:
     initial = random_placement(problem, case_rng)
     steps = ctx.episode_multiplier * problem.graph.num_tasks
     denom = cp_min_lower_bound(problem.cost_model) if ctx.normalize_slr else 1.0
+    forwards, backwards, seconds = (
+        metrics().counter(f"gnn.{name}") for name in ("forwards", "backwards", "seconds")
+    )
     out: dict[str, tuple] = {}
     with span("eval.case"):
         for name, policy in ctx.policies.items():
@@ -259,7 +262,7 @@ def _evaluate_case(case_index: int) -> dict[str, tuple]:
             else:
                 case_objective = MakespanObjective()
             evaluator = PlacementEvaluator(problem, case_objective)
-            gnn_before = gnn_stats()
+            forwards0, backwards0, seconds0 = forwards.value, backwards.value, seconds.value
             began = time.perf_counter()
             trace = policy.search(
                 problem,
@@ -279,7 +282,11 @@ def _evaluate_case(case_index: int) -> dict[str, tuple]:
                 # Delta of the process-global GNN counters over this search:
                 # the search runs single-threaded inside this task, so the
                 # delta is exactly the policy's own embedding work.
-                gnn_stats().delta(gnn_before),
+                {
+                    "forwards": int(forwards.value - forwards0),
+                    "backwards": int(backwards.value - backwards0),
+                    "gnn_seconds": seconds.value - seconds0,
+                },
             )
     return out
 
@@ -322,7 +329,9 @@ def evaluate_policies(
     traces: dict[str, list[SearchTrace]] = {name: [] for name in policies}
     stats: dict[str, EvaluatorStats] = {name: EvaluatorStats() for name in policies}
     seconds: dict[str, float] = {name: 0.0 for name in policies}
-    gnn: dict[str, GnnStats] = {name: GnnStats() for name in policies}
+    gnn: dict[str, dict[str, float]] = {
+        name: {"forwards": 0, "backwards": 0, "gnn_seconds": 0.0} for name in policies
+    }
 
     context = _EvalContext(
         policies=dict(policies),
@@ -345,16 +354,17 @@ def evaluate_policies(
             traces[name].append(trace)
             stats[name].merge(case_stats)
             seconds[name] += elapsed
-            gnn[name].merge(case_gnn)
+            for key, value in case_gnn.items():
+                gnn[name][key] += value
 
     # Instance-scoped evaluator counters roll up into the process
-    # registry here, at the merge point (gnn counters are registry-backed
-    # and shipped with task deltas already — absorbing them again would
-    # double-count).
+    # registry here, at the merge point (gnn counters live in the
+    # registry and ship with task deltas already — absorbing them again
+    # would double-count).
     sweep_total = EvaluatorStats()
     for merged in stats.values():
         sweep_total.merge(merged)
-    metrics().absorb("evaluator", sweep_total.as_dict(), skip=("hit_rate",))
+    metrics().absorb("evaluator", sweep_total.counters())
 
     return EvalResult(
         curves={name: average_curves(cs) for name, cs in curves.items()},
@@ -362,5 +372,5 @@ def evaluate_policies(
         traces=traces,
         evaluator_stats=stats,
         search_seconds=seconds,
-        gnn_stats=gnn,
+        gnn=gnn,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_uniform", "zeros", "orthogonal"]
+__all__ = ["glorot_uniform", "he_uniform", "orthogonal"]
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -17,10 +17,6 @@ def he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarra
     """He uniform — default for ReLU layers (the paper uses ReLU throughout)."""
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
 
 
 def orthogonal(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

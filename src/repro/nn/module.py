@@ -47,10 +47,6 @@ class Module:
                     elif isinstance(item, Parameter):
                         yield f"{full}.{i}", item
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Snapshot of all parameter values (copies)."""
         return {name: param.data.copy() for name, param in self.named_parameters()}

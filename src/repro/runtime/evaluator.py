@@ -35,6 +35,19 @@ from .fastsim import FastSimulator
 
 __all__ = ["EvaluatorStats", "PlacementEvaluator", "EvaluatorPool", "coalesce_evaluate"]
 
+# The fields of EvaluatorStats.  A plain tuple, not dataclasses.fields():
+# merge runs once per pooled evaluator on every serving-session step.
+_COUNTERS = (
+    "evaluations",
+    "cache_hits",
+    "cache_misses",
+    "fast_path",
+    "exact_path",
+    "batch_calls",
+    "timeline_hits",
+    "timeline_misses",
+)
+
 
 @dataclass
 class EvaluatorStats:
@@ -62,31 +75,21 @@ class EvaluatorStats:
 
     def merge(self, other: "EvaluatorStats") -> "EvaluatorStats":
         """Accumulate ``other`` into self (for sweep-level aggregation)."""
-        for name in (
-            "evaluations",
-            "cache_hits",
-            "cache_misses",
-            "fast_path",
-            "exact_path",
-            "batch_calls",
-            "timeline_hits",
-            "timeline_misses",
-        ):
+        for name in _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
+    def delta(self, since: "EvaluatorStats") -> "EvaluatorStats":
+        """Counts accumulated after the ``since`` total was taken."""
+        return EvaluatorStats(**{n: getattr(self, n) - getattr(since, n) for n in _COUNTERS})
+
+    def counters(self) -> dict[str, int]:
+        """The additive counters — what :meth:`Metrics.absorb` takes."""
+        return {name: getattr(self, name) for name in _COUNTERS}
+
     def as_dict(self) -> dict[str, float]:
-        return {
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "fast_path": self.fast_path,
-            "exact_path": self.exact_path,
-            "batch_calls": self.batch_calls,
-            "timeline_hits": self.timeline_hits,
-            "timeline_misses": self.timeline_misses,
-        }
+        """The counters plus the derived ``hit_rate``."""
+        return {**self.counters(), "hit_rate": self.hit_rate}
 
 
 class PlacementEvaluator:

@@ -5,7 +5,7 @@ migrate state machine that used to live inline in
 ``ScenarioRunner._run_policy``.  A session owns everything one policy
 needs to track a changing cluster: the materialized event stream, the
 current uid placements, a private :class:`EvaluatorPool`, the
-relocation-cost model, and the per-step evaluator-stats tracker.  Each
+relocation-cost model, and the evaluator totals each step diffs.  Each
 :meth:`PlacementSession.step` consumes exactly one scenario event and
 returns the resulting :class:`StepRecord`; :meth:`PlacementSession.report`
 assembles the :class:`AdaptationReport` accumulated so far.
@@ -26,6 +26,7 @@ events transform state; the runner's methods delegate here.
 
 from __future__ import annotations
 
+import copy
 import time
 import zlib
 from typing import Sequence
@@ -44,7 +45,7 @@ from ..scenarios.spec import ScenarioSpec
 from ..sim.metrics import cp_min_lower_bound
 from ..sim.objectives import MakespanObjective, Objective
 from ..sim.relocation import RelocationCostModel, TaskRelocationProfile
-from ..telemetry import DeltaTracker, metrics, span
+from ..telemetry import metrics, span
 
 __all__ = [
     "ORACLE_KEY",
@@ -262,7 +263,10 @@ class PlacementSession:
         self._profile = relocation_profile(self.spec)
         self._pool = EvaluatorPool(self._objective) if reuse_evaluators else None
         self._cold_stats = EvaluatorStats()  # aggregate when evaluators are per-event
-        self._tracker = DeltaTracker(EvaluatorStats().as_dict())
+        # Evaluator totals at the previous step / report: each step records,
+        # and each report absorbs, only what happened since.
+        self._stepped = EvaluatorStats()
+        self._reported = EvaluatorStats()
         # The lazy oracle owns a separate pool: oracle evaluations must
         # not leak into the policy's per-step cache statistics.
         self._oracle_pool = (
@@ -284,7 +288,6 @@ class PlacementSession:
         ]
 
         self.steps: list[StepRecord] = []
-        self._absorbed = False
 
     # -- introspection -----------------------------------------------------------
 
@@ -369,11 +372,9 @@ class PlacementSession:
                 self._cold_stats.merge(evaluator.stats)
 
         elapsed = time.perf_counter() - began
-        total = self._pool.stats() if self._pool is not None else self._cold_stats
-        step_delta = self._tracker.delta(total.as_dict())
-        evaluations = int(step_delta.get("evaluations", 0))
-        looked_up = step_delta.get("cache_hits", 0) + step_delta.get("cache_misses", 0)
-        hit_rate = step_delta.get("cache_hits", 0) / looked_up if looked_up else 0.0
+        total = self.evaluator_stats()
+        step_stats = total.delta(self._stepped)
+        self._stepped = total
         frequency = spec.relocation.pipeline_frequency_hz
         oracle_value = self._oracle_value(event, problems)
         record = StepRecord(
@@ -391,8 +392,8 @@ class PlacementSession:
             migration_cost_ms=cost_total,
             amortized_migration_ms=cost_total / frequency if frequency else cost_total,
             replace_seconds=elapsed,
-            evaluations=evaluations,
-            cache_hit_rate=hit_rate,
+            evaluations=step_stats.evaluations,
+            cache_hit_rate=step_stats.hit_rate,
         )
         self.steps.append(record)
         return record
@@ -404,16 +405,18 @@ class PlacementSession:
         return self.report()
 
     def evaluator_stats(self) -> EvaluatorStats:
-        return self._pool.stats() if self._pool is not None else self._cold_stats
+        """The session's evaluator totals so far (a fresh copy)."""
+        if self._pool is not None:
+            return self._pool.stats()
+        return copy.copy(self._cold_stats)
 
     def report(self) -> AdaptationReport:
         """The :class:`AdaptationReport` of the steps consumed so far."""
         final_stats = self.evaluator_stats()
-        if not self._absorbed:
-            # Once per session, mirroring the batch runner's end-of-replay
-            # absorb (metrics are observational; reports don't carry them).
-            metrics().absorb("scenario.evaluator", final_stats.as_dict(), skip=("hit_rate",))
-            self._absorbed = True
+        # Only what was evaluated since the previous report: a client may
+        # ask for a report mid-stream and keep sending events.
+        metrics().absorb("scenario.evaluator", final_stats.delta(self._reported).counters())
+        self._reported = final_stats
         return AdaptationReport(
             scenario=self.spec.name,
             policy=self.name,

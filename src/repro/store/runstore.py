@@ -29,14 +29,12 @@ import json
 import os
 import pathlib
 import pickle
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..telemetry import metrics
 
 __all__ = [
     "RunStore",
-    "StoreStats",
     "canonical_key",
     "code_fingerprint",
     "fingerprint",
@@ -85,24 +83,15 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class StoreStats:
-    """Hit/miss/write counters for one :class:`RunStore` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "writes": self.writes}
-
-
 class RunStore:
-    """Content-addressed ``(kind, key) -> pickled value`` directory store."""
+    """Content-addressed ``(kind, key) -> pickled value`` directory store.
+
+    Hits, misses and writes count in the registry's process-wide
+    ``store.*`` counters.
+    """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = pathlib.Path(root)
-        self.stats = StoreStats()
         self._salt = code_fingerprint()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -125,13 +114,11 @@ class RunStore:
         try:
             payload = path.read_bytes()
         except FileNotFoundError:
-            self.stats.misses += 1
             metrics().counter("store.misses").inc()
             raise KeyError(
                 f"store entry {kind}/{self.address(kind, key)[:12]} not found "
                 f"under {self.root}"
             ) from None
-        self.stats.hits += 1
         metrics().counter("store.hits").inc()
         return pickle.loads(payload)
 
@@ -149,7 +136,6 @@ class RunStore:
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         tmp.write_bytes(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         os.replace(tmp, path)
-        self.stats.writes += 1
         metrics().counter("store.writes").inc()
         return path
 

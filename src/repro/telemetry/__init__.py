@@ -29,7 +29,7 @@ from .events import (
     render_tree,
     write_run_log,
 )
-from .metrics import DeltaTracker, Metrics, MetricsSnapshot, metrics
+from .metrics import Metrics, MetricsSnapshot, metrics
 from .spans import (
     SpanStat,
     TaskDelta,
@@ -45,7 +45,6 @@ from .spans import (
 )
 
 __all__ = [
-    "DeltaTracker",
     "Metrics",
     "MetricsSnapshot",
     "ProgressWriter",

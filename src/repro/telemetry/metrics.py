@@ -1,11 +1,12 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-One `Metrics` instance per process collects every numeric signal the
-repo previously scattered over ad-hoc Stats classes (`EvaluatorStats`,
-`GnnStats`, `StoreStats`, `EpisodeStats`, the scenario tracker).  The
-legacy dataclasses keep their public shape where reports depend on it,
-but their storage either *is* a registry counter (gnn, store) or is
-absorbed into the registry at merge points (evaluator instances), so
+One `Metrics` instance per process holds every process-wide count
+(``gnn.*``, ``store.*``, ``eft.*``, …): code increments its counter and
+readers read that counter, or diff two reads around the work they
+attribute.  The one instance-scoped count is `EvaluatorStats` — each
+`PlacementEvaluator` owns its own — and it reaches the registry through
+`Metrics.absorb` at its one merge point per prefix (``evaluator.*`` per
+sweep, ``scenario.evaluator.*`` per session report), so
 `metrics().snapshot()` is the one place to read a run's counters.
 
 Snapshots are plain dataclasses of dicts: picklable, diffable
@@ -22,11 +23,10 @@ suites run with it on and off).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "Counter",
-    "DeltaTracker",
     "Gauge",
     "Histogram",
     "Metrics",
@@ -165,20 +165,15 @@ class Metrics:
             self._histograms[name] = inst = Histogram()
         return inst
 
-    def absorb(
-        self, prefix: str, mapping: Mapping[str, float], skip: Iterable[str] = ()
-    ) -> None:
-        """Add a legacy stats ``as_dict()`` into prefixed counters.
+    def absorb(self, prefix: str, counts: Mapping[str, float]) -> None:
+        """Add instance-scoped counts into ``prefix.``-named counters.
 
-        Derived/non-additive fields (rates, averages) go in ``skip``.
-        Used at merge points for *instance-scoped* stats (e.g. a run's
-        merged `EvaluatorStats`); process-global stats that are already
-        registry-backed must NOT also be absorbed or they double-count.
+        Called at the one merge point of an instance-scoped count (e.g.
+        a sweep's merged `EvaluatorStats.counters()`); counts that live
+        in the registry already must NOT also be absorbed or they
+        double-count.
         """
-        skipped = frozenset(skip)
-        for key, value in mapping.items():
-            if key in skipped or not isinstance(value, (int, float)):
-                continue
+        for key, value in counts.items():
             self.counter(f"{prefix}.{key}").inc(value)
 
     def snapshot(self) -> MetricsSnapshot:
@@ -220,23 +215,3 @@ _METRICS = Metrics()
 def metrics() -> Metrics:
     """The process-wide registry."""
     return _METRICS
-
-
-class DeltaTracker:
-    """Per-window diffs over a numeric mapping (e.g. a stats ``as_dict()``).
-
-    Replaces the scenario runner's ad-hoc ``_StatsTracker``: snapshot a
-    mapping once, then ``delta(current)`` returns per-key increments
-    since the previous call and advances the window.
-    """
-
-    def __init__(self, mapping: Mapping[str, float]) -> None:
-        self._last = {k: v for k, v in mapping.items() if isinstance(v, (int, float))}
-
-    def delta(self, mapping: Mapping[str, float]) -> dict[str, float]:
-        current = {
-            k: v for k, v in mapping.items() if isinstance(v, (int, float))
-        }
-        diff = {k: v - self._last.get(k, 0) for k, v in current.items()}
-        self._last = current
-        return diff

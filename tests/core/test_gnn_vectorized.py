@@ -37,7 +37,7 @@ from test_gpnet import random_layout_problem
 from repro.core import PlacementProblem, gnn, random_placement
 from repro.core.agent import GiPHAgent
 from repro.core.features import GpNetBuilder, GpNetStructure, structure_of
-from repro.core.gnn import gnn_stats, make_embedding
+from repro.core.gnn import make_embedding
 from repro.core.reinforce import (
     ReinforceConfig,
     ReinforceTrainer,
@@ -50,6 +50,7 @@ from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraphParams, generate_task_graph
 from repro.nn import Tensor, no_grad
 from repro.sim.objectives import MakespanObjective
+from repro.telemetry import metrics
 
 # The kinds whose forward is the two-way sweep the loop oracle replaces
 # (GiPH-k and GraphSAGE-NE never had a per-task loop).
@@ -68,6 +69,16 @@ def grads_of(module) -> dict[str, np.ndarray | None]:
         name: None if p.grad is None else p.grad.copy()
         for name, p in module.named_parameters()
     }
+
+
+def zero_grads(module) -> None:
+    for p in module.parameters():
+        p.zero_grad()
+
+
+def gnn_counter(name: str) -> float:
+    """Current value of the registry's ``gnn.<name>`` counter."""
+    return metrics().counter(f"gnn.{name}").value
 
 
 class TestBitIdentical:
@@ -134,7 +145,7 @@ class TestBitIdentical:
 
         ((emb(net) * emb(net)).sum()).backward()
         vec_grads = grads_of(emb)
-        emb.zero_grad()
+        zero_grads(emb)
         with reference_path():
             ((emb(net) * emb(net)).sum()).backward()
         ref_grads = grads_of(emb)
@@ -189,7 +200,7 @@ def sweep_graph_floats(emb, nets, seed, freeze=(), x_grad=True):
     gradient, so no gradient row is a constant.
     """
     rng = np.random.default_rng(seed)
-    emb.zero_grad()
+    zero_grads(emb)
     for name, param in emb.named_parameters():
         param.requires_grad = name not in freeze
     try:
@@ -237,13 +248,13 @@ def train_five_episodes(kind: str, composed: bool):
 
     agent.embedding._embed = counting_embed
     trainer = ReinforceTrainer(agent, MakespanObjective(), ReinforceConfig(episodes=5))
-    before = gnn_stats()
+    before = gnn_counter("backwards")
     if composed:
         with composed_path():
             trainer.train(problems, np.random.default_rng(9), episodes=5)
     else:
         trainer.train(problems, np.random.default_rng(9), episodes=5)
-    backwards = gnn_stats().delta(before).backwards
+    backwards = gnn_counter("backwards") - before
     return agent.state_dict(), trainer.history, backwards, sum(grad_calls)
 
 
@@ -406,7 +417,7 @@ class TestFusedSweepGradients:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_backward_counter_counts_grad_mode_embeddings(self, kind):
-        """One ``gnn_stats().backwards`` tick per grad-mode embedding call,
+        """One ``gnn.backwards`` tick per grad-mode embedding call,
         however many tape nodes the sweep is."""
         _, _, backwards, grad_calls = train_five_episodes(kind, composed=False)
         _, _, ref_backwards, ref_grad_calls = train_five_episodes(kind, composed=True)
@@ -463,12 +474,10 @@ class TestStructureCache:
             random_placement(problem, np.random.default_rng(0))
         )
         emb = make_embedding("giph", np.random.default_rng(4))
-        before = gnn_stats()
+        forwards, seconds = gnn_counter("forwards"), gnn_counter("seconds")
         emb(net)
-        after = gnn_stats()
-        delta = after.delta(before)
-        assert delta.forwards == 1
-        assert delta.seconds >= 0.0
+        assert gnn_counter("forwards") - forwards == 1
+        assert gnn_counter("seconds") >= seconds
 
 
 class TestFusedEpisodeLoss:

@@ -27,6 +27,7 @@ from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraphParams, generate_task_graph
 from repro.sim import MakespanObjective
 from repro.store import RunStore
+from repro.telemetry import metrics
 
 
 def _draw(key: tuple) -> float:
@@ -109,11 +110,12 @@ class TestShardBackend:
         store = RunStore(tmp_path)
         keys = [(1, i) for i in range(5)]
         first = ShardBackend(store, RUN, 2, 0).fanout(_draw, keys)
-        before = store.stats.writes
+        writes = metrics().counter("store.writes")
+        before = writes.value
         second = ShardBackend(store, RUN, 2, 1).fanout(_draw, keys)
         assert first == second == InlineBackend().fanout(_draw, keys)
         # The second shard loaded everything the first one published.
-        assert store.stats.writes == before
+        assert writes.value == before
 
     def test_wait_mode_times_out_with_a_clean_error(self, tmp_path):
         store = RunStore(tmp_path)

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import RandomPlacementPolicy, RandomTaskEftPolicy
+from repro.baselines.giph_policy import GiPHSearchPolicy
+from repro.baselines.placeto import PlacetoAgent
+from repro.baselines.task_eft import TaskEftAgent
 from repro.core import (
     GiPHAgent,
     PlacementProblem,
@@ -31,6 +34,7 @@ from repro.scenarios import (
     replay_scenarios,
 )
 from repro.sim import MakespanObjective
+from repro.telemetry import metrics
 
 
 def make_problems(count: int, seed: int, num_tasks: int = 6, num_devices: int = 3):
@@ -168,6 +172,32 @@ class TestEvaluatePolicies:
             policies, problems, np.random.default_rng(9), noise=0.2, backend=ForkBackend(3)
         )
         assert serial.finals["task-eft"] == fanned.finals["task-eft"]
+
+    def test_gnn_counts_match_across_backends_and_the_registry(self, problems):
+        """fig4's policy set: per-policy GNN passes are backend-independent
+        ints, and each sweep's ``gnn.forwards`` registry delta is their sum
+        (fork workers ship their counter deltas home)."""
+        rng = np.random.default_rng(3)
+        policies = {
+            "giph": GiPHSearchPolicy(GiPHAgent(rng)),
+            "giph-task-eft": TaskEftAgent(rng),
+            "random-task-eft": RandomTaskEftPolicy(),
+            "random": RandomPlacementPolicy(),
+            "placeto": PlacetoAgent(rng, num_devices=3),
+        }
+        forwards = metrics().counter("gnn.forwards")
+        passes = []
+        for backend in (InlineBackend(), ForkBackend(2)):
+            before = forwards.value
+            result = evaluate_policies(policies, problems, np.random.default_rng(5), backend=backend)
+            counts = {
+                name: (s["forwards"], s["backwards"]) for name, s in result.gnn.items()
+            }
+            assert all(type(n) is int for pair in counts.values() for n in pair)
+            assert forwards.value - before == sum(f for f, _ in counts.values())
+            passes.append(counts)
+        assert passes[0] == passes[1]
+        assert passes[0]["giph"][0] > 0 and passes[0]["giph-task-eft"][0] > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shared_noisy_objective_rejected(self, problems, workers):

@@ -20,7 +20,7 @@ from repro.core.features import FeatureConfig, GpNetBuilder
 from repro.core.placement import PlacementProblem, random_placement
 from repro.devices import Device, DeviceNetwork, DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
-from repro.runtime import EvaluatorPool, FastSimulator, PlacementEvaluator
+from repro.runtime import EvaluatorPool, EvaluatorStats, FastSimulator, PlacementEvaluator
 from repro.sim.executor import SimResult, simulate
 from repro.sim.latency import CostModel
 from repro.sim.objectives import EnergyObjective, MakespanObjective, TotalCostObjective
@@ -381,6 +381,18 @@ def test_evaluate_many_accounting_is_pinned():
     )
     assert list(evaluator._timelines) == timelines_before  # batches cache scalars only
     assert [pool.index(key) for key in evaluator._values] == [0, 4, 2, 5, 7, 8, 9, 10]
+
+
+def test_stats_algebra_covers_every_field():
+    """merge, delta and counters walk one tuple of names: it names every
+    field, and as_dict adds only the derived hit rate."""
+    names = [f.name for f in dataclasses.fields(EvaluatorStats)]
+    a = EvaluatorStats(*range(1, len(names) + 1))
+    b = EvaluatorStats(*range(10, 10 + len(names)))
+    total = EvaluatorStats().merge(a).merge(b)
+    assert total.counters() == {n: getattr(a, n) + getattr(b, n) for n in names}
+    assert total.delta(a) == b
+    assert a.as_dict() == {**a.counters(), "hit_rate": a.hit_rate}
 
 
 def _cache_state(evaluator):

@@ -13,6 +13,7 @@ import pytest
 from repro.baselines import RandomTaskEftPolicy
 from repro.scenarios import DEFAULT_REGISTRY, ScenarioRunner
 from repro.serve.session import PlacementSession
+from repro.telemetry import metrics
 
 PRESETS = ["stable-cluster", "edge-churn", "bandwidth-degradation"]
 
@@ -120,6 +121,30 @@ class TestStepSemantics:
         first = session.report().as_dict(include_timing=False)
         second = session.report().as_dict(include_timing=False)
         assert canonical(first) == canonical(second)
+
+    @pytest.mark.parametrize("reuse_evaluators", [True, False])
+    def test_every_report_absorbs_what_came_since_the_last(self, reuse_evaluators):
+        """A report mid-stream and then more events: the registry's
+        ``scenario.evaluator.*`` counts end equal to the session's totals."""
+        spec = DEFAULT_REGISTRY.get("stable-cluster", seed=0)
+        session = PlacementSession(
+            spec, "task-eft", RandomTaskEftPolicy(),
+            oracle=False, reuse_evaluators=reuse_evaluators,
+        )
+        before = metrics().snapshot()
+        for _ in range(2):
+            session.step()
+            session.report()
+        prefix = "scenario.evaluator."
+        absorbed = {
+            name[len(prefix):]: value
+            for name, value in metrics().snapshot().delta(before).counters.items()
+            if name.startswith(prefix)
+        }
+        totals = session.evaluator_stats().as_dict()
+        del totals["hit_rate"]
+        assert absorbed == {name: value for name, value in totals.items() if value}
+        assert session.steps[1].evaluations > 0
 
     def test_rejects_bad_episode_multiplier(self):
         spec = DEFAULT_REGISTRY.get("stable-cluster", seed=0)

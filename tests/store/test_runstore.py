@@ -13,6 +13,7 @@ from repro.store import (
     fingerprint,
     set_active_store,
 )
+from repro.telemetry import metrics
 
 
 class TestFingerprint:
@@ -76,10 +77,12 @@ class TestRunStore:
         store = RunStore(tmp_path)
         calls = []
         make = lambda: calls.append(1) or "value"
+        before = metrics().snapshot()
         assert store.get_or_create("stage", {"k": 1}, make) == "value"
         assert store.get_or_create("stage", {"k": 1}, make) == "value"
         assert len(calls) == 1
-        assert store.stats.hits == 1 and store.stats.writes == 1
+        counts = metrics().snapshot().delta(before).counters
+        assert counts == {"store.misses": 1, "store.hits": 1, "store.writes": 1}
 
     def test_addresses_are_code_salted(self, tmp_path):
         # The on-disk path embeds the code fingerprint indirectly: the

@@ -1,8 +1,9 @@
-"""Metrics registry: instruments, snapshot algebra, absorb, DeltaTracker."""
+"""Metrics registry: instruments, snapshot algebra, absorb."""
 
 import pickle
 
-from repro.telemetry import DeltaTracker, Metrics, MetricsSnapshot
+from repro.runtime.evaluator import EvaluatorStats
+from repro.telemetry import Metrics, MetricsSnapshot
 
 
 class TestInstruments:
@@ -103,35 +104,17 @@ class TestSnapshot:
 
 
 class TestAbsorb:
-    def test_absorb_prefixes_and_skips(self):
+    def test_absorb_prefixes(self):
         reg = Metrics()
-        stats = {"evaluations": 10, "cache_hits": 7, "hit_rate": 0.7, "label": "x"}
-        reg.absorb("evaluator", stats, skip=("hit_rate",))
+        stats = EvaluatorStats(evaluations=10, cache_hits=7, cache_misses=3)
+        reg.absorb("evaluator", stats.counters())
         snap = reg.snapshot()
         assert snap.counters["evaluator.evaluations"] == 10
         assert snap.counters["evaluator.cache_hits"] == 7
         assert "evaluator.hit_rate" not in snap.counters
-        assert "evaluator.label" not in snap.counters
 
     def test_absorb_accumulates_across_calls(self):
         reg = Metrics()
         reg.absorb("s", {"n": 1})
         reg.absorb("s", {"n": 2})
         assert reg.snapshot().counters["s.n"] == 3
-
-
-class TestDeltaTracker:
-    def test_windows_advance(self):
-        tracker = DeltaTracker({"evals": 0, "hits": 0})
-        first = tracker.delta({"evals": 4, "hits": 1})
-        second = tracker.delta({"evals": 9, "hits": 1})
-        assert first == {"evals": 4, "hits": 1}
-        assert second == {"evals": 5, "hits": 0}
-
-    def test_non_numeric_values_filtered(self):
-        tracker = DeltaTracker({"n": 1, "name": "a"})
-        assert tracker.delta({"n": 3, "name": "b"}) == {"n": 2}
-
-    def test_new_keys_counted_from_zero(self):
-        tracker = DeltaTracker({})
-        assert tracker.delta({"fresh": 5}) == {"fresh": 5}
