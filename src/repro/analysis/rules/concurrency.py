@@ -37,12 +37,12 @@ _UNPICKLABLE_LAST = {
     "socket",
     "EvaluatorPool",
     "RequestBatcher",
-    "WorkerPool",
+    "ProcessPoolExecutor",
     "ThreadPoolExecutor",
     "RunStore",
 }
 
-_FANOUT_ATTRS = {"fanout", "pool"}
+_FANOUT_ATTRS = {"fanout"}
 
 _MUTATING_ATTRS = {"evaluate", "evaluate_many"}
 _MUTATING_NAMES = {"coalesce_evaluate"}

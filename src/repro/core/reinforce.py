@@ -26,22 +26,24 @@ two things only (:class:`~repro.core.agent.GiPHAgent`,
   one |V|-step traversal for Placeto).
 
 Batched training (``train(..., batch_size=K)``) aggregates K episodes
-collected against a snapshot of the weights into one update:
+collected at one round's weights into one update:
 
-1. the trainer samples K (problem, seed-slot) pairs from its main rng,
-2. each slot rolls out one episode with the stream
-   ``task_rng(round_root, slot)`` and returns its policy gradient,
+1. the trainer samples K problems and a round seed from its main rng,
+2. one ``backend.fanout`` runs slot ``s`` as an episode on the round's
+   ``problems[s]`` with the stream ``task_rng(round_root, s)`` and
+   returns its policy gradient,
 3. the trainer averages the K gradients **in slot order** and applies a
    single clipped optimizer step.
 
 Every slot's randomness derives only from ``(round_root, slot)`` and the
 aggregation order is fixed, so the weights are bit-identical for any
-worker count (``tests/parallel/test_determinism.py``).  A worker's
-broadcast context is a *replica of the trainer* — pickled without
-optimizer moments, history or caches — and a slot runs the same
-:meth:`ReinforceTrainer._episode` the serial path runs, so the two modes
-cannot drift.  Worker-local caches accelerate repeat placements but never
-change deterministic values, so they are free to diverge between workers.
+worker count (``tests/parallel/test_determinism.py``).  A round's
+broadcast context is ``(trainer, the round's K problems)``, pickled once
+per round: the trainer pickles as a *replica* — its agent at the
+round's weights, without optimizer moments, history or caches — and a
+slot runs the same :meth:`ReinforceTrainer._episode` the serial path
+runs, so the two modes cannot drift.  A replica's caches last one round
+and never change deterministic values.
 
 Non-deterministic objectives take part through the noise-resampling
 mode: an objective exposing ``reseeded(rng)`` (e.g. a noisy
@@ -53,16 +55,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..nn import Adam, Tensor, stack
-from ..parallel import ExecutionBackend, InlineBackend, get_context, task_rng
+from ..parallel import (
+    ExecutionBackend,
+    ExecutionBackendError,
+    InlineBackend,
+    ThreadBackend,
+    get_context,
+    task_rng,
+)
 from ..runtime.evaluator import EvaluatorPool, EvaluatorStats, PlacementEvaluator
 from ..sim.objectives import Objective
 from ..telemetry import metrics, span
@@ -73,12 +79,10 @@ __all__ = [
     "ReinforceConfig",
     "EpisodeStats",
     "ReinforceTrainer",
-    "RoundSnapshot",
     "EpisodePayload",
     "discounted_returns",
     "average_reward_baseline",
     "episode_loss",
-    "write_snapshot",
     "rollout_episode",
 ]
 
@@ -180,48 +184,18 @@ class EpisodeStats:
 
 
 @dataclass(frozen=True)
-class RoundSnapshot:
-    """One batched round's weights, broadcast by file reference.
-
-    The trainer writes the round's weights to disk once and every slot
-    payload carries only this reference; a worker's trainer replica reads
-    the file once per round (it remembers the ``version`` it holds), so
-    per-round weight transfer is O(workers), not O(batch size).
-    """
-
-    path: str
-    version: int  # round counter; invalidates the worker-side cache
-
-
-def write_snapshot(weights: object, directory: str, version: int) -> RoundSnapshot:
-    """Atomically persist a round snapshot; safe against readers mid-write.
-
-    A single well-known filename is reused across rounds: all of round
-    N's tasks complete before the trainer writes round N+1, so the
-    replace can never race a reader of the current round.
-    """
-    path = os.path.join(directory, "snapshot.pkl")
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        pickle.dump(weights, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
-    return RoundSnapshot(path=path, version=version)
-
-
-@dataclass(frozen=True)
 class EpisodePayload:
-    """One slot of a batched update round."""
+    """One slot of a batched update round; it runs the round's
+    ``problems[slot]``."""
 
-    problem_index: int
     root: int  # round-level seed drawn from the trainer's main rng
     slot: int  # position within the round; rng = task_rng(root, slot)
-    snapshot: RoundSnapshot  # weight snapshot the episode runs against
 
 
 def rollout_episode(payload: EpisodePayload) -> tuple[list, EpisodeStats]:
-    """The batched round's task: one slot on this worker's trainer replica."""
+    """The batched round's task: one slot on the round's trainer replica."""
     replica, problems = get_context()
-    return replica._slot(problems[payload.problem_index], payload)
+    return replica._slot(problems[payload.slot], payload)
 
 
 class ReinforceTrainer:
@@ -253,10 +227,9 @@ class ReinforceTrainer:
             objective, max_problems=max_cached_problems, on_evict=self._drop_handle
         )
         self._handles: dict[int, object] = {}
-        self._snapshot: int | None = None  # replica side: version of the round loaded
 
     def __getstate__(self) -> dict:
-        """What a batched worker's replica needs: no optimizer moments,
+        """What a batched round's replica needs: no optimizer moments,
         history or caches (rebuilt empty by ``__setstate__``)."""
         return {
             "agent": self.agent,
@@ -327,20 +300,10 @@ class ReinforceTrainer:
         self.history.append(stats)
         return stats
 
-    def _load_snapshot(self, snapshot: RoundSnapshot) -> None:
-        """Set the replica's weights to the round's: read and copied once
-        per (replica, round) — nothing else ever writes a replica's weights."""
-        if self._snapshot != snapshot.version:
-            with open(snapshot.path, "rb") as handle:
-                for param, weights in zip(self.optimizer.params, pickle.load(handle)):
-                    np.copyto(param.data, weights)
-            self._snapshot = snapshot.version
-
     def _slot(self, problem: PlacementProblem, payload: EpisodePayload) -> tuple[list, EpisodeStats]:
-        """Replica side of a batched round: one episode against the
-        round's snapshot; returns its per-parameter gradient (``None``
-        where a parameter got none) and statistics."""
-        self._load_snapshot(payload.snapshot)
+        """Replica side of a batched round: one episode at the replica's
+        weights (the round's); returns its per-parameter gradient
+        (``None`` where a parameter got none) and statistics."""
         rng = task_rng(payload.root, payload.slot)
         self.agent.rng = rng
         if getattr(self.objective, "deterministic", False):
@@ -371,17 +334,18 @@ class ReinforceTrainer:
     ) -> list[EpisodeStats]:
         """Run ``episodes`` episodes, sampling a problem per episode.
 
-        ``batch_size`` (K) switches to batched collection: K episodes
-        are rolled out against a snapshot of the current weights — over
-        ``backend``'s persistent pool (``None`` = inline) — and their
-        gradients averaged into one clipped optimizer step.  K=1 is
-        exactly the serial semantics (one episode, one step, all
-        randomness from ``rng``); with K>1 the per-episode randomness
-        derives from ``(round seed, slot)`` streams, making the result
-        bit-identical for any worker count.
+        ``batch_size`` (K) switches to batched collection: each round's
+        K episodes fan out through ``backend`` (``None`` = inline) at the
+        round's weights, and their gradients are averaged into one
+        clipped optimizer step.  K=1 is exactly the serial semantics
+        (one episode, one step, all randomness from ``rng``); with K>1
+        the per-episode randomness derives from ``(round seed, slot)``
+        streams, making the result bit-identical for any worker count.
 
-        Update rounds are inherently sequential, so only the inline/fork
-        backends apply — a shard backend's ``pool`` raises cleanly.
+        A slot writes its replica's gradients and rng, so every backend
+        that hands each task a private copy of the context runs rounds;
+        the thread backend shares one between tasks and raises
+        :class:`~repro.parallel.ExecutionBackendError`.
         """
         if not problems:
             raise ValueError("training needs at least one problem")
@@ -402,12 +366,12 @@ class ReinforceTrainer:
                     callback(ep)
             return stats
         return self._train_batched(
-            list(problems), rng, total, callback, batch_size, backend or InlineBackend()
+            problems, rng, total, callback, batch_size, backend or InlineBackend()
         )
 
     def _train_batched(
         self,
-        problems: list[PlacementProblem],
+        problems: Sequence[PlacementProblem],
         rng: np.random.Generator,
         total: int,
         callback: Callable[[EpisodeStats], None] | None,
@@ -417,7 +381,7 @@ class ReinforceTrainer:
         if not getattr(self.objective, "deterministic", False) and not hasattr(
             self.objective, "reseeded"
         ):
-            # Episodes run against snapshot weights in (possibly) separate
+            # Episodes run on a round's replica in (possibly) separate
             # processes, so a shared mutable noise rng cannot advance across
             # them.  Objectives exposing ``reseeded(rng)`` opt into the
             # noise-resampling mode instead: each episode draws noise from
@@ -427,49 +391,44 @@ class ReinforceTrainer:
                 "supporting reseeded(rng) for per-episode noise resampling; "
                 f"{type(self.objective).__name__} is neither"
             )
+        if isinstance(backend.direct(), ThreadBackend):
+            raise ExecutionBackendError(
+                "batched rounds need a private trainer replica per task; the "
+                "thread backend shares one context between tasks"
+            )
         params = self.optimizer.params
         stats: list[EpisodeStats] = []
-        # The replica every worker (and the inline path) unpickles is a
-        # private copy, so loading snapshots and rebinding its agent's rng
-        # never touches this trainer's live agent.
-        with tempfile.TemporaryDirectory(prefix="repro-rounds-") as rounds_dir, \
-                backend.pool((self, problems)) as pool:
-            remaining = total
-            round_index = 0
-            while remaining > 0:
-                k = min(batch_size, remaining)
-                indices = [int(rng.integers(0, len(problems))) for _ in range(k)]
-                root = int(rng.integers(0, 2**63))
-                # The round's weights are broadcast by file reference:
-                # written once here, unpickled once per (worker, round) —
-                # not pickled into each of the K slot payloads.
-                snapshot = write_snapshot([p.data for p in params], rounds_dir, round_index)
-                round_index += 1
-                rollouts = pool.map(
-                    rollout_episode,
-                    [
-                        EpisodePayload(problem_index=p, root=root, slot=s, snapshot=snapshot)
-                        for s, p in enumerate(indices)
-                    ],
-                )
-                # Mean gradient, summed in slot order so the float op
-                # order (and thus the update) is worker-count independent.
-                with span("reinforce.grad"):
-                    for i, param in enumerate(params):
-                        acc = None
-                        for grads, _ in rollouts:
-                            grad = grads[i]
-                            if grad is None:
-                                continue
-                            acc = grad.copy() if acc is None else acc + grad
-                        param.grad = acc / k if acc is not None else None
-                    self.optimizer.clip_grad_norm(self.config.grad_clip)
-                    self.optimizer.step()
-                for _, slot_stats in rollouts:
-                    ep = dataclasses.replace(slot_stats, episode=len(self.history))
-                    self.history.append(ep)
-                    stats.append(ep)
-                    if callback is not None:
-                        callback(ep)
-                remaining -= k
+        remaining = total
+        while remaining > 0:
+            k = min(batch_size, remaining)
+            round_problems = [problems[int(rng.integers(0, len(problems)))] for _ in range(k)]
+            root = int(rng.integers(0, 2**63))
+            # The context is pickled once per round and this trainer
+            # pickles as a replica at the current weights, so every slot
+            # runs on a private copy, never on the live agent.
+            rollouts = backend.fanout(
+                rollout_episode,
+                [EpisodePayload(root=root, slot=s) for s in range(k)],
+                (self, round_problems),
+            )
+            # Mean gradient, summed in slot order so the float op
+            # order (and thus the update) is worker-count independent.
+            with span("reinforce.grad"):
+                for i, param in enumerate(params):
+                    acc = None
+                    for grads, _ in rollouts:
+                        grad = grads[i]
+                        if grad is None:
+                            continue
+                        acc = grad.copy() if acc is None else acc + grad
+                    param.grad = acc / k if acc is not None else None
+                self.optimizer.clip_grad_norm(self.config.grad_clip)
+                self.optimizer.step()
+            for _, slot_stats in rollouts:
+                ep = dataclasses.replace(slot_stats, episode=len(self.history))
+                self.history.append(ep)
+                stats.append(ep)
+                if callback is not None:
+                    callback(ep)
+            remaining -= k
         return stats

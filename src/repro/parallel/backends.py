@@ -7,8 +7,8 @@ runs:
 
 * :class:`InlineBackend` — tasks run in the calling process against a
   pickled private copy of the context.
-* :class:`ForkBackend` — a fork :class:`WorkerPool` sized to the task
-  list.
+* :class:`ForkBackend` — a fork process pool per fan-out, sized to the
+  task list; a worker that dies fails the fan-out by name.
 * :class:`ThreadBackend` — a thread pool for I/O-bound fan-outs.
 * :class:`ShardBackend` — one shard of a run split across processes or
   machines: it computes the cells a manifest assigns to it, publishes
@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ..store import RunStore, active_store
 from ..telemetry import log, span
-from .pool import WorkerPool, broadcast, resolve_workers
+from .pool import ExecutionBackendError, broadcast, resolve_workers, run_tasks
 
 __all__ = [
     "ExecutionBackend",
@@ -60,10 +60,6 @@ __all__ = [
 _T = TypeVar("_T")
 
 
-class ExecutionBackendError(RuntimeError):
-    """A backend cannot satisfy the requested execution shape."""
-
-
 class MissingCellError(ExecutionBackendError):
     """Merge found cells no shard published (incomplete shard set)."""
 
@@ -71,10 +67,8 @@ class MissingCellError(ExecutionBackendError):
 class ExecutionBackend:
     """Executor of ordered, context-broadcasting fan-outs.
 
-    Subclasses implement :meth:`fanout`; the base class provides the
-    persistent-pool handle (for callers that map repeatedly against one
-    broadcast context, like batched REINFORCE) and store-aware stage
-    memoization.
+    Subclasses implement :meth:`fanout`; the base class provides
+    store-aware stage memoization.
     """
 
     name: str = "abstract"
@@ -84,18 +78,6 @@ class ExecutionBackend:
     ) -> list[_T]:
         """Run ``fn`` over ``payloads``; results in payload order."""
         raise NotImplementedError
-
-    def pool(self, context: Any = None) -> WorkerPool:
-        """A persistent :class:`WorkerPool` broadcasting ``context``.
-
-        For callers that issue many ``map`` rounds against one context
-        (batched training).  Sharded backends have no such pool: rounds
-        are sequential by nature, so there is nothing to distribute.
-        """
-        raise ExecutionBackendError(
-            f"the {self.name} backend has no persistent pool; "
-            "round-based training fans out via inline/fork only"
-        )
 
     def direct(self) -> ExecutionBackend:
         """The backend that runs every payload it is handed: this one,
@@ -134,11 +116,7 @@ class _PoolBackend(ExecutionBackend):
     ) -> list[_T]:
         # Never more processes than tasks.
         items = list(payloads)
-        with WorkerPool(min(self.workers, max(len(items), 1)), context=context) as pool:
-            return pool.map(fn, items)
-
-    def pool(self, context: Any = None) -> WorkerPool:
-        return WorkerPool(self.workers, context=context)
+        return run_tasks(fn, items, min(self.workers, max(len(items), 1)), context)
 
 
 class InlineBackend(_PoolBackend):
@@ -163,7 +141,7 @@ class ThreadBackend(ExecutionBackend):
     """Thread-pool execution for I/O-bound fan-outs.
 
     Fork workers pay a process per slot and pickle the context per
-    pool — the right trade for CPU-bound cells, the wrong one for tasks
+    fan-out — the right trade for CPU-bound cells, the wrong one for tasks
     that spend their time blocked on I/O (the shape of `repro load`'s
     tenants: socket clients waiting on the daemon).  Threads share the
     process, so concurrency is real exactly where the GIL is released

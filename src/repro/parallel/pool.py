@@ -1,14 +1,14 @@
 """Seed-deterministic multiprocess fan-out.
 
-:class:`WorkerPool` executes a list of tasks — ``(module-level fn,
+:func:`run_tasks` executes a list of tasks — ``(module-level fn,
 picklable payload)`` pairs — across N worker processes and returns the
 results **in task order**, so callers see identical output regardless of
 how the OS interleaves worker completion.
 
 Determinism contract
 --------------------
-A task's result must be a pure function of its payload and the pool's
-``context``.  In particular:
+A task's result must be a pure function of its payload and the
+broadcast ``context``.  In particular:
 
 * every random draw inside a task must come from a stream derived from
   the task's own identity, e.g. ``task_rng(seed, task_index)`` — never
@@ -19,15 +19,17 @@ A task's result must be a pure function of its payload and the pool's
 * worker-local caches (evaluator pools, feature builders) may be kept on
   the context for speed, but must not change computed values.
 
-Under this contract ``pool.map(fn, payloads)`` is bit-identical for any
-worker count — the property the determinism suite in
-``tests/parallel/`` locks in.
+Under this contract ``run_tasks(fn, payloads, workers, context)`` is
+bit-identical for any worker count — the property the determinism suite
+in ``tests/parallel/`` locks in.
 
-The context object is pickled once per pool and broadcast to every
-worker through the pool initializer (cheap relative to per-task
+The context is pickled once per call and broadcast to every worker
+through the executor's initializer (cheap relative to per-task
 shipping); ``workers=1`` runs tasks inline against a pickled private
 copy of the context, so the serial path exercises the exact code a
-worker would run.
+worker would run.  A worker that dies mid-call (OOM kill, SIGKILL)
+fails the call with :class:`ExecutionBackendError` naming the first
+task left without a result — it never hangs it.
 """
 
 from __future__ import annotations
@@ -36,14 +38,17 @@ import contextlib
 import multiprocessing
 import os
 import pickle
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from ..telemetry import spans as _telemetry
 
 __all__ = [
-    "WorkerPool",
+    "ExecutionBackendError",
+    "run_tasks",
     "get_context",
     "task_rng",
     "available_workers",
@@ -53,13 +58,17 @@ __all__ = [
 
 _T = TypeVar("_T")
 
-# Per-process broadcast slot: set once per worker by the pool
+# Per-process broadcast slot: set once per worker by the executor
 # initializer, or swapped around in-process execution by broadcast().
 _CONTEXT: Any = None
 
 
+class ExecutionBackendError(RuntimeError):
+    """A backend cannot satisfy the requested execution shape."""
+
+
 def get_context() -> Any:
-    """The current pool's broadcast context (``None`` outside a task)."""
+    """The current fan-out's broadcast context (``None`` outside a task)."""
     return _CONTEXT
 
 
@@ -71,7 +80,7 @@ def _install_context(payload: bytes) -> None:
 @contextlib.contextmanager
 def broadcast(context: Any) -> Iterator[None]:
     """Make ``context`` what :func:`get_context` returns inside the block
-    (in-process execution); restored on exit, so a task may open a pool."""
+    (in-process execution); restored on exit, so a task may fan out."""
     global _CONTEXT
     saved = _CONTEXT
     _CONTEXT = context
@@ -119,70 +128,44 @@ def _invoke(item: tuple[Callable[[Any], Any], Any]) -> Any:
     return _TaskShipment(result, _telemetry.end_task(token))
 
 
-class WorkerPool:
-    """Ordered, context-broadcasting process pool.
+def run_tasks(
+    fn: Callable[[Any], _T], items: Sequence[Any], workers: int, context: Any = None
+) -> list[_T]:
+    """Run ``fn`` over ``items`` against one broadcast ``context``;
+    results in item order.
 
-    Parameters
-    ----------
-    workers: process count.  ``1`` (the default) runs tasks inline in
-        the calling process — no subprocesses, no pickling of payloads —
-        but still against a pickled private copy of ``context`` so
-        inline and multiprocess execution share one code path.
-    context: arbitrary picklable object broadcast to every worker once;
-        tasks read it back with :func:`get_context`.
-
-    Worker processes are forked where available (Linux), falling back to
-    the spawn start method elsewhere; task functions must be module-level
-    (picklable by reference) either way.
+    ``workers=1`` runs tasks inline in the calling process — no
+    subprocesses, no pickling of payloads — but still against a pickled
+    private copy of ``context``.  More workers fork a process pool for
+    this one call (spawn where fork is unavailable); task functions must
+    be module-level (picklable by reference) either way.
     """
-
-    def __init__(self, workers: int = 1, context: Any = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self._payload = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        self._pool = None
-        self._inline_context: Any = None
-        if workers > 1:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - platforms without fork
-                ctx = multiprocessing.get_context("spawn")
-            self._pool = ctx.Pool(
-                workers, initializer=_install_context, initargs=(self._payload,)
-            )
-        else:
-            # Unpickled once, like a worker would: worker-local caches on
-            # the context survive across map() calls in inline mode too.
-            self._inline_context = pickle.loads(self._payload)
-
-    def map(self, fn: Callable[[Any], _T], payloads: Iterable[Any]) -> list[_T]:
-        """Run ``fn`` over ``payloads``; results in payload order."""
-        items = list(payloads)
-        if self._pool is None:
-            with broadcast(self._inline_context):
-                return [fn(p) for p in items]
-        shipped = self._pool.map(_invoke, [(fn, p) for p in items], chunksize=1)
+    shipped_context = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+    if workers == 1:
+        with broadcast(pickle.loads(shipped_context)):
+            return [fn(p) for p in items]
+    try:
+        start = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        start = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(
+        workers, mp_context=start, initializer=_install_context, initargs=(shipped_context,)
+    ) as executor:
+        futures = [executor.submit(_invoke, (fn, p)) for p in items]
         results = []
-        for entry in shipped:
+        for index, future in enumerate(futures):
+            try:
+                entry = future.result()
+            except BrokenProcessPool as exc:
+                raise ExecutionBackendError(
+                    f"a fork worker died; task {index} of {len(items)} "
+                    f"({getattr(fn, '__qualname__', fn)}) has no result"
+                ) from exc
             if isinstance(entry, _TaskShipment):
                 _telemetry.merge_task_delta(entry.delta)
                 entry = entry.result
             results.append(entry)
         return results
-
-    def close(self) -> None:
-        """Shut down worker processes (no-op inline)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def resolve_workers(workers: int | None) -> int:

@@ -17,7 +17,7 @@ True
 from .events import MaterializedScenario, ScenarioEvent, describe_events, materialize
 from .registry import DEFAULT_REGISTRY, ScenarioRegistry, default_registry
 from .report import AdaptationReport, StepRecord, format_adaptation_table
-from .runner import ScenarioResult, ScenarioRunner, replay_scenarios
+from .runner import ScenarioResult, ScenarioRunner
 from .spec import ClusterSpec, RelocationSpec, ScenarioSpec, WorkloadSpec
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "ScenarioRunner",
     "ScenarioResult",
-    "replay_scenarios",
     "AdaptationReport",
     "StepRecord",
     "format_adaptation_table",

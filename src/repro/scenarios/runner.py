@@ -25,7 +25,7 @@ how many workers the oracle's events fan out over.
 The per-event state machine itself lives in
 :mod:`repro.serve.session` (:class:`~repro.serve.session.PlacementSession`)
 so the ``repro serve`` daemon drives the same code; this module keeps
-the batch orchestration — oracle series, policy fan-out, grids.  The
+the batch orchestration — oracle series and policy fan-out.  The
 session import is deferred to call time because the serve package
 imports scenario submodules (deferral breaks the package cycle).
 """
@@ -44,7 +44,7 @@ from .events import MaterializedScenario, ScenarioEvent, materialize
 from .report import AdaptationReport
 from .spec import ScenarioSpec
 
-__all__ = ["ScenarioRunner", "ScenarioResult", "replay_scenarios"]
+__all__ = ["ScenarioRunner", "ScenarioResult"]
 
 
 def _session_mod():
@@ -287,84 +287,3 @@ class _ReplayContext:
 def _replay_policy(name: str) -> AdaptationReport:
     ctx: _ReplayContext = get_context()
     return ctx.runner._run_policy(name, ctx.policies[name], ctx.oracle_slr)
-
-
-@dataclass(frozen=True)
-class _GridContext:
-    """Broadcast payload for the scenarios x policies grid."""
-
-    runners: list[ScenarioRunner]
-    policies: dict[str, SearchPolicy]
-
-
-def _grid_oracle(runner_index: int) -> list[float]:
-    ctx: _GridContext = get_context()
-    return ctx.runners[runner_index]._oracle_slr()
-
-
-def _grid_replay(payload: tuple[int, str, list[float]]) -> AdaptationReport:
-    runner_index, name, oracle_slr = payload
-    ctx: _GridContext = get_context()
-    return ctx.runners[runner_index]._run_policy(name, ctx.policies[name], oracle_slr)
-
-
-def replay_scenarios(
-    specs: Sequence[ScenarioSpec | MaterializedScenario],
-    policies: Mapping[str, SearchPolicy],
-    episode_multiplier: int = 2,
-    reuse_evaluators: bool = True,
-    oracle: bool = True,
-    backend: ExecutionBackend | None = None,
-) -> dict[str, ScenarioResult]:
-    """Replay several scenarios against several policies, in parallel.
-
-    The (scenario x policy) grid is embarrassingly parallel: every cell
-    derives all randomness from ``(spec.seed, policy name, event index)``
-    and owns a private :class:`EvaluatorPool` per worker.  Oracles are
-    computed first (one task per scenario), then every grid cell fans
-    out through ``backend``.
-    Results are keyed by scenario name and bit-identical to running each
-    scenario's :meth:`ScenarioRunner.run` serially (modulo wall-clock
-    fields).
-    """
-    if not policies:
-        raise ValueError("need at least one policy")
-    backend = backend or InlineBackend()
-    runners = [
-        ScenarioRunner(
-            spec,
-            episode_multiplier=episode_multiplier,
-            reuse_evaluators=reuse_evaluators,
-            oracle=oracle,
-        )
-        for spec in specs
-    ]
-    names = {runner.spec.name for runner in runners}
-    if len(names) != len(runners):
-        raise ValueError("scenario names must be unique in a grid replay")
-    if isinstance(backend, InlineBackend) or len(runners) * len(policies) <= 1:
-        # The backend still travels: a store-mediated backend must
-        # publish/load its cells even when the grid is too small to fan.
-        return {runner.spec.name: runner.run(policies, backend=backend) for runner in runners}
-
-    context = _GridContext(runners=runners, policies=dict(policies))
-    if oracle:
-        oracles = backend.fanout(_grid_oracle, range(len(runners)), context)
-    else:
-        oracles = [[0.0] * r.materialized.num_events for r in runners]
-    cells = [
-        (i, name, oracles[i]) for i in range(len(runners)) for name in policies
-    ]
-    reports = backend.fanout(_grid_replay, cells, context)
-
-    results: dict[str, ScenarioResult] = {}
-    for (i, name, _), report in zip(cells, reports):
-        runner = runners[i]
-        if runner.spec.name not in results:
-            results[runner.spec.name] = ScenarioResult(
-                materialized=runner.materialized,
-                reports={},
-                oracle_slr=tuple(oracles[i]),
-            )
-        results[runner.spec.name].reports[name] = report
-    return results

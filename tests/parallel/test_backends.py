@@ -1,8 +1,7 @@
 """ExecutionBackend family: contract equivalence, shard/merge mechanics,
-and the round-snapshot broadcast regression."""
+and batched REINFORCE rounds on the seam."""
 
 import dataclasses
-import pathlib
 import pickle
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.parallel import (
     task_rng,
 )
 from repro.core import GiPHAgent, PlacementProblem, ReinforceTrainer
-from repro.core.reinforce import EpisodePayload, RoundSnapshot, write_snapshot
 from repro.parallel.pool import get_context
 from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraphParams, generate_task_graph
@@ -77,10 +75,6 @@ class TestDirectBackends:
     def test_inline_equals_fork(self):
         keys = [(3, i) for i in range(5)]
         assert InlineBackend().fanout(_draw, keys) == ForkBackend(3).fanout(_draw, keys)
-
-    def test_pool_handle_maps(self):
-        with InlineBackend().pool({"factor": 2}) as pool:
-            assert pool.map(_scaled, [5]) == [10]
 
     def test_compute_without_store_just_produces(self):
         assert InlineBackend().compute("stage", {"k": 1}, lambda: 42) == 42
@@ -146,10 +140,6 @@ class TestShardBackend:
         with pytest.raises(MissingCellError):
             MergeBackend(store, "run-b").fanout(_draw, [(7, 0)])
 
-    def test_pool_is_rejected(self, tmp_path):
-        with pytest.raises(ExecutionBackendError, match="persistent pool"):
-            ShardBackend(RunStore(tmp_path), RUN, 2, 0).pool()
-
     def test_compute_memoizes_in_the_shard_store(self, tmp_path):
         store = RunStore(tmp_path)
         calls = []
@@ -195,47 +185,47 @@ class TestMergeBackend:
             )
 
 
-class TestRoundSnapshotBroadcast:
-    """Regression: batched training used to pickle the full weight
-    snapshot into every one of the K slot payloads per round — a
-    per-task pickle of per-round broadcast state.  Payloads now carry a
-    file reference; weights move O(workers) per round, not O(K)."""
+class TestBatchedRounds:
+    """A batched REINFORCE round is one ``backend.fanout``: each slot's
+    payload is plain ints, and the weights ride the context, pickled
+    once per round as a lean trainer replica."""
 
-    def test_payload_has_no_inline_state(self):
-        fields = {f.name for f in dataclasses.fields(EpisodePayload)}
-        assert "state" not in fields and "snapshot" in fields
-
-    def test_payload_pickles_small_regardless_of_weights(self, tmp_path):
-        big_state = {"w": np.zeros((256, 256))}
-        snapshot = write_snapshot(big_state, str(tmp_path), version=0)
-        payload = EpisodePayload(problem_index=0, root=1, slot=0, snapshot=snapshot)
-        assert len(pickle.dumps(payload)) < 1024 < len(pickle.dumps(big_state))
-
-    def test_write_snapshot_roundtrips_and_versions(self, tmp_path):
-        first = write_snapshot({"w": np.arange(3.0)}, str(tmp_path), version=0)
-        second = write_snapshot({"w": np.arange(3.0) * 2}, str(tmp_path), version=1)
-        assert first.path == second.path  # one well-known file, replaced atomically
-        assert (first.version, second.version) == (0, 1)
-        with open(second.path, "rb") as handle:
-            assert np.array_equal(pickle.load(handle)["w"], np.arange(3.0) * 2)
-
-    def test_context_caches_by_version(self, tmp_path):
-        # The broadcast context is a trainer replica: what a worker unpickles.
+    def test_round_ships_ints_and_a_replica_at_its_weights(self):
         trainer = ReinforceTrainer(GiPHAgent(np.random.default_rng(0)), MakespanObjective())
-        trainer.train(_one_problem(), np.random.default_rng(1), episodes=1)
-        replica = pickle.loads(pickle.dumps(trainer))
-        assert replica.history == [] and replica.optimizer._t == 0  # no history, no moments
-        assert not replica._handles and replica.config == trainer.config
-        weights = [p.data + 1.0 for p in replica.optimizer.params]
-        snapshot = write_snapshot(weights, str(tmp_path), version=0)
-        replica._load_snapshot(snapshot)
-        assert all((p.data == w).all() for p, w in zip(replica.optimizer.params, weights))
-        # Same version: held already, the file is not read again.
-        pathlib.Path(snapshot.path).unlink()
-        replica._load_snapshot(RoundSnapshot(snapshot.path, 0))
-        replaced = write_snapshot([w + 1.0 for w in weights], str(tmp_path), version=1)
-        replica._load_snapshot(replaced)
-        assert all((p.data == w + 1.0).all() for p, w in zip(replica.optimizer.params, weights))
+        rounds = []
+
+        class Recording(InlineBackend):
+            def fanout(self, fn, payloads, context=None):
+                items = list(payloads)
+                live = [p.data.copy() for p in trainer.optimizer.params]
+                rounds.append((items, pickle.loads(pickle.dumps(context)), live))
+                return super().fanout(fn, items, context)
+
+        trainer.train(
+            _one_problem(), np.random.default_rng(1), episodes=4, batch_size=2, backend=Recording()
+        )
+        assert len(rounds) == 2
+        for payloads, (replica, problems), live in rounds:
+            assert len(payloads) == len(problems) == 2
+            assert all(type(v) is int for p in payloads for v in dataclasses.astuple(p))
+            assert replica.history == [] and replica.optimizer._t == 0  # no history, no moments
+            assert not replica._handles and replica.config == trainer.config
+            assert all(np.array_equal(p.data, w) for p, w in zip(replica.optimizer.params, live))
+        # Round two runs at the weights round one's step produced.
+        assert any(not np.array_equal(a, b) for a, b in zip(rounds[0][2], rounds[1][2]))
+
+    def test_thread_backend_is_refused(self):
+        # Thread tasks share one context, and a slot writes the replica's
+        # gradients and rng.
+        trainer = ReinforceTrainer(GiPHAgent(np.random.default_rng(0)), MakespanObjective())
+        with pytest.raises(ExecutionBackendError, match="thread backend"):
+            trainer.train(
+                _one_problem(),
+                np.random.default_rng(1),
+                episodes=2,
+                batch_size=2,
+                backend=ThreadBackend(2),
+            )
 
 
 def test_every_backend_is_an_execution_backend(tmp_path):

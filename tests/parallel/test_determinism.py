@@ -24,16 +24,16 @@ from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.experiments import QUICK, fig4, fig14, table6
 from repro.experiments.runner import HeftPolicy, evaluate_policies
 from repro.graphs import TaskGraphParams, generate_task_graph
-from repro.parallel import ForkBackend, InlineBackend, make_backend
+from repro.parallel import ForkBackend, InlineBackend, MergeBackend, ShardBackend, make_backend
 from repro.devices.dynamics import ChurnConfig
 from repro.scenarios import (
     ClusterSpec,
     ScenarioRunner,
     ScenarioSpec,
     WorkloadSpec,
-    replay_scenarios,
 )
 from repro.sim import MakespanObjective
+from repro.store import RunStore
 from repro.telemetry import metrics
 
 
@@ -52,14 +52,14 @@ def problems():
     return make_problems(3, seed=0)
 
 
-def train_weights(problems, batch_size, workers, episodes=6):
+def train_weights(problems, batch_size, workers=1, episodes=6, backend=None):
     agent = GiPHAgent(np.random.default_rng(7))
     trainer = ReinforceTrainer(agent, MakespanObjective(), ReinforceConfig(episodes=episodes))
     stats = trainer.train(
         problems,
         np.random.default_rng(42),
         batch_size=batch_size,
-        backend=make_backend(workers=workers),
+        backend=backend or make_backend(workers=workers),
     )
     return agent.state_dict(), stats
 
@@ -104,6 +104,23 @@ class TestBatchedTraining:
         trainer = ReinforceTrainer(agent, OpaqueNoisy(), ReinforceConfig(episodes=2))
         with pytest.raises(ValueError, match="reseeded"):
             trainer.train(problems, np.random.default_rng(2), batch_size=2)
+
+
+class TestBatchedRoundsOnTheStore:
+    """Each batched round is one fan-out, so rounds ride the
+    store-mediated backends too: a shard run publishes every slot, and
+    the merge pass replays the whole training from the store."""
+
+    def test_shard_run_matches_inline(self, problems, tmp_path):
+        expected, _ = train_weights(problems, batch_size=3)
+        shard = ShardBackend(RunStore(tmp_path), "batched", 2, 0)
+        assert_same_weights(expected, train_weights(problems, batch_size=3, backend=shard)[0])
+
+    def test_merge_replays_the_shard_run(self, problems, tmp_path):
+        store = RunStore(tmp_path)
+        sharded, _ = train_weights(problems, 3, backend=ShardBackend(store, "batched", 2, 0))
+        merged, _ = train_weights(problems, 3, backend=MergeBackend(store, "batched"))
+        assert_same_weights(sharded, merged)
 
 
 def train_noisy_weights(problems, workers, batch_size=3, episodes=6):
@@ -280,18 +297,6 @@ class TestScenarioReplay:
             assert (
                 serial.reports[name].evaluator_stats == fanned.reports[name].evaluator_stats
             ), name
-
-    def test_grid_replay_matches_serial(self):
-        specs = [tiny_spec("tiny-a", seed=1), tiny_spec("tiny-b", seed=2)]
-        serial = replay_scenarios(specs, self.POLICIES(), backend=InlineBackend())
-        fanned = replay_scenarios(specs, self.POLICIES(), backend=ForkBackend(3))
-        assert serial.keys() == fanned.keys()
-        for scenario, result in serial.items():
-            assert result.oracle_slr == fanned[scenario].oracle_slr
-            for name in result.reports:
-                assert deterministic_steps(result.reports[name]) == deterministic_steps(
-                    fanned[scenario].reports[name]
-                ), (scenario, name)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,10 @@
-"""WorkerPool unit tests: ordering, context broadcast, determinism."""
+"""Direct-execution fan-out (inline and fork backends): ordering,
+context broadcast, determinism."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import WorkerPool, get_context, resolve_workers, task_rng
+from repro.parallel import ForkBackend, InlineBackend, get_context, resolve_workers, task_rng
 
 
 def _square(x: int) -> int:
@@ -29,53 +30,49 @@ def _boom(x: int) -> int:
 
 
 def _nested(x: int) -> list:
-    # A task may itself open an inline pool; the outer context must be
+    # A task may itself fan out inline; the outer context must be
     # restored afterwards.
-    with WorkerPool(1, context={"factor": 10}) as inner:
-        scaled = inner.map(_scaled, [x])
+    scaled = InlineBackend().fanout(_scaled, [x], {"factor": 10})
     return [scaled[0], _scaled(x)]
 
 
-class TestWorkerPool:
+def _backend(workers: int):
+    return InlineBackend() if workers == 1 else ForkBackend(workers)
+
+
+class TestDirectFanout:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            ForkBackend(-1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_in_task_order(self, workers):
-        with WorkerPool(workers) as pool:
-            assert pool.map(_square, range(8)) == [x * x for x in range(8)]
+        assert _backend(workers).fanout(_square, range(8)) == [x * x for x in range(8)]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_context_broadcast(self, workers):
-        with WorkerPool(workers, context={"factor": 7}) as pool:
-            assert pool.map(_scaled, [1, 2, 3]) == [7, 14, 21]
+        assert _backend(workers).fanout(_scaled, [1, 2, 3], {"factor": 7}) == [7, 14, 21]
 
     def test_inline_context_is_a_private_copy(self):
         # The inline path must behave like a worker: mutations land on a
         # pickled copy, never on the caller's object.
         original = {"items": []}
-        with WorkerPool(1, context=original) as pool:
-            counts = pool.map(_mutate_context, range(3))
-        assert counts == [1, 2, 3]  # copy persists across map calls...
+        counts = InlineBackend().fanout(_mutate_context, range(3), original)
+        assert counts == [1, 2, 3]  # one copy per fan-out, seen by each task...
         assert original["items"] == []  # ...but the original is untouched
 
-    def test_nested_inline_pools_restore_context(self):
-        with WorkerPool(1, context={"factor": 2}) as pool:
-            results = pool.map(_nested, [5])
-        # Inner pool saw factor=10, outer context (factor=2) was restored.
-        assert results == [[50, 10]]
+    def test_nested_inline_fanouts_restore_context(self):
+        # Inner fan-out saw factor=10, outer context (factor=2) was restored.
+        assert InlineBackend().fanout(_nested, [5], {"factor": 2}) == [[50, 10]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_task_errors_propagate(self, workers):
-        with WorkerPool(workers) as pool:
-            with pytest.raises(RuntimeError, match="failed"):
-                pool.map(_boom, [0, 1])
+        with pytest.raises(RuntimeError, match="failed"):
+            _backend(workers).fanout(_boom, [0, 1])
 
     def test_worker_count_independence(self):
         keys = [(11, i) for i in range(6)]
-        with WorkerPool(1) as serial, WorkerPool(3) as parallel:
-            assert serial.map(_draw, keys) == parallel.map(_draw, keys)
+        assert InlineBackend().fanout(_draw, keys) == ForkBackend(3).fanout(_draw, keys)
 
 
 class TestTaskRng:

@@ -13,8 +13,10 @@ import inspect
 import pathlib
 
 import repro
+import repro.parallel
 from repro.analysis import load_tree
 from repro.experiments.registry import get_module, parallel_experiment_ids
+from repro.parallel import ExecutionBackend
 
 TREE = load_tree(pathlib.Path(repro.__file__).parent)
 
@@ -23,6 +25,19 @@ def test_only_the_parallel_package_imports_the_pool_module():
     importers = {m.name for m in TREE.importers_of("repro.parallel.pool")}
     assert importers, "import graph lost the pool module"
     assert all(name.startswith("repro.parallel") for name in importers), importers
+
+
+def test_fanout_is_the_only_way_to_run_tasks():
+    # No persistent-pool handle: a backend's public methods are the
+    # fan-out, stage memoization and its direct executor.
+    assert not hasattr(ExecutionBackend, "pool")
+    methods = {
+        name
+        for name, member in vars(ExecutionBackend).items()
+        if not name.startswith("_") and callable(member)
+    }
+    assert methods == {"fanout", "compute", "direct"}
+    assert not any("pool" in name.lower() for name in repro.parallel.__all__)
 
 
 def test_no_workers_parameter_outside_the_parallel_package():

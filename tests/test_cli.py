@@ -61,6 +61,27 @@ class TestWorkflow:
         evals = json.loads((test_dirs[0] / "eval_data.json").read_text())
         assert len(evals) == 2
 
+    def test_batched_train_is_worker_count_independent(self, tmp_path):
+        runs = []
+        for workers in ("1", "2"):
+            logdir = tmp_path / f"workers-{workers}"
+            rc = main(
+                [
+                    "train", "--episodes", "4", "--batch-episodes", "2",
+                    "--workers", workers, "--num-tasks", "5", "--num-devices", "3",
+                    "--train-graphs", "2", "--logdir", str(logdir),
+                ]
+            )
+            assert rc == 0
+            runs.append(next(logdir.iterdir()))
+        serial, fanned = (np.load(run / "agent.npz") for run in runs)
+        with serial, fanned:
+            assert serial.files == fanned.files
+            for name in serial.files:
+                assert np.array_equal(serial[name], fanned[name]), name
+        history = [(run / "train_data.json").read_text() for run in runs]
+        assert history[0] == history[1] and len(json.loads(history[0])) == 4
+
     def test_test_with_noise(self, tmp_path, capsys):
         main(
             [
