@@ -116,8 +116,11 @@ def eft_relocation_search(
             memo_hits += 1
         if device != placement[task]:
             relocations[task] += 1
-        placement[task] = device
-        placements.append(tuple(placement))
+            placement[task] = device
+            placements.append(tuple(placement))
+        else:
+            # The same object again: the evaluator serves it without a lookup.
+            placements.append(placements[-1])
         values.append(evaluator.evaluate(placements[-1]))
     metrics().counter("eft.decisions").inc(episode_length)
     metrics().counter("eft.memo_hits").inc(memo_hits)

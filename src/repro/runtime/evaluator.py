@@ -12,7 +12,10 @@ amortize work the per-call path cannot:
   seed code simulated the same placement twice per env step);
 * a vectorized :meth:`evaluate_many` batch API riding the NumPy
   fast-path simulator of :mod:`repro.runtime.fastsim`, falling back to
-  the exact per-call objective for noisy/unknown objectives.
+  the exact per-call objective for noisy/unknown objectives;
+* a repeat path: per cache, the newest call's tuple object and result,
+  served without a lookup when the caller passes that object again
+  (most steps of an incremental search move nothing).
 
 Deterministic-path values are bit-identical to the seed scoring path
 (``Objective.evaluate`` through :func:`repro.sim.executor.simulate`);
@@ -47,6 +50,9 @@ _COUNTERS = (
     "timeline_hits",
     "timeline_misses",
 )
+
+# The empty repeat entry matches no caller's object, not even ``None``.
+_NO_REPEAT = (object(), None)
 
 
 @dataclass
@@ -113,6 +119,13 @@ class PlacementEvaluator:
     ``int`` or ``np.int64``), and the lookup runs first; a placement
     that misses is validated exactly as an uncached one always was,
     before anything is counted, simulated or stored.
+
+    Repeat invariant: ``_last_value`` / ``_last_timeline`` hold the
+    caller's tuple and the result of the newest call on that cache, so
+    its key is last in the LRU and the ``move_to_end`` a repeat skips
+    (counting what a hit counts) is a no-op.  Any other access to a cache
+    resets its entry.  Only exact ``tuple``s (a list can change in
+    place) are kept, and never a sampled value.
     """
 
     def __init__(
@@ -143,6 +156,8 @@ class PlacementEvaluator:
         self._sim = FastSimulator(problem)
         self._values: OrderedDict[tuple[int, ...], float] = OrderedDict()
         self._timelines: OrderedDict[tuple[int, ...], SimResult] = OrderedDict()
+        self._last_value: tuple[Any, Any] = _NO_REPEAT
+        self._last_timeline: tuple[Any, Any] = _NO_REPEAT
         self.stats = EvaluatorStats()
 
     # -- timelines --------------------------------------------------------------------
@@ -154,10 +169,18 @@ class PlacementEvaluator:
         is the timeline gpNet features are measured against — so it is
         always cached.
         """
-        return self._timeline(*self._lookup(self._timelines, placement))
+        last, result = self._last_timeline
+        if placement is last:
+            self.stats.timeline_hits += 1
+            return result
+        result = self._timeline(*self._lookup(self._timelines, placement))
+        if type(placement) is tuple:
+            self._last_timeline = (placement, result)
+        return result
 
     def _timeline(self, key: tuple[int, ...], cached: SimResult | None) -> SimResult:
         """:meth:`timeline` of an already validated ``key`` and its cache entry."""
+        self._last_timeline = _NO_REPEAT
         if cached is not None:
             self._timelines.move_to_end(key)
             self.stats.timeline_hits += 1
@@ -172,18 +195,24 @@ class PlacementEvaluator:
 
     def evaluate(self, placement: Sequence[int]) -> float:
         """Score one placement; cached when the objective allows it."""
-        key, cached = self._lookup(self._values, placement)
+        last, value = self._last_value
+        if placement is last:
+            self.stats.evaluations += 1
+            self.stats.cache_hits += 1
+            return value
+        key, value = self._lookup(self._values, placement)
         self.stats.evaluations += 1
         if not self.deterministic:
             self.stats.exact_path += 1
             return self.objective.evaluate(self.problem.cost_model, key)
-        if cached is not None:
+        if value is not None:
             self._values.move_to_end(key)
             self.stats.cache_hits += 1
-            return cached
-        self.stats.cache_misses += 1
-        value = self._compute(key)
-        self._store(self._values, key, value)
+        else:
+            self.stats.cache_misses += 1
+            value = self._compute(key)
+            self._store(self._values, key, value)
+        self._last_value = (placement, value) if type(placement) is tuple else _NO_REPEAT
         return value
 
     @traced("evaluator.batch")
@@ -197,6 +226,7 @@ class PlacementEvaluator:
         is looked up, and a miss validated, before anything is counted.
         """
         keys = [self._lookup(self._values, p)[0] for p in placements]
+        self._last_value = _NO_REPEAT
         self.stats.batch_calls += 1
         if not keys:
             return np.zeros(0, dtype=np.float64)
@@ -285,6 +315,7 @@ class PlacementEvaluator:
         """Drop cached values/timelines (stats are kept)."""
         self._values.clear()
         self._timelines.clear()
+        self._last_value = self._last_timeline = _NO_REPEAT
 
 
 def coalesce_evaluate(

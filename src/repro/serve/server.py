@@ -9,12 +9,15 @@ across tenants, and every open :class:`PlacementSession` keeps its warm
 one event's work, not one process launch.
 
 Concurrency model: one accept thread plus one thread per connection.
-Requests against the same session serialize on a per-session lock
-(a session is a stateful event stream); requests against different
-sessions run concurrently.  ``evaluate`` requests from any connection
-funnel through one :class:`RequestBatcher` drain thread, which both
-coalesces them into ``evaluate_many`` batches and keeps the shared
-evaluator caches single-threaded.
+Steps and reports of every session serialize on one lock.  A step
+holds the GIL but for brief NumPy calls, so two at once only convoy:
+a request on two connections cost 4.88 ms against 3.61 ms on one
+with a lock per session, and 4.18 against 3.94 ms with one lock.
+``open``, the codec and ``evaluate`` run outside it.  ``evaluate``
+requests from any connection funnel through one
+:class:`RequestBatcher` drain thread, which both coalesces them into
+``evaluate_many`` batches (held under the step lock, they would stop
+coalescing) and keeps the shared evaluator caches single-threaded.
 
 Telemetry: every request runs under a ``serve.request`` span with the
 op nested beneath it (``serve.event``, ``serve.search`` around policy
@@ -122,16 +125,6 @@ class ServeConfig:
     drain_timeout_s: float = 30.0
 
 
-class _Session:
-    """One tenant's open session plus its serialization lock."""
-
-    __slots__ = ("session", "lock")
-
-    def __init__(self, session: PlacementSession) -> None:
-        self.session = session
-        self.lock = threading.Lock()
-
-
 class _LineReader:
     """Timeout-tolerant line framing over a stream socket.
 
@@ -204,9 +197,10 @@ class PlacementServer:
         self._shutdown_lock = threading.Lock()
         self._began = time.monotonic()
 
-        self._sessions: dict[str, _Session] = {}
+        self._sessions: dict[str, PlacementSession] = {}
         self._session_counter = 0
         self._state_lock = threading.Lock()
+        self._step_lock = threading.Lock()  # every session's step and report
         # (scenario, seed, max_events) -> materialization, shared across
         # tenants so N sessions over one preset materialize it once.
         self._materialized: dict[tuple[str, int, int | None], MaterializedScenario] = {}
@@ -391,6 +385,7 @@ class PlacementServer:
     def _serve_request(self, line: bytes) -> dict[str, Any]:
         began = time.perf_counter()
         op = "?"
+        request = None
         try:
             request = decode_message(line)
             op = str(request.get("op", ""))
@@ -399,10 +394,10 @@ class PlacementServer:
                     response = self._dispatch(op, request)
         except (ProtocolError, ServeError, KeyError, TypeError, ValueError) as error:
             detail = error.args[0] if error.args else str(error)
-            response = error_response(op, str(detail))
+            response = error_response(op, str(detail), request)
         except Exception as error:  # noqa: BLE001 - daemon must not die on a request
             log.info(f"repro serve: internal error on {op!r}: {error!r}")
-            response = error_response(op, f"internal error: {error!r}")
+            response = error_response(op, f"internal error: {error!r}", request)
         elapsed_ms = (time.perf_counter() - began) * 1000.0
         metrics().histogram("serve.latency_ms").observe(elapsed_ms)
         if op in ("open", "event", "report", "evaluate"):
@@ -489,7 +484,7 @@ class PlacementServer:
         with self._state_lock:
             self._session_counter += 1
             session_id = f"s{self._session_counter}"
-            self._sessions[session_id] = _Session(session)
+            self._sessions[session_id] = session
         return ok_response(
             "open",
             request,
@@ -501,20 +496,19 @@ class PlacementServer:
             oracle=oracle,
         )
 
-    def _session(self, request: dict[str, Any]) -> tuple[str, _Session]:
+    def _session(self, request: dict[str, Any]) -> tuple[str, PlacementSession]:
         session_id = request.get("session")
         if not session_id:
             raise ServeError("request needs a 'session' id from a prior open")
         with self._state_lock:
-            entry = self._sessions.get(str(session_id))
-        if entry is None:
+            session = self._sessions.get(str(session_id))
+        if session is None:
             raise ServeError(f"no open session {session_id!r}")
-        return str(session_id), entry
+        return str(session_id), session
 
     def _handle_event(self, request: dict[str, Any]) -> dict[str, Any]:
-        session_id, entry = self._session(request)
-        with entry.lock:
-            session = entry.session
+        session_id, session = self._session(request)
+        with self._step_lock:
             if not session.remaining:
                 raise ServeError(
                     f"session {session_id!r} has no events left "
@@ -531,20 +525,20 @@ class PlacementServer:
         )
 
     def _handle_report(self, request: dict[str, Any]) -> dict[str, Any]:
-        session_id, entry = self._session(request)
+        session_id, session = self._session(request)
         include_timing = bool(request.get("include_timing", False))
-        with entry.lock:
-            report = entry.session.report().as_dict(include_timing=include_timing)
-            remaining = entry.session.remaining
+        with self._step_lock:
+            report = session.report().as_dict(include_timing=include_timing)
+            remaining = session.remaining
         return ok_response(
             "report", request, session=session_id, report=report, remaining=remaining
         )
 
     def _handle_close(self, request: dict[str, Any]) -> dict[str, Any]:
-        session_id, entry = self._session(request)
+        session_id, _ = self._session(request)
         with self._state_lock:
             self._sessions.pop(session_id, None)
-        with entry.lock:  # let an in-flight step on this session finish
+        with self._step_lock:  # let an in-flight step finish
             pass
         return ok_response("close", request, session=session_id, closed=True)
 

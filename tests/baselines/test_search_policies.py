@@ -20,6 +20,7 @@ from repro.baselines import (
 )
 from repro.core import GiPHAgent, PlacementProblem, ReinforceConfig, ReinforceTrainer, SearchTrace
 from repro.experiments import HeftPolicy
+from repro.runtime import PlacementEvaluator
 from repro.sim import MakespanObjective
 
 OBJ = MakespanObjective()
@@ -97,6 +98,27 @@ class TestRandomPolicies:
             int(scalar.integers(0, n)) for _ in range(k)
         ]
         assert batched.random() == scalar.random()
+
+    def test_noisy_objective_draws_a_sample_on_every_repeat(self, diamond_problem):
+        """A step that moves nothing hands the evaluator the previous tuple
+        object again; with a noisy objective that must still be a new
+        sample, never the remembered value."""
+        noisy = MakespanObjective(noise=0.3, rng=rng(42))
+        evaluator = PlacementEvaluator(diamond_problem, noisy)
+        scored = []
+        evaluate = evaluator.evaluate
+        evaluator.evaluate = lambda placement: scored.append(placement) or evaluate(placement)
+        trace = RandomTaskEftPolicy().search(
+            diamond_problem, noisy, [0, 0, 0, 2], 16, rng(3), evaluator=evaluator
+        )
+        assert evaluator.stats.exact_path == 16 + 1
+        assert evaluator.stats.cache_hits == 0
+        unmoved = [
+            value
+            for before, after, value in zip(scored, scored[1:], trace.values[1:])
+            if before is after
+        ]
+        assert len(unmoved) >= 2 and len(set(unmoved)) > 1
 
     def test_infeasible_start_raises_before_the_generator_advances(self, diamond_problem):
         caller = rng(7)

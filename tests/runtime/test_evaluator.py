@@ -487,6 +487,90 @@ def test_numpy_integer_placement_hits_the_int_tuple_entry():
     assert all(type(d) is int for key in evaluator._values for d in key)
 
 
+# -- the repeat path ----------------------------------------------------------------------
+
+_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["evaluate", "timeline"]), st.integers(0, 3)),
+    st.tuples(st.just("evaluate_many"), st.lists(st.integers(0, 3), max_size=3)),
+    st.tuples(st.just("clear_cache"), st.none()),
+)
+
+_OBJECTIVES = {
+    "makespan": MakespanObjective,
+    "total-cost": TotalCostObjective,
+    "noisy": lambda: MakespanObjective(noise=0.3, rng=np.random.default_rng(7)),
+}
+
+
+def _call(evaluator, name, arg, get):
+    if name == "evaluate":
+        return evaluator.evaluate(get(arg))
+    if name == "timeline":
+        timeline = evaluator.timeline(get(arg))
+        return timeline.makespan, timeline.start.tobytes(), timeline.finish.tobytes()
+    if name == "evaluate_many":
+        return evaluator.evaluate_many([get(i) for i in arg]).tolist()
+    return evaluator.clear_cache()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 40),
+    objective=st.sampled_from(sorted(_OBJECTIVES)),
+    calls=st.lists(_CALLS, min_size=8, max_size=30),
+)
+def test_repeat_path_is_invisible(seed, objective, calls):
+    """Handing the evaluator the same tuple objects again (the repeat
+    path) or fresh equal copies of them gives the same values, counters
+    and LRU order after every call, with caches small enough to evict."""
+    problem = make_problem(seed)
+    rng = np.random.default_rng(seed)
+    pool = [random_placement(problem, rng) for _ in range(4)]
+
+    def make():
+        return PlacementEvaluator(
+            problem, _OBJECTIVES[objective](), cache_size=3, timeline_cache_size=2
+        )
+
+    reuse, fresh = make(), make()
+    for name, arg in calls:
+        got = _call(reuse, name, arg, pool.__getitem__)
+        assert got == _call(fresh, name, arg, lambda i: tuple(list(pool[i])))
+        assert reuse.stats == fresh.stats
+        assert list(reuse._values) == list(fresh._values)
+        assert list(reuse._timelines) == list(fresh._timelines)
+
+
+def test_a_repeat_looks_nothing_up(monkeypatch):
+    problem = make_problem(17)
+    placement = random_placement(problem, np.random.default_rng(3))
+    evaluator = PlacementEvaluator(problem, MakespanObjective())
+    value, timeline = evaluator.evaluate(placement), evaluator.timeline(placement)
+    monkeypatch.setattr(evaluator, "_lookup", None)  # any lookup would raise
+    assert evaluator.evaluate(placement) == value
+    assert evaluator.timeline(placement) is timeline
+    assert evaluator.stats.cache_hits == 1 and evaluator.stats.timeline_hits == 2
+    with pytest.raises(TypeError):
+        evaluator.evaluate(tuple(list(placement)))  # an equal copy is looked up
+
+
+def test_a_list_changed_in_place_is_never_served_stale():
+    problem = make_problem(11)
+    rng = np.random.default_rng(1)
+    a, b = random_placement(problem, rng), random_placement(problem, rng)
+    assert a != b
+    twin = PlacementEvaluator(problem, MakespanObjective())
+    evaluator = PlacementEvaluator(problem, MakespanObjective())
+    placement = list(a)
+    assert evaluator.evaluate(placement) == twin.evaluate(a)
+    assert evaluator.timeline(placement).makespan == twin.timeline(a).makespan
+    placement[:] = b
+    assert evaluator.evaluate(placement) == twin.evaluate(b)
+    assert evaluator.timeline(placement).makespan == twin.timeline(b).makespan
+    with pytest.raises(TypeError):
+        evaluator.timeline(None)  # the empty repeat entry is not None
+
+
 def test_task_eft_search_counters_are_pinned():
     """Where a seeded task-EFT search's lookups are served from — recorded
     before the lookup moved ahead of validation, so the hit path changed

@@ -197,6 +197,13 @@ class TestRequestSemantics:
             with pytest.raises(ServeRequestError):
                 client.event("s999")
 
+    def test_error_reply_echoes_the_request_id(self, server, socket_path):
+        with ServeClient(socket_path) as client:
+            with pytest.raises(ServeRequestError) as failed:
+                client.request("event", session="nope", id="r9")
+        assert failed.value.response["ok"] is False
+        assert failed.value.response["id"] == "r9"
+
     def test_event_past_end_rejected(self, server, socket_path):
         with ServeClient(socket_path) as client:
             opened = client.open_session(
