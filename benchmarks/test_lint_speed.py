@@ -3,7 +3,7 @@
 The `lint` CI job fronts every other job (``needs: lint`` fail-fast), so
 the analyzer's whole-tree cost bounds how quickly a broken push is
 reported.  Times ``run_lint()`` over the real installed tree — parse,
-all 8 rules, suppressions, baseline — and gates the wall clock, so
+all 8 rules, suppressions — and gates the wall clock, so
 rule-portfolio growth fails a test instead of silently eating CI budget.
 """
 

@@ -4,7 +4,7 @@ The file holds sha256 digests of seeded trained weights and of canonical
 quick-scale experiment reports, next to the NumPy version and BLAS build
 they were recorded under.  ``golden.check(section, name, payload)``
 compares; ``REPRO_GOLDEN=update`` records instead (refresh on purpose,
-review the diff like ``lint-baseline.json``).
+and review every changed line as a claim that those bytes moved).
 
 Entries that go through ``np.matmul`` (Placeto, and every report that
 trains it) depend on the BLAS build, so on another environment they are

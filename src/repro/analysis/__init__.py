@@ -19,13 +19,11 @@ Layout
     The :class:`Finding` model — ``file:line``, rule id, message, fix
     hint.
 :mod:`~repro.analysis.suppressions`
-    Inline ``# repro: lint-ok[rule-id]`` waivers.
-:mod:`~repro.analysis.baseline`
-    The tracked baseline file (``lint-baseline.json``) recording
-    intentionally-kept pre-existing findings with justifications.
+    Inline ``# repro: lint-ok[rule-id]`` waivers, the one way to keep
+    a finding on purpose.
 :mod:`~repro.analysis.engine`
-    Ties it together: run the rule portfolio, apply suppressions and
-    the baseline, render text/JSON.
+    Ties it together: run the rule portfolio, apply suppressions,
+    render text/JSON.
 :mod:`~repro.analysis.rules`
     The rule portfolio itself (one module per contract family).
 
@@ -33,13 +31,11 @@ Usage::
 
     repro lint                      # whole tree, blocking in CI
     repro lint --rule rng-constant-seed
-    repro lint --baseline update    # re-record pre-existing findings
     repro lint --json findings.json
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineEntry, default_baseline_path
 from .engine import LintResult, findings_payload, render_text, run_lint
 from .findings import Finding
 from .loader import LintTree, ModuleInfo, load_tree
@@ -47,13 +43,10 @@ from .rules import ALL_RULES, get_rules, rule_ids
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintResult",
     "LintTree",
     "ModuleInfo",
-    "default_baseline_path",
     "findings_payload",
     "get_rules",
     "load_tree",

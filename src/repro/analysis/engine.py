@@ -1,11 +1,11 @@
-"""The lint engine: run rules, apply suppressions and the baseline.
+"""The lint engine: run rules and apply inline suppressions.
 
 ``run_lint`` is the single entry point used by the CLI, the tests, and
 the speed benchmark.  The pipeline is: parse the tree once, run every
 selected rule over every module (plus each rule's cross-module
-``finish`` pass), dedupe, drop inline-suppressed findings, subtract the
-baseline, and hand back a :class:`LintResult` with all four buckets so
-callers can render or assert on any of them.
+``finish`` pass), dedupe, split off inline-suppressed findings, and
+hand back a :class:`LintResult` with both buckets so callers can render
+or assert on either.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 
-from .baseline import Baseline, default_baseline_path
 from .findings import Finding
 from .loader import LintTree, load_tree
 from .rules import LintContext, Rule, get_rules
@@ -32,13 +31,11 @@ class LintResult:
     """Outcome of one lint run, bucketed.
 
     ``findings`` are the live violations (what makes the exit code
-    non-zero); ``suppressed`` were waived inline, ``baselined`` were
-    absorbed by the tracked baseline file.
+    non-zero); ``suppressed`` were waived inline.
     """
 
     findings: list[Finding]
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     modules: int = 0
     rules: list[str] = field(default_factory=list)
 
@@ -50,49 +47,19 @@ class LintResult:
 def run_lint(
     root: str | pathlib.Path | None = None,
     rule_ids: list[str] | None = None,
-    baseline_path: str | pathlib.Path | None = None,
-    baseline_mode: str = "apply",
     package: str = "repro",
 ) -> LintResult:
-    """Lint the package tree under ``root`` (default: this installation).
-
-    ``baseline_mode``: ``"apply"`` subtracts baseline entries,
-    ``"ignore"`` reports everything, ``"update"`` rewrites the baseline
-    file from the current findings (preserving justifications) and then
-    reports clean.
-    """
-    if baseline_mode not in ("apply", "ignore", "update"):
-        raise ValueError(f"unknown baseline mode {baseline_mode!r}")
+    """Lint the package tree under ``root`` (default: this installation)."""
     package_dir = pathlib.Path(root) if root is not None else _default_package_dir()
     tree = load_tree(package_dir, package=package)
     rules = get_rules(rule_ids)
-    raw = _run_rules(tree, rules)
-    live, suppressed = _apply_suppressions(tree, raw)
-
-    result = LintResult(
+    live, suppressed = _apply_suppressions(tree, _run_rules(tree, rules))
+    return LintResult(
         findings=live,
         suppressed=suppressed,
         modules=len(tree),
         rules=[rule.id for rule in rules],
     )
-    if baseline_mode == "ignore":
-        return result
-
-    path = (
-        pathlib.Path(baseline_path)
-        if baseline_path is not None
-        else default_baseline_path(package_dir)
-    )
-    baseline = Baseline.load(path)
-    if baseline_mode == "update":
-        baseline.updated(live).write(path)
-        result.baselined = live
-        result.findings = []
-        return result
-    new, baselined = baseline.split(live)
-    result.findings = new
-    result.baselined = baselined
-    return result
 
 
 def _run_rules(tree: LintTree, rules: list[Rule]) -> list[Finding]:
@@ -142,13 +109,10 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
             lines.append(f"    hint: {finding.hint}")
     summary = (
         f"{len(result.findings)} finding(s), "
-        f"{len(result.baselined)} baselined, "
         f"{len(result.suppressed)} suppressed "
         f"({result.modules} modules, {len(result.rules)} rules)"
     )
     if verbose:
-        for finding in result.baselined:
-            lines.append(f"baselined {finding.location}: [{finding.rule}] {finding.message}")
         for finding in result.suppressed:
             lines.append(f"suppressed {finding.location}: [{finding.rule}]")
     if lines:
@@ -165,6 +129,5 @@ def findings_payload(result: LintResult) -> dict:
         "modules": result.modules,
         "rules": result.rules,
         "findings": [finding.as_dict() for finding in result.findings],
-        "baselined": [finding.as_dict() for finding in result.baselined],
         "suppressed": [finding.as_dict() for finding in result.suppressed],
     }

@@ -13,11 +13,9 @@ class Finding:
     """One rule violation.
 
     ``rel`` is the package-relative path (``serve/server.py``) so
-    findings — and the baseline entries made from them — stay stable
-    across checkouts; renderers join it with the lint root for
-    clickable ``src/repro/...:line`` locations.  ``code`` carries the
-    stripped source line, which doubles as the baseline fingerprint
-    (line numbers drift, the flagged code rarely does).
+    findings stay stable across checkouts; renderers join it with the
+    lint root for clickable ``src/repro/...:line`` locations.  ``code``
+    carries the stripped source line.
     """
 
     rel: str
@@ -31,11 +29,6 @@ class Finding:
     @property
     def location(self) -> str:
         return f"{self.rel}:{self.line}"
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.rel, self.code)
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -81,10 +81,13 @@ def load_tree(package_dir: str | pathlib.Path, package: str = "repro") -> LintTr
 
     ``package_dir`` is the directory of the package itself (the one
     holding its ``__init__.py``); ``package`` names it.  Files that do
-    not parse raise ``SyntaxError`` — a tree that cannot be analyzed
-    should fail loudly, not lint partially.
+    not parse raise ``SyntaxError``, and a root that is not a directory
+    or holds no ``.py`` file raises ``FileNotFoundError`` — a tree that
+    cannot be analyzed should fail loudly, not lint partially.
     """
     root = pathlib.Path(package_dir).resolve()
+    if not root.is_dir():
+        raise FileNotFoundError(f"lint root {root} is not a directory")
     modules: list[ModuleInfo] = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
@@ -102,6 +105,8 @@ def load_tree(package_dir: str | pathlib.Path, package: str = "repro") -> LintTr
                 lines=source.splitlines(),
             )
         )
+    if not modules:
+        raise FileNotFoundError(f"lint root {root} holds no .py file")
     return LintTree(root, package, modules)
 
 

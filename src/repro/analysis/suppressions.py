@@ -2,10 +2,10 @@
 
 A suppression comment waives findings of the named rule(s) on its own
 line, or — when the comment stands alone — on the next line that holds
-code.  ``# repro: lint-ok`` with no bracket waives every rule (reserve
-it for generated code); ``lint-ok[a, b]`` lists several rule ids.
-Suppressions are for code with a *local* reason that belongs next to
-it; pre-existing findings without one go in the baseline file instead.
+code; ``lint-ok[a, b]`` lists several rule ids.  This is the only way
+to keep a finding, so every waiver names its rules and gives its
+reason beside it: after the bracket or in the comment line above.  A
+bare ``# repro: lint-ok`` names no rule and waives nothing.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from .loader import ModuleInfo
 
 __all__ = ["Suppressions", "collect_suppressions"]
 
-_PATTERN = re.compile(r"#\s*repro:\s*lint-ok(?:\[([^\]]*)\])?")
-_ALL = "*"
+_PATTERN = re.compile(r"#\s*repro:\s*lint-ok\[([^\]]*)\]")
 
 
 class Suppressions:
@@ -28,7 +27,7 @@ class Suppressions:
 
     def is_suppressed(self, line: int, rule_id: str) -> bool:
         waived = self._by_line.get(line)
-        return waived is not None and (rule_id in waived or _ALL in waived)
+        return waived is not None and rule_id in waived
 
     def __bool__(self) -> bool:
         return bool(self._by_line)
@@ -47,11 +46,7 @@ def collect_suppressions(module: ModuleInfo) -> Suppressions:
         stripped = text.strip()
         match = _PATTERN.search(text)
         if match:
-            ids = (
-                {part.strip() for part in match.group(1).split(",") if part.strip()}
-                if match.group(1) is not None
-                else {_ALL}
-            )
+            ids = {part.strip() for part in match.group(1).split(",") if part.strip()}
             if stripped.startswith("#"):
                 pending = (pending or set()) | ids
             else:

@@ -191,7 +191,11 @@ class PlacetoAgent(AdaptivePolicy):
         self.num_devices = num_devices
         self.embedding = _PlacetoEmbedding(rng)
         self.head = MLP([self.embedding.out_dim, 32, num_devices], rng)
-        self.rng = rng
+        # Constructor stream is only a bootstrap: search() rebinds self.rng
+        # to the caller's per-case stream before any sampling (see the
+        # waiver there).  Storing it keeps PlacetoAgent constructible
+        # without a problem in hand, matching the paper baseline's interface.
+        self.rng = rng  # repro: lint-ok[rng-stored-advancing]
 
     def parameters(self) -> Iterator[Parameter]:
         yield from self.embedding.parameters()

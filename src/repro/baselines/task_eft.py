@@ -110,7 +110,11 @@ class TaskEftAgent(AdaptivePolicy):
     def __init__(self, rng: np.random.Generator) -> None:
         self.embedding = TwoWayMessagePassing(rng)
         self.policy = ScorePolicy(self.embedding.out_dim, rng)
-        self.rng = rng
+        # Constructor stream initializes weights only: search() rebinds
+        # self.rng to the caller's per-case stream before select_task
+        # samples (see the waiver there).  Kept so TaskEftAgent stays
+        # constructible from a bare generator like the other baselines.
+        self.rng = rng  # repro: lint-ok[rng-stored-advancing]
 
     def parameters(self) -> Iterator[Parameter]:
         yield from self.embedding.parameters()

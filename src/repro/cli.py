@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen.add_argument("--list", action="store_true", dest="list_presets",
                       help="list registered scenario presets")
     scen.add_argument("--policy", action="append", dest="policies",
-                      choices=["random", "task-eft", "heft", "rnn-placer"],
+                      choices=["heft", "random", "rnn-placer", "task-eft"],
                       help="policy to replay (repeatable; default: random + task-eft)")
     scen.add_argument("--seed", type=int, default=None,
                       help="override the preset's seed")
@@ -251,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--rule", action="append", dest="rules", metavar="RULE_ID",
                       help="run only this rule (repeatable; default: all)")
-    lint.add_argument("--baseline", default="apply",
-                      choices=["apply", "update", "ignore"],
-                      help="apply the tracked baseline (default), rewrite it "
-                           "from current findings, or report everything")
-    lint.add_argument("--baseline-file", default=None, metavar="PATH",
-                      help="baseline JSON (default: <repo>/lint-baseline.json)")
     lint.add_argument("--json", default=None, metavar="PATH",
                       help="write the full findings payload to PATH "
                            "(CI uploads this as an artifact)")
@@ -266,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule portfolio and exit")
     lint.add_argument("--verbose", action="store_true",
-                      help="also list baselined and suppressed findings")
+                      help="also list suppressed findings")
 
     return parser
 
@@ -400,6 +394,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     from .scenarios import DEFAULT_REGISTRY, ScenarioRunner, describe_events, format_adaptation_table
+    from .serve.server import default_policy_factories
 
     if args.list_presets or args.action == "list":
         print(f"{'name':<24s} {'devices':>7s} {'changes':>7s} {'graphs':>6s}  description")
@@ -449,27 +444,16 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         for line in describe_events(materialized.events):
             print(f"  {line}")
 
+    factories = default_policy_factories()
+    names = dict.fromkeys(args.policies or ["random", "task-eft"])
     result = runner.run(
-        _scenario_policies(args.policies or ["random", "task-eft"]),
+        {name: factories[name]() for name in names},
         backend=make_backend(workers=args.workers),
     )
     for report in result.reports.values():
         print()
         print(format_adaptation_table(report))
     return 0
-
-
-def _scenario_policies(names: list[str]):
-    from .baselines import RandomPlacementPolicy, RandomTaskEftPolicy, RnnPlacerPolicy
-    from .experiments.runner import HeftPolicy
-
-    factories = {
-        "random": RandomPlacementPolicy,
-        "task-eft": RandomTaskEftPolicy,
-        "heft": HeftPolicy,
-        "rnn-placer": RnnPlacerPolicy,
-    }
-    return {name: factories[name]() for name in dict.fromkeys(names)}
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -761,13 +745,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"{'':24s} protects: {rule.protects}")
         return 0
     try:
-        result = run_lint(
-            root=args.root,
-            rule_ids=args.rules,
-            baseline_path=args.baseline_file,
-            baseline_mode=args.baseline,
-        )
-    except KeyError as exc:
+        result = run_lint(root=args.root, rule_ids=args.rules)
+    except (KeyError, FileNotFoundError) as exc:
         log.warn(f"repro lint: {exc.args[0]}")
         return 2
     except SyntaxError as exc:
@@ -782,9 +761,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
         log.info(f"wrote findings JSON to {path}")
-    if args.baseline == "update":
-        log.info(f"baseline rewritten with {len(result.baselined)} entry(ies); "
-                 "fill in placeholder justifications before committing")
     return 0 if result.clean else 1
 
 

@@ -82,7 +82,7 @@ def default_policy_factories(
 ) -> dict[str, Callable[[], SearchPolicy]]:
     """Policy constructors the daemon serves, keyed by request name.
 
-    Mirrors the ``repro scenario run`` policy set.  With ``agent_path``
+    Also the ``repro scenario run`` policy table.  With ``agent_path``
     a trained GiPH agent is loaded **once** at boot and shared read-only
     by every ``giph`` session (sessions get fresh search wrappers around
     the warm weights).  ``seed`` is the daemon's root seed (the

@@ -33,10 +33,9 @@ def make_tree(tmp_path):
 
 @pytest.fixture
 def lint(make_tree):
-    """Lint a fixture tree; returns the LintResult (baseline ignored)."""
+    """Lint a fixture tree; returns the LintResult."""
 
-    def run(files: dict[str, str], rule_ids: list[str] | None = None, **kwargs):
-        kwargs.setdefault("baseline_mode", "ignore")
-        return run_lint(root=make_tree(files), rule_ids=rule_ids, **kwargs)
+    def run(files: dict[str, str], rule_ids: list[str] | None = None):
+        return run_lint(root=make_tree(files), rule_ids=rule_ids)
 
     return run

@@ -1,4 +1,4 @@
-"""The ``repro lint`` command: exit codes, filters, JSON, baseline modes.
+"""The ``repro lint`` command: exit codes, filters, JSON, missing roots.
 
 The last test is the PR's acceptance gate: the real tree lints clean.
 """
@@ -20,12 +20,12 @@ def tree(make_tree, files):
 
 
 def test_exit_zero_on_a_clean_tree(make_tree, capsys):
-    assert main(["lint", "--root", tree(make_tree, CLEAN), "--baseline", "ignore"]) == 0
+    assert main(["lint", "--root", tree(make_tree, CLEAN)]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_exit_one_on_a_seeded_violation(make_tree, capsys):
-    code = main(["lint", "--root", tree(make_tree, VIOLATION), "--baseline", "ignore"])
+    code = main(["lint", "--root", tree(make_tree, VIOLATION)])
     assert code == 1
     out = capsys.readouterr().out
     assert "rng-constant-seed" in out
@@ -35,9 +35,9 @@ def test_exit_one_on_a_seeded_violation(make_tree, capsys):
 
 def test_rule_filter_limits_the_portfolio(make_tree):
     root = tree(make_tree, VIOLATION)
-    assert main(["lint", "--root", root, "--baseline", "ignore",
+    assert main(["lint", "--root", root,
                  "--rule", "canonical-json"]) == 0
-    assert main(["lint", "--root", root, "--baseline", "ignore",
+    assert main(["lint", "--root", root,
                  "--rule", "canonical-json", "--rule", "rng-constant-seed"]) == 1
 
 
@@ -47,30 +47,12 @@ def test_unknown_rule_id_exits_two(make_tree):
 
 def test_json_payload_written(make_tree, tmp_path):
     out = tmp_path / "out" / "findings.json"
-    main(["lint", "--root", tree(make_tree, VIOLATION), "--baseline", "ignore",
+    main(["lint", "--root", tree(make_tree, VIOLATION),
           "--json", str(out)])
     payload = json.loads(out.read_text())
     assert payload["clean"] is False
     assert payload["findings"][0]["rule"] == "rng-constant-seed"
     assert payload["findings"][0]["path"] == "core/model.py"
-
-
-def test_baseline_update_then_apply_cycle(make_tree, tmp_path):
-    root = tree(make_tree, VIOLATION)
-    baseline = tmp_path / "baseline.json"
-    # update records the finding and reports clean
-    assert main(["lint", "--root", root, "--baseline", "update",
-                 "--baseline-file", str(baseline)]) == 0
-    assert "TODO" in baseline.read_text()
-    # a later apply run stays clean...
-    assert main(["lint", "--root", root, "--baseline-file", str(baseline)]) == 0
-    # ...while a fresh violation still fails
-    violating = {
-        "core/model.py": VIOLATION["core/model.py"],
-        "core/other.py": "import numpy as np\nr2 = np.random.default_rng(1)\n",
-    }
-    assert main(["lint", "--root", tree(make_tree, violating),
-                 "--baseline-file", str(baseline)]) == 1
 
 
 def test_list_rules_prints_the_portfolio(capsys):
@@ -86,8 +68,19 @@ def test_syntax_error_in_tree_exits_two(make_tree):
     assert main(["lint", "--root", tree(make_tree, {"bad.py": "def broken(:\n"})]) == 2
 
 
+def test_absent_root_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    assert main(["lint", "--root", str(missing)]) == 2
+    assert "no-such-dir" in capsys.readouterr().err
+
+
+def test_root_without_python_files_exits_two(tmp_path):
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert main(["lint", "--root", str(tmp_path)]) == 2
+
+
 def test_the_real_tree_lints_clean():
-    """Acceptance gate: zero non-baselined findings on the shipped tree."""
+    """Acceptance gate: zero unwaived findings on the shipped tree."""
     from repro.analysis import run_lint
 
     result = run_lint()

@@ -1,6 +1,13 @@
-"""Inline waiver parsing edge cases."""
+"""Inline waiver parsing edge cases, and the shipped waivers' reasons."""
 
 from __future__ import annotations
+
+import pathlib
+import re
+
+import repro
+
+_WAIVER = re.compile(r"#\s*repro:\s*lint-ok\[[^\]]*\](.*)")
 
 
 def test_multiple_rule_ids_in_one_waiver(lint):
@@ -20,7 +27,7 @@ def test_multiple_rule_ids_in_one_waiver(lint):
     assert len(result.suppressed) == 2
 
 
-def test_bare_lint_ok_waives_every_rule(lint):
+def test_bare_lint_ok_waives_nothing(lint):
     result = lint(
         {
             "baselines/agent.py": (
@@ -31,8 +38,8 @@ def test_bare_lint_ok_waives_every_rule(lint):
             )
         }
     )
-    assert result.findings == []
-    assert len(result.suppressed) == 2
+    assert len(result.findings) == 2
+    assert result.suppressed == []
 
 
 def test_waiver_for_a_different_rule_does_not_apply(lint):
@@ -63,3 +70,26 @@ def test_standalone_waiver_does_not_leak_past_the_next_statement(lint):
     )
     assert [f.line for f in result.findings] == [4]
     assert len(result.suppressed) == 1
+
+
+def test_every_shipped_waiver_gives_its_reason():
+    """A waiver keeps a finding on purpose, so it says why: text after the
+    bracket, or a plain comment line directly above it."""
+    package_dir = pathlib.Path(repro.__file__).parent
+    unexplained = []
+    waivers = 0
+    for path in sorted(package_dir.rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for index, text in enumerate(lines):
+            match = _WAIVER.search(text)
+            if match is None:
+                continue
+            waivers += 1
+            above = lines[index - 1].strip() if index else ""
+            explained_above = (
+                above.startswith("#") and above != "#" and not _WAIVER.search(above)
+            )
+            if not (match.group(1).strip() or explained_above):
+                unexplained.append(f"{path.relative_to(package_dir)}:{index + 1}")
+    assert waivers > 0
+    assert unexplained == [], unexplained

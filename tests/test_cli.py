@@ -283,6 +283,17 @@ class TestScenario:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "run", "edge-churn", "--policy", "alphago"])
 
+    def test_policy_choices_are_the_serve_policy_table(self):
+        import argparse
+
+        from repro.serve.server import default_policy_factories
+
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        policy = next(action for action in subparsers.choices["scenario"]._actions
+                      if action.dest == "policies")
+        assert policy.choices == sorted(default_policy_factories())
+
     def test_run_replays_preset(self, capsys):
         rc = main(
             ["scenario", "run", "stable-cluster", "--policy", "task-eft", "--seed", "3",
