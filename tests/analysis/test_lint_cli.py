@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 CLEAN = {"core/model.py": "def f(rng):\n    return rng.random()\n"}
@@ -55,6 +57,46 @@ def test_json_payload_written(make_tree, tmp_path):
     assert payload["findings"][0]["path"] == "core/model.py"
 
 
+def test_json_payload_carries_waived_findings(make_tree, tmp_path):
+    waived = {
+        "core/model.py": (
+            "import numpy as np\n"
+            "rng = np.random.default_rng(0)  # repro: lint-ok[rng-constant-seed] fixture\n"
+        )
+    }
+    out = tmp_path / "findings.json"
+    assert main(["lint", "--root", tree(make_tree, waived),
+                 "--rule", "rng-constant-seed", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert sorted(payload) == ["clean", "findings", "modules", "rules", "suppressed", "version"]
+    assert payload["findings"] == []
+    assert [(f["rule"], f["line"]) for f in payload["suppressed"]] == [("rng-constant-seed", 2)]
+
+
+def test_verbose_lists_each_waived_finding(make_tree, capsys):
+    waived = {
+        "core/model.py": (
+            "import numpy as np\n"
+            "# repro: lint-ok[rng-constant-seed] fixture\n"
+            "rng = np.random.default_rng(0)\n"
+        )
+    }
+    assert main(["lint", "--root", tree(make_tree, waived),
+                 "--rule", "rng-constant-seed", "--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert "suppressed core/model.py:3" in out
+    assert "0 finding(s), 1 suppressed" in out
+
+
+def test_baseline_options_are_gone(make_tree, capsys):
+    root = tree(make_tree, CLEAN)
+    for argv in (["--baseline", "ignore"], ["--baseline-file", "lint-baseline.json"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--root", root, *argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_list_rules_prints_the_portfolio(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -77,6 +119,13 @@ def test_absent_root_exits_two(tmp_path, capsys):
 def test_root_without_python_files_exits_two(tmp_path):
     (tmp_path / "notes.txt").write_text("not python\n")
     assert main(["lint", "--root", str(tmp_path)]) == 2
+
+
+def test_root_that_is_a_file_exits_two(tmp_path, capsys):
+    module = tmp_path / "model.py"
+    module.write_text("import numpy as np\nrng = np.random.default_rng(0)\n")
+    assert main(["lint", "--root", str(module)]) == 2
+    assert "not a directory" in capsys.readouterr().err
 
 
 def test_the_real_tree_lints_clean():

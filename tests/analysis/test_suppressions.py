@@ -6,6 +6,8 @@ import pathlib
 import re
 
 import repro
+from repro.analysis import load_tree, run_lint
+from repro.analysis.suppressions import collect_suppressions
 
 _WAIVER = re.compile(r"#\s*repro:\s*lint-ok\[[^\]]*\](.*)")
 
@@ -39,6 +41,20 @@ def test_bare_lint_ok_waives_nothing(lint):
         }
     )
     assert len(result.findings) == 2
+    assert result.suppressed == []
+
+
+def test_empty_waiver_brackets_waive_nothing(lint):
+    result = lint(
+        {
+            "core/m.py": (
+                "import numpy as np\n"
+                "rng = np.random.default_rng(0)  # repro: lint-ok[] no rule named\n"
+            )
+        },
+        rule_ids=["rng-constant-seed"],
+    )
+    assert len(result.findings) == 1
     assert result.suppressed == []
 
 
@@ -93,3 +109,21 @@ def test_every_shipped_waiver_gives_its_reason():
                 unexplained.append(f"{path.relative_to(package_dir)}:{index + 1}")
     assert waivers > 0
     assert unexplained == [], unexplained
+
+
+def test_every_shipped_waiver_keeps_a_finding():
+    """A waiver whose finding has gone is a hole for the next violation
+    on that line: each (line, rule) a shipped waiver covers must match a
+    suppressed finding of the real tree."""
+    result = run_lint()
+    kept = {(f.rel, f.line, f.rule) for f in result.suppressed}
+    waived = set()
+    for module in load_tree(pathlib.Path(repro.__file__).parent):
+        waivers = collect_suppressions(module)
+        for line in range(1, len(module.lines) + 1):
+            waived.update(
+                (module.rel, line, rule) for rule in result.rules
+                if waivers.is_suppressed(line, rule)
+            )
+    assert waived, "the shipped tree should carry its known waivers"
+    assert sorted(waived - kept) == []
