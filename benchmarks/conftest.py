@@ -15,10 +15,12 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
-# The experiments that train a learned baseline, and the ablation with its
-# maskless agent: their canonical reports are pinned byte for byte in
-# tests/golden/digests.json.
-GOLDEN_REPORTS = ("fig4", "fig5", "fig6", "fig7", "fig9", "fig14", "table6", "ablation")
+# The experiments that train an agent (GiPH, a GiPH variant or a learned
+# baseline), and the ablation with its maskless agent: their canonical
+# reports are pinned byte for byte in tests/golden/digests.json.
+GOLDEN_REPORTS = (
+    "fig4", "fig5", "fig6", "fig7", "fig9", "fig11", "fig14", "fig15", "fig16", "table6", "ablation",
+)
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@ few seeded episodes, per agent kind and training mode, held to
 ``tests/golden/digests.json`` (rules and refresh: the root ``conftest.py``).
 
 ``giph`` / ``giph-ne`` / ``task-eft`` multiply through the row-invariant
-einsum kernel and are compared on every environment; ``placeto``
-multiplies with ``@`` and skips, by name, where the BLAS build differs.
+einsum kernel and are compared on every environment; ``placeto``,
+``giph-3`` / ``giph-5`` and ``graphsage-ne`` multiply with ``@`` and skip,
+by name, where the BLAS build differs.
 """
 
 import numpy as np
@@ -17,12 +18,18 @@ from repro.graphs import TaskGraphParams, generate_task_graph
 from repro.parallel import ForkBackend
 from repro.sim import MakespanObjective
 
+# kind -> (seed, agent factory).  Seeds are fixed per kind, not derived
+# from the kind's position: a new kind must not move an existing digest.
 AGENTS = {
-    "giph": lambda rng: GiPHAgent(rng),
-    "giph-ne": lambda rng: GiPHAgent(rng, embedding="giph-ne"),
-    "placeto": lambda rng: PlacetoAgent(rng, num_devices=4),
-    "task-eft": lambda rng: TaskEftAgent(rng),
+    "giph": (0, lambda rng: GiPHAgent(rng)),
+    "giph-ne": (1, lambda rng: GiPHAgent(rng, embedding="giph-ne")),
+    "placeto": (2, lambda rng: PlacetoAgent(rng, num_devices=4)),
+    "task-eft": (3, lambda rng: TaskEftAgent(rng)),
+    "giph-3": (4, lambda rng: GiPHAgent(rng, embedding="giph-3")),
+    "giph-5": (5, lambda rng: GiPHAgent(rng, embedding="giph-5")),
+    "graphsage-ne": (6, lambda rng: GiPHAgent(rng, embedding="graphsage-ne")),
 }
+PORTABLE = {"giph", "giph-ne", "task-eft"}  # the rest multiply with ``@``
 
 
 def problems() -> list[PlacementProblem]:
@@ -37,8 +44,9 @@ def problems() -> list[PlacementProblem]:
 
 
 def trained_weights(kind: str, episodes: int, **fanout) -> bytes:
-    rng = np.random.default_rng([2023, sorted(AGENTS).index(kind)])
-    agent = AGENTS[kind](rng)
+    seed, make_agent = AGENTS[kind]
+    rng = np.random.default_rng([2023, seed])
+    agent = make_agent(rng)
     trainer = ReinforceTrainer(agent, MakespanObjective(), ReinforceConfig())
     trainer.train(problems(), rng, episodes=episodes, **fanout)
     return b"".join(p.data.tobytes() for p in agent.parameters())
@@ -46,9 +54,9 @@ def trained_weights(kind: str, episodes: int, **fanout) -> bytes:
 
 @pytest.mark.parametrize("kind", sorted(AGENTS))
 def test_five_serial_episodes(golden, kind):
-    portable = kind != "placeto"
+    portable = kind in PORTABLE
     if golden.foreign and not portable:
-        pytest.skip(f"placeto multiplies through BLAS: {golden.foreign}")
+        pytest.skip(f"{kind} multiplies through BLAS: {golden.foreign}")
     golden.check("weights", kind, trained_weights(kind, 5), portable=portable)
 
 
