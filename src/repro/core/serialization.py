@@ -1,8 +1,8 @@
 """Agent checkpointing (the artifact's embedding_*.pk / policy_*.pk files).
 
 Agents are saved as a single ``.npz`` archive: one array per parameter
-plus a metadata record (embedding kind, library version) so a checkpoint
-can be restored into a freshly constructed agent.
+plus a metadata record (embedding kind, message aggregation, library
+version) so a checkpoint can be restored into a freshly constructed agent.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ def save_agent(agent: GiPHAgent, path: str | pathlib.Path) -> pathlib.Path:
         "version": __version__,
         "parameter_names": sorted(state),
     }
+    emb = agent.embedding  # every GNN but GiPH-NE-Pol's aggregates, "mean" or "sum"
+    if (aggregation := getattr(getattr(emb, "forward_pass", emb), "aggregation", None)):
+        meta["aggregation"] = aggregation
     arrays = dict(state)
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
@@ -70,6 +73,8 @@ def load_agent(path: str | pathlib.Path, rng: np.random.Generator) -> GiPHAgent:
             raise ValueError(f"{path} is not a repro agent checkpoint")
         meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode())
         state = {name: archive[name] for name in archive.files if name != _META_KEY}
-    agent = GiPHAgent(rng, embedding=make_embedding(meta["embedding_kind"], rng))
+    # A checkpoint without the key (or written before it) gets the default, mean.
+    kwargs = {"aggregation": meta["aggregation"]} if "aggregation" in meta else {}
+    agent = GiPHAgent(rng, embedding=make_embedding(meta["embedding_kind"], rng, **kwargs))
     agent.load_state_dict(state)
     return agent
