@@ -4,7 +4,7 @@ from .base import AdaptivePolicy, SearchPolicy
 from .eft import eft_device, eft_estimates, eft_relocation_search
 from .giph_policy import GiPHSearchPolicy
 from .heft import HeftSchedule, heft_placement, upward_ranks
-from .placeto import PlacetoAgent, PlacetoLayout, placeto_node_features
+from .placeto import PlacetoAgent, PlacetoLayout
 from .random_policies import RandomPlacementPolicy, RandomTaskEftPolicy
 from .rnn_placer import RnnPlacer, RnnPlacerPolicy, RnnPlacerResult, operator_embeddings
 from .task_eft import TaskEftAgent, TaskViewBuilder, build_task_view
@@ -21,7 +21,6 @@ __all__ = [
     "upward_ranks",
     "PlacetoAgent",
     "PlacetoLayout",
-    "placeto_node_features",
     "RandomPlacementPolicy",
     "RandomTaskEftPolicy",
     "RnnPlacer",

@@ -20,9 +20,9 @@ Per problem (:class:`PlacetoLayout`, made once by ``search``, cached per
 problem by ``ReinforceTrainer`` through ``handle``, and passed as
 ``layout=``): edge arrays, the two static feature columns, segment
 sizes.  Per step: three feature columns, the normalisation, one
-embedding.  Each direction's k steps are one tape node
-(:func:`_propagate`); it multiplies with ``@`` because ``Linear`` does —
-the row-invariant einsum kernel of ``core.gnn`` gives other floats.
+embedding.  Each direction's k steps are one tape node of
+:func:`repro.nn.functional.propagate`, the pass GiPH-k runs too, here
+without edge features.
 
 Training is :class:`repro.core.reinforce.ReinforceTrainer` with this
 agent: ``rollout`` is the search traversal (:meth:`PlacetoAgent._traverse`)
@@ -44,7 +44,7 @@ from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
 from .base import AdaptivePolicy, bound_handle, make_evaluator, rollout_of
 
-__all__ = ["PlacetoAgent", "PlacetoLayout", "placeto_node_features"]
+__all__ = ["PlacetoAgent", "PlacetoLayout"]
 
 
 class PlacetoLayout:
@@ -85,64 +85,6 @@ class PlacetoLayout:
         return feats / np.where(scale > 1e-12, scale, 1.0)
 
 
-def placeto_node_features(
-    problem: PlacementProblem, placement: Sequence[int], current_node: int, placed: np.ndarray
-) -> np.ndarray:
-    """One-shot :meth:`PlacetoLayout.features`."""
-    return PlacetoLayout(problem).features(placement, current_node, placed)
-
-
-def _propagate(
-    e0: Tensor, senders: np.ndarray, receivers: np.ndarray, counts: np.ndarray,
-    msg_layer: Linear, agg_layer: Linear, steps: int,
-) -> Tensor:
-    """``steps`` rounds of ``e <- relu(agg(mean relu(msg(e[senders])))) + e0``
-    as one tape node (``counts``: messages per receiver, floored at 1).
-
-    The forward runs the composed ``Tensor`` loop's float operations in
-    plain NumPy; the backward replays, last step first, what that tape
-    would run, in its order (oracle: ``propagate_composed`` in
-    ``tests/baselines/reference.py``).  Every parent is a parameter or
-    computed from one, so none is tested for ``requires_grad``.
-    """
-    wm, bm, wa, ba = msg_layer.weight, msg_layer.bias, agg_layer.weight, agg_layer.bias
-    parents = (e0, wm, bm, wa, ba)
-    e0d, wmd, bmd, wad, bad = (p.data for p in parents)
-    if len(senders) == 0:
-        # Edgeless: no step reads the one before it (every ``agg`` is
-        # zeros), so all compute the same floats and only the last is on
-        # the composed tape — one step, accumulated once.
-        steps = 1
-    e, saved = e0d, []
-    for _ in range(steps):
-        s = e[senders]
-        pre = s @ wmd + bmd
-        agg = F._segment_sum_kernel(np.maximum(pre, 0.0), receivers, len(e0d)) / counts
-        h = agg @ wad + bad
-        e = np.maximum(h, 0.0) + e0d
-        saved.append((s, pre, agg, h))
-
-    def backward(grad: np.ndarray) -> None:
-        G = grad  # gradient of the step output being unwound
-        for step in reversed(range(steps)):
-            s, pre, agg, h = saved[step]
-            e0._accumulate(G)
-            g_h = G * (h > 0)
-            ba._accumulate(g_h.sum(axis=0))
-            wa._accumulate(agg.T @ g_h)
-            if len(senders) == 0:
-                return  # the composed tape never runs ``msg_layer`` here
-            g_pre = ((g_h @ wad.T) / counts)[receivers] * (pre > 0)
-            bm._accumulate(g_pre.sum(axis=0))
-            wm._accumulate(s.T @ g_pre)
-            # Step 0 gathered from e0 itself (after its ``_accumulate``
-            # above); later steps from an output nothing else reads.
-            G = np.zeros_like(e0d) if step else e0.grad
-            np.add.at(G, senders, g_pre @ wmd.T)
-
-    return Tensor._make(e, parents, backward, "propagate")
-
-
 class _PlacetoEmbedding(Module):
     """k-step two-way message passing over the task graph (no edge feats)."""
 
@@ -163,8 +105,8 @@ class _PlacetoEmbedding(Module):
         grouped summaries."""
         n, src, dst = len(features), layout.src, layout.dst
         e0 = self.pre(Tensor(features))
-        e_fwd = _propagate(e0, src, dst, layout.in_counts, self.fwd_msg, self.fwd_agg, self.steps)
-        e_bwd = _propagate(e0, dst, src, layout.out_counts, self.bwd_msg, self.bwd_agg, self.steps)
+        e_fwd = F.propagate(e0, src, dst, layout.in_counts, self.fwd_msg, self.fwd_agg, self.steps)
+        e_bwd = F.propagate(e0, dst, src, layout.out_counts, self.bwd_msg, self.bwd_agg, self.steps)
         node = concat([e_fwd, e_bwd], axis=1)
         if len(src) == 0:
             parents = Tensor(np.zeros((n, 2 * self.embed_dim)))

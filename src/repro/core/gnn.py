@@ -49,6 +49,9 @@ forward, the composed per-level tape (``sweep_composed``) every
 gradient.  The einsum kernel makes a row's result a function of that row
 alone, which is what makes exact float equality possible at all
 (``np.matmul`` picks different BLAS kernels for different row counts).
+GiPH-k's k steps are one tape node per direction too, Placeto's
+:func:`repro.nn.functional.propagate`; GraphSAGE-NE, which aggregates
+before its ``Linear`` and has no residual, stays composed.
 The registry counters ``gnn.forwards``/``gnn.backwards``/``gnn.seconds``
 count forward and backward passes and cumulative forward seconds.
 """
@@ -124,11 +127,6 @@ def _checked_aggregation(how: str) -> str:
     if how not in ("mean", "sum"):
         raise ValueError(f"unknown aggregation {how!r}; expected one of ('mean', 'sum')")
     return how
-
-
-def _aggregate(values, segment_ids, num_segments, how: str):
-    op = F.segment_mean if _checked_aggregation(how) == "mean" else F.segment_sum
-    return op(values, segment_ids, num_segments)
 
 
 def _sweep(
@@ -304,27 +302,21 @@ class _SharedStepPass(Module):
         self.aggregation = _checked_aggregation(aggregation)
 
     def forward(self, gpnet: GpNet, e0: Tensor, steps: int, reverse: bool) -> Tensor:
-        n = gpnet.num_nodes
-        senders = gpnet.edge_dst if reverse else gpnet.edge_src
-        receivers = gpnet.edge_src if reverse else gpnet.edge_dst
-        efeat = Tensor(gpnet.edge_features)
-        e = e0
-        for _ in range(steps):
-            if gpnet.num_edges == 0:
-                msg_agg = Tensor(np.zeros((n, self.h1.out_features)))
-            else:
-                msg = self.h1(concat([e[senders], efeat], axis=1)).relu()
-                msg_agg = _aggregate(msg, receivers, n, self.aggregation)
-            e = self.h2(msg_agg).relu() + e0
-        return e
+        n, ends = gpnet.num_nodes, (gpnet.edge_src, gpnet.edge_dst)
+        senders, receivers = ends[::-1] if reverse else ends
+        mean = self.aggregation == "mean"
+        counts = F._segment_counts(receivers, n)[:, None] if mean else np.ones((n, 1))
+        return F.propagate(
+            e0, senders, receivers, counts, self.h1, self.h2, steps, gpnet.edge_features
+        )
 
 
 class KStepMessagePassing(GpNetEmbedding):
     """GiPH-k (Eq. 4): bounded k-step two-way message passing.
 
     Caps the sequential depth of the GNN — the paper's Table 7 / Fig. 17
-    remedy for large graphs (GiPH-3, GiPH-5).  Already fully batched
-    over edges per step, so it has no per-task loop oracle.
+    remedy for large graphs (GiPH-3, GiPH-5).  Its oracle is the composed
+    tape in ``tests/`` (``propagate_composed``).
     """
 
     def __init__(
@@ -443,11 +435,12 @@ class GraphSageNoEdge(GpNetEmbedding):
     def _embed(self, gpnet: GpNet) -> Tensor:
         h = self.pre(Tensor(augment_with_out_edge_means(gpnet))).relu()
         n = gpnet.num_nodes
+        aggregate = F.segment_mean if self.aggregation == "mean" else F.segment_sum
         for layer in self.sage_layers:
             if gpnet.num_edges == 0:
                 neigh = Tensor(np.zeros((n, h.shape[1])))
             else:
-                neigh = _aggregate(h[gpnet.edge_src], gpnet.edge_dst, n, self.aggregation)
+                neigh = aggregate(h[gpnet.edge_src], gpnet.edge_dst, n)
             h = layer(concat([h, neigh], axis=1)).relu()
         return self.head(h)
 

@@ -1,7 +1,7 @@
 """Stateless neural-network operations.
 
-Includes the graph-specific primitives (segment aggregation, masked
-softmax) that DGL provided in the paper's artifact.
+Includes the graph-specific primitives (segment aggregation, k-step
+message passing, masked softmax) that DGL provided in the paper's artifact.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "linear",
     "segment_sum",
     "segment_mean",
+    "propagate",
 ]
 
 
@@ -183,3 +184,62 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     summed = segment_sum(values, segment_ids, num_segments)  # validates the ids
     counts = _segment_counts(segment_ids, num_segments)
     return summed / Tensor(counts.reshape((-1,) + (1,) * (summed.ndim - 1)))
+
+
+def propagate(
+    e0: Tensor, senders: np.ndarray, receivers: np.ndarray, counts: np.ndarray,
+    msg_layer, agg_layer, steps: int, edge_features: np.ndarray | None = None,
+) -> Tensor:
+    """``steps`` synchronous rounds of
+    ``e <- relu(agg_layer(Σ relu(msg_layer([e[senders] ∥ x^e])) / counts)) + e0``
+    as one tape node: the k-step pass of GiPH-k (Eq. 4) and of Placeto.
+
+    The sum runs per receiver; ``counts`` (``(num_nodes, 1)``) divides it:
+    messages per receiver floored at 1 for a mean, ones for a sum.
+    ``edge_features`` (GiPH-k's ``x^e``) are concatenated to the gathered
+    sender rows.  The layers multiply with ``@``, as ``Linear`` does.  The
+    backward replays, last step first, the float operations of the composed
+    ``Tensor`` tape in its order (oracle: ``propagate_composed`` in
+    ``tests/baselines/reference.py``).  Every parent is a parameter or
+    computed from one, so none is tested for ``requires_grad``.
+    """
+    wm, bm, wa, ba = msg_layer.weight, msg_layer.bias, agg_layer.weight, agg_layer.bias
+    parents = (e0, wm, bm, wa, ba)
+    e0d, wmd, bmd, wad, bad = (p.data for p in parents)
+    embed_dim = e0d.shape[1]
+    if len(senders) == 0:
+        # Edgeless: no step reads the one before it (every ``agg`` is
+        # zeros), so all compute the same floats and only the last is on
+        # the composed tape — one step, accumulated once.
+        steps = 1
+    e, saved = e0d, []
+    for _ in range(steps):
+        s = e[senders]
+        if edge_features is not None:  # one product over [e ∥ x^e]: a split sums in another order
+            s = np.concatenate([s, edge_features], axis=1)
+        pre = s @ wmd + bmd
+        agg = _segment_sum_kernel(np.maximum(pre, 0.0), receivers, len(e0d)) / counts
+        h = agg @ wad + bad
+        e = np.maximum(h, 0.0) + e0d
+        saved.append((s, pre, agg, h))
+
+    def backward(grad: np.ndarray) -> None:
+        G = grad  # gradient of the step output being unwound
+        for step in reversed(range(steps)):
+            s, pre, agg, h = saved[step]
+            e0._accumulate(G)
+            g_h = G * (h > 0)
+            ba._accumulate(g_h.sum(axis=0))
+            wa._accumulate(agg.T @ g_h)
+            if len(senders) == 0:
+                return  # the composed tape never runs ``msg_layer`` here
+            g_pre = ((g_h @ wad.T) / counts)[receivers] * (pre > 0)
+            bm._accumulate(g_pre.sum(axis=0))
+            wm._accumulate(s.T @ g_pre)
+            # Step 0 gathered from e0 itself (after its ``_accumulate``
+            # above); later steps from an output nothing else reads.  The
+            # sender columns of the whole input's gradient, as concat routes it.
+            G = np.zeros_like(e0d) if step else e0.grad
+            np.add.at(G, senders, (g_pre @ wmd.T)[:, :embed_dim])
+
+    return Tensor._make(e, parents, backward, "propagate")

@@ -1,9 +1,10 @@
-"""Test oracles: what the learned baselines' per-problem layouts replaced.
+"""Test oracles: what the learned baselines' per-problem layouts and the
+k-step message pass replaced.
 
 ``TaskViewBuilder.build``, ``PlacetoLayout.features`` and
-``repro.baselines.placeto._propagate`` are array / one-tape-node
-rewrites of three pieces of per-step Python.  This module keeps the
-pieces they replaced, verbatim, so the tests can demand the same floats:
+``repro.nn.functional.propagate`` are array / one-tape-node rewrites of
+three pieces of per-step Python.  This module keeps the pieces they
+replaced, verbatim, so the tests can demand the same floats:
 
 * :func:`task_view_loop` — the task view built with two Python row
   loops, a fresh ``GpNet`` (no shared structure) per call
@@ -11,19 +12,21 @@ pieces they replaced, verbatim, so the tests can demand the same floats:
 * :func:`placeto_features_loop` — Placeto's five features, one row at a
   time, through ``CostModel.mean_compute_time`` and
   ``TaskGraph.data_out``;
-* :func:`propagate_composed` — the k-step message pass as ordinary
-  ``Tensor`` ops.  It pins the shipped single node's forward *and* every
-  gradient bit for bit: the hand-written backward must run the float
-  operations this tape runs, in the same order.
+* :func:`propagate_composed` — the k-step message pass of Placeto and
+  GiPH-k (``KStepMessagePassing``) as ordinary ``Tensor`` ops.  It pins
+  the shipped single node's forward *and* every gradient bit for bit:
+  the hand-written backward must run the float operations this tape
+  runs, in the same order.
 """
 
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
-from repro.baselines import placeto, task_eft
+from repro.baselines import task_eft
 from repro.core.gpnet import GpNet
-from repro.nn import Tensor
+from repro.nn import Tensor, concat
 from repro.nn import functional as F
 from repro.sim.executor import simulate
 
@@ -107,7 +110,7 @@ def loop_views():
 
 
 def placeto_features_loop(problem, placement, current_node, placed):
-    """Drop-in for ``placeto_node_features``: one Python iteration per row."""
+    """Drop-in for ``PlacetoLayout(problem).features``: one Python iteration per row."""
     graph = problem.graph
     cm = problem.cost_model
     m = problem.network.num_devices
@@ -127,27 +130,33 @@ def placeto_features_loop(problem, placement, current_node, placed):
     return feats / np.where(scale > 1e-12, scale, 1.0)
 
 
-def propagate_composed(e0, senders, receivers, counts, msg_layer, agg_layer, steps):
-    """Drop-in for ``repro.baselines.placeto._propagate``: every step as
-    ordinary tape ops (``counts`` unused — ``segment_mean`` derives its own)."""
+def propagate_composed(
+    e0, senders, receivers, counts, msg_layer, agg_layer, steps, edge_features=None, how="mean"
+):
+    """Drop-in for ``repro.nn.functional.propagate``: every step as ordinary
+    tape ops, aggregating by ``how`` (``counts`` unused — the aggregation
+    derives its own, so a caller's wrong divisor shows)."""
     n = len(e0)
+    aggregate = F.segment_mean if how == "mean" else F.segment_sum
+    efeat = None if edge_features is None else Tensor(edge_features)
     e = e0
     for _ in range(steps):
         if len(senders) == 0:
             agg = Tensor(np.zeros((n, agg_layer.in_features)))
         else:
-            msg = msg_layer(e[senders]).relu()
-            agg = F.segment_mean(msg, receivers, n)
+            gathered = e[senders] if efeat is None else concat([e[senders], efeat], axis=1)
+            agg = aggregate(msg_layer(gathered).relu(), receivers, n)
         e = agg_layer(agg).relu() + e0
     return e
 
 
 @contextmanager
-def composed_path():
-    """Route Placeto's message passing through the composed tape."""
-    shipped = placeto._propagate
-    placeto._propagate = propagate_composed
+def composed_path(how="mean"):
+    """Route every k-step pass — Placeto's, GiPH-k's — through the composed
+    tape, aggregating by ``how``."""
+    shipped = F.propagate
+    F.propagate = partial(propagate_composed, how=how)
     try:
         yield
     finally:
-        placeto._propagate = shipped
+        F.propagate = shipped

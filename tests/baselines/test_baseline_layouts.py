@@ -1,8 +1,9 @@
-"""The learned baselines' per-problem layouts against what they replaced.
+"""The learned baselines' per-problem layouts and the k-step message pass
+against what they replaced.
 
 ``reference.py`` keeps the per-step Python the shipped code replaced —
 the row-loop task view, the row-loop Placeto features and the
-``Tensor``-composed k-step message pass.  Everything here is bitwise
+``Tensor``-composed k-step message pass (Placeto's and GiPH-k's).  Everything here is bitwise
 (``tobytes()``): the shipped paths run the same float operations in the
 same order, so trained weights are a fixed point of the rewrite.
 Gradient tests use >= 2 devices — with one device every log-probability
@@ -10,6 +11,7 @@ is constant, every gradient zero, and any backward bug hides.
 """
 
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from repro.baselines import (
     TaskEftAgent,
     TaskViewBuilder,
     build_task_view,
-    placeto_node_features,
 )
-from repro.baselines import placeto
+from repro.core import GiPHAgent, GpNetBuilder
 from repro.core.features import GpNetStructure, structure_of
+from repro.core.gnn import make_embedding
 from repro.core.placement import PlacementProblem, random_placement
 from repro.core.reinforce import ReinforceTrainer
 from repro.devices import Device, DeviceNetwork
@@ -216,7 +218,7 @@ def test_placeto_features_and_embedding_equal_loop_and_composed_tape(
         ref = placeto_features_loop(problem, placement, current, placed)
         feats = layout.features(placement, current, placed)
         assert same_bytes(feats, ref)
-        assert same_bytes(placeto_node_features(problem, list(placement), current, placed), ref)
+        assert same_bytes(PlacetoLayout(problem).features(list(placement), current, placed), ref)
         with composed_path():
             expected = agent.embedding(layout, feats)
         assert expected.shape == (num_tasks, 40)
@@ -236,33 +238,49 @@ def test_placeto_data_out_adds_in_edge_insertion_order():
     assert same_bytes(feats, placeto_features_loop(problem, *args))
 
 
-def test_propagate_equals_the_composed_tape_node_for_node():
+@pytest.mark.parametrize(
+    "edge_dim, how, edgeless",
+    [(None, "mean", False), (4, "mean", False), (4, "sum", False), (4, "mean", True)],
+    ids=["no-edge-features-mean", "edge-features-mean", "edge-features-sum", "edgeless"],
+)
+def test_propagate_equals_the_composed_tape_node_for_node(edge_dim, how, edgeless):
     # One call, every leaf's gradient compared directly.  The graph is a
     # 7-task chain (deeper than the 3 steps run, so the first step's
     # scatter into ``e0.grad`` and its ``_accumulate`` are both non-zero
     # on the same rows and their order shows) plus skip edges out of
-    # task 0.  Task 0 has no parents and a zero embedding, and ``Linear``
-    # biases start at zero: every message task 0 sends has a
-    # pre-activation of exactly 0.0 and every parentless task an ``h`` of
-    # exactly 0.0, at every step; tasks 2 and 5 hear from the chain too,
-    # so gradient does reach those messages — ``>`` and ``>=`` differ in
-    # either relu mask.
+    # task 0.  Task 0 has no parents, a zero embedding and zero edge
+    # features out, and ``Linear`` biases start at zero: every message
+    # task 0 sends has a pre-activation of exactly 0.0 and every
+    # parentless task an ``h`` of exactly 0.0, at every step; tasks 2 and
+    # 5 hear from the chain too, so gradient does reach those messages —
+    # ``>`` and ``>=`` differ in either relu mask.
     src = np.array([0, 1, 2, 3, 4, 5, 0, 0])
     dst = np.array([1, 2, 3, 4, 5, 6, 2, 5])
-    counts = F._segment_counts(dst, 7)[:, None]
+    if edgeless:
+        src = dst = np.zeros(0, dtype=np.int64)
+    counts = F._segment_counts(dst, 7)[:, None] if how == "mean" else np.ones((7, 1))
     rng = np.random.default_rng(0)
     e0_data, upstream = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
     e0_data[0] = 0.0
+    edge_features = None
+    if edge_dim is not None:
+        edge_features = rng.normal(size=(len(src), edge_dim))
+        edge_features[src == 0] = 0.0
+    msg_dim = 5 + (edge_dim or 0)
     outcomes = []
-    for propagate in (placeto._propagate, propagate_composed):
+    for propagate in (F.propagate, partial(propagate_composed, how=how)):
         layers = np.random.default_rng(1)
-        msg_layer, agg_layer = Linear(5, 5, layers), Linear(5, 5, layers)
+        msg_layer, agg_layer = Linear(msg_dim, msg_dim, layers), Linear(msg_dim, 5, layers)
         e0 = Tensor(e0_data, requires_grad=True)
-        out = propagate(e0, src, dst, counts, msg_layer, agg_layer, 3)
+        out = propagate(e0, src, dst, counts, msg_layer, agg_layer, 3, edge_features)
         out.backward(upstream)
         leaves = (e0, msg_layer.weight, msg_layer.bias, agg_layer.weight, agg_layer.bias)
         outcomes.append([out.data] + [leaf.grad for leaf in leaves])
-    assert all(same_bytes(a, b) for a, b in zip(*outcomes))
+    assert all(
+        (a is None and b is None) or same_bytes(a, b) for a, b in zip(*outcomes)
+    )
+    # Not vacuous: the message layer is on the tape exactly when there are edges.
+    assert (outcomes[0][2] is None) == edgeless
 
 
 # -- gradients and trained weights ---------------------------------------------------
@@ -310,6 +328,14 @@ def task_eft_trainer():
     return ReinforceTrainer(TaskEftAgent(np.random.default_rng(7)), OBJ)
 
 
+def giph_k_trainer(kind, how):
+    def make():
+        rng = np.random.default_rng(5)
+        return ReinforceTrainer(GiPHAgent(rng, embedding=make_embedding(kind, rng, aggregation=how)), OBJ)
+
+    return make
+
+
 @settings(max_examples=12, deadline=None)
 @trainable_layouts
 def test_placeto_training_equals_the_composed_tape_on_generated_problems(
@@ -328,6 +354,28 @@ def test_placeto_training_equals_the_composed_tape_on_pinned_shapes(name, num_de
     # graph the message layers are off the tape entirely.
     assert agent.embedding.fwd_agg.weight.grad is not None
     assert (agent.embedding.fwd_msg.weight.grad is not None) == bool(problem.graph.num_edges)
+
+
+@pytest.mark.parametrize("how", ["mean", "sum"])
+@pytest.mark.parametrize("kind", ["giph-1", "giph-3", "giph-5"])
+@settings(max_examples=4, deadline=None)
+@trainable_layouts
+@example(seed=0, num_tasks=6, num_devices=3, edge_prob=0.0)
+@example(seed=1, num_tasks=1, num_devices=2, edge_prob=1.0)
+def test_giph_k_equals_the_composed_tape_on_generated_problems(
+    kind, how, seed, num_tasks, num_devices, edge_prob
+):
+    # GiPH-k runs the pass Placeto does, with the gpNet's edge features:
+    # same oracle, same outputs, gradients and trained weights.
+    problem = generated_problem(seed, num_tasks, num_devices, edge_prob)
+    reference_path = partial(composed_path, how)
+    agent = assert_training_is_a_fixed_point(giph_k_trainer(kind, how), problem, reference_path)
+    net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(seed)))
+    with reference_path():
+        expected = agent.embedding(net).data
+    assert same_bytes(agent.embedding(net).data, expected)
+    with no_grad():
+        assert same_bytes(agent.embedding(net).data, expected)
 
 
 @settings(max_examples=8, deadline=None)

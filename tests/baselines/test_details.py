@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.heft import _earliest_slot
-from repro.baselines.placeto import placeto_node_features
+from repro.baselines.placeto import PlacetoLayout
 
 
 class TestInsertionSlot:
@@ -38,7 +38,7 @@ class TestInsertionSlot:
 class TestPlacetoFeatures:
     def test_indicator_columns(self, diamond_problem):
         placed = np.array([True, True, False, False])
-        feats = placeto_node_features(diamond_problem, [0, 1, 2, 2], current_node=2, placed=placed)
+        feats = PlacetoLayout(diamond_problem).features([0, 1, 2, 2], current_node=2, placed=placed)
         # Column 3: is-current (only node 2); column 4: placed flags.
         current_col = feats[:, 3]
         assert current_col[2] > 0
@@ -69,7 +69,7 @@ class TestPlacetoFeatures:
             np.fill_diagonal(bw, np.inf)
             net = DeviceNetwork(devices, bw, np.zeros((3, 3)))
             problem = PlacementProblem(g, net)
-            return placeto_node_features(problem, [0, 0, 0, 2], 0, placed)
+            return PlacetoLayout(problem).features([0, 0, 0, 2], 0, placed)
 
         f1, f2 = features_for(1.0), features_for(10.0)
         # Normalized per instance, a uniform speed change is invisible.

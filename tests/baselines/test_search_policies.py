@@ -16,7 +16,6 @@ from repro.baselines import (
     TaskViewBuilder,
     build_task_view,
     operator_embeddings,
-    placeto_node_features,
 )
 from repro.core import GiPHAgent, PlacementProblem, ReinforceConfig, ReinforceTrainer, SearchTrace
 from repro.experiments import HeftPolicy
@@ -163,7 +162,7 @@ class TestTaskEft:
 class TestPlaceto:
     def test_features_shape_and_indicators(self, diamond_problem):
         placed = np.array([True, False, False, False])
-        feats = placeto_node_features(diamond_problem, [0, 0, 0, 2], 1, placed)
+        feats = PlacetoLayout(diamond_problem).features([0, 0, 0, 2], 1, placed)
         assert feats.shape == (4, 5)
 
     def test_head_fixed_to_device_count(self, diamond_problem):

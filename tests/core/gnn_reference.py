@@ -24,11 +24,16 @@ import numpy as np
 from test_gpnet import levels_from_every_gpnet_edge
 
 from repro.core import gnn
-from repro.core.gnn import _aggregate, _NoEdgeDirectionalPass
+from repro.core.gnn import _NoEdgeDirectionalPass
 from repro.nn import Tensor, as_tensor, concat, stack
 from repro.nn import functional as F
 
 __all__ = ["scatter_rows", "two_way_reference", "reference_path", "sweep_composed", "composed_path"]
+
+
+def _aggregate(values, segment_ids, num_segments, how):
+    op = F.segment_mean if how == "mean" else F.segment_sum
+    return op(values, segment_ids, num_segments)
 
 
 def scatter_rows(
