@@ -50,7 +50,7 @@ def save_agent(agent: GiPHAgent, path: str | pathlib.Path) -> pathlib.Path:
         "parameter_names": sorted(state),
     }
     emb = agent.embedding  # every GNN but GiPH-NE-Pol's aggregates, "mean" or "sum"
-    if (aggregation := getattr(getattr(emb, "forward_pass", emb), "aggregation", None)):
+    if aggregation := getattr(getattr(emb, "forward_pass", emb), "aggregation", None):
         meta["aggregation"] = aggregation
     arrays = dict(state)
     arrays[_META_KEY] = np.frombuffer(

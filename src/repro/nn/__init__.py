@@ -8,7 +8,7 @@ Public surface:
   :class:`LSTMCell`, :class:`LSTM`, :class:`BiLSTM`, :class:`AdditiveAttention`.
 * Optimizer: :class:`Adam`.
 * ``functional`` ops incl. graph segment aggregation (sum/mean), the
-  batch-invariant ``linear`` kernel, and masked softmax.
+  k-step message pass, the batch-invariant ``linear`` kernel, masked softmax.
 
 Only what ``src/`` calls lives here; ops that serve the test oracles alone
 (``scatter_rows``) sit beside them in ``tests/core/gnn_reference.py``.
