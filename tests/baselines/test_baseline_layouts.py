@@ -3,9 +3,10 @@ against what they replaced.
 
 ``reference.py`` keeps the per-step Python the shipped code replaced —
 the row-loop task view, the row-loop Placeto features and the
-``Tensor``-composed k-step message pass (Placeto's and GiPH-k's).  Everything here is bitwise
-(``tobytes()``): the shipped paths run the same float operations in the
-same order, so trained weights are a fixed point of the rewrite.
+``Tensor``-composed k-step message pass (Placeto's and GiPH-k's).
+Everything here is bitwise (``tobytes()``): the shipped paths run the
+same float operations in the same order, so trained weights are a fixed
+point of the rewrite.
 Gradient tests use >= 2 devices — with one device every log-probability
 is constant, every gradient zero, and any backward bug hides.
 """
@@ -276,9 +277,7 @@ def test_propagate_equals_the_composed_tape_node_for_node(edge_dim, how, edgeles
         out.backward(upstream)
         leaves = (e0, msg_layer.weight, msg_layer.bias, agg_layer.weight, agg_layer.bias)
         outcomes.append([out.data] + [leaf.grad for leaf in leaves])
-    assert all(
-        (a is None and b is None) or same_bytes(a, b) for a, b in zip(*outcomes)
-    )
+    assert all((a is None and b is None) or same_bytes(a, b) for a, b in zip(*outcomes))
     # Not vacuous: the message layer is on the tape exactly when there are edges.
     assert (outcomes[0][2] is None) == edgeless
 
@@ -331,7 +330,8 @@ def task_eft_trainer():
 def giph_k_trainer(kind, how):
     def make():
         rng = np.random.default_rng(5)
-        return ReinforceTrainer(GiPHAgent(rng, embedding=make_embedding(kind, rng, aggregation=how)), OBJ)
+        embedding = make_embedding(kind, rng, aggregation=how)
+        return ReinforceTrainer(GiPHAgent(rng, embedding=embedding), OBJ)
 
     return make
 
