@@ -14,6 +14,7 @@ summary (p50/p99 latency, requests/sec, cold comparison) is printed.
 import pathlib
 import tempfile
 
+from repro.scenarios import DEFAULT_REGISTRY, materialize
 from repro.serve.load import LoadConfig, format_load_summary, run_load
 from repro.serve.server import PlacementServer, ServeConfig
 
@@ -26,25 +27,31 @@ def test_warm_request_p50_beats_cold_scenario_run():
         server = PlacementServer(ServeConfig(socket_path=socket_path))
         server.start()
         try:
-            summary = run_load(
-                LoadConfig(
-                    socket_path=socket_path,
-                    scenarios=("stable-cluster", "edge-churn"),
-                    policy="task-eft",
-                    clients=4,
-                    seed=0,
-                    backend="thread",
-                    oracle=False,  # the cold reference runs --no-oracle
-                    compare_cold=True,
-                )
+            config = LoadConfig(
+                socket_path=socket_path,
+                scenarios=("stable-cluster", "edge-churn"),
+                policy="task-eft",
+                clients=4,
+                seed=0,
+                oracle=False,  # the cold reference runs --no-oracle
+                compare_cold=True,
             )
+            summary = run_load(config)
         finally:
             server.stop()
 
     print(format_load_summary(summary))
 
     latency = summary["latency_ms"]
-    assert summary["requests"] > 0
+    # Every tenant's client thread replayed its whole stream: tenant i
+    # runs scenarios[i % 2] at seed + i.
+    streams = sum(
+        materialize(
+            DEFAULT_REGISTRY.get(config.scenarios[i % 2], seed=config.seed + i)
+        ).num_events
+        for i in range(config.clients)
+    )
+    assert summary["requests"] == streams > 0
     assert 0.0 < latency["p50"] <= latency["p99"] <= latency["max"]
     assert summary["requests_per_second"] > 0
 

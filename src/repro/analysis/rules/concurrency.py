@@ -98,10 +98,10 @@ class FanoutPickleSafetyRule(Rule):
     id = "fanout-pickle-safety"
     title = "unpicklable capture crosses a fan-out"
     protects = (
-        "backend interchangeability: a task closure or broadcast context "
-        "holding a socket/lock/open store/live pool pickles on fork and "
-        "shard backends (crash) or aliases mutable state on thread/inline "
-        "ones (race) — the same call site must work on every backend"
+        "backend interchangeability: every backend pickles a task's "
+        "private copy of the broadcast context, so a closure or context "
+        "holding a socket/lock/open store/live pool crashes the fan-out — "
+        "the same call site must work on every backend"
     )
     hint = (
         "pass plain data (paths, specs, seed keys) and reconstruct the "

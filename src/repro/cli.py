@@ -39,6 +39,7 @@ import time
 import numpy as np
 
 from .parallel import make_backend
+from .sim.objectives import OBJECTIVES
 from .telemetry import log
 
 __all__ = ["main", "build_parser"]
@@ -58,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--train-graphs", type=int, default=8)
     train.add_argument("--embedding", default="giph",
                        help="giph | giph-<k> | giph-ne | graphsage-ne | giph-ne-pol")
-    train.add_argument("--objective", default="makespan",
-                       choices=["makespan", "total-cost", "energy"])
+    train.add_argument("--objective", default="makespan", choices=list(OBJECTIVES))
     train.add_argument("--lr", type=float, default=0.01)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--logdir", default="runs")
@@ -231,15 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--policy", default="task-eft",
                       help="policy every tenant's session runs")
     load.add_argument("--clients", type=int, default=4,
-                      help="concurrent tenant sessions")
+                      help="concurrent tenant sessions, one client thread each")
     load.add_argument("--events", type=int, default=None, metavar="N",
                       help="events per tenant (default: the full stream)")
     load.add_argument("--seed", type=int, default=0,
                       help="base seed; tenant i replays at seed+i")
-    load.add_argument("--client-backend", default="thread",
-                      choices=["thread", "fork", "inline"],
-                      help="how tenants fan out: threads (default), client "
-                           "processes, or serially")
     load.add_argument("--compare-cold", action="store_true",
                       help="also time a cold one-event `repro scenario run` "
                            "subprocess and report the warm-p50 speedup")
@@ -265,16 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _objective(name: str):
-    from .sim import EnergyObjective, MakespanObjective, TotalCostObjective
-
-    return {
-        "makespan": MakespanObjective(),
-        "total-cost": TotalCostObjective(),
-        "energy": EnergyObjective(),
-    }[name]
-
-
 def _problems(num_tasks: int, num_devices: int, count: int, rng: np.random.Generator):
     from .core import PlacementProblem
     from .devices import DeviceNetworkParams, generate_device_network
@@ -296,7 +282,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     problems = _problems(args.num_tasks, args.num_devices, args.train_graphs, rng)
     agent = GiPHAgent(rng, embedding=args.embedding)
     config = ReinforceConfig(learning_rate=args.lr, episodes=args.episodes)
-    trainer = ReinforceTrainer(agent, _objective(args.objective), config)
+    trainer = ReinforceTrainer(agent, OBJECTIVES[args.objective](), config)
 
     stamp = time.strftime("%Y-%m-%d_%H-%M-%S")
     run_dir = pathlib.Path(args.logdir) / f"{stamp}_{args.embedding}"
@@ -419,15 +405,13 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 2
     source = spec
     if args.max_events is not None:
-        import dataclasses
-
         from .scenarios.events import materialize
 
-        if args.max_events < 0:
-            print("error: --max-events must be >= 0")
+        try:
+            source = materialize(spec).head(args.max_events)
+        except ValueError as error:
+            print(f"error: --max-events: {error}")
             return 2
-        full = materialize(spec)
-        source = dataclasses.replace(full, events=full.events[: args.max_events])
     runner = ScenarioRunner(
         source,
         reuse_evaluators=not args.cold_evaluators,
@@ -494,7 +478,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         clients=args.clients,
         events_per_client=args.events,
         seed=args.seed,
-        backend=args.client_backend,
         compare_cold=args.compare_cold,
     )
     summary = run_load(config)

@@ -61,14 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..nn import Adam, Tensor, stack
-from ..parallel import (
-    ExecutionBackend,
-    ExecutionBackendError,
-    InlineBackend,
-    ThreadBackend,
-    get_context,
-    task_rng,
-)
+from ..parallel import ExecutionBackend, InlineBackend, get_context, task_rng
 from ..runtime.evaluator import EvaluatorPool, EvaluatorStats, PlacementEvaluator
 from ..sim.objectives import Objective
 from ..telemetry import metrics, span
@@ -342,10 +335,9 @@ class ReinforceTrainer:
         the per-episode randomness derives from ``(round seed, slot)``
         streams, making the result bit-identical for any worker count.
 
-        A slot writes its replica's gradients and rng, so every backend
-        that hands each task a private copy of the context runs rounds;
-        the thread backend shares one between tasks and raises
-        :class:`~repro.parallel.ExecutionBackendError`.
+        A slot writes its replica's gradients and rng; that is safe on
+        every backend, because each hands a task a private copy of the
+        round's context.
         """
         if not problems:
             raise ValueError("training needs at least one problem")
@@ -390,11 +382,6 @@ class ReinforceTrainer:
                 "batched training needs a deterministic objective or one "
                 "supporting reseeded(rng) for per-episode noise resampling; "
                 f"{type(self.objective).__name__} is neither"
-            )
-        if isinstance(backend.direct(), ThreadBackend):
-            raise ExecutionBackendError(
-                "batched rounds need a private trainer replica per task; the "
-                "thread backend shares one context between tasks"
             )
         params = self.optimizer.params
         stats: list[EpisodeStats] = []

@@ -5,10 +5,11 @@ ExecutionBackend | None`` (``None`` = inline); tasks read their
 broadcast state with :func:`get_context` and draw from :func:`task_rng`.
 The CLI's ``--workers N`` / ``--backend NAME`` flags are spellings of
 that argument, turned into a backend once by :func:`make_backend`.
-Behind the seam: the backend family (inline / fork / thread /
-store-mediated shard + merge) over one package-private ordered fan-out,
+Behind the seam: the backend family (inline / fork / store-mediated
+shard + merge) over one package-private ordered fan-out,
 :func:`repro.parallel.pool.run_tasks`, whose results are bit-identical
-for any worker count.  The package sits below the model code: it imports nothing from
+for any worker count; each backend hands a task a private copy of the
+broadcast context.  The package sits below the model code: it imports nothing from
 ``repro.core``, ``repro.runtime``, ``repro.baselines`` or
 ``repro.experiments`` (``tests/parallel/test_seam.py``) — batched REINFORCE
 keeps its round payloads beside the trainer, in ``repro.core.reinforce``.
@@ -22,7 +23,6 @@ from .backends import (
     MergeBackend,
     MissingCellError,
     ShardBackend,
-    ThreadBackend,
     make_backend,
 )
 from .pool import (
@@ -44,6 +44,5 @@ __all__ = [
     "MergeBackend",
     "MissingCellError",
     "ShardBackend",
-    "ThreadBackend",
     "make_backend",
 ]

@@ -9,7 +9,6 @@ runs:
   pickled private copy of the context.
 * :class:`ForkBackend` — a fork process pool per fan-out, sized to the
   task list; a worker that dies fails the fan-out by name.
-* :class:`ThreadBackend` — a thread pool for I/O-bound fan-outs.
 * :class:`ShardBackend` — one shard of a run split across processes or
   machines: it computes the cells a manifest assigns to it, publishes
   every result to a content-addressed :class:`~repro.store.RunStore`,
@@ -23,11 +22,12 @@ Library entry points take ``backend: ExecutionBackend | None`` (``None``
 = :class:`InlineBackend`); the CLI's ``--backend NAME`` / ``--workers N``
 flags become a backend exactly once, in :func:`make_backend`.
 
-Every backend preserves the determinism contract of
+Every backend keeps the one determinism contract of
 :mod:`repro.parallel.pool`: a task's result is a pure function of its
-payload and the broadcast context, so **which** backend executed a cell
-can never change its value — the property that makes a sharded run's
-merged report byte-identical to the single-host run.
+payload and of a *private copy* of the broadcast context, so a task may
+write to its copy and **which** backend executed a cell can never
+change its value — the property that makes a sharded run's merged
+report byte-identical to the single-host run.
 
 Backends also expose :meth:`ExecutionBackend.compute`, a memoization
 hook for expensive *non-fanned* stages (e.g. an experiment's inline
@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ..store import RunStore, active_store
 from ..telemetry import log, span
-from .pool import ExecutionBackendError, broadcast, resolve_workers, run_tasks
+from .pool import ExecutionBackendError, resolve_workers, run_tasks
 
 __all__ = [
     "ExecutionBackend",
@@ -53,7 +53,6 @@ __all__ = [
     "MergeBackend",
     "MissingCellError",
     "ShardBackend",
-    "ThreadBackend",
     "make_backend",
 ]
 
@@ -135,46 +134,6 @@ class ForkBackend(_PoolBackend):
 
     def __init__(self, workers: int | None = None) -> None:
         super().__init__(workers=resolve_workers(workers))
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution for I/O-bound fan-outs.
-
-    Fork workers pay a process per slot and pickle the context per
-    fan-out — the right trade for CPU-bound cells, the wrong one for tasks
-    that spend their time blocked on I/O (the shape of `repro load`'s
-    tenants: socket clients waiting on the daemon).  Threads share the
-    process, so concurrency is real exactly where the GIL is released
-    (socket reads), and telemetry records directly into the live
-    collector (thread-local span paths keep the trees nested).
-
-    The determinism contract carries over — a task derives randomness
-    from its payload identity — with one sharpening: the broadcast
-    ``context`` is **shared between tasks, not copied**, so thread
-    tasks must treat it as read-only.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = resolve_workers(workers)
-
-    def fanout(
-        self, fn: Callable[[Any], _T], payloads: Iterable[Any], context: Any = None
-    ) -> list[_T]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        items = list(payloads)
-        if not items:
-            return []
-        with broadcast(context):
-            count = min(self.workers, len(items))
-            if count == 1:
-                return [fn(item) for item in items]
-            with ThreadPoolExecutor(
-                max_workers=count, thread_name_prefix="repro-thread-backend"
-            ) as executor:
-                return list(executor.map(fn, items))
 
 
 class _StoreBackend(ExecutionBackend):
@@ -470,8 +429,8 @@ def make_backend(name: str | None = None, workers: int | None = None) -> Executi
 
     ``workers`` follows the flag (``None`` = not given, ``0`` = all
     CPUs).  With no ``name`` the count decides: inline at one worker or
-    none given, fork otherwise.  A named fork/thread without a count
-    uses every CPU.
+    none given, fork otherwise.  A named fork without a count uses
+    every CPU.
     """
     if name is None:
         count = 1 if workers is None else resolve_workers(workers)
@@ -480,6 +439,4 @@ def make_backend(name: str | None = None, workers: int | None = None) -> Executi
         return InlineBackend()
     if name == "fork":
         return ForkBackend(workers)
-    if name == "thread":
-        return ThreadBackend(workers)
-    raise ValueError(f"unknown backend {name!r} (inline | fork | thread)")
+    raise ValueError(f"unknown backend {name!r} (inline | fork)")

@@ -10,7 +10,7 @@ materializations of the same spec are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -62,6 +62,22 @@ class MaterializedScenario:
     @property
     def num_events(self) -> int:
         return len(self.events)
+
+    def head(self, max_events: int) -> MaterializedScenario:
+        """This scenario cut to its first ``max_events`` events.
+
+        ``max_events`` must be an int (not a bool) in ``[0, num_events]``.
+        """
+        if (
+            not isinstance(max_events, int)
+            or isinstance(max_events, bool)
+            or not 0 <= max_events <= self.num_events
+        ):
+            raise ValueError(
+                f"max_events must be an int in [0, {self.num_events}], "
+                f"not {max_events!r}"
+            )
+        return replace(self, events=self.events[:max_events])
 
 
 def _graph_params(spec: ScenarioSpec) -> TaskGraphParams:

@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..devices.dynamics import ChurnConfig
-from ..sim.objectives import EnergyObjective, MakespanObjective, Objective, TotalCostObjective
+from ..sim.objectives import OBJECTIVES, Objective
 
-__all__ = ["WorkloadSpec", "ClusterSpec", "RelocationSpec", "ScenarioSpec", "OBJECTIVES"]
-
-OBJECTIVES = ("makespan", "total-cost", "energy")
+__all__ = ["WorkloadSpec", "ClusterSpec", "RelocationSpec", "ScenarioSpec"]
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,9 @@ class ScenarioSpec:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+            raise ValueError(
+                f"objective must be one of {tuple(OBJECTIVES)}, got {self.objective!r}"
+            )
         if self.churn.max_devices > self.cluster.num_devices:
             raise ValueError("churn.max_devices cannot exceed the initial cluster size")
 
@@ -147,11 +147,7 @@ class ScenarioSpec:
         return max(self.churn.num_changes, self.workload.last_arrival_step)
 
     def make_objective(self) -> Objective:
-        return {
-            "makespan": MakespanObjective,
-            "total-cost": TotalCostObjective,
-            "energy": EnergyObjective,
-        }[self.objective]()
+        return OBJECTIVES[self.objective]()
 
     # -- serialization ------------------------------------------------------------
 

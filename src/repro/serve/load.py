@@ -3,11 +3,11 @@
 Each tenant is one client connection replaying one scenario preset's
 event stream as a sequence of ``event`` requests against its own
 :class:`PlacementSession` — the serving analogue of a batch scenario
-replay, with per-request wall-clock measured client-side.  Tenants fan
-out over the :class:`~repro.parallel.backends.ExecutionBackend` seam:
-the default ``thread`` backend gives real concurrency for this
-I/O-bound shape, ``fork`` runs tenants as separate client processes,
-``inline`` serializes them (a closed-loop baseline).
+replay, with per-request wall-clock measured client-side.  Each tenant
+runs on its own client thread: the clients spend their time blocked on
+the socket, so this is I/O concurrency like the daemon's connection
+threads, not a compute fan-out, and it does not go through
+:mod:`repro.parallel`.
 
 Everything is seeded: tenant *i* replays
 ``scenarios[i % len(scenarios)]`` at seed ``seed + i``, so a load run
@@ -27,14 +27,14 @@ import pathlib
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..parallel import get_context, make_backend
 from ..telemetry import log
 from .client import ServeClient
 
-__all__ = ["LoadConfig", "LoadContext", "run_load", "format_load_summary"]
+__all__ = ["LoadConfig", "run_load", "format_load_summary"]
 
 
 @dataclass(frozen=True)
@@ -47,36 +47,22 @@ class LoadConfig:
     clients: int = 4
     events_per_client: int | None = None  # None = each tenant's full stream
     seed: int = 0
-    backend: str = "thread"  # thread | fork | inline
     oracle: bool = False
     compare_cold: bool = False
 
 
-@dataclass(frozen=True)
-class LoadContext:
-    """Broadcast payload for tenant tasks (read-only under threads)."""
-
-    socket_path: str
-    policy: str
-    scenarios: tuple[str, ...]
-    seed: int
-    events_per_client: int | None
-    oracle: bool
-
-
-def _run_tenant(index: int) -> dict[str, Any]:
+def _run_tenant(config: LoadConfig, index: int) -> dict[str, Any]:
     """One tenant: open a session, request every event, measure each."""
-    ctx: LoadContext = get_context()
-    scenario = ctx.scenarios[index % len(ctx.scenarios)]
-    seed = ctx.seed + index
+    scenario = config.scenarios[index % len(config.scenarios)]
+    seed = config.seed + index
     latencies_ms: list[float] = []
-    with ServeClient(ctx.socket_path) as client:
+    with ServeClient(config.socket_path) as client:
         opened = client.open_session(
             scenario,
-            policy=ctx.policy,
+            policy=config.policy,
             seed=seed,
-            oracle=ctx.oracle,
-            max_events=ctx.events_per_client,
+            oracle=config.oracle,
+            max_events=config.events_per_client,
         )
         session = opened["session"]
         remaining = int(opened["events"])
@@ -145,23 +131,19 @@ def run_load(config: LoadConfig) -> dict[str, Any]:
         raise ValueError("clients must be >= 1")
     if not config.scenarios:
         raise ValueError("need at least one scenario preset")
-    backend = make_backend(config.backend, config.clients)
-    context = LoadContext(
-        socket_path=config.socket_path,
-        policy=config.policy,
-        scenarios=tuple(config.scenarios),
-        seed=config.seed,
-        events_per_client=config.events_per_client,
-        oracle=config.oracle,
-    )
     log.info(
         f"repro load: {config.clients} client(s) x "
         f"{config.events_per_client if config.events_per_client is not None else 'all'}"
         f" event(s) over {', '.join(config.scenarios)} "
-        f"[policy {config.policy}, backend {config.backend}]"
+        f"[policy {config.policy}]"
     )
     began = time.perf_counter()
-    tenants = backend.fanout(_run_tenant, range(config.clients), context)
+    with ThreadPoolExecutor(
+        max_workers=config.clients, thread_name_prefix="repro-load-client"
+    ) as executor:
+        tenants = list(
+            executor.map(lambda i: _run_tenant(config, i), range(config.clients))
+        )
     wall_s = time.perf_counter() - began
 
     latencies = sorted(ms for t in tenants for ms in t["latencies_ms"])
@@ -170,7 +152,6 @@ def run_load(config: LoadConfig) -> dict[str, Any]:
         "clients": config.clients,
         "scenarios": list(config.scenarios),
         "policy": config.policy,
-        "backend": config.backend,
         "seed": config.seed,
         "requests": requests,
         "wall_seconds": round(wall_s, 4),

@@ -201,9 +201,9 @@ class PlacementServer:
         self._session_counter = 0
         self._state_lock = threading.Lock()
         self._step_lock = threading.Lock()  # every session's step and report
-        # (scenario, seed, max_events) -> materialization, shared across
-        # tenants so N sessions over one preset materialize it once.
-        self._materialized: dict[tuple[str, int, int | None], MaterializedScenario] = {}
+        # (scenario, seed) -> full materialization, shared across tenants
+        # so N sessions over one preset materialize it once.
+        self._materialized: dict[tuple[str, int], MaterializedScenario] = {}
         # Warm scoring state for the `evaluate` op: per (scenario, seed)
         # initial problems + one evaluator pool per objective, touched
         # only by the batcher's drain thread (see _handle_evaluate).
@@ -433,27 +433,23 @@ class PlacementServer:
 
     # -- op handlers -------------------------------------------------------------
 
-    def _materialize(self, scenario: str, seed: int | None, max_events: int | None):
+    def _materialize(self, scenario: str, seed: int | None, max_events: Any = None):
         spec = self.registry.get(scenario, seed=seed)
-        key = (spec.name, spec.seed, max_events)
+        key = (spec.name, spec.seed)
         with self._state_lock:
             cached = self._materialized.get(key)
-        if cached is not None:
+        if cached is None:
+            mat = materialize(spec)
+            with self._state_lock:
+                # Keep the first materialization if a concurrent open won
+                # the race: sessions sharing one object share problem identity.
+                cached = self._materialized.setdefault(key, mat)
+        if max_events is None:
             return cached
-        mat = materialize(spec)
-        if max_events is not None:
-            import dataclasses
-
-            if not 0 <= max_events <= len(mat.events):
-                raise ServeError(
-                    f"max_events {max_events} outside [0, {len(mat.events)}]"
-                )
-            mat = dataclasses.replace(mat, events=mat.events[:max_events])
-        with self._state_lock:
-            # Keep the first materialization if a concurrent open won the
-            # race: sessions sharing one object share problem identity.
-            cached = self._materialized.setdefault(key, mat)
-        return cached
+        try:
+            return cached.head(max_events)
+        except ValueError as error:
+            raise ServeError(str(error)) from None
 
     def _handle_open(self, request: dict[str, Any]) -> dict[str, Any]:
         scenario = request.get("scenario")
@@ -551,9 +547,7 @@ class PlacementServer:
             raise ServeError("evaluate needs a non-empty 'placements' list")
         seed = request.get("seed")
         graph_index = int(request.get("graph", 0))
-        materialized = self._materialize(
-            str(scenario), None if seed is None else int(seed), None
-        )
+        materialized = self._materialize(str(scenario), None if seed is None else int(seed))
         key = (materialized.spec.name, materialized.spec.seed)
         with self._state_lock:
             problems = self._eval_problems.get(key)

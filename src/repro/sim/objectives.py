@@ -16,7 +16,7 @@ from .executor import simulate
 from .latency import CostModel
 from .metrics import energy_cost, total_cost
 
-__all__ = ["Objective", "MakespanObjective", "TotalCostObjective", "EnergyObjective"]
+__all__ = ["Objective", "MakespanObjective", "TotalCostObjective", "EnergyObjective", "OBJECTIVES"]
 
 
 class Objective(Protocol):
@@ -103,3 +103,12 @@ class EnergyObjective:
 
     def evaluate(self, cost_model: CostModel, placement: Sequence[int]) -> float:
         return energy_cost(cost_model, placement, self.comm_power)
+
+
+#: Objective name -> class: the one table behind ``repro train --objective``
+#: and :attr:`repro.scenarios.ScenarioSpec.objective`.
+OBJECTIVES: dict[str, type] = {
+    "makespan": MakespanObjective,
+    "total-cost": TotalCostObjective,
+    "energy": EnergyObjective,
+}

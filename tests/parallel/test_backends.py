@@ -15,7 +15,6 @@ from repro.parallel import (
     MergeBackend,
     MissingCellError,
     ShardBackend,
-    ThreadBackend,
     make_backend,
     task_rng,
 )
@@ -58,12 +57,11 @@ class TestMakeBackend:
         fork = make_backend("fork", 1)
         assert isinstance(fork, ForkBackend) and fork.workers == 1
         assert make_backend("fork").workers == make_backend(None, 0).workers
-        thread = make_backend("thread", 2)
-        assert isinstance(thread, ThreadBackend) and thread.workers == 2
 
-    def test_rejects_unknown_names(self):
+    @pytest.mark.parametrize("name", ["shard", "thread"])
+    def test_rejects_unknown_names(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("shard", 1)
+            make_backend(name, 1)
 
 
 class TestDirectBackends:
@@ -213,19 +211,6 @@ class TestBatchedRounds:
             assert all(np.array_equal(p.data, w) for p, w in zip(replica.optimizer.params, live))
         # Round two runs at the weights round one's step produced.
         assert any(not np.array_equal(a, b) for a, b in zip(rounds[0][2], rounds[1][2]))
-
-    def test_thread_backend_is_refused(self):
-        # Thread tasks share one context, and a slot writes the replica's
-        # gradients and rng.
-        trainer = ReinforceTrainer(GiPHAgent(np.random.default_rng(0)), MakespanObjective())
-        with pytest.raises(ExecutionBackendError, match="thread backend"):
-            trainer.train(
-                _one_problem(),
-                np.random.default_rng(1),
-                episodes=2,
-                batch_size=2,
-                backend=ThreadBackend(2),
-            )
 
 
 def test_every_backend_is_an_execution_backend(tmp_path):

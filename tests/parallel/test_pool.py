@@ -1,10 +1,19 @@
 """Direct-execution fan-out (inline and fork backends): ordering,
-context broadcast, determinism."""
+context broadcast, determinism; the private-copy contract on every
+computing backend."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import ForkBackend, InlineBackend, get_context, resolve_workers, task_rng
+from repro.parallel import (
+    ForkBackend,
+    InlineBackend,
+    ShardBackend,
+    get_context,
+    resolve_workers,
+    task_rng,
+)
+from repro.store import RunStore
 
 
 def _square(x: int) -> int:
@@ -53,12 +62,19 @@ class TestDirectFanout:
     def test_context_broadcast(self, workers):
         assert _backend(workers).fanout(_scaled, [1, 2, 3], {"factor": 7}) == [7, 14, 21]
 
-    def test_inline_context_is_a_private_copy(self):
-        # The inline path must behave like a worker: mutations land on a
-        # pickled copy, never on the caller's object.
+    @pytest.mark.parametrize("name", ["inline", "fork", "shard"])
+    def test_inline_context_is_a_private_copy(self, name, tmp_path):
+        # The one contract of the seam: on every backend a task's
+        # mutations land on a pickled copy, never on the caller's object.
+        backend = {
+            "inline": InlineBackend,
+            "fork": lambda: ForkBackend(2),
+            "shard": lambda: ShardBackend(RunStore(tmp_path), "private-copy", 1, 0),
+        }[name]()
         original = {"items": []}
-        counts = InlineBackend().fanout(_mutate_context, range(3), original)
-        assert counts == [1, 2, 3]  # one copy per fan-out, seen by each task...
+        counts = backend.fanout(_mutate_context, range(3), original)
+        if name == "inline":
+            assert counts == [1, 2, 3]  # one copy per fan-out, seen by each task...
         assert original["items"] == []  # ...but the original is untouched
 
     def test_nested_inline_fanouts_restore_context(self):

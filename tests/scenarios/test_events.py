@@ -100,3 +100,20 @@ class TestStructure:
         lines = describe_events(mat.events)
         assert len(lines) == mat.num_events
         assert any("arrival" in line for line in lines)
+
+
+class TestHead:
+    def test_keeps_the_first_events(self):
+        mat = materialize(DEFAULT_REGISTRY.get("edge-churn"))
+        head = mat.head(3)
+        assert head.events == mat.events[:3]
+        assert head.initial_graphs is mat.initial_graphs
+        assert mat.head(0).num_events == 0
+        assert mat.head(mat.num_events).events == mat.events
+
+    @pytest.mark.parametrize("max_events", [-1, 11, True, "2", 2.5, None])
+    def test_rejects_anything_but_an_int_in_range(self, max_events):
+        mat = materialize(DEFAULT_REGISTRY.get("edge-churn"))
+        assert mat.num_events == 10
+        with pytest.raises(ValueError, match=r"max_events .*\[0, 10\]"):
+            mat.head(max_events)

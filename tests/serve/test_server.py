@@ -215,6 +215,17 @@ class TestRequestSemantics:
             with pytest.raises(ServeRequestError):
                 client.event(session)
 
+    @pytest.mark.parametrize("max_events", [True, "2", 2.5, 15])
+    def test_open_rejects_a_bad_max_events(self, server, socket_path, max_events):
+        with ServeClient(socket_path) as client:
+            # Cache a 1-event cut first: True must not be served as 1.
+            client.open_session("edge-churn", seed=0, oracle=False, max_events=1)
+            with pytest.raises(ServeRequestError, match="max_events") as failed:
+                client.request(
+                    "open", scenario="edge-churn", seed=0, max_events=max_events
+                )
+        assert failed.value.response["ok"] is False
+
     def test_malformed_line_gets_error_not_disconnect(self, server, socket_path):
         import socket as socket_mod
 

@@ -22,6 +22,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig4", "--scale", "huge"])
 
+    def test_load_has_no_client_backend(self):
+        # Tenants always run on load's own client threads.
+        with pytest.raises(SystemExit) as exited:
+            main(["load", "--client-backend", "thread"])
+        assert exited.value.code == 2
+
 
 class TestWorkflow:
     def test_generate(self, capsys):
@@ -293,6 +299,11 @@ class TestScenario:
         policy = next(action for action in subparsers.choices["scenario"]._actions
                       if action.dest == "policies")
         assert policy.choices == sorted(default_policy_factories())
+
+    def test_run_rejects_max_events_past_the_stream(self, capsys):
+        rc = main(["scenario", "run", "edge-churn", "--max-events", "999"])
+        assert rc == 2
+        assert "max_events must be an int in [0, 10]" in capsys.readouterr().out
 
     def test_run_replays_preset(self, capsys):
         rc = main(
