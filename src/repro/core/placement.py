@@ -6,6 +6,7 @@ device of the target network: ``M : V -> D`` with ``M(v_i) ∈ D_i``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,8 +53,14 @@ class PlacementProblem:
         return float(np.prod([float(len(s)) for s in self.feasible_sets]))
 
     def validate_placement(self, placement: Sequence[int]) -> tuple[int, ...]:
-        """Check feasibility and return the placement as a tuple."""
-        placement = tuple(int(d) for d in placement)
+        """Check feasibility and return the placement as a tuple of ints
+        (``operator.index``: a float or a string is refused, not truncated)."""
+        placement = tuple(placement)
+        try:
+            placement = tuple(map(operator.index, placement))
+        except TypeError:
+            i = next(i for i, d in enumerate(placement) if not hasattr(type(d), "__index__"))
+            raise ValueError(f"task {i}: device index must be an int, not {placement[i]!r}") from None
         if len(placement) != self.graph.num_tasks:
             raise ValueError(
                 f"placement length {len(placement)} != {self.graph.num_tasks} tasks"

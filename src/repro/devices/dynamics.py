@@ -14,6 +14,7 @@ thermal/battery throttling on otherwise stable clusters.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -114,13 +115,8 @@ def network_churn(
 
     def removable(n: DeviceNetwork) -> list[int]:
         """uids whose removal keeps every hardware type covered."""
-        out = []
-        for d in n.devices:
-            others = [o for o in n.devices if o.uid != d.uid]
-            covered = set().union(*(o.supports for o in others)) if others else set()
-            if d.supports <= covered:
-                out.append(d.uid)
-        return out
+        support = Counter(t for d in n.devices for t in d.supports)
+        return [d.uid for d in n.devices if all(support[t] > 1 for t in d.supports)]
 
     def victim(n: DeviceNetwork) -> Device:
         if config.target == "fastest":
@@ -187,6 +183,7 @@ def network_churn(
             next_uid += 1
             yield ChurnEvent(net, "add", device.uid, step)
         else:
-            uid = int(rng.choice(can_remove))
+            # One bounded draw: the draw ``rng.choice(can_remove)`` makes.
+            uid = can_remove[int(rng.integers(0, len(can_remove)))]
             net = net.without_device(uid)
             yield ChurnEvent(net, "remove", uid, step)

@@ -9,6 +9,7 @@ edges run from higher (shallower) levels to lower levels with probability
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,7 +69,8 @@ def _sample_levels(params: TaskGraphParams, rng: np.random.Generator) -> list[in
     if m <= 2:
         return [1] * m
     mean_depth = np.sqrt(m) / params.shape
-    depth = int(np.clip(round(rng.uniform(0.5 * mean_depth, 1.5 * mean_depth)), 2, m))
+    lo = 0.5 * mean_depth  # lo + (hi - lo) * random(): uniform(lo, hi)'s float and draw
+    depth = min(max(round(lo + (1.5 * mean_depth - lo) * rng.random()), 2), m)
     interior = m - 2  # entry and exit take one task each
     num_interior_levels = max(depth - 2, 0)
     if num_interior_levels == 0 or interior == 0:
@@ -77,16 +79,14 @@ def _sample_levels(params: TaskGraphParams, rng: np.random.Generator) -> list[in
     mean_width = params.shape * np.sqrt(m)
     raw = rng.uniform(0.5 * mean_width, 1.5 * mean_width, size=num_interior_levels)
     raw = np.maximum(raw, 1.0)
-    # Scale to exactly `interior` tasks, then fix rounding drift.
-    widths = np.maximum(np.round(raw * interior / raw.sum()).astype(int), 1)
-    while widths.sum() > interior:
-        widths[int(np.argmax(widths))] -= 1
-        widths = np.maximum(widths, 1)
-        if widths.sum() <= interior and (widths == 1).all():
-            break
-    while widths.sum() < interior:
-        widths[int(np.argmin(widths))] += 1
-    return [1] + list(widths) + [1]
+    # Scale to exactly `interior` tasks, then fix rounding drift (there are
+    # at most `interior` levels, so a surplus always has a width above 1).
+    widths = np.maximum(np.round(raw * interior / raw.sum()).astype(int), 1).tolist()
+    for _ in range(sum(widths) - interior):
+        widths[widths.index(max(widths))] -= 1
+    for _ in range(interior - sum(widths)):
+        widths[widths.index(min(widths))] += 1
+    return [1, *widths, 1]
 
 
 def generate_task_graph(
@@ -99,46 +99,45 @@ def generate_task_graph(
     later level, so the graph is single-entry/single-exit and connected.
     """
     widths = _sample_levels(params, rng)
-    levels: list[list[int]] = []
-    next_id = 0
-    for w in widths:
-        levels.append(list(range(next_id, next_id + w)))
-        next_id += w
-    n = next_id
+    bounds = list(accumulate(widths, initial=0))
+    levels = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    n = bounds[-1]
 
     lo_c = params.mean_compute * (1 - params.het_compute)
     hi_c = params.mean_compute * (1 + params.het_compute)
     compute = rng.uniform(lo_c, hi_c, size=n)
 
     lo_b = params.mean_data * (1 - params.het_data)
-    hi_b = params.mean_data * (1 + params.het_data)
+    span_b = params.mean_data * (1 + params.het_data) - lo_b
+    random = rng.random  # lo_b + span_b * random(): one draw, uniform(lo_b, hi_b)'s float
 
     edges: dict[tuple[int, int], float] = {}
-
-    def add_edge(u: int, v: int) -> None:
-        if (u, v) not in edges:
-            edges[(u, v)] = float(rng.uniform(lo_b, hi_b))
 
     # Random cross-level edges with probability p_c.
     for li, upper in enumerate(levels[:-1]):
         for lower in levels[li + 1 :]:
             for u in upper:
                 for v in lower:
-                    if rng.random() < params.connect_prob:
-                        add_edge(u, v)
+                    if random() < params.connect_prob:
+                        edges[(u, v)] = lo_b + span_b * random()
 
+    # Edges run to later levels of consecutive ids: the tasks before a level
+    # are range(level[0]), picked by the one bounded draw rng.choice makes.
     # Guarantee a parent in an earlier level for every non-entry task …
-    for li in range(1, len(levels)):
-        earlier = [u for lvl in levels[:li] for u in lvl]
-        for v in levels[li]:
-            if not any((u, v) in edges for u in earlier):
-                add_edge(int(rng.choice(earlier)), v)
+    has_parent = {v for _, v in edges}
+    for level in levels[1:]:
+        for v in level:
+            if v not in has_parent:
+                u = int(rng.integers(0, level[0]))  # drawn before the data size
+                edges[(u, v)] = lo_b + span_b * random()
     # … and a child in a later level for every non-exit task.
-    for li in range(len(levels) - 1):
-        later = [v for lvl in levels[li + 1 :] for v in lvl]
-        for u in levels[li]:
-            if not any((u, v) in edges for v in later):
-                add_edge(u, int(rng.choice(later)))
+    has_child = {u for u, _ in edges}
+    for li, level in enumerate(levels[:-1]):
+        first_later = levels[li + 1][0]
+        for u in level:
+            if u not in has_child:
+                v = first_later + int(rng.integers(0, n - first_later))
+                edges[(u, v)] = lo_b + span_b * random()
 
     # Placement constraints: hardware requirement per task (0 = any).
     requirements = np.zeros(n, dtype=int)

@@ -111,6 +111,7 @@ class PlacementEvaluator:
         to min(cache_size, 512): a SimResult is orders of magnitude
         heavier than a float, and timelines are only re-read within a
         search episode's working set).
+    simulator: the problem's :class:`FastSimulator`, if one is at hand.
 
     Cache-key invariant: the only keys ever stored in either cache are
     int tuples returned by :meth:`PlacementProblem.validate_placement`.
@@ -134,6 +135,7 @@ class PlacementEvaluator:
         objective: Objective,
         cache_size: int = 4096,
         timeline_cache_size: int | None = None,
+        simulator: FastSimulator | None = None,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
@@ -153,7 +155,7 @@ class PlacementEvaluator:
         # it through the plain-makespan fast path would silently drop the
         # override.  Subclasses still cache via the exact-evaluate path.
         self._is_makespan = type(objective) is MakespanObjective
-        self._sim = FastSimulator(problem)
+        self._sim = FastSimulator(problem) if simulator is None else simulator
         self._values: OrderedDict[tuple[int, ...], float] = OrderedDict()
         self._timelines: OrderedDict[tuple[int, ...], SimResult] = OrderedDict()
         self._last_value: tuple[Any, Any] = _NO_REPEAT
@@ -287,7 +289,8 @@ class PlacementEvaluator:
 
         Rests on the cache-key invariant in the class docstring.  The
         second ``get`` serves a placement whose validated form differs
-        from its raw tuple (``"1"`` for ``1``).
+        from its raw tuple (an index-like object that neither hashes nor
+        compares like its ``operator.index``).
         """
         key = tuple(placement)
         cached = cache.get(key)
@@ -358,7 +361,8 @@ class EvaluatorPool:
     over a large problem distribution cannot pin one cache-laden
     evaluator per instance forever; evicted problems simply start with
     cold caches if they come around again (their stats are folded into
-    the pool's aggregate first).
+    the pool's aggregate first).  A problem that cannot come around again
+    (a network event replaced it) is :meth:`retire`-d, dropped the same way.
     """
 
     def __init__(
@@ -373,8 +377,8 @@ class EvaluatorPool:
         self.objective = objective
         self.cache_size = cache_size
         self.max_problems = max_problems
-        # Called as on_evict(problem_id, evaluator) when the LRU drops a
-        # problem — owners of sibling per-problem caches (e.g. the
+        # Called as on_evict(problem_id, evaluator) when the LRU drops (or
+        # retire drops) a problem — owners of sibling per-problem caches (e.g. the
         # trainer's gpNet builders) use it to evict their half in
         # lockstep instead of aging out on a different access pattern.
         self.on_evict = on_evict
@@ -387,14 +391,31 @@ class EvaluatorPool:
         if evaluator is not None:
             self._by_problem.move_to_end(id(problem))
             return evaluator
-        evaluator = PlacementEvaluator(problem, self.objective, self.cache_size)
+        return self._seat(problem, PlacementEvaluator(problem, self.objective, self.cache_size))
+
+    def retire(self, problem: PlacementProblem, successor: PlacementProblem) -> None:
+        """Evict ``problem``'s evaluator (stats folded, ``on_evict`` told) and
+        seat ``successor``'s — ``problem``'s graph on another network — with
+        empty caches and the retired simulator's graph-only walk.  A problem
+        the pool does not hold retires nothing."""
+        evaluator = self._by_problem.pop(id(problem), None)
+        if evaluator is not None:
+            self._evict(id(problem), evaluator)
+            simulator = evaluator._sim.rebind(successor)
+            self._seat(successor, PlacementEvaluator(
+                successor, self.objective, self.cache_size, simulator=simulator
+            ))
+
+    def _seat(self, problem: PlacementProblem, evaluator: PlacementEvaluator):
         self._by_problem[id(problem)] = evaluator
         if len(self._by_problem) > self.max_problems:
-            evicted_id, evicted = self._by_problem.popitem(last=False)
-            self._evicted_stats.merge(evicted.stats)
-            if self.on_evict is not None:
-                self.on_evict(evicted_id, evicted)
+            self._evict(*self._by_problem.popitem(last=False))
         return evaluator
+
+    def _evict(self, problem_id: int, evaluator: PlacementEvaluator) -> None:
+        self._evicted_stats.merge(evaluator.stats)
+        if self.on_evict is not None:
+            self.on_evict(problem_id, evaluator)
 
     def __contains__(self, problem: PlacementProblem) -> bool:
         return id(problem) in self._by_problem

@@ -26,6 +26,7 @@ Property-tested (ordinary and tie-heavy cost models) in
 
 from __future__ import annotations
 
+import copy
 from collections import UserDict
 from functools import cached_property
 from heapq import heappop, heappush
@@ -62,17 +63,15 @@ class FastSimulator:
     tasks) once, then serves :meth:`run` (one placement's timeline),
     :meth:`makespans` (a batch's makespans, nothing else) and
     :meth:`batch_costs` (vectorized cost realization over many
-    placements at once).
+    placements at once).  That structure is the graph's alone:
+    :meth:`rebind` carries it to the same graph on another network.
     """
 
     def __init__(self, problem: PlacementProblem) -> None:
-        self.problem = problem
         graph = problem.graph
-        cm = problem.cost_model
         n = graph.num_tasks
 
         self._num_tasks = n
-        self._num_devices = problem.network.num_devices
         self._entry_events = tuple((0.0, k, task) for k, task in enumerate(graph.entries))
         self._num_parents = tuple(len(graph.parents[i]) for i in range(n))
         # Edge arrays in graph.edges iteration order; children as
@@ -84,10 +83,25 @@ class FastSimulator:
         self._children = tuple(
             tuple((j, edge_index[(i, j)]) for j in graph.children[i]) for i in range(n)
         )
-        self._W = cm.W
+        self._task_range = np.arange(n)
+        self._bind(problem)
+
+    def _bind(self, problem: PlacementProblem) -> None:
+        """Take the network-dependent tables from ``problem``."""
+        self.problem = problem
+        self._num_devices = problem.network.num_devices
+        self._W = problem.cost_model.W
         self._delay = problem.network.delay
         self._inv_bw = problem.network.inv_bandwidth
-        self._task_range = np.arange(n)
+
+    def rebind(self, problem: PlacementProblem) -> "FastSimulator":
+        """A simulator for ``problem``, this one's graph on another network:
+        the graph-only walk shared, ``W``, ``delay`` and ``inv_bw`` its own."""
+        if problem.graph is not self.problem.graph:
+            raise ValueError("rebind needs a problem over the same task graph")
+        simulator = copy.copy(self)
+        simulator._bind(problem)
+        return simulator
 
     # -- cost realization -----------------------------------------------------------
 

@@ -138,13 +138,8 @@ class ScenarioRunner:
         evaluator pool shared across events — caches never change
         values, so both paths agree bit-for-bit.
         """
-        # Snapshot each yield: _replay_state mutates and re-yields the
-        # same problems list across consecutive arrivals, so collecting
-        # bare references would hand every arrival the final grown list
-        # (an earlier event's oracle would average over graphs that have
-        # not arrived yet).
         states = [
-            (event, list(problems))
+            (event, problems)
             for event, problems, _ in self._replay_state()
             if event is not None
         ]

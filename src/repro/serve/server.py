@@ -76,6 +76,17 @@ class ServeError(RuntimeError):
     """A request the server cannot satisfy (shipped as an error response)."""
 
 
+def _field(request: dict[str, Any], name: str, kind: type, default: Any) -> Any:
+    """``request[name]`` (``default`` if absent), refused unless a JSON ``kind``:
+    an ``int`` field takes no bool or float, so nothing sent is coerced."""
+    if name not in request:
+        return default
+    value = request[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ServeError(f"{name} must be {'an int' if kind is int else 'a bool'}, not {value!r}")
+    return value
+
+
 def default_policy_factories(
     agent_path: str | os.PathLike | None = None,
     seed: int = 0,
@@ -462,19 +473,17 @@ class PlacementServer:
                 f"unknown policy {policy_name!r} "
                 f"(serving: {', '.join(sorted(self.policy_factories))})"
             )
-        seed = request.get("seed")
-        max_events = request.get("max_events")
-        oracle = bool(request.get("oracle", self.config.oracle))
-        materialized = self._materialize(
-            str(scenario), None if seed is None else int(seed), max_events
+        seed = _field(request, "seed", int, None)
+        oracle = _field(request, "oracle", bool, self.config.oracle)
+        episode_multiplier = _field(
+            request, "episode_multiplier", int, self.config.episode_multiplier
         )
+        materialized = self._materialize(str(scenario), seed, request.get("max_events"))
         session = PlacementSession(
             materialized,
             policy_name,
             factory(),
-            episode_multiplier=int(
-                request.get("episode_multiplier", self.config.episode_multiplier)
-            ),
+            episode_multiplier=episode_multiplier,
             oracle=oracle,
         )
         with self._state_lock:
@@ -545,9 +554,8 @@ class PlacementServer:
         placements = request.get("placements")
         if not isinstance(placements, list) or not placements:
             raise ServeError("evaluate needs a non-empty 'placements' list")
-        seed = request.get("seed")
-        graph_index = int(request.get("graph", 0))
-        materialized = self._materialize(str(scenario), None if seed is None else int(seed))
+        graph_index = _field(request, "graph", int, 0)
+        materialized = self._materialize(str(scenario), _field(request, "seed", int, None))
         key = (materialized.spec.name, materialized.spec.seed)
         with self._state_lock:
             problems = self._eval_problems.get(key)

@@ -150,21 +150,21 @@ def scenario_states(materialized: MaterializedScenario):
     ``(event, problems, network)`` per event — the single source of
     truth for how events transform state, shared by the oracle, the
     policy replay, and the serving sessions so none can disagree on
-    it.  Problem objects keep their identity across events that leave
-    the network untouched (what makes :class:`EvaluatorPool` reuse pay
-    off).
+    it.  ``problems`` is a fresh tuple per yield, one problem per live
+    graph.  An arrival keeps every earlier problem object (what makes
+    :class:`EvaluatorPool` reuse pay off) and appends one; a network
+    event replaces them all, in the same graph order, so the previous
+    yield's ``problems[i]`` is the one ``problems[i]`` succeeds.
     """
-    graphs = list(materialized.initial_graphs)
     network = materialized.initial_network
-    problems = [PlacementProblem(g, network) for g in graphs]
+    problems = tuple(PlacementProblem(g, network) for g in materialized.initial_graphs)
     yield None, problems, network
     for event in materialized.events:
         if event.kind == "arrival":
-            graphs.append(event.graph)
-            problems.append(PlacementProblem(event.graph, network))
+            problems = (*problems, PlacementProblem(event.graph, network))
         else:
             network = event.network
-            problems = [PlacementProblem(g, network) for g in graphs]
+            problems = tuple(PlacementProblem(p.graph, network) for p in problems)
         yield event, problems, network
 
 
@@ -226,7 +226,8 @@ class PlacementSession:
     episode_multiplier: search budget per re-placement, in units of the
         graph's task count (the paper's 2·|V| protocol).
     reuse_evaluators: share one private :class:`EvaluatorPool` across
-        the session (the production path); ``False`` builds a cold
+        the session (the production path; a network event retires every
+        replaced problem's evaluator); ``False`` builds a cold
         evaluator per (event, graph).
     oracle: whether oracle/regret fields are meaningful.  ``False``
         reports both as 0 (pure-throughput serving).
@@ -277,7 +278,7 @@ class PlacementSession:
 
         self._states = scenario_states(self.materialized)
         _, problems, network = next(self._states)
-        self._network = network
+        self._problems = problems
         self._model = relocation_model(self.spec, network, self._profile)
 
         # Initial deployment: a shared random placement per graph, the
@@ -337,7 +338,11 @@ class PlacementSession:
             self.placements.append(None)
         else:
             self._model = relocation_model(spec, network, self._profile)
-        self._network = network
+            if self._pool is not None:
+                # Every graph's problem was replaced: its evaluator is dead.
+                for retired, successor in zip(self._problems, problems):
+                    self._pool.retire(retired, successor)
+        self._problems = problems
 
         rng = np.random.default_rng([spec.seed, self._key, 1 + event.index])
         values, slrs = [], []

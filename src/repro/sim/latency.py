@@ -95,11 +95,12 @@ class CostModel:
         graph = self.graph
         # Longest path (node-weighted) via topological dynamic programming.
         path_cost = [0.0] * graph.num_tasks
-        rows = self.W.tolist()
+        cost_of = path_cost.__getitem__
+        rows, parents, feasible = self.W.tolist(), graph.parents, self.feasible_sets
         for v in graph.topo_order:
-            incoming = max((path_cost[u] for u in graph.parents[v]), default=0.0)
-            row = rows[v]  # min_compute_time(v), from one W.tolist()
-            path_cost[v] = incoming + min(row[d] for d in self.feasible_sets[v])
+            incoming = max(map(cost_of, parents[v])) if parents[v] else 0.0
+            # min_compute_time(v), from one W.tolist()
+            path_cost[v] = incoming + min(map(rows[v].__getitem__, feasible[v]))
         bound = max(path_cost)
         # All-zero-compute graphs (possible after grouping edge cases):
         # fall back to 1 so SLR stays finite and comparable.

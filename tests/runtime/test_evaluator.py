@@ -469,6 +469,21 @@ def test_a_miss_validates_its_placement_once(monkeypatch):
     assert (stats.timeline_hits, stats.timeline_misses) == (2, 2)
 
 
+def test_validate_placement_refuses_what_int_would_coerce():
+    """``int(0.9)`` is 0 and ``int("1")`` is 1: a placement of either used
+    to be scored as some other placement."""
+    problem = make_problem(17)
+    placement = random_placement(problem, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="task 0: device index must be an int, not 0.9"):
+        problem.validate_placement([0.9, *placement[1:]])
+    with pytest.raises(ValueError, match="task 1: device index must be an int, not '1'"):
+        problem.validate_placement([placement[0], "1", *placement[2:]])
+    with pytest.raises(ValueError, match="task 0"):
+        PlacementEvaluator(problem, MakespanObjective()).evaluate([float(placement[0])])
+    validated = problem.validate_placement(np.array(placement))  # NumPy ints are indices
+    assert validated == placement and all(type(d) is int for d in validated)
+
+
 def test_numpy_integer_placement_hits_the_int_tuple_entry():
     problem = make_problem(17)
     placement = random_placement(problem, np.random.default_rng(3))
@@ -636,6 +651,69 @@ def test_evaluator_pool_identity_eviction_and_stats():
     assert pool.stats().evaluations == 1  # evicted counters are retained
     with pytest.raises(ValueError):
         EvaluatorPool(objective, max_problems=0)
+
+
+def test_retire_folds_stats_and_seats_a_rebound_successor():
+    """A network event's retire: the old evaluator leaves the pool as an
+    LRU eviction would; its successor scores the new network exactly as a
+    cold evaluator does, counters and all."""
+    objective = MakespanObjective()
+    problem = make_problem(41)
+    moved = PlacementProblem(problem.graph, problem.network.with_bandwidth_scaled(0.5))
+    evicted = []
+    pool = EvaluatorPool(objective, on_evict=lambda pid, ev: evicted.append((pid, ev)))
+    old = pool.get(problem)
+    rng = np.random.default_rng(2)
+    placements = [random_placement(problem, rng) for _ in range(6)]
+    for placement in placements:
+        old.evaluate(placement)
+    pool.retire(problem, moved)
+    assert evicted == [(id(problem), old)]
+    assert problem not in pool and moved in pool and len(pool) == 1
+    assert pool.stats() == old.stats  # folded, not lost
+    successor = pool.get(moved)
+    assert successor is not old and successor.stats == EvaluatorStats()
+    cold = PlacementEvaluator(moved, objective)
+    for placement in placements + placements[:2]:
+        assert successor.evaluate(placement) == cold.evaluate(placement)
+        assert_same_timeline(successor.timeline(placement), cold.timeline(placement))
+    assert successor.stats == cold.stats
+    pool.retire(problem, moved)  # no longer held: retires nothing
+    assert pool.get(moved) is successor and len(evicted) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), remove=st.booleans())
+def test_rebound_simulator_equals_a_fresh_one(seed, remove):
+    """``FastSimulator.rebind`` onto another network — fewer devices, or
+    the same ones slower and on thinner links — simulates like a fresh
+    simulator and like the executor."""
+    problem = make_problem(seed)
+    network = problem.network
+    if remove and network.num_devices > 1:
+        network = network.without_device(network.devices[0].uid)
+    else:
+        network = network.with_bandwidth_scaled(0.3).with_device_speed(
+            network.devices[-1].uid, network.devices[-1].speed / 2
+        )
+    try:
+        moved = PlacementProblem(problem.graph, network)
+    except ValueError:  # the removed device was some task's only host
+        return
+    rebound = FastSimulator(problem).rebind(moved)
+    fresh = FastSimulator(moved)
+    rng = np.random.default_rng(seed)
+    placements = [random_placement(moved, rng) for _ in range(4)]
+    for placement in placements:
+        exact = simulate(moved.graph, moved.network, placement, moved.cost_model)
+        assert_same_timeline(rebound.run(placement), exact)
+        assert_same_timeline(rebound.run(placement), fresh.run(placement))
+    assert rebound.makespans(np.array(placements)) == fresh.makespans(np.array(placements))
+
+
+def test_rebind_refuses_another_graph():
+    with pytest.raises(ValueError, match="same task graph"):
+        FastSimulator(make_problem(1)).rebind(make_problem(2))
 
 
 # -- incremental gpNet updates ----------------------------------------------------------

@@ -115,10 +115,10 @@ class TestReplaySemantics:
     def test_oracle_event_unaffected_by_later_arrivals(self, small_spec):
         # An event's oracle SLR is a pure function of that event's
         # identity: graphs arriving at later events must not leak into
-        # it.  Consecutive arrivals share (and mutate) one problems list
-        # inside _replay_state, so materializing its yields without
-        # snapshotting hands earlier arrivals the final grown list —
-        # the regression this pins down.
+        # it.  The oracle collects every yield of _replay_state before
+        # scoring any, so a yield a later arrival could still grow would
+        # hand earlier arrivals the final list — the regression this
+        # pins down.
         base = dataclasses.replace(
             small_spec,
             workload=dataclasses.replace(small_spec.workload, arrivals=((1, 1), (2, 1))),

@@ -226,6 +226,37 @@ class TestRequestSemantics:
                 )
         assert failed.value.response["ok"] is False
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 2.5), ("seed", True), ("episode_multiplier", 2.9), ("oracle", "false"),
+         ("oracle", 1)],
+    )
+    def test_open_refuses_what_it_would_coerce(self, server, socket_path, field, value):
+        with ServeClient(socket_path) as client:
+            with pytest.raises(ServeRequestError, match=f"{field} must be an? "):
+                client.request("open", scenario="stable-cluster", max_events=1, **{field: value})
+            assert client.stats()["open_sessions"] == 0
+
+    @pytest.mark.parametrize(
+        "field, value", [("graph", 1.9), ("graph", True), ("graph", "x"), ("seed", 3.7)]
+    )
+    def test_evaluate_refuses_what_it_would_coerce(self, server, socket_path, field, value):
+        mat = materialize(DEFAULT_REGISTRY.get("stable-cluster", seed=3))
+        feasible = PlacementProblem(mat.initial_graphs[1], mat.initial_network).feasible_sets
+        placement = [s[0] for s in feasible]
+        address = {"scenario": "stable-cluster", "seed": 3, "graph": 1, field: value}
+        with ServeClient(socket_path) as client:
+            with pytest.raises(ServeRequestError, match=f"{field} must be an int, not {value!r}"):
+                client.request("evaluate", placements=[placement], **address)
+
+    def test_evaluate_refuses_a_fractional_device(self, server, socket_path):
+        """``[0.9] * n`` used to be scored as ``[0] * n``."""
+        mat = materialize(DEFAULT_REGISTRY.get("stable-cluster", seed=0))
+        n = mat.initial_graphs[0].num_tasks
+        with ServeClient(socket_path) as client:
+            with pytest.raises(ServeRequestError, match="task 0: device index must be an int"):
+                client.request("evaluate", scenario="stable-cluster", seed=0, placements=[[0.9] * n])
+
     def test_malformed_line_gets_error_not_disconnect(self, server, socket_path):
         import socket as socket_mod
 

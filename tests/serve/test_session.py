@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.baselines import RandomTaskEftPolicy
-from repro.scenarios import DEFAULT_REGISTRY, ScenarioRunner
-from repro.serve.session import PlacementSession
+from repro.scenarios import DEFAULT_REGISTRY, ScenarioRunner, materialize
+from repro.serve.session import PlacementSession, scenario_states
 from repro.telemetry import metrics
 
 PRESETS = ["stable-cluster", "edge-churn", "bandwidth-degradation"]
@@ -93,6 +93,38 @@ def test_replay_evaluator_traffic_equals_the_recorded_series(preset):
     steps = PlacementSession(spec, "task-eft", RandomTaskEftPolicy(), oracle=False).run().steps
     assert [step.evaluations for step in steps] == evaluations
     assert [step.cache_hit_rate for step in steps] == [h / e for h, e in zip(hits, evaluations)]
+
+
+@pytest.mark.parametrize("preset", ["edge-churn", "flash-crowd"])
+def test_pool_holds_one_evaluator_per_live_graph(preset):
+    """A network event retires every replaced problem's evaluator: the
+    pool never keeps one the session cannot reach again."""
+    spec = DEFAULT_REGISTRY.get(preset, seed=3)
+    session = PlacementSession(spec, "task-eft", RandomTaskEftPolicy(), oracle=False)
+    while session.remaining:
+        record = session.step()
+        assert len(session._pool) <= record.num_graphs
+
+
+@pytest.mark.parametrize("preset", ["flash-crowd", "mixed-dynamics"])
+def test_scenario_states_yields_each_events_own_problems(preset):
+    """Collected yields keep their lengths: each event's problems are the
+    graphs live at that event, not a list a later arrival grew."""
+    mat = materialize(DEFAULT_REGISTRY.get(preset, seed=3))
+    states = list(scenario_states(mat))
+    assert [event for event, _, _ in states] == [None, *mat.events]
+    live = list(mat.initial_graphs)
+    previous = None
+    for event, problems, network in states:
+        if event is not None and event.kind == "arrival":
+            live.append(event.graph)
+        assert isinstance(problems, tuple)
+        assert [p.graph for p in problems] == live
+        assert all(p.network is network for p in problems)
+        if event is not None and event.kind == "arrival":
+            # Earlier problems keep their identity (and their evaluators).
+            assert all(a is b for a, b in zip(problems, previous))
+        previous = problems
 
 
 class TestStepSemantics:
