@@ -73,10 +73,6 @@ def test_raw_graph_sample_and_next_draw(golden, num_tasks):
     golden.check("streams", f"graph-n{num_tasks}", payload, portable=True)
 
 
-def test_all_presets_covered():
-    assert len(DEFAULT_REGISTRY.names()) == 8
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     num_tasks=st.integers(min_value=1, max_value=40),
