@@ -377,10 +377,10 @@ class EvaluatorPool:
         self.objective = objective
         self.cache_size = cache_size
         self.max_problems = max_problems
-        # Called as on_evict(problem_id, evaluator) when the LRU drops (or
-        # retire drops) a problem — owners of sibling per-problem caches (e.g. the
-        # trainer's gpNet builders) use it to evict their half in
-        # lockstep instead of aging out on a different access pattern.
+        # Called as on_evict(problem_id, evaluator) when the LRU (or
+        # retire) drops a problem — owners of sibling per-problem caches
+        # (e.g. the trainer's gpNet builders) use it to evict their half
+        # in lockstep instead of aging out on a different access pattern.
         self.on_evict = on_evict
         self._by_problem: OrderedDict[int, PlacementEvaluator] = OrderedDict()
         self._evicted_stats = EvaluatorStats()
