@@ -31,6 +31,7 @@ Quickstart
 2
 """
 
+from . import _alloc  # noqa: F401  (first: the allocator policy for everything below)
 from .core import (
     GiPHAgent,
     PlacementProblem,

@@ -43,6 +43,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Mapping
 
 from ..baselines.base import SearchPolicy
@@ -554,6 +555,16 @@ class PlacementServer:
         placements = request.get("placements")
         if not isinstance(placements, list) or not placements:
             raise ServeError("evaluate needs a non-empty 'placements' list")
+        # Before any lookup (1.0 or true would hit a cached 1); the loop only names the culprit.
+        if set(map(type, placements)) != {list} or set(map(type, chain(*placements))) - {int}:
+            for p, placement in enumerate(placements):
+                if not isinstance(placement, list):
+                    raise ServeError(f"placement {p} must be a list of ints, not {placement!r}")
+                for task, d in enumerate(placement):
+                    if type(d) is not int:
+                        raise ServeError(
+                            f"placement {p}: task {task}: device index must be an int, not {d!r}"
+                        )
         graph_index = _field(request, "graph", int, 0)
         materialized = self._materialize(str(scenario), _field(request, "seed", int, None))
         key = (materialized.spec.name, materialized.spec.seed)

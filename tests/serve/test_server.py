@@ -257,6 +257,31 @@ class TestRequestSemantics:
             with pytest.raises(ServeRequestError, match="task 0: device index must be an int"):
                 client.request("evaluate", scenario="stable-cluster", seed=0, placements=[[0.9] * n])
 
+    @pytest.mark.parametrize("spell", [float, bool], ids=["float", "bool"])
+    def test_evaluate_refuses_an_int_equal_device_after_an_int_warm_up(
+        self, server, socket_path, spell
+    ):
+        """A ``1.0`` or ``true`` device index equal to a cached ``1`` used
+        to be answered from the cache (a float on a miss was refused)."""
+        mat = materialize(DEFAULT_REGISTRY.get("stable-cluster", seed=0))
+        feasible = PlacementProblem(mat.initial_graphs[0], mat.initial_network).feasible_sets
+        placement = [1 if 1 in s else s[0] for s in feasible]
+        task = placement.index(1)
+        respelled = list(placement)
+        respelled[task] = spell(1)
+        address = {"scenario": "stable-cluster", "seed": 0}
+        with ServeClient(socket_path) as client:
+            (value,) = client.evaluate(placements=[placement], **address)
+            assert value > 0
+            with pytest.raises(
+                ServeRequestError,
+                match=f"placement 1: task {task}: device index must be an int, "
+                f"not {respelled[task]!r}",
+            ):
+                client.request("evaluate", placements=[placement, respelled], **address)
+            with pytest.raises(ServeRequestError, match="placement 0 must be a list of ints"):
+                client.request("evaluate", placements=[{"0": 1}], **address)
+
     def test_malformed_line_gets_error_not_disconnect(self, server, socket_path):
         import socket as socket_mod
 
