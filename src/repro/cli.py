@@ -278,6 +278,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .core import GiPHAgent, ReinforceConfig, ReinforceTrainer
     from .core.serialization import save_agent
 
+    for name in ("episodes", "batch_episodes", "train_graphs", "num_tasks", "num_devices", "lr"):
+        value = getattr(args, name)
+        if not value > 0:  # also refuses a NaN --lr
+            print(f"error: --{name.replace('_', '-')}: must be positive, got {value}")
+            return 2
     rng = np.random.default_rng(args.seed)
     problems = _problems(args.num_tasks, args.num_devices, args.train_graphs, rng)
     agent = GiPHAgent(rng, embedding=args.embedding)

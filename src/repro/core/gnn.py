@@ -177,18 +177,15 @@ def _sweep(
     emb = embT.T.copy()  # row-major: concat and the policy's BLAS read it
 
     def backward(grad: np.ndarray) -> None:
-        # G is the gradient of the embedding buffer as of the level being
-        # unwound: zeroing a level's rows is the row write's masked copy.
+        # G is the gradient of the embedding buffer.  A level's senders sit
+        # strictly below it, so its rows are final when it is unwound and
+        # nothing writes them after: x's gradient is the final G, read once.
         # What the forward saved is converted to row-major once per level.
         G = grad.copy()
+        # Edgeless, the per-level tape never reads ``term``: no gradient.
+        g_term = np.zeros(td.shape) if per_edge and term.requires_grad and len(td) else None
         for nodes, agg, h, edges in reversed(saved):
-            g_out = G[nodes]
-            G[nodes] = 0.0
-            if x.requires_grad:
-                if x.grad is None:
-                    x.grad = np.zeros_like(xd)
-                x.grad[nodes] += g_out  # rows are unique within a pass
-            g_h = g_out * np.ascontiguousarray((h > 0).T)
+            g_h = G[nodes] * np.ascontiguousarray((h > 0).T)
             # Straight into ``.grad``, one level at a time: a per-pass
             # subtotal would re-associate the sum over an episode's forwards.
             if h2w.requires_grad:
@@ -202,18 +199,22 @@ def _sweep(
             if counts is not None:
                 g_agg = g_agg / counts[:, None]
             g_pre = g_agg.take(segments, axis=0) * np.ascontiguousarray((pre > 0).T)
-            if term.requires_grad:
-                if per_edge:  # each gpNet edge sits in exactly one level
-                    if term.grad is None:
-                        term.grad = np.zeros(td.shape)
-                    term.grad[idx] += g_pre
-                else:
-                    term._accumulate(g_pre.sum(axis=0))
+            if g_term is not None:
+                g_term[idx] = g_pre  # each gpNet edge sits in exactly one level
+            elif term.requires_grad:
+                term._accumulate(g_pre.sum(axis=0))
             if w_msg.requires_grad:  # senders' rows were final when gathered
                 w_msg._accumulate(emb.take(senders, axis=0).T @ g_pre)
             # Senders repeat and G is non-zero there, so a bincount
-            # subtotal would change the association: stays ``np.add.at``.
-            np.add.at(G, senders, g_pre @ wd.T)
+            # subtotal would change the association: a flat ``np.add.at``.
+            F._scatter_add_rows(G, senders, g_pre @ wd.T)
+        for t, g in ((x, G), (term, g_term)):
+            if g is not None and t.requires_grad:
+                if t.grad is None:
+                    g += 0.0  # the per-level tape summed into zeros: -0.0 -> 0.0
+                    t.grad = g
+                else:
+                    t.grad += g
 
     return Tensor._make(emb, parents, backward, "sweep")
 

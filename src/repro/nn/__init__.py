@@ -11,7 +11,8 @@ Public surface:
   k-step message pass, the batch-invariant ``linear`` kernel, masked softmax.
 
 Only what ``src/`` calls lives here; ops that serve the test oracles alone
-(``scatter_rows``) sit beside them in ``tests/core/gnn_reference.py``.
+sit beside them (``scatter_rows`` in ``tests/core/gnn_reference.py``,
+``log_softmax`` in ``tests/nn/nn_reference.py``).
 """
 
 from . import functional, init

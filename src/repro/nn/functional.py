@@ -10,11 +10,10 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _unbroadcast, as_tensor
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "masked_log_softmax",
     "linear",
     "segment_sum",
@@ -31,19 +30,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def masked_log_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Log-softmax over the entries of ``scores`` where ``mask`` is True.
 
     Masked-out entries get log-probability -inf (represented as a very
     large negative constant so gradients stay finite).  This is the
     "optional mask layer" of the GiPH policy network (paper §4.2.3).
+    One tape node along the last axis; the backward runs the float
+    operations of the composed tape ``log_softmax(scores + neg)``, in its
+    order (oracle: ``masked_log_softmax_composed`` in
+    ``tests/nn/nn_reference.py``).
     """
     scores = as_tensor(scores)
     mask = np.asarray(mask, dtype=bool)
@@ -51,8 +47,16 @@ def masked_log_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
         raise ValueError(f"mask shape {mask.shape} != scores shape {scores.shape}")
     if not mask.any():
         raise ValueError("masked_log_softmax: no feasible action (mask all False)")
-    neg = Tensor(np.where(mask, 0.0, -1e9))
-    return log_softmax(scores + neg, axis=-1)
+    z = scores.data + np.where(mask, 0.0, -1e9)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(np.clip(shifted, -700.0, 700.0))
+    total = e.sum(axis=-1, keepdims=True)
+
+    def backward(grad: np.ndarray) -> None:
+        g_total = -_unbroadcast(grad, total.shape) / total
+        scores._accumulate(grad + g_total * e)
+
+    return Tensor._make(shifted - np.log(total), (scores,), backward, "masked_log_softmax")
 
 
 def _linear_kernel(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -96,12 +100,19 @@ def linear(
     xd, wd = x.data, weight.data
     if wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ValueError(f"linear shape mismatch: x {xd.shape} vs weight {wd.shape}")
-    out_data = _linear_kernel(xd, wd) if x_fm is None else _linear_kernel_fm(x_fm, wd).T
-    bias_t = as_tensor(bias) if bias is not None else None
-    parents: tuple[Tensor, ...] = (x, weight)
-    if bias_t is not None:
-        out_data = out_data + bias_t.data
-        parents = (x, weight, bias_t)
+    product = _linear_kernel(xd, wd) if x_fm is None else _linear_kernel_fm(x_fm, wd).T
+    return _affine(x, weight, None if bias is None else as_tensor(bias), product)
+
+
+def _affine(x: Tensor, weight: Tensor, bias: Tensor | None, product: np.ndarray) -> Tensor:
+    """``product (+ bias)`` as one tape node, ``product`` being ``x @ weight``
+    by whichever kernel the caller chose: the node of :func:`linear` and of
+    :class:`repro.nn.Linear`.  The backward's products are those of the
+    composed ``x @ weight + bias`` tape."""
+    xd, wd = x.data, weight.data
+    out_data, parents = product, (x, weight)
+    if bias is not None:
+        out_data, parents = product + bias.data, (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
         grad = np.ascontiguousarray(grad)  # a copy only when ``x_fm`` laid the output out
@@ -109,8 +120,8 @@ def linear(
             x._accumulate(grad @ wd.T)
         if weight.requires_grad:
             weight._accumulate(np.outer(xd, grad) if xd.ndim == 1 else xd.T @ grad)
-        if bias_t is not None and bias_t.requires_grad:
-            bias_t._accumulate(grad if grad.ndim == 1 else grad.sum(axis=0))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad if grad.ndim == 1 else grad.sum(axis=0))
 
     return Tensor._make(out_data, parents, backward, "linear")
 
@@ -147,6 +158,18 @@ def _segment_sum_kernel(
             f"outside [0, {num_segments})"
         )
     return sums.reshape(shape)
+
+
+def _scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, rows, values)`` for a C-contiguous 2-D ``target``,
+    over one flat ``row * width + column`` index per cell: each cell takes
+    its values in the same order, so the floats are equal, without
+    ufunc.at's generic 2-D path (the backward scatter of the GNN sweeps)."""
+    if not target.flags.c_contiguous:
+        raise ValueError("_scatter_add_rows: target must be C-contiguous")
+    width = target.shape[1]
+    cells = rows[:, None] * width + np.arange(width)
+    np.add.at(target.reshape(-1), cells.ravel(), values.ravel())
 
 
 def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -239,7 +262,7 @@ def propagate(
             # Step 0 gathered from e0 itself (after its ``_accumulate``
             # above); later steps from an output nothing else reads.  The
             # sender columns of the whole input's gradient, as concat routes it.
-            G = np.zeros_like(e0d) if step else e0.grad
-            np.add.at(G, senders, (g_pre @ wmd.T)[:, :embed_dim])
+            G = np.zeros(e0d.shape) if step else e0.grad
+            _scatter_add_rows(G, senders, (g_pre @ wmd.T)[:, :embed_dim])
 
     return Tensor._make(e, parents, backward, "propagate")

@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import functional as F
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
@@ -45,10 +46,9 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        """One tape node with :func:`~repro.nn.functional.linear`'s VJP, but
+        the BLAS ``x @ W``, not its row-invariant einsum."""
+        return F._affine(x, self.weight, self.bias, x.data @ self.weight.data)
 
 
 class Activation(Module):

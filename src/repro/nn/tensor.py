@@ -325,7 +325,14 @@ class Tensor:
                 # of these).
                 if self.grad is None:
                     self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, idx, grad)
+                # Distinct elements, where a plain add is ``np.add.at``'s floats.
+                # A ``bool`` is an ``int``, but NumPy reads ``True`` as a mask.
+                if isinstance(idx, slice) or (
+                    isinstance(idx, (int, np.integer)) and not isinstance(idx, bool)
+                ):
+                    self.grad[idx] += grad
+                else:
+                    np.add.at(self.grad, idx, grad)
 
         return Tensor._make(out_data, (self,), backward, "getitem")
 

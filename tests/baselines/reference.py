@@ -140,13 +140,14 @@ def propagate_composed(
     aggregate = F.segment_mean if how == "mean" else F.segment_sum
     efeat = None if edge_features is None else Tensor(edge_features)
     e = e0
+    # The layers as ``x @ W + b``, not ``Linear``'s one node: every op is ordinary.
     for _ in range(steps):
         if len(senders) == 0:
             agg = Tensor(np.zeros((n, agg_layer.in_features)))
         else:
             gathered = e[senders] if efeat is None else concat([e[senders], efeat], axis=1)
-            agg = aggregate(msg_layer(gathered).relu(), receivers, n)
-        e = agg_layer(agg).relu() + e0
+            agg = aggregate((gathered @ msg_layer.weight + msg_layer.bias).relu(), receivers, n)
+        e = (agg @ agg_layer.weight + agg_layer.bias).relu() + e0
     return e
 
 

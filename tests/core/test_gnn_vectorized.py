@@ -365,6 +365,39 @@ class TestFusedSweepGradients:
             assert [name for name, g in grads.items() if g is not None] == [live]
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_leaf_gradients_keep_the_composed_zero_signs(self, kind):
+        """The composed tape sums ``x``'s and the edge term's gradients
+        into zeros, so a ``-0.0`` reads ``+0.0`` there (an upstream ``-0.0``
+        row of a node that sends nothing; a message cut off by relu).
+        The sweep takes both once per pass and must keep those signs."""
+        problem = make_problem(36, num_tasks=8, num_devices=3)
+        net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
+        layer = make_embedding(kind, np.random.default_rng(6)).forward_pass
+        per_edge, embed_dim, msg_dim = kind == "giph", layer.embed_dim, layer.h1.out_features
+        rng = np.random.default_rng(7)
+        x_data = rng.normal(size=(net.num_nodes, embed_dim))
+        w_data = layer.h1.weight.data[:embed_dim] if per_edge else layer.h1.weight.data
+        term_data = rng.normal(size=(net.num_edges, msg_dim) if per_edge else msg_dim)
+        upstream = rng.normal(size=(net.num_nodes, embed_dim))
+        upstream[::2] = -0.0
+
+        def leaf_grads(sweep):
+            zero_grads(layer)
+            leaves = [Tensor(d, requires_grad=True) for d in (x_data, w_data, term_data)]
+            x, w_msg, term = leaves
+            plan = structure_of(net).forward_plan
+            sweep(layer, net, x, plan, False, w_msg, term, per_edge).backward(upstream)
+            return [t.grad for t in leaves]
+
+        got, want = leaf_grads(gnn._sweep), leaf_grads(sweep_composed)
+        for name, g, w in zip(("x", "w_msg", "term"), got, want):
+            assert_same_floats(g, w, name)
+        # The case is exercised: zeros, +0.0 only (GiPH-NE's term is a bias).
+        for g in (want[0], want[2]) if per_edge else (want[0],):
+            zeros = g[g == 0]
+            assert len(zeros) and not np.signbit(zeros).any()
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_nothing_saved_when_no_backward_can_happen(self, kind):
         problem = make_problem(33, num_tasks=6, num_devices=3)
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))

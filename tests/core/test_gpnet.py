@@ -170,15 +170,16 @@ def test_gpnet_size_formulas_hold_generally(seed, num_tasks, num_devices):
         assert net.is_pivot[s] or net.is_pivot[d]
 
 
-def random_layout_problem(seed, num_tasks, num_devices, edge_prob):
+def random_layout_problem(seed, num_tasks, num_devices, edge_prob, chain=False):
     """A random DAG on a random network; hardware type 1 lives on device 0
-    only, so every task requiring it has exactly one feasible device."""
+    only, so every task requiring it has exactly one feasible device.
+    ``chain`` links each task to the next instead (``edge_prob`` unused)."""
     rng = np.random.default_rng(seed)
+    pairs = [(i, i + 1) for i in range(num_tasks - 1)] if chain else [
+        (i, j) for i in range(num_tasks) for j in range(i + 1, num_tasks)
+    ]
     edges = {
-        (i, j): float(rng.uniform(1.0, 50.0))
-        for i in range(num_tasks)
-        for j in range(i + 1, num_tasks)
-        if rng.random() < edge_prob
+        pair: float(rng.uniform(1.0, 50.0)) for pair in pairs if chain or rng.random() < edge_prob
     }
     graph = TaskGraph(
         compute=tuple(rng.uniform(1.0, 10.0, num_tasks)),
@@ -363,3 +364,38 @@ def test_task_levels_equal_per_gpnet_edge_oracle(seed, num_tasks, num_devices):
 def test_task_levels_degenerate_graphs(num_tasks, edge_prob):
     problem = random_layout_problem(3, num_tasks, 3, edge_prob)
     check_structure_against_oracle(problem, random_placement(problem, np.random.default_rng(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    num_tasks=st.integers(min_value=1, max_value=14),
+    num_devices=st.integers(min_value=1, max_value=5),
+    edge_prob=st.sampled_from([0.0, 0.3, 1.0, "chain"]),
+)
+@example(seed=0, num_tasks=6, num_devices=3, edge_prob=0.0)  # edgeless
+@example(seed=1, num_tasks=1, num_devices=4, edge_prob=1.0)  # one task
+@example(seed=2, num_tasks=7, num_devices=3, edge_prob="chain")
+def test_sweep_plans_partition_nodes_and_edges_by_level(seed, num_tasks, num_devices, edge_prob):
+    """What the sweep's once-per-pass gradients rest on: in each direction
+    the levels partition the node ids and the edge ids, every edge sits in
+    its receiver's level, and its sender sits in a strictly lower one."""
+    chain = edge_prob == "chain"
+    problem = random_layout_problem(seed, num_tasks, num_devices, 0.0 if chain else edge_prob, chain)
+    net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(seed)))
+    structure = GpNetStructure.from_gpnet(net)
+    for plan, (senders, receivers) in (
+        (structure.forward_plan, (net.edge_src, net.edge_dst)),
+        (structure.backward_plan, (net.edge_dst, net.edge_src)),
+    ):
+        nodes = np.concatenate([lv.nodes for lv in plan.levels])
+        edges = np.concatenate([lv.edge_idx for lv in plan.levels])
+        assert sorted(nodes.tolist()) == list(range(net.num_nodes))
+        assert sorted(edges.tolist()) == list(range(net.num_edges))
+        level_of = np.empty(net.num_nodes, dtype=np.int64)
+        edge_level = np.empty(net.num_edges, dtype=np.int64)
+        for k, lv in enumerate(plan.levels):
+            level_of[lv.nodes] = k
+            edge_level[lv.edge_idx] = k
+        assert (level_of[receivers] == edge_level).all()
+        assert (level_of[senders] < level_of[receivers]).all()

@@ -29,6 +29,25 @@ class TestParser:
         assert exited.value.code == 2
 
 
+class TestTrainRefusesNonPositive:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--episodes", "0"),
+            ("--batch-episodes", "0"),
+            ("--train-graphs", "0"),
+            ("--num-tasks", "-1"),
+            ("--num-devices", "0"),
+            ("--lr", "-0.01"),
+        ],
+    )
+    def test_exits_2_naming_the_flag_before_the_run_directory(self, flag, value, tmp_path, capsys):
+        rc = main(["train", flag, value, "--logdir", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith(f"error: {flag}: must be positive")
+        assert not (tmp_path / "runs").exists()
+
+
 class TestWorkflow:
     def test_generate(self, capsys):
         rc = main(["generate", "--count", "2", "--num-tasks", "6", "--num-devices", "3"])
