@@ -274,15 +274,20 @@ def _problems(num_tasks: int, num_devices: int, count: int, rng: np.random.Gener
     return out
 
 
+def _refused(args: argparse.Namespace, names, holds=lambda v: v > 0, rule="must be positive"):
+    """Print ``error: --flag: rule`` for the first flag failing ``holds`` (as a NaN does)."""
+    bad = next((name for name in names if not holds(getattr(args, name))), None)
+    if bad is not None:
+        print(f"error: --{bad.replace('_', '-')}: {rule}, got {getattr(args, bad)}")
+    return bad is not None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     from .core import GiPHAgent, ReinforceConfig, ReinforceTrainer
     from .core.serialization import save_agent
 
-    for name in ("episodes", "batch_episodes", "train_graphs", "num_tasks", "num_devices", "lr"):
-        value = getattr(args, name)
-        if not value > 0:  # also refuses a NaN --lr
-            print(f"error: --{name.replace('_', '-')}: must be positive, got {value}")
-            return 2
+    if _refused(args, ("episodes", "batch_episodes", "train_graphs", "num_tasks", "num_devices", "lr")):
+        return 2
     rng = np.random.default_rng(args.seed)
     problems = _problems(args.num_tasks, args.num_devices, args.train_graphs, rng)
     agent = GiPHAgent(rng, embedding=args.embedding)
@@ -449,6 +454,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.server import PlacementServer, ServeConfig, install_signal_handlers
     from .telemetry import capture_run, write_run_log
 
+    if _refused(args, ("episode_multiplier", "max_batch")) or _refused(
+        args, ("batch_wait_ms",), lambda v: 0.0 <= v < float("inf"), "must be a finite number >= 0"
+    ):
+        return 2
     config = ServeConfig(
         socket_path=args.socket,
         episode_multiplier=args.episode_multiplier,

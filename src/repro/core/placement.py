@@ -7,7 +7,9 @@ device of the target network: ``M : V -> D`` with ``M(v_i) ∈ D_i``.
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +71,29 @@ class PlacementProblem:
             if d not in feasible:
                 raise ValueError(f"task {i} placed on infeasible device index {d}")
         return placement
+
+    def validate_many(
+        self, placements: Sequence[Sequence[int]]
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """``[validate_placement(p) for p in placements]`` and its rows as an
+        int64 array.  Exact-``int`` rows of the right length are checked as
+        one array (such a tuple is its own key); anything else — bools, NumPy
+        ints, floats, ragged rows, overflow, a bad device — takes the loop."""
+        keys = list(map(tuple, placements))
+        n, rows = self.graph.num_tasks, None
+        if set(map(len, keys)) <= {n} and set(map(type, chain.from_iterable(keys))) <= {int}:
+            with suppress(OverflowError):  # beyond int64: out of range anyway
+                rows = np.fromiter(chain.from_iterable(keys), np.int64, len(keys) * n)
+                rows = rows.reshape(len(keys), n)
+        # The range first: a negative index would wrap.
+        if (
+            rows is not None
+            and (not rows.size or rows.min() >= 0 and rows.max() < self.network.num_devices)
+            and self.cost_model.feasible_mask[np.arange(n), rows].all()
+        ):
+            return keys, rows
+        keys = [self.validate_placement(p) for p in keys]
+        return keys, np.array(keys, dtype=np.int64).reshape(len(keys), n)
 
 
 def random_placement(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -114,12 +115,12 @@ class PlacementEvaluator:
     simulator: the problem's :class:`FastSimulator`, if one is at hand.
 
     Cache-key invariant: the only keys ever stored in either cache are
-    int tuples returned by :meth:`PlacementProblem.validate_placement`.
-    So ``tuple(placement)`` finding an entry *is* the feasibility proof
-    (equal tuples hash and compare alike whether their elements are
-    ``int`` or ``np.int64``), and the lookup runs first; a placement
-    that misses is validated exactly as an uncached one always was,
-    before anything is counted, simulated or stored.
+    int tuples returned by :meth:`PlacementProblem.validate_placement`
+    (or ``validate_many``, its batch form).  So ``tuple(placement)``
+    finding an entry *is* the feasibility proof (equal tuples hash and
+    compare alike whether their elements are ``int`` or ``np.int64``), and
+    the lookup runs first; a miss is validated — a batch's misses in one
+    check — before anything is counted, simulated or stored.
 
     Repeat invariant: ``_last_value`` / ``_last_timeline`` hold the
     caller's tuple and the result of the newest call on that cache, so
@@ -221,64 +222,64 @@ class PlacementEvaluator:
     def evaluate_many(self, placements: Sequence[Sequence[int]]) -> np.ndarray:
         """Score a batch; identical to ``[evaluate(p) for p in placements]``.
 
-        On the deterministic makespan path the distinct uncached
-        placements go to :meth:`FastSimulator.makespans` as one array
+        One lookup per placement, then one :meth:`PlacementProblem.validate_many`
+        of the misses, before anything is counted.  On the makespan path the
+        distinct misses' rows of its array go to :meth:`FastSimulator.makespans`
         (one vectorized cost realization, then one replay each for the
-        makespan alone: no timeline is built or cached).  Every placement
-        is looked up, and a miss validated, before anything is counted.
+        makespan alone: no timeline is built or cached).
         """
-        keys = [self._lookup(self._values, p)[0] for p in placements]
+        cache = self._values
+        keys = list(map(tuple, placements))
+        found = list(map(cache.get, keys))
+        missed = [i for i, value in enumerate(found) if value is None]
+        valid, rows = self.problem.validate_many([keys[i] for i in missed])
         self._last_value = _NO_REPEAT
         self.stats.batch_calls += 1
         if not keys:
             return np.zeros(0, dtype=np.float64)
         self.stats.evaluations += len(keys)
         metrics().histogram("evaluator.batch_size").observe(len(keys))
-        if not self.deterministic:
+        cm = self.problem.cost_model
+        if not self.deterministic:  # nothing is cached: every placement missed
             self.stats.exact_path += len(keys)
-            cm = self.problem.cost_model
             with span("evaluator.exact"):
-                return np.array(
-                    [self.objective.evaluate(cm, k) for k in keys], dtype=np.float64
-                )
+                return np.array([self.objective.evaluate(cm, k) for k in valid], dtype=np.float64)
 
-        values = np.empty(len(keys), dtype=np.float64)
+        # Within-batch duplicates are computed once: the first occurrence
+        # is a miss, every repeat a (warming-cache) hit.
         misses: dict[tuple[int, ...], list[int]] = {}
-        for i, key in enumerate(keys):
-            cached = self._values.get(key)
-            if cached is not None:
-                self._values.move_to_end(key)
-                self.stats.cache_hits += 1
-                values[i] = cached
-            else:
-                misses.setdefault(key, []).append(i)
-
+        first: list[int] = []  # each distinct miss's row of ``rows``
+        for j, (i, key) in enumerate(zip(missed, valid)):
+            if key is not keys[i]:  # rebuilt by the loop: may not hash like the raw tuple
+                keys[i] = key
+                found[i] = cache.get(key)
+                if found[i] is not None:
+                    continue
+            group = misses.setdefault(key, [])
+            if not group:
+                first.append(j)
+            group.append(i)
+        for key in [keys[i] for i, value in enumerate(found) if value is not None]:
+            cache.move_to_end(key)
+        self.stats.cache_hits += len(keys) - len(misses)
         if misses:
-            todo = list(misses)
-            # Within-batch duplicates are computed once: the first
-            # occurrence is a miss, every repeat a (warming-cache) hit.
-            self.stats.cache_misses += len(todo)
-            self.stats.cache_hits += sum(len(ix) - 1 for ix in misses.values())
+            self.stats.cache_misses += len(misses)
             if self._is_makespan:
                 with span("evaluator.sim"):
-                    self.stats.fast_path += len(todo)
+                    self.stats.fast_path += len(misses)
                     # Scalars only: batch callers score one-shot candidates,
                     # and a SimResult per batch miss would churn the (heavier)
                     # timeline LRU that timeline() consumers rely on.
-                    makespans = self._sim.makespans(np.array(todo, dtype=np.int64))
-                    for key, value in zip(todo, makespans):
-                        self._store(self._values, key, value)
-                        for i in misses[key]:
-                            values[i] = value
+                    computed = self._sim.makespans(rows[first])
             else:
-                cm = self.problem.cost_model
-                self.stats.exact_path += len(todo)
+                self.stats.exact_path += len(misses)
                 with span("evaluator.exact"):
-                    for key in todo:
-                        value = self.objective.evaluate(cm, key)
-                        self._store(self._values, key, value)
-                        values[misses[key]] = value
-        return values
+                    computed = [self.objective.evaluate(cm, key) for key in misses]
+            for (key, indices), value in zip(misses.items(), computed):
+                self._store(cache, key, value)
+                for i in indices:
+                    found[i] = value
+        return np.array(found, dtype=np.float64)
 
     # -- internals --------------------------------------------------------------------
 
@@ -322,30 +323,26 @@ class PlacementEvaluator:
 
 
 def coalesce_evaluate(
-    requests: Sequence[tuple[PlacementEvaluator, Sequence[int]]],
-) -> list[float]:
+    requests: Sequence[tuple[PlacementEvaluator, Sequence[Sequence[int]]]],
+) -> list[list[float]]:
     """Score mixed-evaluator requests through one batch per evaluator.
 
-    The request-batching primitive of the serve runtime: concurrent
-    requests against the same (problem, objective) coalesce into a
-    single :meth:`PlacementEvaluator.evaluate_many` call (one fast-path
-    cost realization instead of N), while requests against different
-    problems stay independent.  Values come back in request order and
-    are identical to calling ``evaluator.evaluate(placement)`` one by
-    one — batching changes speed, never values.
+    The request-batching primitive of the serve runtime: the
+    ``(evaluator, placements)`` requests against one (problem, objective)
+    coalesce, in request order, into one :meth:`PlacementEvaluator.evaluate_many`
+    call (one feasibility check, one fast-path cost realization instead
+    of N).  Each request gets its values as a list, identical to calling
+    ``evaluator.evaluate(p)`` per placement — batching changes speed, never values.
     """
-    groups: dict[int, tuple[PlacementEvaluator, list[int], list[Sequence[int]]]] = {}
-    for i, (evaluator, placement) in enumerate(requests):
-        entry = groups.get(id(evaluator))
-        if entry is None:
-            groups[id(evaluator)] = entry = (evaluator, [], [])
-        entry[1].append(i)
-        entry[2].append(placement)
-    out = [0.0] * len(requests)
-    for evaluator, indices, placements in groups.values():
-        values = evaluator.evaluate_many(placements)
-        for i, value in zip(indices, values):
-            out[i] = float(value)
+    groups: dict[int, list[int]] = {}
+    for r, (evaluator, _) in enumerate(requests):
+        groups.setdefault(id(evaluator), []).append(r)
+    out: list[list[float]] = [[] for _ in requests]
+    for members in groups.values():
+        batch = [p for r in members for p in requests[r][1]]
+        values = iter(requests[members[0]][0].evaluate_many(batch).tolist())
+        for r in members:
+            out[r] = list(islice(values, len(requests[r][1])))
     return out
 
 

@@ -174,7 +174,7 @@ class FastSimulator:
         finish = [-1.0] * n
         device_last_finish = [0.0] * self._num_devices
         busy = [False] * self._num_devices
-        queues: dict[int, list[int]] = {}  # device -> waiting tasks, on first contention
+        queues: list[list[int] | None] = [None] * self._num_devices  # waiting tasks, on contention
         pending = list(self._num_parents)
         # Per task, the latest input so far as the (time, sequence) key
         # its arrival event carries in the exact simulator.  No time is
@@ -182,6 +182,7 @@ class FastSimulator:
         ready_time = [0.0] * n
         ready_seq = [0] * n
         children = self._children
+        pop, push = heappop, heappush
 
         # Heap entries are (time, sequence, payload): payload >= 0 is a
         # task whose last input arrived, payload < 0 is ~task finishing;
@@ -191,11 +192,13 @@ class FastSimulator:
         seq = len(heap)
 
         while heap:
-            now, _, task = heappop(heap)
+            now, _, task = pop(heap)
             if task >= 0:
                 device = placement[task]
                 if busy[device]:
-                    queues.setdefault(device, []).append(task)
+                    if queues[device] is None:
+                        queues[device] = []
+                    queues[device].append(task)
                     continue
                 busy[device] = True
             else:
@@ -211,16 +214,16 @@ class FastSimulator:
                         ready_time[child] = t
                         ready_seq[child] = seq
                     seq += 1  # once per edge, pushed or folded (module docstring)
-                    pending[child] -= 1
-                    if pending[child] == 0:
-                        heappush(heap, (ready_time[child], ready_seq[child], child))
-                queue = queues.get(device)
+                    pending[child] = left = pending[child] - 1
+                    if not left:
+                        push(heap, (ready_time[child], ready_seq[child], child))
+                queue = queues[device]
                 if not queue:
                     busy[device] = False
                     continue
                 task = queue.pop(0)  # first in, first out; the device stays busy
             start[task] = now
-            heappush(heap, (now + durations[task], seq, ~task))
+            push(heap, (now + durations[task], seq, ~task))
             seq += 1
 
         if min(finish) < 0.0:

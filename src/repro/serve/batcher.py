@@ -1,11 +1,11 @@
 """Request batcher: concurrent evaluate requests -> one ``evaluate_many``.
 
-Connection threads :meth:`RequestBatcher.submit` individual
-``(evaluator, placement)`` requests and block; a single drain thread
-collects whatever accumulated within a short coalescing window and
-scores it through :func:`repro.runtime.evaluator.coalesce_evaluate` —
-same-evaluator requests become one :meth:`evaluate_many` batch (one
-vectorized fast-path cost realization instead of N scalar calls).
+Connection threads :meth:`RequestBatcher.submit_many` placements and
+block, each call queued as one ``(pending, lo, hi)`` span.  A drain
+thread takes what accumulated in a short window — ``max_batch``
+placements at most, cutting a straddling span — and scores it through
+:func:`repro.runtime.evaluator.coalesce_evaluate`: one evaluator's spans
+become one :meth:`evaluate_many` (one feasibility check, one cost realization).
 
 Routing every evaluation through one drain thread is also what makes
 the server's shared :class:`EvaluatorPool` safe without per-evaluator
@@ -18,6 +18,7 @@ batcher equivalence test pins ``submit`` results against direct
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Sequence
 
 from ..runtime.evaluator import PlacementEvaluator, coalesce_evaluate
@@ -29,7 +30,7 @@ __all__ = ["RequestBatcher"]
 class _Pending:
     """One ``submit_many`` call: its placements, their values, one waiter.
 
-    The queue holds ``(pending, index)`` pairs, so one call may be scored
+    The queue holds ``(pending, lo, hi)`` spans, so one call may be scored
     across several batches.  Only the drain thread writes ``values`` /
     ``remaining`` / ``error``; the submitter reads them once ``done`` is set.
     """
@@ -43,6 +44,9 @@ class _Pending:
         self.remaining = len(placements)  # ``done`` is set when this reaches zero
         self.error: BaseException | None = None
         self.done = threading.Event()
+
+
+_Span = tuple[_Pending, int, int]  # a call's placements [lo, hi), queued and scored together
 
 
 class RequestBatcher:
@@ -62,10 +66,12 @@ class RequestBatcher:
     def __init__(self, max_wait_ms: float = 2.0, max_batch: int = 256) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        self.max_wait_ms = max(0.0, float(max_wait_ms))
+        if not 0.0 <= max_wait_ms < float("inf"):
+            raise ValueError("max_wait_ms must be a finite number >= 0")
+        self.max_wait_ms = float(max_wait_ms)
         self.max_batch = max_batch
         self._cond = threading.Condition()
-        self._queue: list[tuple[_Pending, int]] = []
+        self._queue: deque[_Span] = deque()
         self._stopping = False
         self._died: str | None = None  # the message every submitter gets once dead
         self._thread: threading.Thread | None = None
@@ -117,14 +123,13 @@ class RequestBatcher:
         if len(placements) == 0:
             return []  # nothing would ever release an empty request
         pending = _Pending(evaluator, placements)
-        items = [(pending, i) for i in range(len(placements))]
         with self._cond:
             if self._died is not None:
                 raise RuntimeError(self._died)
             if self._stopping:
                 raise RuntimeError("RequestBatcher is stopping")
-            self._queue.extend(items)
-            self.requests += len(items)
+            self._queue.append((pending, 0, len(placements)))
+            self.requests += len(placements)
             self._cond.notify_all()
         pending.done.wait()  # set by its last score, its failure, or a dying drain thread
         if pending.error is not None:
@@ -133,8 +138,8 @@ class RequestBatcher:
 
     # -- drain side --------------------------------------------------------------
 
-    def _take_batch(self) -> list[tuple[_Pending, int]] | None:
-        """Next batch (ordered by arrival), or ``None`` to shut down."""
+    def _take_batch(self) -> list[_Span] | None:
+        """Next batch of spans (ordered by arrival), ``None`` to shut down."""
         with self._cond:
             while not self._queue and not self._stopping:
                 self._cond.wait()
@@ -144,21 +149,27 @@ class RequestBatcher:
                 # Linger once: let concurrent requests coalesce into
                 # this batch.  A second wait would trade latency for
                 # marginal batching, so the window is a single interval.
-                if len(self._queue) < self.max_batch:
+                if sum(hi - lo for _, lo, hi in self._queue) < self.max_batch:
                     self._cond.wait(timeout=self.max_wait_ms / 1000.0)
-            batch = self._queue[: self.max_batch]
-            del self._queue[: len(batch)]
+            batch, room = [], self.max_batch
+            while self._queue and room:
+                pending, lo, hi = self._queue.popleft()
+                if hi - lo > room:  # the rest stays first in line
+                    self._queue.appendleft((pending, lo + room, hi))
+                    hi = lo + room
+                batch.append((pending, lo, hi))
+                room -= hi - lo
             return batch
 
     def _drain_loop(self) -> None:
-        batch: list[tuple[_Pending, int]] | None = None
+        batch: list[_Span] | None = None
         try:
             while True:
                 batch = self._take_batch()
                 if batch is None:
                     return
                 self.batches += 1
-                metrics().histogram("serve.batch_size").observe(len(batch))
+                metrics().histogram("serve.batch_size").observe(sum(hi - lo for _, lo, hi in batch))
                 with span("serve.batch"):
                     error = self._score(batch)
                     if error is not None:
@@ -168,38 +179,35 @@ class RequestBatcher:
             # flight and everything still queued.
             with self._cond:
                 self._died = f"RequestBatcher drain thread died: {error!r}"
-                stranded = (batch or []) + self._queue
-                self._queue = []
-            for pending, _ in stranded:
+                stranded = (batch or []) + list(self._queue)
+                self._queue.clear()
+            for pending, _, _ in stranded:
                 if not pending.done.is_set():
                     pending.error = RuntimeError(self._died)
                     pending.done.set()
             raise  # the thread's traceback goes to threading.excepthook
 
-    def _isolate_failure(self, batch: list[tuple[_Pending, int]], error: BaseException) -> None:
-        """A batch that failed as a whole is re-scored one submitter at a
-        time, so the error lands only on the request that raised."""
-        shares: dict[_Pending, list[tuple[_Pending, int]]] = {}
-        for item in batch:
-            shares.setdefault(item[0], []).append(item)
-        for pending, share in shares.items():
+    def _isolate_failure(self, batch: list[_Span], error: BaseException) -> None:
+        """A batch that failed as a whole is re-scored one span (one call's
+        share) at a time, so the error lands only on the request that raised."""
+        for pending, lo, hi in batch:
             # A lone submitter's failure is already known.
-            share_error = error if len(shares) == 1 else self._score(share)
+            share_error = error if len(batch) == 1 else self._score([(pending, lo, hi)])
             if share_error is not None:
                 pending.error = share_error
                 pending.done.set()
 
     @staticmethod
-    def _score(batch: list[tuple[_Pending, int]]) -> BaseException | None:
+    def _score(batch: list[_Span]) -> BaseException | None:
         """Score ``batch`` together, releasing each waiter whose last
-        placement this was; on failure release nobody and return the error."""
+        placements these were; on failure release nobody and return the error."""
         try:
-            values = coalesce_evaluate([(p.evaluator, p.placements[i]) for p, i in batch])
+            values = coalesce_evaluate([(p.evaluator, p.placements[lo:hi]) for p, lo, hi in batch])
         except BaseException as error:  # noqa: BLE001 - shipped to waiters
             return error
-        for (pending, i), value in zip(batch, values):
-            pending.values[i] = value
-            pending.remaining -= 1
+        for (pending, lo, hi), span_values in zip(batch, values):
+            pending.values[lo:hi] = span_values
+            pending.remaining -= hi - lo
             if pending.remaining == 0:
                 pending.done.set()
         return None

@@ -76,6 +76,14 @@ class CostModel:
         """(m, m) matrix of c_{ij,kl} over all device pairs for one edge."""
         return self.network.delay + self.graph.edges[edge] * self.network.inv_bandwidth
 
+    @cached_property
+    def feasible_mask(self) -> np.ndarray:
+        """``(num_tasks, num_devices)`` bools: ``[i, d]`` iff ``d in feasible_sets[i]``."""
+        mask = np.zeros((self.graph.num_tasks, self.network.num_devices), dtype=bool)
+        for row, feasible in zip(mask, self.feasible_sets):
+            row[list(feasible)] = True
+        return mask
+
     def mean_compute_time(self, task: int) -> float:
         """Average w_{i,k} over the task's feasible devices (HEFT-style)."""
         return float(self.W[task, list(self.feasible_sets[task])].mean())

@@ -446,10 +446,18 @@ def test_a_miss_validates_its_placement_once(monkeypatch):
     rng = np.random.default_rng(3)
     calls = []
     validate = PlacementProblem.validate_placement
+    validate_many = PlacementProblem.validate_many
     monkeypatch.setattr(
         PlacementProblem,
         "validate_placement",
         lambda self, p: calls.append(tuple(p)) or validate(self, p),
+    )
+    # The batch check's inputs count too (a batch it checked placement
+    # by placement would show every miss twice).
+    monkeypatch.setattr(
+        PlacementProblem,
+        "validate_many",
+        lambda self, ps: calls.extend(map(tuple, ps)) or validate_many(self, ps),
     )
     evaluator = PlacementEvaluator(problem, MakespanObjective())
     a, b, c = (random_placement(problem, rng) for _ in range(3))
@@ -482,6 +490,68 @@ def test_validate_placement_refuses_what_int_would_coerce():
         PlacementEvaluator(problem, MakespanObjective()).evaluate([float(placement[0])])
     validated = problem.validate_placement(np.array(placement))  # NumPy ints are indices
     assert validated == placement and all(type(d) is int for d in validated)
+
+
+def _constrained_problem() -> PlacementProblem:
+    """Six tasks on five devices, most tasks with devices they cannot use."""
+    rng = np.random.default_rng(8)
+    graph = generate_task_graph(TaskGraphParams(num_tasks=6, constraint_prob=0.8), rng)
+    network = generate_device_network(DeviceNetworkParams(num_devices=5), rng)
+    return PlacementProblem(graph, network)
+
+
+BATCH_PROBLEM = _constrained_problem()
+
+
+@st.composite
+def placement_batches(draw):
+    """Batches of feasible rows, some with entries or lengths corrupted."""
+    problem = BATCH_PROBLEM
+    devices = problem.network.num_devices
+    feasible = problem.feasible_sets
+    batch = []
+    for _ in range(draw(st.integers(0, 5))):
+        clean = [draw(st.sampled_from(f)) for f in feasible]
+        row = list(clean)
+        for i in draw(st.lists(st.integers(0, len(row) - 1), max_size=2)):
+            infeasible = [d for d in range(devices) if d not in feasible[i]]
+            row[i] = draw(st.one_of(
+                st.integers(-3, -1),
+                st.integers(devices, devices + 2),
+                st.sampled_from(infeasible or [devices]),
+                st.just(float(clean[i])),
+                st.booleans(),
+                st.just(np.int64(clean[i])),
+                st.just(np.True_),
+                st.sampled_from([2**63, 2**64]),
+            ))
+        length = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))  # ragged batches, too
+        row = row[: len(row) + length] if length < 0 else row + row[:length]
+        batch.append(draw(st.sampled_from([tuple, list]))(row))
+    return batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=placement_batches())
+@example(batch=[])
+def test_validate_many_is_the_per_placement_loop(batch):
+    """Same keys (exact ints) and int64 rows, or the same first ValueError."""
+    problem = BATCH_PROBLEM
+    try:
+        expected = [problem.validate_placement(p) for p in batch]
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            problem.validate_many(batch)
+        assert str(raised.value) == str(error)
+        return
+    keys, rows = problem.validate_many(batch)
+    assert keys == expected
+    assert all(type(d) is int for key in keys for d in key)
+    assert rows.dtype == np.int64 and rows.shape == (len(batch), problem.graph.num_tasks)
+    assert rows.tolist() == [list(key) for key in keys]
+    if all(type(p) is tuple and all(type(d) is int for d in p) for p in batch):
+        # the array check: exact-int tuples come back as the keys themselves
+        assert all(key is p for key, p in zip(keys, batch))
 
 
 def test_numpy_integer_placement_hits_the_int_tuple_entry():

@@ -1,5 +1,6 @@
 """RequestBatcher: coalescing, value fidelity, and error propagation."""
 
+import sys
 import threading
 import time
 
@@ -38,17 +39,27 @@ class TestCoalesce:
     def test_groups_by_evaluator_and_preserves_order(self, problem, objective):
         ev_a = PlacementEvaluator(problem, objective)
         ev_b = PlacementEvaluator(problem, objective)
-        ps = placements_for(problem, 4)
-        requests = [(ev_a, ps[0]), (ev_b, ps[1]), (ev_a, ps[2]), (ev_b, ps[3])]
+        ps = placements_for(problem, 6)
+        requests = [(ev_a, ps[0:1]), (ev_b, ps[1:3]), (ev_a, ps[3:5]), (ev_b, ps[5:6])]
         values = coalesce_evaluate(requests)
-        direct = [float(ev.evaluate(p)) for ev, p in requests]
+        direct = [[float(ev.evaluate(p)) for p in placements] for ev, placements in requests]
         assert values == direct
+        # one evaluate_many per evaluator, whatever the number of requests
+        assert ev_a.stats.batch_calls == ev_b.stats.batch_calls == 1
 
     def test_empty_input(self):
         assert coalesce_evaluate([]) == []
 
 
 class TestBatcher:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_batch": 0}, {"max_wait_ms": -5.0}, {"max_wait_ms": float("nan")},
+        {"max_wait_ms": float("inf")},
+    ])
+    def test_refuses_bad_limits(self, kwargs):
+        with pytest.raises(ValueError):
+            RequestBatcher(**kwargs)
+
     def test_values_match_direct_evaluation(self, problem, objective):
         reference = PlacementEvaluator(problem, objective)
         ps = placements_for(problem, 6)
@@ -271,3 +282,115 @@ class TestDeadDrainThread:
             assert str(outcomes[name]) == message, name
         assert run_bounded(batcher.stop) is None
         assert evaluator.stats.evaluations == 0  # nothing was scored behind the failure
+
+
+def per_item_sizes(request_sizes, max_batch):
+    """Batch sizes a queue of single placements cuts: every placement in
+    arrival order, ``max_batch`` at a time."""
+    total = sum(request_sizes)
+    return [min(max_batch, total - lo) for lo in range(0, total, max_batch)]
+
+
+class TestSpans:
+    """The queue holds one span per ``submit_many`` call.  Requests queue
+    up behind a held first batch, so the cut is deterministic."""
+
+    def _serve(self, monkeypatch, gate_request, requests, max_batch=4):
+        """Submit ``gate_request`` and, while its batch is held, each of
+        ``requests`` in order; returns outcomes and each scored batch as
+        ``[(evaluator, number of placements)]`` (re-scores of a failed batch included)."""
+        import repro.serve.batcher as batcher_module
+
+        score, release = batcher_module.coalesce_evaluate, threading.Event()
+        scored = []
+
+        def held_first(pairs):
+            scored.append([(evaluator, len(ps)) for evaluator, ps in pairs])
+            if len(scored) == 1:
+                release.wait(timeout=5.0)
+            return score(pairs)
+
+        monkeypatch.setattr(batcher_module, "coalesce_evaluate", held_first)
+        outcomes = [None] * (len(requests) + 1)
+        with RequestBatcher(max_wait_ms=0.0, max_batch=max_batch) as batcher:
+            threads = []
+            queued = 0
+            for r, (evaluator, placements) in enumerate([gate_request, *requests]):
+
+                def submit(r=r, evaluator=evaluator, placements=placements):
+                    outcomes[r] = run_bounded(lambda: batcher.submit_many(evaluator, placements))
+
+                threads.append(threading.Thread(target=submit))
+                threads[-1].start()
+                queued += len(placements)
+                deadline = time.monotonic() + 5.0
+                while (batcher.requests < queued or not scored) and time.monotonic() < deadline:
+                    time.sleep(0.001)  # in arrival order, behind the held batch
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            counts = (batcher.batches, batcher.requests)
+        return outcomes, scored, counts
+
+    def test_interleaved_evaluators_and_a_straddling_request(self, problem, objective, monkeypatch):
+        ev_a = PlacementEvaluator(problem, objective)
+        ev_b = PlacementEvaluator(problem, objective)
+        ps = placements_for(problem, 9)
+        requests = [(ev_a, ps[1:4]), (ev_b, ps[4:7]), (ev_a, ps[7:9])]
+        outcomes, scored, counts = self._serve(monkeypatch, (ev_a, ps[:1]), requests)
+        reference = PlacementEvaluator(problem, objective)
+        for (_, placements), values in zip([(ev_a, ps[:1]), *requests], outcomes):
+            assert values == [reference.evaluate(p) for p in placements]
+        # ev_b's request straddles the two batches, each batch mixes evaluators
+        assert scored == [[(ev_a, 1)], [(ev_a, 3), (ev_b, 1)], [(ev_b, 2), (ev_a, 2)]]
+        assert [sum(n for _, n in batch) for batch in scored] == [1, *per_item_sizes([3, 3, 2], 4)]
+        assert counts == (3, 9)
+        # one evaluate_many per evaluator per batch
+        assert (ev_a.stats.batch_calls, ev_b.stats.batch_calls) == (3, 2)
+
+    def test_failing_straddler_fails_alone(self, problem, objective, monkeypatch):
+        ev_a = PlacementEvaluator(problem, objective)
+        ev_b = PlacementEvaluator(problem, objective)
+        ps = placements_for(problem, 8)
+        bad = [99] * len(problem.feasible_sets)
+        requests = [(ev_a, ps[1:4]), (ev_b, [*ps[4:6], bad]), (ev_a, ps[6:8])]
+        outcomes, scored, counts = self._serve(monkeypatch, (ev_a, ps[:1]), requests)
+        reference = PlacementEvaluator(problem, objective)
+        for r, placements in ((0, ps[:1]), (1, ps[1:4]), (3, ps[6:8])):
+            assert outcomes[r] == [reference.evaluate(p) for p in placements]
+        assert isinstance(outcomes[2], ValueError)
+        assert "task 0 placed on infeasible device index 99" in str(outcomes[2])
+        # the failed third batch is re-scored one request at a time
+        assert scored[2:] == [[(ev_b, 2), (ev_a, 2)], [(ev_b, 2)], [(ev_a, 2)]]
+        assert counts == (3, 9)
+
+    def test_many_submitters_under_a_short_switch_interval(self, problem, objective):
+        """More submitters than cores, spans cut at ``max_batch=5``: every
+        value still lands in its own request, every placement counted once."""
+        evaluator = PlacementEvaluator(problem, objective)
+        reference = PlacementEvaluator(problem, objective)
+        ps = placements_for(problem, 12)
+        expected = [reference.evaluate(p) for p in ps]
+        requests = {t: [(t + j) % len(ps) for j in range(1 + t % 7)] for t in range(16)}
+        outcomes = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RequestBatcher(max_wait_ms=0.5, max_batch=5) as batcher:
+                threads = [
+                    threading.Thread(target=lambda t=t: outcomes.update({t: run_bounded(
+                        lambda: batcher.submit_many(evaluator, [ps[i] for i in requests[t]]),
+                        limit_s=20.0,
+                    )}))
+                    for t in requests
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert batcher.requests == sum(map(len, requests.values()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == {t: [expected[i] for i in ix] for t, ix in requests.items()}

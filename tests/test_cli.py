@@ -48,6 +48,29 @@ class TestTrainRefusesNonPositive:
         assert not (tmp_path / "runs").exists()
 
 
+class TestServeRefusesBadFlags:
+    @pytest.mark.parametrize(
+        "flag, value, rule",
+        [
+            ("--max-batch", "0", "must be positive"),
+            ("--episode-multiplier", "0", "must be positive"),
+            ("--batch-wait-ms", "-5", "must be a finite number >= 0"),
+            ("--batch-wait-ms", "nan", "must be a finite number >= 0"),
+        ],
+    )
+    def test_exits_2_naming_the_flag_before_binding(
+        self, flag, value, rule, tmp_path, capsys, monkeypatch
+    ):
+        from repro.serve.server import PlacementServer
+
+        # A flag that slipped through fails here instead of serving forever.
+        monkeypatch.setattr(PlacementServer, "serve_forever", lambda self: pytest.fail("booted"))
+        socket_path = tmp_path / "serve.sock"
+        assert main(["serve", "--socket", str(socket_path), flag, value]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {flag}: {rule}, got ")
+        assert not socket_path.exists()
+
+
 class TestWorkflow:
     def test_generate(self, capsys):
         rc = main(["generate", "--count", "2", "--num-tasks", "6", "--num-devices", "3"])
