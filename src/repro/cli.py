@@ -23,7 +23,8 @@ Subcommands (Artifact Appendix A.5-A.6):
                     fan-out pickle safety (see repro.analysis).
 
 Status/progress lines go to stderr through the ``REPRO_LOG`` leveled
-logger (debug|info|quiet); stdout carries only primary results.
+logger (debug|info|quiet); stdout carries only primary results.  A flag
+outside its domain exits 2 with ``argument --flag: ...`` on stderr.
 
 Usage:  python -m repro train --episodes 50 --logdir runs
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -45,6 +47,24 @@ from .telemetry import log
 __all__ = ["main", "build_parser"]
 
 
+def _domain(kind: type, holds, rule: str):
+    """An argparse ``type=``: parse ``kind``, refuse what fails ``holds`` (as a NaN does)."""
+    def convert(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse words kind's ValueError as "invalid int value"
+    return convert
+
+
+_POSITIVE = _domain(int, lambda v: v > 0, "must be positive")
+_NONNEG = _domain(int, lambda v: v >= 0, "must be >= 0")
+_POSITIVE_FLOAT = _domain(float, lambda v: 0 < v < math.inf, "must be a finite number > 0")
+_NONNEG_FLOAT = _domain(float, lambda v: 0 <= v < math.inf, "must be a finite number >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -53,38 +73,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="train a GiPH policy on synthetic data")
-    train.add_argument("--episodes", type=int, default=50)
-    train.add_argument("--num-tasks", type=int, default=12)
-    train.add_argument("--num-devices", type=int, default=6)
-    train.add_argument("--train-graphs", type=int, default=8)
+    train.add_argument("--episodes", type=_POSITIVE, default=50)
+    train.add_argument("--num-tasks", type=_POSITIVE, default=12)
+    train.add_argument("--num-devices", type=_POSITIVE, default=6)
+    train.add_argument("--train-graphs", type=_POSITIVE, default=8)
     train.add_argument("--embedding", default="giph",
                        help="giph | giph-<k> | giph-ne | graphsage-ne | giph-ne-pol")
     train.add_argument("--objective", default="makespan", choices=list(OBJECTIVES))
-    train.add_argument("--lr", type=float, default=0.01)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--lr", type=_POSITIVE_FLOAT, default=0.01)
+    train.add_argument("--seed", type=_NONNEG, default=0)
     train.add_argument("--logdir", default="runs")
-    train.add_argument("--batch-episodes", type=int, default=1, metavar="K",
+    train.add_argument("--batch-episodes", type=_POSITIVE, default=1, metavar="K",
                        help="episodes per gradient update; K>1 collects them "
                             "against snapshot weights (K=1: serial semantics)")
-    train.add_argument("--workers", type=int, default=1,
+    train.add_argument("--workers", type=_NONNEG, default=1,
                        help="processes collecting batched episodes (needs "
                             "--batch-episodes > 1 to fan out; 0 = all CPUs)")
 
     test = sub.add_parser("test", help="evaluate a saved policy on fresh cases")
     test.add_argument("--run-folder", required=True,
                       help="run directory created by `repro train`")
-    test.add_argument("--num-testing-cases", type=int, default=20)
-    test.add_argument("--noise", type=float, default=0.0)
-    test.add_argument("--seed", type=int, default=1)
-    test.add_argument("--workers", type=int, default=1,
+    test.add_argument("--num-testing-cases", type=_POSITIVE, default=20)
+    test.add_argument("--noise", type=_NONNEG_FLOAT, default=0.0)
+    test.add_argument("--seed", type=_NONNEG, default=1)
+    test.add_argument("--workers", type=_NONNEG, default=1,
                       help="evaluate test cases on this many processes "
                            "(results are worker-count independent; 0 = all CPUs)")
 
     gen = sub.add_parser("generate", help="sample and describe synthetic data")
-    gen.add_argument("--num-tasks", type=int, default=12)
-    gen.add_argument("--num-devices", type=int, default=6)
-    gen.add_argument("--count", type=int, default=3)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--num-tasks", type=_POSITIVE, default=12)
+    gen.add_argument("--num-devices", type=_POSITIVE, default=6)
+    gen.add_argument("--count", type=_POSITIVE, default=3)
+    gen.add_argument("--seed", type=_NONNEG, default=0)
 
     # Help strings are generated from the experiments registry (ids and
     # which run() signatures accept `backend`), so they cannot go stale
@@ -98,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a paper table/figure experiment")
     exp.add_argument("id", help="|".join(EXPERIMENT_IDS))
     exp.add_argument("--scale", default=None, choices=["quick", "paper"])
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--workers", type=int, default=None,
+    exp.add_argument("--seed", type=_NONNEG, default=0)
+    exp.add_argument("--workers", type=_NONNEG, default=None,
                      help="worker processes fanning out the experiment's "
                           f"train/eval grid ({', '.join(parallel_experiment_ids())}; "
                           f"serial by design: {', '.join(serial_experiment_ids())}); "
@@ -109,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "otherwise); an explicit 'fork' without --workers uses all "
                           "CPUs; 'shard' plans/runs/merges locally in one go — "
                           "reports are backend-independent")
-    exp.add_argument("--shards", type=int, default=2,
+    exp.add_argument("--shards", type=_POSITIVE, default=2,
                      help="shard count for --backend shard")
     exp.add_argument("--out", default=None,
                      help="plan directory for --backend shard "
@@ -126,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     shard_sub = shard.add_subparsers(dest="shard_command", required=True)
     plan = shard_sub.add_parser("plan", help="write N shard manifests for a run")
     plan.add_argument("id", help="|".join(parallel_experiment_ids()))
-    plan.add_argument("--shards", type=int, required=True)
-    plan.add_argument("--seed", type=int, default=0)
+    plan.add_argument("--shards", type=_POSITIVE, required=True)
+    plan.add_argument("--seed", type=_NONNEG, default=0)
     plan.add_argument("--scale", default=None, choices=["quick", "paper"])
     plan.add_argument("--out", default=None,
                       help="plan directory (default: runs/shards/<id>-seed<seed>-<scale>)")
@@ -136,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "paths resolve against the manifest location)")
     srun = shard_sub.add_parser("run", help="execute one shard manifest")
     srun.add_argument("manifest", help="path to a shard-*.json manifest")
-    srun.add_argument("--workers", type=int, default=1,
+    srun.add_argument("--workers", type=_NONNEG, default=1,
                       help="processes fanning out this shard's own cells (0 = all CPUs)")
     srun.add_argument("--missing", default="compute", choices=["compute", "wait"],
                       help="unowned cells absent from the store: compute them too "
                            "(default, self-healing) or wait for peer shards to "
                            "publish them (strict work partitioning)")
-    srun.add_argument("--wait-timeout", type=float, default=3600.0, metavar="SECONDS",
+    srun.add_argument("--wait-timeout", type=_POSITIVE_FLOAT, default=3600.0, metavar="SECONDS",
                       help="give up waiting for peer cells after this long")
     merge = shard_sub.add_parser(
         "merge", help="merge a completed shard set into the final report"
@@ -159,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a telemetry JSONL log, a run/store directory "
                             "(shard logs under telemetry/ are merged), or a "
                             "directory of logs — newest taken (default: runs/trace)")
-    trace.add_argument("--top", type=int, default=None, metavar="N",
+    trace.add_argument("--top", type=_POSITIVE, default=None, metavar="N",
                        help="also print the N hottest spans by self time")
     trace.add_argument("--export", default=None, choices=["chrome"],
                        help="additionally write a Chrome trace-event JSON "
@@ -173,21 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     scen.add_argument("action", nargs="?", choices=["list", "run"], default="list",
                       help="'list' registered presets or 'run' one")
     scen.add_argument("name", nargs="?", help="preset name (required for run)")
-    scen.add_argument("--list", action="store_true", dest="list_presets",
-                      help="list registered scenario presets")
     scen.add_argument("--policy", action="append", dest="policies",
                       choices=["heft", "random", "rnn-placer", "task-eft"],
                       help="policy to replay (repeatable; default: random + task-eft)")
-    scen.add_argument("--seed", type=int, default=None,
+    scen.add_argument("--seed", type=_NONNEG, default=None,
                       help="override the preset's seed")
     scen.add_argument("--events", action="store_true",
                       help="print the materialized event stream before replaying")
-    scen.add_argument("--cold-evaluators", action="store_true",
-                      help="disable cross-event evaluator reuse (benchmark mode)")
-    scen.add_argument("--workers", type=int, default=1,
+    scen.add_argument("--workers", type=_NONNEG, default=1,
                       help="replay policies on this many processes "
                            "(reports are worker-count independent; 0 = all CPUs)")
-    scen.add_argument("--max-events", type=int, default=None, metavar="N",
+    scen.add_argument("--max-events", type=_NONNEG, default=None, metavar="N",
                       help="truncate the materialized event stream to its first "
                            "N events (untruncated prefixes replay identically)")
     scen.add_argument("--no-oracle", action="store_true",
@@ -202,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--agent", default=None, metavar="AGENT_NPZ",
                        help="trained agent checkpoint to load once and serve "
                             "as policy 'giph'")
-    serve.add_argument("--episode-multiplier", type=int, default=2,
+    serve.add_argument("--episode-multiplier", type=_POSITIVE, default=2,
                        help="default search budget per re-placement, in units "
                             "of the graph's task count")
-    serve.add_argument("--batch-wait-ms", type=float, default=2.0,
+    serve.add_argument("--batch-wait-ms", type=_NONNEG_FLOAT, default=2.0,
                        help="request-batcher coalescing window")
-    serve.add_argument("--max-batch", type=int, default=256,
+    serve.add_argument("--max-batch", type=_POSITIVE, default=256,
                        help="request-batcher batch size cap")
     serve.add_argument("--oracle", action="store_true",
                        help="sessions compute oracle/regret by default "
@@ -216,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="telemetry JSONL written on shutdown "
                             "(default: runs/trace/serve-<stamp>.jsonl; "
                             "inspect with `repro trace`)")
-    serve.add_argument("--seed", type=int, default=0,
+    serve.add_argument("--seed", type=_NONNEG, default=0,
                        help="root seed for the daemon's derived policy "
                             "streams (sessions re-derive per tenant)")
 
@@ -230,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "(repeatable; default: stable-cluster)")
     load.add_argument("--policy", default="task-eft",
                       help="policy every tenant's session runs")
-    load.add_argument("--clients", type=int, default=4,
+    load.add_argument("--clients", type=_POSITIVE, default=4,
                       help="concurrent tenant sessions, one client thread each")
-    load.add_argument("--events", type=int, default=None, metavar="N",
+    load.add_argument("--events", type=_NONNEG, default=None, metavar="N",
                       help="events per tenant (default: the full stream)")
-    load.add_argument("--seed", type=int, default=0,
+    load.add_argument("--seed", type=_NONNEG, default=0,
                       help="base seed; tenant i replays at seed+i")
     load.add_argument("--compare-cold", action="store_true",
                       help="also time a cold one-event `repro scenario run` "
@@ -274,20 +290,10 @@ def _problems(num_tasks: int, num_devices: int, count: int, rng: np.random.Gener
     return out
 
 
-def _refused(args: argparse.Namespace, names, holds=lambda v: v > 0, rule="must be positive"):
-    """Print ``error: --flag: rule`` for the first flag failing ``holds`` (as a NaN does)."""
-    bad = next((name for name in names if not holds(getattr(args, name))), None)
-    if bad is not None:
-        print(f"error: --{bad.replace('_', '-')}: {rule}, got {getattr(args, bad)}")
-    return bad is not None
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     from .core import GiPHAgent, ReinforceConfig, ReinforceTrainer
     from .core.serialization import save_agent
 
-    if _refused(args, ("episodes", "batch_episodes", "train_graphs", "num_tasks", "num_devices", "lr")):
-        return 2
     rng = np.random.default_rng(args.seed)
     problems = _problems(args.num_tasks, args.num_devices, args.train_graphs, rng)
     agent = GiPHAgent(rng, embedding=args.embedding)
@@ -392,7 +398,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     from .scenarios import DEFAULT_REGISTRY, ScenarioRunner, describe_events, format_adaptation_table
     from .serve.server import default_policy_factories
 
-    if args.list_presets or args.action == "list":
+    if args.action == "list":
         print(f"{'name':<24s} {'devices':>7s} {'changes':>7s} {'graphs':>6s}  description")
         for spec in DEFAULT_REGISTRY:
             print(
@@ -406,7 +412,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     if not args.name:
         print("error: 'repro scenario run' needs a preset name "
-              "(see 'repro scenario --list')")
+              "(see 'repro scenario list')")
         return 2
     try:
         spec = DEFAULT_REGISTRY.get(args.name, seed=args.seed)
@@ -422,11 +428,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"error: --max-events: {error}")
             return 2
-    runner = ScenarioRunner(
-        source,
-        reuse_evaluators=not args.cold_evaluators,
-        oracle=not args.no_oracle,
-    )
+    runner = ScenarioRunner(source, oracle=not args.no_oracle)
     materialized = runner.materialized
     print(f"scenario {spec.name!r} (seed {spec.seed}, objective {spec.objective}): "
           f"{materialized.num_events} events over {spec.num_steps} steps, "
@@ -452,12 +454,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.server import PlacementServer, ServeConfig, install_signal_handlers
-    from .telemetry import capture_run, write_run_log
+    from .telemetry import capture_run
 
-    if _refused(args, ("episode_multiplier", "max_batch")) or _refused(
-        args, ("batch_wait_ms",), lambda v: 0.0 <= v < float("inf"), "must be a finite number >= 0"
-    ):
-        return 2
     config = ServeConfig(
         socket_path=args.socket,
         episode_multiplier=args.episode_multiplier,
@@ -472,12 +470,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     meta = {"command": "serve", "socket": args.socket}
     with capture_run(meta) as capture:
         server.serve_forever()
-    if capture.delta is not None:
-        stamp = time.strftime("%Y-%m-%d_%H-%M-%S")
-        path = (pathlib.Path(args.trace_log) if args.trace_log
-                else pathlib.Path("runs") / "trace" / f"serve-{stamp}.jsonl")
-        write_run_log(path, capture)
-        log.info(f"wrote telemetry log to {path} (inspect with: repro trace {path})")
+    _write_trace_log(capture, "serve", args.trace_log)
     log.info(f"repro serve: exited after {server.requests_served} request(s)")
     return 0
 
@@ -497,18 +490,19 @@ def cmd_load(args: argparse.Namespace) -> int:
     summary = run_load(config)
     print(format_load_summary(summary))
     if args.json:
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
-        log.info(f"wrote load summary JSON to {path}")
+        _write_json(args.json, summary, "load summary")
     return 0
 
 
-def _shard_dir(experiment: str, seed: int, scale) -> pathlib.Path:
-    return pathlib.Path("runs") / "shards" / f"{experiment}-seed{seed}-{scale.name}"
+def _write_json(path: str, payload, what: str) -> None:
+    """Write ``payload`` as sorted, indented JSON to ``path`` (parents made) and log it."""
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    log.info(f"wrote {what} JSON to {out}")
 
 
-def _write_report_json(path: pathlib.Path, report, trace_path=None) -> None:
+def _write_report_json(path: str, report, trace_path=None) -> None:
     """The ``--json`` payload: canonical report + a ``runtime`` section.
 
     ``report.to_json()`` stays byte-stable across runs/backends (the
@@ -534,30 +528,29 @@ def _write_report_json(path: pathlib.Path, report, trace_path=None) -> None:
     if trace_path is not None:
         runtime["telemetry_log"] = str(trace_path)
     payload["runtime"] = runtime
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    log.info(f"wrote report JSON to {path}")
+    _write_json(path, payload, "report")
 
 
-def _write_trace_log(capture, experiment: str, seed: int, scale) -> pathlib.Path | None:
-    """Persist a CLI run's telemetry under ``runs/trace`` (None if disabled)."""
+def _write_trace_log(capture, stem: str, path: str | None = None) -> pathlib.Path | None:
+    """Persist a CLI run's telemetry to ``path``, by default
+    ``runs/trace/<stem>-<stamp>.jsonl`` (None if telemetry is off)."""
     from .telemetry import write_run_log
 
     if capture.delta is None:
         return None
     stamp = time.strftime("%Y-%m-%d_%H-%M-%S")
-    path = (pathlib.Path("runs") / "trace"
-            / f"{experiment}-seed{seed}-{scale.name}-{stamp}.jsonl")
-    write_run_log(path, capture)
-    log.info(f"wrote telemetry log to {path} (inspect with: repro trace {path})")
-    return path
+    out = pathlib.Path(path or f"runs/trace/{stem}-{stamp}.jsonl")
+    write_run_log(out, capture)
+    log.info(f"wrote telemetry log to {out} (inspect with: repro trace {out})")
+    return out
 
 
 def _run_sharded_locally(args: argparse.Namespace, scale) -> int:
     """``--backend shard``: plan, run every shard, merge — one process."""
     from .shard import merge_shards, plan, run_shard
 
-    out = pathlib.Path(args.out) if args.out else _shard_dir(args.id, args.seed, scale)
-    manifests = plan(args.id, args.shards, args.seed, scale, out)
+    manifests = plan(args.id, args.shards, args.seed, scale, args.out)
+    out = manifests[0].parent
     log.info(f"planned {len(manifests)} shard(s) under {out}")
     inner = make_backend(workers=args.workers)
     for path in manifests:
@@ -568,12 +561,12 @@ def _run_sharded_locally(args: argparse.Namespace, scale) -> int:
     log.info(f"shard telemetry logs under {out}/store/telemetry "
              f"(inspect with: repro trace {out}/store)")
     if args.json:
-        _write_report_json(pathlib.Path(args.json), report)
+        _write_report_json(args.json, report)
     return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments import PAPER, QUICK, active_scale
+    from .experiments import active_scale
     from .experiments.registry import (
         UnknownExperimentError,
         get_module,
@@ -585,7 +578,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except UnknownExperimentError as error:
         print(f"error: {error.message}")
         return 2
-    scale = {"quick": QUICK, "paper": PAPER}.get(args.scale) if args.scale else active_scale()
+    scale = active_scale(args.scale)
     serial_by_design = not supports_backend(args.id)
     if args.backend is not None and serial_by_design:
         print(f"error: experiment {args.id!r} runs serially by design; "
@@ -611,10 +604,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     with capture_run(meta) as capture:
         with span(f"experiment.{args.id}"):
             report = module.run(scale, seed=args.seed, **kwargs)
-    trace_path = _write_trace_log(capture, args.id, args.seed, scale)
+    trace_path = _write_trace_log(capture, f"{args.id}-seed{args.seed}-{scale.name}")
     print(report.text)
     if args.json:
-        _write_report_json(pathlib.Path(args.json), report, trace_path)
+        _write_report_json(args.json, report, trace_path)
     return 0
 
 
@@ -673,7 +666,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    from .experiments import PAPER, QUICK, active_scale
+    from .experiments import active_scale
     from .experiments.registry import UnknownExperimentError, get_module
     from .shard import plan
 
@@ -682,9 +675,8 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
     except UnknownExperimentError as error:
         print(f"error: {error.message}")
         return 2
-    scale = {"quick": QUICK, "paper": PAPER}.get(args.scale) if args.scale else active_scale()
-    out = pathlib.Path(args.out) if args.out else _shard_dir(args.id, args.seed, scale)
-    manifests = plan(args.id, args.shards, args.seed, scale, out, store=args.store)
+    scale = active_scale(args.scale)
+    manifests = plan(args.id, args.shards, args.seed, scale, args.out, store=args.store)
     print(f"planned {args.id} (seed {args.seed}, scale {scale.name}) "
           f"into {len(manifests)} shard(s):")
     for path in manifests:
@@ -723,7 +715,7 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
     report = merge_shards(args.manifests)
     print(report.text)
     if args.json:
-        _write_report_json(pathlib.Path(args.json), report)
+        _write_report_json(args.json, report)
     return 0
 
 
@@ -751,13 +743,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
     print(render_text(result, verbose=args.verbose))
     if args.json:
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(findings_payload(result), indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        log.info(f"wrote findings JSON to {path}")
+        _write_json(args.json, findings_payload(result), "findings")
     return 0 if result.clean else 1
 
 

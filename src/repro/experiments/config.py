@@ -130,11 +130,11 @@ QUICK = Scale(
 )
 
 
-def active_scale() -> Scale:
-    """Preset selected by the ``REPRO_SCALE`` environment variable."""
-    name = os.environ.get("REPRO_SCALE", "quick").lower()
-    if name == "paper":
-        return PAPER
-    if name == "quick":
-        return QUICK
-    raise ValueError(f"unknown REPRO_SCALE={name!r}; use 'quick' or 'paper'")
+def active_scale(name: str | None = None) -> Scale:
+    """The preset called ``name``; by default the one ``REPRO_SCALE`` selects."""
+    if name is None:
+        name = os.environ.get("REPRO_SCALE", "quick")
+    scale = {"quick": QUICK, "paper": PAPER}.get(name.lower())
+    if scale is None:
+        raise ValueError(f"unknown scale {name!r}; set REPRO_SCALE to 'quick' or 'paper'")
+    return scale

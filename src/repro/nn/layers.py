@@ -20,8 +20,6 @@ __all__ = ["Linear", "MLP", "Sequential", "Activation"]
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "relu": lambda x: x.relu(),
-    "tanh": lambda x: x.tanh(),
-    "sigmoid": lambda x: x.sigmoid(),
     "identity": lambda x: x,
 }
 
@@ -76,26 +74,19 @@ class Sequential(Module):
 
 
 class MLP(Module):
-    """Multi-layer perceptron with a hidden activation on every layer but the last.
+    """Multi-layer perceptron: ReLU after every layer but the last, which is linear.
 
     ``MLP([10, 16, 1])`` is the paper's policy score function g(.).
     """
 
-    def __init__(
-        self,
-        dims: Sequence[int],
-        rng: np.random.Generator,
-        activation: str = "relu",
-        output_activation: str = "identity",
-    ) -> None:
+    def __init__(self, dims: Sequence[int], rng: np.random.Generator) -> None:
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output dimension")
         self.dims = tuple(dims)
         layers: list[Module] = []
         for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             layers.append(Linear(d_in, d_out, rng))
-            is_last = i == len(dims) - 2
-            layers.append(Activation(output_activation if is_last else activation))
+            layers.append(Activation("identity" if i == len(dims) - 2 else "relu"))
         self.net = Sequential(*layers)
 
     def forward(self, x: Tensor) -> Tensor:

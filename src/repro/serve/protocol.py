@@ -17,7 +17,8 @@ Ops
               the resulting step record and the remaining event count.
 ``report``    the session's canonical ``AdaptationReport`` dict
               (timing fields excluded — the byte-comparable form).
-``close``     drop a session.
+``close``     drop a session (a connection's end drops the sessions
+              it opened).
 ``evaluate``  score placements against a scenario's initial problems
               through the server's warm evaluator pool; concurrent
               calls coalesce into one ``evaluate_many`` batch.

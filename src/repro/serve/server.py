@@ -347,6 +347,7 @@ class PlacementServer:
     def _connection_loop(self, conn: socket.socket) -> None:
         reader = _LineReader(conn)
         draining = False
+        opened: set[str] = set()  # sessions this connection opened and has not closed
         try:
             while True:
                 try:
@@ -380,6 +381,10 @@ class PlacementServer:
                 if not line.strip():
                     continue
                 response = self._serve_request(line)
+                if response["ok"] and response["op"] == "open":
+                    opened.add(response["session"])
+                elif response["ok"] and response["op"] == "close":
+                    opened.discard(response["session"])
                 try:
                     conn.sendall(encode_message(response))
                 except OSError:
@@ -389,6 +394,10 @@ class PlacementServer:
                 conn.close()
             except OSError:
                 pass
+            # A session ends with its connection, closed or dropped.
+            with self._state_lock:
+                for session_id in opened:
+                    self._sessions.pop(session_id, None)
             with self._conn_lock:
                 self._conn_threads.discard(threading.current_thread())
 

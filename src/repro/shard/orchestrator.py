@@ -50,11 +50,12 @@ def plan(
     num_shards: int,
     seed: int,
     scale: Scale,
-    out_dir: str | pathlib.Path,
+    out_dir: str | pathlib.Path | None = None,
     store: str | None = None,
 ) -> list[pathlib.Path]:
     """Write ``num_shards`` manifests for one experiment run.
 
+    ``out_dir`` defaults to ``runs/shards/<experiment>-seed<seed>-<scale>``.
     ``store`` defaults to a ``store/`` directory next to the manifests,
     recorded relatively so the whole plan directory stays portable.
     Serial-by-design experiments (table1/table7) are rejected here, at
@@ -67,7 +68,7 @@ def plan(
             f"experiment {experiment!r} runs serially by design "
             "(constants / wall-clock timing); there is no grid to shard"
         )
-    out = pathlib.Path(out_dir)
+    out = pathlib.Path(out_dir or f"runs/shards/{experiment}-seed{seed}-{scale.name}")
     out.mkdir(parents=True, exist_ok=True)
     manifest_store = store if store is not None else "store"
     run = run_fingerprint(experiment, seed, scale)

@@ -29,46 +29,122 @@ class TestParser:
         assert exited.value.code == 2
 
 
-class TestTrainRefusesNonPositive:
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--episodes", "0"),
-            ("--batch-episodes", "0"),
-            ("--train-graphs", "0"),
-            ("--num-tasks", "-1"),
-            ("--num-devices", "0"),
-            ("--lr", "-0.01"),
-        ],
-    )
-    def test_exits_2_naming_the_flag_before_the_run_directory(self, flag, value, tmp_path, capsys):
-        rc = main(["train", flag, value, "--logdir", str(tmp_path / "runs")])
-        assert rc == 2
-        assert capsys.readouterr().out.startswith(f"error: {flag}: must be positive")
-        assert not (tmp_path / "runs").exists()
+POSITIVE = "must be positive"
+NONNEG = "must be >= 0"
+POSITIVE_FLOAT = "must be a finite number > 0"
+NONNEG_FLOAT = "must be a finite number >= 0"
+
+# Each subcommand's argv up to its numeric flags (required positionals
+# and options filled in), so only the flag under test can fail.
+PREFIX = {
+    "train": ["train"],
+    "test": ["test", "--run-folder", "X"],
+    "generate": ["generate"],
+    "experiment": ["experiment", "fig4"],
+    "shard plan": ["shard", "plan", "fig15", "--shards", "2"],
+    "shard run": ["shard", "run", "shard-0of1.json"],
+    "trace": ["trace"],
+    "scenario": ["scenario", "run", "edge-churn"],
+    "serve": ["serve"],
+    "load": ["load"],
+}
+
+# One row per numeric flag of every subcommand (floats also refuse nan).
+DOMAIN_ROWS = [
+    ("train", "--episodes", "0", POSITIVE),
+    ("train", "--num-tasks", "-1", POSITIVE),
+    ("train", "--num-devices", "0", POSITIVE),
+    ("train", "--train-graphs", "0", POSITIVE),
+    ("train", "--batch-episodes", "0", POSITIVE),
+    ("train", "--lr", "-0.01", POSITIVE_FLOAT),
+    ("train", "--lr", "nan", POSITIVE_FLOAT),
+    ("train", "--seed", "-1", NONNEG),
+    ("train", "--workers", "-1", NONNEG),
+    ("test", "--num-testing-cases", "0", POSITIVE),
+    ("test", "--noise", "-0.5", NONNEG_FLOAT),
+    ("test", "--noise", "nan", NONNEG_FLOAT),
+    ("test", "--seed", "-1", NONNEG),
+    ("test", "--workers", "-1", NONNEG),
+    ("generate", "--num-tasks", "0", POSITIVE),
+    ("generate", "--num-devices", "0", POSITIVE),
+    ("generate", "--count", "0", POSITIVE),
+    ("generate", "--seed", "-1", NONNEG),
+    ("experiment", "--seed", "-1", NONNEG),
+    ("experiment", "--workers", "-1", NONNEG),
+    ("experiment", "--shards", "0", POSITIVE),
+    ("shard plan", "--shards", "0", POSITIVE),
+    ("shard plan", "--seed", "-1", NONNEG),
+    ("shard run", "--workers", "-1", NONNEG),
+    ("shard run", "--wait-timeout", "0", POSITIVE_FLOAT),
+    ("shard run", "--wait-timeout", "nan", POSITIVE_FLOAT),
+    ("shard run", "--wait-timeout", "inf", POSITIVE_FLOAT),
+    ("trace", "--top", "0", POSITIVE),
+    ("scenario", "--seed", "-1", NONNEG),
+    ("scenario", "--workers", "-2", NONNEG),
+    ("scenario", "--max-events", "-1", NONNEG),
+    ("serve", "--episode-multiplier", "0", POSITIVE),
+    ("serve", "--batch-wait-ms", "-5", NONNEG_FLOAT),
+    ("serve", "--batch-wait-ms", "nan", NONNEG_FLOAT),
+    ("serve", "--max-batch", "0", POSITIVE),
+    ("serve", "--seed", "-1", NONNEG),
+    ("load", "--clients", "0", POSITIVE),
+    ("load", "--events", "-1", NONNEG),
+    ("load", "--seed", "-1", NONNEG),
+]
 
 
-class TestServeRefusesBadFlags:
-    @pytest.mark.parametrize(
-        "flag, value, rule",
-        [
-            ("--max-batch", "0", "must be positive"),
-            ("--episode-multiplier", "0", "must be positive"),
-            ("--batch-wait-ms", "-5", "must be a finite number >= 0"),
-            ("--batch-wait-ms", "nan", "must be a finite number >= 0"),
-        ],
-    )
-    def test_exits_2_naming_the_flag_before_binding(
-        self, flag, value, rule, tmp_path, capsys, monkeypatch
+def _typed_flags(parser, path=()):
+    """``(subcommand, flag, type)`` for every option declaring a ``type=``."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _typed_flags(sub, path + (name,))
+        elif action.type is not None:
+            yield " ".join(path), action.option_strings[0], action.type
+
+
+class TestFlagDomains:
+    @pytest.mark.parametrize("command, flag, value, rule", DOMAIN_ROWS)
+    def test_exits_2_naming_the_flag_before_any_side_effect(
+        self, command, flag, value, rule, tmp_path, capsys, monkeypatch
     ):
         from repro.serve.server import PlacementServer
 
         # A flag that slipped through fails here instead of serving forever.
         monkeypatch.setattr(PlacementServer, "serve_forever", lambda self: pytest.fail("booted"))
-        socket_path = tmp_path / "serve.sock"
-        assert main(["serve", "--socket", str(socket_path), flag, value]) == 2
-        assert capsys.readouterr().out.startswith(f"error: {flag}: {rule}, got ")
-        assert not socket_path.exists()
+        # Relative defaults (the train --logdir, the serve socket, plan
+        # and trace directories) all land in the empty tmp_path.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main([*PREFIX[command], flag, value])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: {rule}, got {value}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # no run directory, socket or store
+
+    def test_every_numeric_flag_declares_a_domain_and_has_a_row(self):
+        typed = list(_typed_flags(build_parser()))
+        assert [(c, f) for c, f, kind in typed if kind in (int, float)] == []
+        assert {(c, f) for c, f, _ in typed} == {(c, f) for c, f, _, _ in DOMAIN_ROWS}
+
+    def test_domain_boundaries_are_accepted(self):
+        args = build_parser().parse_args(
+            ["test", "--run-folder", "X", "--noise", "0", "--seed", "0", "--workers", "0"]
+        )
+        assert (args.noise, args.seed, args.workers) == (0.0, 0, 0)
+        args = build_parser().parse_args(["scenario", "run", "x", "--max-events", "0"])
+        assert args.max_events == 0
+        args = build_parser().parse_args(["serve", "--batch-wait-ms", "0", "--max-batch", "1"])
+        assert (args.batch_wait_ms, args.max_batch) == (0.0, 1)
+
+    def test_a_non_number_is_named_by_its_kind(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["train", "--lr", "fast"])
+        assert exited.value.code == 2
+        assert "argument --lr: invalid float value: 'fast'" in capsys.readouterr().err
 
 
 class TestWorkflow:
@@ -303,11 +379,19 @@ class TestScenario:
     def test_list_shows_every_preset(self, capsys):
         from repro.scenarios import DEFAULT_REGISTRY
 
-        rc = main(["scenario", "--list"])
+        rc = main(["scenario", "list"])
         assert rc == 0
         out = capsys.readouterr().out
         for name in DEFAULT_REGISTRY.names():
             assert name in out
+
+    @pytest.mark.parametrize("flag", ["--list", "--cold-evaluators"])
+    def test_duplicate_and_unused_flags_are_gone(self, flag):
+        # `scenario list` (or bare `scenario`) lists; cold evaluators are
+        # ScenarioRunner(reuse_evaluators=False) in Python.
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["scenario", "run", "edge-churn", flag])
+        assert exited.value.code == 2
 
     def test_bare_scenario_defaults_to_list(self, capsys):
         rc = main(["scenario"])
