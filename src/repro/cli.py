@@ -575,10 +575,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     try:
         module = get_module(args.id)
+        scale = active_scale(args.scale)
     except UnknownExperimentError as error:
         print(f"error: {error.message}")
         return 2
-    scale = active_scale(args.scale)
+    except ValueError as error:  # a bad REPRO_SCALE
+        print(f"error: {error}")
+        return 2
     serial_by_design = not supports_backend(args.id)
     if args.backend is not None and serial_by_design:
         print(f"error: experiment {args.id!r} runs serially by design; "

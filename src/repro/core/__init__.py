@@ -26,11 +26,7 @@ from .gnn import (
     make_embedding,
 )
 from .gpnet import GpNet, build_gpnet
-from .placement import (
-    PlacementProblem,
-    greedy_fastest_device_placement,
-    random_placement,
-)
+from .placement import PlacementProblem, random_placement
 from .policy import ScorePolicy
 from .reinforce import (
     EpisodeStats,
@@ -40,14 +36,6 @@ from .reinforce import (
     discounted_returns,
 )
 from .search import SearchTrace, run_search
-from .stopping import (
-    CombinedCriterion,
-    FixedBudget,
-    Patience,
-    RelativeImprovement,
-    StoppingCriterion,
-    TargetValue,
-)
 
 __all__ = [
     "GiPHAgent",
@@ -72,7 +60,6 @@ __all__ = [
     "make_embedding",
     "PlacementProblem",
     "random_placement",
-    "greedy_fastest_device_placement",
     "ScorePolicy",
     "ReinforceConfig",
     "ReinforceTrainer",
@@ -81,10 +68,4 @@ __all__ = [
     "average_reward_baseline",
     "SearchTrace",
     "run_search",
-    "StoppingCriterion",
-    "FixedBudget",
-    "Patience",
-    "RelativeImprovement",
-    "TargetValue",
-    "CombinedCriterion",
 ]

@@ -57,8 +57,6 @@ class PlacementEnv:
     objective: performance criterion ρ (lower is better).
     episode_length: steps per episode (default 2·|V|).
     feature_config: gpNet feature options.
-    mask_no_ops: mask actions equal to the current placement (pivots).
-    mask_repeat_task: mask relocating the task moved in the previous step.
     evaluator: a shared :class:`PlacementEvaluator` for this (problem,
         objective) pair — pass one to pool its caches across envs (e.g.
         across training episodes); a private one is created otherwise.
@@ -74,8 +72,6 @@ class PlacementEnv:
         objective: Objective,
         episode_length: int | None = None,
         feature_config: FeatureConfig | None = None,
-        mask_no_ops: bool = True,
-        mask_repeat_task: bool = True,
         evaluator: PlacementEvaluator | None = None,
         builder: GpNetBuilder | None = None,
     ) -> None:
@@ -98,8 +94,6 @@ class PlacementEnv:
         ):
             raise ValueError("builder must be bound to this env's problem and feature config")
         self.builder = builder
-        self.mask_no_ops = mask_no_ops
-        self.mask_repeat_task = mask_repeat_task
         self._state: EnvState | None = None
 
     # -- episode control -----------------------------------------------------------
@@ -150,15 +144,12 @@ class PlacementEnv:
         order (repeat-task first, then no-op) so an action always exists.
         """
         state = state or self.state
-        mask = np.ones(state.gpnet.num_nodes, dtype=bool)
-        if self.mask_no_ops:
-            mask &= ~state.gpnet.is_pivot
-        if self.mask_repeat_task and state.last_moved_task is not None:
-            mask &= state.gpnet.task_of != state.last_moved_task
-        if not mask.any() and self.mask_no_ops:
-            mask = ~state.gpnet.is_pivot
+        movable = ~state.gpnet.is_pivot
+        mask = movable
+        if state.last_moved_task is not None:
+            mask = movable & (state.gpnet.task_of != state.last_moved_task)
         if not mask.any():
-            mask = np.ones(state.gpnet.num_nodes, dtype=bool)
+            mask = movable if movable.any() else np.ones(state.gpnet.num_nodes, dtype=bool)
         return mask
 
     # -- transitions ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ..devices.network import DeviceNetwork
 from ..graphs.task_graph import TaskGraph
 from ..sim.latency import CostModel
 
-__all__ = ["PlacementProblem", "random_placement", "greedy_fastest_device_placement"]
+__all__ = ["PlacementProblem", "random_placement"]
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,3 @@ def random_placement(
     """
     return tuple(feas[int(rng.integers(0, len(feas)))] for feas in problem.feasible_sets)
 
-
-def greedy_fastest_device_placement(problem: PlacementProblem) -> tuple[int, ...]:
-    """Place every task on its fastest feasible device (ignores comm).
-
-    A deliberately myopic initializer: good per-task compute, poor
-    communication locality — useful as a "placement that requires
-    improvement" (paper §4.2).
-    """
-    w = problem.cost_model.W
-    return tuple(
-        int(min(feas, key=lambda d: w[i, d])) for i, feas in enumerate(problem.feasible_sets)
-    )

@@ -76,17 +76,13 @@ def run_search(
     episode_length: int | None = None,
     greedy: bool = False,
     feature_config=None,
-    stopping=None,
     evaluator: PlacementEvaluator | None = None,
 ) -> SearchTrace:
-    """Run one evaluation episode; no learning happens here.
+    """Run one evaluation episode of ``episode_length`` steps (default
+    2·|V|); no learning happens here.
 
-    ``stopping`` optionally supplies a
-    :class:`repro.core.stopping.StoppingCriterion` evaluated after every
-    step (on top of the fixed ``episode_length`` budget) — the paper's §6
-    discussion of search stopping criteria.  ``evaluator`` optionally
-    shares a :class:`PlacementEvaluator` (and its caches) across
-    episodes of the same (problem, objective) pair.
+    ``evaluator`` optionally shares a :class:`PlacementEvaluator` (and
+    its caches) across episodes of the same (problem, objective) pair.
     """
     env = PlacementEnv(
         problem,
@@ -98,7 +94,6 @@ def run_search(
     state = env.reset(initial_placement=initial_placement)
     placements = [state.placement]
     values = [state.objective_value]
-    best_over_time = [state.objective_value]  # running, for ``stopping`` only
     relocations = [0] * problem.graph.num_tasks
 
     done = False
@@ -110,9 +105,5 @@ def run_search(
             relocations[task] += 1
         placements.append(state.placement)
         values.append(state.objective_value)
-        if stopping is not None:
-            best_over_time.append(min(best_over_time[-1], state.objective_value))
-            if stopping.should_stop(values, best_over_time):
-                break
 
     return SearchTrace.from_values(placements, values, relocations)

@@ -1,7 +1,7 @@
 """Device substrate: heterogeneous clusters, generators, churn dynamics."""
 
 from .dynamics import ChurnConfig, ChurnEvent, network_churn
-from .generator import DeviceNetworkParams, generate_device_network, generate_device_networks
+from .generator import DeviceNetworkParams, generate_device_network
 from .network import Device, DeviceNetwork
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "DeviceNetwork",
     "DeviceNetworkParams",
     "generate_device_network",
-    "generate_device_networks",
     "ChurnConfig",
     "ChurnEvent",
     "network_churn",

@@ -8,7 +8,7 @@ import numpy as np
 
 from .network import Device, DeviceNetwork
 
-__all__ = ["DeviceNetworkParams", "generate_device_network", "generate_device_networks"]
+__all__ = ["DeviceNetworkParams", "generate_device_network"]
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,3 @@ def generate_device_network(
     np.fill_diagonal(dl, 0.0)
 
     return DeviceNetwork(devices, bw, dl, name=name or f"random-net-{m}")
-
-
-def generate_device_networks(
-    params: DeviceNetworkParams, count: int, rng: np.random.Generator
-) -> list[DeviceNetwork]:
-    """Sample ``count`` i.i.d. device networks with disjoint uid ranges."""
-    return [
-        generate_device_network(
-            params, rng, name=f"random-net-{i}", uid_offset=i * params.num_devices
-        )
-        for i in range(count)
-    ]

@@ -1,7 +1,7 @@
 """Task-graph substrate: DAG structure, random generator, DL graphs, grouping."""
 
 from .enas import CellDesign, generate_enas_dataset, sample_cell_design, unroll_cell
-from .generator import TaskGraphParams, generate_task_graph, generate_task_graphs
+from .generator import TaskGraphParams, generate_task_graph
 from .grouping import GroupedGraph, group_operators
 from .task_graph import TaskGraph
 
@@ -9,7 +9,6 @@ __all__ = [
     "TaskGraph",
     "TaskGraphParams",
     "generate_task_graph",
-    "generate_task_graphs",
     "CellDesign",
     "sample_cell_design",
     "unroll_cell",

@@ -24,6 +24,10 @@ _ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
 # activation adds a small overhead except identity.
 _ACT_COST = {"tanh": 1.1, "relu": 1.05, "sigmoid": 1.1, "identity": 1.0}
 
+# §B.3's variant ranges (inclusive): unroll steps and batch size.
+_STEPS_RANGE = (20, 30)
+_BATCH_RANGE = (80, 150)
+
 
 @dataclass(frozen=True)
 class CellDesign:
@@ -147,16 +151,14 @@ def generate_enas_dataset(
     rng: np.random.Generator,
     num_designs: int = 10,
     variants_per_design: int = 30,
-    steps_range: tuple[int, int] = (20, 30),
-    batch_range: tuple[int, int] = (80, 150),
 ) -> list[TaskGraph]:
     """The §B.3 dataset: designs × (unroll steps, batch size) variants."""
     graphs: list[TaskGraph] = []
     for d in range(num_designs):
         design = sample_cell_design(rng, name=f"enas-cell-{d}")
         for v in range(variants_per_design):
-            steps = int(rng.integers(steps_range[0], steps_range[1] + 1))
-            batch = int(rng.integers(batch_range[0], batch_range[1] + 1))
+            steps = int(rng.integers(_STEPS_RANGE[0], _STEPS_RANGE[1] + 1))
+            batch = int(rng.integers(_BATCH_RANGE[0], _BATCH_RANGE[1] + 1))
             graphs.append(
                 unroll_cell(design, steps, batch, name=f"enas-{d}-{v}-T{steps}-B{batch}")
             )

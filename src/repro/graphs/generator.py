@@ -15,7 +15,7 @@ import numpy as np
 
 from .task_graph import TaskGraph
 
-__all__ = ["TaskGraphParams", "generate_task_graph", "generate_task_graphs"]
+__all__ = ["TaskGraphParams", "generate_task_graph"]
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,3 @@ def generate_task_graph(
         requirements=tuple(int(r) for r in requirements),
         name=name or f"random-dag-{n}",
     )
-
-
-def generate_task_graphs(
-    params: TaskGraphParams, count: int, rng: np.random.Generator
-) -> list[TaskGraph]:
-    """Sample ``count`` i.i.d. task graphs."""
-    return [generate_task_graph(params, rng, name=f"random-dag-{i}") for i in range(count)]

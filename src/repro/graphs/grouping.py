@@ -22,11 +22,6 @@ class GroupedGraph:
     graph: TaskGraph
     groups: tuple[tuple[int, ...], ...]  # groups[i] = original op ids in group i
 
-    def group_of(self, op: int) -> int:
-        for gid, members in enumerate(self.groups):
-            if op in members:
-                return gid
-        raise KeyError(f"operator {op} not found in any group")
 
 
 def _compatible(req_a: int, req_b: int) -> bool:

@@ -8,7 +8,7 @@ amount of data ``B_ij`` transferred between dependent tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -140,30 +140,6 @@ class TaskGraph:
     def data_out(self, i: int) -> float:
         """Total bytes task ``i`` sends to its children."""
         return sum(b for (u, _), b in self.edges.items() if u == i)
-
-    def relabeled(self, mapping: Sequence[int], name: str | None = None) -> "TaskGraph":
-        """Return a graph with task ``i`` renamed to ``mapping[i]``."""
-        if sorted(mapping) != list(range(self.num_tasks)):
-            raise ValueError("mapping must be a permutation of task ids")
-        inv = list(mapping)
-        compute = [0.0] * self.num_tasks
-        reqs = [0] * self.num_tasks
-        for old, new in enumerate(inv):
-            compute[new] = self.compute[old]
-            reqs[new] = self.requirements[old]
-        edges = {(inv[u], inv[v]): b for (u, v), b in self.edges.items()}
-        return TaskGraph(tuple(compute), edges, tuple(reqs), name or self.name)
-
-    def to_networkx(self):
-        """Export to a networkx.DiGraph (node attr ``compute``, edge attr ``data``)."""
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.name)
-        for i, c in enumerate(self.compute):
-            g.add_node(i, compute=c, requirement=self.requirements[i])
-        for (u, v), b in self.edges.items():
-            g.add_edge(u, v, data=b)
-        return g
 
     def __repr__(self) -> str:
         return (

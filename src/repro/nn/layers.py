@@ -33,14 +33,12 @@ class Linear(Module):
         out_features: int,
         rng: np.random.Generator,
         bias: bool = True,
-        init_scheme: str = "he",
     ) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear dimensions must be positive")
-        initializer = init.he_uniform if init_scheme == "he" else init.glorot_uniform
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(initializer(rng, in_features, out_features))
+        self.weight = Parameter(init.he_uniform(rng, in_features, out_features))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:

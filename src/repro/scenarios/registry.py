@@ -26,9 +26,9 @@ class ScenarioRegistry:
     def __init__(self) -> None:
         self._specs: dict[str, ScenarioSpec] = {}
 
-    def register(self, spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
-        """Add ``spec`` under its own name; refuses silent overwrites."""
-        if not replace and spec.name in self._specs:
+    def register(self, spec: ScenarioSpec) -> ScenarioSpec:
+        """Add ``spec`` under its own name; refuses overwrites."""
+        if spec.name in self._specs:
             raise ValueError(f"scenario {spec.name!r} already registered")
         self._specs[spec.name] = spec
         return spec

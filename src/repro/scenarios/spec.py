@@ -12,16 +12,13 @@ reproduce one adaptive-computing situation from a single integer seed:
 * an **objective** and a **relocation cost model**
   (:class:`RelocationSpec`) charging placement migrations.
 
-Specs are plain frozen dataclasses, serializable to/from JSON-safe
-dicts, so scenarios can be stored, diffed, and replayed bit-identically
-(see ``tests/scenarios/``).
+Specs are plain frozen dataclasses that validate on construction; the
+same spec and seed replay bit-identically (see ``tests/scenarios/``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 from ..devices.dynamics import ChurnConfig
 from ..sim.objectives import OBJECTIVES, Objective
@@ -148,31 +145,3 @@ class ScenarioSpec:
 
     def make_objective(self) -> Objective:
         return OBJECTIVES[self.objective]()
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe nested dict (tuples become lists)."""
-        out = dataclasses.asdict(self)
-        out["workload"]["arrivals"] = [list(pair) for pair in self.workload.arrivals]
-        out["churn"]["drift_range"] = list(self.churn.drift_range)
-        out["churn"]["slowdown_range"] = list(self.churn.slowdown_range)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`; validates every component."""
-        data = dict(data)
-        workload = dict(data.pop("workload", {}))
-        workload["arrivals"] = tuple(tuple(pair) for pair in workload.get("arrivals", ()))
-        churn = dict(data.pop("churn", {}))
-        for key in ("drift_range", "slowdown_range"):
-            if key in churn:
-                churn[key] = tuple(churn[key])
-        return cls(
-            workload=WorkloadSpec(**workload),
-            cluster=ClusterSpec(**dict(data.pop("cluster", {}))),
-            churn=ChurnConfig(**churn),
-            relocation=RelocationSpec(**dict(data.pop("relocation", {}))),
-            **data,
-        )

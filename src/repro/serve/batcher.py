@@ -26,6 +26,10 @@ from ..telemetry import metrics, span
 
 __all__ = ["RequestBatcher"]
 
+# How long a submitter waits for its results, and ``stop`` for the drain
+# thread, before giving up on a drain thread that is alive but stuck.
+DRAIN_TIMEOUT_S = 30.0
+
 
 class _Pending:
     """One ``submit_many`` call: its placements, their values, one waiter.
@@ -53,7 +57,8 @@ class RequestBatcher:
     """Coalesce concurrent scoring requests through ``evaluate_many``.
 
     A drain thread that dies (an exception outside the per-batch guard)
-    fails every blocked and later submitter by name instead of hanging them.
+    fails every blocked and later submitter by name instead of hanging
+    them; one that is wedged fails each submitter after ``DRAIN_TIMEOUT_S``.
 
     Parameters
     ----------
@@ -98,7 +103,7 @@ class RequestBatcher:
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
-        thread.join(timeout=30.0)
+        thread.join(timeout=DRAIN_TIMEOUT_S)
         self._thread = None
 
     def __enter__(self) -> "RequestBatcher":
@@ -131,7 +136,15 @@ class RequestBatcher:
             self._queue.append((pending, 0, len(placements)))
             self.requests += len(placements)
             self._cond.notify_all()
-        pending.done.wait()  # set by its last score, its failure, or a dying drain thread
+        # Set by its last score, its failure, or a dying drain thread.
+        if not pending.done.wait(DRAIN_TIMEOUT_S):
+            with self._cond:  # take back what the wedged drain thread never took
+                self._queue = deque(s for s in self._queue if s[0] is not pending)
+            if not pending.done.is_set():
+                raise TimeoutError(
+                    f"evaluate of {len(placements)} placements got no result from "
+                    f"the drain thread within {DRAIN_TIMEOUT_S:g} s"
+                )
         if pending.error is not None:
             raise pending.error
         return pending.values

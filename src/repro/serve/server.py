@@ -42,7 +42,7 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Mapping
 
@@ -71,6 +71,9 @@ __all__ = [
     "default_policy_factories",
     "install_signal_handlers",
 ]
+
+_ACCEPT_TIMEOUT_S = 0.2  # socket timeout: how often idle loops re-check for a stop
+_DRAIN_TIMEOUT_S = 30.0  # shutdown's budget for in-flight requests to finish
 
 
 class ServeError(RuntimeError):
@@ -133,8 +136,6 @@ class ServeConfig:
     oracle: bool = False  # default for opened sessions (requests may override)
     agent_path: str | None = None
     seed: int = 0  # root seed for the daemon's derived policy streams
-    accept_timeout_s: float = 0.2
-    drain_timeout_s: float = 30.0
 
 
 class _LineReader:
@@ -217,10 +218,9 @@ class PlacementServer:
         # so N sessions over one preset materialize it once.
         self._materialized: dict[tuple[str, int], MaterializedScenario] = {}
         # Warm scoring state for the `evaluate` op: per (scenario, seed)
-        # initial problems + one evaluator pool per objective, touched
-        # only by the batcher's drain thread (see _handle_evaluate).
-        self._eval_problems: dict[tuple[str, int], list[PlacementProblem]] = {}
-        self._eval_pools: dict[tuple[str, int], EvaluatorPool] = {}
+        # the initial problems and their objective's evaluator pool,
+        # touched only by the batcher's drain thread (see _handle_evaluate).
+        self._eval_cache: dict[tuple[str, int], tuple[list[PlacementProblem], EvaluatorPool]] = {}
 
         self.requests_served = 0
 
@@ -241,7 +241,7 @@ class PlacementServer:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(str(path))
         listener.listen(64)
-        listener.settimeout(self.config.accept_timeout_s)
+        listener.settimeout(_ACCEPT_TIMEOUT_S)
         self._listener = listener
         self._stop.clear()
         self._stopped.clear()
@@ -300,7 +300,7 @@ class PlacementServer:
             self._drain_and_close()
 
     def _drain_and_close(self) -> None:
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + _DRAIN_TIMEOUT_S
         accept = self._accept_thread
         if accept is not None:
             accept.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -333,7 +333,7 @@ class PlacementServer:
                 continue
             except OSError:
                 return
-            conn.settimeout(self.config.accept_timeout_s)
+            conn.settimeout(_ACCEPT_TIMEOUT_S)
             thread = threading.Thread(
                 target=self._connection_loop,
                 args=(conn,),
@@ -413,7 +413,7 @@ class PlacementServer:
             with span("serve.request"):
                 with span(f"serve.{op}"):
                     response = self._dispatch(op, request)
-        except (ProtocolError, ServeError, KeyError, TypeError, ValueError) as error:
+        except (ProtocolError, ServeError, KeyError, TypeError, ValueError, TimeoutError) as error:
             detail = error.args[0] if error.args else str(error)
             response = error_response(op, str(detail), request)
         except Exception as error:  # noqa: BLE001 - daemon must not die on a request
@@ -578,17 +578,14 @@ class PlacementServer:
         materialized = self._materialize(str(scenario), _field(request, "seed", int, None))
         key = (materialized.spec.name, materialized.spec.seed)
         with self._state_lock:
-            problems = self._eval_problems.get(key)
-            if problems is None:
-                problems = [
-                    PlacementProblem(g, materialized.initial_network)
-                    for g in materialized.initial_graphs
-                ]
-                self._eval_problems[key] = problems
-            pool = self._eval_pools.get(key)
-            if pool is None:
-                pool = EvaluatorPool(materialized.spec.make_objective())
-                self._eval_pools[key] = pool
+            cached = self._eval_cache.get(key)
+            if cached is None:
+                cached = self._eval_cache[key] = (
+                    [PlacementProblem(g, materialized.initial_network)
+                     for g in materialized.initial_graphs],
+                    EvaluatorPool(materialized.spec.make_objective()),
+                )
+            problems, pool = cached
             if not 0 <= graph_index < len(problems):
                 raise ServeError(
                     f"graph index {graph_index} outside [0, {len(problems)})"

@@ -2,8 +2,7 @@
 
 from .engine import Simulation
 from .executor import SimResult, simulate
-from .gantt import render_gantt, schedule_summary
-from .latency import CostModel, make_affine_compute_matrix
+from .latency import CostModel
 from .metrics import cp_min_lower_bound, energy_cost, slr, total_cost
 from .objectives import EnergyObjective, MakespanObjective, Objective, TotalCostObjective
 from .relocation import RelocationCostModel, TaskRelocationProfile
@@ -12,10 +11,7 @@ __all__ = [
     "Simulation",
     "SimResult",
     "simulate",
-    "render_gantt",
-    "schedule_summary",
     "CostModel",
-    "make_affine_compute_matrix",
     "cp_min_lower_bound",
     "slr",
     "total_cost",

@@ -134,17 +134,3 @@ class CostModel:
             raise ValueError("noise must be in [0, 1)")
         return float(expected * rng.uniform(1.0 - noise, 1.0 + noise))
 
-
-def make_affine_compute_matrix(
-    graph: TaskGraph,
-    unit_times: np.ndarray,
-    startup_times: np.ndarray,
-) -> np.ndarray:
-    """Case-study latency model: w_{i,j} = C_i · T_j + S_j (paper §B.4).
-
-    ``unit_times[j]`` is T_j (ms per unit of compute on device j) and
-    ``startup_times[j]`` is S_j.
-    """
-    unit_times = np.asarray(unit_times, dtype=np.float64)
-    startup_times = np.asarray(startup_times, dtype=np.float64)
-    return np.outer(graph.compute, unit_times) + startup_times[None, :]

@@ -89,20 +89,3 @@ class RelocationCostModel:
         migration_ms = 0.0 if bw == float("inf") else payload / bw
         migration_ms += network.delay[src, dst]
         return migration_ms + profile.startup_ms(self.device_types[dst_uid])
-
-    def amortized_cost_ms(
-        self,
-        task_kind: str,
-        network: DeviceNetwork,
-        src_uid: int,
-        dst_uid: int,
-        pipeline_frequency_hz: float,
-    ) -> float:
-        """Effective per-run cost: relocation cost ÷ pipeline frequency.
-
-        Matches §5.3: "we divide the relocation cost by the frequency of
-        pipeline runs", so fast pipelines tolerate costlier relocations.
-        """
-        if pipeline_frequency_hz <= 0:
-            raise ValueError("pipeline frequency must be positive")
-        return self.cost_ms(task_kind, network, src_uid, dst_uid) / pipeline_frequency_hz

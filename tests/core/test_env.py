@@ -147,13 +147,6 @@ class TestMasks:
         mask = env.action_mask()
         assert not mask[state.gpnet.task_of == 1].any()
 
-    def test_masks_can_be_disabled(self, diamond_problem):
-        env = PlacementEnv(
-            diamond_problem, MakespanObjective(), mask_no_ops=False, mask_repeat_task=False
-        )
-        state = env.reset(initial_placement=[0, 0, 0, 2])
-        assert env.action_mask().all()
-
     def test_degenerate_instance_still_has_action(self, chain_problem):
         # 2 tasks x 2 devices; after moving task 0, both its options are
         # masked (repeat) and pivots are masked -> task 1's non-pivot
@@ -165,6 +158,21 @@ class TestMasks:
         assert mask.sum() == 1
         task, dev = state.gpnet.action_of(int(np.flatnonzero(mask)[0]))
         assert task == 1 and dev == 1
+
+    @pytest.mark.parametrize("num_devices", [1, 2])
+    def test_masks_relax_repeat_task_then_no_op(self, num_devices):
+        # One task: once it moved, the repeat-task mask leaves nothing and
+        # relaxes to its non-pivot option; on one device every option is
+        # its pivot, so the no-op mask relaxes to all nodes.
+        devices = [Device(uid=d, speed=1.0) for d in range(num_devices)]
+        network = DeviceNetwork(devices, np.full((num_devices,) * 2, np.inf),
+                                np.zeros((num_devices,) * 2))
+        env = make_env(PlacementProblem(TaskGraph((2.0,), {}), network))
+        state = env.reset(initial_placement=[0])
+        state, _, _ = env.step(state.gpnet.node_index(0, num_devices - 1))
+        assert state.last_moved_task == 0
+        expected = [True] if num_devices == 1 else (~state.gpnet.is_pivot).tolist()
+        assert env.action_mask().tolist() == expected
 
     def test_fig2_action_space(self, chain_problem):
         # Fig. 2: 2-task graph, both devices feasible -> 4 actions.

@@ -6,12 +6,10 @@ import pytest
 from repro.baselines import PlacetoAgent, TaskEftAgent
 from repro.core import (
     GiPHAgent,
-    PlacementProblem,
     ReinforceConfig,
     ReinforceTrainer,
     average_reward_baseline,
     discounted_returns,
-    greedy_fastest_device_placement,
     random_placement,
     run_search,
 )
@@ -225,11 +223,6 @@ class TestAgentStateDict:
 
 
 class TestInitializers:
-    def test_greedy_fastest_device(self, diamond_problem):
-        placement = greedy_fastest_device_placement(diamond_problem)
-        # device 2 is fastest and feasible for everything
-        assert placement == (2, 2, 2, 2)
-
     def test_random_placement_feasible(self, diamond_problem):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -11,7 +11,6 @@ from repro.devices import (
     DeviceNetwork,
     DeviceNetworkParams,
     generate_device_network,
-    generate_device_networks,
     network_churn,
 )
 
@@ -178,11 +177,6 @@ class TestGenerator:
         net = generate_device_network(p, np.random.default_rng(3))
         off = ~np.eye(8, dtype=bool)
         assert (net.delay[off] >= 0).all() and (net.delay[off] <= 4.0).all()
-
-    def test_multiple_networks_disjoint_uids(self):
-        nets = generate_device_networks(DeviceNetworkParams(num_devices=4), 3, np.random.default_rng(4))
-        uids = [d.uid for n in nets for d in n.devices]
-        assert len(set(uids)) == 12
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -104,14 +104,6 @@ class TestGrouping:
         grouped = group_operators(g, target_size=40)  # constructor rejects cycles
         assert grouped.graph.num_tasks == len(grouped.groups)
 
-    def test_group_of_lookup(self):
-        d = sample_cell_design(rng(9), num_nodes=8)
-        g = unroll_cell(d, steps=6, batch_size=32)
-        grouped = group_operators(g, target_size=20)
-        assert grouped.group_of(0) in range(len(grouped.groups))
-        with pytest.raises(KeyError):
-            grouped.group_of(10_000)
-
     def test_incompatible_requirements_not_merged(self):
         # Chain 0 -> 1 -> 2 with conflicting requirements on 0/1: merge of
         # 1 into 0 is blocked, 2 (generic) can merge anywhere.

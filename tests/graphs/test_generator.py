@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import TaskGraphParams, generate_task_graph, generate_task_graphs
+from repro.graphs import TaskGraphParams, generate_task_graph
 
 
 def rng(seed=0):
@@ -76,11 +76,6 @@ class TestGenerator:
         g1 = generate_task_graph(p, rng(7))
         g2 = generate_task_graph(p, rng(7))
         assert g1.compute == g2.compute and g1.edges == g2.edges
-
-    def test_batch_generation(self):
-        graphs = generate_task_graphs(TaskGraphParams(num_tasks=10), 5, rng())
-        assert len(graphs) == 5
-        assert len({g.name for g in graphs}) == 5
 
     def test_tiny_graphs(self):
         for m in (1, 2, 3):

@@ -1,6 +1,5 @@
 """TaskGraph structure tests."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import TaskGraph
@@ -72,22 +71,6 @@ class TestQueries:
     def test_data_out(self):
         assert diamond().data_out(0) == 30.0
         assert diamond().data_out(3) == 0.0
-
-    def test_to_networkx_roundtrip(self):
-        nx_g = diamond().to_networkx()
-        assert nx_g.number_of_nodes() == 4
-        assert nx_g[0][1]["data"] == 10.0
-        assert nx_g.nodes[2]["compute"] == 3.0
-
-    def test_relabeled_preserves_structure(self):
-        g = diamond().relabeled([3, 2, 1, 0])
-        assert g.compute[3] == 1.0  # old task 0
-        assert (3, 2) in g.edges and g.edges[(3, 2)] == 10.0
-        assert g.depth == 3
-
-    def test_relabeled_bad_mapping(self):
-        with pytest.raises(ValueError):
-            diamond().relabeled([0, 0, 1, 2])
 
     def test_single_task_graph(self):
         g = TaskGraph((5.0,), {})

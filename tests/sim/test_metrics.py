@@ -14,7 +14,6 @@ from repro.sim import (
     TotalCostObjective,
     cp_min_lower_bound,
     energy_cost,
-    make_affine_compute_matrix,
     simulate,
     slr,
     total_cost,
@@ -69,10 +68,6 @@ class TestCostModel:
             CostModel(chain(), net3(), compute_matrix=np.ones((1, 3)))
         with pytest.raises(ValueError, match="non-negative"):
             CostModel(chain(), net3(), compute_matrix=-np.ones((2, 3)))
-
-    def test_affine_matrix(self):
-        w = make_affine_compute_matrix(chain(), unit_times=[1.0, 2.0], startup_times=[5.0, 0.0])
-        np.testing.assert_allclose(w, [[9.0, 8.0], [13.0, 16.0]])
 
     def test_realize_bounds_and_validation(self):
         rng = np.random.default_rng(0)
@@ -211,17 +206,9 @@ class TestRelocation:
         cold = self.model(include_static=True).cost_ms("camera", net3(), 0, 1)
         assert cold == pytest.approx(base + 10.0 * 1024.0 / 10.0)
 
-    def test_amortization_decreases_with_frequency(self):
-        m = self.model()
-        slow = m.amortized_cost_ms("camera", net3(), 0, 1, pipeline_frequency_hz=1.0)
-        fast = m.amortized_cost_ms("camera", net3(), 0, 1, pipeline_frequency_hz=30.0)
-        assert fast == pytest.approx(slow / 30.0)
-
     def test_validation(self):
         with pytest.raises(KeyError):
             self.model().cost_ms("lidar", net3(), 0, 1)
-        with pytest.raises(ValueError):
-            self.model().amortized_cost_ms("camera", net3(), 0, 1, 0.0)
         with pytest.raises(ValueError):
             TaskRelocationProfile(-1.0, 0.0, {})
         with pytest.raises(KeyError):

@@ -235,6 +235,18 @@ class TestExperimentRegistry:
         assert "unknown experiment 'no-such-figure'" in out
         assert "fig4" in out and "ablation" in out  # lists every valid id
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "table1"],
+        ["shard", "plan", "fig15", "--shards", "2"],
+    ])
+    def test_bad_repro_scale_fails_cleanly(self, argv, monkeypatch, tmp_path, capsys):
+        # `experiment` used to escape as a ValueError traceback from active_scale.
+        monkeypatch.setenv("REPRO_SCALE", "bogus")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("error: unknown scale 'bogus';")
+        assert list(tmp_path.iterdir()) == []
+
     def test_id_list_matches_package_contents(self):
         # The registry is the source of truth for CLI help; this pins it
         # to the modules that actually exist so neither can drift (the

@@ -10,17 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import eft_estimates, heft_placement, upward_ranks
-from repro.core import (
-    FixedBudget,
-    GpNetBuilder,
-    Patience,
-    PlacementProblem,
-    random_placement,
-)
+from repro.core import PlacementProblem, random_placement
 from repro.core.reinforce import average_reward_baseline, discounted_returns
 from repro.devices import DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraphParams, generate_task_graph
-from repro.sim import CostModel, MakespanObjective, TotalCostObjective, cp_min_lower_bound, simulate
+from repro.sim import MakespanObjective, TotalCostObjective, cp_min_lower_bound
 
 
 def make_problem(seed: int, num_tasks: int = 8, num_devices: int = 4) -> PlacementProblem:
@@ -160,35 +154,3 @@ class TestGpNetMaskProperties:
         v1 = MakespanObjective().evaluate(problem.cost_model, placement)
         v2 = MakespanObjective().evaluate(problem.cost_model, placement)
         assert v1 == v2
-
-
-class TestStoppingProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(values=st.lists(st.floats(0.1, 100), min_size=2, max_size=30))
-    def test_fixed_budget_fires_exactly_once_at_budget(self, values):
-        best = np.minimum.accumulate(values).tolist()
-        budget = len(values) - 1
-        criterion = FixedBudget(steps=budget)
-        fired = [criterion.should_stop(values[: t + 1], best[: t + 1]) for t in range(len(values))]
-        assert fired[-1] is True
-        assert not any(fired[:-1])
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        values=st.lists(st.floats(0.1, 100), min_size=3, max_size=30),
-        patience=st.integers(1, 5),
-    )
-    def test_patience_never_fires_while_improving_strictly(self, values, patience):
-        # A strictly improving best series never triggers patience.
-        # (Improvements below the criterion's 1e-12 stall tolerance are
-        # deliberately treated as stalls, so enforce a visible gap.)
-        strictly: list[float] = []
-        for v in sorted((float(v) for v in values), reverse=True):
-            if not strictly or strictly[-1] - v > 1e-9:
-                strictly.append(v)
-        if len(strictly) < 2:
-            return
-        best = strictly
-        criterion = Patience(patience=patience)
-        for t in range(1, len(best)):
-            assert not criterion.should_stop(best[: t + 1], best[: t + 1])
