@@ -36,6 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.features import GpNetBuilder
 from ..core.placement import PlacementProblem, random_placement
 from ..core.search import SearchTrace
 from ..nn import MLP, Linear, Module, Parameter, Tensor, concat, no_grad
@@ -81,8 +82,7 @@ class PlacetoLayout:
         # A compare, not ``feats[current_node] = 1``: -1 flags no row.
         feats[:, 3] = np.arange(len(feats)) == current_node
         feats[:, 4] = np.asarray(placed, dtype=bool)
-        scale = np.abs(feats).mean(axis=0)
-        return feats / np.where(scale > 1e-12, scale, 1.0)
+        return GpNetBuilder._normalize(feats)
 
 
 class _PlacetoEmbedding(Module):

@@ -28,6 +28,10 @@ every block, :meth:`GpNetBuilder.update` — the incremental rebuild after
 a single relocation — only the blocks incident to the moved task (the
 node-feature potential column is global, since one move reshuffles the
 whole schedule, but it is evaluated vectorized).
+
+The GNN's frontier plans (:class:`GpNetStructure`) come from edge *runs*
+(one per edge block of a builder's net): past one pass over the edges,
+their derivation scales with the task graph, not the gpNet.
 """
 
 from __future__ import annotations
@@ -67,52 +71,23 @@ class FeatureConfig:
     normalize: bool = True
 
 
-def _group_edges_by_task(edge_tasks: np.ndarray, num_tasks: int) -> list[np.ndarray]:
-    """gpNet edge indices grouped by the task id in ``edge_tasks``.
-
-    Stable sort, so each group lists its edges in ascending gpNet-edge
-    order — the aggregation order of the GNN sweep.
-    """
-    order = np.argsort(edge_tasks, kind="stable")
-    sorted_tasks = edge_tasks[order]
-    bounds = np.searchsorted(sorted_tasks, np.arange(num_tasks + 1))
-    return [order[bounds[t] : bounds[t + 1]] for t in range(num_tasks)]
-
-
-def _task_topo_levels(
-    src_tasks: np.ndarray, dst_tasks: np.ndarray, num_tasks: int
-) -> np.ndarray:
-    """Longest-path layering of the task DAG induced by the gpNet edges.
-
-    ``level[t] = 1 + max(level[parents of t])`` (0 for sources) — every
-    task's senders sit strictly below it, so one batched message pass
-    per level finalizes the whole frontier at once.
-    """
-    children: list[list[int]] = [[] for _ in range(num_tasks)]
-    indeg = np.zeros(num_tasks, dtype=np.int64)
-    # Distinct task-graph edges, ascending (src, dst): a gpNet has one
-    # edge per (pivot, option) pair, ~20x as many as the DAG it induces.
-    # (Sort + adjacent dedupe rather than ``np.unique``, whose first call
-    # alone adds ~1.5 MB to the process's peak RSS.)
-    keys = np.sort(src_tasks * num_tasks + dst_tasks, kind="stable")
-    pairs = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
-    for s, d in zip((pairs // num_tasks).tolist(), (pairs % num_tasks).tolist()):
-        children[s].append(d)
-        indeg[d] += 1
-    level = np.zeros(num_tasks, dtype=np.int64)
-    frontier = [t for t in range(num_tasks) if indeg[t] == 0]
-    seen = 0
-    while frontier:
-        t = frontier.pop()
-        seen += 1
-        for c in children[t]:
-            level[c] = max(level[c], level[t] + 1)
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                frontier.append(c)
-    if seen != num_tasks:
-        raise RuntimeError("gpNet induced a cyclic task order")
-    return level
+def _task_levels(
+    senders: np.ndarray, receivers: np.ndarray, num_tasks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward longest-path layering of the task DAG on the
+    (sender, receiver) pairs: ``level[t] = 1 + max(level[senders into t])``
+    (0 for sources), so a level's senders are all final before it.  Both
+    directions relax at once (backward slots offset by ``num_tasks``),
+    one array pass per level until nothing grows."""
+    src = np.concatenate([senders, receivers + num_tasks])
+    dst = np.concatenate([receivers, senders + num_tasks])
+    level, total = np.zeros(2 * num_tasks, dtype=np.int64), 0
+    for _ in range(num_tasks + 1):  # a DAG's longest path has < num_tasks edges
+        np.maximum.at(level, dst, level[src] + 1)
+        previous, total = total, int(level.sum())
+        if total == previous:
+            return level[:num_tasks], level[num_tasks:]
+    raise RuntimeError("gpNet induced a cyclic task order")
 
 
 @dataclass(frozen=True)
@@ -156,6 +131,11 @@ class GpNetStructure:
     placement of the problem.  Computed once per builder (or lazily per
     net via :func:`structure_of`) instead of being re-derived on every
     forward.
+
+    :meth:`from_gpnet` run-length-encodes the edges by (sender task,
+    receiver task), layers the tasks on the run pairs, and stable-sorts
+    tasks, option nodes and received runs by level — each level is then
+    one slice of each, the runs expanded back to their (ascending) edges.
     """
 
     forward_plan: DirectionPlan
@@ -164,41 +144,40 @@ class GpNetStructure:
     @classmethod
     def from_gpnet(cls, net: GpNet) -> "GpNetStructure":
         num_tasks = len(net.options)
-        src_tasks = net.task_of[net.edge_src]
-        dst_tasks = net.task_of[net.edge_dst]
-        # Per receiving-task gpNet edge indices (forward: grouped by the
-        # edge's dst task; backward: by its src task).
-        groups_fwd = _group_edges_by_task(dst_tasks, num_tasks)
-        groups_bwd = _group_edges_by_task(src_tasks, num_tasks)
-        levels_fwd = _task_topo_levels(src_tasks, dst_tasks, num_tasks)
-        levels_bwd = _task_topo_levels(dst_tasks, src_tasks, num_tasks)
-        return cls(
-            forward_plan=cls._plan(net, levels_fwd, groups_fwd),
-            backward_plan=cls._plan(net, levels_bwd, groups_bwd),
-        )
+        # Runs: maximal stretches of consecutive gpNet edges with one
+        # (sender task, receiver task) pair, ascending by start.
+        pair = net.task_of[net.edge_src] * num_tasks + net.task_of[net.edge_dst]
+        starts = np.flatnonzero(np.concatenate(([net.num_edges > 0], pair[1:] != pair[:-1])))
+        lengths = np.diff(starts, append=net.num_edges)
+        run_src, run_dst = np.divmod(pair[starts], max(num_tasks, 1))
+        option_task = np.repeat(np.arange(num_tasks), [len(o) for o in net.options])
+        options = np.concatenate(net.options) if num_tasks else option_task
 
-    @staticmethod
-    def _plan(
-        net: GpNet, level_of: np.ndarray, groups: list[np.ndarray]
-    ) -> DirectionPlan:
-        node_local = np.zeros(net.num_nodes, dtype=np.int64)
-        levels: list[_LevelPlan] = []
-        num_levels = int(level_of.max()) + 1 if len(level_of) else 0
-        for lv in range(num_levels):
-            tasks = tuple(int(t) for t in np.flatnonzero(level_of == lv))
-            parts, pos = [], 0
-            for t in tasks:
-                opts = net.options[t]
-                node_local[opts] = np.arange(pos, pos + len(opts))
-                pos += len(opts)
-                parts.append(opts)
-            nodes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            group_parts = [groups[t] for t in tasks if len(groups[t])]
-            edge_idx = (
-                np.concatenate(group_parts) if group_parts else np.empty(0, dtype=np.int64)
+        def plan(level_of: np.ndarray, receiver: np.ndarray) -> DirectionPlan:
+            bounds = np.arange(int(level_of.max()) + 2 if num_tasks else 1)
+            tasks = np.argsort(level_of, kind="stable")
+            node_order = np.argsort(level_of[option_task], kind="stable")
+            run_order = np.argsort(level_of[receiver] * num_tasks + receiver, kind="stable")
+            nodes = options[node_order]
+            run_len = lengths[run_order]
+            ends = np.cumsum(run_len)
+            run_first = np.repeat(starts[run_order] - ends + run_len, run_len)
+            edge_idx = run_first + np.arange(net.num_edges)
+            tb = np.searchsorted(level_of[tasks], bounds)
+            nb = np.searchsorted(level_of[option_task[node_order]], bounds)
+            eb = np.concatenate(([0], ends))[np.searchsorted(level_of[receiver[run_order]], bounds)]
+            node_local = np.zeros(net.num_nodes, dtype=np.int64)
+            node_local[nodes] = np.arange(len(nodes)) - np.repeat(nb[:-1], np.diff(nb))
+            tb, nb, eb, task_list = tb.tolist(), nb.tolist(), eb.tolist(), tasks.tolist()
+            levels = tuple(
+                _LevelPlan(tuple(task_list[t0:t1]), nodes[n0:n1], edge_idx[e0:e1])
+                for t0, t1, n0, n1, e0, e1 in zip(tb, tb[1:], nb, nb[1:], eb, eb[1:])
             )
-            levels.append(_LevelPlan(tasks=tasks, nodes=nodes, edge_idx=edge_idx))
-        return DirectionPlan(levels=tuple(levels), node_local=node_local)
+            return DirectionPlan(levels=levels, node_local=node_local)
+
+        levels_fwd, levels_bwd = _task_levels(run_src, run_dst, num_tasks)
+        # Forward a run is received by its dst task, backward by its src.
+        return cls(forward_plan=plan(levels_fwd, run_dst), backward_plan=plan(levels_bwd, run_src))
 
 
 def structure_of(gpnet: GpNet) -> GpNetStructure:
@@ -293,13 +272,10 @@ class GpNetBuilder:
         self._block_src0 = offsets_arr[self._block_i] - self._block_split
         self._num_gpnet_edges = int(self._block_size.sum())
         # Blocks incident to each task, as either endpoint.
-        block_of = np.tile(np.arange(num_blocks), 2)
-        self._incident_blocks = tuple(
-            block_of[g]
-            for g in _group_edges_by_task(
-                np.concatenate([self._block_i, self._block_j]), graph.num_tasks
-            )
-        )
+        ends = np.concatenate([self._block_i, self._block_j])
+        by_task = np.argsort(ends, kind="stable") % max(num_blocks, 1)
+        bounds = np.cumsum(np.bincount(ends, minlength=graph.num_tasks)).tolist()
+        self._incident_blocks = tuple(by_task[a:b] for a, b in zip([0] + bounds, bounds))
         self._last: _RawBuild | None = None
         # One GpNetStructure serves every placement of the problem (the
         # task-level layout is placement-independent); computed lazily on
@@ -308,11 +284,10 @@ class GpNetBuilder:
 
         # Flattened (block, option node of its child task) pairs for the
         # start-time potential.  Static — only placements/timelines vary
-        # per build.
+        # per build.  Block b's nodes are options_j = block_dst0[b] + k.
         self._pot_rep = np.repeat(np.arange(num_blocks), self._block_split)
-        self._pot_nodes = np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [self._options[j] for j in self._block_j]
-        )
+        before = np.repeat(np.cumsum(self._block_split) - self._block_split, self._block_split)
+        self._pot_nodes = self._block_dst0[self._pot_rep] + np.arange(len(before)) - before
 
     # -- feature maps -------------------------------------------------------------
 
@@ -354,7 +329,9 @@ class GpNetBuilder:
     def _normalize(features: np.ndarray) -> np.ndarray:
         if features.size == 0:
             return features
-        scale = np.abs(features).mean(axis=0)
+        # ``np.abs(x).mean(axis=0)``'s floats bit for bit (the same row-by-row
+        # sum on a row-major array of >= 2 columns), at half its cost.
+        scale = np.einsum("ij->j", np.abs(features)) / len(features)
         scale = np.where(scale > 1e-12, scale, 1.0)
         return features / scale
 

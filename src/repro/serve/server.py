@@ -42,6 +42,7 @@ import signal
 import socket
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Mapping
@@ -74,6 +75,9 @@ __all__ = [
 
 _ACCEPT_TIMEOUT_S = 0.2  # socket timeout: how often idle loops re-check for a stop
 _DRAIN_TIMEOUT_S = 30.0  # shutdown's budget for in-flight requests to finish
+# Entries per (scenario, seed) cache, as EvaluatorPool's ``max_problems``:
+# an evicted entry costs a deterministic rebuild, never a refused request.
+CACHE_ENTRIES = 128
 
 
 class ServeError(RuntimeError):
@@ -89,6 +93,19 @@ def _field(request: dict[str, Any], name: str, kind: type, default: Any) -> Any:
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ServeError(f"{name} must be {'an int' if kind is int else 'a bool'}, not {value!r}")
     return value
+
+
+def _lru(cache: OrderedDict, key: Any, value: Any = None) -> Any:
+    """``cache[key]`` made most recent, or ``value`` stored under ``key``
+    (None if not given) at the cost of the least recent entry past
+    ``CACHE_ENTRIES``."""
+    if key in cache:
+        cache.move_to_end(key)
+    elif value is not None:
+        cache[key] = value
+        if len(cache) > CACHE_ENTRIES:
+            cache.popitem(last=False)
+    return cache.get(key)
 
 
 def default_policy_factories(
@@ -215,12 +232,14 @@ class PlacementServer:
         self._state_lock = threading.Lock()
         self._step_lock = threading.Lock()  # every session's step and report
         # (scenario, seed) -> full materialization, shared across tenants
-        # so N sessions over one preset materialize it once.
-        self._materialized: dict[tuple[str, int], MaterializedScenario] = {}
+        # so N sessions over one preset materialize it once; LRU-capped.
+        self._materialized: OrderedDict[tuple[str, int], MaterializedScenario] = OrderedDict()
         # Warm scoring state for the `evaluate` op: per (scenario, seed)
         # the initial problems and their objective's evaluator pool,
         # touched only by the batcher's drain thread (see _handle_evaluate).
-        self._eval_cache: dict[tuple[str, int], tuple[list[PlacementProblem], EvaluatorPool]] = {}
+        self._eval_cache: OrderedDict[
+            tuple[str, int], tuple[list[PlacementProblem], EvaluatorPool]
+        ] = OrderedDict()
 
         self.requests_served = 0
 
@@ -458,13 +477,13 @@ class PlacementServer:
         spec = self.registry.get(scenario, seed=seed)
         key = (spec.name, spec.seed)
         with self._state_lock:
-            cached = self._materialized.get(key)
+            cached = _lru(self._materialized, key)
         if cached is None:
             mat = materialize(spec)
             with self._state_lock:
                 # Keep the first materialization if a concurrent open won
                 # the race: sessions sharing one object share problem identity.
-                cached = self._materialized.setdefault(key, mat)
+                cached = _lru(self._materialized, key, mat)
         if max_events is None:
             return cached
         try:
@@ -578,13 +597,11 @@ class PlacementServer:
         materialized = self._materialize(str(scenario), _field(request, "seed", int, None))
         key = (materialized.spec.name, materialized.spec.seed)
         with self._state_lock:
-            cached = self._eval_cache.get(key)
-            if cached is None:
-                cached = self._eval_cache[key] = (
-                    [PlacementProblem(g, materialized.initial_network)
-                     for g in materialized.initial_graphs],
-                    EvaluatorPool(materialized.spec.make_objective()),
-                )
+            cached = _lru(self._eval_cache, key) or _lru(self._eval_cache, key, (
+                [PlacementProblem(g, materialized.initial_network)
+                 for g in materialized.initial_graphs],
+                EvaluatorPool(materialized.spec.make_objective()),
+            ))
             problems, pool = cached
             if not 0 <= graph_index < len(problems):
                 raise ServeError(
@@ -609,11 +626,13 @@ class PlacementServer:
         latency = metrics().histogram("serve.latency_ms")
         with self._state_lock:
             open_sessions = len(self._sessions)
+            cached = {"materialized": len(self._materialized), "evaluate": len(self._eval_cache)}
         return ok_response(
             "stats",
             request,
             requests=self.requests_served,
             open_sessions=open_sessions,
+            cached=cached,
             batches=self.batcher.batches,
             batched_requests=self.batcher.requests,
             latency_ms={

@@ -1,4 +1,4 @@
-"""Test oracles: the two implementations the shipped GNN sweep replaced.
+"""Test oracles: what the shipped GNN sweep and its frontier plans replaced.
 
 ``repro.core.gnn._sweep`` runs one direction of Eq. 1 as a single tape
 node with a hand-written backward.  This module keeps what it replaced,
@@ -9,26 +9,133 @@ so the tests can demand the same floats:
   message computed on the slice that needs it — pins the *forward*.
   Nothing in it reads the shipped
   :class:`~repro.core.features.GpNetStructure`: the task order comes
-  from the set-comprehension level oracle in ``test_gpnet.py`` and the
-  per-task edge groups are recomputed from the net's endpoints.
+  from the set-comprehension level oracle below
+  (:func:`levels_from_every_gpnet_edge`) and the per-task edge groups
+  are recomputed from the net's endpoints.
 * the **composed per-level sweep** (:func:`sweep_composed`) — the same
   levels as the shipped sweep, each written as ordinary tape ops
   (gather → linear → relu → segment aggregate → linear → relu → row
   scatter) — pins the *gradients*, bit for bit: the shipped backward
   must run the float operations this tape runs, in the same order.
+* the **sort-based structure** (:func:`structure_reference`) — per-task
+  edge groups by a stable argsort of every gpNet edge, a Kahn pass per
+  direction, one concatenation per level — pins
+  :meth:`~repro.core.features.GpNetStructure.from_gpnet`'s run-based
+  plans array for array.
 """
 
 from contextlib import contextmanager
 
 import numpy as np
-from test_gpnet import levels_from_every_gpnet_edge
 
 from repro.core import gnn
+from repro.core.features import DirectionPlan, GpNetStructure, _LevelPlan
 from repro.core.gnn import _NoEdgeDirectionalPass
 from repro.nn import Tensor, as_tensor, concat, stack
 from repro.nn import functional as F
 
-__all__ = ["scatter_rows", "two_way_reference", "reference_path", "sweep_composed", "composed_path"]
+__all__ = [
+    "scatter_rows",
+    "two_way_reference",
+    "reference_path",
+    "sweep_composed",
+    "composed_path",
+    "levels_from_every_gpnet_edge",
+    "structure_reference",
+]
+
+
+def levels_from_every_gpnet_edge(src_tasks, dst_tasks, num_tasks):
+    """Longest-path task levels with the task edges recovered by a Python
+    set comprehension over *every* gpNet edge — how the shipped levels
+    were first found.  Also gives :func:`two_way_reference` its task order."""
+    children = [[] for _ in range(num_tasks)]
+    indeg = [0] * num_tasks
+    for s, d in sorted({(int(a), int(b)) for a, b in zip(src_tasks, dst_tasks)}):
+        children[s].append(d)
+        indeg[d] += 1
+    level = [0] * num_tasks
+    frontier = [t for t in range(num_tasks) if indeg[t] == 0]
+    while frontier:
+        t = frontier.pop()
+        for c in children[t]:
+            level[c] = max(level[c], level[t] + 1)
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                frontier.append(c)
+    return np.array(level, dtype=np.int64)
+
+
+def _group_edges_by_task(edge_tasks, num_tasks):
+    """gpNet edge indices grouped by the task id in ``edge_tasks``, each
+    group ascending (stable sort)."""
+    order = np.argsort(edge_tasks, kind="stable")
+    bounds = np.searchsorted(edge_tasks[order], np.arange(num_tasks + 1))
+    return [order[bounds[t] : bounds[t + 1]] for t in range(num_tasks)]
+
+
+def _task_topo_levels(src_tasks, dst_tasks, num_tasks):
+    """Longest-path levels by a Kahn pass over the sorted, deduplicated
+    task pairs; raises on a cyclic task order."""
+    children = [[] for _ in range(num_tasks)]
+    indeg = np.zeros(num_tasks, dtype=np.int64)
+    keys = np.sort(src_tasks * num_tasks + dst_tasks, kind="stable")
+    pairs = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
+    for s, d in zip((pairs // num_tasks).tolist(), (pairs % num_tasks).tolist()):
+        children[s].append(d)
+        indeg[d] += 1
+    level = np.zeros(num_tasks, dtype=np.int64)
+    frontier = [t for t in range(num_tasks) if indeg[t] == 0]
+    seen = 0
+    while frontier:
+        t = frontier.pop()
+        seen += 1
+        for c in children[t]:
+            level[c] = max(level[c], level[t] + 1)
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                frontier.append(c)
+    if seen != num_tasks:
+        raise RuntimeError("gpNet induced a cyclic task order")
+    return level
+
+
+def _plan_reference(net, level_of, groups):
+    node_local = np.zeros(net.num_nodes, dtype=np.int64)
+    levels = []
+    num_levels = int(level_of.max()) + 1 if len(level_of) else 0
+    for lv in range(num_levels):
+        tasks = tuple(int(t) for t in np.flatnonzero(level_of == lv))
+        parts, pos = [], 0
+        for t in tasks:
+            opts = net.options[t]
+            node_local[opts] = np.arange(pos, pos + len(opts))
+            pos += len(opts)
+            parts.append(opts)
+        nodes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        group_parts = [groups[t] for t in tasks if len(groups[t])]
+        edge_idx = np.concatenate(group_parts) if group_parts else np.empty(0, dtype=np.int64)
+        levels.append(_LevelPlan(tasks=tasks, nodes=nodes, edge_idx=edge_idx))
+    return DirectionPlan(levels=tuple(levels), node_local=node_local)
+
+
+def structure_reference(net):
+    """Drop-in for ``GpNetStructure.from_gpnet``: the sort-based derivation."""
+    num_tasks = len(net.options)
+    src_tasks = net.task_of[net.edge_src]
+    dst_tasks = net.task_of[net.edge_dst]
+    return GpNetStructure(
+        forward_plan=_plan_reference(
+            net,
+            _task_topo_levels(src_tasks, dst_tasks, num_tasks),
+            _group_edges_by_task(dst_tasks, num_tasks),
+        ),
+        backward_plan=_plan_reference(
+            net,
+            _task_topo_levels(dst_tasks, src_tasks, num_tasks),
+            _group_edges_by_task(src_tasks, num_tasks),
+        ),
+    )
 
 
 def _aggregate(values, segment_ids, num_segments, how):

@@ -1,12 +1,16 @@
 """gpNet construction tests against the paper's Algorithm (App. B.1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from gnn_reference import levels_from_every_gpnet_edge, structure_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.task_eft import TaskViewBuilder
 from repro.core import FeatureConfig, GpNetBuilder, PlacementProblem, random_placement
-from repro.core.features import GpNetStructure, _task_topo_levels
+from repro.core.features import GpNetStructure
 from repro.core.gpnet import build_gpnet
 from repro.devices import Device, DeviceNetwork, DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
@@ -143,6 +147,35 @@ class TestFeatures:
         k = [i for i in range(net.num_edges) if net.edge_src[i] == src and net.edge_dst[i] == dst][0]
         assert net.edge_features[k, 1] == 0.0
         assert net.edge_features[k, 3] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(min_value=0, max_value=8000),
+    cols=st.integers(min_value=4, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(rows=0, cols=4, seed=0)
+@example(rows=1, cols=4, seed=1)
+@example(rows=8000, cols=9, seed=2)
+def test_normalize_scale_is_the_column_mean_bit_for_bit(rows, cols, seed):
+    """``GpNetBuilder._normalize`` divides by ``np.abs(x).mean(axis=0)``'s
+    floats exactly, on row-major arrays of 4-9 columns (every feature
+    array here): signs, -0.0, subnormals and magnitudes 1e-300 to 1e300."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols)
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    subnormal = rng.random(shape) < 0.1
+    x[subnormal] = 5e-324 * rng.integers(1, 2**20, subnormal.sum())
+    if rows:
+        scale = np.abs(x).mean(axis=0)
+        want = x / np.where(scale > 1e-12, scale, 1.0)
+    else:
+        want = x
+    got = GpNetBuilder._normalize(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=15, deadline=None)
@@ -302,46 +335,55 @@ def test_update_chain_over_every_task_equals_full_build(seed, num_tasks, num_dev
     current = move(repeated)
 
 
-# -- task-DAG levels: the per-gpNet-edge derivation, kept as the oracle ------------------
+# -- frontier plans: the sort-based derivation, kept as the oracle ------------------
 
 
-def levels_from_every_gpnet_edge(src_tasks, dst_tasks, num_tasks):
-    """Longest-path levels with the task edges recovered by a Python set
-    comprehension over *every* gpNet edge — how ``_task_topo_levels``
-    found them before it switched to sort + adjacent dedupe of packed
-    pairs.  Also gives ``gnn_reference.py`` its task order."""
-    children = [[] for _ in range(num_tasks)]
-    indeg = [0] * num_tasks
-    for s, d in sorted({(int(a), int(b)) for a, b in zip(src_tasks, dst_tasks)}):
-        children[s].append(d)
-        indeg[d] += 1
-    level = [0] * num_tasks
-    frontier = [t for t in range(num_tasks) if indeg[t] == 0]
-    while frontier:
-        t = frontier.pop()
-        for c in children[t]:
-            level[c] = max(level[c], level[t] + 1)
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                frontier.append(c)
-    return np.array(level, dtype=np.int64)
+def assert_same_structure(got, want):
+    """``tobytes()`` equality of every plan array, plus dtypes and task tuples."""
+    for a, b in ((got.forward_plan, want.forward_plan), (got.backward_plan, want.backward_plan)):
+        assert len(a.levels) == len(b.levels)
+        pairs = [(a.node_local, b.node_local)]
+        for x, y in zip(a.levels, b.levels):
+            assert x.tasks == y.tasks and all(type(t) is int for t in x.tasks)
+            pairs += [(x.nodes, y.nodes), (x.edge_idx, y.edge_idx)]
+        for x, y in pairs:
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def nets_of(problem, placement, rng):
+    """The same layout as a builder gpNet, a task view and an Algorithm
+    "gpNet" net, each also with its edges in a random order."""
+    builder_net = GpNetBuilder(problem).build(placement)
+    nets = [
+        builder_net,
+        TaskViewBuilder(problem).build(placement),
+        build_gpnet(problem, placement, builder_net.node_features, lambda e, a, b: np.zeros(4)),
+    ]
+    for net in list(nets):
+        perm = rng.permutation(net.num_edges)
+        nets.append(dataclasses.replace(
+            net,
+            edge_src=net.edge_src[perm],
+            edge_dst=net.edge_dst[perm],
+            edge_features=net.edge_features[perm],
+        ))
+    return nets
 
 
 def check_structure_against_oracle(problem, placement):
-    net = GpNetBuilder(problem).build(placement)
-    num_tasks = problem.graph.num_tasks
-    src_tasks, dst_tasks = net.task_of[net.edge_src], net.task_of[net.edge_dst]
-    structure = GpNetStructure.from_gpnet(net)
-    for plan, (senders, receivers) in (
-        (structure.forward_plan, (src_tasks, dst_tasks)),
-        (structure.backward_plan, (dst_tasks, src_tasks)),
-    ):
-        want = levels_from_every_gpnet_edge(senders, receivers, num_tasks)
-        got = _task_topo_levels(senders, receivers, num_tasks)
-        assert got.dtype == want.dtype and (got == want).all()
-        assert [lv.tasks for lv in plan.levels] == [
-            tuple(np.flatnonzero(want == lv)) for lv in range(want.max() + 1)
-        ]
+    rng = np.random.default_rng(len(placement))
+    for net in nets_of(problem, placement, rng):
+        structure = GpNetStructure.from_gpnet(net)
+        assert_same_structure(structure, structure_reference(net))
+        src_tasks, dst_tasks = net.task_of[net.edge_src], net.task_of[net.edge_dst]
+        for plan, (senders, receivers) in (
+            (structure.forward_plan, (src_tasks, dst_tasks)),
+            (structure.backward_plan, (dst_tasks, src_tasks)),
+        ):
+            want = levels_from_every_gpnet_edge(senders, receivers, len(net.options))
+            assert [lv.tasks for lv in plan.levels] == [
+                tuple(np.flatnonzero(want == lv)) for lv in range(want.max() + 1)
+            ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -359,11 +401,34 @@ def test_task_levels_equal_per_gpnet_edge_oracle(seed, num_tasks, num_devices):
 
 
 @pytest.mark.parametrize(
-    "num_tasks, edge_prob", [(1, 1.0), (5, 0.0)], ids=["single-task", "edgeless"]
+    "num_tasks, edge_prob", [(1, 1.0), (5, 0.0), (6, "chain")],
+    ids=["single-task", "edgeless", "chain"],
 )
 def test_task_levels_degenerate_graphs(num_tasks, edge_prob):
-    problem = random_layout_problem(3, num_tasks, 3, edge_prob)
+    chain = edge_prob == "chain"
+    problem = random_layout_problem(3, num_tasks, 3, 0.0 if chain else edge_prob, chain)
     check_structure_against_oracle(problem, random_placement(problem, np.random.default_rng(0)))
+
+
+def test_the_48_by_12_structure_equals_the_oracle():
+    rng = np.random.default_rng(0)
+    g = generate_task_graph(TaskGraphParams(num_tasks=48), rng)
+    problem = PlacementProblem(g, generate_device_network(DeviceNetworkParams(num_devices=12), rng))
+    check_structure_against_oracle(problem, random_placement(problem, rng))
+
+
+@pytest.mark.parametrize("loop", ["two-task cycle", "self loop"])
+def test_cyclic_task_order_raises(loop):
+    problem = random_layout_problem(4, 3, 3, 0.0, chain=True)
+    net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
+    if loop == "two-task cycle":  # every edge also backwards: 0 -> 1 -> 0
+        src, dst = np.r_[net.edge_src, net.edge_dst], np.r_[net.edge_dst, net.edge_src]
+    else:  # one edge between two options of task 0
+        src, dst = np.r_[net.edge_src, net.options[0][:1]], np.r_[net.edge_dst, net.options[0][-1:]]
+    cyclic = dataclasses.replace(net, edge_src=src, edge_dst=dst)
+    for derive in (GpNetStructure.from_gpnet, structure_reference):
+        with pytest.raises(RuntimeError, match="cyclic task order"):
+            derive(cyclic)
 
 
 @settings(max_examples=60, deadline=None)
