@@ -24,12 +24,10 @@ class GiPHSearchPolicy(AdaptivePolicy):
         self,
         agent: GiPHAgent,
         name: str = "giph",
-        greedy: bool = False,
         feature_config: FeatureConfig | None = None,
     ) -> None:
         self.agent = agent
         self.name = name
-        self.greedy = greedy
         self.feature_config = feature_config
 
     def search(
@@ -50,7 +48,6 @@ class GiPHSearchPolicy(AdaptivePolicy):
             objective,
             initial_placement,
             episode_length=episode_length,
-            greedy=self.greedy,
             feature_config=self.feature_config,
             evaluator=evaluator,
         )

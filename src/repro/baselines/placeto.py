@@ -85,18 +85,21 @@ class PlacetoLayout:
         return GpNetBuilder._normalize(feats)
 
 
+_FEATURES = 5  # Table 4/5's Placeto row (module docstring)
+_EMBED_DIM = 5
+_STEPS = 8
+
+
 class _PlacetoEmbedding(Module):
     """k-step two-way message passing over the task graph (no edge feats)."""
 
-    def __init__(self, rng: np.random.Generator, node_dim: int = 5, embed_dim: int = 5, steps: int = 8) -> None:
-        self.pre = MLP([node_dim, node_dim, embed_dim], rng)
-        self.fwd_msg = Linear(embed_dim, embed_dim, rng)
-        self.fwd_agg = Linear(embed_dim, embed_dim, rng)
-        self.bwd_msg = Linear(embed_dim, embed_dim, rng)
-        self.bwd_agg = Linear(embed_dim, embed_dim, rng)
-        self.steps = steps
-        self.embed_dim = embed_dim
-        self.out_dim = embed_dim * 2 * 4
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.out_dim = _EMBED_DIM * 2 * 4
+        self.pre = MLP([_FEATURES, _FEATURES, _EMBED_DIM], rng)
+        self.fwd_msg = Linear(_EMBED_DIM, _EMBED_DIM, rng)
+        self.fwd_agg = Linear(_EMBED_DIM, _EMBED_DIM, rng)
+        self.bwd_msg = Linear(_EMBED_DIM, _EMBED_DIM, rng)
+        self.bwd_agg = Linear(_EMBED_DIM, _EMBED_DIM, rng)
 
     def forward(self, layout: PlacetoLayout, features: np.ndarray) -> Tensor:
         """Node summaries of dim embed·2·4: per-node forward/backward
@@ -105,16 +108,16 @@ class _PlacetoEmbedding(Module):
         grouped summaries."""
         n, src, dst = len(features), layout.src, layout.dst
         e0 = self.pre(Tensor(features))
-        e_fwd = F.propagate(e0, src, dst, layout.in_counts, self.fwd_msg, self.fwd_agg, self.steps)
-        e_bwd = F.propagate(e0, dst, src, layout.out_counts, self.bwd_msg, self.bwd_agg, self.steps)
+        e_fwd = F.propagate(e0, src, dst, layout.in_counts, self.fwd_msg, self.fwd_agg, _STEPS)
+        e_bwd = F.propagate(e0, dst, src, layout.out_counts, self.bwd_msg, self.bwd_agg, _STEPS)
         node = concat([e_fwd, e_bwd], axis=1)
         if len(src) == 0:
-            parents = Tensor(np.zeros((n, 2 * self.embed_dim)))
-            children = Tensor(np.zeros((n, 2 * self.embed_dim)))
+            parents = Tensor(np.zeros((n, 2 * _EMBED_DIM)))
+            children = Tensor(np.zeros((n, 2 * _EMBED_DIM)))
         else:
             parents = F.segment_mean(node[src], dst, n)
             children = F.segment_mean(node[dst], src, n)
-        pooled = node.mean(axis=0, keepdims=True) + Tensor(np.zeros((n, 2 * self.embed_dim)))
+        pooled = node.mean(axis=0, keepdims=True) + Tensor(np.zeros((n, 2 * _EMBED_DIM)))
         return concat([node, parents, children, pooled], axis=1)
 
 
@@ -178,16 +181,13 @@ class PlacetoAgent(AdaptivePolicy):
         placement: Sequence[int],
         node: int,
         placed: np.ndarray,
-        greedy: bool = False,
         layout: PlacetoLayout | None = None,
     ) -> tuple[int, Tensor]:
+        """Sample ``node``'s device; returns (device, log-prob tensor)."""
         log_probs = self.device_log_probs(problem, placement, node, placed, layout)
         probs = np.exp(log_probs.data)
         probs /= probs.sum()
-        if greedy:
-            device = int(np.argmax(probs))
-        else:
-            device = int(self.rng.choice(self.num_devices, p=probs))
+        device = int(self.rng.choice(self.num_devices, p=probs))
         return device, log_probs[device]
 
     # -- evaluation ------------------------------------------------------------

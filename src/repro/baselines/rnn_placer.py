@@ -21,13 +21,18 @@ import numpy as np
 
 from ..core.placement import PlacementProblem
 from ..core.search import SearchTrace
-from ..nn import Adam, AdditiveAttention, BiLSTM, Linear, LSTMCell, Tensor, concat, no_grad
+from ..nn import Adam, AdditiveAttention, BiLSTM, Linear, LSTMCell, Tensor, concat
 from ..nn import functional as F
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
 from .base import AdaptivePolicy, make_evaluator
 
 __all__ = ["RnnPlacer", "RnnPlacerResult", "RnnPlacerPolicy", "operator_embeddings"]
+
+_HIDDEN = 16  # LSTM width
+SAMPLES_PER_UPDATE = 4  # the fit budget: placements per update,
+MAX_UPDATES = 8  # the update cap,
+PATIENCE = 3  # and how many non-improving updates in a row end the fit
 
 
 def operator_embeddings(problem: PlacementProblem) -> np.ndarray:
@@ -70,13 +75,7 @@ class RnnPlacer:
     baseline requires retraining whenever either changes.
     """
 
-    def __init__(
-        self,
-        problem: PlacementProblem,
-        rng: np.random.Generator,
-        hidden: int = 16,
-        learning_rate: float = 0.01,
-    ) -> None:
+    def __init__(self, problem: PlacementProblem, rng: np.random.Generator) -> None:
         self.problem = problem
         # RnnPlacer is built per case inside the search with that case's
         # derived stream and discarded after; the stored generator never
@@ -86,11 +85,11 @@ class RnnPlacer:
         self.order = list(problem.graph.topo_order)
         m = problem.network.num_devices
         input_dim = self.features.shape[1]
-        self.encoder = BiLSTM(input_dim, hidden, rng)
-        mem_dim = 2 * hidden
-        self.decoder = LSTMCell(mem_dim + m, hidden, rng)
-        self.attention = AdditiveAttention(hidden, mem_dim, hidden, rng)
-        self.head = Linear(hidden + mem_dim, m, rng)
+        self.encoder = BiLSTM(input_dim, _HIDDEN, rng)
+        mem_dim = 2 * _HIDDEN
+        self.decoder = LSTMCell(mem_dim + m, _HIDDEN, rng)
+        self.attention = AdditiveAttention(_HIDDEN, mem_dim, _HIDDEN, rng)
+        self.head = Linear(_HIDDEN + mem_dim, m, rng)
         self.num_devices = m
         params = (
             list(self.encoder.parameters())
@@ -98,12 +97,12 @@ class RnnPlacer:
             + list(self.attention.parameters())
             + list(self.head.parameters())
         )
-        self.optimizer = Adam(params, lr=learning_rate)
+        self.optimizer = Adam(params, lr=0.01)
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample_placement(self, greedy: bool = False) -> tuple[tuple[int, ...], Tensor]:
-        """Decode one placement; returns (placement, total log-prob)."""
+    def sample_placement(self) -> tuple[tuple[int, ...], Tensor]:
+        """Sample one placement; returns (placement, total log-prob)."""
         memory = self.encoder(Tensor(self.features[self.order]))
         state = self.decoder.initial_state()
         prev_onehot = np.zeros(self.num_devices)
@@ -120,10 +119,7 @@ class RnnPlacer:
             log_probs = F.masked_log_softmax(logits, mask)
             probs = np.exp(log_probs.data)
             probs /= probs.sum()
-            if greedy:
-                device = int(np.argmax(probs))
-            else:
-                device = int(self.rng.choice(self.num_devices, p=probs))
+            device = int(self.rng.choice(self.num_devices, p=probs))
             placement[op] = device
             lp = log_probs[device]
             total_log_prob = lp if total_log_prob is None else total_log_prob + lp
@@ -133,21 +129,15 @@ class RnnPlacer:
 
     # -- training -----------------------------------------------------------------
 
-    def fit(
-        self,
-        objective: Objective,
-        samples_per_update: int = 4,
-        max_updates: int = 50,
-        patience: int = 5,
-    ) -> RnnPlacerResult:
+    def fit(self, objective: Objective) -> RnnPlacerResult:
         """Train on this instance until the latency stops improving."""
         best_value = float("inf")
         best_placement: tuple[int, ...] | None = None
         curve: list[float] = []
         stall = 0
         updates = 0
-        for updates in range(1, max_updates + 1):
-            sampled = [self.sample_placement() for _ in range(samples_per_update)]
+        for updates in range(1, MAX_UPDATES + 1):
+            sampled = [self.sample_placement() for _ in range(SAMPLES_PER_UPDATE)]
             values = [
                 objective.evaluate(self.problem.cost_model, placement)
                 for placement, _ in sampled
@@ -169,16 +159,10 @@ class RnnPlacer:
             self.optimizer.step()
             curve.append(best_value)
             stall = 0 if improved else stall + 1
-            if stall >= patience:
+            if stall >= PATIENCE:
                 break
         assert best_placement is not None
         return RnnPlacerResult(best_placement, best_value, tuple(curve), updates)
-
-    def place(self, greedy: bool = True) -> tuple[int, ...]:
-        """Decode a placement without building an autograd graph."""
-        with no_grad():
-            placement, _ = self.sample_placement(greedy=greedy)
-        return placement
 
 
 class RnnPlacerPolicy(AdaptivePolicy):
@@ -194,16 +178,6 @@ class RnnPlacerPolicy(AdaptivePolicy):
 
     name = "rnn-placer"
 
-    def __init__(
-        self,
-        samples_per_update: int = 4,
-        max_updates: int = 8,
-        patience: int = 3,
-    ) -> None:
-        self.samples_per_update = samples_per_update
-        self.max_updates = max_updates
-        self.patience = patience
-
     def search(
         self,
         problem: PlacementProblem,
@@ -215,12 +189,7 @@ class RnnPlacerPolicy(AdaptivePolicy):
     ) -> SearchTrace:
         evaluator = make_evaluator(problem, objective, evaluator)
         placer = RnnPlacer(problem, rng)
-        fit = placer.fit(
-            objective,
-            samples_per_update=self.samples_per_update,
-            max_updates=self.max_updates,
-            patience=self.patience,
-        )
+        fit = placer.fit(objective)
         initial = problem.validate_placement(initial_placement)
         placements = [initial] + [fit.best_placement] * episode_length
         values = [evaluator.evaluate(initial)] + [fit.best_value] * episode_length

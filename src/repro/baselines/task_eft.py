@@ -125,7 +125,6 @@ class TaskEftAgent(AdaptivePolicy):
         problem: PlacementProblem,
         placement: Sequence[int],
         last_task: int | None,
-        greedy: bool = False,
         timeline: SimResult | None = None,
         views: TaskViewBuilder | None = None,
     ) -> tuple[int, Tensor]:
@@ -139,7 +138,7 @@ class TaskEftAgent(AdaptivePolicy):
         mask = np.ones(problem.graph.num_tasks, dtype=bool)
         if last_task is not None and problem.graph.num_tasks > 1:
             mask[last_task] = False
-        return self.policy.sample(embeddings, mask, self.rng, greedy=greedy)
+        return self.policy.sample(embeddings, mask, self.rng)
 
     def _relocate(
         self,

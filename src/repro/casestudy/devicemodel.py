@@ -9,6 +9,7 @@ least squares; C_camera anchors the (scale-invariant) compute unit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +46,22 @@ class LatencyFit:
         return float(np.sqrt(np.mean(np.square(errs))))
 
 
-def fit_latency_model(anchor_compute: float = 50.0) -> LatencyFit:
-    """Fit (C, T, S) to Table 1 by bounded nonlinear least squares.
+@functools.cache
+def fit_latency_model() -> LatencyFit:
+    """Fit (C, T, S) to Table 1 by bounded nonlinear least squares, once
+    per process (callers must treat the fit as read-only).
 
-    ``anchor_compute`` pins C_camera, removing the C·T scale degeneracy.
+    C_camera = 50 pins the compute unit, removing the C·T scale degeneracy.
     Residuals are relative (each cell weighted by 1/µ_ij) so the
     millisecond-scale Type-C column isn't drowned out by the 250 ms
     RSU-fusion cells.
     """
+    anchor = 50.0
     n_tasks, n_types = len(TASK_KINDS), len(DEVICE_TYPES)
     mu = np.array([[TABLE1_MEAN_MS[k][t] for t in DEVICE_TYPES] for k in TASK_KINDS])
 
     def unpack(x):
-        compute = np.concatenate([[anchor_compute], x[: n_tasks - 1]])
+        compute = np.concatenate([[anchor], x[: n_tasks - 1]])
         unit = x[n_tasks - 1 : n_tasks - 1 + n_types]
         startup = x[n_tasks - 1 + n_types :]
         return compute, unit, startup
@@ -69,8 +73,8 @@ def fit_latency_model(anchor_compute: float = 50.0) -> LatencyFit:
 
     x0 = np.concatenate(
         [
-            np.full(n_tasks - 1, anchor_compute),
-            np.full(n_types, mu.mean() / anchor_compute),
+            np.full(n_tasks - 1, anchor),
+            np.full(n_types, mu.mean() / anchor),
             np.full(n_types, 1.0),
         ]
     )

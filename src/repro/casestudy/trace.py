@@ -31,7 +31,8 @@ from ..parallel import (
     InlineBackend,
     get_context,
 )
-from ..store import active_store, fingerprint
+from ..store import CorruptEntryError, active_store, fingerprint
+from ..telemetry import log
 from .devicemodel import LatencyFit, fit_latency_model
 from .pipeline import CaseStudyScenario, EdgeDeviceLayout, PipelineConfig, SensorFusionBuilder
 from .traffic import TrafficConfig, TrafficSimulation, TrafficSnapshot
@@ -130,22 +131,20 @@ def extract_trace(
 class _WindowContext:
     """Broadcast state of a windowed extraction (one pickle per pool).
 
-    Ships the parent-computed :class:`LatencyFit` so workers skip the
-    scipy fitting stage; the seed ``stream`` travels instead of a
-    generator because every worker must rebuild the world from the
-    stream's *initial* state.
+    The seed ``stream`` travels instead of a generator because every
+    worker must rebuild the world from the stream's *initial* state.
     """
 
     config: TraceConfig
     stream: tuple[int, ...]
-    fit: LatencyFit
 
 
 def _extract_window(window: tuple[int, int]) -> list[CaseStudyScenario]:
     """Worker: scenarios of snapshot-index window ``[start, stop)``."""
     ctx: _WindowContext = get_context()
     config = ctx.config
-    sim, builder = _build_world(config, np.random.default_rng(list(ctx.stream)), ctx.fit)
+    rng = np.random.default_rng(list(ctx.stream))
+    sim, builder = _build_world(config, rng, fit_latency_model())
     times = config.traffic.snapshot_times()[window[0] : window[1]]
     scenarios: list[CaseStudyScenario] = []
     for t in times:
@@ -162,7 +161,6 @@ def _extract_window(window: tuple[int, int]) -> list[CaseStudyScenario]:
 def extract_trace_windowed(
     config: TraceConfig,
     stream: Sequence[int],
-    fit: LatencyFit | None = None,
     backend: ExecutionBackend | None = None,
     num_windows: int | None = None,
 ) -> list[CaseStudyScenario]:
@@ -180,7 +178,6 @@ def extract_trace_windowed(
     backend (shard/merge) would skip fan-out legs whose cells exist,
     desynchronizing the positional window merge.
     """
-    fit = fit or fit_latency_model()
     backend = backend or InlineBackend()
     if backend.name not in ("inline", "fork"):
         raise ExecutionBackendError(
@@ -192,7 +189,7 @@ def extract_trace_windowed(
         num_windows = max(1, min(len(times), backend.workers))
     bounds = np.linspace(0, len(times), num_windows + 1).astype(int)
     windows = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    context = _WindowContext(config, tuple(int(s) for s in stream), fit)
+    context = _WindowContext(config, tuple(int(s) for s in stream))
     chunks = backend.fanout(_extract_window, windows, context)
     scenarios = [scenario for chunk in chunks for scenario in chunk]
     if config.max_cases is not None:
@@ -224,7 +221,6 @@ _MEMO: OrderedDict[str, list[CaseStudyScenario]] = OrderedDict()
 def extract_trace_cached(
     config: TraceConfig,
     stream: Sequence[int],
-    fit: LatencyFit | None = None,
     backend: ExecutionBackend | None = None,
 ) -> tuple[list[CaseStudyScenario], str]:
     """Memoized :func:`extract_trace` keyed by ``(config, stream)``.
@@ -241,10 +237,8 @@ def extract_trace_cached(
     hands the same objects to every in-process caller (exactly like the
     shared dataset objects the experiment harness already broadcasts).
 
-    Only default-fit extractions are cached: a custom ``fit`` is not
-    part of the cache key, so caching it would serve its scenarios to
-    default-fit callers (and vice versa) — those calls bypass both
-    cache layers instead.
+    Every extraction uses the one :func:`fit_latency_model`, so the
+    fit is not part of the cache key.
 
     Cold extractions run :func:`extract_trace_windowed` on the direct
     executor beneath ``backend`` (a shard's inner backend; inline for a
@@ -254,8 +248,6 @@ def extract_trace_cached(
     interchangeable entries.
     """
     direct = (backend or InlineBackend()).direct()
-    if fit is not None:
-        return extract_trace_windowed(config, stream, fit=fit, backend=direct), "extracted"
     key = trace_key(config, stream)
     address = fingerprint(key)
     store = active_store()
@@ -272,8 +264,11 @@ def extract_trace_cached(
     source = "extracted"
     scenarios: list[CaseStudyScenario] | None = None
     if store is not None and store.has("trace", key):
-        scenarios = store.load("trace", key)
-        source = "store"
+        try:
+            scenarios = store.load("trace", key)
+            source = "store"
+        except CorruptEntryError as error:  # moved aside: extract and republish
+            log.warn(f"{error}; extracting the trace again")
     if scenarios is None:
         scenarios = extract_trace_windowed(config, stream, backend=direct)
         if store is not None:

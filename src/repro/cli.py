@@ -277,6 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str) -> int:
+    """Report a usage error on stderr, leaving stdout empty; the exit status."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _problems(num_tasks: int, num_devices: int, count: int, rng: np.random.Generator):
     from .core import PlacementProblem
     from .devices import DeviceNetworkParams, generate_device_network
@@ -411,14 +417,11 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     if not args.name:
-        print("error: 'repro scenario run' needs a preset name "
-              "(see 'repro scenario list')")
-        return 2
+        return _fail("'repro scenario run' needs a preset name (see 'repro scenario list')")
     try:
         spec = DEFAULT_REGISTRY.get(args.name, seed=args.seed)
     except KeyError as error:
-        print(f"error: {error.args[0]}")
-        return 2
+        return _fail(error.args[0])
     source = spec
     if args.max_events is not None:
         from .scenarios.events import materialize
@@ -426,8 +429,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         try:
             source = materialize(spec).head(args.max_events)
         except ValueError as error:
-            print(f"error: --max-events: {error}")
-            return 2
+            return _fail(f"--max-events: {error}")
     runner = ScenarioRunner(source, oracle=not args.no_oracle)
     materialized = runner.materialized
     print(f"scenario {spec.name!r} (seed {spec.seed}, objective {spec.objective}): "
@@ -577,22 +579,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         module = get_module(args.id)
         scale = active_scale(args.scale)
     except UnknownExperimentError as error:
-        print(f"error: {error.message}")
-        return 2
+        return _fail(error.message)
     except ValueError as error:  # a bad REPRO_SCALE
-        print(f"error: {error}")
-        return 2
+        return _fail(str(error))
     serial_by_design = not supports_backend(args.id)
     if args.backend is not None and serial_by_design:
-        print(f"error: experiment {args.id!r} runs serially by design; "
-              "--backend does not apply")
-        return 2
+        return _fail(f"experiment {args.id!r} runs serially by design; --backend does not apply")
     if args.backend == "shard":
         try:
             return _run_sharded_locally(args, scale)
         except (RuntimeError, ValueError) as error:
-            print(f"error: {error}")
-            return 2
+            return _fail(str(error))
     # Experiments with an embarrassingly parallel grid accept `backend`;
     # table1 (constants) and table7 (wall-clock timing) are serial by
     # design.
@@ -600,7 +597,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not serial_by_design:
         kwargs["backend"] = make_backend(args.backend, args.workers)
     elif args.workers not in (None, 1):
-        print(f"note: experiment {args.id!r} runs serially by design; --workers ignored")
+        print(
+            f"note: experiment {args.id!r} runs serially by design; --workers ignored",
+            file=sys.stderr,
+        )
     from .telemetry import capture_run, span
 
     meta = {"experiment": args.id, "seed": args.seed, "scale": scale.name}
@@ -628,13 +628,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         files = collect_run_files(target)
     except FileNotFoundError as error:
-        print(f"error: {error}")
-        return 2
+        return _fail(str(error))
     records = read_records(files)
     if not any(r.get("kind") in ("run", "span") for r in records):
-        print(f"error: no telemetry records in {', '.join(str(f) for f in files)} "
-              "(was the run executed with REPRO_TELEMETRY=off?)")
-        return 2
+        return _fail(f"no telemetry records in {', '.join(str(f) for f in files)} "
+                     "(was the run executed with REPRO_TELEMETRY=off?)")
     log.info("merging " + ", ".join(str(f) for f in files))
     print(render_tree(records))
     if args.top:
@@ -664,8 +662,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
             return _cmd_shard_run(args)
         return _cmd_shard_merge(args)
     except (StaleManifestError, ExecutionBackendError, ValueError) as error:
-        print(f"error: {error}")
-        return 2
+        return _fail(str(error))
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
@@ -676,8 +673,7 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
     try:
         get_module(args.id)
     except UnknownExperimentError as error:
-        print(f"error: {error.message}")
-        return 2
+        return _fail(error.message)
     scale = active_scale(args.scale)
     manifests = plan(args.id, args.shards, args.seed, scale, args.out, store=args.store)
     print(f"planned {args.id} (seed {args.seed}, scale {scale.name}) "
@@ -739,11 +735,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     try:
         result = run_lint(root=args.root, rule_ids=args.rules)
     except (KeyError, FileNotFoundError) as exc:
-        log.warn(f"repro lint: {exc.args[0]}")
-        return 2
+        return _fail(f"repro lint: {exc.args[0]}")
     except SyntaxError as exc:
-        log.warn(f"repro lint: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}")
-        return 2
+        return _fail(f"repro lint: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}")
     print(render_text(result, verbose=args.verbose))
     if args.json:
         _write_json(args.json, findings_payload(result), "findings")

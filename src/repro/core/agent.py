@@ -31,12 +31,11 @@ class GiPHAgent:
         self,
         rng: np.random.Generator,
         embedding: GpNetEmbedding | str = "giph",
-        policy_hidden: int = 16,
     ) -> None:
         if isinstance(embedding, str):
             embedding = make_embedding(embedding, rng)
         self.embedding = embedding
-        self.policy = ScorePolicy(embedding.out_dim, rng, hidden_dim=policy_hidden)
+        self.policy = ScorePolicy(embedding.out_dim, rng)
         self.rng = rng
 
     def parameters(self) -> Iterator[Parameter]:
@@ -98,16 +97,14 @@ class GiPHAgent:
 
     # -- acting ---------------------------------------------------------------
 
-    def act(
-        self, env: PlacementEnv, state: EnvState, greedy: bool = False
-    ) -> tuple[int, Tensor]:
-        """Choose a gpNet node (action); returns (node, log-prob tensor)."""
+    def act(self, env: PlacementEnv, state: EnvState) -> tuple[int, Tensor]:
+        """Sample a gpNet node (action); returns (node, log-prob tensor)."""
         embeddings = self.embedding(state.gpnet)
         mask = env.action_mask(state)
-        return self.policy.sample(embeddings, mask, self.rng, greedy=greedy)
+        return self.policy.sample(embeddings, mask, self.rng)
 
-    def act_inference(self, env: PlacementEnv, state: EnvState, greedy: bool = False) -> int:
+    def act_inference(self, env: PlacementEnv, state: EnvState) -> int:
         """Action selection without building an autograd graph (evaluation)."""
         with no_grad():
-            action, _ = self.act(env, state, greedy=greedy)
+            action, _ = self.act(env, state)
         return action

@@ -20,9 +20,10 @@ Alternatives evaluated in Appendix B.6 are provided:
   GraphSAGE over the same augmented node features;
 * :class:`RawFeatureEmbedding` (GiPH-NE-Pol) — no GNN at all.
 
-Architecture dimensions follow Tables 4-5: raw node/edge features are
-4-dimensional, per-direction embeddings 5-dimensional (10 concatenated),
-pre-embedding is a two-layer FNN with hidden size equal to the input.
+Architecture dimensions are the constants of Tables 4-5: raw node/edge
+features are 4-dimensional, per-direction embeddings :data:`EMBED_DIM`
+= 5 (10 concatenated), pre-embedding is a two-layer FNN with hidden size
+equal to the input.  Only GiPH may aggregate by sum; all else is mean.
 
 Hot path
 --------
@@ -69,6 +70,7 @@ from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, DirectionPlan, structu
 from .gpnet import GpNet
 
 __all__ = [
+    "EMBED_DIM",
     "GpNetEmbedding",
     "TwoWayMessagePassing",
     "KStepMessagePassing",
@@ -90,6 +92,11 @@ __all__ = [
 _FORWARDS = metrics().counter("gnn.forwards")
 _BACKWARDS = metrics().counter("gnn.backwards")
 _SECONDS = metrics().counter("gnn.seconds")
+
+#: Per-direction embedding width (Table 4); embeddings are twice this.
+EMBED_DIM = 5
+_MSG_DIM = EMBED_DIM + EDGE_FEATURE_DIM  # sender embedding ∥ edge features
+_AUGMENTED_DIM = NODE_FEATURE_DIM + EDGE_FEATURE_DIM  # see augment_with_out_edge_means
 
 
 class GpNetEmbedding(Module):
@@ -122,20 +129,13 @@ class GpNetEmbedding(Module):
         raise NotImplementedError
 
 
-def _checked_aggregation(how: str) -> str:
-    """``how`` if it names a supported aggregation; raises where it is written."""
-    if how not in ("mean", "sum"):
-        raise ValueError(f"unknown aggregation {how!r}; expected one of ('mean', 'sum')")
-    return how
-
-
 def _sweep(
     layer, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool,
     w_msg: Tensor, term: Tensor, per_edge: bool,
 ) -> Tensor:
     """One direction of the recurrent sweep as a single tape node.
 
-    ``layer`` supplies ``h2``/``embed_dim``/``aggregation``.  The message
+    ``layer`` supplies ``h2``/``aggregation``.  The message
     of gpNet edge ``e`` with sender ``v`` is ``relu(emb[v] @ w_msg + t)``
     with ``t = term[e]`` (``per_edge``, GiPH) or ``t = term`` (broadcast,
     GiPH-NE) — the only step on which the two differ.  The forward runs
@@ -154,7 +154,7 @@ def _sweep(
     xd, wd, td, h2wd, h2bd = (p.data for p in parents)
     xT = np.ascontiguousarray(xd.T)
     tT = td.T if per_edge else td[:, None]  # C-contiguous from ``F.linear(x_fm=)``
-    embT = np.zeros((layer.embed_dim, gpnet.num_nodes))
+    embT = np.zeros((EMBED_DIM, gpnet.num_nodes))
     saved = []  # per level, what the backward reads
     for level in plan.levels:
         nodes, idx = level.nodes, level.edge_idx
@@ -233,24 +233,24 @@ class _DirectionalPass(Module):
 
     h1 is split over its concatenated input:
     ``h1([e_v ∥ x^e]) = e_v @ W_emb + (x^e @ W_edge + b)`` with
-    ``W_emb = h1.weight[:embed_dim]`` and ``W_edge`` the rest.  The edge
+    ``W_emb = h1.weight[:EMBED_DIM]`` and ``W_edge`` the rest.  The edge
     half depends only on static edge features, so it is computed once
     per pass for *all* edges, as an ordinary tape tensor, and the sweep
     gathers it per level (batch invariance again makes gather-after
     equal to compute-on-slice).
     """
 
-    def __init__(self, embed_dim: int, edge_dim: int, rng: np.random.Generator, aggregation: str) -> None:
-        msg_dim = embed_dim + edge_dim
-        self.h1 = Linear(msg_dim, msg_dim, rng)
-        self.h2 = Linear(msg_dim, embed_dim, rng)
-        self.embed_dim = embed_dim
-        self.aggregation = _checked_aggregation(aggregation)
+    def __init__(self, rng: np.random.Generator, aggregation: str) -> None:
+        self.h1 = Linear(_MSG_DIM, _MSG_DIM, rng)
+        self.h2 = Linear(_MSG_DIM, EMBED_DIM, rng)
+        if aggregation not in ("mean", "sum"):
+            raise ValueError(f"unknown aggregation {aggregation!r}; expected one of ('mean', 'sum')")
+        self.aggregation = aggregation
 
     def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
-        """``x``: pre-embedded node features (N, embed_dim)."""
-        w_emb = self.h1.weight[: self.embed_dim]
-        w_edge = self.h1.weight[self.embed_dim :]
+        """``x``: pre-embedded node features (N, EMBED_DIM)."""
+        w_emb = self.h1.weight[:EMBED_DIM]
+        w_edge = self.h1.weight[EMBED_DIM:]
         # The edge half of every message depends only on static edge
         # features: one affine map for the whole pass (feature-major, off
         # the net's one transposed copy), gathered per level.
@@ -272,21 +272,15 @@ class TwoWayMessagePassing(GpNetEmbedding):
 
     The recurrent sweep runs as many message-passing steps as the graph
     is deep ("message passing: graph depth" in Table 5) — one vectorized
-    frontier batch per level.
+    frontier batch per level.  ``aggregation`` is ``"mean"`` (§5) or
+    ``"sum"`` (Eq. 1 as written); the design-choice ablation trains both.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        node_dim: int = NODE_FEATURE_DIM,
-        edge_dim: int = EDGE_FEATURE_DIM,
-        embed_dim: int = 5,
-        aggregation: str = "mean",
-    ) -> None:
-        self.pre = MLP([node_dim, node_dim, embed_dim], rng)
-        self.forward_pass = _DirectionalPass(embed_dim, edge_dim, rng, aggregation)
-        self.backward_pass = _DirectionalPass(embed_dim, edge_dim, rng, aggregation)
-        self.out_dim = 2 * embed_dim
+    def __init__(self, rng: np.random.Generator, aggregation: str = "mean") -> None:
+        self.out_dim = 2 * EMBED_DIM
+        self.pre = MLP([NODE_FEATURE_DIM, NODE_FEATURE_DIM, EMBED_DIM], rng)
+        self.forward_pass = _DirectionalPass(rng, aggregation)
+        self.backward_pass = _DirectionalPass(rng, aggregation)
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         x = self.pre(Tensor(gpnet.node_features))
@@ -296,17 +290,14 @@ class TwoWayMessagePassing(GpNetEmbedding):
 class _SharedStepPass(Module):
     """One direction of Eq. 4: k synchronous steps, shared parameters."""
 
-    def __init__(self, embed_dim: int, edge_dim: int, rng: np.random.Generator, aggregation: str) -> None:
-        msg_dim = embed_dim + edge_dim
-        self.h1 = Linear(msg_dim, msg_dim, rng)
-        self.h2 = Linear(msg_dim, embed_dim, rng)
-        self.aggregation = _checked_aggregation(aggregation)
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.h1 = Linear(_MSG_DIM, _MSG_DIM, rng)
+        self.h2 = Linear(_MSG_DIM, EMBED_DIM, rng)
 
     def forward(self, gpnet: GpNet, e0: Tensor, steps: int, reverse: bool) -> Tensor:
         n, ends = gpnet.num_nodes, (gpnet.edge_src, gpnet.edge_dst)
         senders, receivers = ends[::-1] if reverse else ends
-        mean = self.aggregation == "mean"
-        counts = F._segment_counts(receivers, n)[:, None] if mean else np.ones((n, 1))
+        counts = F._segment_counts(receivers, n)[:, None]
         return F.propagate(
             e0, senders, receivers, counts, self.h1, self.h2, steps, gpnet.edge_features
         )
@@ -320,22 +311,14 @@ class KStepMessagePassing(GpNetEmbedding):
     tape in ``tests/`` (``propagate_composed``).
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        k: int,
-        node_dim: int = NODE_FEATURE_DIM,
-        edge_dim: int = EDGE_FEATURE_DIM,
-        embed_dim: int = 5,
-        aggregation: str = "mean",
-    ) -> None:
+    def __init__(self, rng: np.random.Generator, k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.pre = MLP([node_dim, node_dim, embed_dim], rng)  # h3 in Eq. 4
-        self.forward_pass = _SharedStepPass(embed_dim, edge_dim, rng, aggregation)
-        self.backward_pass = _SharedStepPass(embed_dim, edge_dim, rng, aggregation)
-        self.out_dim = 2 * embed_dim
+        self.out_dim = 2 * EMBED_DIM
+        self.pre = MLP([NODE_FEATURE_DIM, NODE_FEATURE_DIM, EMBED_DIM], rng)  # h3 in Eq. 4
+        self.forward_pass = _SharedStepPass(rng)
+        self.backward_pass = _SharedStepPass(rng)
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         e0 = self.pre(Tensor(gpnet.node_features))
@@ -370,11 +353,11 @@ class _NoEdgeDirectionalPass(Module):
     broadcast over edges.
     """
 
-    def __init__(self, embed_dim: int, rng: np.random.Generator, aggregation: str) -> None:
-        self.h1 = Linear(embed_dim, embed_dim, rng)
-        self.h2 = Linear(embed_dim, embed_dim, rng)
-        self.embed_dim = embed_dim
-        self.aggregation = _checked_aggregation(aggregation)
+    aggregation = "mean"
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.h1 = Linear(EMBED_DIM, EMBED_DIM, rng)
+        self.h2 = Linear(EMBED_DIM, EMBED_DIM, rng)
 
     def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
         return _sweep(
@@ -390,17 +373,11 @@ class TwoWayNoEdge(GpNetEmbedding):
     them to the embedding dimension.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        node_dim: int = NODE_FEATURE_DIM + EDGE_FEATURE_DIM,
-        embed_dim: int = 5,
-        aggregation: str = "mean",
-    ) -> None:
-        self.proj = Linear(node_dim, embed_dim, rng)
-        self.forward_pass = _NoEdgeDirectionalPass(embed_dim, rng, aggregation)
-        self.backward_pass = _NoEdgeDirectionalPass(embed_dim, rng, aggregation)
-        self.out_dim = 2 * embed_dim
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.out_dim = 2 * EMBED_DIM
+        self.proj = Linear(_AUGMENTED_DIM, EMBED_DIM, rng)
+        self.forward_pass = _NoEdgeDirectionalPass(rng)
+        self.backward_pass = _NoEdgeDirectionalPass(rng)
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         x = self.proj(Tensor(augment_with_out_edge_means(gpnet)))
@@ -412,36 +389,26 @@ class GraphSageNoEdge(GpNetEmbedding):
 
     h^{l+1}_u = ReLU(W_l [h^l_u ∥ mean_{v∈parents(u)} h^l_v]); forward
     direction only — the divergence observed in Fig. 14 traces back to
-    this missing backward view.  Each layer already aggregates over all
-    edges in one segment op, so it has no per-task loop oracle.
+    this missing backward view.  Hidden width 16, output 10 (Table 5).
+    Each layer already aggregates over all edges in one segment op, so it
+    has no per-task loop oracle.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        node_dim: int = NODE_FEATURE_DIM + EDGE_FEATURE_DIM,
-        hidden_dim: int = 16,
-        out_dim: int = 10,
-        layers: int = 3,
-        aggregation: str = "mean",
-    ) -> None:
-        if layers < 1:
-            raise ValueError("layers must be >= 1")
-        self.pre = Linear(node_dim, hidden_dim, rng)
-        self.sage_layers = [Linear(2 * hidden_dim, hidden_dim, rng) for _ in range(layers)]
-        self.head = Linear(hidden_dim, out_dim, rng)
-        self.aggregation = _checked_aggregation(aggregation)
-        self.out_dim = out_dim
+    def __init__(self, rng: np.random.Generator) -> None:
+        hidden = 16
+        self.out_dim = 10
+        self.pre = Linear(_AUGMENTED_DIM, hidden, rng)
+        self.sage_layers = [Linear(2 * hidden, hidden, rng) for _ in range(3)]
+        self.head = Linear(hidden, self.out_dim, rng)
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         h = self.pre(Tensor(augment_with_out_edge_means(gpnet))).relu()
         n = gpnet.num_nodes
-        aggregate = F.segment_mean if self.aggregation == "mean" else F.segment_sum
         for layer in self.sage_layers:
             if gpnet.num_edges == 0:
                 neigh = Tensor(np.zeros((n, h.shape[1])))
             else:
-                neigh = aggregate(h[gpnet.edge_src], gpnet.edge_dst, n)
+                neigh = F.segment_mean(h[gpnet.edge_src], gpnet.edge_dst, n)
             h = layer(concat([h, neigh], axis=1)).relu()
         return self.head(h)
 
@@ -449,30 +416,29 @@ class GraphSageNoEdge(GpNetEmbedding):
 class RawFeatureEmbedding(GpNetEmbedding):
     """GiPH-NE-Pol: no GNN — augmented raw features straight to the policy."""
 
-    def __init__(self, node_dim: int = NODE_FEATURE_DIM + EDGE_FEATURE_DIM) -> None:
-        self.out_dim = node_dim
+    out_dim = _AUGMENTED_DIM
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         return Tensor(augment_with_out_edge_means(gpnet))
 
 
-def make_embedding(kind: str, rng: np.random.Generator, **kwargs) -> GpNetEmbedding:
-    """Factory over the paper's GNN variants.
+def make_embedding(kind: str, rng: np.random.Generator) -> GpNetEmbedding:
+    """Factory over the paper's GNN variants, each at its Table 4-5 widths
+    with mean aggregation.
 
-    ``kind``: "giph", "giph-3", "giph-5", "giph-k" (pass k=), "giph-ne",
-    "graphsage-ne", or "giph-ne-pol".
+    ``kind``: "giph", "giph-<k>" (GiPH-k, e.g. "giph-3"), "giph-ne",
+    "graphsage-ne", or "giph-ne-pol".  A sum-aggregating GiPH is
+    ``TwoWayMessagePassing(rng, aggregation="sum")``.
     """
     kind = kind.lower()
     if kind == "giph":
-        return TwoWayMessagePassing(rng, **kwargs)
+        return TwoWayMessagePassing(rng)
     if kind.startswith("giph-") and kind[5:].isdigit():
-        return KStepMessagePassing(rng, k=int(kind[5:]), **kwargs)
-    if kind == "giph-k":
-        return KStepMessagePassing(rng, **kwargs)
+        return KStepMessagePassing(rng, k=int(kind[5:]))
     if kind == "giph-ne":
-        return TwoWayNoEdge(rng, **kwargs)
+        return TwoWayNoEdge(rng)
     if kind == "graphsage-ne":
-        return GraphSageNoEdge(rng, **kwargs)
+        return GraphSageNoEdge(rng)
     if kind == "giph-ne-pol":
-        return RawFeatureEmbedding(**kwargs)
+        return RawFeatureEmbedding()
     raise ValueError(f"unknown embedding kind {kind!r}")

@@ -21,11 +21,10 @@ class ScorePolicy(Module):
     Parameters
     ----------
     embed_dim: dimension of per-node embeddings from the GNN.
-    hidden_dim: score MLP hidden width (16 in Table 5).
     """
 
-    def __init__(self, embed_dim: int, rng: np.random.Generator, hidden_dim: int = 16) -> None:
-        self.score = MLP([embed_dim, hidden_dim, 1], rng)
+    def __init__(self, embed_dim: int, rng: np.random.Generator) -> None:
+        self.score = MLP([embed_dim, 16, 1], rng)  # hidden width 16 (Table 5)
 
     def log_probs(self, embeddings: Tensor, mask: np.ndarray) -> Tensor:
         """Log action probabilities over gpNet nodes (masked entries ≈ -inf).
@@ -45,19 +44,15 @@ class ScorePolicy(Module):
         embeddings: Tensor,
         mask: np.ndarray,
         rng: np.random.Generator,
-        greedy: bool = False,
     ) -> tuple[int, Tensor]:
-        """Pick an action; return (node index, its log-probability node).
+        """Sample an action; return (node index, its log-probability node).
 
         The returned log-probability participates in the autograd graph,
         so REINFORCE losses can backpropagate through it.
         """
         log_probs = self.log_probs(embeddings, mask)
-        if greedy:
-            action = int(np.argmax(np.where(mask, log_probs.data, -np.inf)))
-        else:
-            probs = np.exp(log_probs.data)
-            probs = np.where(mask, probs, 0.0)
-            probs = probs / probs.sum()
-            action = int(rng.choice(len(probs), p=probs))
+        probs = np.exp(log_probs.data)
+        probs = np.where(mask, probs, 0.0)
+        probs = probs / probs.sum()
+        action = int(rng.choice(len(probs), p=probs))
         return action, log_probs[action]

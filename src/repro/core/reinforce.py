@@ -79,6 +79,9 @@ __all__ = [
     "rollout_episode",
 ]
 
+GAMMA = 0.97  # the discount γ (paper §5)
+GRAD_CLIP = 10.0  # L2 clip of every applied update: a NumPy-substrate stabilizer
+
 # Appended to (root, slot) for a batched episode's noise stream, keeping
 # it independent of the rollout stream that drives action sampling and
 # the initial placement.
@@ -109,15 +112,14 @@ def average_reward_baseline(rewards: Sequence[float]) -> np.ndarray:
 class ReinforceConfig:
     """Training hyperparameters (paper §5 experiment details).
 
-    learning_rate 0.01 with Adam, γ = 0.97, 200 episodes; grad clipping
-    is an implementation stabilizer for the NumPy substrate.
+    learning_rate 0.01 with Adam, 200 episodes.  The discount γ = 0.97
+    and the gradient clip are the module constants :data:`GAMMA` and
+    :data:`GRAD_CLIP`.
     """
 
     learning_rate: float = 0.01
-    gamma: float = 0.97
     episodes: int = 200
     episode_length: int | None = None  # None -> the agent's default (2|V|; |V| for Placeto)
-    grad_clip: float = 10.0
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
     def __post_init__(self) -> None:
@@ -125,17 +127,11 @@ class ReinforceConfig:
             raise ValueError("learning_rate must be positive")
         if self.episode_length is not None and self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive")
 
 
-def episode_loss(
-    log_probs: Sequence[Tensor], rewards: Sequence[float], config: "ReinforceConfig"
-) -> Tensor:
+def episode_loss(log_probs: Sequence[Tensor], rewards: Sequence[float]) -> Tensor:
     """-Σ_t γ^t log π(a_t|s_t) · advantage_t for one episode.
 
     The per-step advantages are assembled as one NumPy vector and
@@ -150,9 +146,9 @@ def episode_loss(
         raise ValueError("log_probs and rewards must have equal lengths")
     if not log_probs:
         return Tensor(np.zeros(()))
-    returns = discounted_returns(rewards, config.gamma)
+    returns = discounted_returns(rewards, GAMMA)
     baseline = average_reward_baseline(rewards)
-    discount = config.gamma ** np.arange(len(rewards))
+    discount = GAMMA ** np.arange(len(rewards))
     advantages = discount * (returns - baseline)
     return (stack(list(log_probs), axis=0) * Tensor(-advantages)).sum()
 
@@ -265,16 +261,15 @@ class ReinforceTrainer:
         """Roll out one on-policy episode and back-propagate its loss;
         ``step`` clips and applies the gradient, otherwise it is left
         whole on the parameters (a batched slot: the round clips the mean)."""
-        cfg = self.config
         with span("reinforce.episode"):
             log_probs, rewards, initial_value, final_value, best_value = self.agent.rollout(
-                evaluator, self._handle_for(problem), rng, cfg.episode_length
+                evaluator, self._handle_for(problem), rng, self.config.episode_length
             )
-            loss = episode_loss(log_probs, rewards, cfg)
+            loss = episode_loss(log_probs, rewards)
         with span("reinforce.grad"):
             self.optimizer.zero_grad()
             loss.backward()
-            grad_norm = self.optimizer.clip_grad_norm(cfg.grad_clip if step else math.inf)
+            grad_norm = self.optimizer.clip_grad_norm(GRAD_CLIP if step else math.inf)
             if step:
                 self.optimizer.step()
         metrics().counter("reinforce.episodes").inc()
@@ -409,7 +404,7 @@ class ReinforceTrainer:
                             continue
                         acc = grad.copy() if acc is None else acc + grad
                     param.grad = acc / k if acc is not None else None
-                self.optimizer.clip_grad_norm(self.config.grad_clip)
+                self.optimizer.clip_grad_norm(GRAD_CLIP)
                 self.optimizer.step()
             for _, slot_stats in rollouts:
                 ep = dataclasses.replace(slot_stats, episode=len(self.history))

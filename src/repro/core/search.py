@@ -74,7 +74,6 @@ def run_search(
     objective: Objective,
     initial_placement: Sequence[int],
     episode_length: int | None = None,
-    greedy: bool = False,
     feature_config=None,
     evaluator: PlacementEvaluator | None = None,
 ) -> SearchTrace:
@@ -98,7 +97,7 @@ def run_search(
 
     done = False
     while not done:
-        action = agent.act_inference(env, state, greedy=greedy)
+        action = agent.act_inference(env, state)
         task, _ = state.gpnet.action_of(action)
         state, _, done = env.step(action)
         if state.placement != placements[-1]:

@@ -1,8 +1,9 @@
 """Agent checkpointing (the artifact's embedding_*.pk / policy_*.pk files).
 
 Agents are saved as a single ``.npz`` archive: one array per parameter
-plus a metadata record (embedding kind, message aggregation, library
-version) so a checkpoint can be restored into a freshly constructed agent.
+plus a metadata record (embedding kind, library version, and for GiPH
+its message aggregation) so a checkpoint can be restored into a freshly
+constructed agent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pathlib
 import numpy as np
 
 from .agent import GiPHAgent
-from .gnn import KStepMessagePassing, make_embedding
+from .gnn import KStepMessagePassing, TwoWayMessagePassing, make_embedding
 
 __all__ = ["save_agent", "load_agent", "embedding_kind_of"]
 
@@ -49,9 +50,8 @@ def save_agent(agent: GiPHAgent, path: str | pathlib.Path) -> pathlib.Path:
         "version": __version__,
         "parameter_names": sorted(state),
     }
-    emb = agent.embedding  # every GNN but GiPH-NE-Pol's aggregates, "mean" or "sum"
-    if aggregation := getattr(getattr(emb, "forward_pass", emb), "aggregation", None):
-        meta["aggregation"] = aggregation
+    if isinstance(agent.embedding, TwoWayMessagePassing):  # the one kind that may sum
+        meta["aggregation"] = agent.embedding.forward_pass.aggregation
     arrays = dict(state)
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
@@ -73,8 +73,11 @@ def load_agent(path: str | pathlib.Path, rng: np.random.Generator) -> GiPHAgent:
             raise ValueError(f"{path} is not a repro agent checkpoint")
         meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode())
         state = {name: archive[name] for name in archive.files if name != _META_KEY}
-    # A checkpoint without the key (or written before it) gets the default, mean.
-    kwargs = {"aggregation": meta["aggregation"]} if "aggregation" in meta else {}
-    agent = GiPHAgent(rng, embedding=make_embedding(meta["embedding_kind"], rng, **kwargs))
+    # No key (older checkpoints) is mean; older ones record "mean" for every kind.
+    kind, aggregation = meta["embedding_kind"], meta.get("aggregation", "mean")
+    if kind != "giph" and aggregation != "mean":
+        raise ValueError(f"{path}: a {kind!r} embedding aggregates by mean, not {aggregation!r}")
+    embedding = TwoWayMessagePassing(rng, aggregation) if kind == "giph" else make_embedding(kind, rng)
+    agent = GiPHAgent(rng, embedding=embedding)
     agent.load_state_dict(state)
     return agent

@@ -46,9 +46,9 @@ class _MasklessAgent(GiPHAgent):
     """GiPH with the §4.2.3 masks disabled: every gpNet node is selectable,
     in training and in search alike."""
 
-    def act(self, env, state, greedy: bool = False):
+    def act(self, env, state):
         mask = np.ones(state.num_actions, dtype=bool)
-        return self.policy.sample(self.embedding(state.gpnet), mask, self.rng, greedy=greedy)
+        return self.policy.sample(self.embedding(state.gpnet), mask, self.rng)
 
 
 def _train(dataset, scale, rng, masks: bool = True, aggregation: str = "mean") -> GiPHAgent:

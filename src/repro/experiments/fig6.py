@@ -94,7 +94,7 @@ def run(
             "random": RandomPlacementPolicy(),
             # Retrained from scratch on every change (the paper's
             # "w/ retraining" baseline).
-            "rnn-placer": RnnPlacerPolicy(samples_per_update=4, max_updates=8, patience=3),
+            "rnn-placer": RnnPlacerPolicy(),
             "heft": HeftPolicy(),
         },
         backend=backend,

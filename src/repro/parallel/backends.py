@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from ..store import RunStore, active_store
+from ..store import CorruptEntryError, RunStore, active_store
 from ..telemetry import log, span
 from .pool import ExecutionBackendError, resolve_workers, run_tasks
 
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
+
+_POLL_INTERVAL_S = 0.2  # how often a waiting shard polls the store
+_PROGRESS_INTERVAL_S = 10.0  # and how often it reports that it still waits
 
 
 class MissingCellError(ExecutionBackendError):
@@ -206,9 +209,7 @@ class ShardBackend(_StoreBackend):
         inner: ExecutionBackend | None = None,
         missing: str = "compute",
         wait_timeout_s: float = 3600.0,
-        poll_interval_s: float = 0.2,
         progress: Callable[..., None] | None = None,
-        progress_interval_s: float = 10.0,
     ) -> None:
         super().__init__(store, run_key)
         if num_shards < 1:
@@ -222,15 +223,25 @@ class ShardBackend(_StoreBackend):
         self.inner = inner or InlineBackend()
         self.missing = missing
         self.wait_timeout_s = wait_timeout_s
-        self.poll_interval_s = poll_interval_s
         self.progress = progress
-        self.progress_interval_s = progress_interval_s
 
     def direct(self) -> ExecutionBackend:
         return self.inner
 
     def _owns(self, index: int) -> bool:
         return index % self.num_shards == self.shard_index
+
+    def _scan(
+        self, keys: Sequence[Mapping[str, Any]], indices: Iterable[int], results: dict[int, Any]
+    ) -> None:
+        """Load the published cells among ``indices`` into ``results``; a
+        corrupt one (moved aside by the store) is recomputed like a missing one."""
+        for i in indices:
+            if self.store.has("cell", keys[i]):
+                try:
+                    results[i] = self.store.load("cell", keys[i])
+                except CorruptEntryError as error:
+                    log.warn(f"{error}; recomputing it")
 
     def _progress(self, **fields) -> None:
         """Liveness record: shipped to the progress sink, never fatal."""
@@ -256,7 +267,7 @@ class ShardBackend(_StoreBackend):
         if self.missing == "wait" and self.shard_index != 0:
             began = time.monotonic()
             deadline = began + self.wait_timeout_s
-            next_report = began + self.progress_interval_s
+            next_report = began + _PROGRESS_INTERVAL_S
             address = self.store.address(kind, key)[:12]
             with span("shard.await"):
                 while not self.store.has(kind, key):
@@ -269,7 +280,7 @@ class ShardBackend(_StoreBackend):
                             "is shard 0 running against this store?"
                         )
                     if now >= next_report:
-                        next_report = now + self.progress_interval_s
+                        next_report = now + _PROGRESS_INTERVAL_S
                         elapsed = now - began
                         log.info(
                             f"shard {self.shard_index}/{self.num_shards}: waiting on "
@@ -282,7 +293,7 @@ class ShardBackend(_StoreBackend):
                             owners=[0],
                             elapsed_s=elapsed,
                         )
-                    time.sleep(self.poll_interval_s)
+                    time.sleep(_POLL_INTERVAL_S)
             return self.store.load(kind, key)
         return self.store.get_or_create(kind, key, producer)
 
@@ -293,9 +304,7 @@ class ShardBackend(_StoreBackend):
         site, visit = self._visit(fn)
         keys = [self._cell_key(site, visit, i, len(items)) for i in range(len(items))]
         results: dict[int, Any] = {}
-        for i, key in enumerate(keys):
-            if self.store.has("cell", key):
-                results[i] = self.store.load("cell", key)
+        self._scan(keys, range(len(items)), results)
         owned = [i for i in range(len(items)) if i not in results and self._owns(i)]
         self._produce(fn, items, keys, owned, context, results)
         pending = [i for i in range(len(items)) if i not in results]
@@ -323,12 +332,8 @@ class ShardBackend(_StoreBackend):
         shard may have published a cell since the initial scan, and
         loading is always cheaper than recomputing.
         """
-        todo = []
-        for i in indices:
-            if self.store.has("cell", keys[i]):
-                results[i] = self.store.load("cell", keys[i])
-            else:
-                todo.append(i)
+        self._scan(keys, indices, results)
+        todo = [i for i in indices if i not in results]
         if not todo:
             return
         computed = self.inner.fanout(fn, [items[i] for i in todo], context)
@@ -345,14 +350,11 @@ class ShardBackend(_StoreBackend):
     ) -> None:
         began = time.monotonic()
         deadline = began + self.wait_timeout_s
-        next_report = began + self.progress_interval_s
+        next_report = began + _PROGRESS_INTERVAL_S
         remaining = list(pending)
         while remaining:
+            self._scan(keys, remaining, results)
             remaining = [i for i in remaining if i not in results]
-            for i in list(remaining):
-                if self.store.has("cell", keys[i]):
-                    results[i] = self.store.load("cell", keys[i])
-                    remaining.remove(i)
             if not remaining:
                 return
             now = time.monotonic()
@@ -364,7 +366,7 @@ class ShardBackend(_StoreBackend):
                     "are all planned shards running against this store?"
                 )
             if now >= next_report:
-                next_report = now + self.progress_interval_s
+                next_report = now + _PROGRESS_INTERVAL_S
                 owners = sorted({i % self.num_shards for i in remaining})
                 elapsed = now - began
                 log.info(
@@ -379,7 +381,7 @@ class ShardBackend(_StoreBackend):
                     owners=owners,
                     elapsed_s=elapsed,
                 )
-            time.sleep(self.poll_interval_s)
+            time.sleep(_POLL_INTERVAL_S)
 
 
 class MergeBackend(_StoreBackend):

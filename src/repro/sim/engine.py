@@ -47,8 +47,8 @@ class Simulation:
         heapq.heappush(self._queue, (time, self._seq, callback))
         self._seq += 1
 
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        """Run until the queue is empty (or ``until``); return final time.
+    def run(self, max_events: int = 10_000_000) -> float:
+        """Run until the queue is empty; return final time.
 
         ``max_events`` guards against runaway feedback loops in user
         callbacks (a bug, not a load signal — hence an exception).
@@ -59,10 +59,7 @@ class Simulation:
         try:
             events = 0
             while self._queue:
-                time, _, callback = self._queue[0]
-                if until is not None and time > until:
-                    break
-                heapq.heappop(self._queue)
+                time, _, callback = heapq.heappop(self._queue)
                 self._now = time
                 callback()
                 events += 1

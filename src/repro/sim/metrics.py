@@ -45,12 +45,9 @@ def total_cost(cost_model: CostModel, placement: Sequence[int]) -> float:
     return float(cost)
 
 
-def energy_cost(
-    cost_model: CostModel,
-    placement: Sequence[int],
-    comm_power: float = 0.5,
-) -> float:
-    """Energy model: compute time × device power + comm time × link power.
+def energy_cost(cost_model: CostModel, placement: Sequence[int]) -> float:
+    """Energy model: compute time × device power + comm time × link power
+    (0.5 per ms).
 
     The paper demonstrates objective generality by "simply switching to a
     different reward function" (Fig. 11 right); this weighted-cost model
@@ -64,7 +61,7 @@ def energy_cost(
         cost_model.compute_time(i, placement[i]) * network.devices[placement[i]].compute_power
         for i in range(graph.num_tasks)
     )
-    energy += comm_power * sum(
+    energy += 0.5 * sum(
         cost_model.comm_time((u, v), placement[u], placement[v]) for (u, v) in graph.edges
     )
     return float(energy)

@@ -98,11 +98,8 @@ class EnergyObjective:
 
     deterministic = True
 
-    def __init__(self, comm_power: float = 0.5) -> None:
-        self.comm_power = comm_power
-
     def evaluate(self, cost_model: CostModel, placement: Sequence[int]) -> float:
-        return energy_cost(cost_model, placement, self.comm_power)
+        return energy_cost(cost_model, placement)
 
 
 #: Objective name -> class: the one table behind ``repro train --objective``

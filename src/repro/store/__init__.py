@@ -14,9 +14,10 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .runstore import RunStore, canonical_key, code_fingerprint, fingerprint
+from .runstore import CorruptEntryError, RunStore, canonical_key, code_fingerprint, fingerprint
 
 __all__ = [
+    "CorruptEntryError",
     "RunStore",
     "active_store",
     "canonical_key",

@@ -19,6 +19,11 @@ This file-level visibility is the entire shard transport: ``repro shard
 run`` publishes results by writing cells, ``repro shard merge`` reads
 them back, and moving a shard to another machine is just copying the
 store directory.
+
+An entry file is the pickle behind a header of its length and SHA-256
+digest.  A file that fails the header check (truncated, a flipped bit)
+is never unpickled: :meth:`RunStore.load` moves it aside and raises
+:class:`CorruptEntryError`, and the memoizing callers recompute it.
 """
 
 from __future__ import annotations
@@ -29,16 +34,25 @@ import json
 import os
 import pathlib
 import pickle
+import struct
 from typing import Any, Callable, Mapping
 
 from ..telemetry import metrics
 
 __all__ = [
+    "CorruptEntryError",
     "RunStore",
     "canonical_key",
     "code_fingerprint",
     "fingerprint",
 ]
+
+
+_HEADER = struct.Struct(">Q32s")  # an entry's header: payload length, payload SHA-256
+
+
+class CorruptEntryError(ValueError):
+    """A store entry's bytes do not match their header; the file was moved aside."""
 
 
 def canonical_key(key: Mapping[str, Any]) -> str:
@@ -109,16 +123,33 @@ class RunStore:
         return self.path(kind, key).exists()
 
     def load(self, kind: str, key: Mapping[str, Any]) -> Any:
-        """Unpickle the stored value (KeyError, with the address, if absent)."""
+        """Unpickle the stored value: KeyError, with the address, if absent;
+        :class:`CorruptEntryError` if its bytes fail the header check (the
+        file is moved aside first, so the entry then reads as absent)."""
         path = self.path(kind, key)
         try:
-            payload = path.read_bytes()
+            blob = path.read_bytes()
         except FileNotFoundError:
             metrics().counter("store.misses").inc()
             raise KeyError(
                 f"store entry {kind}/{self.address(kind, key)[:12]} not found "
                 f"under {self.root}"
             ) from None
+        payload = blob[_HEADER.size :]
+        if len(blob) < _HEADER.size or _HEADER.unpack_from(blob) != (
+            len(payload),
+            hashlib.sha256(payload).digest(),
+        ):
+            metrics().counter("store.corrupt").inc()
+            aside = path.with_name(f"{path.name}.corrupt-{os.getpid()}")
+            try:
+                os.replace(path, aside)
+            except FileNotFoundError:  # a racing reader moved it first
+                pass
+            raise CorruptEntryError(
+                f"store entry {kind}/{self.address(kind, key)[:12]} under {self.root} fails "
+                f"its length/sha256 check; moved aside to {aside.name}"
+            )
         metrics().counter("store.hits").inc()
         return pickle.loads(payload)
 
@@ -134,7 +165,8 @@ class RunStore:
             return path
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        tmp.write_bytes(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.write_bytes(_HEADER.pack(len(payload), hashlib.sha256(payload).digest()) + payload)
         os.replace(tmp, path)
         metrics().counter("store.writes").inc()
         return path
@@ -142,10 +174,11 @@ class RunStore:
     def get_or_create(
         self, kind: str, key: Mapping[str, Any], producer: Callable[[], Any]
     ) -> Any:
-        """Memoize ``producer()`` under ``(kind, key)``."""
+        """Memoize ``producer()`` under ``(kind, key)``; a corrupt entry
+        is recomputed and republished."""
         try:
             return self.load(kind, key)
-        except KeyError:
+        except (KeyError, CorruptEntryError):
             value = producer()
             self.save(kind, key, value)
             return value

@@ -20,7 +20,6 @@ replaced, verbatim, so the tests can demand the same floats:
 """
 
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -152,11 +151,11 @@ def propagate_composed(
 
 
 @contextmanager
-def composed_path(how="mean"):
+def composed_path():
     """Route every k-step pass — Placeto's, GiPH-k's — through the composed
-    tape, aggregating by ``how``."""
+    tape (both aggregate by mean)."""
     shipped = F.propagate
-    F.propagate = partial(propagate_composed, how=how)
+    F.propagate = propagate_composed
     try:
         yield
     finally:

@@ -327,10 +327,10 @@ def task_eft_trainer():
     return ReinforceTrainer(TaskEftAgent(np.random.default_rng(7)), OBJ)
 
 
-def giph_k_trainer(kind, how):
+def giph_k_trainer(kind):
     def make():
         rng = np.random.default_rng(5)
-        embedding = make_embedding(kind, rng, aggregation=how)
+        embedding = make_embedding(kind, rng)
         return ReinforceTrainer(GiPHAgent(rng, embedding=embedding), OBJ)
 
     return make
@@ -356,22 +356,20 @@ def test_placeto_training_equals_the_composed_tape_on_pinned_shapes(name, num_de
     assert (agent.embedding.fwd_msg.weight.grad is not None) == bool(problem.graph.num_edges)
 
 
-@pytest.mark.parametrize("how", ["mean", "sum"])
 @pytest.mark.parametrize("kind", ["giph-1", "giph-3", "giph-5"])
 @settings(max_examples=4, deadline=None)
 @trainable_layouts
 @example(seed=0, num_tasks=6, num_devices=3, edge_prob=0.0)
 @example(seed=1, num_tasks=1, num_devices=2, edge_prob=1.0)
 def test_giph_k_equals_the_composed_tape_on_generated_problems(
-    kind, how, seed, num_tasks, num_devices, edge_prob
+    kind, seed, num_tasks, num_devices, edge_prob
 ):
     # GiPH-k runs the pass Placeto does, with the gpNet's edge features:
     # same oracle, same outputs, gradients and trained weights.
     problem = generated_problem(seed, num_tasks, num_devices, edge_prob)
-    reference_path = partial(composed_path, how)
-    agent = assert_training_is_a_fixed_point(giph_k_trainer(kind, how), problem, reference_path)
+    agent = assert_training_is_a_fixed_point(giph_k_trainer(kind), problem, composed_path)
     net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(seed)))
-    with reference_path():
+    with composed_path():
         expected = agent.embedding(net).data
     assert same_bytes(agent.embedding(net).data, expected)
     with no_grad():

@@ -223,14 +223,9 @@ class TestRnnPlacer:
 
     def test_fit_improves_or_holds(self, diamond_problem):
         placer = RnnPlacer(diamond_problem, rng(16))
-        result = placer.fit(OBJ, samples_per_update=2, max_updates=5, patience=2)
+        result = placer.fit(OBJ)
         assert result.best_value <= result.values_per_update[0] + 1e-9
         diamond_problem.validate_placement(result.best_placement)
-
-    def test_place_greedy_no_graph(self, diamond_problem):
-        placer = RnnPlacer(diamond_problem, rng(17))
-        placement = placer.place()
-        diamond_problem.validate_placement(placement)
 
 
 class TestGiPHSearchPolicyAdapter:

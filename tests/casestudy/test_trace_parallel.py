@@ -71,16 +71,16 @@ def assert_same_scenarios(actual, expected):
 
 class TestWindowedEqualsSerial:
     @pytest.mark.parametrize("num_windows", [1, 2, 3])
-    def test_shard_counts(self, fit, serial, num_windows):
+    def test_shard_counts(self, serial, num_windows):
         windowed = extract_trace_windowed(
-            small_config(), STREAM, fit=fit, backend=InlineBackend(), num_windows=num_windows
+            small_config(), STREAM, backend=InlineBackend(), num_windows=num_windows
         )
         assert_same_scenarios(windowed, serial)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_counts(self, fit, serial, workers):
+    def test_worker_counts(self, serial, workers):
         windowed = extract_trace_windowed(
-            small_config(), STREAM, fit=fit, backend=make_backend(workers=workers)
+            small_config(), STREAM, backend=make_backend(workers=workers)
         )
         assert_same_scenarios(windowed, serial)
 
@@ -89,14 +89,14 @@ class TestWindowedEqualsSerial:
         config = small_config(max_cases=5)
         expected = extract_trace(config, np.random.default_rng(list(STREAM)), fit=fit)
         windowed = extract_trace_windowed(
-            config, STREAM, fit=fit, backend=InlineBackend(), num_windows=num_windows
+            config, STREAM, backend=InlineBackend(), num_windows=num_windows
         )
         assert len(windowed) == len(expected) == 5
         assert_same_scenarios(windowed, expected)
 
-    def test_more_windows_than_snapshots(self, fit, serial):
+    def test_more_windows_than_snapshots(self, serial):
         windowed = extract_trace_windowed(
-            small_config(), STREAM, fit=fit, backend=InlineBackend(), num_windows=50
+            small_config(), STREAM, backend=InlineBackend(), num_windows=50
         )
         assert_same_scenarios(windowed, serial)
 
@@ -111,10 +111,10 @@ class _StoreConditionalBackend(ExecutionBackend):
 
 
 class TestBackendPolicy:
-    def test_store_conditional_backend_rejected(self, fit):
+    def test_store_conditional_backend_rejected(self):
         with pytest.raises(ExecutionBackendError, match="direct-execution"):
             extract_trace_windowed(
-                small_config(), STREAM, fit=fit, backend=_StoreConditionalBackend()
+                small_config(), STREAM, backend=_StoreConditionalBackend()
             )
 
 

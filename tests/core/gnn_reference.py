@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core import gnn
 from repro.core.features import DirectionPlan, GpNetStructure, _LevelPlan
-from repro.core.gnn import _NoEdgeDirectionalPass
+from repro.core.gnn import EMBED_DIM, _NoEdgeDirectionalPass
 from repro.nn import Tensor, as_tensor, concat, stack
 from repro.nn import functional as F
 
@@ -211,8 +211,8 @@ def _message_of(layer, gpnet):
             return F.linear(sender_emb, layer.h1.weight, layer.h1.bias).relu()
 
         return message
-    w_emb = layer.h1.weight[: layer.embed_dim]
-    w_edge = layer.h1.weight[layer.embed_dim :]
+    w_emb = layer.h1.weight[:EMBED_DIM]
+    w_edge = layer.h1.weight[EMBED_DIM:]
 
     def message(sender_emb, idx):
         return (
@@ -259,7 +259,7 @@ def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term, per_edge):
         edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
     else:
         edge_from, edge_to = gpnet.edge_src, gpnet.edge_dst
-    emb = Tensor(np.zeros((gpnet.num_nodes, layer.embed_dim)))
+    emb = Tensor(np.zeros((gpnet.num_nodes, EMBED_DIM)))
     for level in plan.levels:
         if len(level.edge_idx) == 0:
             agg = Tensor(np.zeros((len(level.nodes), layer.h1.out_features)))

@@ -7,6 +7,7 @@ from repro.core import (
     FeatureConfig,
     GpNetBuilder,
     ScorePolicy,
+    TwoWayMessagePassing,
     augment_with_out_edge_means,
     make_embedding,
 )
@@ -87,8 +88,8 @@ class TestEmbeddings:
     def test_giph_k_factory(self):
         emb = make_embedding("giph-7", np.random.default_rng(0))
         assert emb.k == 7
-        with pytest.raises(ValueError):
-            make_embedding("giph-k", np.random.default_rng(0), k=0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            make_embedding("giph-0", np.random.default_rng(0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -104,19 +105,18 @@ class TestEmbeddings:
 
     def test_sum_aggregation_option(self, diamond_problem):
         net = gpnet_of(diamond_problem)
-        emb = make_embedding("giph", np.random.default_rng(5), aggregation="sum")
+        emb = TwoWayMessagePassing(np.random.default_rng(5), aggregation="sum")
         assert emb(net).shape == (net.num_nodes, 10)
 
     def test_bad_aggregation(self):
         """A bad ``aggregation`` fails where it is written — at
         construction — not on the first forward that happens to have an
         edge (an edgeless gpNet used to run to completion with the typo)."""
-        for kind in ("giph", "giph-ne", "giph-3", "graphsage-ne"):
-            for bad in ("max", ""):
-                with pytest.raises(ValueError, match=rf"{bad!r}.*\('mean', 'sum'\)"):
-                    make_embedding(kind, np.random.default_rng(5), aggregation=bad)
-            for good in ("mean", "sum"):
-                make_embedding(kind, np.random.default_rng(5), aggregation=good)  # constructs
+        for bad in ("max", ""):
+            with pytest.raises(ValueError, match=rf"{bad!r}.*\('mean', 'sum'\)"):
+                TwoWayMessagePassing(np.random.default_rng(5), aggregation=bad)
+        for good in ("mean", "sum"):
+            TwoWayMessagePassing(np.random.default_rng(5), aggregation=good)  # constructs
 
 
 class TestScorePolicy:
@@ -138,16 +138,6 @@ class TestScorePolicy:
         for _ in range(25):
             action, _ = policy.sample(embeddings, mask, rng)
             assert mask[action]
-
-    def test_greedy_is_argmax(self, diamond_problem):
-        net = gpnet_of(diamond_problem)
-        emb = make_embedding("giph", np.random.default_rng(0))
-        policy = ScorePolicy(emb.out_dim, np.random.default_rng(1))
-        mask = ~net.is_pivot
-        embeddings = emb(net)
-        action, _ = policy.sample(embeddings, mask, np.random.default_rng(0), greedy=True)
-        lp = policy.log_probs(embeddings, mask).data
-        assert action == int(np.argmax(np.where(mask, lp, -np.inf)))
 
     def test_log_prob_backward_reaches_gnn(self, diamond_problem):
         net = gpnet_of(diamond_problem)

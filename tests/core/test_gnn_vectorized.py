@@ -37,8 +37,9 @@ from test_gpnet import random_layout_problem
 from repro.core import PlacementProblem, gnn, random_placement
 from repro.core.agent import GiPHAgent
 from repro.core.features import GpNetBuilder, GpNetStructure, structure_of
-from repro.core.gnn import make_embedding
+from repro.core.gnn import EMBED_DIM, TwoWayMessagePassing, make_embedding
 from repro.core.reinforce import (
+    GAMMA,
     ReinforceConfig,
     ReinforceTrainer,
     average_reward_baseline,
@@ -55,6 +56,16 @@ from repro.telemetry import metrics
 # The kinds whose forward is the two-way sweep the loop oracle replaces
 # (GiPH-k and GraphSAGE-NE never had a per-task loop).
 KINDS = ("giph", "giph-ne")
+# The (kind, aggregation) pairs those sweeps run with: only GiPH may sum
+# (the design-choice ablation trains it).
+VARIANTS = (("giph", "mean"), ("giph", "sum"), ("giph-ne", "mean"))
+
+
+def sweep_embedding(kind: str, rng: np.random.Generator, aggregation: str):
+    """The ``kind`` embedding aggregating by ``aggregation``."""
+    if aggregation == "mean":
+        return make_embedding(kind, rng)
+    return TwoWayMessagePassing(rng, aggregation=aggregation)
 
 
 def make_problem(seed: int, num_tasks: int = 8, num_devices: int = 4) -> PlacementProblem:
@@ -99,12 +110,11 @@ class TestBitIdentical:
                 f"{np.max(np.abs(out_vec.data - out_ref.data))}"
             )
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_sum_aggregation_bitwise(self, kind):
+    def test_sum_aggregation_bitwise(self):
         """``aggregation="sum"`` is what ``experiments/ablation.py`` trains with."""
         problem = make_problem(50, num_tasks=9, num_devices=4)
         builder = GpNetBuilder(problem)
-        emb = make_embedding(kind, np.random.default_rng(5), aggregation="sum")
+        emb = TwoWayMessagePassing(np.random.default_rng(5), aggregation="sum")
         for pseed in range(3):
             net = builder.build(random_placement(problem, np.random.default_rng(pseed)))
             out_vec = emb(net)
@@ -121,8 +131,7 @@ class TestBitIdentical:
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
         assert net.num_edges == 0
         emb = make_embedding(kind, np.random.default_rng(6))
-        embed_dim = emb.forward_pass.embed_dim
-        x = Tensor(np.random.default_rng(7).normal(size=(net.num_nodes, embed_dim)))
+        x = Tensor(np.random.default_rng(7).normal(size=(net.num_nodes, EMBED_DIM)))
         shipped = gnn._two_way(emb.forward_pass, emb.backward_pass, net, x)
         oracle = two_way_reference(emb.forward_pass, emb.backward_pass, net, x)
         assert shipped.shape == (net.num_nodes, emb.out_dim)
@@ -204,10 +213,9 @@ def sweep_graph_floats(emb, nets, seed, freeze=(), x_grad=True):
     for name, param in emb.named_parameters():
         param.requires_grad = name not in freeze
     try:
-        embed_dim = emb.forward_pass.embed_dim
         xs, total = [], None
         for net in nets:
-            x = Tensor(rng.normal(size=(net.num_nodes, embed_dim)), requires_grad=x_grad)
+            x = Tensor(rng.normal(size=(net.num_nodes, EMBED_DIM)), requires_grad=x_grad)
             out = emb(net) * emb(net) + gnn._two_way(emb.forward_pass, emb.backward_pass, net, x)
             out = (out * Tensor(rng.normal(size=out.shape))).sum()
             total = out if total is None else total + out
@@ -261,11 +269,10 @@ def train_five_episodes(kind: str, composed: bool):
 class TestFusedSweepGradients:
     """The hand-written backward against the composed per-level tape."""
 
-    @pytest.mark.parametrize("aggregation", ["mean", "sum"])
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind, aggregation", VARIANTS)
     def test_outputs_and_gradients_bitwise(self, kind, aggregation):
         problem = make_problem(31, num_tasks=9, num_devices=4)
-        emb = make_embedding(kind, np.random.default_rng(2), aggregation=aggregation)
+        emb = sweep_embedding(kind, np.random.default_rng(2), aggregation)
         grads, x_grads = assert_shipped_equals_composed(emb, two_nets(problem, 3), seed=4)
         assert all(g is not None and np.any(g) for g in grads.values())
         assert all(np.any(g) for g in x_grads)
@@ -276,20 +283,19 @@ class TestFusedSweepGradients:
         num_tasks=st.integers(1, 12),
         num_devices=st.integers(1, 5),
         edge_prob=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
-        kind=st.sampled_from(KINDS),
-        aggregation=st.sampled_from(["mean", "sum"]),
+        variant=st.sampled_from(VARIANTS),
     )
-    @example(seed=0, num_tasks=1, num_devices=1, edge_prob=1.0, kind="giph", aggregation="mean")
-    @example(seed=1, num_tasks=5, num_devices=3, edge_prob=0.0, kind="giph-ne", aggregation="sum")
+    @example(seed=0, num_tasks=1, num_devices=1, edge_prob=1.0, variant=("giph", "mean"))
+    @example(seed=1, num_tasks=5, num_devices=3, edge_prob=0.0, variant=("giph-ne", "mean"))
     def test_gradients_bitwise_on_generated_problems(
-        self, seed, num_tasks, num_devices, edge_prob, kind, aggregation
+        self, seed, num_tasks, num_devices, edge_prob, variant
     ):
         problem = random_layout_problem(seed, num_tasks, num_devices, edge_prob)
-        emb = make_embedding(kind, np.random.default_rng(seed), aggregation=aggregation)
+        kind, aggregation = variant
+        emb = sweep_embedding(kind, np.random.default_rng(seed), aggregation)
         assert_shipped_equals_composed(emb, two_nets(problem, seed + 1), seed=seed + 2)
 
-    @pytest.mark.parametrize("aggregation", ["mean", "sum"])
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind, aggregation", VARIANTS)
     def test_search_large_shape_bitwise(self, kind, aggregation):
         """48 tasks x 12 devices, the ``search_large`` shape: with levels of
         a thousand edges a BLAS product handed a feature-major operand
@@ -298,7 +304,7 @@ class TestFusedSweepGradients:
         problem = make_problem(4812, num_tasks=48, num_devices=12)
         nets = two_nets(problem, 8)
         assert min(net.num_edges for net in nets) >= 5000
-        emb = make_embedding(kind, np.random.default_rng(8), aggregation=aggregation)
+        emb = sweep_embedding(kind, np.random.default_rng(8), aggregation)
         grads, x_grads = assert_shipped_equals_composed(emb, nets, seed=9)
         assert all(g is not None and np.any(g) for g in grads.values())
         assert all(np.any(g) for g in x_grads)
@@ -329,7 +335,7 @@ class TestFusedSweepGradients:
                 outputs = [emb(net)]
             outputs.append(emb(net))
             structure = structure_of(net)
-            x = Tensor(np.ones((net.num_nodes, emb.forward_pass.embed_dim)), requires_grad=True)
+            x = Tensor(np.ones((net.num_nodes, EMBED_DIM)), requires_grad=True)
             outputs.append(emb.forward_pass(net, x, structure.forward_plan, reverse=False))
             outputs.append(emb.backward_pass(net, x, structure.backward_plan, reverse=True))
             assert [out.requires_grad for out in outputs] == [False, True, True, True]
@@ -373,12 +379,12 @@ class TestFusedSweepGradients:
         problem = make_problem(36, num_tasks=8, num_devices=3)
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
         layer = make_embedding(kind, np.random.default_rng(6)).forward_pass
-        per_edge, embed_dim, msg_dim = kind == "giph", layer.embed_dim, layer.h1.out_features
+        per_edge, msg_dim = kind == "giph", layer.h1.out_features
         rng = np.random.default_rng(7)
-        x_data = rng.normal(size=(net.num_nodes, embed_dim))
-        w_data = layer.h1.weight.data[:embed_dim] if per_edge else layer.h1.weight.data
+        x_data = rng.normal(size=(net.num_nodes, EMBED_DIM))
+        w_data = layer.h1.weight.data[:EMBED_DIM] if per_edge else layer.h1.weight.data
         term_data = rng.normal(size=(net.num_edges, msg_dim) if per_edge else msg_dim)
-        upstream = rng.normal(size=(net.num_nodes, embed_dim))
+        upstream = rng.normal(size=(net.num_nodes, EMBED_DIM))
         upstream[::2] = -0.0
 
         def leaf_grads(sweep):
@@ -403,7 +409,7 @@ class TestFusedSweepGradients:
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
         emb = make_embedding(kind, np.random.default_rng(4))
         plan = structure_of(net).forward_plan
-        data = np.random.default_rng(1).normal(size=(net.num_nodes, emb.forward_pass.embed_dim))
+        data = np.random.default_rng(1).normal(size=(net.num_nodes, EMBED_DIM))
 
         tracked = emb.forward_pass(net, Tensor(data), plan, reverse=False)
         assert tracked._op == "sweep" and tracked._backward is not None
@@ -518,19 +524,18 @@ class TestFusedEpisodeLoss:
         """The fused stack-multiply-sum delivers each log-prob exactly
         ``-advantage_t`` — the same gradient as the per-step loop."""
         rng = np.random.default_rng(5)
-        config = ReinforceConfig(episodes=1)
         rewards = list(rng.normal(size=12))
         logits = rng.normal(size=12)
 
         fused_inputs = [Tensor(np.asarray(v), requires_grad=True) for v in logits]
-        episode_loss(fused_inputs, rewards, config).backward()
+        episode_loss(fused_inputs, rewards).backward()
 
         loop_inputs = [Tensor(np.asarray(v), requires_grad=True) for v in logits]
-        returns = discounted_returns(rewards, config.gamma)
+        returns = discounted_returns(rewards, GAMMA)
         baseline = average_reward_baseline(rewards)
         loss = Tensor(np.zeros(()))
         for t, lp in enumerate(loop_inputs):
-            advantage = (config.gamma**t) * (returns[t] - baseline[t])
+            advantage = (GAMMA**t) * (returns[t] - baseline[t])
             loss = loss + lp * (-advantage)
         loss.backward()
 
@@ -538,13 +543,13 @@ class TestFusedEpisodeLoss:
             np.testing.assert_array_equal(fused.grad, looped.grad)
 
     def test_empty_episode(self):
-        loss = episode_loss([], [], ReinforceConfig(episodes=1))
+        loss = episode_loss([], [])
         assert loss.data.shape == ()
         assert loss.data == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            episode_loss([Tensor(np.zeros(()))], [], ReinforceConfig(episodes=1))
+            episode_loss([Tensor(np.zeros(()))], [])
 
 
 class TestEndToEnd:

@@ -41,9 +41,7 @@ class TestReturnsMath:
 
 
 class TestConfig:
-    @pytest.mark.parametrize(
-        "kwargs", [{"gamma": 1.5}, {"episodes": 0}, {"grad_clip": 0.0}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"episodes": 0}])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ReinforceConfig(**kwargs)
@@ -202,12 +200,13 @@ class TestSearch:
         trace = run_search(agent, diamond_problem, MakespanObjective(), [0, 0, 0, 2])
         assert sum(trace.relocation_counts) <= trace.num_steps
 
-    def test_greedy_search_deterministic(self, diamond_problem):
-        rng = np.random.default_rng(8)
-        agent = GiPHAgent(rng, embedding="giph")
-        t1 = run_search(agent, diamond_problem, MakespanObjective(), [0, 0, 0, 2], greedy=True)
-        t2 = run_search(agent, diamond_problem, MakespanObjective(), [0, 0, 0, 2], greedy=True)
-        assert t1.best_placement == t2.best_placement
+    def test_same_seed_search_deterministic(self, diamond_problem):
+        agent = GiPHAgent(np.random.default_rng(8), embedding="giph")
+        traces = []
+        for _ in range(2):
+            agent.rng = np.random.default_rng(80)
+            traces.append(run_search(agent, diamond_problem, MakespanObjective(), [0, 0, 0, 2]))
+        assert traces[0] == traces[1]
 
 
 class TestAgentStateDict:

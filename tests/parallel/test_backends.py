@@ -112,7 +112,7 @@ class TestShardBackend:
     def test_wait_mode_times_out_with_a_clean_error(self, tmp_path):
         store = RunStore(tmp_path)
         shard = ShardBackend(
-            store, RUN, 2, 0, missing="wait", wait_timeout_s=0.3, poll_interval_s=0.05
+            store, RUN, 2, 0, missing="wait", wait_timeout_s=0.3
         )
         with pytest.raises(ExecutionBackendError, match="timed out.*peer cell"):
             shard.fanout(_draw, [(0, i) for i in range(4)])
@@ -155,7 +155,7 @@ class TestShardBackend:
         # rest wait — a second terminal must not duplicate the training.
         store = RunStore(tmp_path)
         shard1 = ShardBackend(
-            store, RUN, 2, 1, missing="wait", wait_timeout_s=0.3, poll_interval_s=0.05
+            store, RUN, 2, 1, missing="wait", wait_timeout_s=0.3
         )
         with pytest.raises(ExecutionBackendError, match="shard 0 to publish"):
             shard1.compute("stage", {"s": 2}, lambda: pytest.fail("non-owner computed"))

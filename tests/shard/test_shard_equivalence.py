@@ -140,9 +140,7 @@ def test_within_shard_backend_reaches_trace_extraction(tmp_path):
     assert len(windows) == 2 and not rest
     *_, scenarios, source = case_study_problems(scale, context.stream)
     assert source == "memory"  # what the shard extracted, not a re-walk
-    serial = trace_mod.extract_trace(
-        context.config, np.random.default_rng(list(context.stream)), fit=context.fit
-    )
+    serial = trace_mod.extract_trace(context.config, np.random.default_rng(list(context.stream)))
     assert len(scenarios) == len(serial) > 0
     for got, want in zip(scenarios, serial):
         assert pickle.dumps(got) == pickle.dumps(want)

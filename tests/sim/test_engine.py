@@ -52,14 +52,6 @@ class TestSimulation:
         with pytest.raises(ValueError):
             sim.run()
 
-    def test_until_stops_early(self):
-        sim = Simulation()
-        log = []
-        sim.schedule(1.0, lambda: log.append(1))
-        sim.schedule(10.0, lambda: log.append(10))
-        sim.run(until=5.0)
-        assert log == [1]
-
     def test_runaway_loop_guard(self):
         sim = Simulation()
 

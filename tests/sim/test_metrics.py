@@ -161,15 +161,15 @@ class TestCostObjectives:
     def test_energy_weights_device_power(self):
         cm = CostModel(chain(), net3())
         # dev2 is fast but power-hungry: w=(1,2), power 4 -> 12; no comm.
-        assert energy_cost(cm, [2, 2], comm_power=0.5) == pytest.approx(12.0)
+        assert energy_cost(cm, [2, 2]) == pytest.approx(12.0)
         # dev0: w=(4,8), power 1 -> 12. Equal here by construction.
-        assert energy_cost(cm, [0, 0], comm_power=0.5) == pytest.approx(12.0)
+        assert energy_cost(cm, [0, 0]) == pytest.approx(12.0)
 
     def test_objective_protocol(self):
         cm = CostModel(chain(), net3())
         assert MakespanObjective().evaluate(cm, [0, 0]) == pytest.approx(12.0)
         assert TotalCostObjective().evaluate(cm, [0, 0]) == pytest.approx(12.0)
-        assert EnergyObjective(0.0).evaluate(cm, [1, 1]) == pytest.approx(12.0)
+        assert EnergyObjective().evaluate(cm, [1, 1]) == pytest.approx(12.0)
 
     def test_noisy_objective_validation(self):
         with pytest.raises(ValueError):

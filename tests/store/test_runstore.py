@@ -1,5 +1,6 @@
 """RunStore: content addressing, atomicity, memoization, active-store slot."""
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -130,7 +131,11 @@ class TestActiveStore:
 
     def test_pickles_are_plain_files(self, tmp_path):
         # The transport claim: a store entry is one ordinary file whose
-        # bytes are a pickle — rsync/scp of the directory is a full sync.
+        # bytes are a pickle behind a 40-byte length + sha256 header —
+        # rsync/scp of the directory is a full sync.
         store = RunStore(tmp_path)
         path = store.save("cell", {"i": 3}, ("tuple", 3))
-        assert pickle.loads(path.read_bytes()) == ("tuple", 3)
+        blob = path.read_bytes()
+        assert int.from_bytes(blob[:8], "big") == len(blob) - 40
+        assert blob[8:40] == hashlib.sha256(blob[40:]).digest()
+        assert pickle.loads(blob[40:]) == ("tuple", 3)

@@ -231,9 +231,9 @@ class TestExperimentRegistry:
         # Used to escape as a raw ModuleNotFoundError traceback.
         rc = main(["experiment", "no-such-figure"])
         assert rc == 2
-        out = capsys.readouterr().out
-        assert "unknown experiment 'no-such-figure'" in out
-        assert "fig4" in out and "ablation" in out  # lists every valid id
+        captured = capsys.readouterr()
+        assert "unknown experiment 'no-such-figure'" in captured.err and captured.out == ""
+        assert "fig4" in captured.err and "ablation" in captured.err  # lists every valid id
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "table1"],
@@ -244,7 +244,8 @@ class TestExperimentRegistry:
         monkeypatch.setenv("REPRO_SCALE", "bogus")
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
-        assert capsys.readouterr().out.startswith("error: unknown scale 'bogus';")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown scale 'bogus';") and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_id_list_matches_package_contents(self):
@@ -325,7 +326,7 @@ class TestExperimentRegistry:
     def test_serial_experiment_notes_ignored_workers(self, capsys):
         rc = main(["experiment", "table1", "--scale", "quick", "--workers", "3"])
         assert rc == 0
-        assert "runs serially by design" in capsys.readouterr().out
+        assert "note: experiment 'table1' runs serially by design" in capsys.readouterr().err
 
 
 class TestShardCli:
@@ -352,12 +353,14 @@ class TestShardCli:
     def test_plan_rejects_serial_experiment(self, capsys):
         rc = main(["shard", "plan", "table1", "--shards", "2", "--scale", "quick"])
         assert rc == 2
-        assert "serially by design" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "serially by design" in captured.err and captured.out == ""
 
     def test_plan_rejects_unknown_experiment(self, capsys):
         rc = main(["shard", "plan", "no-such-figure", "--shards", "2"])
         assert rc == 2
-        assert "unknown experiment" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "unknown experiment" in captured.err and captured.out == ""
 
     def test_run_rejects_stale_manifest(self, tmp_path, capsys):
         main(["shard", "plan", "fig15", "--shards", "1", "--scale", "quick",
@@ -366,25 +369,41 @@ class TestShardCli:
         payload = json.loads(manifest.read_text())
         payload["fingerprint"]["code"] = "f" * 64
         manifest.write_text(json.dumps(payload))
+        capsys.readouterr()  # the plan's own output
         rc = main(["shard", "run", str(manifest)])
         assert rc == 2
-        assert "code fingerprint" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "code fingerprint" in captured.err and captured.out == ""
 
     def test_merge_on_empty_dir_fails_cleanly(self, tmp_path, capsys):
         rc = main(["shard", "merge", str(tmp_path)])
         assert rc == 2
-        assert "no shard-*.json manifests" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "no shard-*.json manifests" in captured.err and captured.out == ""
 
     def test_experiment_backend_rejected_for_serial(self, capsys):
         rc = main(["experiment", "table1", "--scale", "quick", "--backend", "fork"])
         assert rc == 2
-        assert "serially by design" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "serially by design" in captured.err and captured.out == ""
 
     def test_test_accepts_workers_flag(self):
         args = build_parser().parse_args(
             ["test", "--run-folder", "x", "--workers", "2"]
         )
         assert args.workers == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "{tmp}/missing.jsonl"], "error: no trace log at"),
+        (["trace", "{tmp}"], "error: no *.jsonl trace logs under"),
+        (["lint", "--root", "{tmp}/missing"], "error: repro lint:"),
+    ])
+    def test_exit_2_writes_the_error_to_stderr_only(self, argv, message, tmp_path, capsys):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
 
 
 class TestScenario:
@@ -413,13 +432,15 @@ class TestScenario:
     def test_run_requires_name(self, capsys):
         rc = main(["scenario", "run"])
         assert rc == 2
-        assert "needs a preset name" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "needs a preset name" in captured.err and captured.out == ""
 
     def test_run_unknown_preset_fails_cleanly(self, capsys):
         rc = main(["scenario", "run", "no-such-preset"])
         assert rc == 2
-        out = capsys.readouterr().out
-        assert "unknown scenario" in out and "edge-churn" in out
+        captured = capsys.readouterr()
+        assert "unknown scenario" in captured.err and "edge-churn" in captured.err
+        assert captured.out == ""
 
     def test_run_unknown_policy_rejected(self):
         import pytest
@@ -441,7 +462,8 @@ class TestScenario:
     def test_run_rejects_max_events_past_the_stream(self, capsys):
         rc = main(["scenario", "run", "edge-churn", "--max-events", "999"])
         assert rc == 2
-        assert "max_events must be an int in [0, 10]" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "max_events must be an int in [0, 10]" in captured.err and captured.out == ""
 
     def test_run_replays_preset(self, capsys):
         rc = main(
