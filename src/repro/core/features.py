@@ -49,7 +49,6 @@ __all__ = [
     "FeatureConfig",
     "GpNetBuilder",
     "GpNetStructure",
-    "DirectionPlan",
     "structure_of",
     "NODE_FEATURE_DIM",
     "EDGE_FEATURE_DIM",
@@ -91,93 +90,85 @@ def _task_levels(
 
 
 @dataclass(frozen=True)
-class _LevelPlan:
-    """One frontier of a directional GNN sweep.
-
-    ``nodes`` — gpNet node ids finalized at this level (the concatenated
-    option sets of the level's tasks, ascending task order);
-    ``edge_idx`` — gpNet edges delivering messages into those nodes,
-    grouped by receiving task with each group in ascending edge order,
-    so ``node_local[receiver(edge_idx)]`` are the segment ids of one
-    batched aggregation over the level.  Edge *endpoints* (sender node
-    ids, receiver rows) are deliberately not cached here: they move
-    with the pivots, so the sweep resolves them per forward from the
-    net it is embedding.
-    """
-
-    tasks: tuple[int, ...]
-    nodes: np.ndarray
-    edge_idx: np.ndarray
-
-
-@dataclass(frozen=True)
-class DirectionPlan:
-    """Frontier-batching schedule for one message-passing direction."""
-
-    levels: tuple[_LevelPlan, ...]
-    # node id -> row within its level's ``nodes`` (placement-independent:
-    # node ids and option ranges are fixed by the problem layout).
-    node_local: np.ndarray
-
-
-@dataclass(frozen=True)
 class GpNetStructure:
-    """Placement-independent structural caches of one problem's gpNets.
+    """Placement-independent lock-step frontier plan of one problem's gpNets.
 
-    Everything the GNN hot path needs beyond the feature arrays — the
-    per-direction frontier plans — is a pure function of the problem
-    *layout*: gpNet edge endpoints move with the pivots, but each edge
-    block's endpoint *tasks* are fixed, so one structure serves every
-    placement of the problem.  Computed once per builder (or lazily per
-    net via :func:`structure_of`) instead of being re-derived on every
-    forward.
+    GiPH's two sweeps (Eq. 1) each take the task DAG's depth in levels, so
+    the GNN advances level ``l`` of both at once.  Ids are doubled:
+    backward node ``v`` is ``N + v``, backward edge ``e`` is ``E + e``.
+    ``nodes``/``edges`` list them level by level, forward ids first: the
+    option sets of the level's tasks in ascending task order, and the
+    edges into them grouped by receiving task, each group ascending.
+    ``node_row`` inverts ``nodes``, so a level's segment ids are
+    ``node_row[receiver] - n0``, backward rows after forward rows.
+    ``row_bounds[2l : 2l + 3]`` are where level ``l``'s forward rows
+    start, its backward rows start and it ends; ``edge_bounds`` likewise.
 
+    GpNet edge endpoints move with the pivots, but each edge block's
+    endpoint tasks are fixed: one structure serves every placement, and
+    the sweep resolves endpoints per forward (:meth:`endpoint_rows`).
     :meth:`from_gpnet` run-length-encodes the edges by (sender task,
     receiver task), layers the tasks on the run pairs, and stable-sorts
-    tasks, option nodes and received runs by level — each level is then
-    one slice of each, the runs expanded back to their (ascending) edges.
+    option nodes and received runs by (level, direction) — each level is
+    then one slice of each, the runs expanded back to their edges.
     """
 
-    forward_plan: DirectionPlan
-    backward_plan: DirectionPlan
+    nodes: np.ndarray
+    edges: np.ndarray
+    node_row: np.ndarray
+    row_bounds: np.ndarray
+    edge_bounds: np.ndarray
 
     @classmethod
     def from_gpnet(cls, net: GpNet) -> "GpNetStructure":
-        num_tasks = len(net.options)
+        num_tasks, n, m = len(net.options), net.num_nodes, net.num_edges
         # Runs: maximal stretches of consecutive gpNet edges with one
         # (sender task, receiver task) pair, ascending by start.
         pair = net.task_of[net.edge_src] * num_tasks + net.task_of[net.edge_dst]
-        starts = np.flatnonzero(np.concatenate(([net.num_edges > 0], pair[1:] != pair[:-1])))
-        lengths = np.diff(starts, append=net.num_edges)
+        starts = np.flatnonzero(np.concatenate(([m > 0], pair[1:] != pair[:-1])))
+        lengths = np.diff(starts, append=m)
         run_src, run_dst = np.divmod(pair[starts], max(num_tasks, 1))
         option_task = np.repeat(np.arange(num_tasks), [len(o) for o in net.options])
         options = np.concatenate(net.options) if num_tasks else option_task
+        # Slot 2l of a task is forward level l, slot 2l + 1 backward level l
+        # (backward tasks offset by num_tasks).  Forward a run is received
+        # by its dst task, backward by its src.
+        slot = 2 * np.concatenate(_task_levels(run_src, run_dst, num_tasks))
+        slot[num_tasks:] += 1
+        node_slot = np.concatenate((slot[option_task], slot[num_tasks + option_task]))
+        receiver = np.concatenate((run_dst, num_tasks + run_src))
+        node_order = np.argsort(node_slot, kind="stable")
+        run_order = np.argsort(slot[receiver] * 2 * num_tasks + receiver, kind="stable")
+        nodes = np.concatenate((options, options + n))[node_order]
+        run_len = np.concatenate((lengths, lengths))[run_order]
+        ends = np.cumsum(run_len)
+        run_first = np.concatenate((starts, starts + m))[run_order] - ends + run_len
+        edges = np.repeat(run_first, run_len) + np.arange(2 * m)
+        bounds = np.arange(int(slot.max()) + 2 if num_tasks else 1)
+        row_bounds = np.searchsorted(node_slot[node_order], bounds)
+        edge_bounds = np.concatenate(([0], ends))[np.searchsorted(slot[receiver[run_order]], bounds)]
+        node_row = np.empty(2 * n, dtype=np.int64)
+        node_row[nodes] = np.arange(2 * n)
+        return cls(nodes, edges, node_row, row_bounds, edge_bounds)
 
-        def plan(level_of: np.ndarray, receiver: np.ndarray) -> DirectionPlan:
-            bounds = np.arange(int(level_of.max()) + 2 if num_tasks else 1)
-            tasks = np.argsort(level_of, kind="stable")
-            node_order = np.argsort(level_of[option_task], kind="stable")
-            run_order = np.argsort(level_of[receiver] * num_tasks + receiver, kind="stable")
-            nodes = options[node_order]
-            run_len = lengths[run_order]
-            ends = np.cumsum(run_len)
-            run_first = np.repeat(starts[run_order] - ends + run_len, run_len)
-            edge_idx = run_first + np.arange(net.num_edges)
-            tb = np.searchsorted(level_of[tasks], bounds)
-            nb = np.searchsorted(level_of[option_task[node_order]], bounds)
-            eb = np.concatenate(([0], ends))[np.searchsorted(level_of[receiver[run_order]], bounds)]
-            node_local = np.zeros(net.num_nodes, dtype=np.int64)
-            node_local[nodes] = np.arange(len(nodes)) - np.repeat(nb[:-1], np.diff(nb))
-            tb, nb, eb, task_list = tb.tolist(), nb.tolist(), eb.tolist(), tasks.tolist()
-            levels = tuple(
-                _LevelPlan(tuple(task_list[t0:t1]), nodes[n0:n1], edge_idx[e0:e1])
-                for t0, t1, n0, n1, e0, e1 in zip(tb, tb[1:], nb, nb[1:], eb, eb[1:])
+    def endpoint_rows(self, net: GpNet) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of every plan edge's sender and receiver in ``net`` (forward
+        src -> dst, backward dst -> src).
+
+        A level's edges are received by its own nodes (the plan's
+        partition), so while ``node_row`` inverts ``nodes`` each receiver
+        lands in its own direction's rows of the level.  The segment kernel
+        refuses only ids outside a level: a row map that does not invert
+        ``nodes`` is refused here, before the sweep writes any row."""
+        if not np.array_equal(self.node_row.take(self.nodes), np.arange(len(self.nodes))):
+            raise ValueError(
+                "segment_sum: segment ids span rows outside their own level and direction "
+                "(node_row does not invert nodes)"
             )
-            return DirectionPlan(levels=levels, node_local=node_local)
-
-        levels_fwd, levels_bwd = _task_levels(run_src, run_dst, num_tasks)
-        # Forward a run is received by its dst task, backward by its src.
-        return cls(forward_plan=plan(levels_fwd, run_dst), backward_plan=plan(levels_bwd, run_src))
+        n, ends = net.num_nodes, (net.edge_src, net.edge_dst)
+        senders = self.node_row.take(np.concatenate((ends[0], ends[1] + n)).take(self.edges))
+        receivers = self.node_row.take(np.concatenate((ends[1], ends[0] + n)).take(self.edges))
+        return senders, receivers
 
 
 def structure_of(gpnet: GpNet) -> GpNetStructure:

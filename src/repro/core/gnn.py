@@ -27,30 +27,32 @@ equal to the input.  Only GiPH may aggregate by sum; all else is mean.
 
 Hot path
 --------
-The recurrent sweeps run **vectorized**: one batched gather → message →
-segment-aggregate → write round per topo *level* (frontier batching)
-instead of a Python loop over tasks, driven by the placement-independent
-:class:`~repro.core.features.GpNetStructure` cached on each gpNet.  One
-sweep body (:func:`_sweep`) serves GiPH and GiPH-NE, which differ only
-in the message weight and additive term they hand it.  A whole direction
-is **one tape node** whose forward runs its levels in plain NumPy,
-**feature-major**: the embedding buffer is ``(embed_dim, N)``, messages
+The two recurrent sweeps run **vectorized and in lock-step**: both
+directions have the DAG's depth in levels, so one batched gather →
+message → segment-aggregate → write round advances topological level
+``l`` of both at once (frontier batching), driven by the
+placement-independent lock-step plan
+(:class:`~repro.core.features.GpNetStructure`) cached on each gpNet.
+The whole two-way pass is **one tape node** (:func:`_two_way`), serving
+GiPH and GiPH-NE, which differ only in the message weight and additive
+term each direction hands it.  Its forward runs in plain NumPy,
+**feature-major**: the embedding buffer is ``(embed_dim, 2N)``, messages
 ``(msg_dim, edges)``, so every kernel — ``take``, the einsum behind
 :func:`repro.nn.functional.linear`, relu, the ``bincount`` segment sum —
-loops along hundreds of edges, not across 5-9 features, with each
-element's float operations and their order unchanged.  What leaves is a
-C-contiguous row-major ``(N, embed_dim)`` array, and the hand-written
-backward — the levels unwound last first with the operations, and the
-accumulation order, of the per-level tape it replaced — hands its BLAS
-products fresh row-major operands: BLAS floats depend on operand layout.
-Both things the sweep replaced are oracles in
-``tests/core/gnn_reference.py``, pinned bit-identical by
-``tests/core/test_gnn_vectorized.py``: the per-task loop pins the
-forward, the composed per-level tape (``sweep_composed``) every
-gradient.  The einsum kernel makes a row's result a function of that row
-alone, which is what makes exact float equality possible at all
+loops along hundreds of edges of both directions, not across 5-9
+features, with each element's float operations and their order
+unchanged.  What leaves is a C-contiguous row-major ``(N, 2 * embed_dim)``
+array, and the hand-written backward — the levels unwound last first
+with the operations, and the accumulation order, of the per-level tape
+it replaced — hands its BLAS products the fresh row-major operands of a
+lone direction: BLAS floats depend on operand layout.  Both things the
+sweep replaced are oracles in ``tests/core/gnn_reference.py``, pinned
+bit-identical by ``tests/core/test_gnn_vectorized.py``: the per-task loop
+pins the forward, the composed per-level tape (``two_way_composed``)
+every gradient.  The einsum kernel makes a row's result a function of
+that row alone, which is what makes exact float equality possible at all
 (``np.matmul`` picks different BLAS kernels for different row counts).
-GiPH-k's k steps are one tape node per direction too, Placeto's
+GiPH-k's k steps are one tape node per direction, Placeto's
 :func:`repro.nn.functional.propagate`; GraphSAGE-NE, which aggregates
 before its ``Linear`` and has no residual, stays composed.
 The registry counters ``gnn.forwards``/``gnn.backwards``/``gnn.seconds``
@@ -66,7 +68,7 @@ import numpy as np
 from ..nn import MLP, Linear, Module, Tensor, concat
 from ..nn import functional as F
 from ..telemetry import metrics, span
-from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, DirectionPlan, structure_of
+from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, structure_of
 from .gpnet import GpNet
 
 __all__ = [
@@ -129,107 +131,128 @@ class GpNetEmbedding(Module):
         raise NotImplementedError
 
 
-def _sweep(
-    layer, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool,
-    w_msg: Tensor, term: Tensor, per_edge: bool,
-) -> Tensor:
-    """One direction of the recurrent sweep as a single tape node.
-
-    ``layer`` supplies ``h2``/``aggregation``.  The message
-    of gpNet edge ``e`` with sender ``v`` is ``relu(emb[v] @ w_msg + t)``
-    with ``t = term[e]`` (``per_edge``, GiPH) or ``t = term`` (broadcast,
-    GiPH-NE) — the only step on which the two differ.  The forward runs
-    every level in plain NumPy on one feature-major buffer (module
-    docstring) and returns it row-major; the backward below replays, last
-    level first and on row-major operands, the float operations of the
-    composed per-level tape, in its order (oracle:
-    ``tests/core/gnn_reference.py::sweep_composed``).
-    """
-    # Reverse: messages flow child -> parent, so senders are the dst
-    # endpoints and aggregation lands on the src endpoints.
-    ends = (gpnet.edge_src, gpnet.edge_dst)
-    edge_from, edge_to = ends[::-1] if reverse else ends
-    h2w, h2b = layer.h2.weight, layer.h2.bias
-    parents = (x, w_msg, term, h2w, h2b)
-    xd, wd, td, h2wd, h2bd = (p.data for p in parents)
-    xT = np.ascontiguousarray(xd.T)
-    tT = td.T if per_edge else td[:, None]  # C-contiguous from ``F.linear(x_fm=)``
-    embT = np.zeros((EMBED_DIM, gpnet.num_nodes))
+def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
+    """Both directions of Eq. 1 over pre-embedded ``x``, concatenated, as
+    one tape node.  Each pass hands over ``h2``, ``aggregation`` and, from
+    ``message``, the weight and additive term of its messages
+    ``relu(emb[v] @ w_msg + t)``: ``t`` an edge's row of a per-edge term
+    (GiPH) or a bias (GiPH-NE).  Steps that read no weight run once per
+    level over both directions' rows; every product that reads a weight
+    runs per direction, on a lone direction's operands.  The backward
+    replays, last level first, the float operations of the composed
+    per-level tape in its order (oracle: ``tests/core/gnn_reference.py::
+    two_way_composed``), so gradients stay bit-identical: each direction
+    owns its parameters, so interleaving the two reorders no parameter's
+    sum, and ``x``'s two contributions commute."""
+    plan, n = structure_of(gpnet), gpnet.num_nodes
+    passes = (forward_pass, backward_pass)
+    (w_f, t_f), (w_b, t_b) = (p.message(gpnet) for p in passes)
+    h2 = [(p.h2.weight, p.h2.bias) for p in passes]
+    parents = (x, w_f, t_f, *h2[0], w_b, t_b, *h2[1])
+    per_edge = t_f.ndim == 2  # else a bias broadcast over edges
+    msg_dim = w_f.shape[1]
+    senders, receivers = plan.endpoint_rows(gpnet)
+    counts = F._segment_counts(receivers, 2 * n) if forward_pass.aggregation == "mean" else None
+    xT = np.ascontiguousarray(x.data.T)
+    x_rows = np.concatenate((xT, xT), axis=1).take(plan.nodes, axis=1)
+    tT = (t_f.data.T, t_b.data.T)  # per edge C-contiguous from ``F.linear(x_fm=)``, else (msg,)
+    embT = np.zeros((EMBED_DIM, 2 * n))
     saved = []  # per level, what the backward reads
-    for level in plan.levels:
-        nodes, idx = level.nodes, level.edge_idx
-        if len(idx) == 0:
-            agg, edges = np.zeros((wd.shape[1], len(nodes))), None
+    nb, eb = plan.row_bounds.tolist(), plan.edge_bounds.tolist()
+    levels = [(n0, n1, e0, e1, nm - n0, em - e0) for n0, nm, n1, e0, em, e1 in zip(
+        nb[:-1:2], nb[1::2], nb[2::2], eb[:-1:2], eb[1::2], eb[2::2])]
+    for n0, n1, e0, e1, nf, ef in levels:
+        if e0 == e1:
+            agg, edges = np.zeros((msg_dim, n1 - n0)), None
         else:
-            senders = edge_from[idx]
-            s = embT.take(senders, axis=1)
-            pre = F._linear_kernel_fm(s, wd) + (tT.take(idx, axis=1) if per_edge else tT)
-            segments = plan.node_local[edge_to[idx]]
-            agg = F._segment_sum_kernel(np.maximum(pre, 0.0), segments, len(nodes), axis=1)
-            counts = None
-            if layer.aggregation == "mean":
-                counts = F._segment_counts(segments, len(nodes))
-                agg = agg / counts
-            edges = (idx, senders, pre, segments, counts)
-        h = F._linear_kernel_fm(agg, h2wd) + h2bd[:, None]
-        embT[:, nodes] = np.maximum(h, 0.0) + xT.take(nodes, axis=1)
-        saved.append((nodes, agg, h, edges))
-    emb = embT.T.copy()  # row-major: concat and the policy's BLAS read it
+            s = embT.take(senders[e0:e1], axis=1)
+            # Each direction's term rows: its gpNet edges, backward ids shifted back.
+            ids = (plan.edges[e0 : e0 + ef], plan.edges[e0 + ef : e1] - gpnet.num_edges)
+            pre = np.empty((msg_dim, e1 - e0))
+            for w, t, i, cols in zip((w_f, w_b), tT, ids, (slice(0, ef), slice(ef, None))):
+                t = t.take(i, axis=1) if per_edge else t[:, None]
+                np.add(F._linear_kernel_fm(s[:, cols], w.data), t, out=pre[:, cols])
+            segments = receivers[e0:e1] - n0
+            np.maximum(pre, 0.0, out=pre)  # the backward's mask: relu(pre) > 0 where pre > 0
+            agg = F._segment_sum_kernel(pre, segments, n1 - n0, axis=1)
+            if counts is not None:
+                agg = agg / counts[n0:n1]
+            edges = (pre, segments)
+        h = np.empty((EMBED_DIM, n1 - n0))
+        for (w, b), cols in zip(h2, (slice(0, nf), slice(nf, None))):
+            np.add(F._linear_kernel_fm(agg[:, cols], w.data), b.data[:, None], out=h[:, cols])
+        embT[:, n0:n1] = np.maximum(h, 0.0) + x_rows[:, n0:n1]
+        saved.append((agg, h, edges))
+    by_node = embT.T.take(plan.node_row, axis=0)
+    out = np.concatenate((by_node[:n], by_node[n:]), axis=1)  # row-major: the policy's BLAS reads it
 
     def backward(grad: np.ndarray) -> None:
-        # G is the gradient of the embedding buffer.  A level's senders sit
+        # G is the gradient of the embedding rows.  A level's senders sit
         # strictly below it, so its rows are final when it is unwound and
         # nothing writes them after: x's gradient is the final G, read once.
-        # What the forward saved is converted to row-major once per level.
-        G = grad.copy()
-        # Edgeless, the per-level tape never reads ``term``: no gradient.
-        g_term = np.zeros(td.shape) if per_edge and term.requires_grad and len(td) else None
-        for nodes, agg, h, edges in reversed(saved):
-            g_h = G[nodes] * np.ascontiguousarray((h > 0).T)
-            # Straight into ``.grad``, one level at a time: a per-pass
-            # subtotal would re-associate the sum over an episode's forwards.
-            if h2w.requires_grad:
-                h2w._accumulate(np.ascontiguousarray(agg.T).T @ g_h)
-            if h2b.requires_grad:
-                h2b._accumulate(g_h.sum(axis=0))
+        # The BLAS products get the row-major operands a lone direction
+        # hands them: their floats depend on operand layout.
+        G = np.concatenate((grad[:, :EMBED_DIM], grad[:, EMBED_DIM:])).take(plan.nodes, axis=0)
+        emb = embT.T.copy()
+        # Both terms' rows by doubled edge id.  Edgeless, the per-level tape
+        # never reads a term: no gradient.
+        live = per_edge and len(plan.edges) and (t_f.requires_grad or t_b.requires_grad)
+        g_term = np.zeros((len(plan.edges), msg_dim)) if live else None
+        for (n0, n1, e0, e1, nf, ef), (agg, h, edges) in zip(levels[::-1], saved[::-1]):
+            rows, cols = (slice(0, nf), slice(nf, None)), (slice(0, ef), slice(ef, None))
+            g_h = G[n0:n1] * np.ascontiguousarray((h > 0).T)
+            for (w, b), r in zip(h2, rows):
+                # Straight into ``.grad``, one level at a time: a per-pass
+                # subtotal would re-associate the sum over an episode's forwards.
+                if w.requires_grad:
+                    w._accumulate(np.ascontiguousarray(agg[:, r].T).T @ g_h[r])
+                if b.requires_grad:
+                    b._accumulate(g_h[r].sum(axis=0))
             if edges is None:
                 continue
-            idx, senders, pre, segments, counts = edges
-            g_agg = g_h @ h2wd.T
+            pre, segments = edges
+            g_agg = np.empty((n1 - n0, msg_dim))
+            for (w, _), r in zip(h2, rows):
+                np.matmul(g_h[r], w.data.T, out=g_agg[r])
             if counts is not None:
-                g_agg = g_agg / counts[:, None]
+                g_agg = g_agg / counts[n0:n1, None]
             g_pre = g_agg.take(segments, axis=0) * np.ascontiguousarray((pre > 0).T)
             if g_term is not None:
-                g_term[idx] = g_pre  # each gpNet edge sits in exactly one level
-            elif term.requires_grad:
-                term._accumulate(g_pre.sum(axis=0))
-            if w_msg.requires_grad:  # senders' rows were final when gathered
-                w_msg._accumulate(emb.take(senders, axis=0).T @ g_pre)
+                g_term[plan.edges[e0:e1]] = g_pre  # each edge sits in one level per direction
+            senders_l = senders[e0:e1]
+            s = emb.take(senders_l, axis=0)  # senders' rows were final when gathered
+            back = np.empty((e1 - e0, EMBED_DIM))
+            for w, t, c in zip((w_f, w_b), (t_f, t_b), cols):
+                if not per_edge and t.requires_grad:
+                    t._accumulate(g_pre[c].sum(axis=0))
+                if w.requires_grad:
+                    w._accumulate(s[c].T @ g_pre[c])
+                np.matmul(g_pre[c], w.data.T, out=back[c])
             # Senders repeat and G is non-zero there, so a bincount
             # subtotal would change the association: a flat ``np.add.at``.
-            F._scatter_add_rows(G, senders, g_pre @ wd.T)
-        for t, g in ((x, G), (term, g_term)):
-            if g is not None and t.requires_grad:
+            F._scatter_add_rows(G, senders_l, back)
+        G, m = G.take(plan.node_row, axis=0), gpnet.num_edges
+        leaf_grads = [(x, G[:n]), (x, G[n:])]
+        if g_term is not None:
+            leaf_grads += [(t_f, g_term[:m]), (t_b, g_term[m:])]
+        for t, g in leaf_grads:
+            if t.requires_grad:
                 if t.grad is None:
-                    g += 0.0  # the per-level tape summed into zeros: -0.0 -> 0.0
-                    t.grad = g
-                else:
-                    t.grad += g
+                    t.grad = np.zeros(t.shape)  # the per-level tape summed into zeros
+                t.grad += g
 
-    return Tensor._make(emb, parents, backward, "sweep")
+    return Tensor._make(out, parents, backward, "two-way")
 
 
 class _DirectionalPass(Module):
     """One direction of Eq. 1: recurrent wavefront message passing.
 
-    ``forward`` hands :func:`_sweep` — one tape node for the whole
-    direction — the precomputed
-    :class:`~repro.core.features.DirectionPlan` and the two pieces of
-    the message that are this variant's own.  h1/h2 go through the
+    :func:`_two_way` runs it, taking from :meth:`message` the two pieces
+    of the message that are this variant's own.  h1/h2 go through the
     batch-invariant kernel of :func:`repro.nn.functional.linear`, which
     produces the same floats for any level/task partition of the same
-    rows — what lets the per-task loop oracle in ``tests/`` demand
-    exact equality.
+    rows — what lets the per-task loop oracle in ``tests/`` demand exact
+    equality.
 
     h1 is split over its concatenated input:
     ``h1([e_v ∥ x^e]) = e_v @ W_emb + (x^e @ W_edge + b)`` with
@@ -247,24 +270,12 @@ class _DirectionalPass(Module):
             raise ValueError(f"unknown aggregation {aggregation!r}; expected one of ('mean', 'sum')")
         self.aggregation = aggregation
 
-    def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
-        """``x``: pre-embedded node features (N, EMBED_DIM)."""
-        w_emb = self.h1.weight[:EMBED_DIM]
-        w_edge = self.h1.weight[EMBED_DIM:]
-        # The edge half of every message depends only on static edge
-        # features: one affine map for the whole pass (feature-major, off
-        # the net's one transposed copy), gathered per level.
-        features = Tensor(gpnet.edge_features)
+    def message(self, gpnet: GpNet) -> tuple[Tensor, Tensor]:
+        """``W_emb`` and the edge half of every message: one affine map for
+        the whole pass (feature-major, off the net's one transposed copy)."""
+        w_edge, features = self.h1.weight[EMBED_DIM:], Tensor(gpnet.edge_features)
         edge_msg = F.linear(features, w_edge, self.h1.bias, x_fm=gpnet.edge_features_fm)
-        return _sweep(self, gpnet, x, plan, reverse, w_emb, edge_msg, per_edge=True)
-
-
-def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
-    """Both directional sweeps over pre-embedded ``x``, summaries concatenated."""
-    structure = structure_of(gpnet)
-    e_fwd = forward_pass(gpnet, x, structure.forward_plan, reverse=False)
-    e_bwd = backward_pass(gpnet, x, structure.backward_plan, reverse=True)
-    return concat([e_fwd, e_bwd], axis=1)
+        return self.h1.weight[:EMBED_DIM], edge_msg
 
 
 class TwoWayMessagePassing(GpNetEmbedding):
@@ -348,9 +359,8 @@ class _NoEdgeDirectionalPass(Module):
     """Wavefront pass without edge features (GiPH-NE).
 
     Same sweep as :class:`_DirectionalPass`; messages are
-    ``relu(h1(e_v))`` of the sender embeddings alone, so the message
-    weight is all of ``h1.weight`` and the additive term is ``h1.bias``,
-    broadcast over edges.
+    ``relu(h1(e_v))`` of the sender embeddings alone, so :meth:`message`
+    is all of ``h1.weight`` and, broadcast over edges, ``h1.bias``.
     """
 
     aggregation = "mean"
@@ -359,10 +369,8 @@ class _NoEdgeDirectionalPass(Module):
         self.h1 = Linear(EMBED_DIM, EMBED_DIM, rng)
         self.h2 = Linear(EMBED_DIM, EMBED_DIM, rng)
 
-    def forward(self, gpnet: GpNet, x: Tensor, plan: DirectionPlan, reverse: bool) -> Tensor:
-        return _sweep(
-            self, gpnet, x, plan, reverse, self.h1.weight, self.h1.bias, per_edge=False
-        )
+    def message(self, gpnet: GpNet) -> tuple[Tensor, Tensor]:
+        return self.h1.weight, self.h1.bias
 
 
 class TwoWayNoEdge(GpNetEmbedding):

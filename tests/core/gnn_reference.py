@@ -1,8 +1,9 @@
-"""Test oracles: what the shipped GNN sweep and its frontier plans replaced.
+"""Test oracles: what the shipped GNN sweep and its frontier plan replaced.
 
-``repro.core.gnn._sweep`` runs one direction of Eq. 1 as a single tape
-node with a hand-written backward.  This module keeps what it replaced,
-so the tests can demand the same floats:
+``repro.core.gnn._two_way`` runs both directions of Eq. 1 as a single
+tape node with a hand-written backward, advancing level ``l`` of both
+together.  This module keeps what it replaced, so the tests can demand
+the same floats:
 
 * the **per-task loop** (:func:`two_way_reference`) — one Python
   iteration per task, one ``Tensor`` per node, the edge half of every
@@ -12,24 +13,29 @@ so the tests can demand the same floats:
   from the set-comprehension level oracle below
   (:func:`levels_from_every_gpnet_edge`) and the per-task edge groups
   are recomputed from the net's endpoints.
-* the **composed per-level sweep** (:func:`sweep_composed`) — the same
-  levels as the shipped sweep, each written as ordinary tape ops
+* the **composed per-level sweep** (:func:`sweep_composed`), one
+  direction at a time on the shipped plan's levels
+  (:func:`directions`), each level written as ordinary tape ops
   (gather → linear → relu → segment aggregate → linear → relu → row
-  scatter) — pins the *gradients*, bit for bit: the shipped backward
-  must run the float operations this tape runs, in the same order.
+  scatter), the two summaries joined by ``concat``
+  (:func:`two_way_composed`) — pins the *gradients*, bit for bit: the
+  shipped backward must run the float operations this tape runs, in the
+  same order.
 * the **sort-based structure** (:func:`structure_reference`) — per-task
   edge groups by a stable argsort of every gpNet edge, a Kahn pass per
-  direction, one concatenation per level — pins
+  direction, one concatenation per level, the two directions then
+  interleaved level by level — pins
   :meth:`~repro.core.features.GpNetStructure.from_gpnet`'s run-based
-  plans array for array.
+  lock-step plan array for array.
 """
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core import gnn
-from repro.core.features import DirectionPlan, GpNetStructure, _LevelPlan
+from repro.core.features import GpNetStructure, structure_of
 from repro.core.gnn import EMBED_DIM, _NoEdgeDirectionalPass
 from repro.nn import Tensor, as_tensor, concat, stack
 from repro.nn import functional as F
@@ -39,9 +45,12 @@ __all__ = [
     "two_way_reference",
     "reference_path",
     "sweep_composed",
+    "two_way_composed",
     "composed_path",
     "levels_from_every_gpnet_edge",
     "structure_reference",
+    "directions",
+    "level_bounds",
 ]
 
 
@@ -100,6 +109,23 @@ def _task_topo_levels(src_tasks, dst_tasks, num_tasks):
     return level
 
 
+class Level(NamedTuple):
+    """One frontier of one direction: its tasks (ascending), their option
+    nodes, and the gpNet edges into them, grouped by receiving task."""
+
+    tasks: tuple[int, ...]
+    nodes: np.ndarray
+    edge_idx: np.ndarray
+
+
+class Direction(NamedTuple):
+    """One direction's levels; ``node_local`` maps a node id to its row
+    within its level's ``nodes``."""
+
+    levels: tuple[Level, ...]
+    node_local: np.ndarray
+
+
 def _plan_reference(net, level_of, groups):
     node_local = np.zeros(net.num_nodes, dtype=np.int64)
     levels = []
@@ -115,8 +141,44 @@ def _plan_reference(net, level_of, groups):
         nodes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         group_parts = [groups[t] for t in tasks if len(groups[t])]
         edge_idx = np.concatenate(group_parts) if group_parts else np.empty(0, dtype=np.int64)
-        levels.append(_LevelPlan(tasks=tasks, nodes=nodes, edge_idx=edge_idx))
-    return DirectionPlan(levels=tuple(levels), node_local=node_local)
+        levels.append(Level(tasks=tasks, nodes=nodes, edge_idx=edge_idx))
+    return Direction(levels=tuple(levels), node_local=node_local)
+
+
+def _lockstep(net, forward, backward):
+    """Interleave two directions' levels into one lock-step structure:
+    per level the forward ids, then the backward ids shifted by N
+    (nodes) or E (edges)."""
+    assert len(forward.levels) == len(backward.levels)
+    n, m = net.num_nodes, net.num_edges
+    nodes, edges, row_bounds, edge_bounds = [], [], [0], [0]
+    for f, b in zip(forward.levels, backward.levels):
+        nodes += [f.nodes, b.nodes + n]
+        edges += [f.edge_idx, b.edge_idx + m]
+        for part in (f, b):
+            row_bounds.append(row_bounds[-1] + len(part.nodes))
+            edge_bounds.append(edge_bounds[-1] + len(part.edge_idx))
+    empty = np.empty(0, dtype=np.int64)
+    nodes = np.concatenate(nodes) if nodes else empty
+    node_row = np.zeros(2 * n, dtype=np.int64)
+    node_row[nodes] = np.arange(len(nodes))
+    return GpNetStructure(
+        nodes=nodes,
+        edges=np.concatenate(edges) if edges else empty,
+        node_row=node_row,
+        row_bounds=np.array(row_bounds, dtype=np.int64),
+        edge_bounds=np.array(edge_bounds, dtype=np.int64),
+    )
+
+
+def level_bounds(structure):
+    """Per level ``(n0, n1, e0, e1, nf, ef)``: its rows and plan edges,
+    and how many of each are forward."""
+    nb, eb = structure.row_bounds.tolist(), structure.edge_bounds.tolist()
+    return [
+        (nb[k], nb[k + 2], eb[k], eb[k + 2], nb[k + 1] - nb[k], eb[k + 1] - eb[k])
+        for k in range(0, len(nb) - 1, 2)
+    ]
 
 
 def structure_reference(net):
@@ -124,18 +186,34 @@ def structure_reference(net):
     num_tasks = len(net.options)
     src_tasks = net.task_of[net.edge_src]
     dst_tasks = net.task_of[net.edge_dst]
-    return GpNetStructure(
-        forward_plan=_plan_reference(
-            net,
-            _task_topo_levels(src_tasks, dst_tasks, num_tasks),
-            _group_edges_by_task(dst_tasks, num_tasks),
-        ),
-        backward_plan=_plan_reference(
-            net,
-            _task_topo_levels(dst_tasks, src_tasks, num_tasks),
-            _group_edges_by_task(src_tasks, num_tasks),
-        ),
+    forward = _plan_reference(
+        net,
+        _task_topo_levels(src_tasks, dst_tasks, num_tasks),
+        _group_edges_by_task(dst_tasks, num_tasks),
     )
+    backward = _plan_reference(
+        net,
+        _task_topo_levels(dst_tasks, src_tasks, num_tasks),
+        _group_edges_by_task(src_tasks, num_tasks),
+    )
+    return _lockstep(net, forward, backward)
+
+
+def directions(structure, net):
+    """The forward and backward :class:`Direction` a lock-step structure
+    holds, un-doubled: what one direction's sweep reads."""
+    n, m = net.num_nodes, net.num_edges
+    out = []
+    for d in (0, 1):
+        levels, node_local = [], np.zeros(n, dtype=np.int64)
+        for n0, n1, e0, e1, nf, ef in level_bounds(structure):
+            nodes = structure.nodes[n0 + nf : n1] - n if d else structure.nodes[n0 : n0 + nf]
+            edge_idx = structure.edges[e0 + ef : e1] - m if d else structure.edges[e0 : e0 + ef]
+            node_local[nodes] = structure.node_row[nodes + d * n] - n0 - d * nf
+            tasks = tuple(int(t) for t in np.unique(net.task_of[nodes]))
+            levels.append(Level(tasks=tasks, nodes=nodes, edge_idx=edge_idx))
+        out.append(Direction(levels=tuple(levels), node_local=node_local))
+    return tuple(out)
 
 
 def _aggregate(values, segment_ids, num_segments, how):
@@ -178,7 +256,7 @@ def scatter_rows(
 
 
 def _sweep_reference(layer, gpnet, x, task_order, groups, reverse, message):
-    """One direction of Eq. 1, one task at a time (same arguments as ``_sweep``)."""
+    """One direction of Eq. 1, one task at a time, in ``task_order``."""
     n = gpnet.num_nodes
     if reverse:
         edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
@@ -253,8 +331,9 @@ def reference_path():
         gnn._two_way = shipped
 
 
-def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term, per_edge):
-    """Drop-in for ``repro.core.gnn._sweep``: every level as ordinary tape ops."""
+def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term):
+    """One direction of Eq. 1 on ``plan``'s levels, every level as ordinary
+    tape ops; ``term`` is per edge (GiPH) or a broadcast bias (GiPH-NE)."""
     if reverse:
         edge_from, edge_to = gpnet.edge_dst, gpnet.edge_src
     else:
@@ -266,7 +345,7 @@ def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term, per_edge):
         else:
             idx = level.edge_idx
             s = emb[edge_from[idx]]
-            if per_edge:
+            if term.ndim == 2:
                 msg = (F.linear(s, w_msg) + term[idx]).relu()
             else:
                 msg = F.linear(s, w_msg, term).relu()
@@ -277,12 +356,21 @@ def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term, per_edge):
     return emb
 
 
+def two_way_composed(forward_pass, backward_pass, gpnet, x):
+    """Drop-in for ``repro.core.gnn._two_way``: each direction's levels as
+    ordinary tape ops, the summaries joined by ``concat``."""
+    forward, backward = directions(structure_of(gpnet), gpnet)
+    e_fwd = sweep_composed(forward_pass, gpnet, x, forward, False, *forward_pass.message(gpnet))
+    e_bwd = sweep_composed(backward_pass, gpnet, x, backward, True, *backward_pass.message(gpnet))
+    return concat([e_fwd, e_bwd], axis=1)
+
+
 @contextmanager
 def composed_path():
-    """Route every directional sweep through the composed per-level tape."""
-    shipped = gnn._sweep
-    gnn._sweep = sweep_composed
+    """Route GiPH / GiPH-NE embedding forwards through the composed tape."""
+    shipped = gnn._two_way
+    gnn._two_way = two_way_composed
     try:
         yield
     finally:
-        gnn._sweep = shipped
+        gnn._two_way = shipped

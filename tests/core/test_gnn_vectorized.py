@@ -12,10 +12,10 @@ fast they appear.  These tests pin that contract:
 * parameter gradients agree with the loop to tight tolerance (backward
   accumulation order differs between those two paths, so bitwise
   equality is not expected there);
-* the shipped sweep — one tape node per direction with a hand-written
-  backward — gives **bit-identical** outputs, gradients and trained
-  weights to the composed per-level tape it replaced
-  (``gnn_reference.sweep_composed``): the backward runs the same float
+* the shipped sweep — one lock-step tape node for both directions with
+  a hand-written backward — gives **bit-identical** outputs, gradients
+  and trained weights to the composed per-level tape it replaced
+  (``gnn_reference.two_way_composed``): the backward runs the same float
   operations in the same order, and saves nothing when no backward can
   happen;
 * the per-problem structural caches are computed once and shared;
@@ -29,7 +29,13 @@ import functools
 
 import numpy as np
 import pytest
-from gnn_reference import composed_path, reference_path, sweep_composed, two_way_reference
+from gnn_reference import (
+    composed_path,
+    level_bounds,
+    reference_path,
+    two_way_composed,
+    two_way_reference,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_gpnet import random_layout_problem
@@ -321,10 +327,10 @@ class TestFusedSweepGradients:
     )
     def test_degenerate_shapes_and_output_layout(self, kind, num_tasks, num_devices, edge_prob):
         """Zero-width levels, zero edges and one-row buffers through the
-        feature-major layout; and whatever the shape, grad mode or
-        direction, the sweep hands back a C-contiguous row-major
-        ``(N, embed_dim)`` array — ``concat`` and the policy's BLAS
-        ``nn.Linear`` read it, and BLAS floats depend on operand layout."""
+        feature-major layout; and whatever the shape or grad mode, the
+        sweep hands back a C-contiguous row-major ``(N, 2 * embed_dim)``
+        array — the policy's BLAS ``nn.Linear`` reads it, and BLAS floats
+        depend on operand layout."""
         problem = random_layout_problem(5, num_tasks, num_devices, edge_prob)
         nets = two_nets(problem, 6)
         emb = make_embedding(kind, np.random.default_rng(7))
@@ -334,11 +340,9 @@ class TestFusedSweepGradients:
             with no_grad():
                 outputs = [emb(net)]
             outputs.append(emb(net))
-            structure = structure_of(net)
             x = Tensor(np.ones((net.num_nodes, EMBED_DIM)), requires_grad=True)
-            outputs.append(emb.forward_pass(net, x, structure.forward_plan, reverse=False))
-            outputs.append(emb.backward_pass(net, x, structure.backward_plan, reverse=True))
-            assert [out.requires_grad for out in outputs] == [False, True, True, True]
+            outputs.append(gnn._two_way(emb.forward_pass, emb.backward_pass, net, x))
+            assert [out.requires_grad for out in outputs] == [False, True, True]
             for out in outputs:
                 assert out.data.flags.c_contiguous and out.data.flags.owndata
                 assert out.data.strides == (out.shape[1] * 8, 8)
@@ -372,34 +376,45 @@ class TestFusedSweepGradients:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_leaf_gradients_keep_the_composed_zero_signs(self, kind):
-        """The composed tape sums ``x``'s and the edge term's gradients
+        """The composed tape sums ``x``'s and the edge terms' gradients
         into zeros, so a ``-0.0`` reads ``+0.0`` there (an upstream ``-0.0``
         row of a node that sends nothing; a message cut off by relu).
-        The sweep takes both once per pass and must keep those signs."""
-        problem = make_problem(36, num_tasks=8, num_devices=3)
+        The sweep takes them once per pass and must keep those signs.
+        ``x`` sums both directions, so its zeros are the nodes of task 1,
+        which has no edge: they send nothing either way."""
+        problem = random_layout_problem(41, 8, 3, 0.3)
+        assert all(1 not in edge for edge in problem.graph.edges)
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
-        layer = make_embedding(kind, np.random.default_rng(6)).forward_pass
-        per_edge, msg_dim = kind == "giph", layer.h1.out_features
+        emb = make_embedding(kind, np.random.default_rng(6))
+        layers = (emb.forward_pass, emb.backward_pass)
+        per_edge, msg_dim = kind == "giph", emb.forward_pass.h1.out_features
         rng = np.random.default_rng(7)
         x_data = rng.normal(size=(net.num_nodes, EMBED_DIM))
-        w_data = layer.h1.weight.data[:EMBED_DIM] if per_edge else layer.h1.weight.data
-        term_data = rng.normal(size=(net.num_edges, msg_dim) if per_edge else msg_dim)
-        upstream = rng.normal(size=(net.num_nodes, EMBED_DIM))
+        operands = []
+        for layer in layers:
+            w_data = layer.h1.weight.data[:EMBED_DIM] if per_edge else layer.h1.weight.data
+            operands += [w_data, rng.normal(size=(net.num_edges, msg_dim) if per_edge else msg_dim)]
+        upstream = rng.normal(size=(net.num_nodes, 2 * EMBED_DIM))
         upstream[::2] = -0.0
+        upstream[net.options[1]] = -0.0
 
-        def leaf_grads(sweep):
-            zero_grads(layer)
-            leaves = [Tensor(d, requires_grad=True) for d in (x_data, w_data, term_data)]
-            x, w_msg, term = leaves
-            plan = structure_of(net).forward_plan
-            sweep(layer, net, x, plan, False, w_msg, term, per_edge).backward(upstream)
+        def leaf_grads(two_way):
+            zero_grads(emb)
+            leaves = [Tensor(d, requires_grad=True) for d in (x_data, *operands)]
+            for k, layer in enumerate(layers):  # the leaves stand in for the layer's message
+                layer.message = lambda net, k=k: (leaves[1 + 2 * k], leaves[2 + 2 * k])
+            try:
+                two_way(*layers, net, leaves[0]).backward(upstream)
+            finally:
+                for layer in layers:
+                    del layer.message
             return [t.grad for t in leaves]
 
-        got, want = leaf_grads(gnn._sweep), leaf_grads(sweep_composed)
-        for name, g, w in zip(("x", "w_msg", "term"), got, want):
+        got, want = leaf_grads(gnn._two_way), leaf_grads(two_way_composed)
+        for name, g, w in zip(("x", "w_fwd", "term_fwd", "w_bwd", "term_bwd"), got, want):
             assert_same_floats(g, w, name)
         # The case is exercised: zeros, +0.0 only (GiPH-NE's term is a bias).
-        for g in (want[0], want[2]) if per_edge else (want[0],):
+        for g in (want[0], want[2], want[4]) if per_edge else (want[0],):
             zeros = g[g == 0]
             assert len(zeros) and not np.signbit(zeros).any()
 
@@ -408,38 +423,49 @@ class TestFusedSweepGradients:
         problem = make_problem(33, num_tasks=6, num_devices=3)
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
         emb = make_embedding(kind, np.random.default_rng(4))
-        plan = structure_of(net).forward_plan
+        passes = (emb.forward_pass, emb.backward_pass)
         data = np.random.default_rng(1).normal(size=(net.num_nodes, EMBED_DIM))
 
-        tracked = emb.forward_pass(net, Tensor(data), plan, reverse=False)
-        assert tracked._op == "sweep" and tracked._backward is not None
-        assert len(tracked._parents) == 5  # one node for the whole direction
+        tracked = gnn._two_way(*passes, net, Tensor(data))
+        assert tracked._op == "two-way" and tracked._backward is not None
+        assert len(tracked._parents) == 9  # one node for both directions
 
         with no_grad():
-            inference = emb.forward_pass(net, Tensor(data, requires_grad=True), plan, reverse=False)
+            inference = gnn._two_way(*passes, net, Tensor(data, requires_grad=True))
         for _, param in emb.named_parameters():
             param.requires_grad = False
-        constant = emb.forward_pass(net, Tensor(data), plan, reverse=False)
+        constant = gnn._two_way(*passes, net, Tensor(data))
         for out in (inference, constant):
             assert not out.requires_grad
             assert out._parents == () and out._backward is None
             assert np.array_equal(out.data, tracked.data)
 
-    @pytest.mark.parametrize("bad_row", ["past-the-level", "negative"])
-    def test_corrupt_plan_raises_instead_of_writing_a_wrong_row(self, bad_row):
-        """The sweep calls the array-level segment kernel directly; its
-        id-range check must still stand between a bad plan and the floats."""
+    @pytest.mark.parametrize(
+        "backward, bad_row",
+        [
+            pytest.param(False, "past-the-level", id="past-the-level"),
+            pytest.param(False, "negative", id="negative"),
+            pytest.param(True, "past-the-level", id="backward-past-the-level"),
+            pytest.param(True, "negative", id="backward-negative"),
+        ],
+    )
+    def test_corrupt_plan_raises_instead_of_writing_a_wrong_row(self, backward, bad_row):
+        """The sweep calls the array-level segment kernel directly on both
+        directions' rows of a level; an id one past either end of its own
+        direction's rows must still be refused before the floats."""
         problem = make_problem(34, num_tasks=6, num_devices=3)
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
         structure = structure_of(net)
-        plan = structure.forward_plan
-        level = plan.levels[1]
-        receiver = net.edge_dst[level.edge_idx[0]]
-        node_local = plan.node_local.copy()
-        node_local[receiver] = len(level.nodes) if bad_row == "past-the-level" else -1
-        corrupt = dataclasses.replace(plan, node_local=node_local)
+        n0, n1, e0, _, nf, ef = level_bounds(structure)[1]
+        if backward:  # rows [n0 + nf, n1) of the level; edge ids shifted by E
+            receiver = net.num_nodes + net.edge_src[structure.edges[e0 + ef] - net.num_edges]
+            first, size = n0 + nf, n1 - n0 - nf
+        else:  # rows [n0, n0 + nf)
+            receiver, first, size = net.edge_dst[structure.edges[e0]], n0, nf
+        node_row = structure.node_row.copy()
+        node_row[receiver] = first + (size if bad_row == "past-the-level" else -1)
         object.__setattr__(
-            net, "_structure", dataclasses.replace(structure, forward_plan=corrupt)
+            net, "_structure", dataclasses.replace(structure, node_row=node_row)
         )
         emb = make_embedding("giph", np.random.default_rng(5))
         with pytest.raises(ValueError, match=r"segment_sum: segment ids span"):
@@ -464,12 +490,31 @@ class TestFusedSweepGradients:
         assert (ref_backwards, ref_grad_calls) == (backwards, grad_calls)
 
     def test_composed_path_restores_on_error(self):
-        shipped = gnn._sweep
+        shipped = gnn._two_way
         with pytest.raises(RuntimeError, match="boom"):
             with composed_path():
-                assert gnn._sweep is sweep_composed
+                assert gnn._two_way is two_way_composed
                 raise RuntimeError("boom")
-        assert gnn._sweep is shipped
+        assert gnn._two_way is shipped
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_both_oracle_paths_are_live(self, kind):
+        """Each oracle's swap reaches the embedding's forward: under it the
+        output's tape ends in the oracle's ``concat``, outside it in the
+        shipped two-way node — else every comparison would compare the
+        shipped path with itself."""
+        problem = make_problem(37, num_tasks=6, num_devices=3)
+        net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
+        emb = make_embedding(kind, np.random.default_rng(8))
+
+        def last_op():
+            (out,) = emb(net)._parents  # under the ``gnn-stats`` pass-through
+            return out._op
+
+        assert last_op() == "two-way"
+        for path in (composed_path, reference_path):
+            with path():
+                assert last_op() == "concat"
 
 
 class TestStructureCache:
@@ -503,9 +548,7 @@ class TestStructureCache:
         b = builder.build(random_placement(problem, np.random.default_rng(1)))
         sa, sb = structure_of(a), structure_of(b)
         assert sa is sb
-        for plan in (sa.forward_plan, sa.backward_plan):
-            total_nodes = sum(len(level.nodes) for level in plan.levels)
-            assert total_nodes == a.num_nodes == b.num_nodes
+        assert len(sa.nodes) == 2 * a.num_nodes == 2 * b.num_nodes
 
     def test_forward_counter_advances(self):
         problem = make_problem(14, num_tasks=5)

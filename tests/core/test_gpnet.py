@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from gnn_reference import levels_from_every_gpnet_edge, structure_reference
+from gnn_reference import directions, levels_from_every_gpnet_edge, structure_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -339,15 +339,10 @@ def test_update_chain_over_every_task_equals_full_build(seed, num_tasks, num_dev
 
 
 def assert_same_structure(got, want):
-    """``tobytes()`` equality of every plan array, plus dtypes and task tuples."""
-    for a, b in ((got.forward_plan, want.forward_plan), (got.backward_plan, want.backward_plan)):
-        assert len(a.levels) == len(b.levels)
-        pairs = [(a.node_local, b.node_local)]
-        for x, y in zip(a.levels, b.levels):
-            assert x.tasks == y.tasks and all(type(t) is int for t in x.tasks)
-            pairs += [(x.nodes, y.nodes), (x.edge_idx, y.edge_idx)]
-        for x, y in pairs:
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    """``tobytes()`` equality of every plan array, dtypes included."""
+    for name in ("nodes", "edges", "node_row", "row_bounds", "edge_bounds"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 def nets_of(problem, placement, rng):
@@ -376,9 +371,8 @@ def check_structure_against_oracle(problem, placement):
         structure = GpNetStructure.from_gpnet(net)
         assert_same_structure(structure, structure_reference(net))
         src_tasks, dst_tasks = net.task_of[net.edge_src], net.task_of[net.edge_dst]
-        for plan, (senders, receivers) in (
-            (structure.forward_plan, (src_tasks, dst_tasks)),
-            (structure.backward_plan, (dst_tasks, src_tasks)),
+        for plan, (senders, receivers) in zip(
+            directions(structure, net), ((src_tasks, dst_tasks), (dst_tasks, src_tasks))
         ):
             want = levels_from_every_gpnet_edge(senders, receivers, len(net.options))
             assert [lv.tasks for lv in plan.levels] == [
@@ -442,16 +436,20 @@ def test_cyclic_task_order_raises(loop):
 @example(seed=1, num_tasks=1, num_devices=4, edge_prob=1.0)  # one task
 @example(seed=2, num_tasks=7, num_devices=3, edge_prob="chain")
 def test_sweep_plans_partition_nodes_and_edges_by_level(seed, num_tasks, num_devices, edge_prob):
-    """What the sweep's once-per-pass gradients rest on: in each direction
-    the levels partition the node ids and the edge ids, every edge sits in
-    its receiver's level, and its sender sits in a strictly lower one."""
+    """What the sweep's once-per-pass gradients rest on: the lock-step plan
+    lists every doubled node and edge id once, ``node_row`` inverts its
+    node order, and in each direction the levels partition the node ids
+    and the edge ids, every edge sits in its receiver's level, and its
+    sender sits in a strictly lower one."""
     chain = edge_prob == "chain"
     problem = random_layout_problem(seed, num_tasks, num_devices, 0.0 if chain else edge_prob, chain)
     net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(seed)))
     structure = GpNetStructure.from_gpnet(net)
-    for plan, (senders, receivers) in (
-        (structure.forward_plan, (net.edge_src, net.edge_dst)),
-        (structure.backward_plan, (net.edge_dst, net.edge_src)),
+    assert sorted(structure.nodes.tolist()) == list(range(2 * net.num_nodes))
+    assert sorted(structure.edges.tolist()) == list(range(2 * net.num_edges))
+    assert (structure.node_row[structure.nodes] == np.arange(2 * net.num_nodes)).all()
+    for plan, (senders, receivers) in zip(
+        directions(structure, net), ((net.edge_src, net.edge_dst), (net.edge_dst, net.edge_src))
     ):
         nodes = np.concatenate([lv.nodes for lv in plan.levels])
         edges = np.concatenate([lv.edge_idx for lv in plan.levels])
