@@ -8,7 +8,8 @@ choice to EFT.
 
 Per problem (:class:`TaskViewBuilder`, made once by ``search``, cached
 per problem by ``ReinforceTrainer`` through ``handle``, and passed as
-``views=``): edge arrays, the C_i column, the view's ``GpNetStructure``.
+``views=``): edge arrays, the C_i column, the view's ``GpNetStructure``
+and its endpoint rows.
 Per step: the placement-dependent columns and both normalisations — every
 row moves with a relocation.
 
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..core.env import default_episode_length
-from ..core.features import GpNetBuilder, GpNetStructure
+from ..core.features import GpNetBuilder, GpNetStructure, _attach
 from ..core.gnn import TwoWayMessagePassing
 from ..core.gpnet import GpNet
 from ..core.placement import PlacementProblem, random_placement
@@ -59,8 +60,10 @@ class TaskViewBuilder:
         self._compute = np.array(graph.compute)
         self._is_pivot = np.ones(graph.num_tasks, dtype=bool)
         self._options = tuple(np.array([i]) for i in range(graph.num_tasks))
-        # Endpoints never move: the first view's sweep plans serve every view.
+        # Endpoints never move: the first view's sweep plan and endpoint
+        # rows serve every view.
         self._structure: GpNetStructure | None = None
+        self._rows = np.empty((2, 0), dtype=np.int64)
 
     def build(self, placement: Sequence[int], timeline: SimResult | None = None) -> GpNet:
         """The view of ``placement`` (timeline simulated if absent)."""
@@ -91,8 +94,8 @@ class TaskViewBuilder:
         )
         if self._structure is None:
             self._structure = GpNetStructure.from_gpnet(net)
-        object.__setattr__(net, "_structure", self._structure)
-        return net
+            self._rows = self._structure.endpoint_rows(net)
+        return _attach(net, self._structure, self._rows)
 
 
 def build_task_view(

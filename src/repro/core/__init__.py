@@ -25,7 +25,7 @@ from .gnn import (
     augment_with_out_edge_means,
     make_embedding,
 )
-from .gpnet import GpNet, build_gpnet
+from .gpnet import GpNet
 from .placement import PlacementProblem, random_placement
 from .policy import ScorePolicy
 from .reinforce import (
@@ -49,7 +49,6 @@ __all__ = [
     "NODE_FEATURE_DIM",
     "EDGE_FEATURE_DIM",
     "GpNet",
-    "build_gpnet",
     "GpNetEmbedding",
     "TwoWayMessagePassing",
     "KStepMessagePassing",

@@ -31,7 +31,9 @@ whole schedule, but it is evaluated vectorized).
 
 The GNN's frontier plans (:class:`GpNetStructure`) come from edge *runs*
 (one per edge block of a builder's net): past one pass over the edges,
-their derivation scales with the task graph, not the gpNet.
+their derivation scales with the task graph, not the gpNet.  The plan
+rows of the edges' endpoints move with the pivots: each net carries its
+own (:func:`endpoint_rows_of`), patched by the edge writer on an update.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "GpNetBuilder",
     "GpNetStructure",
     "structure_of",
+    "endpoint_rows_of",
     "NODE_FEATURE_DIM",
     "EDGE_FEATURE_DIM",
 ]
@@ -106,7 +109,7 @@ class GpNetStructure:
 
     GpNet edge endpoints move with the pivots, but each edge block's
     endpoint tasks are fixed: one structure serves every placement, and
-    the sweep resolves endpoints per forward (:meth:`endpoint_rows`).
+    each net carries its own endpoint rows (:func:`endpoint_rows_of`).
     :meth:`from_gpnet` run-length-encodes the edges by (sender task,
     receiver task), layers the tasks on the run pairs, and stable-sorts
     option nodes and received runs by (level, direction) — each level is
@@ -151,40 +154,56 @@ class GpNetStructure:
         node_row[nodes] = np.arange(2 * n)
         return cls(nodes, edges, node_row, row_bounds, edge_bounds)
 
-    def endpoint_rows(self, net: GpNet) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of every plan edge's sender and receiver in ``net`` (forward
-        src -> dst, backward dst -> src).
-
-        A level's edges are received by its own nodes (the plan's
-        partition), so while ``node_row`` inverts ``nodes`` each receiver
-        lands in its own direction's rows of the level.  The segment kernel
-        refuses only ids outside a level: a row map that does not invert
-        ``nodes`` is refused here, before the sweep writes any row."""
-        if not np.array_equal(self.node_row.take(self.nodes), np.arange(len(self.nodes))):
-            raise ValueError(
-                "segment_sum: segment ids span rows outside their own level and direction "
-                "(node_row does not invert nodes)"
-            )
-        n, ends = net.num_nodes, (net.edge_src, net.edge_dst)
-        senders = self.node_row.take(np.concatenate((ends[0], ends[1] + n)).take(self.edges))
-        receivers = self.node_row.take(np.concatenate((ends[1], ends[0] + n)).take(self.edges))
-        return senders, receivers
+    def endpoint_rows(self, net: GpNet) -> np.ndarray:
+        """``(2, 2E)`` rows of every plan edge's sender (row 0) and receiver
+        (row 1) in ``net``: forward src -> dst, backward dst -> src."""
+        n, src, dst = net.num_nodes, net.edge_src, net.edge_dst
+        ends = np.stack((np.concatenate((src, dst + n)), np.concatenate((dst, src + n))))
+        return self.node_row.take(ends.take(self.edges, axis=1))
 
 
 def structure_of(gpnet: GpNet) -> GpNetStructure:
     """The gpNet's cached :class:`GpNetStructure` (computed on first use).
 
     Nets built by a :class:`GpNetBuilder` arrive with the builder's one
-    shared instance already attached; nets built directly (e.g. via
-    ``build_gpnet`` in tests) get a private instance attached here on
-    first embed.  Either way, repeat forwards of an episode pay for the
-    structural derivation exactly once.
+    shared instance already attached; nets built otherwise (e.g. by the
+    per-edge Algorithm "gpNet" oracle in tests) get a private instance
+    attached here on first embed.  Either way, repeat forwards of an
+    episode pay for the structural derivation exactly once.
     """
     cached = getattr(gpnet, "_structure", None)
     if cached is None:
         cached = GpNetStructure.from_gpnet(gpnet)
         object.__setattr__(gpnet, "_structure", cached)
     return cached
+
+
+def endpoint_rows_of(gpnet: GpNet) -> tuple[np.ndarray, np.ndarray]:
+    """The plan rows of every plan edge's sender and receiver in ``gpnet``:
+    a builder's, or derived here once and kept, as :func:`structure_of`
+    keeps its plan.  A level's edges are received by its own nodes, so
+    while ``node_row`` inverts ``nodes`` each receiver lands in its own
+    direction's rows of the level.  The segment kernel refuses only ids
+    outside a level: a row map that does not invert ``nodes`` is refused
+    here, before the sweep writes any row."""
+    plan = structure_of(gpnet)
+    if not np.array_equal(plan.node_row.take(plan.nodes), np.arange(len(plan.nodes))):
+        raise ValueError(
+            "segment_sum: segment ids span rows outside their own level and direction "
+            "(node_row does not invert nodes)"
+        )
+    rows = getattr(gpnet, "_endpoint_rows", None)
+    if rows is None:
+        rows = plan.endpoint_rows(gpnet)
+        object.__setattr__(gpnet, "_endpoint_rows", rows)
+    return rows[0], rows[1]
+
+
+def _attach(net: GpNet, structure: GpNetStructure, rows: np.ndarray) -> GpNet:
+    """Hand ``net`` its builder's plan and its own endpoint rows."""
+    object.__setattr__(net, "_structure", structure)
+    object.__setattr__(net, "_endpoint_rows", rows)
+    return net
 
 
 @dataclass(frozen=True)
@@ -207,6 +226,14 @@ class GpNetBuilder:
     potential is measured against (callers holding a cached timeline —
     e.g. :class:`repro.runtime.PlacementEvaluator` — pass it in to skip
     the simulation).
+
+    Every net it makes carries the problem's one shared
+    :class:`GpNetStructure` and its own endpoint rows
+    (:func:`endpoint_rows_of`): :meth:`build` derives them from the plan,
+    :meth:`update` copies the previous net's and the edge writer rewrites
+    the slots it writes, in both directions, through ``_edge_pos``, the
+    inverse of the plan's edge order.  The rows live on the nets, not in
+    the retained raw build, so a builder kept per problem holds none.
     """
 
     def __init__(self, problem: PlacementProblem, config: FeatureConfig | None = None) -> None:
@@ -218,7 +245,7 @@ class GpNetBuilder:
         feas = problem.feasible_sets
 
         # Static node structure: one node per feasible (task, device) pair,
-        # grouped by task — identical layout to gpnet.build_gpnet.
+        # grouped by task — the node layout of Algorithm "gpNet".
         offsets: list[int] = []
         task_of: list[int] = []
         device_of: list[int] = []
@@ -270,8 +297,10 @@ class GpNetBuilder:
         self._last: _RawBuild | None = None
         # One GpNetStructure serves every placement of the problem (the
         # task-level layout is placement-independent); computed lazily on
-        # the first finalized build, shared by reference thereafter.
+        # the first finalized build, shared by reference thereafter, with
+        # the inverse of its edge order: the plan position of doubled edge e.
         self._structure: GpNetStructure | None = None
+        self._edge_pos = np.empty(0, dtype=np.int64)
 
         # Flattened (block, option node of its child task) pairs for the
         # start-time potential.  Static — only placements/timelines vary
@@ -326,15 +355,19 @@ class GpNetBuilder:
         scale = np.where(scale > 1e-12, scale, 1.0)
         return features / scale
 
-    def _write_blocks(self, blocks: np.ndarray, raw: _RawBuild) -> None:
-        """Fill ``raw``'s gpNet-edge slots of the task-graph edges ``blocks``.
+    def _write_blocks(
+        self, blocks: np.ndarray, raw: _RawBuild, rows: np.ndarray | None = None
+    ) -> None:
+        """Fill ``raw``'s gpNet-edge slots of the task-graph edges ``blocks``,
+        and their plan positions in the endpoint ``rows`` if given.
 
         The only gpNet edge writer: one array pass over the slots of
         all the named blocks — per block (i, j) pivot_i -> options_j,
         then options_i \\ pivot_i -> pivot_j, the emission order of
-        Algorithm "gpNet" (:func:`repro.core.gpnet.build_gpnet`, which a
-        property test compares against), with c_{ij,kl} in the cost
-        model's ``delay + data * inv_bw`` grouping and its exact 0.0 for
+        Algorithm "gpNet" (its per-edge form in ``tests/core/
+        gnn_reference.py::build_gpnet`` is the oracle a property test
+        compares against), with c_{ij,kl} in the cost model's
+        ``delay + data * inv_bw`` grouping and its exact 0.0 for
         co-located pairs.
         """
         sizes = self._block_size[blocks]
@@ -355,6 +388,11 @@ class GpNetBuilder:
         )
         raw.edge_src[slots] = src
         raw.edge_dst[slots] = dst
+        if rows is not None:  # forward src -> dst, backward (edge id + E, node id + N) dst -> src
+            n, m = self._num_nodes, self._num_gpnet_edges
+            pos = self._edge_pos[np.concatenate((slots, slots + m))]
+            ends = np.concatenate((src, dst + n, dst, src + n))  # senders, then receivers
+            rows.reshape(-1)[np.concatenate((pos, pos + 2 * m))] = self._structure.node_row[ends]
 
     # -- public API ---------------------------------------------------------------
 
@@ -389,7 +427,9 @@ class GpNetBuilder:
         only the edge blocks whose task-graph edge touches the moved
         task, reusing everything else from the previous build.  Falls
         back to a full build when the previous raw state is unavailable
-        (e.g. the builder last built a different placement).
+        (e.g. the builder last built a different placement).  The endpoint
+        rows are ``prev_gpnet``'s, patched, when it is the net of that raw
+        state; else they are derived afresh.
         """
         placement = self.problem.validate_placement(placement)
         last = self._last
@@ -412,10 +452,14 @@ class GpNetBuilder:
             edge_dst=last.edge_dst.copy(),
             edge_features=last.edge_features.copy(),
         )
-        self._write_blocks(self._incident_blocks[moved_task], raw)
-        return self._finalize(raw, timeline)
+        rows = getattr(prev_gpnet, "_endpoint_rows", None)
+        rows = rows.copy() if rows is not None and prev_gpnet.edge_src is last.edge_src else None
+        self._write_blocks(self._incident_blocks[moved_task], raw, rows)
+        return self._finalize(raw, timeline, rows)
 
-    def _finalize(self, raw: _RawBuild, timeline: SimResult | None) -> GpNet:
+    def _finalize(
+        self, raw: _RawBuild, timeline: SimResult | None, rows: np.ndarray | None = None
+    ) -> GpNet:
         """Keep ``raw`` for the next update and assemble its (normalized) gpNet.
 
         The returned GpNet shares structure arrays (and, with
@@ -446,8 +490,11 @@ class GpNetBuilder:
         )
         if self._structure is None:
             self._structure = GpNetStructure.from_gpnet(net)
-        object.__setattr__(net, "_structure", self._structure)
-        return net
+            self._edge_pos = np.empty_like(self._structure.edges)
+            self._edge_pos[self._structure.edges] = np.arange(len(self._edge_pos))
+        return _attach(
+            net, self._structure, self._structure.endpoint_rows(net) if rows is None else rows
+        )
 
     def timeline(self, placement: Sequence[int]) -> SimResult:
         """Noise-free schedule of ``placement`` (expectation timeline)."""

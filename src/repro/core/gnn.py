@@ -32,10 +32,14 @@ directions have the DAG's depth in levels, so one batched gather →
 message → segment-aggregate → write round advances topological level
 ``l`` of both at once (frontier batching), driven by the
 placement-independent lock-step plan
-(:class:`~repro.core.features.GpNetStructure`) cached on each gpNet.
-The whole two-way pass is **one tape node** (:func:`_two_way`), serving
-GiPH and GiPH-NE, which differ only in the message weight and additive
-term each direction hands it.  Its forward runs in plain NumPy,
+(:class:`~repro.core.features.GpNetStructure`) and the sender/receiver
+rows that each gpNet carries (the builder keeps them across relocations).
+The whole two-way pass is **one tape node** (:func:`_two_way`) on each
+direction's ``h1``/``h2`` parameters, serving GiPH and GiPH-NE, which
+differ only in what a message reads: GiPH's edge half ``x^e @ W_edge +
+b`` is computed per level, per direction, from that level's columns of
+the edge features (gathered once per forward in plan order, ``(4, 2E)``).
+Its forward runs in plain NumPy,
 **feature-major**: the embedding buffer is ``(embed_dim, 2N)``, messages
 ``(msg_dim, edges)``, so every kernel — ``take``, the einsum behind
 :func:`repro.nn.functional.linear`, relu, the ``bincount`` segment sum —
@@ -68,7 +72,7 @@ import numpy as np
 from ..nn import MLP, Linear, Module, Tensor, concat
 from ..nn import functional as F
 from ..telemetry import metrics, span
-from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, structure_of
+from .features import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, endpoint_rows_of, structure_of
 from .gpnet import GpNet
 
 __all__ = [
@@ -133,30 +137,34 @@ class GpNetEmbedding(Module):
 
 def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
     """Both directions of Eq. 1 over pre-embedded ``x``, concatenated, as
-    one tape node.  Each pass hands over ``h2``, ``aggregation`` and, from
-    ``message``, the weight and additive term of its messages
-    ``relu(emb[v] @ w_msg + t)``: ``t`` an edge's row of a per-edge term
-    (GiPH) or a bias (GiPH-NE).  Steps that read no weight run once per
-    level over both directions' rows; every product that reads a weight
-    runs per direction, on a lone direction's operands.  The backward
-    replays, last level first, the float operations of the composed
-    per-level tape in its order (oracle: ``tests/core/gnn_reference.py::
-    two_way_composed``), so gradients stay bit-identical: each direction
-    owns its parameters, so interleaving the two reorders no parameter's
-    sum, and ``x``'s two contributions commute."""
-    plan, n = structure_of(gpnet), gpnet.num_nodes
+    one tape node whose parents are ``x`` and each pass's ``h1``/``h2``
+    weight and bias.  A message is ``relu(h1([e_v ∥ x^e]))`` (GiPH: ``h1``
+    split into ``W_emb = h1.weight[:EMBED_DIM]`` on the sender and
+    ``x^e @ W_edge + b`` on the edge, computed per level from the level's
+    feature columns) or ``relu(h1(e_v))`` (GiPH-NE).  Steps that read no
+    weight run once per level over both directions' rows; every product
+    that reads a weight runs per direction, on a lone direction's operands.
+    The backward replays, last level first, the float operations of the
+    composed per-level tape in its order (oracle: ``tests/core/
+    gnn_reference.py::two_way_composed``, which slices ``h1.weight`` and
+    computes the edge half for the whole pass), so gradients stay
+    bit-identical: each direction owns its parameters, so interleaving the
+    two reorders no parameter's sum, and ``x``'s two contributions commute."""
+    plan, n, m = structure_of(gpnet), gpnet.num_nodes, gpnet.num_edges
     passes = (forward_pass, backward_pass)
-    (w_f, t_f), (w_b, t_b) = (p.message(gpnet) for p in passes)
+    h1 = [(p.h1.weight, p.h1.bias) for p in passes]
     h2 = [(p.h2.weight, p.h2.bias) for p in passes]
-    parents = (x, w_f, t_f, *h2[0], w_b, t_b, *h2[1])
-    per_edge = t_f.ndim == 2  # else a bias broadcast over edges
-    msg_dim = w_f.shape[1]
-    senders, receivers = plan.endpoint_rows(gpnet)
+    parents = (x, *h1[0], *h2[0], *h1[1], *h2[1])
+    per_edge = forward_pass.h1.in_features > EMBED_DIM  # h1 reads [e_v ∥ x^e]
+    msg_dim = forward_pass.h1.out_features
+    w_msg = [w.data[:EMBED_DIM] for w, _ in h1]  # all of it for GiPH-NE
+    senders, receivers = endpoint_rows_of(gpnet)
     counts = F._segment_counts(receivers, 2 * n) if forward_pass.aggregation == "mean" else None
     xT = np.ascontiguousarray(x.data.T)
     x_rows = np.concatenate((xT, xT), axis=1).take(plan.nodes, axis=1)
-    tT = (t_f.data.T, t_b.data.T)  # per edge C-contiguous from ``F.linear(x_fm=)``, else (msg,)
     embT = np.zeros((EMBED_DIM, 2 * n))
+    if per_edge:  # each plan edge's feature column, backward ids shifted back
+        x_plan = gpnet.edge_features_fm.take(plan.edges - m * (plan.edges >= m), axis=1)
     saved = []  # per level, what the backward reads
     nb, eb = plan.row_bounds.tolist(), plan.edge_bounds.tolist()
     levels = [(n0, n1, e0, e1, nm - n0, em - e0) for n0, nm, n1, e0, em, e1 in zip(
@@ -166,22 +174,23 @@ def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
             agg, edges = np.zeros((msg_dim, n1 - n0)), None
         else:
             s = embT.take(senders[e0:e1], axis=1)
-            # Each direction's term rows: its gpNet edges, backward ids shifted back.
-            ids = (plan.edges[e0 : e0 + ef], plan.edges[e0 + ef : e1] - gpnet.num_edges)
             pre = np.empty((msg_dim, e1 - e0))
-            for w, t, i, cols in zip((w_f, w_b), tT, ids, (slice(0, ef), slice(ef, None))):
-                t = t.take(i, axis=1) if per_edge else t[:, None]
-                np.add(F._linear_kernel_fm(s[:, cols], w.data), t, out=pre[:, cols])
+            for (w, b), w_s, a, z in zip(h1, w_msg, (0, ef), (ef, e1 - e0)):
+                term = b.data[:, None]
+                if per_edge:  # GiPH: the edge half, from the level's columns, plus the bias
+                    t = F._linear_kernel_fm(x_plan[:, e0 + a : e0 + z], w.data[EMBED_DIM:])
+                    term = np.add(t, term, out=t)
+                np.add(F._linear_kernel_fm(s[:, a:z], w_s), term, out=pre[:, a:z])
             segments = receivers[e0:e1] - n0
             np.maximum(pre, 0.0, out=pre)  # the backward's mask: relu(pre) > 0 where pre > 0
             agg = F._segment_sum_kernel(pre, segments, n1 - n0, axis=1)
             if counts is not None:
-                agg = agg / counts[n0:n1]
+                agg /= counts[n0:n1]
             edges = (pre, segments)
         h = np.empty((EMBED_DIM, n1 - n0))
         for (w, b), cols in zip(h2, (slice(0, nf), slice(nf, None))):
             np.add(F._linear_kernel_fm(agg[:, cols], w.data), b.data[:, None], out=h[:, cols])
-        embT[:, n0:n1] = np.maximum(h, 0.0) + x_rows[:, n0:n1]
+        np.add(np.maximum(h, 0.0), x_rows[:, n0:n1], out=embT[:, n0:n1])
         saved.append((agg, h, edges))
     by_node = embT.T.take(plan.node_row, axis=0)
     out = np.concatenate((by_node[:n], by_node[n:]), axis=1)  # row-major: the policy's BLAS reads it
@@ -194,10 +203,11 @@ def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
         # hands them: their floats depend on operand layout.
         G = np.concatenate((grad[:, :EMBED_DIM], grad[:, EMBED_DIM:])).take(plan.nodes, axis=0)
         emb = embT.T.copy()
-        # Both terms' rows by doubled edge id.  Edgeless, the per-level tape
-        # never reads a term: no gradient.
-        live = per_edge and len(plan.edges) and (t_f.requires_grad or t_b.requires_grad)
-        g_term = np.zeros((len(plan.edges), msg_dim)) if live else None
+        # GiPH's edge halves, by doubled edge id, for the whole-pass products
+        # below.  Edgeless, the per-level tape never reads one: no gradient.
+        live = per_edge and m and any(t.requires_grad for pair in h1 for t in pair)
+        g_term = np.zeros((2 * m, msg_dim)) if live else None
+        g_emb = [None, None]  # GiPH: the composed tape's ``W_emb`` slice gradient
         for (n0, n1, e0, e1, nf, ef), (agg, h, edges) in zip(levels[::-1], saved[::-1]):
             rows, cols = (slice(0, nf), slice(nf, None)), (slice(0, ef), slice(ef, None))
             g_h = G[n0:n1] * np.ascontiguousarray((h > 0).T)
@@ -222,24 +232,41 @@ def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
             senders_l = senders[e0:e1]
             s = emb.take(senders_l, axis=0)  # senders' rows were final when gathered
             back = np.empty((e1 - e0, EMBED_DIM))
-            for w, t, c in zip((w_f, w_b), (t_f, t_b), cols):
-                if not per_edge and t.requires_grad:
-                    t._accumulate(g_pre[c].sum(axis=0))
+            for k, ((w, b), w_s, c) in enumerate(zip(h1, w_msg, cols)):
+                if not per_edge and b.requires_grad:
+                    b._accumulate(g_pre[c].sum(axis=0))
                 if w.requires_grad:
-                    w._accumulate(s[c].T @ g_pre[c])
-                np.matmul(g_pre[c], w.data.T, out=back[c])
+                    g_w = s[c].T @ g_pre[c]
+                    if not per_edge:
+                        w._accumulate(g_w)
+                    elif g_emb[k] is None:
+                        g_emb[k] = g_w
+                    else:
+                        g_emb[k] += g_w
+                np.matmul(g_pre[c], w_s.T, out=back[c])
             # Senders repeat and G is non-zero there, so a bincount
             # subtotal would change the association: a flat ``np.add.at``.
             F._scatter_add_rows(G, senders_l, back)
-        G, m = G.take(plan.node_row, axis=0), gpnet.num_edges
-        leaf_grads = [(x, G[:n]), (x, G[n:])]
-        if g_term is not None:
-            leaf_grads += [(t_f, g_term[:m]), (t_b, g_term[m:])]
-        for t, g in leaf_grads:
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros(t.shape)  # the per-level tape summed into zeros
-                t.grad += g
+        if x.requires_grad:
+            G = G.take(plan.node_row, axis=0)
+            if x.grad is None:
+                x.grad = np.zeros(x.shape)  # the per-level tape summed into zeros
+            x.grad += G[:n]
+            x.grad += G[n:]
+        for k, (w, b) in enumerate(h1 if g_term is not None else ()):
+            # The composed tape's whole-pass affine map over all edges, and
+            # ``h1.weight``'s two slice gradients added into zeros.  That tape
+            # also summed the edge half's gradient into zeros, which turns a
+            # ``-0.0`` into ``+0.0``; both reductions below start from +0.0,
+            # so no zero's sign can reach a parameter either way.
+            g_t = g_term[k * m : (k + 1) * m]
+            if b.requires_grad:
+                b._accumulate(g_t.sum(axis=0))
+            if w.requires_grad:
+                if w.grad is None:
+                    w.grad = np.zeros(w.shape)
+                w.grad[:EMBED_DIM] += g_emb[k]
+                w.grad[EMBED_DIM:] += gpnet.edge_features.T @ g_t
 
     return Tensor._make(out, parents, backward, "two-way")
 
@@ -247,20 +274,18 @@ def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
 class _DirectionalPass(Module):
     """One direction of Eq. 1: recurrent wavefront message passing.
 
-    :func:`_two_way` runs it, taking from :meth:`message` the two pieces
-    of the message that are this variant's own.  h1/h2 go through the
-    batch-invariant kernel of :func:`repro.nn.functional.linear`, which
-    produces the same floats for any level/task partition of the same
-    rows — what lets the per-task loop oracle in ``tests/`` demand exact
-    equality.
+    :func:`_two_way` runs it from its ``h1``/``h2`` parameters.  h1/h2
+    go through the batch-invariant kernel of
+    :func:`repro.nn.functional.linear`, which produces the same floats
+    for any level/task partition of the same rows — what lets the
+    per-task loop oracle in ``tests/`` demand exact equality.
 
     h1 is split over its concatenated input:
     ``h1([e_v ∥ x^e]) = e_v @ W_emb + (x^e @ W_edge + b)`` with
     ``W_emb = h1.weight[:EMBED_DIM]`` and ``W_edge`` the rest.  The edge
-    half depends only on static edge features, so it is computed once
-    per pass for *all* edges, as an ordinary tape tensor, and the sweep
-    gathers it per level (batch invariance again makes gather-after
-    equal to compute-on-slice).
+    half depends only on static edge features; the sweep computes it per
+    level from the columns of that level's edges (batch invariance again
+    makes it equal to one affine map over all edges, sliced after).
     """
 
     def __init__(self, rng: np.random.Generator, aggregation: str) -> None:
@@ -269,13 +294,6 @@ class _DirectionalPass(Module):
         if aggregation not in ("mean", "sum"):
             raise ValueError(f"unknown aggregation {aggregation!r}; expected one of ('mean', 'sum')")
         self.aggregation = aggregation
-
-    def message(self, gpnet: GpNet) -> tuple[Tensor, Tensor]:
-        """``W_emb`` and the edge half of every message: one affine map for
-        the whole pass (feature-major, off the net's one transposed copy)."""
-        w_edge, features = self.h1.weight[EMBED_DIM:], Tensor(gpnet.edge_features)
-        edge_msg = F.linear(features, w_edge, self.h1.bias, x_fm=gpnet.edge_features_fm)
-        return self.h1.weight[:EMBED_DIM], edge_msg
 
 
 class TwoWayMessagePassing(GpNetEmbedding):
@@ -359,8 +377,8 @@ class _NoEdgeDirectionalPass(Module):
     """Wavefront pass without edge features (GiPH-NE).
 
     Same sweep as :class:`_DirectionalPass`; messages are
-    ``relu(h1(e_v))`` of the sender embeddings alone, so :meth:`message`
-    is all of ``h1.weight`` and, broadcast over edges, ``h1.bias``.
+    ``relu(h1(e_v))`` of the sender embeddings alone: all of ``h1.weight``
+    and, broadcast over edges, ``h1.bias``.
     """
 
     aggregation = "mean"
@@ -368,9 +386,6 @@ class _NoEdgeDirectionalPass(Module):
     def __init__(self, rng: np.random.Generator) -> None:
         self.h1 = Linear(EMBED_DIM, EMBED_DIM, rng)
         self.h2 = Linear(EMBED_DIM, EMBED_DIM, rng)
-
-    def message(self, gpnet: GpNet) -> tuple[Tensor, Tensor]:
-        return self.h1.weight, self.h1.bias
 
 
 class TwoWayNoEdge(GpNetEmbedding):

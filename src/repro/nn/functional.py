@@ -71,9 +71,7 @@ def _linear_kernel_fm(x_fm: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.einsum("ke,kj->je", x_fm, weight)
 
 
-def linear(
-    x: Tensor, weight: Tensor, bias: Tensor | None = None, x_fm: np.ndarray | None = None
-) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight (+ bias)`` with a batch-invariant kernel.
 
     ``np.matmul`` dispatches to different BLAS kernels depending on the
@@ -86,12 +84,6 @@ def linear(
     GNN sweep in :mod:`repro.core.gnn` relies on this to stay
     bit-identical to its per-task loop reference.  Use
     :class:`repro.nn.Linear` where partition invariance is not needed.
-
-    Given ``x_fm``, a C-contiguous copy of ``x.data.T``, the same floats
-    come from the feature-major kernel, and ``.data`` is the transpose
-    *view* of a C-contiguous ``(out, rows)`` array for the sweep to gather
-    from; the backward's BLAS products stay on row-major operands, which
-    their floats depend on.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
@@ -100,8 +92,7 @@ def linear(
     xd, wd = x.data, weight.data
     if wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ValueError(f"linear shape mismatch: x {xd.shape} vs weight {wd.shape}")
-    product = _linear_kernel(xd, wd) if x_fm is None else _linear_kernel_fm(x_fm, wd).T
-    return _affine(x, weight, None if bias is None else as_tensor(bias), product)
+    return _affine(x, weight, None if bias is None else as_tensor(bias), _linear_kernel(xd, wd))
 
 
 def _affine(x: Tensor, weight: Tensor, bias: Tensor | None, product: np.ndarray) -> Tensor:
@@ -115,7 +106,7 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor | None, product: np.ndarray)
         out_data, parents = product + bias.data, (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.ascontiguousarray(grad)  # a copy only when ``x_fm`` laid the output out
+        grad = np.ascontiguousarray(grad)  # BLAS floats depend on operand layout
         if x.requires_grad:
             x._accumulate(grad @ wd.T)
         if weight.requires_grad:

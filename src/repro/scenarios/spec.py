@@ -135,8 +135,22 @@ class ScenarioSpec:
             raise ValueError(
                 f"objective must be one of {tuple(OBJECTIVES)}, got {self.objective!r}"
             )
-        if self.churn.max_devices > self.cluster.num_devices:
+        churn, devices = self.churn, self.cluster.num_devices
+        if churn.max_devices > devices:
             raise ValueError("churn.max_devices cannot exceed the initial cluster size")
+        # With no soft event and min == max a step can only remove a device
+        # while the cluster is above min: a longer churn fails on any drawn
+        # network.  Whether a device is removable is refused in network_churn.
+        if (
+            churn.soft_event_prob == 0
+            and churn.min_devices == churn.max_devices
+            and churn.num_changes > devices - churn.min_devices
+        ):
+            raise ValueError(
+                f"unrunnable churn: min_devices == max_devices == {churn.min_devices} and no "
+                f"soft events leave a {devices}-device cluster at most "
+                f"{devices - churn.min_devices} changes, not num_changes={churn.num_changes}"
+            )
 
     @property
     def num_steps(self) -> int:

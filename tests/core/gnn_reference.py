@@ -18,15 +18,20 @@ the same floats:
   (:func:`directions`), each level written as ordinary tape ops
   (gather → linear → relu → segment aggregate → linear → relu → row
   scatter), the two summaries joined by ``concat``
-  (:func:`two_way_composed`) — pins the *gradients*, bit for bit: the
-  shipped backward must run the float operations this tape runs, in the
-  same order.
+  (:func:`two_way_composed`), with GiPH's edge half of every message
+  computed once per pass by one ``F.linear`` over all edges on slices of
+  ``h1.weight`` (:func:`message`) — pins the *gradients*, bit for bit:
+  the shipped backward must run the float operations this tape runs, in
+  the same order.
 * the **sort-based structure** (:func:`structure_reference`) — per-task
   edge groups by a stable argsort of every gpNet edge, a Kahn pass per
   direction, one concatenation per level, the two directions then
   interleaved level by level — pins
   :meth:`~repro.core.features.GpNetStructure.from_gpnet`'s run-based
   lock-step plan array for array.
+* **Algorithm "gpNet"** (:func:`build_gpnet`, paper App. B.1), one
+  Python call per gpNet edge — pins ``GpNetBuilder.build``'s whole-block
+  edge writer; :func:`node_index` finds a (task, device) node in any net.
 """
 
 from contextlib import contextmanager
@@ -37,10 +42,14 @@ import numpy as np
 from repro.core import gnn
 from repro.core.features import GpNetStructure, structure_of
 from repro.core.gnn import EMBED_DIM, _NoEdgeDirectionalPass
+from repro.core.gpnet import GpNet
 from repro.nn import Tensor, as_tensor, concat, stack
 from repro.nn import functional as F
 
 __all__ = [
+    "build_gpnet",
+    "node_index",
+    "message",
     "scatter_rows",
     "two_way_reference",
     "reference_path",
@@ -52,6 +61,76 @@ __all__ = [
     "directions",
     "level_bounds",
 ]
+
+
+def build_gpnet(problem, placement, node_features, edge_feature_fn):
+    """Construct H per Algorithm "gpNet" (paper Appendix B.1).
+
+    ``node_features`` must already be computed per option;
+    ``edge_feature_fn(edge, src_dev, dst_dev) -> vector`` is f_e.
+    """
+    graph = problem.graph
+    placement = problem.validate_placement(placement)
+
+    # Node generation: one node per feasible (task, device) pair.
+    task_of, device_of, options, pivot_node = [], [], [], []
+    for i, feas in enumerate(problem.feasible_sets):
+        start = len(task_of)
+        for d in feas:
+            task_of.append(i)
+            device_of.append(d)
+        options.append(np.arange(start, len(task_of)))
+        pivot_node.append(start + feas.index(placement[i]))
+
+    num_nodes = len(task_of)
+    is_pivot = np.zeros(num_nodes, dtype=bool)
+    is_pivot[pivot_node] = True
+    if node_features.shape[0] != num_nodes:
+        raise ValueError(
+            f"node_features has {node_features.shape[0]} rows for {num_nodes} gpNet nodes"
+        )
+
+    # Edge generation: (u1, u2) for each task edge (i, j) when u1 or u2 is
+    # a pivot.  Equivalently: pivot_i -> every option of j, plus every
+    # option of i -> pivot_j (the pivot-pivot pair deduplicated).
+    src, dst, efeat = [], [], []
+    device_of_arr = np.array(device_of)
+    for (i, j) in graph.edges:
+        pi, pj = pivot_node[i], pivot_node[j]
+        for u2 in options[j]:
+            src.append(pi)
+            dst.append(int(u2))
+            efeat.append(edge_feature_fn((i, j), placement[i], int(device_of_arr[u2])))
+        for u1 in options[i]:
+            if int(u1) == pi:
+                continue  # (pivot_i, pivot_j) already added above
+            src.append(int(u1))
+            dst.append(pj)
+            efeat.append(edge_feature_fn((i, j), int(device_of_arr[u1]), placement[j]))
+
+    edge_features = (
+        np.array(efeat, dtype=np.float64) if efeat else np.zeros((0, 4), dtype=np.float64)
+    )
+    return GpNet(
+        task_of=np.array(task_of, dtype=np.int64),
+        device_of=device_of_arr.astype(np.int64),
+        is_pivot=is_pivot,
+        options=tuple(options),
+        edge_src=np.array(src, dtype=np.int64),
+        edge_dst=np.array(dst, dtype=np.int64),
+        node_features=np.asarray(node_features, dtype=np.float64),
+        edge_features=edge_features,
+        placement=placement,
+    )
+
+
+def node_index(net, task, device):
+    """Index of ``net``'s node labeled (task, device); KeyError if infeasible."""
+    opts = net.options[task]
+    matches = opts[net.device_of[opts] == device]
+    if len(matches) == 0:
+        raise KeyError(f"({task}, {device}) is not a feasible placement option")
+    return int(matches[0])
 
 
 def levels_from_every_gpnet_edge(src_tasks, dst_tasks, num_tasks):
@@ -356,12 +435,24 @@ def sweep_composed(layer, gpnet, x, plan, reverse, w_msg, term):
     return emb
 
 
+def message(layer, gpnet):
+    """The two pieces of ``layer``'s messages ``relu(emb[v] @ w_msg + t)``
+    for a whole pass: GiPH's ``W_emb = h1.weight[:EMBED_DIM]`` and the
+    edge half of every message, one affine map over all edges on the
+    slice ``W_edge`` (each a tape node); GiPH-NE's all of ``h1.weight``
+    and ``h1.bias``, broadcast over edges."""
+    if isinstance(layer, _NoEdgeDirectionalPass):
+        return layer.h1.weight, layer.h1.bias
+    w_edge, features = layer.h1.weight[EMBED_DIM:], Tensor(gpnet.edge_features)
+    return layer.h1.weight[:EMBED_DIM], F.linear(features, w_edge, layer.h1.bias)
+
+
 def two_way_composed(forward_pass, backward_pass, gpnet, x):
     """Drop-in for ``repro.core.gnn._two_way``: each direction's levels as
     ordinary tape ops, the summaries joined by ``concat``."""
     forward, backward = directions(structure_of(gpnet), gpnet)
-    e_fwd = sweep_composed(forward_pass, gpnet, x, forward, False, *forward_pass.message(gpnet))
-    e_bwd = sweep_composed(backward_pass, gpnet, x, backward, True, *backward_pass.message(gpnet))
+    e_fwd = sweep_composed(forward_pass, gpnet, x, forward, False, *message(forward_pass, gpnet))
+    e_bwd = sweep_composed(backward_pass, gpnet, x, backward, True, *message(backward_pass, gpnet))
     return concat([e_fwd, e_bwd], axis=1)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from gnn_reference import node_index
 
 from repro.core import PlacementEnv, PlacementProblem, default_episode_length, random_placement
 from repro.devices import Device, DeviceNetwork
@@ -96,7 +97,7 @@ class TestStep:
     def test_step_applies_relocation(self, diamond_problem):
         env = make_env(diamond_problem)
         state = env.reset(initial_placement=[0, 0, 0, 2])
-        node = state.gpnet.node_index(1, 2)
+        node = node_index(state.gpnet, 1, 2)
         next_state, reward, done = env.step(node)
         assert next_state.placement == (0, 2, 0, 2)
         assert next_state.last_moved_task == 1
@@ -105,7 +106,7 @@ class TestStep:
     def test_reward_is_objective_improvement(self, diamond_problem):
         env = make_env(diamond_problem)
         state = env.reset(initial_placement=[0, 0, 0, 2])
-        node = state.gpnet.node_index(2, 1)
+        node = node_index(state.gpnet, 2, 1)
         before = state.objective_value
         next_state, reward, _ = env.step(node)
         assert reward == pytest.approx(before - next_state.objective_value)
@@ -142,7 +143,7 @@ class TestMasks:
     def test_last_task_masked(self, diamond_problem):
         env = make_env(diamond_problem)
         state = env.reset(initial_placement=[0, 0, 0, 2])
-        node = state.gpnet.node_index(1, 2)
+        node = node_index(state.gpnet, 1, 2)
         state, _, _ = env.step(node)
         mask = env.action_mask()
         assert not mask[state.gpnet.task_of == 1].any()
@@ -153,7 +154,7 @@ class TestMasks:
         # option must remain.
         env = make_env(chain_problem)
         state = env.reset(initial_placement=[0, 0])
-        state, _, _ = env.step(state.gpnet.node_index(0, 1))
+        state, _, _ = env.step(node_index(state.gpnet, 0, 1))
         mask = env.action_mask()
         assert mask.sum() == 1
         task, dev = state.gpnet.action_of(int(np.flatnonzero(mask)[0]))
@@ -169,7 +170,7 @@ class TestMasks:
                                 np.zeros((num_devices,) * 2))
         env = make_env(PlacementProblem(TaskGraph((2.0,), {}), network))
         state = env.reset(initial_placement=[0])
-        state, _, _ = env.step(state.gpnet.node_index(0, num_devices - 1))
+        state, _, _ = env.step(node_index(state.gpnet, 0, num_devices - 1))
         assert state.last_moved_task == 0
         expected = [True] if num_devices == 1 else (~state.gpnet.is_pivot).tolist()
         assert env.action_mask().tolist() == expected

@@ -376,45 +376,37 @@ class TestFusedSweepGradients:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_leaf_gradients_keep_the_composed_zero_signs(self, kind):
-        """The composed tape sums ``x``'s and the edge terms' gradients
-        into zeros, so a ``-0.0`` reads ``+0.0`` there (an upstream ``-0.0``
-        row of a node that sends nothing; a message cut off by relu).
-        The sweep takes them once per pass and must keep those signs.
-        ``x`` sums both directions, so its zeros are the nodes of task 1,
-        which has no edge: they send nothing either way."""
+        """The composed tape sums ``x``'s gradient into zeros, so a ``-0.0``
+        reads ``+0.0`` there (an upstream ``-0.0`` row of a node that sends
+        nothing).  The sweep takes it once per pass and must keep those
+        signs.  ``x`` sums both directions, so its zeros are the nodes of
+        task 1, which has no edge: they send nothing either way.  The
+        backward direction's upstream is all ``-0.0``, so its ``h1``
+        gradients are zeros, which must read as the composed tape's."""
         problem = random_layout_problem(41, 8, 3, 0.3)
         assert all(1 not in edge for edge in problem.graph.edges)
         net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
         emb = make_embedding(kind, np.random.default_rng(6))
         layers = (emb.forward_pass, emb.backward_pass)
-        per_edge, msg_dim = kind == "giph", emb.forward_pass.h1.out_features
         rng = np.random.default_rng(7)
         x_data = rng.normal(size=(net.num_nodes, EMBED_DIM))
-        operands = []
-        for layer in layers:
-            w_data = layer.h1.weight.data[:EMBED_DIM] if per_edge else layer.h1.weight.data
-            operands += [w_data, rng.normal(size=(net.num_edges, msg_dim) if per_edge else msg_dim)]
         upstream = rng.normal(size=(net.num_nodes, 2 * EMBED_DIM))
         upstream[::2] = -0.0
         upstream[net.options[1]] = -0.0
+        upstream[:, EMBED_DIM:] = -0.0
 
         def leaf_grads(two_way):
             zero_grads(emb)
-            leaves = [Tensor(d, requires_grad=True) for d in (x_data, *operands)]
-            for k, layer in enumerate(layers):  # the leaves stand in for the layer's message
-                layer.message = lambda net, k=k: (leaves[1 + 2 * k], leaves[2 + 2 * k])
-            try:
-                two_way(*layers, net, leaves[0]).backward(upstream)
-            finally:
-                for layer in layers:
-                    del layer.message
-            return [t.grad for t in leaves]
+            x = Tensor(x_data, requires_grad=True)
+            two_way(*layers, net, x).backward(upstream)
+            return [x.grad] + [t.grad for layer in layers for t in (layer.h1.weight, layer.h1.bias)]
 
         got, want = leaf_grads(gnn._two_way), leaf_grads(two_way_composed)
-        for name, g, w in zip(("x", "w_fwd", "term_fwd", "w_bwd", "term_bwd"), got, want):
+        names = ("x", "h1.weight fwd", "h1.bias fwd", "h1.weight bwd", "h1.bias bwd")
+        for name, g, w in zip(names, got, want):
             assert_same_floats(g, w, name)
-        # The case is exercised: zeros, +0.0 only (GiPH-NE's term is a bias).
-        for g in (want[0], want[2], want[4]) if per_edge else (want[0],):
+        # The case is exercised: zeros, +0.0 only.
+        for g in (want[0], want[3], want[4]):
             zeros = g[g == 0]
             assert len(zeros) and not np.signbit(zeros).any()
 

@@ -4,14 +4,19 @@ import dataclasses
 
 import numpy as np
 import pytest
-from gnn_reference import directions, levels_from_every_gpnet_edge, structure_reference
+from gnn_reference import (
+    build_gpnet,
+    directions,
+    levels_from_every_gpnet_edge,
+    node_index,
+    structure_reference,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.task_eft import TaskViewBuilder
 from repro.core import FeatureConfig, GpNetBuilder, PlacementProblem, random_placement
-from repro.core.features import GpNetStructure
-from repro.core.gpnet import build_gpnet
+from repro.core.features import GpNetStructure, endpoint_rows_of
 from repro.devices import Device, DeviceNetwork, DeviceNetworkParams, generate_device_network
 from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
 
@@ -72,12 +77,12 @@ class TestStructure:
         net = build(diamond_problem, [0, 0, 0, 2])
         for u in range(net.num_nodes):
             task, dev = net.action_of(u)
-            assert net.node_index(task, dev) == u
+            assert node_index(net, task, dev) == u
 
     def test_node_index_infeasible(self, diamond_problem):
         net = build(diamond_problem, [0, 0, 0, 2])
         with pytest.raises(KeyError):
-            net.node_index(3, 0)  # task 3 only feasible on device 2
+            node_index(net, 3, 0)  # task 3 only feasible on device 2
 
     def test_infeasible_placement_rejected(self, diamond_problem):
         with pytest.raises(ValueError, match="infeasible"):
@@ -97,7 +102,7 @@ class TestFeatures:
     def test_node_features_unnormalized_values(self, diamond_problem):
         net = build(diamond_problem, [0, 0, 0, 2], normalize=False)
         g, cm = diamond_problem.graph, diamond_problem.cost_model
-        u = net.node_index(1, 2)  # task 1 on device 2
+        u = node_index(net, 1, 2)  # task 1 on device 2
         c, sp, w, pot = net.node_features[u]
         assert c == g.compute[1]
         assert sp == diamond_problem.network.devices[2].speed
@@ -131,8 +136,8 @@ class TestFeatures:
         net = build(diamond_problem, [0, 1, 2, 2], normalize=False)
         g, nw, cm = diamond_problem.graph, diamond_problem.network, diamond_problem.cost_model
         # find edge from pivot of 0 (dev 0) to option (1, dev 2)
-        src = net.node_index(0, 0)
-        dst = net.node_index(1, 2)
+        src = node_index(net, 0, 0)
+        dst = node_index(net, 1, 2)
         k = [i for i in range(net.num_edges) if net.edge_src[i] == src and net.edge_dst[i] == dst]
         assert len(k) == 1
         b, inv_bw, dl, c = net.edge_features[k[0]]
@@ -143,7 +148,7 @@ class TestFeatures:
 
     def test_local_edge_inverse_bandwidth_zero(self, diamond_problem):
         net = build(diamond_problem, [2, 2, 2, 2], normalize=False)
-        src, dst = net.node_index(0, 2), net.node_index(1, 2)
+        src, dst = node_index(net, 0, 2), node_index(net, 1, 2)
         k = [i for i in range(net.num_edges) if net.edge_src[i] == src and net.edge_dst[i] == dst][0]
         assert net.edge_features[k, 1] == 0.0
         assert net.edge_features[k, 3] == 0.0
@@ -333,6 +338,64 @@ def test_update_chain_over_every_task_equals_full_build(seed, num_tasks, num_dev
     repeated = max(range(num_tasks), key=lambda t: len(problem.feasible_sets[t]))
     current = move(repeated)
     current = move(repeated)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    num_tasks=st.integers(min_value=1, max_value=9),
+    num_devices=st.integers(min_value=1, max_value=5),
+    edge_prob=st.sampled_from([0.0, 0.3, 0.7]),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["move", "jump", "stay", "stale"]), st.integers(0, 2**16)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@example(seed=0, num_tasks=5, num_devices=3, edge_prob=0.7,
+         steps=[("move", 1), ("stay", 1), ("jump", 0), ("move", 2), ("stale", 0), ("move", 3)])
+def test_builder_endpoint_rows_equal_a_fresh_derivation(
+    seed, num_tasks, num_devices, edge_prob, steps
+):
+    """Property: the endpoint rows a builder attaches — derived by
+    ``build``, patched in place of the moved task's blocks by ``update`` —
+    equal a from-scratch derivation on a plain copy of the net after any
+    sequence of one-task moves, jumps (several tasks move: ``update``
+    falls back to ``build``), no-move updates (the previous net comes
+    back) and updates from an older net (another placement: a fallback;
+    the same placement: rows derived afresh)."""
+    problem = random_layout_problem(seed, num_tasks, num_devices, edge_prob)
+    builder = GpNetBuilder(problem)
+    rng = np.random.default_rng(seed)
+    current = builder.build(random_placement(problem, rng))
+    history = [current]
+    for kind, k in steps:
+        prev = history[k % len(history)] if kind == "stale" else current
+        placement, task = list(prev.placement), k % num_tasks
+        if kind == "jump":
+            placement = list(random_placement(problem, rng))
+        elif kind != "stay":
+            feas = problem.feasible_sets[task]
+            placement[task] = feas[(feas.index(placement[task]) + 1) % len(feas)]
+        current = builder.update(prev, tuple(placement), task)
+        if kind == "stay":
+            assert current is prev
+        history.append(current)
+        attached = current._endpoint_rows  # by the builder, before any forward
+        rows = endpoint_rows_of(current)
+        assert rows[0].base is rows[1].base is attached
+        fresh = endpoint_rows_of(dataclasses.replace(current))
+        assert all(np.array_equal(a, b) for a, b in zip(rows, fresh))
+
+
+def test_task_views_share_one_pair_of_endpoint_rows(diamond_problem):
+    """A task view's endpoints never move: every view of a problem carries
+    the first view's rows, which equal a fresh derivation."""
+    views = TaskViewBuilder(diamond_problem)
+    nets = [views.build(p) for p in ([0, 0, 0, 2], [1, 2, 0, 2], [2, 1, 1, 2])]
+    assert all(net._endpoint_rows is nets[0]._endpoint_rows for net in nets)
+    fresh = endpoint_rows_of(dataclasses.replace(nets[-1]))
+    assert all(np.array_equal(a, b) for a, b in zip(endpoint_rows_of(nets[-1]), fresh))
 
 
 # -- frontier plans: the sort-based derivation, kept as the oracle ------------------
