@@ -20,9 +20,9 @@ Per problem (:class:`PlacetoLayout`, made once by ``search``, cached per
 problem by ``ReinforceTrainer`` through ``handle``, and passed as
 ``layout=``): edge arrays, the two static feature columns, segment
 sizes.  Per step: three feature columns, the normalisation, one
-embedding.  Each direction's k steps are one tape node of
-:func:`repro.nn.functional.propagate`, the pass GiPH-k runs too, here
-without edge features.
+embedding: both directions' k steps are one tape node, the two-way
+:func:`repro.nn.functional.propagate` GiPH-k runs too (here without edge
+features), and the summary views one more (:func:`_summaries`).
 
 Training is :class:`repro.core.reinforce.ReinforceTrainer` with this
 agent: ``rollout`` is the search traversal (:meth:`PlacetoAgent._traverse`)
@@ -39,8 +39,9 @@ import numpy as np
 from ..core.features import GpNetBuilder
 from ..core.placement import PlacementProblem, random_placement
 from ..core.search import SearchTrace
-from ..nn import MLP, Linear, Module, Parameter, Tensor, concat, no_grad
+from ..nn import MLP, Linear, Module, Parameter, Tensor, no_grad
 from ..nn import functional as F
+from ..nn.tensor import _unbroadcast
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
 from .base import AdaptivePolicy, bound_handle, make_evaluator, rollout_of
@@ -58,10 +59,11 @@ class PlacetoLayout:
         graph, cm = problem.graph, problem.cost_model
         n = graph.num_tasks
         self.src, self.dst, _ = graph.edge_arrays()
-        self.in_counts = F._segment_counts(self.dst, n)[:, None]
-        self.out_counts = F._segment_counts(self.src, n)[:, None]
-        # ``graph.data_out(i)`` for every task in one pass over the edges:
-        # per task the same additions in the same (dict) order.
+        self.senders, self.receivers = F.two_way_ids(self.src, self.dst, n)
+        self.ends = np.concatenate((self.src, self.dst))  # each sending task, both ways
+        self.counts = F._segment_counts(self.receivers, 2 * n)[:, None]
+        # Each task's output bytes in one pass over the edges, added in
+        # ``graph.edges`` (dict) order.
         data_out = [0] * n
         for (u, _), data in graph.edges.items():
             data_out[u] += data
@@ -102,23 +104,36 @@ class _PlacetoEmbedding(Module):
         self.bwd_agg = Linear(_EMBED_DIM, _EMBED_DIM, rng)
 
     def forward(self, layout: PlacetoLayout, features: np.ndarray) -> Tensor:
-        """Node summaries of dim embed·2·4: per-node forward/backward
-        embeddings plus parent-aggregated and child-aggregated views
-        (zeros where a node has no parents/children), mirroring Placeto's
-        grouped summaries."""
-        n, src, dst = len(features), layout.src, layout.dst
+        """Node summaries of dim embed·2·4, mirroring Placeto's grouped
+        summaries (see :func:`_summaries`)."""
         e0 = self.pre(Tensor(features))
-        e_fwd = F.propagate(e0, src, dst, layout.in_counts, self.fwd_msg, self.fwd_agg, _STEPS)
-        e_bwd = F.propagate(e0, dst, src, layout.out_counts, self.bwd_msg, self.bwd_agg, _STEPS)
-        node = concat([e_fwd, e_bwd], axis=1)
-        if len(src) == 0:
-            parents = Tensor(np.zeros((n, 2 * _EMBED_DIM)))
-            children = Tensor(np.zeros((n, 2 * _EMBED_DIM)))
-        else:
-            parents = F.segment_mean(node[src], dst, n)
-            children = F.segment_mean(node[dst], src, n)
-        pooled = node.mean(axis=0, keepdims=True) + Tensor(np.zeros((n, 2 * _EMBED_DIM)))
-        return concat([node, parents, children, pooled], axis=1)
+        layers = ((self.fwd_msg, self.fwd_agg), (self.bwd_msg, self.bwd_agg))
+        node = F.propagate(e0, layout.senders, layout.receivers, layout.counts, layers, _STEPS)
+        return _summaries(node, layout)
+
+
+def _summaries(node: Tensor, layout: PlacetoLayout) -> Tensor:
+    """``[node ∥ parents' mean ∥ children's mean ∥ mean of all]`` (zeros
+    where a node has no parents/children) as one tape node, both means one
+    segment sum: the floats of the composed tape and, in the backward, its
+    order of ``node``'s terms (oracle: ``placeto_summaries_composed`` in
+    ``tests/baselines/reference.py``)."""
+    nd, ends = node.data, layout.ends
+    n, w = nd.shape
+    out = np.empty((n, 4 * w))
+    out[:, :w] = nd
+    side = F._segment_sum_kernel(nd[ends], layout.receivers, 2 * n) / layout.counts
+    out[:, w : 2 * w], out[:, 2 * w : 3 * w] = side[:n], side[n:]
+    out[:, 3 * w :] = nd.sum(axis=0, keepdims=True) / float(n) + 0.0  # the composed ``+ zeros``
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad[:, :w].copy()
+        side = np.concatenate((grad[:, w : 2 * w], grad[:, 2 * w : 3 * w])) / layout.counts
+        F._scatter_add_rows(g, ends, side[layout.receivers])
+        g += _unbroadcast(np.ascontiguousarray(grad[:, 3 * w :]), (1, w)) / float(n)
+        node._accumulate(g)
+
+    return Tensor._make(out, (node,), backward, "placeto-summaries")
 
 
 class PlacetoAgent(AdaptivePolicy):

@@ -126,6 +126,7 @@ class PlacementEnv:
         prev_gpnet: GpNet | None = None,
     ) -> EnvState:
         timeline = self.evaluator.timeline(placement)
+        placement = timeline.placement  # validated once, by the lookup that made it
         if prev_gpnet is not None and last_moved is not None:
             gpnet = self.builder.update(prev_gpnet, placement, last_moved, timeline=timeline)
         else:

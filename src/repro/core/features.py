@@ -400,7 +400,8 @@ class GpNetBuilder:
         self, placement: Sequence[int], timeline: SimResult | None = None
     ) -> GpNet:
         """Build the gpNet of ``placement`` (timeline computed if absent)."""
-        placement = self.problem.validate_placement(placement)
+        if timeline is None or placement is not timeline.placement:  # else a simulator validated it
+            placement = self.problem.validate_placement(placement)
         raw = _RawBuild(
             placement=placement,
             pivot_node=np.array(
@@ -431,7 +432,8 @@ class GpNetBuilder:
         rows are ``prev_gpnet``'s, patched, when it is the net of that raw
         state; else they are derived afresh.
         """
-        placement = self.problem.validate_placement(placement)
+        if timeline is None or placement is not timeline.placement:  # as in ``build``
+            placement = self.problem.validate_placement(placement)
         last = self._last
         if last is None or last.placement != prev_gpnet.placement:
             return self.build(placement, timeline)

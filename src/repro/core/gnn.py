@@ -56,9 +56,9 @@ pins the forward, the composed per-level tape (``two_way_composed``)
 every gradient.  The einsum kernel makes a row's result a function of
 that row alone, which is what makes exact float equality possible at all
 (``np.matmul`` picks different BLAS kernels for different row counts).
-GiPH-k's k steps are one tape node per direction, Placeto's
-:func:`repro.nn.functional.propagate`; GraphSAGE-NE, which aggregates
-before its ``Linear`` and has no residual, stays composed.
+GiPH-k's k steps run as Placeto's, one tape node advancing both directions
+each step (:func:`repro.nn.functional.propagate`); GraphSAGE-NE, which
+aggregates before its ``Linear`` and has no residual, stays composed.
 The registry counters ``gnn.forwards``/``gnn.backwards``/``gnn.seconds``
 count forward and backward passes and cumulative forward seconds.
 """
@@ -272,7 +272,7 @@ def _two_way(forward_pass, backward_pass, gpnet: GpNet, x: Tensor) -> Tensor:
 
 
 class _DirectionalPass(Module):
-    """One direction of Eq. 1: recurrent wavefront message passing.
+    """One direction's h1/h2: of Eq. 1, or shared by the k steps of Eq. 4.
 
     :func:`_two_way` runs it from its ``h1``/``h2`` parameters.  h1/h2
     go through the batch-invariant kernel of
@@ -316,28 +316,13 @@ class TwoWayMessagePassing(GpNetEmbedding):
         return _two_way(self.forward_pass, self.backward_pass, gpnet, x)
 
 
-class _SharedStepPass(Module):
-    """One direction of Eq. 4: k synchronous steps, shared parameters."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.h1 = Linear(_MSG_DIM, _MSG_DIM, rng)
-        self.h2 = Linear(_MSG_DIM, EMBED_DIM, rng)
-
-    def forward(self, gpnet: GpNet, e0: Tensor, steps: int, reverse: bool) -> Tensor:
-        n, ends = gpnet.num_nodes, (gpnet.edge_src, gpnet.edge_dst)
-        senders, receivers = ends[::-1] if reverse else ends
-        counts = F._segment_counts(receivers, n)[:, None]
-        return F.propagate(
-            e0, senders, receivers, counts, self.h1, self.h2, steps, gpnet.edge_features
-        )
-
-
 class KStepMessagePassing(GpNetEmbedding):
     """GiPH-k (Eq. 4): bounded k-step two-way message passing.
 
     Caps the sequential depth of the GNN — the paper's Table 7 / Fig. 17
-    remedy for large graphs (GiPH-3, GiPH-5).  Its oracle is the composed
-    tape in ``tests/`` (``propagate_composed``).
+    remedy for large graphs (GiPH-3, GiPH-5).  Both directions' k steps
+    are one :func:`repro.nn.functional.propagate` node; its oracle is the
+    composed tape in ``tests/`` (``two_way_composed``).
     """
 
     def __init__(self, rng: np.random.Generator, k: int) -> None:
@@ -346,14 +331,15 @@ class KStepMessagePassing(GpNetEmbedding):
         self.k = k
         self.out_dim = 2 * EMBED_DIM
         self.pre = MLP([NODE_FEATURE_DIM, NODE_FEATURE_DIM, EMBED_DIM], rng)  # h3 in Eq. 4
-        self.forward_pass = _SharedStepPass(rng)
-        self.backward_pass = _SharedStepPass(rng)
+        self.forward_pass = _DirectionalPass(rng, "mean")  # h1/h2 shared by the k steps
+        self.backward_pass = _DirectionalPass(rng, "mean")
 
     def _embed(self, gpnet: GpNet) -> Tensor:
         e0 = self.pre(Tensor(gpnet.node_features))
-        e_fwd = self.forward_pass(gpnet, e0, self.k, reverse=False)
-        e_bwd = self.backward_pass(gpnet, e0, self.k, reverse=True)
-        return concat([e_fwd, e_bwd], axis=1)
+        senders, receivers = F.two_way_ids(gpnet.edge_src, gpnet.edge_dst, gpnet.num_nodes)
+        counts = F._segment_counts(receivers, 2 * gpnet.num_nodes)[:, None]
+        layers = [(p.h1, p.h2) for p in (self.forward_pass, self.backward_pass)]
+        return F.propagate(e0, senders, receivers, counts, layers, self.k, gpnet.edge_features)
 
 
 def augment_with_out_edge_means(gpnet: GpNet) -> np.ndarray:

@@ -106,15 +106,6 @@ class TaskGraph:
         return tuple(i for i in range(self.num_tasks) if not self.parents[i])
 
     @property
-    def exits(self) -> tuple[int, ...]:
-        """Tasks with no children."""
-        return tuple(i for i in range(self.num_tasks) if not self.children[i])
-
-    def degree(self, i: int) -> int:
-        """Total degree |E_i| of task i (used in the gpNet size formula)."""
-        return len(self.parents[i]) + len(self.children[i])
-
-    @property
     def depth(self) -> int:
         """Length (in nodes) of the longest path — the graph's depth."""
         level = [0] * self.num_tasks
@@ -123,23 +114,11 @@ class TaskGraph:
                 level[v] = max(level[v], level[u] + 1)
         return max(level) + 1
 
-    def levels(self) -> list[int]:
-        """Topological level of each task (entries at level 0)."""
-        level = [0] * self.num_tasks
-        for v in self.topo_order:
-            for u in self.parents[v]:
-                level[v] = max(level[v], level[u] + 1)
-        return level
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(src, dst, data)`` arrays of the edges, in ``edges`` iteration order."""
         ends = np.array(list(self.edges), dtype=np.int64).reshape(self.num_edges, 2)
         data = np.array(list(self.edges.values()), dtype=np.float64)
         return ends[:, 0].copy(), ends[:, 1].copy(), data
-
-    def data_out(self, i: int) -> float:
-        """Total bytes task ``i`` sends to its children."""
-        return sum(b for (u, _), b in self.edges.items() if u == i)
 
     def __repr__(self) -> str:
         return (

@@ -18,6 +18,7 @@ __all__ = [
     "linear",
     "segment_sum",
     "segment_mean",
+    "two_way_ids",
     "propagate",
 ]
 
@@ -200,60 +201,89 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     return summed / Tensor(counts.reshape((-1,) + (1,) * (summed.ndim - 1)))
 
 
+def two_way_ids(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(senders, receivers)`` over both directions' rows: the edges, then
+    each one reversed with its ids offset by ``num_nodes``."""
+    return np.concatenate((src, dst + num_nodes)), np.concatenate((dst, src + num_nodes))
+
+
 def propagate(
     e0: Tensor, senders: np.ndarray, receivers: np.ndarray, counts: np.ndarray,
-    msg_layer, agg_layer, steps: int, edge_features: np.ndarray | None = None,
+    layers, steps: int, edge_features: np.ndarray | None = None,
 ) -> Tensor:
-    """``steps`` synchronous rounds of
-    ``e <- relu(agg_layer(Σ relu(msg_layer([e[senders] ∥ x^e])) / counts)) + e0``
-    as one tape node: the k-step pass of GiPH-k (Eq. 4) and of Placeto.
-
-    The sum runs per receiver; ``counts`` (``(num_nodes, 1)``) divides it:
-    messages per receiver floored at 1 for a mean, ones for a sum.
-    ``edge_features`` (GiPH-k's ``x^e``) are concatenated to the gathered
-    sender rows.  The layers multiply with ``@``, as ``Linear`` does.  The
-    backward replays, last step first, the float operations of the composed
-    ``Tensor`` tape in its order (oracle: ``propagate_composed`` in
-    ``tests/baselines/reference.py``).  Every parent is a parameter or
-    computed from one, so none is tested for ``requires_grad``.
-    """
-    wm, bm, wa, ba = msg_layer.weight, msg_layer.bias, agg_layer.weight, agg_layer.bias
-    parents = (e0, wm, bm, wa, ba)
-    e0d, wmd, bmd, wad, bad = (p.data for p in parents)
-    embed_dim = e0d.shape[1]
-    if len(senders) == 0:
-        # Edgeless: no step reads the one before it (every ``agg`` is
-        # zeros), so all compute the same floats and only the last is on
-        # the composed tape — one step, accumulated once.
+    """``steps`` rounds of ``e <- relu(agg_layer(Σ relu(msg_layer([e[senders]
+    ∥ x^e])) / counts)) + e0`` in both directions as one tape node, returning
+    the row-major ``(N, 2d)`` concatenation: the k-step pass of GiPH-k (Eq. 4)
+    and of Placeto.  ``senders``/``receivers`` are :func:`two_way_ids` over a
+    ``(2N, d)`` state, ``counts`` (``(2N, 1)``) the messages per receiver
+    floored at 1 for a mean, ones for a sum, ``layers`` one ``(msg_layer,
+    agg_layer)`` per direction.  Gather, relu, segment sum and divide run once
+    over both directions' rows, each weight's ``@`` per direction on a
+    C-contiguous row block shaped as a lone direction's (BLAS floats depend on
+    operand shape and layout).  The backward replays, last step first, the
+    float operations of the composed tape in its order (oracle:
+    ``two_way_composed`` in ``tests/baselines/reference.py``); ``e0``'s 2k + 2
+    terms come last, the forward direction's, then the backward's.  Every
+    parent is a parameter or computed from one: none is tested for
+    ``requires_grad``."""
+    params = [(msg.weight, msg.bias, agg.weight, agg.bias) for msg, agg in layers]
+    e0d = e0.data
+    n, d = e0d.shape
+    m = len(senders) // 2
+    rows, edges = (slice(0, n), slice(n, 2 * n)), (slice(0, m), slice(m, 2 * m))
+    if m == 0:  # no step reads the one before: only the last is on the composed tape
         steps = 1
-    e, saved = e0d, []
+    s = np.empty((2 * m, params[0][0].shape[0]))  # [e[senders] ∥ x^e], edge half written once
+    if edge_features is not None:
+        s[:m, d:] = s[m:, d:] = edge_features
+    if m and not 0 <= receivers.min() <= receivers.max() < 2 * n:
+        raise ValueError(f"propagate: receivers outside [0, {2 * n})")
+    width = params[0][0].shape[1]  # a message's; the segment sum's flat cells, made once:
+    cells, size = (receivers[:, None] * width + np.arange(width)).ravel(), 2 * n * width
+    x = np.concatenate((e0d, e0d))
+    e, saved = x, []
     for _ in range(steps):
-        s = e[senders]
-        if edge_features is not None:  # one product over [e ∥ x^e]: a split sums in another order
-            s = np.concatenate([s, edge_features], axis=1)
-        pre = s @ wmd + bmd
-        agg = _segment_sum_kernel(np.maximum(pre, 0.0), receivers, len(e0d)) / counts
-        h = agg @ wad + bad
-        e = np.maximum(h, 0.0) + e0d
-        saved.append((s, pre, agg, h))
+        s[:, :d] = e[senders]
+        pre = np.empty((2 * m, width))
+        for (wm, bm, _, _), r in zip(params, edges):
+            np.add(s[r] @ wm.data, bm.data, out=pre[r])
+        np.maximum(pre, 0.0, out=pre)  # the backward's mask: relu(pre) > 0 where pre > 0
+        agg = np.bincount(cells, pre.ravel(), size).reshape(2 * n, width) / counts
+        h = np.empty(x.shape)
+        for (_, _, wa, ba), r in zip(params, rows):
+            np.add(agg[r] @ wa.data, ba.data, out=h[r])
+        saved.append((e, pre, agg, h))
+        e = np.maximum(h, 0.0)
+        e += x
 
     def backward(grad: np.ndarray) -> None:
-        G = grad  # gradient of the step output being unwound
+        G = np.concatenate((grad[:, :d], grad[:, d:]))  # gradient of the step output being unwound
+        residuals, back = [], None
         for step in reversed(range(steps)):
-            s, pre, agg, h = saved[step]
-            e0._accumulate(G)
-            g_h = G * (h > 0)
-            ba._accumulate(g_h.sum(axis=0))
-            wa._accumulate(agg.T @ g_h)
-            if len(senders) == 0:
-                return  # the composed tape never runs ``msg_layer`` here
-            g_pre = ((g_h @ wad.T) / counts)[receivers] * (pre > 0)
-            bm._accumulate(g_pre.sum(axis=0))
-            wm._accumulate(s.T @ g_pre)
-            # Step 0 gathered from e0 itself (after its ``_accumulate``
-            # above); later steps from an output nothing else reads.  The
-            # sender columns of the whole input's gradient, as concat routes it.
-            G = np.zeros(e0d.shape) if step else e0.grad
-            _scatter_add_rows(G, senders, (g_pre @ wmd.T)[:, :embed_dim])
+            e_in, pre, agg, h = saved[step]
+            residuals.append(G)
+            g_h, g_agg = G * (h > 0), np.empty(agg.shape)
+            for (_, _, wa, ba), r in zip(params, rows):
+                ba._accumulate(g_h[r].sum(axis=0))
+                wa._accumulate(agg[r].T @ g_h[r])
+                np.matmul(g_h[r], wa.data.T, out=g_agg[r])
+            if m == 0:
+                break  # the composed tape never runs ``msg_layer`` here
+            g_pre = (g_agg / counts)[receivers] * (pre > 0)
+            s[:, :d] = e_in[senders]  # the buffer the step read
+            back = np.empty((2 * m, d))
+            for (wm, bm, _, _), r in zip(params, edges):
+                bm._accumulate(g_pre[r].sum(axis=0))
+                wm._accumulate(s[r].T @ g_pre[r])
+                back[r] = (g_pre[r] @ wm.data.T)[:, :d]  # the sender columns, as concat routes them
+            if step:  # later steps gathered from an output nothing else reads
+                G = np.zeros(x.shape)
+                _scatter_add_rows(G, senders, back)
+        for r, es, offset in zip(rows, edges, (0, n)):
+            for G in residuals:
+                e0._accumulate(G[r])
+            if back is not None:  # step 0 gathered from e0 itself
+                _scatter_add_rows(e0.grad, senders[es] - offset, back[es])
 
-    return Tensor._make(e, parents, backward, "propagate")
+    out = np.concatenate((e[:n], e[n:]), axis=1)
+    return Tensor._make(out, (e0, *params[0], *params[1]), backward, "propagate")

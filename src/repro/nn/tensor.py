@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "as_tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -40,10 +40,6 @@ class no_grad:
     def __exit__(self, *exc) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -120,7 +120,9 @@ class PlacementEvaluator:
     finding an entry *is* the feasibility proof (equal tuples hash and
     compare alike whether their elements are ``int`` or ``np.int64``), and
     the lookup runs first; a miss is validated — a batch's misses in one
-    check — before anything is counted, simulated or stored.
+    check — before anything is counted, simulated or stored.  A value
+    miss found in the timeline cache is valid by the same proof: its key
+    is that timeline's ``placement``, the validated tuple.
 
     Repeat invariant: ``_last_value`` / ``_last_timeline`` hold the
     caller's tuple and the result of the newest call on that cache, so
@@ -296,6 +298,8 @@ class PlacementEvaluator:
         key = tuple(placement)
         cached = cache.get(key)
         if cached is None:
+            if cache is self._values and key in self._timelines:  # valid: see the class docstring
+                return self._timelines[key].placement, None
             key = self.problem.validate_placement(key)
             cached = cache.get(key)
         return key, cached

@@ -3,7 +3,7 @@
 from .engine import Simulation
 from .executor import SimResult, simulate
 from .latency import CostModel
-from .metrics import cp_min_lower_bound, energy_cost, slr, total_cost
+from .metrics import cp_min_lower_bound, energy_cost, total_cost
 from .objectives import EnergyObjective, MakespanObjective, Objective, TotalCostObjective
 from .relocation import RelocationCostModel, TaskRelocationProfile
 
@@ -13,7 +13,6 @@ __all__ = [
     "simulate",
     "CostModel",
     "cp_min_lower_bound",
-    "slr",
     "total_cost",
     "energy_cost",
     "Objective",

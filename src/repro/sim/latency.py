@@ -88,11 +88,6 @@ class CostModel:
         """Average w_{i,k} over the task's feasible devices (HEFT-style)."""
         return float(self.W[task, list(self.feasible_sets[task])].mean())
 
-    def min_compute_time(self, task: int) -> float:
-        """min_{d_j in D_i} w_{i,j} — the CP_MIN node weight (§5 metrics)."""
-        row = self.W[task].tolist()
-        return min(row[d] for d in self.feasible_sets[task])
-
     @cached_property
     def cp_min_lower_bound(self) -> float:
         """Σ of minimum compute costs along the min-cost critical path.
@@ -107,7 +102,7 @@ class CostModel:
         rows, parents, feasible = self.W.tolist(), graph.parents, self.feasible_sets
         for v in graph.topo_order:
             incoming = max(map(cost_of, parents[v])) if parents[v] else 0.0
-            # min_compute_time(v), from one W.tolist()
+            # v's minimum feasible compute time, from one W.tolist()
             path_cost[v] = incoming + min(map(rows[v].__getitem__, feasible[v]))
         bound = max(path_cost)
         # All-zero-compute graphs (possible after grouping edge cases):

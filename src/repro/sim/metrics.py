@@ -17,21 +17,12 @@ import numpy as np
 
 from .latency import CostModel
 
-__all__ = ["cp_min_lower_bound", "slr", "total_cost", "energy_cost"]
+__all__ = ["cp_min_lower_bound", "total_cost", "energy_cost"]
 
 
 def cp_min_lower_bound(cost_model: CostModel) -> float:
     """Sum of minimum compute costs along the min-cost critical path."""
     return cost_model.cp_min_lower_bound
-
-
-def slr(makespan: float, lower_bound: float) -> float:
-    """Schedule Length Ratio; the best placement minimizes this."""
-    if lower_bound <= 0:
-        raise ValueError("lower bound must be positive")
-    if makespan < 0:
-        raise ValueError("makespan must be non-negative")
-    return makespan / lower_bound
 
 
 def total_cost(cost_model: CostModel, placement: Sequence[int]) -> float:

@@ -10,20 +10,27 @@ replaced, verbatim, so the tests can demand the same floats:
   loops, a fresh ``GpNet`` (no shared structure) per call
   (:func:`loop_views` swaps it in for ``TaskViewBuilder``);
 * :func:`placeto_features_loop` — Placeto's five features, one row at a
-  time, through ``CostModel.mean_compute_time`` and
-  ``TaskGraph.data_out``;
-* :func:`propagate_composed` — the k-step message pass of Placeto and
-  GiPH-k (``KStepMessagePassing``) as ordinary ``Tensor`` ops.  It pins
-  the shipped single node's forward *and* every gradient bit for bit:
-  the hand-written backward must run the float operations this tape
-  runs, in the same order.
+  time, through ``CostModel.mean_compute_time`` and :func:`data_out`;
+* :func:`propagate_composed` — one direction of the k-step message pass
+  of Placeto and GiPH-k (``KStepMessagePassing``) as ordinary ``Tensor``
+  ops, and :func:`two_way_composed`, both directions as two such passes
+  and a ``concat``: the shipped two-way node's oracle.  It pins that
+  node's forward *and* every gradient bit for bit: the hand-written
+  backward must run the float operations this tape runs, in the same
+  order (``e0``'s terms included: all of the forward pass's, then all of
+  the backward's);
+* :func:`placeto_summaries_composed` — Placeto's parents / children /
+  pooled views and their concatenation as ordinary ``Tensor`` ops, the
+  oracle of ``repro.baselines.placeto._summaries``.
+
+:func:`composed_path` swaps both composed tapes in.
 """
 
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.baselines import task_eft
+from repro.baselines import placeto, task_eft
 from repro.core.gpnet import GpNet
 from repro.nn import Tensor, concat
 from repro.nn import functional as F
@@ -32,8 +39,11 @@ from repro.sim.executor import simulate
 __all__ = [
     "task_view_loop",
     "loop_views",
+    "data_out",
     "placeto_features_loop",
     "propagate_composed",
+    "two_way_composed",
+    "placeto_summaries_composed",
     "composed_path",
 ]
 
@@ -108,6 +118,11 @@ def loop_views():
         task_eft.TaskViewBuilder = shipped
 
 
+def data_out(graph, i):
+    """Total bytes task ``i`` sends, added in ``graph.edges`` (dict) order."""
+    return sum(b for (u, _), b in graph.edges.items() if u == i)
+
+
 def placeto_features_loop(problem, placement, current_node, placed):
     """Drop-in for ``PlacetoLayout(problem).features``: one Python iteration per row."""
     graph = problem.graph
@@ -118,7 +133,7 @@ def placeto_features_loop(problem, placement, current_node, placed):
         rows.append(
             [
                 cm.mean_compute_time(i),
-                graph.data_out(i),
+                data_out(graph, i),
                 placement[i] / max(m - 1, 1),
                 1.0 if i == current_node else 0.0,
                 1.0 if placed[i] else 0.0,
@@ -150,13 +165,41 @@ def propagate_composed(
     return e
 
 
+def two_way_composed(
+    e0, senders, receivers, counts, layers, steps, edge_features=None, how="mean"
+):
+    """Drop-in for ``repro.nn.functional.propagate``: the forward pass, the
+    backward pass over the reversed edges, and their ``concat``."""
+    m = len(senders) // 2
+    (fwd_msg, fwd_agg), (bwd_msg, bwd_agg) = layers
+    src, dst = senders[:m], receivers[:m]
+    e_fwd = propagate_composed(e0, src, dst, None, fwd_msg, fwd_agg, steps, edge_features, how)
+    e_bwd = propagate_composed(e0, dst, src, None, bwd_msg, bwd_agg, steps, edge_features, how)
+    return concat([e_fwd, e_bwd], axis=1)
+
+
+def placeto_summaries_composed(node, layout):
+    """Drop-in for ``repro.baselines.placeto._summaries``: the tape ops
+    Placeto's embedding ran before they became one node."""
+    n, src, dst = len(node), layout.src, layout.dst
+    if len(src) == 0:
+        parents = Tensor(np.zeros((n, node.shape[1])))
+        children = Tensor(np.zeros((n, node.shape[1])))
+    else:
+        parents = F.segment_mean(node[src], dst, n)
+        children = F.segment_mean(node[dst], src, n)
+    pooled = node.mean(axis=0, keepdims=True) + Tensor(np.zeros(node.shape))
+    return concat([node, parents, children, pooled], axis=1)
+
+
 @contextmanager
 def composed_path():
     """Route every k-step pass — Placeto's, GiPH-k's — through the composed
-    tape (both aggregate by mean)."""
-    shipped = F.propagate
-    F.propagate = propagate_composed
+    tape (both aggregate by mean), and Placeto's summaries through theirs."""
+    shipped = F.propagate, placeto._summaries
+    F.propagate = two_way_composed
+    placeto._summaries = placeto_summaries_composed
     try:
         yield
     finally:
-        F.propagate = shipped
+        F.propagate, placeto._summaries = shipped

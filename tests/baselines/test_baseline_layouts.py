@@ -20,12 +20,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     composed_path,
+    data_out,
     loop_views,
     placeto_features_loop,
-    propagate_composed,
+    placeto_summaries_composed,
     task_view_loop,
+    two_way_composed,
 )
 
+from repro.baselines import placeto
 from repro.baselines import (
     PlacetoAgent,
     PlacetoLayout,
@@ -221,57 +224,129 @@ def test_placeto_features_and_embedding_equal_loop_and_composed_tape(
 
 
 def test_placeto_data_out_adds_in_edge_insertion_order():
-    # ``graph.data_out`` adds a task's out-edges in ``graph.edges`` (dict)
-    # order; the one-pass sum of the layout must too, not in sorted order.
+    # ``data_out`` adds a task's out-edges in ``graph.edges`` (dict) order;
+    # the one-pass sum of the layout must too, not in sorted order.
     graph = TaskGraph((1.0,) * 4, {(0, 3): 0.3, (0, 2): 0.2, (1, 3): 0.5, (0, 1): 0.1})
-    assert graph.data_out(0) == 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
+    assert data_out(graph, 0) == 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
     problem = PlacementProblem(graph, _network(np.random.default_rng(0), 2))
     args = ([0, 1, 0, 1], 2, np.zeros(4, dtype=bool))
     feats = PlacetoLayout(problem).features(*args)
     assert same_bytes(feats, placeto_features_loop(problem, *args))
 
 
+@pytest.mark.parametrize("steps", [1, 3, 8])
 @pytest.mark.parametrize(
     "edge_dim, how, edgeless",
-    [(None, "mean", False), (4, "mean", False), (4, "sum", False), (4, "mean", True)],
-    ids=["no-edge-features-mean", "edge-features-mean", "edge-features-sum", "edgeless"],
+    [
+        (None, "mean", False),
+        (None, "sum", False),
+        (4, "mean", False),
+        (4, "sum", False),
+        (None, "mean", True),
+        (4, "sum", True),
+    ],
+    ids=[
+        "no-edge-features-mean",
+        "no-edge-features-sum",
+        "edge-features-mean",
+        "edge-features-sum",
+        "edgeless-mean",
+        "edgeless-edge-features-sum",
+    ],
 )
-def test_propagate_equals_the_composed_tape_node_for_node(edge_dim, how, edgeless):
-    # One call, every leaf's gradient compared directly.  The graph is a
-    # 7-task chain (deeper than the 3 steps run, so the first step's
-    # scatter into ``e0.grad`` and its ``_accumulate`` are both non-zero
-    # on the same rows and their order shows) plus skip edges out of
-    # task 0.  Task 0 has no parents, a zero embedding and zero edge
-    # features out, and ``Linear`` biases start at zero: every message
-    # task 0 sends has a pre-activation of exactly 0.0 and every
-    # parentless task an ``h`` of exactly 0.0, at every step; tasks 2 and
-    # 5 hear from the chain too, so gradient does reach those messages —
+def test_two_way_propagate_equals_the_composed_tapes_node_for_node(edge_dim, how, edgeless, steps):
+    # One call, every leaf's gradient compared directly against two
+    # ``propagate_composed`` passes and a ``concat``.  The graph is a
+    # 10-task chain (deeper than every step count run, so each
+    # direction's first-step scatter into ``e0.grad`` and its
+    # ``_accumulate`` are both non-zero on the same rows and their order
+    # shows; ``e0`` takes both directions' terms, so their order shows
+    # too) plus skip edges out of task 0.  Task 0 has no parents, a zero
+    # embedding and zero edge features out, and ``Linear`` biases start at
+    # zero: every message task 0 sends has a pre-activation of exactly
+    # 0.0 and every task without senders (task 0 forward, task 9
+    # backward) an ``h`` of exactly 0.0, at every step; tasks 2, 5 and 8
+    # hear from the chain too, so gradient does reach those messages —
     # ``>`` and ``>=`` differ in either relu mask.
-    src = np.array([0, 1, 2, 3, 4, 5, 0, 0])
-    dst = np.array([1, 2, 3, 4, 5, 6, 2, 5])
+    n = 10
+    src = np.array([*range(n - 1), 0, 0, 0])
+    dst = np.array([*range(1, n), 2, 5, 8])
     if edgeless:
         src = dst = np.zeros(0, dtype=np.int64)
-    counts = F._segment_counts(dst, 7)[:, None] if how == "mean" else np.ones((7, 1))
+    senders, receivers = F.two_way_ids(src, dst, n)
+    counts = F._segment_counts(receivers, 2 * n)[:, None] if how == "mean" else np.ones((2 * n, 1))
     rng = np.random.default_rng(0)
-    e0_data, upstream = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
+    e0_data, upstream = rng.normal(size=(n, 5)), rng.normal(size=(n, 10))
     e0_data[0] = 0.0
+    upstream[3, 7] = -0.0
     edge_features = None
     if edge_dim is not None:
         edge_features = rng.normal(size=(len(src), edge_dim))
         edge_features[src == 0] = 0.0
     msg_dim = 5 + (edge_dim or 0)
     outcomes = []
-    for propagate in (F.propagate, partial(propagate_composed, how=how)):
-        layers = np.random.default_rng(1)
-        msg_layer, agg_layer = Linear(msg_dim, msg_dim, layers), Linear(msg_dim, 5, layers)
+    for propagate in (F.propagate, partial(two_way_composed, how=how)):
+        init = np.random.default_rng(1)
+        layers = [(Linear(msg_dim, msg_dim, init), Linear(msg_dim, 5, init)) for _ in range(2)]
         e0 = Tensor(e0_data, requires_grad=True)
-        out = propagate(e0, src, dst, counts, msg_layer, agg_layer, 3, edge_features)
+        out = propagate(e0, senders, receivers, counts, layers, steps, edge_features)
         out.backward(upstream)
-        leaves = (e0, msg_layer.weight, msg_layer.bias, agg_layer.weight, agg_layer.bias)
+        leaves = [e0] + [t for pair in layers for layer in pair for t in (layer.weight, layer.bias)]
         outcomes.append([out.data] + [leaf.grad for leaf in leaves])
+    assert outcomes[0][0].flags.c_contiguous and outcomes[0][0].shape == (n, 10)
     assert all((a is None and b is None) or same_bytes(a, b) for a, b in zip(*outcomes))
-    # Not vacuous: the message layer is on the tape exactly when there are edges.
-    assert (outcomes[0][2] is None) == edgeless
+    # Not vacuous: a message layer is on the tape exactly when there are edges.
+    assert (outcomes[0][2] is None) == (outcomes[0][6] is None) == edgeless
+
+
+@pytest.mark.parametrize("bad", [-1, 8], ids=["negative", "past-the-rows"])
+def test_two_way_propagate_refuses_a_receiver_outside_its_rows(bad):
+    senders, receivers = F.two_way_ids(np.array([0, 1, 2]), np.array([1, 2, 3]), 4)
+    receivers[2] = bad
+    init = np.random.default_rng(0)
+    layers = [(Linear(5, 5, init), Linear(5, 5, init)) for _ in range(2)]
+    with pytest.raises(ValueError, match=r"receivers outside \[0, 8\)"):
+        F.propagate(Tensor(np.ones((4, 5))), senders, receivers, np.ones((8, 1)), layers, 2)
+
+
+def test_composed_path_reaches_both_fused_nodes():
+    problem = pinned_problem("diamond")
+    layout = PlacetoLayout(problem)
+    placeto_embedding = PlacetoAgent(np.random.default_rng(0), 3).embedding
+    giph_k = make_embedding("giph-3", np.random.default_rng(0))
+    net = GpNetBuilder(problem).build(random_placement(problem, np.random.default_rng(0)))
+    feats = layout.features(random_placement(problem, np.random.default_rng(1)), 2, np.zeros(5, bool))
+
+    def ops():
+        node = placeto_embedding(layout, feats)
+        return node._op, node._parents[0]._op, giph_k(net)._parents[0]._op
+
+    assert ops() == ("placeto-summaries", "propagate", "propagate")
+    with composed_path():
+        assert ops() == ("concat", "concat", "concat")
+
+
+@settings(max_examples=40, deadline=None)
+@layouts
+@example(seed=0, num_tasks=1, num_devices=1, edge_prob=1.0)
+@example(seed=1, num_tasks=6, num_devices=3, edge_prob=0.0)
+def test_placeto_summaries_equal_the_composed_tape(seed, num_tasks, num_devices, edge_prob):
+    # Output and ``node``'s gradient: its own columns, the parents' and
+    # the children's scatter and the pooled row, in the composed order.
+    # Zeros of both signs in the node and the upstream gradient.
+    layout = PlacetoLayout(generated_problem(seed, num_tasks, num_devices, edge_prob))
+    rng = np.random.default_rng(seed)
+    node_data = rng.normal(size=(num_tasks, 10)) * (rng.random((num_tasks, 10)) < 0.8)
+    upstream = rng.normal(size=(num_tasks, 40)) * (rng.random((num_tasks, 40)) < 0.7)
+    upstream[rng.random((num_tasks, 40)) < 0.1] = -0.0
+    node_data[rng.random((num_tasks, 10)) < 0.1] = -0.0
+    outcomes = []
+    for summaries in (placeto._summaries, placeto_summaries_composed):
+        node = Tensor(node_data, requires_grad=True)
+        out = summaries(node, layout)
+        out.backward(upstream)
+        outcomes.append((out.data, node.grad))
+    assert all(same_bytes(a, b) for a, b in zip(*outcomes))
 
 
 # -- gradients and trained weights ---------------------------------------------------

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from gnn_reference import node_index
 
-from repro.core import PlacementEnv, PlacementProblem, default_episode_length, random_placement
+from repro.core import (
+    GpNetBuilder,
+    PlacementEnv,
+    PlacementProblem,
+    default_episode_length,
+    random_placement,
+)
 from repro.devices import Device, DeviceNetwork
 from repro.graphs import TaskGraph
+from repro.runtime import PlacementEvaluator
 from repro.sim import MakespanObjective, TotalCostObjective
 
 
@@ -183,3 +190,78 @@ class TestMasks:
         assert state.gpnet.is_pivot.sum() == 2
         # The two no-op actions (a0, a1 at M0 in the paper) are masked.
         assert env.action_mask().sum() == 2
+
+
+class TestValidateOnce:
+    """A step validates its placement once: the timeline lookup's miss.
+    The builder takes that validated tuple (it *is* the timeline's
+    ``placement``) and the value lookup finds it in the timeline cache."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        shipped = PlacementProblem.validate_placement
+
+        def validate_placement(self, placement):
+            calls.append(placement)
+            return shipped(self, placement)
+
+        monkeypatch.setattr(PlacementProblem, "validate_placement", validate_placement)
+        return calls
+
+    def test_one_validation_per_step(self, diamond_problem, monkeypatch):
+        calls = self.counting(monkeypatch)
+        env = make_env(diamond_problem, episode_length=100)
+        env.reset(rng=np.random.default_rng(0))
+        seen, rng, fresh = {env.state.placement}, np.random.default_rng(1), 0
+        for _ in range(12):
+            gpnet = env.state.gpnet
+            actions = np.flatnonzero(env.action_mask())
+            nexts = {}
+            for a in actions:
+                task, device = gpnet.action_of(int(a))
+                placement = list(env.state.placement)
+                placement[task] = device
+                nexts[int(a)] = tuple(placement)
+            unseen = [a for a in nexts if nexts[a] not in seen]
+            action = int(rng.choice(unseen or list(nexts)))
+            calls.clear()
+            env.step(action)
+            # A placement seen before is served from the caches unvalidated.
+            assert len(calls) == (1 if unseen else 0), calls
+            fresh += bool(unseen)
+            seen.add(env.state.placement)
+        assert fresh >= 8  # not vacuous
+
+    BAD = {
+        "infeasible": ([0, 1, 0, 0], "task 3 placed on infeasible device index 0"),
+        "out-of-range": ([0, 1, 0, 7], "task 3 placed on infeasible device index 7"),
+        "float": ([0, 1.0, 0, 2], "task 1: device index must be an int, not 1.0"),
+        "string": ([0, "1", 0, 2], "task 1: device index must be an int, not '1'"),
+        "short": ([0, 1, 0], "placement length 3 != 4 tasks"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_every_entry_still_refuses_a_bad_placement(self, diamond_problem, name):
+        # With the timeline of the valid placement next to it cached and
+        # passed along: an equal-comparing ``1.0`` is not its tuple.
+        bad, message = self.BAD[name]
+        with pytest.raises(ValueError) as direct:
+            diamond_problem.validate_placement(bad)
+        assert str(direct.value) == message
+        evaluator = PlacementEvaluator(diamond_problem, MakespanObjective())
+        builder = GpNetBuilder(diamond_problem)
+        good = (0, 1, 0, 2)
+        timeline = evaluator.timeline(good)
+        prev = builder.build(timeline.placement, timeline=timeline)
+        entries = [
+            lambda: PlacementEvaluator(diamond_problem, MakespanObjective()).evaluate(bad),
+            lambda: PlacementEvaluator(diamond_problem, MakespanObjective()).timeline(bad),
+            lambda: builder.build(bad, timeline=timeline),
+            lambda: builder.update(prev, bad, 1, timeline=timeline),
+            lambda: builder.build(bad),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError) as refused:
+                entry()
+            assert str(refused.value) == message

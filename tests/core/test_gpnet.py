@@ -35,7 +35,8 @@ class TestSizes:
         # |E_H| = sum_i |D_i|*|E_i| - |E|
         g = diamond_problem.graph
         sizes = [len(s) for s in diamond_problem.feasible_sets]
-        expected = sum(sizes[i] * g.degree(i) for i in range(g.num_tasks)) - g.num_edges
+        degree = [len(g.parents[i]) + len(g.children[i]) for i in range(g.num_tasks)]
+        expected = sum(size * deg for size, deg in zip(sizes, degree)) - g.num_edges
         net = build(diamond_problem, [0, 0, 0, 2])
         assert net.num_edges == expected
 
@@ -201,7 +202,8 @@ def test_gpnet_size_formulas_hold_generally(seed, num_tasks, num_devices):
 
     sizes = [len(s) for s in problem.feasible_sets]
     assert net.num_nodes == sum(sizes)
-    expected_edges = sum(sizes[i] * g.degree(i) for i in range(num_tasks)) - g.num_edges
+    degree = [len(g.parents[i]) + len(g.children[i]) for i in range(num_tasks)]
+    expected_edges = sum(size * deg for size, deg in zip(sizes, degree)) - g.num_edges
     assert net.num_edges == expected_edges
     assert net.is_pivot.sum() == num_tasks
     for s, d in zip(net.edge_src, net.edge_dst):

@@ -38,7 +38,7 @@ class TestGenerator:
         for seed in range(10):
             g = generate_task_graph(TaskGraphParams(num_tasks=20), rng(seed))
             assert len(g.entries) == 1, f"seed {seed}"
-            assert len(g.exits) == 1, f"seed {seed}"
+            assert sum(not c for c in g.children) == 1, f"seed {seed}"
 
     def test_compute_within_heterogeneity_band(self):
         p = TaskGraphParams(num_tasks=40, mean_compute=100.0, het_compute=0.3)
@@ -96,7 +96,7 @@ def test_generator_always_produces_valid_connected_dags(num_tasks, shape, connec
     p = TaskGraphParams(num_tasks=num_tasks, shape=shape, connect_prob=connect_prob)
     g = generate_task_graph(p, np.random.default_rng(seed))
     assert g.num_tasks == num_tasks
-    assert len(g.entries) == 1 and len(g.exits) == 1
+    assert len(g.entries) == 1 and sum(not c for c in g.children) == 1
     # Reachability: every task reachable from the entry (forward BFS) and
     # co-reachable from the exit (backward BFS).
     fwd = {g.entries[0]}
@@ -107,8 +107,9 @@ def test_generator_always_produces_valid_connected_dags(num_tasks, shape, connec
             if v not in fwd:
                 fwd.add(v)
                 frontier.append(v)
-    bwd = {g.exits[0]}
-    frontier = [g.exits[0]]
+    exit_task = g.children.index(())
+    bwd = {exit_task}
+    frontier = [exit_task]
     while frontier:
         v = frontier.pop()
         for u in g.parents[v]:

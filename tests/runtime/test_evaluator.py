@@ -467,10 +467,10 @@ def test_a_miss_validates_its_placement_once(monkeypatch):
     evaluator.timeline(a)  # hits: the lookup is the proof
     assert calls == [a]
     evaluator.timeline(b)  # timeline miss only
-    evaluator.evaluate(b)  # value miss, timeline hit
-    assert calls == [a, b, b]
+    evaluator.evaluate(b)  # value miss, timeline hit: the timeline's key is the proof
+    assert calls == [a, b]
     evaluator.evaluate_many([c, c, a])  # one validation per raw miss, as before
-    assert calls == [a, b, b, c, c]
+    assert calls == [a, b, c, c]
     stats = evaluator.stats  # report bytes: the counters did not move
     assert (stats.evaluations, stats.cache_hits, stats.cache_misses) == (6, 3, 3)
     assert (stats.fast_path, stats.exact_path, stats.batch_calls) == (3, 0, 1)

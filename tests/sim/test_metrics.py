@@ -15,7 +15,6 @@ from repro.sim import (
     cp_min_lower_bound,
     energy_cost,
     simulate,
-    slr,
     total_cost,
 )
 
@@ -56,7 +55,7 @@ class TestCostModel:
     def test_mean_and_min_compute_respect_feasibility(self):
         g = TaskGraph((4.0,), {}, requirements=(1,))
         cm = CostModel(g, net3())  # only device 2 supports type 1
-        assert cm.min_compute_time(0) == 1.0
+        assert cp_min_lower_bound(cm) == 1.0  # the one feasible device's time
         assert cm.mean_compute_time(0) == 1.0
 
     def test_mean_comm_excludes_diagonal(self):
@@ -132,17 +131,10 @@ class TestSLR:
         # ...and link changes leave it alone (communication is excluded).
         assert bounds[2] == bounds[0] == 102.0 / 4.0
 
-    def test_slr_definition(self):
-        assert slr(10.0, 2.0) == 5.0
-        with pytest.raises(ValueError):
-            slr(10.0, 0.0)
-        with pytest.raises(ValueError):
-            slr(-1.0, 1.0)
-
     def test_slr_at_least_one_for_unconstrained_single_path(self):
         cm = CostModel(chain(), net3())
         res = simulate(chain(), net3(), [2, 2], cm)
-        assert slr(res.makespan, cp_min_lower_bound(cm)) >= 1.0
+        assert res.makespan / cp_min_lower_bound(cm) >= 1.0
 
     def test_zero_compute_graph_fallback(self):
         g = TaskGraph((0.0, 0.0), {(0, 1): 1.0})

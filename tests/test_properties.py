@@ -106,9 +106,8 @@ class TestObjectiveProperties:
         problem = make_problem(seed)
         placement = random_placement(problem, np.random.default_rng(placement_seed))
         cost = TotalCostObjective().evaluate(problem.cost_model, placement)
-        floor = sum(
-            problem.cost_model.min_compute_time(i) for i in range(problem.graph.num_tasks)
-        )
+        cm = problem.cost_model
+        floor = sum(min(cm.W[i, list(feasible)]) for i, feasible in enumerate(cm.feasible_sets))
         assert cost >= floor - 1e-9
 
     @settings(max_examples=10, deadline=None)
