@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
+from operator import countOf
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -116,13 +117,12 @@ class PlacementEvaluator:
 
     Cache-key invariant: the only keys ever stored in either cache are
     int tuples returned by :meth:`PlacementProblem.validate_placement`
-    (or ``validate_many``, its batch form).  So ``tuple(placement)``
-    finding an entry *is* the feasibility proof (equal tuples hash and
-    compare alike whether their elements are ``int`` or ``np.int64``), and
-    the lookup runs first; a miss is validated — a batch's misses in one
-    check — before anything is counted, simulated or stored.  A value
-    miss found in the timeline cache is valid by the same proof: its key
-    is that timeline's ``placement``, the validated tuple.
+    (or ``validate_many``, its batch form).  So an exact-``int`` tuple (or
+    the tuple either cache last accepted) finding an entry — in the value
+    or the timeline cache — *is* the feasibility proof, and the lookup runs
+    first; a miss is validated (a batch's misses in one check) before
+    anything is counted, simulated or stored.  Any other hit proves nothing
+    (``1.0 == 1 == np.int64(1)`` hash alike): it is validated, then looked up.
 
     Repeat invariant: ``_last_value`` / ``_last_timeline`` hold the
     caller's tuple and the result of the newest call on that cache, so
@@ -224,15 +224,19 @@ class PlacementEvaluator:
     def evaluate_many(self, placements: Sequence[Sequence[int]]) -> np.ndarray:
         """Score a batch; identical to ``[evaluate(p) for p in placements]``.
 
-        One lookup per placement, then one :meth:`PlacementProblem.validate_many`
-        of the misses, before anything is counted.  On the makespan path the
-        distinct misses' rows of its array go to :meth:`FastSimulator.makespans`
-        (one vectorized cost realization, then one replay each for the
-        makespan alone: no timeline is built or cached).
+        One lookup per placement, one exact-int scan of the hits (any other
+        hit validates the whole batch first), then one ``validate_many`` of the
+        misses, before anything is counted.  On the makespan path the distinct
+        misses' rows go to :meth:`FastSimulator.makespans` (no timeline is
+        built).  Every miss is a new key: the LRU evicts once, after the batch.
         """
         cache = self._values
         keys = list(map(tuple, placements))
         found = list(map(cache.get, keys))
+        hits = [key for key, value in zip(keys, found) if value is not None]  # n elements: keys' equals
+        if countOf(map(type, chain.from_iterable(hits)), int) < len(hits) * self._sim._num_tasks:
+            keys = self.problem.validate_many(keys)[0]
+            found = list(map(cache.get, keys))
         missed = [i for i, value in enumerate(found) if value is None]
         valid, rows = self.problem.validate_many([keys[i] for i in missed])
         self._last_value = _NO_REPEAT
@@ -278,9 +282,11 @@ class PlacementEvaluator:
                 with span("evaluator.exact"):
                     computed = [self.objective.evaluate(cm, key) for key in misses]
             for (key, indices), value in zip(misses.items(), computed):
-                self._store(cache, key, value)
+                cache[key] = value
                 for i in indices:
                     found[i] = value
+            for _ in range(len(cache) - self.cache_size):
+                cache.popitem(last=False)
         return np.array(found, dtype=np.float64)
 
     # -- internals --------------------------------------------------------------------
@@ -288,21 +294,16 @@ class PlacementEvaluator:
     def _lookup(
         self, cache: OrderedDict, placement: Sequence[int]
     ) -> tuple[tuple[int, ...], Any]:
-        """``(key, cached entry or None)``; a miss validates ``placement``.
-
-        Rests on the cache-key invariant in the class docstring.  The
-        second ``get`` serves a placement whose validated form differs
-        from its raw tuple (an index-like object that neither hashes nor
-        compares like its ``operator.index``).
-        """
+        """``(key, cached entry or None)``; anything but an exact-int hit
+        (class docstring) is validated and looked up again."""
         key = tuple(placement)
         cached = cache.get(key)
-        if cached is None:
-            if cache is self._values and key in self._timelines:  # valid: see the class docstring
-                return self._timelines[key].placement, None
-            key = self.problem.validate_placement(key)
-            cached = cache.get(key)
-        return key, cached
+        hit = cached is not None or cache is self._values and key in self._timelines
+        proven = placement is self._last_value[0] or placement is self._last_timeline[0]
+        if hit and (proven or countOf(map(type, key), int) == len(key)):  # class docstring
+            return key, cached
+        key = self.problem.validate_placement(key)
+        return key, cache.get(key)
 
     def _compute(self, key: tuple[int, ...]) -> float:
         if self._is_makespan:

@@ -4,9 +4,17 @@
 per-event Python closures and per-call :class:`~repro.sim.latency.CostModel`
 lookups.  On the deterministic path (noise == 0) every duration is known
 up front, so this module precomputes all compute/communication times as
-NumPy gathers — batched across whole placement sets — and replays the
-schedule with one inlined loop over plain lists (``_replay``, shared by
-the timeline entry ``run`` and the makespan-only batch entry ``makespans``).
+NumPy gathers by flat index — batched across whole placement sets — and
+replays the schedule with one inlined loop over plain lists (``_replay``,
+shared by the timeline entry ``run`` and the makespan-only batch entry
+``makespans``).  The walk records start times only; its makespan is the
+time of the last event it pops (the latest finish; the first start is
+0.0).  ``run`` derives ``finish = start + durations`` (the walk's own
+float addition) and ``device_last_finish`` (each device's latest finish,
+0.0 if it ran nothing).  The walk reads each duration once, when its task
+starts, and each delay once, when its sender finishes, in event order:
+the executor's draw order for noise, so a noisy replay must take
+``finish`` from the durations the walk read.
 
 The executor's queue is keyed on (time, schedule-sequence) and carries
 one arrival event per *edge*; an arrival that is not its task's last
@@ -83,16 +91,16 @@ class FastSimulator:
         self._children = tuple(
             tuple((j, edge_index[(i, j)]) for j in graph.children[i]) for i in range(n)
         )
-        self._task_range = np.arange(n)
         self._bind(problem)
 
     def _bind(self, problem: PlacementProblem) -> None:
-        """Take the network-dependent tables from ``problem``."""
+        """Take the network-dependent tables from ``problem``, raveled."""
         self.problem = problem
-        self._num_devices = problem.network.num_devices
-        self._W = problem.cost_model.W
-        self._delay = problem.network.delay
-        self._inv_bw = problem.network.inv_bandwidth
+        self._num_devices = m = problem.network.num_devices
+        self._W = problem.cost_model.W.ravel()
+        self._task_offset = np.arange(self._num_tasks) * m
+        self._delay = problem.network.delay.ravel()
+        self._inv_bw = problem.network.inv_bandwidth.ravel()
 
     def rebind(self, problem: PlacementProblem) -> "FastSimulator":
         """A simulator for ``problem``, this one's graph on another network:
@@ -106,45 +114,38 @@ class FastSimulator:
     # -- cost realization -----------------------------------------------------------
 
     def batch_costs(self, placements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expected durations for a (B, n) batch of placements.
+        """Expected durations for a (B, n) batch of *validated* placements.
 
         Returns ``(compute, comm)`` with shapes (B, n) and (B, num_edges):
         the exact values the executor would obtain from
         ``CostModel.compute_time`` / ``comm_time`` at noise 0.
         """
-        placements = np.asarray(placements, dtype=np.int64)
-        if placements.ndim == 1:
-            placements = placements[None, :]
-        compute = self._W[self._task_range, placements]
-        src_dev = placements[:, self._edge_src]
-        dst_dev = placements[:, self._edge_dst]
+        placements = np.array(placements, dtype=np.int64, copy=None, ndmin=2)
+        compute = self._W.take(placements + self._task_offset)
+        src, dst = placements.take(self._edge_src, axis=1), placements.take(self._edge_dst, axis=1)
+        pair = src * self._num_devices + dst
         # delay + B/BW; both terms are exactly 0.0 for co-located pairs
         # (zero diagonal delay, zero inverse bandwidth), matching the
         # src == dst short-circuit in CostModel.comm_time.
-        comm = self._delay[src_dev, dst_dev] + self._edge_data * self._inv_bw[src_dev, dst_dev]
+        comm = self._delay.take(pair) + self._edge_data * self._inv_bw.take(pair)
         return compute, comm
 
     # -- simulation -------------------------------------------------------------------
 
     def run(self, placement: Sequence[int], validate: bool = True) -> SimResult:
-        """Simulate ``placement`` exactly; returns the executor's timeline."""
+        """Simulate ``placement`` exactly; returns the executor's timeline.
+        ``validate=False`` takes ``placement`` as a validated int tuple."""
         if validate:
             placement = self.problem.validate_placement(placement)
-        else:
-            placement = tuple(int(d) for d in placement)
-        compute, comm = self.batch_costs(np.array(placement, dtype=np.int64))
-        start, finish, device_last_finish = self._replay(
-            placement, compute[0].tolist(), comm[0].tolist()
-        )
-        finish_times = np.array(finish)
-        return SimResult(
-            makespan=max(finish) - min(start),
-            start=np.array(start),
-            finish=finish_times,
-            arrival=_Arrivals(self, placement, finish_times),
-            device_last_finish=np.array(device_last_finish),
-            placement=placement,
-        )
+        devices = np.array(placement, dtype=np.int64)
+        compute, comm = self.batch_costs(devices)
+        starts, makespan = self._replay(placement, compute[0].tolist(), comm[0].tolist())
+        start = np.array(starts)
+        finish = start + compute[0]  # the walk's own addition (module docstring)
+        device_last_finish = np.zeros(self._num_devices)
+        np.maximum.at(device_last_finish, devices, finish)
+        arrival = _Arrivals(self, placement, finish)
+        return SimResult(makespan, start, finish, arrival, device_last_finish, placement)
 
     def makespans(self, placements: np.ndarray) -> list[float]:
         """Makespans of a (B, n) batch of *validated* placements.
@@ -155,24 +156,18 @@ class FastSimulator:
         """
         placements = np.atleast_2d(np.asarray(placements, dtype=np.int64))
         compute, comm = self.batch_costs(placements)
-        out = []
-        for row, durations, delays in zip(placements.tolist(), compute.tolist(), comm.tolist()):
-            start, finish, _ = self._replay(row, durations, delays)
-            out.append(max(finish) - min(start))
-        return out
+        rows = zip(placements.tolist(), compute.tolist(), comm.tolist())
+        return [self._replay(row, durations, delays)[1] for row, durations, delays in rows]
 
     def _replay(
-        self,
-        placement: Sequence[int],
-        durations: list[float],
-        delays: list[float],
-    ) -> tuple[list[float], list[float], list[float]]:
-        """The event walk: ``(start, finish, device_last_finish)`` lists, given
-        per-task ``durations`` and per-edge ``delays`` under ``placement``."""
+        self, placement: Sequence[int], durations: list[float], delays: list[float]
+    ) -> tuple[list[float], float]:
+        """The event walk: ``(start, makespan)``, given per-task ``durations``
+        and per-edge ``delays`` under ``placement``; each read once, in event
+        order (module docstring).  A finished-task count detects a deadlock."""
         n = self._num_tasks
-        start = [0.0] * n
-        finish = [-1.0] * n
-        device_last_finish = [0.0] * self._num_devices
+        start = [-1.0] * n  # -1.0 until the task starts: the deadlock message
+        finished = 0
         busy = [False] * self._num_devices
         queues: list[list[int] | None] = [None] * self._num_devices  # waiting tasks, on contention
         pending = list(self._num_parents)
@@ -203,20 +198,23 @@ class FastSimulator:
                 busy[device] = True
             else:
                 task = ~task
+                finished += 1
                 device = placement[task]
-                finish[task] = now
-                device_last_finish[device] = now
                 for child, edge_idx in children[task]:
                     t = now + delays[edge_idx]  # the edge's arrival (cf. _Arrivals)
                     # `>=`: of two inputs landing together, the one sent
                     # later (higher sequence number) is processed last.
-                    if t >= ready_time[child]:
-                        ready_time[child] = t
-                        ready_seq[child] = seq
-                    seq += 1  # once per edge, pushed or folded (module docstring)
-                    pending[child] = left = pending[child] - 1
-                    if not left:
+                    left = pending[child] - 1
+                    if left:  # more inputs to come: keep the latest key
+                        pending[child] = left
+                        if t >= ready_time[child]:
+                            ready_time[child] = t
+                            ready_seq[child] = seq
+                    elif t >= ready_time[child]:  # the last input is the latest
+                        push(heap, (t, seq, child))
+                    else:
                         push(heap, (ready_time[child], ready_seq[child], child))
+                    seq += 1  # once per edge, pushed or folded (module docstring)
                 queue = queues[device]
                 if not queue:
                     busy[device] = False
@@ -226,7 +224,7 @@ class FastSimulator:
             push(heap, (now + durations[task], seq, ~task))
             seq += 1
 
-        if min(finish) < 0.0:
-            missing = [i for i in range(n) if finish[i] < 0.0]
+        if finished < n:  # a task that starts always finishes: the rest never started
+            missing = [i for i in range(n) if start[i] < 0.0]
             raise RuntimeError(f"simulation deadlock: tasks {missing} never ran")
-        return start, finish, device_last_finish
+        return start, now

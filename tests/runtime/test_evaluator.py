@@ -155,15 +155,23 @@ def layout_problem(seed, num_tasks, num_devices, edge_prob, tie_heavy=False):
     return PlacementProblem(graph, network, CostModel(graph, network, compute_matrix))
 
 
-def assert_walk_equals_executor(problem, seed, count=4):
+def assert_walk_equals_executor(problem, seed, count=4, sim=None):
+    """``run`` equals the executor field for field (``finish`` and
+    ``device_last_finish``, which it derives after the walk, included);
+    ``makespans`` of a batch with duplicated rows equals both ``run``'s
+    and the executor's makespans bit for bit."""
     rng = np.random.default_rng(seed)
-    sim = FastSimulator(problem)
+    sim = FastSimulator(problem) if sim is None else sim
     placements = [random_placement(problem, rng) for _ in range(count)]
+    placements += placements[:2]  # rows duplicated within one batch
+    runs, exact = [], []
     for placement in placements:
-        exact = simulate(problem.graph, problem.network, placement, problem.cost_model)
-        fast = sim.run(placement)
-        assert_same_timeline(fast, exact)
-    assert sim.makespans(np.array(placements)) == [sim.run(p).makespan for p in placements]
+        exact.append(simulate(problem.graph, problem.network, placement, problem.cost_model))
+        runs.append(sim.run(placement))
+        assert_same_timeline(runs[-1], exact[-1])
+    bits = np.array(sim.makespans(np.array(placements))).tobytes()
+    assert bits == np.array([r.makespan for r in runs]).tobytes()
+    assert bits == np.array([e.makespan for e in exact]).tobytes()
 
 
 layouts = given(
@@ -192,6 +200,35 @@ def test_walk_equals_executor_when_ties_decide(seed, num_tasks, num_devices, edg
     earlier-sent one as the task's ready key."""
     problem = layout_problem(seed, num_tasks, num_devices, edge_prob, tie_heavy=True)
     assert_walk_equals_executor(problem, seed + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@layouts
+@example(seed=4, num_tasks=1, num_devices=3, edge_prob=0.0)  # one task, two idle devices
+def test_walk_equals_executor_on_edge_cases(seed, num_tasks, num_devices, edge_prob):
+    """Zero compute times (``finish == start``), devices that run nothing
+    (``device_last_finish`` 0.0), and a simulator rebound from another
+    network, whose flat cost tables must be the new network's."""
+    problem = layout_problem(seed, num_tasks, num_devices, edge_prob, tie_heavy=True)
+    graph, network = problem.graph, problem.network
+    zero = PlacementProblem(
+        graph, network, CostModel(graph, network, np.zeros((num_tasks, num_devices)))
+    )
+    assert_walk_equals_executor(zero, seed + 1)
+    timeline = FastSimulator(zero).run(random_placement(zero, np.random.default_rng(seed)))
+    assert np.array_equal(timeline.finish, timeline.start)
+
+    on_first = (0,) * num_tasks  # device 0 hosts every hardware type
+    timeline = FastSimulator(problem).run(on_first)
+    assert_same_timeline(timeline, simulate(graph, network, on_first, problem.cost_model))
+    assert timeline.device_last_finish[1:].tolist() == [0.0] * (num_devices - 1)
+
+    if num_devices > 1:
+        moved = network.without_device(network.devices[-1].uid)
+    else:
+        moved = network.with_device_speed(network.devices[0].uid, 2.0)
+    moved = PlacementProblem(graph, moved)
+    assert_walk_equals_executor(moved, seed + 2, sim=FastSimulator(problem).rebind(moved))
 
 
 def test_walk_sequences_every_edge_even_a_folded_one():
