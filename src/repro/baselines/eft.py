@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 from ..core.placement import PlacementProblem
 from ..core.search import SearchTrace
 from ..runtime.evaluator import PlacementEvaluator
-from ..sim.executor import SimResult, simulate
+from ..runtime.fastsim import FastSimulator
+from ..sim.executor import SimResult
 from ..telemetry import metrics
 
 __all__ = ["eft_estimates", "eft_device", "eft_relocation_search"]
@@ -41,7 +42,7 @@ def eft_estimates(
     """
     graph, network, cm = problem.graph, problem.network, problem.cost_model
     if timeline is None:
-        timeline = simulate(graph, network, list(placement), cm)
+        timeline = FastSimulator(problem).run(placement)
     own = placement[task]
     parents = [
         (

@@ -34,7 +34,8 @@ from ..core.policy import ScorePolicy
 from ..core.search import SearchTrace
 from ..nn import Parameter, Tensor, no_grad
 from ..runtime.evaluator import PlacementEvaluator
-from ..sim.executor import SimResult, simulate
+from ..runtime.fastsim import FastSimulator
+from ..sim.executor import SimResult
 from ..sim.objectives import Objective
 from .base import AdaptivePolicy, bound_handle, make_evaluator, rollout_of
 from .eft import eft_relocation_search
@@ -70,7 +71,7 @@ class TaskViewBuilder:
         problem, network = self.problem, self.problem.network
         placement = problem.validate_placement(placement)
         if timeline is None:
-            timeline = simulate(problem.graph, network, placement, problem.cost_model)
+            timeline = FastSimulator(problem).run(placement, validate=False)
         device_of = np.array(placement, dtype=np.int64)
         node_features = np.column_stack(
             [self._compute, network.speeds[device_of],

@@ -43,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..sim.executor import SimResult, simulate
+from ..runtime.fastsim import FastSimulator
+from ..sim.executor import SimResult
 from .gpnet import GpNet
 from .placement import PlacementProblem
 
@@ -470,8 +471,8 @@ class GpNetBuilder:
         mutating one in place would corrupt subsequent incremental
         updates."""
         self._last = raw
-        if timeline is None:
-            timeline = self.timeline(raw.placement)
+        if timeline is None:  # the noise-free schedule (expectation timeline)
+            timeline = FastSimulator(self.problem).run(raw.placement, validate=False)
         is_pivot = np.zeros(self._num_nodes, dtype=bool)
         is_pivot[raw.pivot_node] = True
         node_features = self._node_features(raw.placement, timeline)
@@ -496,10 +497,4 @@ class GpNetBuilder:
             self._edge_pos[self._structure.edges] = np.arange(len(self._edge_pos))
         return _attach(
             net, self._structure, self._structure.endpoint_rows(net) if rows is None else rows
-        )
-
-    def timeline(self, placement: Sequence[int]) -> SimResult:
-        """Noise-free schedule of ``placement`` (expectation timeline)."""
-        return simulate(
-            self.problem.graph, self.problem.network, placement, self.problem.cost_model
         )

@@ -11,15 +11,16 @@ amortize work the per-call path cannot:
   between the makespan objective and gpNet feature construction (the
   seed code simulated the same placement twice per env step);
 * a vectorized :meth:`evaluate_many` batch API riding the NumPy
-  fast-path simulator of :mod:`repro.runtime.fastsim`, falling back to
-  the exact per-call objective for noisy/unknown objectives;
+  simulator of :mod:`repro.runtime.fastsim` (``fast_path``), handing
+  noisy/unknown objectives to their own per-call ``evaluate``
+  (``exact_path``; a noisy makespan is the same simulator, drawing);
 * a repeat path: per cache, the newest call's tuple object and result,
   served without a lookup when the caller passes that object again
   (most steps of an incremental search move nothing).
 
-Deterministic-path values are bit-identical to the seed scoring path
-(``Objective.evaluate`` through :func:`repro.sim.executor.simulate`);
-see ``tests/runtime/test_evaluator.py``.
+Every value equals the per-call ``Objective.evaluate``'s bit for bit (a
+makespan, the reference loop :func:`repro.sim.executor.simulate`'s); see
+``tests/runtime/test_evaluator.py``.
 """
 
 from __future__ import annotations

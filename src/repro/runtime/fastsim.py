@@ -1,42 +1,40 @@
-"""Vectorized fast path for noise-free placement simulation.
+"""The placement simulator: the paper's execution model (App. B.5).
 
-:func:`repro.sim.executor.simulate` drives a generic event loop through
-per-event Python closures and per-call :class:`~repro.sim.latency.CostModel`
-lookups.  On the deterministic path (noise == 0) every duration is known
-up front, so this module precomputes all compute/communication times as
-NumPy gathers by flat index — batched across whole placement sets — and
-replays the schedule with one inlined loop over plain lists (``_replay``,
-shared by the timeline entry ``run`` and the makespan-only batch entry
-``makespans``).  The walk records start times only; its makespan is the
-time of the last event it pops (the latest finish; the first start is
-0.0).  ``run`` derives ``finish = start + durations`` (the walk's own
-float addition) and ``device_last_finish`` (each device's latest finish,
-0.0 if it ran nothing).  The walk reads each duration once, when its task
-starts, and each delay once, when its sender finishes, in event order:
-the executor's draw order for noise, so a noisy replay must take
-``finish`` from the durations the walk read.
+Each device runs its runnable tasks FIFO, one at a time, unpreempted; a
+task is runnable once all parent outputs reached its device; sends overlap
+computation, contention-free.  Costs: ``CostModel`` (Eqs. 2-3).
 
-The executor's queue is keyed on (time, schedule-sequence) and carries
-one arrival event per *edge*; an arrival that is not its task's last
-only decrements a counter.  The walk folds those away: a finishing task
-computes each send's landing time and keeps, per child, the latest
-(time, sequence) seen; the child's last parent to finish pushes **one**
-ready event under that key — the key of the arrival that enqueues the
-child in the executor.  Every event that *does* something keeps its
-exact key, so the pop order among them is unchanged and the
-:class:`SimResult` equals the executor's field for field, ties included.
-The sequence counter still advances once per edge, pushed or folded: two
-ready events may carry the numbers of two sends that never reached the
-heap, and their order decides which task a shared device runs first.
-Property-tested (ordinary and tie-heavy cost models) in
-``tests/runtime/test_evaluator.py``.
+Expected costs are NumPy gathers by flat index over whole placement sets
+(``batch_costs``); one inlined loop over plain lists (``_replay``, behind
+``run`` and ``makespans``) replays the schedule.  It records start times
+only; its makespan is the time of the last event it pops (the latest
+finish; the first start is 0.0).  ``run`` derives ``finish = start +
+durations`` (the walk's own float addition) and ``device_last_finish``.
+
+Noise σ (``makespans`` only): ``CostModel.realize`` draws each cost
+uniform on ±σ around its expectation (a 0.0 cost draws nothing) when the
+walk reads it: each duration once, when its task starts, and each delay
+once, when its sender finishes, in event order.  That is the draw order
+of the reference event loop ``repro.sim.executor.simulate``, so noisy
+makespans and the rng's final state equal that loop's.
+
+That loop queues one arrival event per *edge* under a (time, sequence)
+key; an arrival that is not its task's last only decrements a counter.
+The walk folds those away: a finishing task computes each send's landing
+time and keeps, per child, the latest (time, sequence) seen; the child's
+last parent to finish pushes **one** ready event under that key, the key
+of the arrival that enqueues the child in the loop.  Every event that
+*does* something keeps its exact key, so the :class:`SimResult` equals
+the loop's field for field, ties included.  The sequence counter still
+advances once per edge, pushed or folded: two ready events may carry the
+numbers of two sends that never reached the heap, and their order decides
+which task a shared device runs first.  Property-tested (ordinary,
+tie-heavy and noisy) in ``tests/runtime/test_evaluator.py``.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import UserDict
-from functools import cached_property
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -44,32 +42,28 @@ import numpy as np
 
 from ..core.placement import PlacementProblem
 from ..sim.executor import SimResult
+from ..sim.latency import CostModel
 
 __all__ = ["FastSimulator"]
 
 
-class _Arrivals(UserDict):
-    """``SimResult.arrival`` of a fast-path timeline, derived on first read:
-    nothing in ``src/`` reads it, so a cached timeline pins no tuple-keyed
-    dict of boxed floats.  ``arrival[(u, v)] = finish[u] + delay(u, v)`` is
-    the walk's own float operation."""
+class _Realized:
+    """``expected`` costs, each realized with noise when the walk reads it."""
 
-    def __init__(self, simulator: "FastSimulator", placement, finish: np.ndarray) -> None:
-        self._source = (simulator, placement, finish)  # no ``data`` yet: it is lazy
+    def __init__(self, expected: list[float], noise: float, rng: np.random.Generator) -> None:
+        self.expected, self.noise, self.rng = expected, noise, rng
 
-    @cached_property
-    def data(self) -> dict[tuple[int, int], float]:
-        simulator, placement, finish = self._source
-        _, comm = simulator.batch_costs(np.array(placement, dtype=np.int64))
-        return dict(zip(simulator._edges, (finish[simulator._edge_src] + comm[0]).tolist()))
+    def __getitem__(self, index: int) -> float:
+        return CostModel.realize(self.expected[index], self.noise, self.rng)
 
 
 class FastSimulator:
-    """Noise-free simulator for one problem instance with batched costs.
+    """Simulator for one problem instance with batched costs.
 
     Precomputes the static structure (edge list, parent counts, entry
     tasks) once, then serves :meth:`run` (one placement's timeline),
-    :meth:`makespans` (a batch's makespans, nothing else) and
+    :meth:`makespans` (a batch's makespans, nothing else; noisy on
+    request) and
     :meth:`batch_costs` (vectorized cost realization over many
     placements at once).  That structure is the graph's alone:
     :meth:`rebind` carries it to the same graph on another network.
@@ -117,8 +111,7 @@ class FastSimulator:
         """Expected durations for a (B, n) batch of *validated* placements.
 
         Returns ``(compute, comm)`` with shapes (B, n) and (B, num_edges):
-        the exact values the executor would obtain from
-        ``CostModel.compute_time`` / ``comm_time`` at noise 0.
+        the exact values of ``CostModel.compute_time`` / ``comm_time``.
         """
         placements = np.array(placements, dtype=np.int64, copy=None, ndmin=2)
         compute = self._W.take(placements + self._task_offset)
@@ -133,7 +126,7 @@ class FastSimulator:
     # -- simulation -------------------------------------------------------------------
 
     def run(self, placement: Sequence[int], validate: bool = True) -> SimResult:
-        """Simulate ``placement`` exactly; returns the executor's timeline.
+        """The noise-free timeline of ``placement``.
         ``validate=False`` takes ``placement`` as a validated int tuple."""
         if validate:
             placement = self.problem.validate_placement(placement)
@@ -144,23 +137,27 @@ class FastSimulator:
         finish = start + compute[0]  # the walk's own addition (module docstring)
         device_last_finish = np.zeros(self._num_devices)
         np.maximum.at(device_last_finish, devices, finish)
-        arrival = _Arrivals(self, placement, finish)
-        return SimResult(makespan, start, finish, arrival, device_last_finish, placement)
+        return SimResult(makespan, start, finish, device_last_finish, placement)
 
-    def makespans(self, placements: np.ndarray) -> list[float]:
+    def makespans(
+        self, placements: np.ndarray, noise: float = 0.0, rng: np.random.Generator | None = None
+    ) -> list[float]:
         """Makespans of a (B, n) batch of *validated* placements.
 
         ``[run(p).makespan for p in placements]`` without the timelines:
         one :meth:`batch_costs`, one ``tolist`` per array for the whole
-        batch, no NumPy object per placement.
+        batch, no NumPy object per placement.  With ``noise`` > 0 each
+        cost is drawn from ``rng`` as the walk reads it (module docstring).
         """
         placements = np.atleast_2d(np.asarray(placements, dtype=np.int64))
         compute, comm = self.batch_costs(placements)
         rows = zip(placements.tolist(), compute.tolist(), comm.tolist())
+        if noise:
+            rows = ((r, _Realized(d, noise, rng), _Realized(c, noise, rng)) for r, d, c in rows)
         return [self._replay(row, durations, delays)[1] for row, durations, delays in rows]
 
     def _replay(
-        self, placement: Sequence[int], durations: list[float], delays: list[float]
+        self, placement: Sequence[int], durations: Sequence[float], delays: Sequence[float]
     ) -> tuple[list[float], float]:
         """The event walk: ``(start, makespan)``, given per-task ``durations``
         and per-edge ``delays`` under ``placement``; each read once, in event
@@ -172,7 +169,7 @@ class FastSimulator:
         queues: list[list[int] | None] = [None] * self._num_devices  # waiting tasks, on contention
         pending = list(self._num_parents)
         # Per task, the latest input so far as the (time, sequence) key
-        # its arrival event carries in the exact simulator.  No time is
+        # its arrival event carries in the reference event loop.  No time is
         # below 0.0, so a task's first input always replaces the initial key.
         ready_time = [0.0] * n
         ready_seq = [0] * n
@@ -201,7 +198,7 @@ class FastSimulator:
                 finished += 1
                 device = placement[task]
                 for child, edge_idx in children[task]:
-                    t = now + delays[edge_idx]  # the edge's arrival (cf. _Arrivals)
+                    t = now + delays[edge_idx]  # the edge's arrival
                     # `>=`: of two inputs landing together, the one sent
                     # later (higher sequence number) is processed last.
                     left = pending[child] - 1

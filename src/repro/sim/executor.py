@@ -1,4 +1,4 @@
-"""Runtime simulator implementing the paper's execution model (App. B.5).
+"""Reference event loop for the paper's execution model (App. B.5).
 
 Model characteristics, verbatim from the paper:
 
@@ -10,12 +10,19 @@ Model characteristics, verbatim from the paper:
 
 A non-entry task becomes runnable on its placed device once all parent
 outputs have arrived there; entry tasks are runnable at time 0.
+
+No shipped path runs :func:`simulate`: ``repro.runtime.fastsim`` replays
+its schedule and noise draws bit for bit.  It is the independent
+reference that replay is tested against, and the end-to-end benchmark
+checks results against it, so it stays public (``repro.simulate``) and
+a loop of its own: a wrapper over the replay would test it against itself.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +42,6 @@ class SimResult:
     ----------
     makespan: completion time  (max task finish − min task start).
     start / finish: per-task execution window (the ts_i / td_i events).
-    arrival: ``arrival[(u, v)]`` is the transmission-done time td_uv.
     device_last_finish: per-device time its queue drained.
     placement: the placement that was simulated (dense device indices).
     eft_devices: task -> EFT device decided from this timeline, remembered
@@ -47,7 +53,6 @@ class SimResult:
     makespan: float
     start: np.ndarray
     finish: np.ndarray
-    arrival: Mapping[tuple[int, int], float]
     device_last_finish: np.ndarray
     placement: tuple[int, ...]
     eft_devices: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
@@ -78,7 +83,10 @@ def simulate(
     uniformly on ±noise around their expectations using ``rng``.
     """
     n, m = graph.num_tasks, network.num_devices
-    placement = tuple(int(d) for d in placement)
+    try:  # a float or a string is refused, not truncated
+        placement = tuple(map(operator.index, placement))
+    except TypeError as error:
+        raise ValueError(f"device indices must be ints: {error}") from None
     if len(placement) != n:
         raise ValueError(f"placement has {len(placement)} entries for {n} tasks")
     if cost_model is None:
@@ -97,7 +105,6 @@ def simulate(
     sim = Simulation()
     start = np.full(n, np.nan)
     finish = np.full(n, np.nan)
-    arrival: dict[tuple[int, int], float] = {}
     pending_inputs = [len(graph.parents[i]) for i in range(n)]
     queues: list[list[int]] = [[] for _ in range(m)]
     busy = [False] * m
@@ -122,12 +129,10 @@ def simulate(
             delay = CostModel.realize(
                 cost_model.comm_time(edge, device, placement[child]), noise, rng
             )
-            sim.schedule(delay, lambda e=edge: on_arrival(e))
+            sim.schedule(delay, lambda c=child: on_arrival(c))
         try_dispatch(device)
 
-    def on_arrival(edge: tuple[int, int]) -> None:
-        arrival[edge] = sim.now
-        child = edge[1]
+    def on_arrival(child: int) -> None:
         pending_inputs[child] -= 1
         if pending_inputs[child] == 0:
             enqueue(child)
@@ -146,4 +151,4 @@ def simulate(
         raise RuntimeError(f"simulation deadlock: tasks {missing} never ran")
 
     makespan = float(finish.max() - start.min())
-    return SimResult(makespan, start, finish, arrival, device_last_finish, placement)
+    return SimResult(makespan, start, finish, device_last_finish, placement)

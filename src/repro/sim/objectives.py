@@ -12,7 +12,6 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .executor import simulate
 from .latency import CostModel
 from .metrics import energy_cost, total_cost
 
@@ -38,7 +37,8 @@ class Objective(Protocol):
 
 
 class MakespanObjective:
-    """Application completion time via the runtime simulator.
+    """Application completion time via the runtime simulator
+    (:class:`repro.runtime.fastsim.FastSimulator`).
 
     With ``noise`` > 0 each evaluation samples computation/communication
     realizations (±noise uniform), modeling real-system variability; the
@@ -73,15 +73,13 @@ class MakespanObjective:
         )
 
     def evaluate(self, cost_model: CostModel, placement: Sequence[int]) -> float:
-        result = simulate(
-            cost_model.graph,
-            cost_model.network,
-            placement,
-            cost_model,
-            noise=self.noise,
-            rng=self.rng,
-        )
-        return result.makespan
+        # Deferred: ``repro.runtime`` imports this module.
+        from ..core.placement import PlacementProblem
+        from ..runtime.fastsim import FastSimulator
+
+        problem = PlacementProblem(cost_model.graph, cost_model.network, cost_model)
+        row = problem.validate_placement(placement)
+        return FastSimulator(problem).makespans([row], self.noise, self.rng)[0]
 
 
 class TotalCostObjective:

@@ -7,6 +7,10 @@ soft-event mix, late arrivals — and walks each one's
 every event each live problem's pool evaluator must score random
 feasible placements exactly as ``simulate(...).makespan`` does, one at a
 time (``FastSimulator.run``) and as a batch (``FastSimulator.makespans``).
+After every event the test also draws a noise level σ and scores the
+live problems through a noisy :class:`MakespanObjective` evaluator, one
+at a time and as a batch: the values and the rng's final state must
+equal ``simulate(noise=σ)``'s under an identically seeded rng.
 A network event retires every problem: its successor's evaluator is the
 one :meth:`EvaluatorPool.retire` seats, on a simulator that
 :meth:`FastSimulator.rebind` carried onto the new network, so those
@@ -21,10 +25,13 @@ from repro.baselines import RandomTaskEftPolicy
 from repro.core import random_placement
 from repro.devices.dynamics import ChurnConfig
 from repro.scenarios.spec import ClusterSpec, ScenarioSpec, WorkloadSpec
+from repro.runtime import PlacementEvaluator
 from repro.serve.session import PlacementSession
+from repro.sim import MakespanObjective
 from repro.sim.executor import simulate
 
 PLACEMENTS = 3  # per problem and event, one at a time and again as a batch
+NOISE_LEVELS = (0.1, 0.5)  # σ, one drawn per event
 
 
 @st.composite
@@ -71,6 +78,25 @@ def assert_pool_scores_exactly(session, rng):
         assert evaluator.evaluate_many(batch).tolist() == [exact(p) for p in batch]
 
 
+def assert_noisy_scores_exactly(session, rng):
+    noise = float(rng.choice(NOISE_LEVELS))
+    for problem in session._problems:
+        placements = [random_placement(problem, rng) for _ in range(PLACEMENTS)]
+        seed = int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        evaluator = PlacementEvaluator(problem, MakespanObjective(noise, got_rng))
+        got = [evaluator.evaluate(p) for p in placements]
+        got += evaluator.evaluate_many(placements).tolist()
+        want = [
+            simulate(
+                problem.graph, problem.network, p, problem.cost_model, noise, want_rng
+            ).makespan
+            for p in placements * 2
+        ]
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @settings(max_examples=60, deadline=None)
 @given(parts=scenario_parts(), placement_seed=st.integers(0, 2**16))
 @example(  # device churn on a constrained workload, plus an arrival
@@ -103,4 +129,5 @@ def test_pooled_evaluators_score_as_the_exact_simulator(parts, placement_seed):
     while session.remaining:
         session.step()
         assert_pool_scores_exactly(session, rng)
+        assert_noisy_scores_exactly(session, rng)
     assert len(session.steps) == session.num_events

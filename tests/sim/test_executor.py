@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.devices import Device, DeviceNetwork
 from repro.graphs import TaskGraph, TaskGraphParams, generate_task_graph
 from repro.devices import DeviceNetworkParams, generate_device_network
-from repro.sim import CostModel, simulate
+from repro.sim import CostModel, MakespanObjective, simulate
 
 
 def two_device_net(speeds=(1.0, 2.0), bw=10.0, delay=1.0) -> DeviceNetwork:
@@ -33,7 +33,8 @@ class TestHandComputedTimelines:
         res = simulate(g, net, [0, 1])
         assert res.makespan == pytest.approx(6.0)
         assert res.start[0] == 0.0 and res.finish[0] == pytest.approx(2.0)
-        assert res.arrival[(0, 1)] == pytest.approx(4.0)
+        # The output lands at finish + c = 4.0, and task 1 starts then.
+        assert res.finish[0] + CostModel(g, net).comm_time((0, 1), 0, 1) == pytest.approx(4.0)
         assert res.start[1] == pytest.approx(4.0)
 
     def test_colocated_chain_has_zero_comm(self):
@@ -42,7 +43,8 @@ class TestHandComputedTimelines:
         res = simulate(g, net, [0, 0])
         # w0=2, comm=0, w1=4 -> makespan 6 on the slow device
         assert res.makespan == pytest.approx(6.0)
-        assert res.arrival[(0, 1)] == pytest.approx(2.0)
+        assert CostModel(g, net).comm_time((0, 1), 0, 0) == 0.0
+        assert res.start[1] == res.finish[0] == pytest.approx(2.0)
 
     def test_parallel_tasks_on_one_device_serialize(self):
         # Fork 0 -> {1, 2}; both children on same device run back-to-back.
@@ -116,6 +118,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="no device supports"):
             simulate(g, two_device_net(), [0])
 
+    @pytest.mark.parametrize("placement", [[1.9, 0.2], ["1", "0"]])
+    def test_non_int_device_indices_are_refused(self, placement):
+        # Not truncated to (1, 0): a float or a string is no device index.
+        g = TaskGraph((2.0, 4.0), {(0, 1): 10.0})
+        with pytest.raises(ValueError, match="must be ints"):
+            simulate(g, two_device_net(), placement)
+
+    @pytest.mark.parametrize("placement", [[1.9, 0.2], ["1", "0"]])
+    def test_makespan_objective_refuses_non_int_device_indices(self, placement):
+        g = TaskGraph((2.0, 4.0), {(0, 1): 10.0})
+        with pytest.raises(ValueError, match="must be an int"):
+            MakespanObjective().evaluate(CostModel(g, two_device_net()), placement)
+
     def test_noise_requires_rng(self):
         g = TaskGraph((1.0,), {})
         with pytest.raises(ValueError, match="rng"):
@@ -156,8 +171,8 @@ def test_simulation_invariants(seed, num_tasks, num_devices):
     # 1. Precedence: every task starts only after all parent data arrived.
     for v in range(num_tasks):
         for u in g.parents[v]:
-            assert res.start[v] >= res.arrival[(u, v)] - 1e-9
-            assert res.arrival[(u, v)] >= res.finish[u] - 1e-9
+            arrival = res.finish[u] + cm.comm_time((u, v), placement[u], placement[v])
+            assert res.start[v] >= arrival - 1e-9
     # 2. Execution time matches the latency model exactly (no noise).
     for i in range(num_tasks):
         w = cm.compute_time(i, placement[i])

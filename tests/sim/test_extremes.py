@@ -83,12 +83,16 @@ class TestDegenerateGraphs:
 
     def test_wide_fan_out_concurrent_sends(self):
         # One producer, 5 consumers on the other device: transfers are
-        # concurrent (contention-free), so arrivals are simultaneous.
+        # concurrent (contention-free), so arrivals are simultaneous: the
+        # zero-length consumers all start when the data lands.
         edges = {(0, i): 10.0 for i in range(1, 6)}
         g = TaskGraph((1.0,) + (0.0,) * 5, edges)
-        res = simulate(g, net(), [0] + [1] * 5)
-        arrivals = [res.arrival[(0, i)] for i in range(1, 6)]
-        assert max(arrivals) == pytest.approx(min(arrivals))
+        network = net()
+        res = simulate(g, network, [0] + [1] * 5)
+        starts = res.start[1:].tolist()
+        assert max(starts) == pytest.approx(min(starts))
+        comm = CostModel(g, network).comm_time((0, 1), 0, 1)
+        assert min(starts) == pytest.approx(res.finish[0] + comm)
 
 
 class TestNoiseStatistics:
