@@ -77,7 +77,7 @@ class PlacementProblem:
     ) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """``[validate_placement(p) for p in placements]`` and its rows as an
         int64 array.  Exact-``int`` rows of the right length are checked as
-        one array (such a tuple is its own key); anything else — bools, NumPy
+        one array (and returned as they came); anything else — bools, NumPy
         ints, floats, ragged rows, overflow, a bad device — takes the loop."""
         keys = list(map(tuple, placements))
         n, rows = self.graph.num_tasks, None

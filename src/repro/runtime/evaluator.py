@@ -9,7 +9,9 @@ amortize work the per-call path cannot:
   itself non-deterministic (noisy objectives must re-sample per call);
 * an LRU placement → timeline cache of noise-free schedules, shared
   between the makespan objective and gpNet feature construction (the
-  seed code simulated the same placement twice per env step);
+  seed code simulated the same placement twice per env step); both key
+  a placement by its packed bytes, so a hit is its own feasibility
+  proof (the class docstring's cache-key invariant);
 * a vectorized :meth:`evaluate_many` batch API riding the NumPy
   simulator of :mod:`repro.runtime.fastsim` (``fast_path``), handing
   noisy/unknown objectives to their own per-call ``evaluate``
@@ -25,10 +27,11 @@ makespan, the reference loop :func:`repro.sim.executor.simulate`'s); see
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import countOf
+from dataclasses import dataclass
+from functools import cache
+from itertools import islice, starmap
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -56,6 +59,9 @@ _COUNTERS = (
 
 # The empty repeat entry matches no caller's object, not even ``None``.
 _NO_REPEAT = (object(), None)
+
+
+_key_struct = cache(struct.Struct)  # one cache-key packer per format, shared
 
 
 @dataclass
@@ -116,14 +122,14 @@ class PlacementEvaluator:
         search episode's working set).
     simulator: the problem's :class:`FastSimulator`, if one is at hand.
 
-    Cache-key invariant: the only keys ever stored in either cache are
-    int tuples returned by :meth:`PlacementProblem.validate_placement`
-    (or ``validate_many``, its batch form).  So an exact-``int`` tuple (or
-    the tuple either cache last accepted) finding an entry — in the value
-    or the timeline cache — *is* the feasibility proof, and the lookup runs
-    first; a miss is validated (a batch's misses in one check) before
-    anything is counted, simulated or stored.  Any other hit proves nothing
-    (``1.0 == 1 == np.int64(1)`` hash alike): it is validated, then looked up.
+    Cache-key invariant: both caches key a placement by ``pack(*placement)``,
+    ``num_tasks`` unsigned indices as narrow as ``num_devices - 1`` allows.
+    ``pack`` reads each element through ``__index__`` as ``validate_placement``
+    does, so an ``int``, a ``bool`` and a NumPy int pack to their validated
+    tuple's bytes (one placement, one key); a float, a string, a wrong length
+    or an index beyond the width is refused and validated, which raises.  Only
+    a validated placement's key is stored, so an entry found in either cache
+    *is* the feasibility proof; a miss is validated before anything is counted.
 
     Repeat invariant: ``_last_value`` / ``_last_timeline`` hold the
     caller's tuple and the result of the newest call on that cache, so
@@ -160,8 +166,10 @@ class PlacementEvaluator:
         # override.  Subclasses still cache via the exact-evaluate path.
         self._is_makespan = type(objective) is MakespanObjective
         self._sim = FastSimulator(problem) if simulator is None else simulator
-        self._values: OrderedDict[tuple[int, ...], float] = OrderedDict()
-        self._timelines: OrderedDict[tuple[int, ...], SimResult] = OrderedDict()
+        code = next(c for c in "BHI" if problem.network.num_devices <= 256 ** struct.calcsize(c))
+        self._keys = _key_struct(f"<{problem.graph.num_tasks}{code}")
+        self._values: OrderedDict[bytes, float] = OrderedDict()
+        self._timelines: OrderedDict[bytes, SimResult] = OrderedDict()
         self._last_value: tuple[Any, Any] = _NO_REPEAT
         self._last_timeline: tuple[Any, Any] = _NO_REPEAT
         self.stats = EvaluatorStats()
@@ -179,21 +187,22 @@ class PlacementEvaluator:
         if placement is last:
             self.stats.timeline_hits += 1
             return result
-        result = self._timeline(*self._lookup(self._timelines, placement))
+        result = self._timeline(*self._lookup(self._timelines, placement), placement)
         if type(placement) is tuple:
             self._last_timeline = (placement, result)
         return result
 
-    def _timeline(self, key: tuple[int, ...], cached: SimResult | None) -> SimResult:
-        """:meth:`timeline` of an already validated ``key`` and its cache entry."""
+    def _timeline(self, key: bytes, cached: SimResult | None, placement: Sequence[int]) -> SimResult:
+        """:meth:`timeline` of ``placement`` (packed: ``key``); a miss is validated first."""
         self._last_timeline = _NO_REPEAT
         if cached is not None:
             self._timelines.move_to_end(key)
             self.stats.timeline_hits += 1
             return cached
+        valid = self.problem.validate_placement(placement)
         self.stats.timeline_misses += 1
         with span("evaluator.sim"):
-            result = self._sim.run(key, validate=False)
+            result = self._sim.run(valid, validate=False)
         self._store(self._timelines, key, result)
         return result
 
@@ -206,18 +215,26 @@ class PlacementEvaluator:
             self.stats.evaluations += 1
             self.stats.cache_hits += 1
             return value
-        key, value = self._lookup(self._values, placement)
-        self.stats.evaluations += 1
         if not self.deterministic:
+            valid = self.problem.validate_placement(placement)
+            self.stats.evaluations += 1
             self.stats.exact_path += 1
-            return self.objective.evaluate(self.problem.cost_model, key)
+            return self.objective.evaluate(self.problem.cost_model, valid)
+        key, value = self._lookup(self._values, placement)
         if value is not None:
             self._values.move_to_end(key)
             self.stats.cache_hits += 1
-        else:
+        else:  # every count follows the miss's validation
+            if self._is_makespan:  # shares the timeline cache with gpNet features
+                value = self._timeline(key, self._timelines.get(key), placement).makespan
+                self.stats.fast_path += 1
+            else:
+                valid = self.problem.validate_placement(placement)
+                value = self.objective.evaluate(self.problem.cost_model, valid)
+                self.stats.exact_path += 1
             self.stats.cache_misses += 1
-            value = self._compute(key)
             self._store(self._values, key, value)
+        self.stats.evaluations += 1
         self._last_value = (placement, value) if type(placement) is tuple else _NO_REPEAT
         return value
 
@@ -225,21 +242,20 @@ class PlacementEvaluator:
     def evaluate_many(self, placements: Sequence[Sequence[int]]) -> np.ndarray:
         """Score a batch; identical to ``[evaluate(p) for p in placements]``.
 
-        One lookup per placement, one exact-int scan of the hits (any other
-        hit validates the whole batch first), then one ``validate_many`` of the
+        One pack and one lookup per placement (a batch that cannot pack is
+        validated whole, which raises), then one ``validate_many`` of the
         misses, before anything is counted.  On the makespan path the distinct
         misses' rows go to :meth:`FastSimulator.makespans` (no timeline is
         built).  Every miss is a new key: the LRU evicts once, after the batch.
         """
-        cache = self._values
-        keys = list(map(tuple, placements))
+        cache, placements = self._values, list(placements)
+        try:
+            keys = list(starmap(self._keys.pack, placements))
+        except (struct.error, TypeError):  # refused: validation raises its ValueError
+            keys = list(starmap(self._keys.pack, self.problem.validate_many(placements)[0]))
         found = list(map(cache.get, keys))
-        hits = [key for key, value in zip(keys, found) if value is not None]  # n elements: keys' equals
-        if countOf(map(type, chain.from_iterable(hits)), int) < len(hits) * self._sim._num_tasks:
-            keys = self.problem.validate_many(keys)[0]
-            found = list(map(cache.get, keys))
         missed = [i for i, value in enumerate(found) if value is None]
-        valid, rows = self.problem.validate_many([keys[i] for i in missed])
+        valid, rows = self.problem.validate_many([placements[i] for i in missed])
         self._last_value = _NO_REPEAT
         self.stats.batch_calls += 1
         if not keys:
@@ -254,69 +270,42 @@ class PlacementEvaluator:
 
         # Within-batch duplicates are computed once: the first occurrence
         # is a miss, every repeat a (warming-cache) hit.
-        misses: dict[tuple[int, ...], list[int]] = {}
-        first: list[int] = []  # each distinct miss's row of ``rows``
-        for j, (i, key) in enumerate(zip(missed, valid)):
-            if key is not keys[i]:  # rebuilt by the loop: may not hash like the raw tuple
-                keys[i] = key
-                found[i] = cache.get(key)
-                if found[i] is not None:
-                    continue
-            group = misses.setdefault(key, [])
-            if not group:
-                first.append(j)
-            group.append(i)
+        new = dict(zip([keys[i] for i in missed], range(len(missed))))  # key -> one of its rows
         for key in [keys[i] for i, value in enumerate(found) if value is not None]:
             cache.move_to_end(key)
-        self.stats.cache_hits += len(keys) - len(misses)
-        if misses:
-            self.stats.cache_misses += len(misses)
+        self.stats.cache_hits += len(keys) - len(new)
+        if new:
+            self.stats.cache_misses += len(new)
             if self._is_makespan:
                 with span("evaluator.sim"):
-                    self.stats.fast_path += len(misses)
+                    self.stats.fast_path += len(new)
                     # Scalars only: batch callers score one-shot candidates,
                     # and a SimResult per batch miss would churn the (heavier)
                     # timeline LRU that timeline() consumers rely on.
-                    computed = self._sim.makespans(rows[first])
+                    computed = self._sim.makespans(rows[list(new.values())])
             else:
-                self.stats.exact_path += len(misses)
+                self.stats.exact_path += len(new)
                 with span("evaluator.exact"):
-                    computed = [self.objective.evaluate(cm, key) for key in misses]
-            for (key, indices), value in zip(misses.items(), computed):
-                cache[key] = value
-                for i in indices:
-                    found[i] = value
+                    computed = [self.objective.evaluate(cm, valid[j]) for j in new.values()]
+            cache.update(zip(new, computed))
+            for i in missed:
+                found[i] = cache[keys[i]]
             for _ in range(len(cache) - self.cache_size):
                 cache.popitem(last=False)
         return np.array(found, dtype=np.float64)
 
     # -- internals --------------------------------------------------------------------
 
-    def _lookup(
-        self, cache: OrderedDict, placement: Sequence[int]
-    ) -> tuple[tuple[int, ...], Any]:
-        """``(key, cached entry or None)``; anything but an exact-int hit
-        (class docstring) is validated and looked up again."""
-        key = tuple(placement)
-        cached = cache.get(key)
-        hit = cached is not None or cache is self._values and key in self._timelines
-        proven = placement is self._last_value[0] or placement is self._last_timeline[0]
-        if hit and (proven or countOf(map(type, key), int) == len(key)):  # class docstring
-            return key, cached
-        key = self.problem.validate_placement(key)
+    def _lookup(self, cache: OrderedDict, placement: Sequence[int]) -> tuple[bytes, Any]:
+        """``(key, cached entry or None)``; what cannot pack is validated, which raises."""
+        try:
+            key = self._keys.pack(*placement)
+        except (struct.error, TypeError):  # refused: validation raises its ValueError
+            key = self._keys.pack(*self.problem.validate_placement(placement))
         return key, cache.get(key)
 
-    def _compute(self, key: tuple[int, ...]) -> float:
-        if self._is_makespan:
-            # Shares the timeline cache with gpNet feature construction.
-            self.stats.fast_path += 1
-            return self._timeline(key, self._timelines.get(key)).makespan
-        self.stats.exact_path += 1
-        return self.objective.evaluate(self.problem.cost_model, key)
-
-    def _store(self, cache: OrderedDict, key: tuple[int, ...], value) -> None:
-        cache[key] = value
-        cache.move_to_end(key)
+    def _store(self, cache: OrderedDict, key: bytes, value) -> None:
+        cache[key] = value  # a miss's key: new, so last
         cap = self.timeline_cache_size if cache is self._timelines else self.cache_size
         if len(cache) > cap:
             cache.popitem(last=False)

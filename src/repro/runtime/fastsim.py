@@ -149,6 +149,8 @@ class FastSimulator:
         batch, no NumPy object per placement.  With ``noise`` > 0 each
         cost is drawn from ``rng`` as the walk reads it (module docstring).
         """
+        if noise > 0.0 and rng is None:
+            raise ValueError("noise > 0 requires an rng")
         placements = np.atleast_2d(np.asarray(placements, dtype=np.int64))
         compute, comm = self.batch_costs(placements)
         rows = zip(placements.tolist(), compute.tolist(), comm.tolist())

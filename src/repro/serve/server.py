@@ -583,7 +583,7 @@ class PlacementServer:
         placements = request.get("placements")
         if not isinstance(placements, list) or not placements:
             raise ServeError("evaluate needs a non-empty 'placements' list")
-        # Before any lookup (1.0 or true would hit a cached 1); the loop only names the culprit.
+        # Before any lookup (true packs as a cached 1); the loop only names the culprit.
         if set(map(type, placements)) != {list} or set(map(type, chain(*placements))) - {int}:
             for p, placement in enumerate(placements):
                 if not isinstance(placement, list):
@@ -612,7 +612,15 @@ class PlacementServer:
             # under the state lock, then let the batcher's single drain
             # thread do all cache-mutating evaluation work.
             evaluator = pool.get(problem)
-        values = self.batcher.submit_many(evaluator, placements)
+        try:
+            values = self.batcher.submit_many(evaluator, placements)
+        except ValueError:  # the batch's check names a task: name its placement too
+            for p, placement in enumerate(placements):
+                try:
+                    problem.validate_placement(placement)
+                except ValueError as error:
+                    raise ServeError(f"placement {p}: {error}") from None
+            raise
         return ok_response(
             "evaluate",
             request,

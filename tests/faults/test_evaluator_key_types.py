@@ -1,18 +1,23 @@
-"""Fault harness, placement key types: a cache hit is not a type proof.
+"""Fault harness, placement key types: a cache hit is a type proof.
 
-Equal tuples hash and compare alike whatever their elements, so
-``(1.0, 0.0)`` finds the entry of ``(1, 0)``.  An evaluator that served
-every dictionary hit would return a cached value for a float placement
-that an empty cache refuses with ``task 0: device index must be an int,
-not 1.0``.  Hypothesis draws call sequences — ``evaluate``, ``timeline``
-and ``evaluate_many`` — whose placements are int, ``np.int64``, float,
-bool and str variants of a few placements, reusing the same objects so
-the repeat path runs too.  Every call must return what a fresh evaluator
-returns for it, or raise that evaluator's exact ``ValueError``.  A call
-that raises leaves no trace.  Counters and LRU order follow a plain model
-of the two caches in which an accepted placement counts as its validated
-int key: the counting of all-int sequences, now for every type.  Nothing
-here blocks, so no deadline is needed.
+Equal tuples hash and compare alike whatever their elements, so a cache
+keyed by raw tuples finds the entry of ``(1, 0)`` for ``(1.0, 0.0)``,
+which an empty cache refuses with ``task 0: device index must be an int,
+not 1.0``.  The evaluator keys by packed bytes instead: ``struct`` reads
+each element through ``__index__`` and refuses floats, strings, wrong
+lengths and indices beyond the key width.  Hypothesis draws call
+sequences — ``evaluate``, ``timeline`` and ``evaluate_many`` — whose
+placements are int, list, NumPy (``int64``, ``uint8``, array), float,
+bool and str variants of a few placements, and rows with one index
+replaced by ``-1``, ``num_devices`` or ``256`` or one task short, reusing
+the same objects so the repeat path runs too; once on small networks
+(1-byte keys), once on a 300-device one (2-byte keys, where ``256`` can
+be a device).  Every call must return what a fresh evaluator returns for
+it, or raise that evaluator's exact ``ValueError``.  A call that raises
+leaves no trace.  Counters and LRU order (keys unpacked to int tuples)
+follow a plain model of the two caches in which an accepted placement
+counts as its validated int key.  Nothing here blocks, so no deadline is
+needed.
 """
 
 from collections import Counter, OrderedDict
@@ -29,15 +34,20 @@ from repro.sim.objectives import MakespanObjective
 
 CACHE_SIZE, TIMELINE_CACHE_SIZE = 3, 2  # small enough to evict
 
-VARIANTS = {
-    "int": tuple,
-    "list": list,
-    "numpy": lambda p: tuple(np.int64(d) for d in p),
-    "array": np.array,
-    "float": lambda p: tuple(map(float, p)),
-    "one-float": lambda p: (float(p[0]), *p[1:]),
-    "bool": lambda p: tuple(map(bool, p)),
-    "str": lambda p: tuple(map(str, p)),
+VARIANTS = {  # (placement, num_devices) -> the object a call passes
+    "int": lambda p, m: tuple(p),
+    "list": lambda p, m: list(p),
+    "numpy": lambda p, m: tuple(np.int64(d) for d in p),
+    "uint8": lambda p, m: tuple(np.array(p).astype(np.uint8)),  # wraps past 255
+    "array": lambda p, m: np.array(p),
+    "float": lambda p, m: tuple(map(float, p)),
+    "one-float": lambda p, m: (float(p[0]), *p[1:]),
+    "bool": lambda p, m: tuple(map(bool, p)),
+    "str": lambda p, m: tuple(map(str, p)),
+    "negative": lambda p, m: (*p[:-1], -1),
+    "num_devices": lambda p, m: (m, *p[1:]),
+    "256": lambda p, m: (*p[:-1], 256),
+    "short": lambda p, m: tuple(p[:-1]),
 }
 
 _PLACEMENT = st.tuples(st.integers(0, 2), st.sampled_from(sorted(VARIANTS)))
@@ -47,10 +57,12 @@ _CALLS = st.one_of(
 )
 
 
-def make_problem(seed: int) -> PlacementProblem:
+def make_problem(seed: int, num_devices: int | None = None) -> PlacementProblem:
     rng = np.random.default_rng(seed)
     graph = generate_task_graph(TaskGraphParams(num_tasks=int(rng.integers(2, 7))), rng)
-    network = generate_device_network(DeviceNetworkParams(num_devices=int(rng.integers(2, 5))), rng)
+    if num_devices is None:
+        num_devices = int(rng.integers(2, 5))
+    network = generate_device_network(DeviceNetworkParams(num_devices=num_devices), rng)
     return PlacementProblem(graph, network)
 
 
@@ -118,8 +130,8 @@ def _outcome(evaluator, name, arg):
 def _state(evaluator):
     return (
         {name: count for name, count in evaluator.stats.counters().items() if count},
-        list(evaluator._values),
-        list(evaluator._timelines),
+        [evaluator._keys.unpack(key) for key in evaluator._values],
+        [evaluator._keys.unpack(key) for key in evaluator._timelines],
     )
 
 
@@ -134,11 +146,24 @@ def _state(evaluator):
            ("timeline", (0, "float")), ("evaluate_many", [(0, "float")])],
 )
 def test_every_call_is_a_fresh_evaluators_call(seed, calls):
-    problem = make_problem(seed)
+    run_calls(make_problem(seed), seed, calls, width="B")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 40), calls=st.lists(_CALLS, min_size=4, max_size=24))
+@example(  # 256 is a device here: the row validates and gets its own key
+    seed=0, calls=[("evaluate", (0, "int")), ("evaluate", (0, "256")), ("timeline", (0, "256"))],
+)
+def test_two_byte_keys_follow_the_same_model(seed, calls):
+    run_calls(make_problem(seed, num_devices=300), seed, calls, width="H")
+
+
+def run_calls(problem, seed, calls, width):
     rng = np.random.default_rng(seed)
     placements = [random_placement(problem, rng) for _ in range(3)]
+    m = problem.network.num_devices
     objects = {  # one object per (placement, variant): repeats reuse it
-        (i, variant): make(p) for i, p in enumerate(placements) for variant, make in VARIANTS.items()
+        (i, variant): make(p, m) for i, p in enumerate(placements) for variant, make in VARIANTS.items()
     }
 
     def key_of(chosen):
@@ -147,6 +172,7 @@ def test_every_call_is_a_fresh_evaluators_call(seed, calls):
     evaluator = PlacementEvaluator(
         problem, MakespanObjective(), cache_size=CACHE_SIZE, timeline_cache_size=TIMELINE_CACHE_SIZE
     )
+    assert evaluator._keys.format == f"<{problem.graph.num_tasks}{width}"
     model = CacheModel()
     for name, chosen in calls:
         arg = [objects[c] for c in chosen] if name == "evaluate_many" else objects[chosen]

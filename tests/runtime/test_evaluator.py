@@ -42,6 +42,13 @@ def make_problem(seed: int) -> PlacementProblem:
     return PlacementProblem(graph, network)
 
 
+def cached(evaluator, lru):
+    """The placements ``lru`` (one of ``evaluator``'s caches) holds, in LRU
+    order, unpacked from their keys to int tuples."""
+    assert all(type(key) is bytes for key in lru)
+    return [evaluator._keys.unpack(key) for key in lru]
+
+
 # -- fast simulator ---------------------------------------------------------------------
 
 
@@ -192,6 +199,19 @@ def assert_walk_equals_executor(problem, seed, count=4, sim=None):
 
 
 NOISE_LEVELS = (0.2, 0.5)
+
+
+def test_noisy_makespans_require_an_rng():
+    """``makespans(noise > 0)`` without an rng raises what ``simulate`` raises;
+    ``CostModel.realize`` would return the expectations, noise-free."""
+    problem = make_problem(3)
+    placement = random_placement(problem, np.random.default_rng(0))
+    sim = FastSimulator(problem)
+    with pytest.raises(ValueError, match="noise > 0 requires an rng") as raised:
+        sim.makespans([placement], 0.2)
+    with pytest.raises(ValueError, match=str(raised.value)):
+        simulate(problem.graph, problem.network, placement, problem.cost_model, 0.2)
+    assert sim.makespans([placement], 0.0) == [sim.run(placement).makespan]
 
 layouts = given(
     seed=st.integers(0, 2**31),
@@ -406,7 +426,7 @@ def test_evaluate_many_accounting_is_pinned():
         evaluator.evaluate(placement)
     evaluator.evaluate_many(pool[3:6])
     evaluator.timeline(pool[6])
-    timelines_before = list(evaluator._timelines)
+    timelines_before = cached(evaluator, evaluator._timelines)
 
     # cached: 0 4 2 5 — fresh: 7 8 9 10 — repeated within the batch: 7 8 8
     batch = [pool[i] for i in (0, 7, 4, 8, 7, 2, 9, 8, 8, 5, 10)]
@@ -419,8 +439,8 @@ def test_evaluate_many_accounting_is_pinned():
         fast_path=10, exact_path=0, batch_calls=2,
         timeline_hits=0, timeline_misses=4,
     )
-    assert list(evaluator._timelines) == timelines_before  # batches cache scalars only
-    assert [pool.index(key) for key in evaluator._values] == [0, 4, 2, 5, 7, 8, 9, 10]
+    assert cached(evaluator, evaluator._timelines) == timelines_before  # batches cache scalars only
+    assert [pool.index(key) for key in cached(evaluator, evaluator._values)] == [0, 4, 2, 5, 7, 8, 9, 10]
 
 
 def test_stats_algebra_covers_every_field():
@@ -438,8 +458,8 @@ def test_stats_algebra_covers_every_field():
 def _cache_state(evaluator):
     return (
         evaluator.stats.as_dict(),
-        list(evaluator._values.items()),
-        list(evaluator._timelines),
+        list(zip(cached(evaluator, evaluator._values), evaluator._values.values())),
+        cached(evaluator, evaluator._timelines),
     )
 
 
@@ -607,9 +627,10 @@ def test_numpy_integer_placement_hits_the_int_tuple_entry():
     assert evaluator.evaluate_many([as_numpy])[0] == value
     assert evaluator.stats.cache_misses == 1 and evaluator.stats.cache_hits == 3
     assert evaluator.stats.timeline_misses == 1 and evaluator.stats.timeline_hits == 2
-    # Only the validated int tuple is ever a key.
-    assert list(evaluator._values) == [placement]
-    assert all(type(d) is int for key in evaluator._values for d in key)
+    # Only the validated int tuple's bytes are ever a key: one placement, one key.
+    assert list(evaluator._values) == [evaluator._keys.pack(*placement)]
+    assert cached(evaluator, evaluator._values) == [placement]
+    assert cached(evaluator, evaluator._timelines) == [placement]
 
 
 # -- the repeat path ----------------------------------------------------------------------
@@ -662,8 +683,8 @@ def test_repeat_path_is_invisible(seed, objective, calls):
         got = _call(reuse, name, arg, pool.__getitem__)
         assert got == _call(fresh, name, arg, lambda i: tuple(list(pool[i])))
         assert reuse.stats == fresh.stats
-        assert list(reuse._values) == list(fresh._values)
-        assert list(reuse._timelines) == list(fresh._timelines)
+        assert cached(reuse, reuse._values) == cached(fresh, fresh._values)
+        assert cached(reuse, reuse._timelines) == cached(fresh, fresh._timelines)
 
 
 def test_a_repeat_looks_nothing_up(monkeypatch):
