@@ -14,6 +14,12 @@ that never left its default on any call, with the function's call count::
 A parameter some path sets is not printed, nor is one of a function no
 path calls.  Runs inline in one process (about a minute on two cores);
 ``--out`` also writes every (function, parameter) row as JSON.
+
+``--functions`` instead prints every function, method and property of
+the package that the drive never calls, with its line count (nested
+closures count toward the function that defines them)::
+
+    PYTHONPATH=src python -m benchmarks.option_trace --functions
 """
 
 from __future__ import annotations
@@ -46,9 +52,22 @@ def _defaulted(func) -> list[tuple[str, object]]:
     ]
 
 
+def _members(cls) -> list:
+    """The functions a class defines: methods, static and class methods,
+    and property accessors."""
+    found = []
+    for member in vars(cls).values():
+        if isinstance(member, property):
+            found += [f for f in (member.fget, member.fset, member.fdel) if f is not None]
+        else:
+            found.append(getattr(member, "__func__", member))
+    return [f for f in found if inspect.isfunction(f)]
+
+
 def traced_functions() -> dict:
     """``code object -> (qualified name, [(parameter, default)])`` for every
-    function and method defined in the ``repro`` package."""
+    function, method and property accessor defined in the ``repro``
+    package."""
     table = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)
@@ -57,11 +76,10 @@ def traced_functions() -> dict:
                 continue  # a re-export: traced where it is defined
             functions = [obj] if inspect.isfunction(obj) else []
             if inspect.isclass(obj):
-                members = (getattr(m, "__func__", m) for m in vars(obj).values())
-                functions = [m for m in members if inspect.isfunction(m)]
+                functions = _members(obj)
             for func in functions:
-                if defaults := _defaulted(func):
-                    table[func.__code__] = (f"{module.__name__}.{func.__qualname__}", defaults)
+                name = f"{module.__name__}.{func.__qualname__}"
+                table[func.__code__] = (name, _defaulted(func))
     return table
 
 
@@ -79,7 +97,7 @@ class Recorder:
 
     def __init__(self, table: dict) -> None:
         self.table = table
-        self.calls: Counter = Counter()
+        self.calls: Counter = Counter()  # by code object
         self.set: Counter = Counter()
 
     def __call__(self, frame, event, arg) -> None:
@@ -88,8 +106,8 @@ class Recorder:
         entry = self.table.get(frame.f_code)
         if entry is None:
             return
+        self.calls[frame.f_code] += 1
         name, defaults = entry
-        self.calls[name] += 1
         values = frame.f_locals
         for param, default in defaults:
             if param in values and not _is_default(values[param], default):
@@ -149,9 +167,29 @@ def drive(tmp: pathlib.Path) -> None:
         server.stop()
 
 
+def _print_uncalled(recorder: Recorder) -> None:
+    """One line per function the drive never called, with its line count.
+
+    Methods generated at run time (dataclass ``__init__`` and the like)
+    have no source lines and are left out."""
+    package = os.path.dirname(repro.__file__)
+    written = [code for code in recorder.table if code.co_filename.startswith(package)]
+    rows = sorted(
+        (recorder.table[code][0], len(inspect.getsourcelines(code)[0]))
+        for code in written
+        if not recorder.calls[code]
+    )
+    for name, lines in rows:
+        print(f"{lines:>9d}  {name}")
+    print(f"{len(rows)} of {len(written)} functions never called "
+          f"({sum(lines for _, lines in rows)} lines)")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write every (function, parameter) row as JSON")
+    parser.add_argument("--functions", action="store_true",
+                        help="print the functions the drive never calls instead")
     args = parser.parse_args(argv)
     recorder = Recorder(traced_functions())
     with tempfile.TemporaryDirectory(prefix="repro-option-trace-") as tmp:
@@ -163,11 +201,14 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
+    if args.functions:
+        _print_uncalled(recorder)
+        return 0
     rows = [
-        {"function": name, "parameter": param, "calls": recorder.calls[name],
+        {"function": name, "parameter": param, "calls": recorder.calls[code],
          "non_default_calls": recorder.set[(name, param)]}
         for code, (name, defaults) in recorder.table.items()
-        if recorder.calls[name]
+        if recorder.calls[code]
         for param, _ in defaults
     ]
     one_valued = sorted((r for r in rows if not r["non_default_calls"]),

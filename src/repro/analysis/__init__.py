@@ -39,7 +39,7 @@ from __future__ import annotations
 from .engine import LintResult, findings_payload, render_text, run_lint
 from .findings import Finding
 from .loader import LintTree, ModuleInfo, load_tree
-from .rules import ALL_RULES, get_rules, rule_ids
+from .rules import ALL_RULES, get_rules
 
 __all__ = [
     "ALL_RULES",
@@ -51,6 +51,5 @@ __all__ = [
     "get_rules",
     "load_tree",
     "render_text",
-    "rule_ids",
     "run_lint",
 ]

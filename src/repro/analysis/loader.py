@@ -64,10 +64,6 @@ class LintTree:
     def get_rel(self, rel: str) -> ModuleInfo | None:
         return self.by_rel.get(rel)
 
-    def importers_of(self, name: str) -> list[ModuleInfo]:
-        """Modules whose resolved imports include ``name``."""
-        return [m for m in self.modules if name in m.imports]
-
 
 def _module_name(package: str, rel: pathlib.Path) -> str:
     parts = list(rel.with_suffix("").parts)

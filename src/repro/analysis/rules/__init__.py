@@ -20,7 +20,6 @@ __all__ = [
     "LintContext",
     "Rule",
     "get_rules",
-    "rule_ids",
 ]
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
@@ -35,10 +34,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
 )
 
 ALL_RULES: dict[str, Callable[[], Rule]] = {cls.id: cls for cls in _RULE_CLASSES}
-
-
-def rule_ids() -> list[str]:
-    return list(ALL_RULES)
 
 
 def get_rules(ids: list[str] | None = None) -> list[Rule]:

@@ -29,9 +29,6 @@ class Suppressions:
         waived = self._by_line.get(line)
         return waived is not None and rule_id in waived
 
-    def __bool__(self) -> bool:
-        return bool(self._by_line)
-
 
 def collect_suppressions(module: ModuleInfo) -> Suppressions:
     """Scan a module's source for suppression comments.

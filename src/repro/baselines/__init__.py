@@ -7,7 +7,7 @@ from .heft import HeftSchedule, heft_placement, upward_ranks
 from .placeto import PlacetoAgent, PlacetoLayout
 from .random_policies import RandomPlacementPolicy, RandomTaskEftPolicy
 from .rnn_placer import RnnPlacer, RnnPlacerPolicy, RnnPlacerResult, operator_embeddings
-from .task_eft import TaskEftAgent, TaskViewBuilder, build_task_view
+from .task_eft import TaskEftAgent, TaskViewBuilder
 
 __all__ = [
     "SearchPolicy",
@@ -29,5 +29,4 @@ __all__ = [
     "operator_embeddings",
     "TaskEftAgent",
     "TaskViewBuilder",
-    "build_task_view",
 ]

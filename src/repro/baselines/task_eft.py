@@ -40,7 +40,7 @@ from ..sim.objectives import Objective
 from .base import AdaptivePolicy, bound_handle, make_evaluator, rollout_of
 from .eft import eft_relocation_search
 
-__all__ = ["TaskViewBuilder", "build_task_view", "TaskEftAgent"]
+__all__ = ["TaskViewBuilder", "TaskEftAgent"]
 
 
 class TaskViewBuilder:
@@ -97,13 +97,6 @@ class TaskViewBuilder:
             self._structure = GpNetStructure.from_gpnet(net)
             self._rows = self._structure.endpoint_rows(net)
         return _attach(net, self._structure, self._rows)
-
-
-def build_task_view(
-    problem: PlacementProblem, placement: Sequence[int], timeline: SimResult | None = None
-) -> GpNet:
-    """One-shot :meth:`TaskViewBuilder.build`."""
-    return TaskViewBuilder(problem).build(placement, timeline)
 
 
 class TaskEftAgent(AdaptivePolicy):

@@ -61,8 +61,12 @@ class PlacementProblem:
         try:
             placement = tuple(map(operator.index, placement))
         except TypeError:
-            i = next(i for i, d in enumerate(placement) if not hasattr(type(d), "__index__"))
-            raise ValueError(f"task {i}: device index must be an int, not {placement[i]!r}") from None
+            for i, d in enumerate(placement):  # name the first element refused
+                try:
+                    operator.index(d)
+                except TypeError:
+                    raise ValueError(f"task {i}: device index must be an int, not {d!r}") from None
+            raise
         if len(placement) != self.graph.num_tasks:
             raise ValueError(
                 f"placement length {len(placement)} != {self.graph.num_tasks} tasks"

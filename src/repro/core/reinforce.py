@@ -62,7 +62,7 @@ import numpy as np
 
 from ..nn import Adam, Tensor, stack
 from ..parallel import ExecutionBackend, InlineBackend, get_context, task_rng
-from ..runtime.evaluator import EvaluatorPool, EvaluatorStats, PlacementEvaluator
+from ..runtime.evaluator import EvaluatorPool, PlacementEvaluator
 from ..sim.objectives import Objective
 from ..telemetry import metrics, span
 from .features import FeatureConfig
@@ -232,14 +232,6 @@ class ReinforceTrainer:
 
     def _drop_handle(self, problem_id: int, evaluator: PlacementEvaluator) -> None:
         self._handles.pop(problem_id, None)
-
-    def evaluator_for(self, problem: PlacementProblem) -> PlacementEvaluator:
-        """The shared scoring path for ``problem`` (created on first use)."""
-        return self._evaluators.get(problem)
-
-    def evaluator_stats(self) -> EvaluatorStats:
-        """Aggregate cache/eval counters across all training problems."""
-        return self._evaluators.stats()
 
     def _handle_for(self, problem: PlacementProblem):
         # Touch (or create) the evaluator first so the pair's recency in

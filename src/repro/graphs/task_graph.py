@@ -125,8 +125,3 @@ class TaskGraph:
             f"TaskGraph(name={self.name!r}, tasks={self.num_tasks}, "
             f"edges={self.num_edges}, depth={self.depth})"
         )
-
-
-def mean_compute(graph: TaskGraph) -> float:
-    """Average compute requirement across tasks."""
-    return float(np.mean(graph.compute))

@@ -88,17 +88,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        grad_tag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor({np.array2string(self.data, precision=4)}{grad_tag})"
-
     # -- graph plumbing -----------------------------------------------------
 
     @staticmethod
@@ -192,9 +181,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = self.data * other.data
@@ -223,28 +209,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward, "div")
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward, "pow")
-
-    # -- comparisons (no grad; used for masking) ------------------------------
-
-    def __gt__(self, other) -> np.ndarray:
-        return self.data > (other.data if isinstance(other, Tensor) else other)
-
-    def __lt__(self, other) -> np.ndarray:
-        return self.data < (other.data if isinstance(other, Tensor) else other)
-
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -267,24 +231,6 @@ class Tensor:
             count = np.prod([self.shape[a] for a in np.atleast_1d(axis)])
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad
-            out = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                out = np.expand_dims(out, axis)
-            mask = self.data == out
-            # Split gradient between ties, matching subgradient convention.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts)
-
-        return Tensor._make(out_data, (self,), backward, "max")
-
     # -- shape ops -------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -297,19 +243,6 @@ class Tensor:
                 self._accumulate(grad.reshape(self.shape))
 
         return Tensor._make(out_data, (self,), backward, "reshape")
-
-    def transpose(self) -> "Tensor":
-        out_data = self.data.T
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.T)
-
-        return Tensor._make(out_data, (self,), backward, "transpose")
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __getitem__(self, idx) -> "Tensor":
         out_data = self.data[idx]

@@ -310,12 +310,6 @@ class PlacementEvaluator:
         if len(cache) > cap:
             cache.popitem(last=False)
 
-    def clear_cache(self) -> None:
-        """Drop cached values/timelines (stats are kept)."""
-        self._values.clear()
-        self._timelines.clear()
-        self._last_value = self._last_timeline = _NO_REPEAT
-
 
 def coalesce_evaluate(
     requests: Sequence[tuple[PlacementEvaluator, Sequence[Sequence[int]]]],
@@ -409,9 +403,6 @@ class EvaluatorPool:
         if self.on_evict is not None:
             self.on_evict(problem_id, evaluator)
 
-    def __contains__(self, problem: PlacementProblem) -> bool:
-        return id(problem) in self._by_problem
-
     def stats(self) -> EvaluatorStats:
         """Counters aggregated across every evaluator the pool has seen."""
         total = EvaluatorStats()
@@ -419,6 +410,3 @@ class EvaluatorPool:
         for evaluator in self._by_problem.values():
             total.merge(evaluator.stats)
         return total
-
-    def __len__(self) -> int:
-        return len(self._by_problem)

@@ -24,9 +24,6 @@ from .spec import ScenarioSpec
 
 __all__ = ["ScenarioEvent", "MaterializedScenario", "materialize"]
 
-#: kinds that alter the device network (vs. "arrival" which adds workload)
-NETWORK_KINDS = ("add", "remove", "bandwidth-drift", "compute-slowdown")
-
 
 @dataclass(frozen=True)
 class ScenarioEvent:
@@ -44,10 +41,6 @@ class ScenarioEvent:
     graph: TaskGraph | None = None
     uid: int | None = None
     factor: float | None = None
-
-    @property
-    def is_network_event(self) -> bool:
-        return self.kind in NETWORK_KINDS
 
 
 @dataclass(frozen=True)

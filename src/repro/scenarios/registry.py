@@ -46,12 +46,6 @@ class ScenarioRegistry:
     def names(self) -> list[str]:
         return sorted(self._specs)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
     def __iter__(self) -> Iterator[ScenarioSpec]:
         for name in self.names():
             yield self._specs[name]

@@ -61,10 +61,6 @@ class ScenarioResult:
     reports: dict[str, AdaptationReport]
     oracle_slr: tuple[float, ...]
 
-    @property
-    def spec(self) -> ScenarioSpec:
-        return self.materialized.spec
-
     def slr_series(self, policy: str) -> list[float]:
         return self.reports[policy].series("mean_slr")
 

@@ -11,7 +11,7 @@ Routing every evaluation through one drain thread is also what makes
 the server's shared :class:`EvaluatorPool` safe without per-evaluator
 locks: connection threads never touch evaluator caches, they only wait
 on their request's event.  Batching changes speed, never values — the
-batcher equivalence test pins ``submit`` results against direct
+batcher equivalence test pins ``submit_many`` results against direct
 ``evaluate`` calls.
 """
 
@@ -106,17 +106,7 @@ class RequestBatcher:
         thread.join(timeout=DRAIN_TIMEOUT_S)
         self._thread = None
 
-    def __enter__(self) -> "RequestBatcher":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # -- request side ------------------------------------------------------------
-
-    def submit(self, evaluator: PlacementEvaluator, placement: Sequence[int]) -> float:
-        """Score one placement; blocks until its batch completes."""
-        return self.submit_many(evaluator, [placement])[0]
 
     def submit_many(
         self, evaluator: PlacementEvaluator, placements: Sequence[Sequence[int]]

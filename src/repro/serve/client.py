@@ -13,9 +13,17 @@ import socket
 import time
 from typing import Any, Sequence
 
+import numpy as np
+
 from .protocol import decode_message, encode_message
 
 __all__ = ["ServeClient", "ServeRequestError"]
+
+
+def _plain(device: Any) -> Any:
+    """A NumPy value as the Python value it holds (``tolist``), anything
+    else as it is: the daemon accepts or refuses it, nothing is coerced."""
+    return device.tolist() if isinstance(device, (np.generic, np.ndarray)) else device
 
 
 class ServeRequestError(RuntimeError):
@@ -131,7 +139,7 @@ class ServeClient:
     ) -> list[float]:
         fields: dict[str, Any] = {
             "scenario": scenario,
-            "placements": [list(map(int, p)) for p in placements],
+            "placements": [list(map(_plain, p)) for p in placements],
             "graph": graph,
         }
         if seed is not None:
@@ -140,6 +148,3 @@ class ServeClient:
 
     def stats(self) -> dict[str, Any]:
         return self.request("stats")
-
-    def shutdown(self) -> dict[str, Any]:
-        return self.request("shutdown")

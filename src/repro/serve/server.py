@@ -279,14 +279,6 @@ class PlacementServer:
         """Ask the daemon to drain and stop (signal-handler safe)."""
         self._stop.set()
 
-    @property
-    def stopping(self) -> bool:
-        return self._stop.is_set()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the daemon has fully stopped."""
-        return self._stopped.wait(timeout)
-
     def serve_forever(self) -> None:
         """Run until :meth:`request_stop` (or a handled signal); drains first."""
         self.start()

@@ -297,10 +297,6 @@ class PlacementSession:
         return self.materialized.num_events
 
     @property
-    def events_consumed(self) -> int:
-        return len(self.steps)
-
-    @property
     def remaining(self) -> int:
         return self.num_events - len(self.steps)
 

@@ -61,11 +61,6 @@ class SimResult:
         """Pickling and copying ship the timeline without its memo."""
         return {**self.__dict__, "eft_devices": {}}
 
-    def execution_order(self, device: int) -> list[int]:
-        """Tasks run on ``device``, in start-time order."""
-        tasks = [i for i, d in enumerate(self.placement) if d == device]
-        return sorted(tasks, key=lambda i: self.start[i])
-
 
 def simulate(
     graph: TaskGraph,

@@ -6,7 +6,7 @@ Four small modules, one import surface:
   collector, with `begin_task`/`end_task`/`merge_task_delta` for
   shipping worker activity across fork/shard boundaries;
 - :mod:`.metrics` — the process-wide `Metrics` registry
-  (counters/gauges/histograms) with mergeable snapshots;
+  (counters/histograms) with mergeable snapshots;
 - :mod:`.log` — the leveled stderr logger behind ``REPRO_LOG``;
 - :mod:`.events` — `capture_run` + JSONL run logs + the renderers
   behind ``repro trace``.

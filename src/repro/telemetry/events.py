@@ -111,10 +111,6 @@ def write_run_log(path: Path, capture: RunCapture) -> Path:
             records.append(
                 {"kind": "metric", "type": "counter", "name": name, "value": snap.counters[name]}
             )
-        for name in sorted(snap.gauges):
-            records.append(
-                {"kind": "metric", "type": "gauge", "name": name, "value": snap.gauges[name]}
-            )
         for name in sorted(snap.histograms):
             count, total, lo, hi = snap.histograms[name]
             records.append(

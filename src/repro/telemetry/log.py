@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import sys
 
-__all__ = ["debug", "info", "set_level", "warn"]
+__all__ = ["info", "set_level", "warn"]
 
 _LEVELS = {"debug": 10, "info": 20, "warn": 30, "quiet": 100}
 
@@ -36,10 +36,6 @@ def set_level(name: str | None) -> str | None:
 def _emit(level: int, msg: str) -> None:
     if level >= _threshold():
         print(f"[repro] {msg}", file=sys.stderr, flush=True)
-
-
-def debug(msg: str) -> None:
-    _emit(10, msg)
 
 
 def info(msg: str) -> None:

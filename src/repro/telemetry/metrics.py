@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters and histograms.
 
 One `Metrics` instance per process holds every process-wide count
 (``gnn.*``, ``store.*``, ``eft.*``, …): code increments its counter and
@@ -27,7 +27,6 @@ from typing import Mapping
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Metrics",
     "MetricsSnapshot",
@@ -45,18 +44,6 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -92,14 +79,12 @@ class MetricsSnapshot:
     """
 
     counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, tuple[int, float, float, float]] = field(default_factory=dict)
 
     def delta(self, since: "MetricsSnapshot") -> "MetricsSnapshot":
         """What happened after ``since`` was taken (drops unchanged entries).
 
-        Counter/histogram values subtract; gauges are last-write-wins so
-        a changed gauge carries its current value.  Histogram min/max
+        Counter/histogram values subtract.  Histogram min/max
         can't be subtracted — the delta keeps the current extremes,
         which stay correct under :meth:`Metrics.merge_snapshot`'s
         min/min, max/max combination.
@@ -109,23 +94,17 @@ class MetricsSnapshot:
             diff = value - since.counters.get(name, 0.0)
             if diff:
                 counters[name] = diff
-        gauges = {
-            name: value
-            for name, value in self.gauges.items()
-            if since.gauges.get(name) != value
-        }
         histograms = {}
         for name, (count, total, lo, hi) in self.histograms.items():
             count0, total0, _, _ = since.histograms.get(name, (0, 0.0, 0.0, 0.0))
             if count > count0:
                 histograms[name] = (count - count0, total - total0, lo, hi)
-        return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
+        return MetricsSnapshot(counters=counters, histograms=histograms)
 
     def as_dict(self) -> dict:
         """JSON-ready rendering (histograms expanded to labeled fields)."""
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
                 name: {
                     "count": count,
@@ -144,19 +123,12 @@ class Metrics:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         inst = self._counters.get(name)
         if inst is None:
             self._counters[name] = inst = Counter()
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            self._gauges[name] = inst = Gauge()
         return inst
 
     def histogram(self, name: str) -> Histogram:
@@ -179,7 +151,6 @@ class Metrics:
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(
             counters={name: c.value for name, c in self._counters.items()},
-            gauges={name: g.value for name, g in self._gauges.items()},
             histograms={
                 name: (h.count, h.total, h.min, h.max)
                 for name, h in self._histograms.items()
@@ -191,8 +162,6 @@ class Metrics:
         """Fold a shipped snapshot (usually a delta) into this registry."""
         for name, value in snap.counters.items():
             self.counter(name).inc(value)
-        for name, value in snap.gauges.items():
-            self.gauge(name).set(value)
         for name, (count, total, lo, hi) in snap.histograms.items():
             hist = self.histogram(name)
             hist.count += count
@@ -205,7 +174,6 @@ class Metrics:
     def reset(self) -> None:
         """Drop every instrument (tests only)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
 

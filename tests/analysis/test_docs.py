@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.analysis import ALL_RULES, rule_ids
+from repro.analysis import ALL_RULES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -20,14 +20,14 @@ def test_every_rule_documents_itself():
 
 def test_every_rule_id_appears_in_the_readme_rule_table():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    for rule_id in rule_ids():
+    for rule_id in ALL_RULES:
         assert f"`{rule_id}`" in readme, (
             f"rule {rule_id!r} missing from the README static-analysis table"
         )
 
 
 def test_rule_ids_are_kebab_case_and_unique():
-    ids = rule_ids()
+    ids = list(ALL_RULES)
     assert len(ids) == len(set(ids))
     for rule_id in ids:
         assert rule_id == rule_id.lower()

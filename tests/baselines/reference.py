@@ -49,7 +49,7 @@ __all__ = [
 
 
 def task_view_loop(problem, placement, timeline=None):
-    """Drop-in for ``build_task_view``: one Python iteration per row."""
+    """Drop-in for ``TaskViewBuilder.build``: one Python iteration per row."""
     graph, cm = problem.graph, problem.cost_model
     placement = problem.validate_placement(placement)
     if timeline is None:
@@ -150,7 +150,7 @@ def propagate_composed(
     """Drop-in for ``repro.nn.functional.propagate``: every step as ordinary
     tape ops, aggregating by ``how`` (``counts`` unused — the aggregation
     derives its own, so a caller's wrong divisor shows)."""
-    n = len(e0)
+    n = e0.shape[0]
     aggregate = F.segment_mean if how == "mean" else F.segment_sum
     efeat = None if edge_features is None else Tensor(edge_features)
     e = e0
@@ -181,7 +181,7 @@ def two_way_composed(
 def placeto_summaries_composed(node, layout):
     """Drop-in for ``repro.baselines.placeto._summaries``: the tape ops
     Placeto's embedding ran before they became one node."""
-    n, src, dst = len(node), layout.src, layout.dst
+    n, src, dst = node.shape[0], layout.src, layout.dst
     if len(src) == 0:
         parents = Tensor(np.zeros((n, node.shape[1])))
         children = Tensor(np.zeros((n, node.shape[1])))

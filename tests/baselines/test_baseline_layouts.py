@@ -34,7 +34,6 @@ from repro.baselines import (
     PlacetoLayout,
     TaskEftAgent,
     TaskViewBuilder,
-    build_task_view,
 )
 from repro.core import GiPHAgent, GpNetBuilder
 from repro.core.features import GpNetStructure, structure_of
@@ -154,10 +153,10 @@ def test_task_view_builder_equals_the_row_loops(seed, num_tasks, num_devices, ed
         ref = task_view_loop(problem, placement, timeline)
         built.append(views.build(placement, timeline))
         assert_same_view(built[-1], ref)
-        # Without a timeline both simulate the same schedule; the
-        # one-shot entry is the same implementation.
+        # Without a timeline both simulate the same schedule, and a
+        # fresh builder builds the same view.
         assert_same_view(views.build(list(placement)), ref)
-        assert_same_view(build_task_view(problem, placement), ref)
+        assert_same_view(TaskViewBuilder(problem).build(placement), ref)
     # One structure object serves every view of the builder, and it is
     # the structure a view would have derived for itself.
     assert all(structure_of(v) is structure_of(built[0]) for v in built)

@@ -247,8 +247,8 @@ def test_warm_task_eft_agent_searches_equal_the_memo_free_loop(seed):
 
 
 def test_remembered_decisions_live_and_die_with_the_cached_timeline():
-    """The memo's home is the timeline-LRU entry: bounded by it, gone
-    with it, and dropped by ``clear_cache``."""
+    """The memo's home is the timeline-LRU entry: bounded by it, and gone
+    with it when the LRU evicts it."""
     problem = make_problem(47)
     num_tasks = problem.graph.num_tasks
     objective = MakespanObjective()
@@ -268,7 +268,15 @@ def test_remembered_decisions_live_and_die_with_the_cached_timeline():
     assert len(seen) > 4 and {id(t) for t in alive} == {id(t) for t in timelines.values()}
     del alive
     kept = [weakref.ref(t) for t in timelines.values()]
-    evaluator.clear_cache()
+    held = set(timelines) | {evaluator._keys.pack(*initial)}
+    evicting = {}
+    while len(evicting) < 4:  # four fresh placements push out every held entry
+        placement = random_placement(problem, rng)
+        key = evaluator._keys.pack(*placement)
+        if key not in held:
+            evicting[key] = placement
+    for placement in evicting.values():
+        evaluator.timeline(placement)
     assert all(ref() is None for ref in kept)
     fresh = evaluator.timeline(initial)
     assert fresh.eft_devices == {}

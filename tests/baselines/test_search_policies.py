@@ -14,7 +14,6 @@ from repro.baselines import (
     RnnPlacer,
     TaskEftAgent,
     TaskViewBuilder,
-    build_task_view,
     operator_embeddings,
 )
 from repro.core import GiPHAgent, PlacementProblem, ReinforceConfig, ReinforceTrainer, SearchTrace
@@ -130,7 +129,7 @@ class TestRandomPolicies:
 
 class TestTaskEft:
     def test_task_view_structure(self, diamond_problem):
-        view = build_task_view(diamond_problem, [0, 0, 0, 2])
+        view = TaskViewBuilder(diamond_problem).build([0, 0, 0, 2])
         assert view.num_nodes == 4
         assert view.is_pivot.all()
         assert view.num_edges == diamond_problem.graph.num_edges

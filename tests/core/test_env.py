@@ -238,6 +238,10 @@ class TestValidateOnce:
         "out-of-range": ([0, 1, 0, 7], "task 3 placed on infeasible device index 7"),
         "float": ([0, 1.0, 0, 2], "task 1: device index must be an int, not 1.0"),
         "string": ([0, "1", 0, 2], "task 1: device index must be an int, not '1'"),
+        # ``__index__`` is there, but the call raises ``TypeError``.
+        "nested-array": (
+            [np.array([0]), 1, 0, 2], "task 0: device index must be an int, not array([0])"
+        ),
         "short": ([0, 1, 0], "placement length 3 != 4 tasks"),
     }
 

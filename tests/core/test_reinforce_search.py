@@ -93,7 +93,7 @@ class TestOneTrainerForEveryAgent:
         # One evaluation per step plus the initial placement: 2|V| relocations,
         # or one |V|-step traversal for Placeto.
         steps = 4 if kind == "placeto" else 8
-        assert trainer.evaluator_stats().evaluations == 4 * (steps + 1)
+        assert trainer._evaluators.stats().evaluations == 4 * (steps + 1)
         # The agent's per-problem handle is cached beside the evaluator.
         assert set(trainer._handles) == {id(diamond_problem)}
 

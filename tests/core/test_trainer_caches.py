@@ -47,7 +47,7 @@ class TestLockstepEviction:
     def test_sweep_keeps_pairs_in_lockstep(self):
         trainer = make_trainer(max_cached_problems=2)
         for problem in make_problems(5):
-            trainer.evaluator_for(problem)
+            trainer._evaluators.get(problem)
             trainer._handle_for(problem)
             evaluator_ids, builder_ids = paired_ids(trainer)
             assert evaluator_ids == builder_ids
@@ -62,8 +62,6 @@ class TestLockstepEviction:
         # too, otherwise the pair would split on the next eviction.
         trainer._handle_for(first)
         trainer._handle_for(third)  # evicts `second`, not `first`
-        assert first in trainer._evaluators
-        assert second not in trainer._evaluators
         evaluator_ids, builder_ids = paired_ids(trainer)
         assert evaluator_ids == builder_ids == {id(first), id(third)}
 
@@ -72,7 +70,7 @@ class TestLockstepEviction:
         first, second, third = make_problems(3)
         trainer._handle_for(first)
         trainer._handle_for(second)
-        trainer.evaluator_for(third)  # evicts `first`'s evaluator...
+        trainer._evaluators.get(third)  # evicts `first`'s evaluator...
         assert id(first) not in trainer._handles  # ...and its builder
         evaluator_ids, builder_ids = paired_ids(trainer)
         assert builder_ids <= evaluator_ids

@@ -8,7 +8,9 @@ each element through ``__index__`` and refuses floats, strings, wrong
 lengths and indices beyond the key width.  Hypothesis draws call
 sequences — ``evaluate``, ``timeline`` and ``evaluate_many`` — whose
 placements are int, list, NumPy (``int64``, ``uint8``, array), float,
-bool and str variants of a few placements, and rows with one index
+bool and str variants of a few placements, a row whose first element
+is a one-element array (it has ``__index__``, which raises
+``TypeError``), and rows with one index
 replaced by ``-1``, ``num_devices`` or ``256`` or one task short, reusing
 the same objects so the repeat path runs too; once on small networks
 (1-byte keys), once on a 300-device one (2-byte keys, where ``256`` can
@@ -42,6 +44,7 @@ VARIANTS = {  # (placement, num_devices) -> the object a call passes
     "array": lambda p, m: np.array(p),
     "float": lambda p, m: tuple(map(float, p)),
     "one-float": lambda p, m: (float(p[0]), *p[1:]),
+    "nested-array": lambda p, m: (np.array([p[0]]), *p[1:]),
     "bool": lambda p, m: tuple(map(bool, p)),
     "str": lambda p, m: tuple(map(str, p)),
     "negative": lambda p, m: (*p[:-1], -1),

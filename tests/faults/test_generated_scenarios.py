@@ -65,7 +65,7 @@ def assert_pool_scores_exactly(session, rng):
     for problem in session._problems:
         # Seated by the step (fresh, or a retired problem's successor):
         # fetching it must not build an evaluator of its own.
-        assert problem in session._pool
+        assert id(problem) in session._pool._by_problem
         evaluator = session._pool.get(problem)
         assert evaluator._sim.problem is problem
         singles = [random_placement(problem, rng) for _ in range(PLACEMENTS)]

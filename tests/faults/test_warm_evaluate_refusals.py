@@ -11,11 +11,16 @@ the evaluator's counters and both LRUs are as they were, and the next
 valid request gets what a fresh evaluator gives.  Every socket read
 carries a timeout, so a daemon that never answers fails the test
 instead of hanging the suite.
+
+``ServeClient.evaluate`` sends each row as it is given: a ``1.0`` or a
+``True`` reaches the daemon and is refused there by name, while NumPy
+ints go out as the ints they hold.
 """
 
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.core import PlacementProblem
@@ -91,3 +96,23 @@ def test_bad_rows_are_refused_by_name_and_leave_no_trace(server):
     fresh = PlacementEvaluator(problem, mat.spec.make_objective())
     assert values == fresh.evaluate_many([zeros, other]).tolist()
     assert values[0] == warm[0]
+
+
+def test_client_evaluate_coerces_nothing(server):
+    mat = materialize(DEFAULT_REGISTRY.get(SCENARIO, seed=SEED))
+    problem = PlacementProblem(mat.initial_graphs[0], mat.initial_network)
+    zeros = [0] * problem.graph.num_tasks
+    ones = list(zeros)
+    ones[TASK] = 1
+    assert problem.validate_placement(ones) == tuple(ones)  # 1 is a device here
+    with ServeClient(server.config.socket_path, timeout_s=DEADLINE_S) as client:
+        for device in (1.0, True):
+            row = list(zeros)
+            row[TASK] = device
+            with pytest.raises(ServeRequestError) as refused:
+                client.evaluate(SCENARIO, [zeros, row], seed=SEED)
+            error = refused.value.response["error"]
+            assert error.startswith(f"placement 1: task {TASK}: "), (device, error)
+        values = client.evaluate(SCENARIO, [zeros, ones], seed=SEED)
+        as_numpy = [np.array(zeros), [np.int64(d) for d in ones]]
+        assert client.evaluate(SCENARIO, as_numpy, seed=SEED) == values

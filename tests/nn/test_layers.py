@@ -55,7 +55,8 @@ class TestMLP:
         for _ in range(150):
             opt.zero_grad()
             pred = mlp(Tensor(x))
-            loss = ((pred - Tensor(y)) ** 2).mean()
+            diff = pred - Tensor(y)
+            loss = (diff * diff).mean()
             if first is None:
                 first = float(loss.data)
             loss.backward()

@@ -61,7 +61,7 @@ class TestLSTM:
             prob = logit.sigmoid()
             loss = -(
                 Tensor([target]) * (prob + 1e-9).log()
-                + Tensor([1 - target]) * (1 - prob + 1e-9).log()
+                + Tensor([1 - target]) * (Tensor([1.0]) - prob + 1e-9).log()
             ).sum()
             loss.backward()
             opt.step()
@@ -102,7 +102,8 @@ class TestAttention:
         for _ in range(100):
             opt.zero_grad()
             ctx = attn(Tensor(np.array([1.0, 0.0])), memory)
-            loss = ((ctx - Tensor(np.array([1.0, 0.0]))) ** 2).sum()
+            diff = ctx - Tensor(np.array([1.0, 0.0]))
+            loss = (diff * diff).sum()
             loss.backward()
             opt.step()
         assert float(loss.data) < 0.05

@@ -47,6 +47,11 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def square(t: Tensor) -> Tensor:
+    """Elementwise square on the tape: a non-linear loss for gradchecks."""
+    return t * t
+
+
 def check_grad(build, x: np.ndarray, atol: float = 1e-5) -> None:
     """Compare autograd gradient against finite differences."""
     t = Tensor(x.copy(), requires_grad=True)
@@ -73,14 +78,14 @@ class TestLinear:
         rng = np.random.default_rng(1)
         w, b = rng.normal(size=(4, 3)), rng.normal(size=3)
         check_grad(
-            lambda t: (F.linear(t, Tensor(w), Tensor(b)) ** 2).sum(),
+            lambda t: square(F.linear(t, Tensor(w), Tensor(b))).sum(),
             rng.normal(size=(5, 4)),
         )
 
     def test_grad_1d_input(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(4, 3))
-        check_grad(lambda t: (F.linear(t, Tensor(w)) ** 2).sum(), rng.normal(size=4))
+        check_grad(lambda t: square(F.linear(t, Tensor(w))).sum(), rng.normal(size=4))
 
     def test_weight_and_bias_grads(self):
         rng = np.random.default_rng(3)
@@ -88,7 +93,7 @@ class TestLinear:
         w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=3)
         wt = Tensor(w0.copy(), requires_grad=True)
         bt = Tensor(b0.copy(), requires_grad=True)
-        (F.linear(Tensor(x), wt, bt) ** 2).sum().backward()
+        square(F.linear(Tensor(x), wt, bt)).sum().backward()
         nw = numeric_grad(lambda arr: float(((x @ arr + b0) ** 2).sum()), w0.copy())
         nb = numeric_grad(lambda arr: float(((x @ w0 + arr) ** 2).sum()), b0.copy())
         np.testing.assert_allclose(wt.grad, nw, atol=1e-4)
@@ -177,7 +182,7 @@ class TestSegmentSum:
     def test_grad(self):
         rng = np.random.default_rng(5)
         check_grad(
-            lambda t: (F.segment_sum(t, SEGMENTS, 3) ** 2).sum(),
+            lambda t: square(F.segment_sum(t, SEGMENTS, 3)).sum(),
             rng.normal(size=(7, 2)),
         )
 
@@ -269,7 +274,7 @@ class TestSegmentSum:
         assert np.array_equal(np.signbit(kernel), np.signbit(out))
         if with_grad and 0 < vals.size <= 24:  # unit scale: finite differences
             check_grad(
-                lambda t: (F.segment_sum(t, ids, num_segments) ** 2).sum(),
+                lambda t: square(F.segment_sum(t, ids, num_segments)).sum(),
                 rng.normal(size=vals.shape),
             )
 
@@ -283,7 +288,7 @@ class TestSegmentMean:
     def test_grad(self):
         rng = np.random.default_rng(6)
         check_grad(
-            lambda t: (F.segment_mean(t, SEGMENTS, 4) ** 2).sum(),
+            lambda t: square(F.segment_mean(t, SEGMENTS, 4)).sum(),
             rng.normal(size=(7, 3)),
         )
 
@@ -293,7 +298,7 @@ class TestGatherScatter:
         rng = np.random.default_rng(9)
         idx = np.array([0, 2, 2, 1, 0])
         check_grad(
-            lambda t: (t[idx] ** 3).sum(), rng.normal(size=(3, 2))
+            lambda t: square(t[idx]).sum(), rng.normal(size=(3, 2))
         )
 
     def test_scatter_rows_forward(self):
@@ -308,12 +313,12 @@ class TestGatherScatter:
         idx = np.array([3, 1])
         rows0 = rng.normal(size=(2, 2))
         check_grad(
-            lambda t: (scatter_rows(t, idx, Tensor(rows0)) ** 2).sum(),
+            lambda t: square(scatter_rows(t, idx, Tensor(rows0))).sum(),
             rng.normal(size=(4, 2)),
         )
         base0 = rng.normal(size=(4, 2))
         check_grad(
-            lambda t: (scatter_rows(Tensor(base0), idx, t) ** 2).sum(),
+            lambda t: square(scatter_rows(Tensor(base0), idx, t)).sum(),
             rng.normal(size=(2, 2)),
         )
 

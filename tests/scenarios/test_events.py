@@ -63,7 +63,7 @@ class TestStructure:
         mat = materialize(DEFAULT_REGISTRY.get("edge-churn"))
         assert mat.num_events == mat.spec.churn.num_changes
         assert [e.index for e in mat.events] == list(range(mat.num_events))
-        assert all(e.is_network_event for e in mat.events)
+        assert all(e.kind != "arrival" for e in mat.events)
 
     def test_arrival_only_stream(self):
         mat = materialize(DEFAULT_REGISTRY.get("stable-cluster"))
@@ -84,7 +84,7 @@ class TestStructure:
         assert step2[:2] == ["arrival", "arrival"]
         assert step2[2] in ("add", "remove")
         # arrivals at a step see the network state before that step's churn
-        churn_before = [e for e in events if e.step < 2 and e.is_network_event]
+        churn_before = [e for e in events if e.step < 2 and e.kind != "arrival"]
         arrival = next(e for e in events if e.kind == "arrival")
         assert networks_equal(arrival.network, churn_before[-1].network)
 

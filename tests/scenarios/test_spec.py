@@ -89,7 +89,6 @@ class TestRegistry:
             "mixed-dynamics",
         }
         assert set(DEFAULT_REGISTRY.names()) == expected
-        assert len(DEFAULT_REGISTRY) == 8
 
     def test_get_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="edge-churn"):

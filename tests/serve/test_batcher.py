@@ -1,5 +1,6 @@
 """RequestBatcher: coalescing, value fidelity, and error propagation."""
 
+import contextlib
 import sys
 import threading
 import time
@@ -25,6 +26,16 @@ def problem():
 @pytest.fixture(scope="module")
 def objective():
     return DEFAULT_REGISTRY.get("stable-cluster", seed=0).make_objective()
+
+
+@contextlib.contextmanager
+def started(**limits):
+    """A running batcher, stopped on the way out."""
+    batcher = RequestBatcher(**limits).start()
+    try:
+        yield batcher
+    finally:
+        batcher.stop()
 
 
 def placements_for(problem, count):
@@ -65,7 +76,7 @@ class TestBatcher:
         ps = placements_for(problem, 6)
         expected = [float(reference.evaluate(p)) for p in ps]
         served = PlacementEvaluator(problem, objective)
-        with RequestBatcher(max_wait_ms=1.0) as batcher:
+        with started(max_wait_ms=1.0) as batcher:
             values = batcher.submit_many(served, ps)
         assert values == expected
 
@@ -76,12 +87,12 @@ class TestBatcher:
         expected = {p: float(reference.evaluate(p)) for p in ps}
         results = {}
         lock = threading.Lock()
-        with RequestBatcher(max_wait_ms=20.0) as batcher:
+        with started(max_wait_ms=20.0) as batcher:
             barrier = threading.Barrier(len(ps))
 
             def submit(p):
                 barrier.wait()
-                value = batcher.submit(evaluator, p)
+                value = batcher.submit_many(evaluator, [p])[0]
                 with lock:
                     results[p] = value
 
@@ -97,12 +108,12 @@ class TestBatcher:
     def test_evaluation_error_reaches_submitter(self, problem, objective):
         evaluator = PlacementEvaluator(problem, objective)
         bad = (0,) * (len(problem.feasible_sets) + 1)  # wrong length
-        with RequestBatcher(max_wait_ms=1.0) as batcher:
+        with started(max_wait_ms=1.0) as batcher:
             with pytest.raises(ValueError):
-                batcher.submit(evaluator, bad)
+                batcher.submit_many(evaluator, [bad])
             # the batcher survives a poisoned batch
             good = placements_for(problem, 1)[0]
-            assert batcher.submit(evaluator, good) == float(
+            assert batcher.submit_many(evaluator, [good])[0] == float(
                 PlacementEvaluator(problem, objective).evaluate(good)
             )
 
@@ -116,7 +127,7 @@ class TestBatcher:
         outcomes = {}
         # The second enqueue wakes the drain thread out of its linger, so
         # the window only has to outlast the gap between the two submits.
-        with RequestBatcher(max_wait_ms=2000.0) as batcher:
+        with started(max_wait_ms=2000.0) as batcher:
             barrier = threading.Barrier(2)
 
             def submit(name, placements):
@@ -162,7 +173,7 @@ class TestBatcher:
         pool = EvaluatorPool(objective)
         evaluator = pool.get(problem)
         ps = placements_for(problem, 2)
-        with RequestBatcher(max_wait_ms=1.0) as batcher:
+        with started(max_wait_ms=1.0) as batcher:
             batcher.submit_many(evaluator, ps)
             batcher.submit_many(evaluator, ps)  # second pass: warm cache
         assert evaluator.stats.cache_hits >= len(ps)
@@ -192,7 +203,7 @@ class TestRequestShapes:
 
     def test_empty_request_returns_without_enqueueing(self, problem, objective):
         evaluator = PlacementEvaluator(problem, objective)
-        with RequestBatcher(max_wait_ms=1.0) as batcher:
+        with started(max_wait_ms=1.0) as batcher:
             assert run_bounded(lambda: batcher.submit_many(evaluator, [])) == []
             assert batcher.requests == 0 and batcher.batches == 0
         assert evaluator.stats.batch_calls == 0
@@ -201,7 +212,7 @@ class TestRequestShapes:
         evaluator = PlacementEvaluator(problem, objective)
         reference = PlacementEvaluator(problem, objective)
         ps = placements_for(problem, 8)
-        with RequestBatcher(max_wait_ms=1.0, max_batch=3) as batcher:
+        with started(max_wait_ms=1.0, max_batch=3) as batcher:
             values = run_bounded(lambda: batcher.submit_many(evaluator, ps))
             assert values == [float(reference.evaluate(p)) for p in ps]
             assert batcher.batches == 3  # 3 + 3 + 2: max_batch counts placements
@@ -219,7 +230,7 @@ class TestRequestShapes:
         outcomes = {}
         # The neighbour's enqueue wakes the drain thread out of its
         # linger over the straddler's two left-over placements.
-        with RequestBatcher(max_wait_ms=2000.0, max_batch=4) as batcher:
+        with started(max_wait_ms=2000.0, max_batch=4) as batcher:
             first = threading.Thread(
                 target=lambda: outcomes.update(
                     straddler=run_bounded(lambda: batcher.submit_many(evaluator, straddler))
@@ -312,7 +323,7 @@ class TestSpans:
 
         monkeypatch.setattr(batcher_module, "coalesce_evaluate", held_first)
         outcomes = [None] * (len(requests) + 1)
-        with RequestBatcher(max_wait_ms=0.0, max_batch=max_batch) as batcher:
+        with started(max_wait_ms=0.0, max_batch=max_batch) as batcher:
             threads = []
             queued = 0
             for r, (evaluator, placements) in enumerate([gate_request, *requests]):
@@ -377,7 +388,7 @@ class TestSpans:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with RequestBatcher(max_wait_ms=0.5, max_batch=5) as batcher:
+            with started(max_wait_ms=0.5, max_batch=5) as batcher:
                 threads = [
                     threading.Thread(target=lambda t=t: outcomes.update({t: run_bounded(
                         lambda: batcher.submit_many(evaluator, [ps[i] for i in requests[t]]),

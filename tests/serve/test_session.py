@@ -103,7 +103,7 @@ def test_pool_holds_one_evaluator_per_live_graph(preset):
     session = PlacementSession(spec, "task-eft", RandomTaskEftPolicy(), oracle=False)
     while session.remaining:
         record = session.step()
-        assert len(session._pool) <= record.num_graphs
+        assert len(session._pool._by_problem) <= record.num_graphs
 
 
 @pytest.mark.parametrize("preset", ["flash-crowd", "mixed-dynamics"])
@@ -132,11 +132,11 @@ class TestStepSemantics:
         spec = DEFAULT_REGISTRY.get("stable-cluster", seed=0)
         session = PlacementSession(spec, "task-eft", RandomTaskEftPolicy())
         total = session.num_events
-        assert total > 0 and session.events_consumed == 0
+        assert total > 0 and session.remaining == total
         records = []
         while session.remaining:
             records.append(session.step())
-        assert session.events_consumed == total == len(records)
+        assert len(session.steps) == total == len(records)
         assert [r.index for r in records] == list(range(total))
 
     def test_step_past_end_raises(self):

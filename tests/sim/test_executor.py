@@ -24,6 +24,12 @@ def two_device_net(speeds=(1.0, 2.0), bw=10.0, delay=1.0) -> DeviceNetwork:
     return DeviceNetwork(devices, bwm, dlm)
 
 
+def execution_order(res, device: int) -> list[int]:
+    """Tasks run on ``device``, in start-time order."""
+    tasks = [i for i, d in enumerate(res.placement) if d == device]
+    return sorted(tasks, key=lambda i: res.start[i])
+
+
 class TestHandComputedTimelines:
     def test_chain_two_devices(self):
         # 0 (C=2) on d0 (sp=1) -> w=2; edge B=10, bw=10, delay=1 -> c=2;
@@ -90,7 +96,7 @@ class TestHandComputedTimelines:
         g = TaskGraph((1.0, 2.0, 2.0, 1.0), {(0, 1): 0.0, (0, 2): 50.0, (1, 3): 0.0, (2, 3): 0.0})
         net = two_device_net(speeds=(1.0, 1.0), bw=10.0, delay=0.0)
         res = simulate(g, net, [1, 0, 0, 0])
-        assert res.execution_order(0) == [1, 2, 3]
+        assert execution_order(res, 0) == [1, 2, 3]
 
 
 class TestValidation:
@@ -179,7 +185,7 @@ def test_simulation_invariants(seed, num_tasks, num_devices):
         assert res.finish[i] - res.start[i] == pytest.approx(w)
     # 3. Non-preemption / single task per device: busy intervals disjoint.
     for d in range(num_devices):
-        order = res.execution_order(d)
+        order = execution_order(res, d)
         for a, b in zip(order, order[1:]):
             assert res.start[b] >= res.finish[a] - 1e-9
     # 4. Makespan consistency.

@@ -73,8 +73,7 @@ class TestDegenerateGraphs:
         g = TaskGraph((5.0,), {})
         res = simulate(g, net(), [1])
         assert res.makespan == pytest.approx(5.0)
-        assert res.execution_order(1) == [0]
-        assert res.execution_order(0) == []
+        assert res.placement == (1,)
 
     def test_disconnected_tasks_run_in_parallel(self):
         g = TaskGraph((4.0, 4.0), {})  # two independent entry/exit tasks

@@ -15,13 +15,6 @@ class TestInstruments:
         assert reg.counter("a.b") is c
         assert c.value == 3.5
 
-    def test_gauge_last_write_wins(self):
-        reg = Metrics()
-        g = reg.gauge("depth")
-        g.set(4)
-        g.set(2)
-        assert g.value == 2.0
-
     def test_histogram_summary(self):
         reg = Metrics()
         h = reg.histogram("batch")
@@ -50,13 +43,10 @@ class TestSnapshot:
     def test_delta_drops_unchanged(self):
         reg = Metrics()
         reg.counter("stable").inc(5)
-        reg.gauge("g").set(1)
         before = reg.snapshot()
         reg.counter("moved").inc(2)
-        reg.gauge("g").set(9)
         delta = reg.snapshot().delta(before)
         assert delta.counters == {"moved": 2.0}
-        assert delta.gauges == {"g": 9.0}
 
     def test_histogram_delta_subtracts_counts(self):
         reg = Metrics()
@@ -73,13 +63,11 @@ class TestSnapshot:
         reg.histogram("h").observe(3)
         shipped = MetricsSnapshot(
             counters={"c": 2.0},
-            gauges={"g": 7.0},
             histograms={"h": (2, 11.0, 1.0, 10.0)},
         )
         reg.merge_snapshot(shipped)
         snap = reg.snapshot()
         assert snap.counters["c"] == 3.0
-        assert snap.gauges["g"] == 7.0
         assert snap.histograms["h"] == (3, 14.0, 1.0, 10.0)
 
     def test_snapshot_picklable(self):

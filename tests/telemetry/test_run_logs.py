@@ -35,13 +35,9 @@ class TestLogger:
         assert captured.out == ""
         assert captured.err == "[repro] hello\n"
 
-    def test_debug_hidden_at_default_level(self, capsys):
-        log.debug("verbose")
-        assert capsys.readouterr().err == ""
-
-    def test_env_level_debug(self, capsys, monkeypatch):
+    def test_env_level_debug_shows_info(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_LOG", "debug")
-        log.debug("verbose")
+        log.info("verbose")
         assert "[repro] verbose" in capsys.readouterr().err
 
     def test_env_level_quiet_silences_warn(self, capsys, monkeypatch):
