@@ -25,6 +25,7 @@ needed.
 from collections import Counter, OrderedDict
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,19 @@ def test_every_call_is_a_fresh_evaluators_call(seed, calls):
 )
 def test_two_byte_keys_follow_the_same_model(seed, calls):
     run_calls(make_problem(seed, num_devices=300), seed, calls, width="H")
+
+
+def test_nested_array_is_refused_by_name():
+    # ``np.array([d])`` has ``__index__``, and the call raises ``TypeError``.
+    problem = make_problem(0)
+    row = (np.array([0]), *random_placement(problem, np.random.default_rng(0))[1:])
+    message = "task 0: device index must be an int, not array([0])"
+    with pytest.raises(ValueError) as direct:
+        problem.validate_placement(row)
+    evaluator = PlacementEvaluator(problem, MakespanObjective())
+    with pytest.raises(ValueError) as evaluated:
+        evaluator.evaluate(row)
+    assert str(direct.value) == str(evaluated.value) == message
 
 
 def run_calls(problem, seed, calls, width):

@@ -98,21 +98,32 @@ def test_bad_rows_are_refused_by_name_and_leave_no_trace(server):
     assert values[0] == warm[0]
 
 
-def test_client_evaluate_coerces_nothing(server):
+def _client_rows() -> tuple[list, list]:
+    """The warm all-zeros row and the feasible row with device 1 at ``TASK``."""
     mat = materialize(DEFAULT_REGISTRY.get(SCENARIO, seed=SEED))
     problem = PlacementProblem(mat.initial_graphs[0], mat.initial_network)
     zeros = [0] * problem.graph.num_tasks
     ones = list(zeros)
     ones[TASK] = 1
     assert problem.validate_placement(ones) == tuple(ones)  # 1 is a device here
+    return zeros, ones
+
+
+@pytest.mark.parametrize("device", [1.0, True], ids=["float", "true"])
+def test_client_evaluate_coerces_nothing(server, device):
+    zeros, _ = _client_rows()
+    row = list(zeros)
+    row[TASK] = device
     with ServeClient(server.config.socket_path, timeout_s=DEADLINE_S) as client:
-        for device in (1.0, True):
-            row = list(zeros)
-            row[TASK] = device
-            with pytest.raises(ServeRequestError) as refused:
-                client.evaluate(SCENARIO, [zeros, row], seed=SEED)
-            error = refused.value.response["error"]
-            assert error.startswith(f"placement 1: task {TASK}: "), (device, error)
+        with pytest.raises(ServeRequestError) as refused:
+            client.evaluate(SCENARIO, [zeros, row], seed=SEED)
+    error = refused.value.response["error"]
+    assert error.startswith(f"placement 1: task {TASK}: "), (device, error)
+
+
+def test_client_evaluate_sends_numpy_ints_as_ints(server):
+    zeros, ones = _client_rows()
+    with ServeClient(server.config.socket_path, timeout_s=DEADLINE_S) as client:
         values = client.evaluate(SCENARIO, [zeros, ones], seed=SEED)
         as_numpy = [np.array(zeros), [np.int64(d) for d in ones]]
         assert client.evaluate(SCENARIO, as_numpy, seed=SEED) == values

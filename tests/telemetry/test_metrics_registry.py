@@ -91,6 +91,13 @@ class TestSnapshot:
         }
 
 
+    def test_as_dict_renders_counters_and_histograms_only(self):
+        reg = Metrics()
+        reg.counter("c").inc()
+        reg.histogram("h").observe(1)
+        assert list(reg.snapshot().as_dict()) == ["counters", "histograms"]
+
+
 class TestAbsorb:
     def test_absorb_prefixes(self):
         reg = Metrics()

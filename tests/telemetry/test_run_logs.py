@@ -40,6 +40,17 @@ class TestLogger:
         log.info("verbose")
         assert "[repro] verbose" in capsys.readouterr().err
 
+    def test_env_level_warn_hides_info(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG", "warn")
+        log.info("hidden")
+        log.warn("shown")
+        assert capsys.readouterr().err == "[repro] shown\n"
+
+    def test_unknown_env_level_falls_back_to_info(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG", "chatty")
+        log.info("shown")
+        assert capsys.readouterr().err == "[repro] shown\n"
+
     def test_env_level_quiet_silences_warn(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_LOG", "quiet")
         log.warn("problem")
