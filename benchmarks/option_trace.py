@@ -13,7 +13,9 @@ that never left its default on any call, with the function's call count::
 
 A parameter some path sets is not printed, nor is one of a function no
 path calls.  Runs inline in one process (about a minute on two cores);
-``--out`` also writes every (function, parameter) row as JSON.
+``--out`` also writes every (function, parameter) row as JSON.  What the
+drive itself prints (reports, CLI output) goes to stderr, so stdout holds
+only the list.
 
 ``--functions`` instead prints every function, method and property of
 the package that the drive never calls, with its line count (nested
@@ -25,6 +27,7 @@ closures count toward the function that defines them)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import inspect
 import json
@@ -197,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
         threading.setprofile(recorder)
         sys.setprofile(recorder)
         try:
-            drive(pathlib.Path(tmp))
+            with contextlib.redirect_stdout(sys.stderr):
+                drive(pathlib.Path(tmp))
         finally:
             sys.setprofile(None)
             threading.setprofile(None)

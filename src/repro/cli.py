@@ -406,7 +406,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     if args.action == "list":
         print(f"{'name':<24s} {'devices':>7s} {'changes':>7s} {'graphs':>6s}  description")
-        for spec in DEFAULT_REGISTRY:
+        for name in DEFAULT_REGISTRY.names():
+            spec = DEFAULT_REGISTRY.get(name)
             print(
                 f"{spec.name:<24s} {spec.cluster.num_devices:>7d} "
                 f"{spec.churn.num_changes:>7d} "

@@ -12,7 +12,6 @@ modest so every preset replays end-to-end in seconds; scale up by
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
 
 from ..devices.dynamics import ChurnConfig
 from .spec import ClusterSpec, RelocationSpec, ScenarioSpec, WorkloadSpec
@@ -21,7 +20,7 @@ __all__ = ["ScenarioRegistry", "DEFAULT_REGISTRY", "default_registry"]
 
 
 class ScenarioRegistry:
-    """Name -> :class:`ScenarioSpec` lookup with list/iterate support."""
+    """Name -> :class:`ScenarioSpec` lookup; :meth:`names` lists the presets."""
 
     def __init__(self) -> None:
         self._specs: dict[str, ScenarioSpec] = {}
@@ -45,10 +44,6 @@ class ScenarioRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._specs)
-
-    def __iter__(self) -> Iterator[ScenarioSpec]:
-        for name in self.names():
-            yield self._specs[name]
 
 
 def default_registry() -> ScenarioRegistry:

@@ -25,7 +25,7 @@ how many workers the oracle's events fan out over.
 The per-event state machine itself lives in
 :mod:`repro.serve.session` (:class:`~repro.serve.session.PlacementSession`)
 so the ``repro serve`` daemon drives the same code; this module keeps
-the batch orchestration — oracle series and policy fan-out.  The
+only the batch orchestration — oracle series and policy fan-out.  The
 session import is deferred to call time because the serve package
 imports scenario submodules (deferral breaks the package cycle).
 """
@@ -33,13 +33,13 @@ imports scenario submodules (deferral breaks the package cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from ..baselines.base import SearchPolicy
 from ..core.placement import PlacementProblem
 from ..parallel import ExecutionBackend, ForkBackend, InlineBackend, get_context
 from ..runtime.evaluator import EvaluatorPool
-from ..sim.objectives import Objective
 from .events import MaterializedScenario, ScenarioEvent, materialize
 from .report import AdaptationReport
 from .spec import ScenarioSpec
@@ -71,55 +71,23 @@ class ScenarioRunner:
     Parameters
     ----------
     spec: the declarative scenario (or pass a pre-materialized one).
-    episode_multiplier: search budget per re-placement, in units of the
-        graph's task count (the paper's 2·|V| protocol).
-    reuse_evaluators: share one :class:`EvaluatorPool` per policy across
-        the whole replay (the production path).  ``False`` builds a cold
-        evaluator per (event, graph) — the configuration the replay
-        benchmark compares against.
     oracle: compute the fresh-search oracle (HEFT ∧ random-task-EFT from
         a fresh random start) per event; disable for pure throughput
         runs, where regret is reported as 0.
+
+    Policies and oracle search :data:`~repro.serve.session.EPISODE_MULTIPLIER`
+    × |V| steps per re-placement.
     """
 
     def __init__(
-        self,
-        spec: ScenarioSpec | MaterializedScenario,
-        episode_multiplier: int = 2,
-        reuse_evaluators: bool = True,
-        oracle: bool = True,
+        self, spec: ScenarioSpec | MaterializedScenario, oracle: bool = True
     ) -> None:
-        if episode_multiplier < 1:
-            raise ValueError("episode_multiplier must be >= 1")
         self.materialized = spec if isinstance(spec, MaterializedScenario) else materialize(spec)
         self.spec = self.materialized.spec
-        self.episode_multiplier = episode_multiplier
-        self.reuse_evaluators = reuse_evaluators
         self.oracle = oracle
         self._oracle_cache: list[float] | None = None
 
-    def _replay_state(self):
-        """Advance cluster/workload state event by event.
-
-        See :func:`repro.serve.session.scenario_states` — the single
-        source of truth shared by the oracle, the policy replay, and
-        the serving sessions.
-        """
-        return _session_mod().scenario_states(self.materialized)
-
     # -- oracle ------------------------------------------------------------------
-
-    def _oracle_event_slr(
-        self,
-        event: ScenarioEvent,
-        problems: Sequence[PlacementProblem],
-        objective: Objective,
-        pool: EvaluatorPool | None,
-    ) -> float:
-        """Oracle SLR of one event (see :func:`repro.serve.session.oracle_event_slr`)."""
-        return _session_mod().oracle_event_slr(
-            event, problems, objective, pool, self.spec.seed, self.episode_multiplier
-        )
 
     def _oracle_slr(self, backend: ExecutionBackend | None = None) -> list[float]:
         """Per-event fresh-search oracle SLR series.
@@ -129,26 +97,20 @@ class ScenarioRunner:
         from a fresh random placement with the same step budget.  The
         events fan out through ``backend``; per-(event, graph) streams
         make the series bit-identical at any worker count and under any
-        backend.  The
-        inline path runs the events directly (no context pickling), one
-        evaluator pool shared across events — caches never change
-        values, so both paths agree bit-for-bit.
+        backend.  The inline path runs the events directly against the
+        context (no pickling), one evaluator pool shared across events —
+        caches never change values, so both paths agree bit-for-bit.
         """
         states = [
             (event, problems)
-            for event, problems, _ in self._replay_state()
+            for event, problems, _ in _session_mod().scenario_states(self.materialized)
             if event is not None
         ]
+        context = _OracleContext(self.spec, states)
         backend = backend or InlineBackend()
-        if not isinstance(backend, InlineBackend):
-            context = _OracleContext(self, states)
-            return backend.fanout(_oracle_event, range(len(states)), context)
-        objective = self.spec.make_objective()
-        pool = EvaluatorPool(objective) if self.reuse_evaluators else None
-        return [
-            self._oracle_event_slr(event, problems, objective, pool)
-            for event, problems in states
-        ]
+        if isinstance(backend, InlineBackend):
+            return [context.event_slr(index) for index in range(len(states))]
+        return backend.fanout(_oracle_event, range(len(states)), context)
 
     # -- replay ------------------------------------------------------------------
 
@@ -213,8 +175,6 @@ class ScenarioRunner:
             self.materialized,
             name,
             policy,
-            episode_multiplier=self.episode_multiplier,
-            reuse_evaluators=self.reuse_evaluators,
             oracle=self.oracle,
             oracle_slr=oracle_slr,
         )
@@ -224,46 +184,34 @@ class ScenarioRunner:
 # -- parallel fan-out ---------------------------------------------------------------
 
 
+@dataclass
 class _OracleContext:
     """Broadcast payload for the per-event oracle workers.
 
     ``states`` is pickled as one object graph, so problem identity is
-    preserved within each worker's copy and the worker-local
-    :class:`EvaluatorPool` keeps paying off across the events that land
-    on that worker (caches change speed, never values).
+    preserved within each worker's copy and the worker-local pool, built
+    on first use, keeps paying off across the events that land on that
+    worker (caches change speed, never values).
     """
 
-    def __init__(
-        self,
-        runner: ScenarioRunner,
-        states: Sequence[tuple[ScenarioEvent, list[PlacementProblem]]],
-    ) -> None:
-        self.runner = runner
-        self.states = list(states)
-        self._objective: Objective | None = None
-        self._pool: EvaluatorPool | None = None
+    spec: ScenarioSpec
+    states: list[tuple[ScenarioEvent, tuple[PlacementProblem, ...]]]
 
-    def __getstate__(self):
-        return {"runner": self.runner, "states": self.states}
+    @cached_property
+    def pool(self) -> EvaluatorPool:
+        return EvaluatorPool(self.spec.make_objective())
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._objective = None
-        self._pool = None
-
-    def scoring(self) -> tuple[Objective, EvaluatorPool | None]:
-        if self._objective is None:
-            self._objective = self.runner.spec.make_objective()
-            if self.runner.reuse_evaluators:
-                self._pool = EvaluatorPool(self._objective)
-        return self._objective, self._pool
+    def event_slr(self, index: int) -> float:
+        event, problems = self.states[index]
+        session = _session_mod()
+        return session.oracle_event_slr(
+            event, problems, self.pool, self.spec.seed, session.EPISODE_MULTIPLIER
+        )
 
 
 def _oracle_event(index: int) -> float:
     ctx: _OracleContext = get_context()
-    event, problems = ctx.states[index]
-    objective, pool = ctx.scoring()
-    return ctx.runner._oracle_event_slr(event, problems, objective, pool)
+    return ctx.event_slr(index)
 
 
 @dataclass(frozen=True)

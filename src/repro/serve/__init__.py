@@ -4,11 +4,11 @@ The batch stack (:mod:`repro.scenarios`) replays whole scenarios in one
 process; this package carves that per-event logic into a long-lived
 serving runtime:
 
-* :mod:`repro.serve.session` — :class:`PlacementSession`, the per-event
-  adapt → repair → search → migrate state machine extracted from
-  :class:`~repro.scenarios.runner.ScenarioRunner`.  Both the batch
-  runner and the daemon drive it, so a scenario replayed through the
-  server yields bit-identical :class:`AdaptationReport`s.
+* :mod:`repro.serve.session` — :class:`PlacementSession`, the one
+  per-event adapt → repair → search → migrate state machine, on pooled
+  evaluators.  Both the batch runner and the daemon drive it, so a
+  scenario replayed through the server yields bit-identical
+  :class:`AdaptationReport`s.
 * :mod:`repro.serve.protocol` — the JSON-lines request protocol.
 * :mod:`repro.serve.batcher` — coalesces concurrent evaluate requests
   into one ``evaluate_many`` call.

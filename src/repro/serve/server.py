@@ -63,7 +63,7 @@ from .protocol import (
     error_response,
     ok_response,
 )
-from .session import PlacementSession
+from .session import EPISODE_MULTIPLIER, PlacementSession
 
 __all__ = [
     "PlacementServer",
@@ -147,7 +147,7 @@ class ServeConfig:
     """Daemon configuration (the ``repro serve`` flags)."""
 
     socket_path: str
-    episode_multiplier: int = 2
+    episode_multiplier: int = EPISODE_MULTIPLIER
     batch_wait_ms: float = 2.0
     max_batch: int = 256
     oracle: bool = False  # default for opened sessions (requests may override)

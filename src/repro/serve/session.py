@@ -1,11 +1,11 @@
 """Session-oriented placement runtime shared by the batch runner and the daemon.
 
 :class:`PlacementSession` is the per-event adapt → repair → search →
-migrate state machine that used to live inline in
-``ScenarioRunner._run_policy``.  A session owns everything one policy
-needs to track a changing cluster: the materialized event stream, the
-current uid placements, a private :class:`EvaluatorPool`, the
-relocation-cost model, and the evaluator totals each step diffs.  Each
+migrate state machine, the one replay path: the batch runner and the
+``repro serve`` daemon both drive it.  A session owns everything one
+policy needs to track a changing cluster: the materialized event
+stream, the current uid placements, a private :class:`EvaluatorPool`,
+the relocation-cost model, and the evaluator totals each step diffs.  Each
 :meth:`PlacementSession.step` consumes exactly one scenario event and
 returns the resulting :class:`StepRecord`; :meth:`PlacementSession.report`
 assembles the :class:`AdaptationReport` accumulated so far.
@@ -21,12 +21,11 @@ speed, never values.
 The module-level helpers (:func:`scenario_states`,
 :func:`repair_placement`, :func:`migration_cost`,
 :func:`oracle_event_slr`, …) are the single source of truth for how
-events transform state; the runner's methods delegate here.
+events transform state; the runner calls them directly.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 import zlib
 from typing import Sequence
@@ -38,7 +37,7 @@ from ..baselines.heft import heft_placement
 from ..baselines.random_policies import RandomTaskEftPolicy
 from ..core.placement import PlacementProblem, random_placement
 from ..devices.network import DeviceNetwork
-from ..runtime.evaluator import EvaluatorPool, EvaluatorStats, PlacementEvaluator
+from ..runtime.evaluator import EvaluatorPool, EvaluatorStats
 from ..scenarios.events import MaterializedScenario, ScenarioEvent, materialize
 from ..scenarios.report import AdaptationReport, StepRecord
 from ..scenarios.spec import ScenarioSpec
@@ -48,6 +47,7 @@ from ..sim.relocation import RelocationCostModel, TaskRelocationProfile
 from ..telemetry import metrics, span
 
 __all__ = [
+    "EPISODE_MULTIPLIER",
     "ORACLE_KEY",
     "PlacementSession",
     "migration_cost",
@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 ORACLE_KEY = zlib.crc32(b"__fresh-search-oracle__")
+
+# Search budget per re-placement, in units of the graph's task count
+# (the paper's 2·|V| protocol); the batch runner's oracle always uses it.
+EPISODE_MULTIPLIER = 2
 
 
 def policy_key(name: str) -> int:
@@ -168,19 +172,10 @@ def scenario_states(materialized: MaterializedScenario):
         yield event, problems, network
 
 
-def _pool_evaluator(
-    pool: EvaluatorPool | None, problem: PlacementProblem, objective: Objective
-) -> PlacementEvaluator:
-    if pool is not None:
-        return pool.get(problem)
-    return PlacementEvaluator(problem, objective)
-
-
 def oracle_event_slr(
     event: ScenarioEvent,
     problems: Sequence[PlacementProblem],
-    objective: Objective,
-    pool: EvaluatorPool | None,
+    pool: EvaluatorPool,
     seed: int,
     episode_multiplier: int,
 ) -> float:
@@ -192,13 +187,15 @@ def oracle_event_slr(
     identity — the property that lets events fan out over workers, and
     that lets a serving session compute it lazily per request while
     agreeing bit-for-bit with the batch runner's upfront series.
+    ``pool`` supplies the evaluators and the objective.
     """
+    objective = pool.objective
     searcher = RandomTaskEftPolicy()
     slrs = []
     with span("scenario.oracle"):
         for graph_index, problem in enumerate(problems):
             rng = np.random.default_rng([seed, ORACLE_KEY, event.index, graph_index])
-            evaluator = _pool_evaluator(pool, problem, objective)
+            evaluator = pool.get(problem)
             heft_value = evaluator.evaluate(heft_placement(problem).placement)
             trace = searcher.search(
                 problem,
@@ -224,11 +221,7 @@ class PlacementSession:
         same (scenario, seed, name) always replays identically.
     policy: the :class:`SearchPolicy` driven on every event.
     episode_multiplier: search budget per re-placement, in units of the
-        graph's task count (the paper's 2·|V| protocol).
-    reuse_evaluators: share one private :class:`EvaluatorPool` across
-        the session (the production path; a network event retires every
-        replaced problem's evaluator); ``False`` builds a cold
-        evaluator per (event, graph).
+        graph's task count (default :data:`EPISODE_MULTIPLIER`).
     oracle: whether oracle/regret fields are meaningful.  ``False``
         reports both as 0 (pure-throughput serving).
     oracle_slr: optional precomputed per-event oracle series (the batch
@@ -243,8 +236,7 @@ class PlacementSession:
         name: str,
         policy: SearchPolicy,
         *,
-        episode_multiplier: int = 2,
-        reuse_evaluators: bool = True,
+        episode_multiplier: int = EPISODE_MULTIPLIER,
         oracle: bool = True,
         oracle_slr: Sequence[float] | None = None,
     ) -> None:
@@ -255,15 +247,13 @@ class PlacementSession:
         self.name = name
         self.policy = policy
         self.episode_multiplier = episode_multiplier
-        self.reuse_evaluators = reuse_evaluators
         self.oracle = oracle
         self._oracle_series = None if oracle_slr is None else [float(v) for v in oracle_slr]
 
         self._objective = self.spec.make_objective()
         self._key = policy_key(name)
         self._profile = relocation_profile(self.spec)
-        self._pool = EvaluatorPool(self._objective) if reuse_evaluators else None
-        self._cold_stats = EvaluatorStats()  # aggregate when evaluators are per-event
+        self._pool = EvaluatorPool(self._objective)
         # Evaluator totals at the previous step / report: each step records,
         # and each report absorbs, only what happened since.
         self._stepped = EvaluatorStats()
@@ -271,9 +261,7 @@ class PlacementSession:
         # The lazy oracle owns a separate pool: oracle evaluations must
         # not leak into the policy's per-step cache statistics.
         self._oracle_pool = (
-            EvaluatorPool(self._objective)
-            if (oracle and oracle_slr is None and reuse_evaluators)
-            else None
+            EvaluatorPool(self._objective) if oracle and oracle_slr is None else None
         )
 
         self._states = scenario_states(self.materialized)
@@ -308,12 +296,7 @@ class PlacementSession:
         if not self.oracle:
             return 0.0
         return oracle_event_slr(
-            event,
-            problems,
-            self._objective,
-            self._oracle_pool,
-            self.spec.seed,
-            self.episode_multiplier,
+            event, problems, self._oracle_pool, self.spec.seed, self.episode_multiplier
         )
 
     # -- the per-event state machine ---------------------------------------------
@@ -334,17 +317,15 @@ class PlacementSession:
             self.placements.append(None)
         else:
             self._model = relocation_model(spec, network, self._profile)
-            if self._pool is not None:
-                # Every graph's problem was replaced: its evaluator is dead.
-                for retired, successor in zip(self._problems, problems):
-                    self._pool.retire(retired, successor)
+            # Every graph's problem was replaced: its evaluator is dead.
+            for retired, successor in zip(self._problems, problems):
+                self._pool.retire(retired, successor)
         self._problems = problems
 
         rng = np.random.default_rng([spec.seed, self._key, 1 + event.index])
         values, slrs = [], []
         moved_total, cost_total = 0, 0.0
         for i, problem in enumerate(problems):
-            evaluator = _pool_evaluator(self._pool, problem, self._objective)
             initial = repair_placement(self.placements[i], problem)
             with span("scenario.search"):
                 trace = policy.search(
@@ -353,7 +334,7 @@ class PlacementSession:
                     initial,
                     self.episode_multiplier * problem.graph.num_tasks,
                     rng,
-                    evaluator=evaluator,
+                    evaluator=self._pool.get(problem),
                 )
             new_uids = uid_placement(trace.best_placement, network)
             with span("scenario.migrate"):
@@ -369,8 +350,6 @@ class PlacementSession:
             cost_total += cost
             values.append(trace.best_value)
             slrs.append(trace.best_value / slr_denominator(problem, self._objective))
-            if self._pool is None:
-                self._cold_stats.merge(evaluator.stats)
 
         elapsed = time.perf_counter() - began
         total = self.evaluator_stats()
@@ -407,9 +386,7 @@ class PlacementSession:
 
     def evaluator_stats(self) -> EvaluatorStats:
         """The session's evaluator totals so far (a fresh copy)."""
-        if self._pool is not None:
-            return self._pool.stats()
-        return copy.copy(self._cold_stats)
+        return self._pool.stats()
 
     def report(self) -> AdaptationReport:
         """The :class:`AdaptationReport` of the steps consumed so far."""

@@ -115,7 +115,7 @@ class TestReplaySemantics:
     def test_oracle_event_unaffected_by_later_arrivals(self, small_spec):
         # An event's oracle SLR is a pure function of that event's
         # identity: graphs arriving at later events must not leak into
-        # it.  The oracle collects every yield of _replay_state before
+        # it.  The oracle collects every yield of scenario_states before
         # scoring any, so a yield a later arrival could still grow would
         # hand earlier arrivals the final list — the regression this
         # pins down.
@@ -156,17 +156,6 @@ class TestDeterminism:
         assert "replace_seconds" not in plain["steps"][0]
         timed = report.as_dict(include_timing=True)
         assert "replace_seconds" in timed["steps"][0]
-
-    def test_cold_evaluators_reproduce_the_same_values(self, small_spec, result):
-        """Evaluator reuse is a pure optimization: values must not change."""
-        cold = ScenarioRunner(small_spec, reuse_evaluators=False).run(
-            {"task-eft": RandomTaskEftPolicy()}
-        )
-        warm_steps = result.reports["task-eft"].as_dict()["steps"]
-        cold_steps = cold.reports["task-eft"].as_dict()["steps"]
-        for warm, cold_step in zip(warm_steps, cold_steps):
-            for field in ("mean_value", "mean_slr", "migrated_tasks", "migration_cost_ms"):
-                assert warm[field] == pytest.approx(cold_step[field])
 
 
 class TestAdaptHook:

@@ -111,5 +111,8 @@ class TestRegistry:
         a, b = default_registry(), default_registry()
         assert a is not b and a.names() == b.names()
 
-    def test_iteration_is_sorted(self):
-        assert [s.name for s in DEFAULT_REGISTRY] == DEFAULT_REGISTRY.names()
+    def test_membership_is_refused_not_answered(self):
+        # The registry is not a container: ``in`` must fail loudly rather
+        # than answer False for a registered preset.
+        with pytest.raises(TypeError):
+            "edge-churn" in DEFAULT_REGISTRY

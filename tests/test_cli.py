@@ -418,8 +418,8 @@ class TestScenario:
 
     @pytest.mark.parametrize("flag", ["--list", "--cold-evaluators"])
     def test_duplicate_and_unused_flags_are_gone(self, flag):
-        # `scenario list` (or bare `scenario`) lists; cold evaluators are
-        # ScenarioRunner(reuse_evaluators=False) in Python.
+        # `scenario list` (or bare `scenario`) lists; the replay always
+        # pools its evaluators, so there is no cold-evaluator switch.
         with pytest.raises(SystemExit) as exited:
             build_parser().parse_args(["scenario", "run", "edge-churn", flag])
         assert exited.value.code == 2
